@@ -1,16 +1,18 @@
-"""Anatomy of a kernel: factored products, expansion, partial fractions.
+"""Anatomy of a kernel: factored products, poles, principal parts.
 
 Every series summand in the package is a derivative of a rational function
 built from shifted linear factors.  This demo dissects the left kernel at
 (n, m) = (2, 1): its factor structure, the merged pole pattern, the
-certified partial-fraction decomposition, and how derivative tails of the
-decomposition turn into zeta values.
+certified principal parts read off its rising-factorial blocks, the dense
+reference decomposition they agree with, and how derivative tails of the
+principal parts turn into zeta values.
 """
 
 from fractions import Fraction
 
 from apery4 import (FormParameters, derivative_tail_sum, left_kernel,
                     partial_fractions)
+from apery4.apery_forms import _left_blocks, _principal_parts
 
 p = FormParameters(2, 1)
 kernel = left_kernel(p)
@@ -25,18 +27,23 @@ print(f"degree gap (denominator minus numerator): {kernel.degree_gap}")
 # exponent sit at shifts 0..n only.
 print(f"denominator shifts after merging: {kernel.denominator_shifts()}")
 
-f = kernel.expand()
-print(f"\nexpanded: numerator degree {f.numerator.degree}, "
-      f"denominator degree {f.denominator.degree}")
-
-expansion = partial_fractions(f, kernel.denominator_shifts())
-print("\npartial fractions (certified against the original by rebuilding):")
-assert expansion.polynomial_part.is_zero
+# The principal parts come from local expansions of the rising-factorial
+# blocks at each pole; nothing is expanded.  The call also certifies them:
+# kernel and parts must agree at deg D integer points.
+expansion = _principal_parts([(_left_blocks(p), kernel)], "left side of (2, 1)")
+print("\nprincipal parts (certified at deg D points beyond the poles):")
 for term in expansion.terms:
     for j, coefficient in enumerate(term.coefficients, start=1):
         if coefficient:
             print(f"  {coefficient} / (t + {term.shift})^{j}")
-assert expansion.reconstruct() == f
+
+# The dense route expands the kernel and decomposes it by Taylor division;
+# it stays as the reference the block route is tested against.
+f = kernel.expand()
+dense = partial_fractions(f, kernel.denominator_shifts())
+print(f"\ndense reference (numerator degree {f.numerator.degree}, denominator "
+      f"degree {f.denominator.degree}) agrees: {dense == expansion}")
+assert dense == expansion
 
 # Summing d/dt of each principal-part term from v = n-m+1 gives the exact
 # linear form in zeta values -- all tails are shifted polyzeta tails.

@@ -16,9 +16,17 @@ each an exact linear form in zeta values (in fact in {1, zeta(4)} alone —
 the zeta(2), zeta(3), zeta(5) coordinates cancel).  The central verified
 claim is left_form == right_form componentwise on the whole parameter grid.
 
-Each form is computed by expanding its kernel, decomposing into certified
-partial fractions over the kernel's own denominator shifts, and summing
-derivative tails termwise (see :mod:`apery4.zeta_forms`).
+Each form is computed from the principal parts of its kernel, read off the
+rising-factorial blocks without expanding anything: at a pole each block is
+a signed factorial quotient times the exponential of a power-sum series
+whose coefficients are differences of harmonic numbers.  The derivative
+tails of the principal parts are then summed termwise (see
+:mod:`apery4.zeta_forms`); the right form adds its n+1 kernels' parts first
+and sums the tails once.  Every decomposition carries an always-on
+certificate: the pole orders must match the merged factors of the kernel's
+:class:`~apery4.polyrat.LinearFactorProduct`, and kernel and principal parts
+must agree at deg D integer points, D being the common denominator, which
+proves them equal as rational functions.
 
 The module also carries the three independent evaluation routes for the
 *summands* (the term values of the split series):
@@ -47,11 +55,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import floor, lcm
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import DomainError, PoleError, RangeError, ReconstructionError
 from .exact_arith import binomial, factorial, harmonic, pochhammer
-from .polyrat import (LinearFactorProduct, factored_derivative_values,
-                      partial_fractions)
+from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
+                      Polynomial, factored_derivative_values)
 from .zeta_forms import FixedPointNumber, ZetaLinearForm, derivative_tail_sum
 
 __all__ = [
@@ -98,11 +108,11 @@ class FormParameters:
 # ---------------------------------------------------------------------------
 
 
-def _factor_blocks(*specs: tuple[int, int, int]) -> list[tuple[Fraction, int]]:
+def _factor_blocks(*specs: tuple[int, int, int]) -> list[tuple[int, int]]:
     """Flatten (shift, count, exponent) rising-factorial blocks to factor pairs."""
-    out: list[tuple[Fraction, int]] = []
+    out: list[tuple[int, int]] = []
     for shift, count, exponent in specs:
-        out.extend((_F(shift + i), exponent) for i in range(count))
+        out.extend((shift + i, exponent) for i in range(count))
     return out
 
 
@@ -118,7 +128,7 @@ def left_kernel(p: FormParameters) -> LinearFactorProduct:
     """
     n, m = p.n, p.m
     scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
-    factors = [(_F(n, 2), 1)]
+    factors: list[tuple[Fraction | int, int]] = [(_F(n, 2), 1)]
     factors += _factor_blocks(
         (-n, m, 1),
         (m - 2 * n, 2 * n - m, 1),
@@ -148,26 +158,313 @@ def right_kernel_term(p: FormParameters, j: int) -> LinearFactorProduct:
     return LinearFactorProduct.of(scalar, factors)
 
 
+@dataclass(frozen=True)
+class _BlockProduct:
+    """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors.
+
+    Unlike LinearFactorProduct this keeps the rising-factorial block
+    structure, which is what the generated derivative route, the series
+    streamer and the local expansions of the principal parts need.
+    """
+
+    scalar: Fraction
+    blocks: tuple[tuple[int, int, int], ...]        # (x, k, e) with x integer
+    linears: tuple[tuple[Fraction, int], ...]       # (s, e), s possibly n/2
+
+    @property
+    def degree(self) -> int:
+        """deg(numerator) - deg(denominator), before any cancellation."""
+        return sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
+
+    def shifted(self, offset: int) -> "_BlockProduct":
+        """Substitute t -> t + offset."""
+        return _BlockProduct(self.scalar,
+                             tuple((x + offset, k, e) for x, k, e in self.blocks),
+                             tuple((s + offset, e) for s, e in self.linears))
+
+    def first_positive_point(self) -> int:
+        """The least integer t at which every factor is positive."""
+        return max([1 - x for x, k, _ in self.blocks if k > 0]
+                   + [floor(-s) + 1 for s, _ in self.linears], default=1)
+
+    def values(self, start: int, count: int) -> list[Fraction]:
+        """[g(start), ..., g(start + count - 1)], stepping by g(t+1)/g(t).
+
+        Every factor must be positive at ``start`` (see
+        :meth:`first_positive_point`).
+        """
+        value = self.scalar
+        for x, k, e in self.blocks:
+            value *= _F(pochhammer(start + x, k)) ** e
+        for s, e in self.linears:
+            value *= (start + s) ** e
+        out = []
+        for t in range(start, start + count):
+            out.append(value)
+            num = den = 1
+            for x, k, e in self.blocks:
+                top, bottom = t + x + k, t + x
+                if e > 0:
+                    num *= top ** e
+                    den *= bottom ** e
+                else:
+                    num *= bottom ** -e
+                    den *= top ** -e
+            value *= _F(num, den)
+            for s, e in self.linears:
+                value *= ((t + 1 + s) / (t + s)) ** e
+        return out
+
+
+def _left_blocks(p: FormParameters) -> _BlockProduct:
+    n, m = p.n, p.m
+    scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
+    return _BlockProduct(
+        scalar,
+        ((-n, m, 1), (m - 2 * n, 2 * n - m, 1), (n + 1, n, 1),
+         (n + 1, 2 * n - m, 1), (0, n + 1, -3), (0, 2 * n - m + 1, -1)),
+        ((_F(n, 2), 1),),
+    )
+
+
+def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
+    n, m = p.n, p.m
+    scalar = _F(binomial(n, j) ** 2 * binomial(2 * n - m + j, n))
+    return _BlockProduct(
+        scalar,
+        ((-n, 2 * n - m, 1), (-j, n, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
+        (),
+    )
+
+
+# ---------------------------------------------------------------------------
+# principal parts from the block structure, with a point-evaluation certificate
+# ---------------------------------------------------------------------------
+
+
+def _nonzero_runs(low: int, high: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero integers of [low, high] as (sign, first |a|, count) runs."""
+    positive = max(low, 1)
+    negative = max(-high, 1)
+    return ((1, positive, max(0, high - positive + 1)),
+            (-1, negative, max(0, -low - negative + 1)))
+
+
+def _pole_orders(bp: _BlockProduct) -> dict[int, int]:
+    """{shift p: order} of the poles t = -p, from the merged block exponents."""
+    candidates: set[int] = set()
+    for x, k, e in bp.blocks:
+        if e < 0:
+            candidates.update(range(x, x + k))
+    candidates.update(s for s, e in bp.linears if e < 0)
+    orders: dict[int, int] = {}
+    for q in candidates:
+        exponent = (sum(e for x, k, e in bp.blocks if x <= q < x + k)
+                    + sum(e for s, e in bp.linears if s == q))
+        if exponent < 0:
+            orders[q] = -exponent
+    return orders
+
+
+class _LocalExpansion:
+    """Principal parts of block products at integer poles, all in integers.
+
+    At a pole t = -p of order E, put u = t + p.  Each block factor (t + c)
+    with a = c - p != 0 is a (1 + u/a), and a loose factor (t + s) with
+    s = q/d is (b/d)(1 + d u/b) for b = q - d p != 0; the factors with a = 0
+    or b = 0 are the powers of u.  So near u = 0 a kernel is
+    C u^-E exp(sum_r c_r u^r), where C is the scalar times the product of the
+    a^e (signed factorial quotients over each block) and
+    r c_r = (-1)^(r+1) P_r / L^r with P_r = L^r sum e a^-r an integer:
+    L = lcm(1..top) for a ``top`` covering every |a| and |b|, so the power
+    sums over a block are differences of the integer harmonic table
+    h[r][i] = L^r S_r(i).  The series g = exp(sum c_r u^r) has
+    g_k = G_k / (k! L^k) with integer G_0 = 1 and
+    G_k = sum_{i=1..k} (-1)^(i+1) P_i G_(k-i) (k-1)!/(k-i)!,
+    and the principal part is A_j = C g_(E-j).
+    """
+
+    def __init__(self, top: int, depth: int) -> None:
+        self.depth = depth
+        self.scale = lcm(*range(1, top + 1))
+        self.table: list[list[int]] = [[]]
+        for r in range(1, depth):
+            unit = self.scale ** r
+            row = [0]
+            for a in range(1, top + 1):
+                row.append(row[-1] + unit // a ** r)
+            self.table.append(row)
+
+    def part(self, bp: _BlockProduct, shift: int, order: int) -> tuple[list[int], int]:
+        """(numerators of A_1..A_order, common denominator) of bp at t = -shift.
+
+        The denominator is the one of C times (depth-1)! L^(depth-1), so
+        kernels sharing their denominator blocks share it, and their parts
+        add as integers.
+        """
+        scale, table, depth = self.scale, self.table, self.depth
+        num, den = bp.scalar.numerator, bp.scalar.denominator
+        sums = [0] * order                  # sums[r] = P_r
+        for x, k, e in bp.blocks:
+            for sign, first, count in _nonzero_runs(x - shift, x - shift + k - 1):
+                if count == 0:
+                    continue
+                product = sign ** count * pochhammer(first, count)
+                if e > 0:
+                    num *= product ** e
+                else:
+                    den *= product ** -e
+                last = first + count - 1
+                for r in range(1, order):
+                    sums[r] += e * sign ** r * (table[r][last] - table[r][first - 1])
+        for s, e in bp.linears:
+            d = s.denominator
+            b = s.numerator - d * shift
+            if b == 0:
+                continue
+            if e > 0:
+                num *= b ** e
+                den *= d ** e
+            else:
+                num *= d ** -e
+                den *= b ** -e
+            for r in range(1, order):
+                sums[r] += e * d ** r * (scale // b) ** r
+        series = [1]
+        for k in range(1, order):
+            series.append(sum((-1) ** (i + 1) * sums[i] * series[k - i]
+                              * factorial(k - 1) // factorial(k - i)
+                              for i in range(1, k + 1)))
+        # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (depth-1)! L^(depth-1)
+        numerators = [num * series[order - j] * factorial(depth - 1)
+                      // factorial(order - j) * scale ** (depth - 1 - order + j)
+                      for j in range(1, order + 1)]
+        return numerators, den * factorial(depth - 1) * scale ** (depth - 1)
+
+
+def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
+    """Every |a| and |b| that :meth:`_LocalExpansion.part` meets at ``shift``."""
+    out = [abs(a) for x, k, _ in bp.blocks if k > 0 for a in (x - shift, x + k - 1 - shift)]
+    out += [abs(s.numerator - s.denominator * shift) for s, _ in bp.linears]
+    return out
+
+
+def _certify(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
+             expansion: PartialFractions, where: str) -> None:
+    """Prove that ``expansion`` is the partial-fraction form of sum of kernels.
+
+    Each kernel's poles and orders must match the merged negative exponents
+    of its LinearFactorProduct, and the kernel must vanish at infinity.
+    With D = prod (t+p)^E_p over the largest orders, the sum f and the
+    expansion F both equal (polynomial of degree < deg D) / D, so
+    f - F = R/D with deg R < deg D, and f == F at deg D distinct points
+    proves R = 0.  The points are consecutive integers where every factor
+    is positive; there f steps by an O(blocks) ratio, and F is evaluated in
+    integers as L*D(x)*F(x) with L the lcm of the coefficient denominators.
+    Raises ReconstructionError naming ``where`` on any mismatch.
+    """
+    orders: dict[int, int] = {}
+    for bp, readout in kernels:
+        own = _pole_orders(bp)
+        structural = {s: -e for s, e in readout.factors if e < 0}
+        if own != structural:
+            raise ReconstructionError(
+                f"{where}: block poles {sorted(own.items())} differ from the "
+                f"merged factors' poles {sorted(structural.items())}")
+        if bp.degree >= 0 or readout.degree_gap <= 0:
+            raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
+        for shift, order in own.items():
+            orders[shift] = max(order, orders.get(shift, 0))
+    if not expansion.polynomial_part.is_zero:
+        raise ReconstructionError(f"{where}: expansion has a polynomial part")
+    scale = 1
+    for term in expansion.terms:
+        if term.order > orders.get(term.shift, 0):
+            raise ReconstructionError(
+                f"{where}: term of order {term.order} at shift {term.shift} "
+                "exceeds the kernel's pole order there")
+        for c in term.coefficients:
+            scale = lcm(scale, c.denominator)
+    scaled = [(int(term.shift), [int(c * scale) for c in term.coefficients])
+              for term in expansion.terms]
+
+    start = max(bp.first_positive_point() for bp, _ in kernels)
+    count = sum(orders.values())
+    columns = [bp.values(start, count) for bp, _ in kernels]
+    for i, x in enumerate(range(start, start + count)):
+        f = sum((column[i] for column in columns), start=_F(0))
+        den = 1
+        for shift, order in orders.items():
+            den *= (x + shift) ** order
+        parts = 0
+        for shift, coefficients in scaled:
+            base = x + shift
+            horner = 0
+            for c in coefficients:
+                horner = horner * base + c
+            parts += horner * (den // base ** len(coefficients))
+        if f.numerator * scale * den != parts * f.denominator:
+            raise ReconstructionError(
+                f"{where}: principal parts disagree with the kernel at t = {x}")
+
+
+def _principal_parts(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
+                     where: str) -> PartialFractions:
+    """Certified partial fractions of the sum of the block-product kernels.
+
+    Each kernel is paired with its LinearFactorProduct, whose merged
+    exponents serve as the certificate's independent pole readout.  The
+    principal parts come from local expansions (:class:`_LocalExpansion`),
+    added as integers over shared denominators; nothing is expanded into a
+    dense polynomial.  Raises ReconstructionError naming ``where`` when the
+    certificate (:func:`_certify`) fails.
+    """
+    poles = [_pole_orders(bp) for bp, _ in kernels]
+    top = max((a for (bp, _), orders in zip(kernels, poles) for shift in orders
+               for a in _local_magnitudes(bp, shift)), default=0)
+    depth = max((order for orders in poles for order in orders.values()), default=1)
+    local = _LocalExpansion(top, depth)
+    parts: dict[int, tuple[list[int], int]] = {}
+    for (bp, _), orders in zip(kernels, poles):
+        for shift, order in orders.items():
+            numerators, den = local.part(bp, shift, order)
+            acc, acc_den = parts.get(shift, ([], den))
+            if acc_den != den:
+                acc, numerators = [c * den for c in acc], [c * acc_den for c in numerators]
+                den *= acc_den
+            parts[shift] = ([a + c for a, c in zip_longest(acc, numerators, fillvalue=0)],
+                            den)
+    expansion = PartialFractions(Polynomial(), tuple(
+        PoleExpansion(_F(shift), tuple(_F(c, den) for c in numerators))
+        for shift, (numerators, den) in sorted(parts.items())))
+    _certify(kernels, expansion, where)
+    return expansion
+
+
 # ---------------------------------------------------------------------------
 # exact form values
 # ---------------------------------------------------------------------------
 
 
+def _left_expansion(p: FormParameters) -> PartialFractions:
+    return _principal_parts([(_left_blocks(p), left_kernel(p))],
+                            f"left side of cell (n, m) = ({p.n}, {p.m})")
+
+
 def left_form(p: FormParameters) -> ZetaLinearForm:
     """Exact value of the left form: -1/3 sum_{v >= n-m+1} (d/dt kernel)(v)."""
-    kernel = left_kernel(p)
-    expansion = partial_fractions(kernel.expand(), kernel.denominator_shifts())
-    return _F(-1, 3) * derivative_tail_sum(expansion, 1, p.n - p.m + 1)
+    return _F(-1, 3) * derivative_tail_sum(_left_expansion(p), 1, p.n - p.m + 1)
 
 
 def right_form(p: FormParameters) -> ZetaLinearForm:
-    """Exact value of the right form: 1/6 sum_j sum_{v >= 1} (d^2/dt^2 term_j)(v)."""
-    total = ZetaLinearForm.zero()
-    for j in range(p.n + 1):
-        kernel = right_kernel_term(p, j)
-        expansion = partial_fractions(kernel.expand(), kernel.denominator_shifts())
-        total = total + derivative_tail_sum(expansion, 2, 1)
-    return _F(1, 6) * total
+    """Exact value of the right form: 1/6 sum_j sum_{v >= 1} (d^2/dt^2 term_j)(v).
+
+    Partial fractions and tail sums are linear, so the n+1 principal parts
+    are added first and certified once, and one tail sum closes them.
+    """
+    kernels = [(_right_blocks(p, j), right_kernel_term(p, j)) for j in range(p.n + 1)]
+    expansion = _principal_parts(kernels, f"right side of cell (n, m) = ({p.n}, {p.m})")
+    return _F(1, 6) * derivative_tail_sum(expansion, 2, 1)
 
 
 def identity_holds(p: FormParameters) -> bool:
@@ -209,41 +506,6 @@ def pochhammer_derivative(x: int, k: int, nu: int) -> Fraction:
             f"derivative rule needs nu + x >= 1, got nu + x = {nu + x}")
     return _F(pochhammer(nu + x, k)) * (harmonic(1, nu + x + k - 1)
                                         - harmonic(1, nu + x - 1))
-
-
-@dataclass(frozen=True)
-class _BlockProduct:
-    """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors.
-
-    Unlike LinearFactorProduct this keeps the rising-factorial block
-    structure, which is what the generated derivative route and the series
-    streamer need.
-    """
-
-    scalar: Fraction
-    blocks: tuple[tuple[int, int, int], ...]        # (x, k, e) with x integer
-    linears: tuple[tuple[Fraction, int], ...]       # (s, e), s possibly n/2
-
-
-def _left_blocks(p: FormParameters) -> _BlockProduct:
-    n, m = p.n, p.m
-    scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
-    return _BlockProduct(
-        scalar,
-        ((-n, m, 1), (m - 2 * n, 2 * n - m, 1), (n + 1, n, 1),
-         (n + 1, 2 * n - m, 1), (0, n + 1, -3), (0, 2 * n - m + 1, -1)),
-        ((_F(n, 2), 1),),
-    )
-
-
-def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
-    n, m = p.n, p.m
-    scalar = _F(binomial(n, j) ** 2 * binomial(2 * n - m + j, n))
-    return _BlockProduct(
-        scalar,
-        ((-n, 2 * n - m, 1), (-j, n, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
-        (),
-    )
 
 
 def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
@@ -373,9 +635,7 @@ def left_mid_sum(p: FormParameters) -> Fraction:
 
 def left_split_check(p: FormParameters) -> bool:
     """Re-derive the left form from its tail + mid split and compare."""
-    kernel = left_kernel(p)
-    expansion = partial_fractions(kernel.expand(), kernel.denominator_shifts())
-    tail = derivative_tail_sum(expansion, 1, 2 * p.n - p.m + 1)
+    tail = derivative_tail_sum(_left_expansion(p), 1, 2 * p.n - p.m + 1)
     split_value = _F(-1, 3) * (tail + ZetaLinearForm.from_constant(left_mid_sum(p)))
     return split_value == left_form(p)
 
@@ -446,8 +706,9 @@ def right_finite_sum(p: FormParameters) -> Fraction:
 
 def right_tail_component(p: FormParameters, j: int) -> ZetaLinearForm:
     """Exact tail of the j-th right series from v = n+1 on (shifted to 1)."""
-    kernel = right_kernel_term(p, j).shifted(p.n)
-    expansion = partial_fractions(kernel.expand(), kernel.denominator_shifts())
+    kernel = (_right_blocks(p, j).shifted(p.n), right_kernel_term(p, j).shifted(p.n))
+    expansion = _principal_parts(
+        [kernel], f"right tail j = {j} of cell (n, m) = ({p.n}, {p.m})")
     return derivative_tail_sum(expansion, 2, 1)
 
 
@@ -552,13 +813,6 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 # ---------------------------------------------------------------------------
 # numeric evaluation of the defining series (float-side cross-check)
 # ---------------------------------------------------------------------------
-
-
-def _block_values_positive(bp: _BlockProduct, point: int) -> bool:
-    for x, k, _ in bp.blocks:
-        if k > 0 and point + x < 1:
-            return False
-    return True
 
 
 def _series_tail_numeric(bp: _BlockProduct, kernel: LinearFactorProduct,

@@ -18,7 +18,9 @@ JSON reports carry the cell records (rationals as ``p/q`` strings), a
 configuration; cells are sorted by (n, m) regardless of worker scheduling.
 
 Exit status: 0 when every requested check passes, 1 when any verification
-fails, 2 on usage errors (bad arguments or out-of-domain parameters).
+fails, 2 on usage errors.  argparse rejects malformed arguments itself;
+out-of-range settings, unwritable report paths and out-of-domain parameters
+are reported as one ``error:`` line on stderr before any work starts.
 """
 
 from __future__ import annotations
@@ -46,6 +48,27 @@ _SUITES = ("main", "boundary-m0", "boundary-zr", "closed-forms",
            "binom-identity", "all")
 
 
+class _UsageError(Apery4Error):
+    """A command-line argument or setting the command cannot run with."""
+
+
+def _at_least(value: int, low: int, name: str) -> int:
+    if value < low:
+        raise _UsageError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _check_writable(path: str | None) -> None:
+    """Create a report file before any work, so a bad path is a usage error."""
+    if path is None or path == "-":
+        return
+    try:
+        with open(path, "w", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -61,9 +84,15 @@ def _write_text(text: str, path: str) -> None:
 
 def _job_count(args: argparse.Namespace) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("APERY4_JOBS", "")
-    return max(1, int(env)) if env.isdigit() and env != "0" else 1
+        return _at_least(args.jobs, 1, "--jobs")
+    env = os.environ.get("APERY4_JOBS", "").strip()
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise _UsageError(f"APERY4_JOBS must be an integer, got {env!r}") from None
+    return _at_least(jobs, 1, "APERY4_JOBS")
 
 
 def _grid_records(n_max: int, jobs: int) -> list[dict]:
@@ -76,12 +105,13 @@ def _grid_records(n_max: int, jobs: int) -> list[dict]:
                                     [c[1] for c in cells]))
     records.sort(key=lambda r: (r["n"], r["m"]))
     # The recurrence in m needs the two neighbouring cells of the same row,
-    # so it is checked here on the collected grid rather than per worker.
-    forms = {(r["n"], r["m"]): ZetaLinearForm.from_mapping(r["left"])
-             for r in records}
+    # so it is checked here on the collected grid rather than per worker,
+    # on the values of both constructions.
+    sides = [{(r["n"], r["m"]): ZetaLinearForm.from_mapping(r[side]) for r in records}
+             for side in ("left", "right")]
     for r in records:
         n, m = r["n"], r["m"]
-        r["recurrencePass"] = (recurrence_holds(forms, n, m)
+        r["recurrencePass"] = (all(recurrence_holds(forms, n, m) for forms in sides)
                                if m <= n - 2 else None)
     return records
 
@@ -114,8 +144,11 @@ def _write_grid_csv(records: list[dict], path: str) -> None:
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+    _at_least(args.n_max, 0, "--n-max")
     jobs = _job_count(args)
+    _check_writable(args.json)
+    _check_writable(args.csv)
+    started = time.perf_counter()
     records = _grid_records(args.n_max, jobs)
     total_ms = round((time.perf_counter() - started) * 1000.0, 3)
     failed = sum(1 for r in records if not _cell_passed(r))
@@ -193,6 +226,8 @@ def _run_suite(name: str, n_max: int) -> tuple[int, int]:
 
 
 def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
+    _at_least(args.n_max, 0, "--n-max")
+    _check_writable(args.json)
     names = ([s for s in _SUITES if s != "all"]
              if args.suite == "all" else [args.suite])
     results = []
@@ -226,6 +261,7 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _at_least(args.digits, 1, "--digits")
     form = left_form(FormParameters(args.n, args.m))
     print(f"Z({args.n}, {args.m}) = {form}")
     print(f"  constant    = {form.constant}")
@@ -235,6 +271,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_summand_audit(args: argparse.Namespace) -> int:
+    _at_least(args.n_max, 0, "--n-max")
+    _at_least(args.samples, 1, "--samples")
     checks = audit_summands(args.n_max, args.samples, args.seed)
     by_family: dict[str, list] = {}
     for check in checks:

@@ -10,12 +10,18 @@ Conventions
   never by the root.
 * Everything is exact Fraction arithmetic; nothing here touches floats.
 
-The heavy consumers build rational functions as products of shifted linear
-factors (:class:`LinearFactorProduct`), expand them once, and decompose with
-:func:`partial_fractions` using the factor shifts as pole candidates.  The
-decomposition always re-multiplies its answer and compares against the input
-(:class:`~apery4.errors.ReconstructionError` on mismatch), so a returned
-expansion is certified, not merely computed.
+The kernels of the package are products of shifted linear factors
+(:class:`LinearFactorProduct`), whose merged exponents give their poles and
+orders structurally.  The exact forms take their principal parts straight
+from the rising-factorial blocks (see :mod:`apery4.apery_forms`) and return
+them as :class:`PartialFractions`; no production path expands a kernel into
+dense polynomials.  Dense expansion serves the independent oracles instead:
+:func:`factored_derivative_values` evaluates summand derivatives blindly,
+and :func:`partial_fractions` is the dense reference decomposition the
+tests compare the block route against.  It decomposes an expanded rational
+function over caller-supplied pole candidates, then re-multiplies its answer
+and compares against the input (:class:`~apery4.errors.ReconstructionError`
+on mismatch), so a returned expansion is certified, not merely computed.
 """
 
 from __future__ import annotations
@@ -296,17 +302,14 @@ class LinearFactorProduct:
     @classmethod
     def of(cls, scalar: Fraction | int,
            factors: Iterable[tuple[Fraction | int, int]] = ()) -> "LinearFactorProduct":
-        merged: dict[Fraction, int] = {}
+        # int and Fraction keys of equal value hash alike, so shifts merge
+        # before the survivors are converted; most shifts are ints, which
+        # hash and sort far faster than Fractions.
+        merged: dict[Fraction | int, int] = {}
         for shift, exponent in factors:
-            if exponent == 0:
-                continue
-            key = _as_fraction(shift)
-            total = merged.get(key, 0) + exponent
-            if total:
-                merged[key] = total
-            elif key in merged:
-                del merged[key]
-        ordered = tuple(sorted(merged.items()))
+            merged[shift] = merged.get(shift, 0) + exponent
+        ordered = tuple((_as_fraction(shift), exponent)
+                        for shift, exponent in sorted(merged.items()) if exponent)
         return cls(_as_fraction(scalar), ordered)
 
     @classmethod

@@ -6,6 +6,7 @@ values were frozen from the structure-blind polynomial oracle (quotient
 rule on the expanded kernels) before the printed formulas were trusted.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apery4 import (DomainError, FormParameters, LinearFactorProduct,
-                    RangeError, ZetaLinearForm, audit_summands,
-                    evaluate_decimal, identity_holds, left_form,
-                    left_form_numeric, left_kernel, left_mid_sum,
+                    PartialFractions, PoleExpansion, RangeError,
+                    ReconstructionError, ZetaLinearForm, apery_forms,
+                    audit_summands, evaluate_decimal, identity_holds,
+                    left_form, left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
-                    pochhammer_derivative, right_finite_sum, right_form,
-                    right_form_numeric, right_kernel_term, right_low_summand,
-                    right_mid_summand, right_split_check,
-                    right_tail_component, verify_cell)
+                    partial_fractions, pochhammer_derivative,
+                    right_finite_sum, right_form, right_form_numeric,
+                    right_kernel_term, right_low_summand, right_mid_summand,
+                    right_split_check, right_tail_component, verify_cell)
+from apery4.apery_forms import (_certify, _left_blocks, _principal_parts,
+                                _right_blocks)
+from apery4.recurrence_lab import recurrence_table
 
 F = Fraction
 
@@ -123,6 +128,84 @@ def test_verify_cell_record():
     assert record["left"] == {"c0": "-13", "z4": "12"}
     assert record["right"] == {"c0": "-13", "z4": "12"}
     assert record["elapsedMs"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# principal parts from the block structure and their certificate
+# ---------------------------------------------------------------------------
+
+
+def _kernel_pairs(p):
+    """(label, (block product, LinearFactorProduct)) for every kernel of a cell."""
+    yield "left", (_left_blocks(p), left_kernel(p))
+    for j in range(p.n + 1):
+        yield f"right j = {j}", (_right_blocks(p, j), right_kernel_term(p, j))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_block_principal_parts_match_dense_route(n):
+    for m in range(n + 1):
+        for label, (blocks, kernel) in _kernel_pairs(FormParameters(n, m)):
+            dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
+            assert _principal_parts([(blocks, kernel)], label) == dense, (n, m, label)
+
+
+def _certified_sides(p):
+    """(where, kernels, expansion) for the left kernel and the summed right one."""
+    left = [(_left_blocks(p), left_kernel(p))]
+    right = [(_right_blocks(p, j), right_kernel_term(p, j)) for j in range(p.n + 1)]
+    for where, kernels in (("left side of cell (4, 1)", left),
+                           ("right side of cell (4, 1)", right)):
+        yield where, kernels, _principal_parts(kernels, where)
+
+
+def _bump_second_term(terms):
+    term = terms[1]
+    bumped = PoleExpansion(term.shift, (term.coefficients[0] + F(1, 10**9),)
+                           + term.coefficients[1:])
+    return terms[:1] + (bumped,) + terms[2:]
+
+
+@pytest.mark.parametrize("tamper", [_bump_second_term, lambda terms: terms[:-1]],
+                         ids=["coefficient-off-by-1e-9", "pole-dropped"])
+def test_certificate_rejects_tampered_parts(tamper):
+    for where, kernels, expansion in _certified_sides(FormParameters(4, 1)):
+        tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms))
+        with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
+            _certify(kernels, tampered, where)
+
+
+def test_certificate_cross_checks_the_pole_orders():
+    p = FormParameters(4, 1)
+    expansion = _principal_parts([(_left_blocks(p), left_kernel(p))], "left")
+    other = left_kernel(FormParameters(3, 1))   # no pole at t = -4
+    with pytest.raises(ReconstructionError, match="block poles"):
+        _certify([(_left_blocks(p), other)], expansion, "left")
+
+
+def test_forms_always_certify(monkeypatch):
+    honest = apery_forms._LocalExpansion.part
+
+    def off_by_one(self, bp, shift, order):
+        numerators, den = honest(self, bp, shift, order)
+        return [numerators[0] + 1] + numerators[1:], den
+
+    monkeypatch.setattr(apery_forms._LocalExpansion, "part", off_by_one)
+    p = FormParameters(3, 1)
+    with pytest.raises(ReconstructionError, match=r"left side of cell \(n, m\) = \(3, 1\)"):
+        left_form(p)
+    with pytest.raises(ReconstructionError, match=r"right side of cell \(n, m\) = \(3, 1\)"):
+        right_form(p)
+    with pytest.raises(ReconstructionError, match=r"right tail j = 2 of cell"):
+        right_tail_component(p, 2)
+
+
+@pytest.mark.slow
+def test_both_sides_match_recurrence_table_to_n_40():
+    for (n, m), expected in recurrence_table(40).items():
+        p = FormParameters(n, m)
+        assert left_form(p) == expected, (n, m, "left")
+        assert right_form(p) == expected, (n, m, "right")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from apery4 import cli_report, verify_cell
 from apery4.cli_report import main
 
 
@@ -130,3 +131,43 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-identity", "--bogus"])
     assert excinfo.value.code == 2
+
+
+def test_recurrence_checks_the_right_values(capsys, monkeypatch):
+    def corrupted(n, m):
+        record = verify_cell(n, m)
+        if (n, m) == (2, 1):
+            record["right"] = {**record["right"], "c0": "0"}
+        return record
+
+    monkeypatch.setattr(cli_report, "verify_cell", corrupted)
+    assert main(["verify-identity", "--n-max", "2"]) == 1
+    out = capsys.readouterr().out
+    assert ("cell n= 2 m= 0  FAIL  identity=True pure=True recurrence=False"
+            in out)
+    assert "FAILURES FOUND" in out
+
+
+@pytest.mark.parametrize("argv,jobs_env", [
+    (["verify-identity", "--n-max", "-1"], None),
+    (["verify-recurrences", "--suite", "binom-identity", "--n-max", "-5"], None),
+    (["summand-audit", "--n-max", "-3"], None),
+    (["eval", "--n", "1", "--m", "0", "--digits", "0"], None),
+    (["summand-audit", "--samples", "-1"], None),
+    (["verify-identity", "--n-max", "1", "--jobs", "-4"], None),
+    (["verify-identity", "--n-max", "1"], "abc"),
+    (["verify-identity", "--n-max", "1", "--json", "{missing}/report.json"], None),
+    (["verify-identity", "--n-max", "1", "--csv", "{missing}/report.csv"], None),
+], ids=["verify-identity-n-max", "verify-recurrences-n-max", "summand-audit-n-max",
+        "eval-digits", "summand-audit-samples", "jobs", "jobs-env", "json-path",
+        "csv-path"])
+def test_usage_errors_exit_2_with_one_error_line(argv, jobs_env, tmp_path,
+                                                 monkeypatch, capsys):
+    if jobs_env is not None:
+        monkeypatch.setenv("APERY4_JOBS", jobs_env)
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
