@@ -1,23 +1,30 @@
 """Anatomy of a kernel: factored products, poles, principal parts.
 
 Every series summand in the package is a derivative of a rational function
-built from shifted linear factors.  This demo dissects the left kernel at
-(n, m) = (2, 1): its factor structure, the merged pole pattern, the
-certified principal parts read off its rising-factorial blocks, the dense
-reference decomposition they agree with, and how derivative tails of the
-principal parts turn into zeta values.
+written once as a scalar times rising-factorial blocks.  This demo
+dissects the left kernel at (n, m) = (2, 1): its blocks, the merged factor
+structure and pole pattern derived from them, the certified principal parts
+read off the blocks, the dense reference decomposition they agree with, and
+how derivative tails of the principal parts turn into zeta values.
 """
 
 from fractions import Fraction
 
-from apery4 import (FormParameters, derivative_tail_sum, left_kernel,
-                    partial_fractions)
+from apery4 import FormParameters, derivative_tail_sum, partial_fractions
 from apery4.apery_forms import _left_blocks, _principal_parts
 
 p = FormParameters(2, 1)
-kernel = left_kernel(p)
+blocks = _left_blocks(p)
+print("the spec: scalar, rising-factorial blocks (t + x)_k^e, loose factors:")
+print(f"  scalar {blocks.scalar}")
+for x, k, e in blocks.blocks:
+    print(f"  block x = {x:>3}  k = {k}  exponent {e:+d}")
+for s, e in blocks.linears:
+    print(f"  loose (t + {s})  exponent {e:+d}")
 
-print("factored form (shift, exponent) pairs of (t + shift)^exponent:")
+# Every other view is derived from that spec; left_kernel(p) is this one.
+kernel = blocks.factored()
+print("\nfactored form (shift, exponent) pairs of (t + shift)^exponent:")
 print(f"  scalar {kernel.scalar}")
 for shift, exponent in kernel.factors:
     print(f"  shift {str(shift):>5}  exponent {exponent:+d}")
@@ -30,7 +37,7 @@ print(f"denominator shifts after merging: {kernel.denominator_shifts()}")
 # The principal parts come from local expansions of the rising-factorial
 # blocks at each pole; nothing is expanded.  The call also certifies them:
 # kernel and parts must agree at deg D integer points.
-expansion = _principal_parts([(_left_blocks(p), kernel)], "left side of (2, 1)")
+expansion = _principal_parts([blocks], "left side of (2, 1)")
 print("\nprincipal parts (certified at deg D points beyond the poles):")
 for term in expansion.terms:
     for j, coefficient in enumerate(term.coefficients, start=1):

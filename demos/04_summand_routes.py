@@ -13,8 +13,7 @@ exactly:
 
 from apery4 import (FormParameters, audit_summands, left_tail_summand,
                     pochhammer_derivative)
-from apery4.apery_forms import (_generated_derivatives, _left_blocks,
-                                _oracle_derivatives, left_kernel)
+from apery4.apery_forms import _generated_derivatives, _left_blocks
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
 print(f"d/dt (1 + t)_2 at t = 1: {pochhammer_derivative(1, 2, 1)}")
@@ -22,9 +21,12 @@ print(f"d/dt (1 + t)_2 at t = 1: {pochhammer_derivative(1, 2, 1)}")
 p = FormParameters(2, 1)
 nu = 3
 point = nu + 2 * p.n - p.m
+# oracle and generated route start from the same kernel spec; only the
+# printed formula is typed in separately
+blocks = _left_blocks(p)
 printed = left_tail_summand(p, nu)
-oracle = _oracle_derivatives(left_kernel(p), point, 1)[1]
-generated = _generated_derivatives(_left_blocks(p), point, 1)[1]
+oracle = blocks.factored().derivative_values_at(point, 1)[1]
+generated = _generated_derivatives(blocks, point, 1)[1]
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")
 print(f"  oracle    {oracle}")

@@ -11,21 +11,20 @@ evaluation routes.  See the README for a tour.
 from __future__ import annotations
 
 from .apery_forms import (FormParameters, SummandCheck, audit_summands,
-                          identity_holds, left_form, left_form_numeric,
-                          left_kernel, left_mid_sum, left_mid_summand,
-                          left_split_check, left_tail_summand,
-                          pochhammer_derivative, right_finite_sum, right_form,
-                          right_form_numeric, right_kernel_term,
-                          right_low_summand, right_mid_summand,
-                          right_split_check, right_tail_component, verify_cell)
+                          left_form, left_form_numeric, left_kernel,
+                          left_mid_sum, left_mid_summand, left_split_check,
+                          left_tail_summand, pochhammer_derivative,
+                          right_finite_sum, right_form, right_form_numeric,
+                          right_kernel_term, right_low_summand,
+                          right_mid_summand, right_split_check,
+                          right_tail_component, verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError,
                      FactorizationError, NonProperError, PoleError,
                      PoleInRangeError, RangeError, ReconstructionError)
-from .exact_arith import (binomial, factorial, harmonic, harmonic_value,
-                          pochhammer, rational_from_string, warm_caches)
+from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, RationalFunction, differentiate,
-                      factored_derivative_values, partial_fractions, poly_gcd)
+                      Polynomial, RationalFunction, factored_derivative_values,
+                      partial_fractions)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum, evaluate_decimal,
                          tail_power_sum, zeta_value)
@@ -53,13 +52,10 @@ __all__ = [
     "bernoulli_even",
     "binomial",
     "derivative_tail_sum",
-    "differentiate",
     "evaluate_decimal",
     "factored_derivative_values",
     "factorial",
     "harmonic",
-    "harmonic_value",
-    "identity_holds",
     "left_form",
     "left_form_numeric",
     "left_kernel",
@@ -70,8 +66,6 @@ __all__ = [
     "partial_fractions",
     "pochhammer",
     "pochhammer_derivative",
-    "poly_gcd",
-    "rational_from_string",
     "right_finite_sum",
     "right_form",
     "right_form_numeric",

@@ -16,15 +16,19 @@ each an exact linear form in zeta values (in fact in {1, zeta(4)} alone —
 the zeta(2), zeta(3), zeta(5) coordinates cancel).  The central verified
 claim is left_form == right_form componentwise on the whole parameter grid.
 
-Each form is computed from the principal parts of its kernel, read off the
-rising-factorial blocks without expanding anything: at a pole each block is
-a signed factorial quotient times the exponential of a power-sum series
+Each kernel is written down once, as a scalar times rising-factorial blocks
+and loose linear factors; the merged
+:class:`~apery4.polyrat.LinearFactorProduct`, the dense oracle, the
+generated route, the numeric streamer and the principal parts all derive
+from that one spec.  Each form is computed from the principal parts of its
+kernel, read off the blocks without expanding anything: at a pole each block
+is a signed factorial quotient times the exponential of a power-sum series
 whose coefficients are differences of harmonic numbers.  The derivative
 tails of the principal parts are then summed termwise (see
 :mod:`apery4.zeta_forms`); the right form adds its n+1 kernels' parts first
 and sums the tails once.  Every decomposition carries an always-on
-certificate: the pole orders must match the merged factors of the kernel's
-:class:`~apery4.polyrat.LinearFactorProduct`, and kernel and principal parts
+certificate: the pole orders found by scanning the blocks must match those
+left after merging the same spec's factors, and kernel and principal parts
 must agree at deg D integer points, D being the common denominator, which
 proves them equal as rational functions.
 
@@ -70,7 +74,6 @@ __all__ = [
     "right_kernel_term",
     "left_form",
     "right_form",
-    "identity_holds",
     "verify_cell",
     "left_tail_summand",
     "left_mid_summand",
@@ -108,63 +111,15 @@ class FormParameters:
 # ---------------------------------------------------------------------------
 
 
-def _factor_blocks(*specs: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """Flatten (shift, count, exponent) rising-factorial blocks to factor pairs."""
-    out: list[tuple[int, int]] = []
-    for shift, count, exponent in specs:
-        out.extend((shift + i, exponent) for i in range(count))
-    return out
-
-
-def left_kernel(p: FormParameters) -> LinearFactorProduct:
-    """The left rational kernel (degree gap 3).
-
-    (-1)^m n!^2 / (m! (2n-m)!) * (t + n/2)
-      * (t-n)_m (t-2n+m)_{2n-m} (t+n+1)_n (t+n+1)_{2n-m}
-      / ((t)_{n+1}^3 (t)_{2n-m+1})
-
-    After structural merging the poles sit at t = -n..0 with order 4
-    (order 3 at t = -n/2 for even n, where the linear factor cancels one).
-    """
-    n, m = p.n, p.m
-    scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
-    factors: list[tuple[Fraction | int, int]] = [(_F(n, 2), 1)]
-    factors += _factor_blocks(
-        (-n, m, 1),
-        (m - 2 * n, 2 * n - m, 1),
-        (n + 1, n, 1),
-        (n + 1, 2 * n - m, 1),
-        (0, n + 1, -3),
-        (0, 2 * n - m + 1, -1),
-    )
-    return LinearFactorProduct.of(scalar, factors)
-
-
-def right_kernel_term(p: FormParameters, j: int) -> LinearFactorProduct:
-    """The j-th term of the right kernel (degree gap 2), 0 <= j <= n.
-
-    C(n,j)^2 C(2n-m+j, n) * (t-n)_{2n-m} (t-j)_n / ((t)_{n+1} (t)_{2n-m+1})
-    """
-    n, m = p.n, p.m
-    if not 0 <= j <= n:
-        raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {n}")
-    scalar = _F(binomial(n, j) ** 2 * binomial(2 * n - m + j, n))
-    factors = _factor_blocks(
-        (-n, 2 * n - m, 1),
-        (-j, n, 1),
-        (0, n + 1, -1),
-        (0, 2 * n - m + 1, -1),
-    )
-    return LinearFactorProduct.of(scalar, factors)
-
-
 @dataclass(frozen=True)
 class _BlockProduct:
     """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors.
 
-    Unlike LinearFactorProduct this keeps the rising-factorial block
-    structure, which is what the generated derivative route, the series
-    streamer and the local expansions of the principal parts need.
+    The one written spec of a kernel (see :func:`_left_blocks` and
+    :func:`_right_blocks`).  It keeps the rising-factorial block structure,
+    which the generated derivative route, the series streamer and the local
+    expansions of the principal parts need; :meth:`factored` flattens it
+    into the merged :class:`LinearFactorProduct` the dense oracles take.
     """
 
     scalar: Fraction
@@ -175,6 +130,11 @@ class _BlockProduct:
     def degree(self) -> int:
         """deg(numerator) - deg(denominator), before any cancellation."""
         return sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
+
+    def factored(self) -> LinearFactorProduct:
+        """The blocks flattened to (t + x + i)^e factors, merged and sorted."""
+        factors = [(x + i, e) for x, k, e in self.blocks for i in range(k)]
+        return LinearFactorProduct.of(self.scalar, factors + list(self.linears))
 
     def shifted(self, offset: int) -> "_BlockProduct":
         """Substitute t -> t + offset."""
@@ -217,6 +177,12 @@ class _BlockProduct:
 
 
 def _left_blocks(p: FormParameters) -> _BlockProduct:
+    """The left kernel (degree gap 3):
+
+    (-1)^m n!^2 / (m! (2n-m)!) * (t + n/2)
+      * (t-n)_m (t-2n+m)_{2n-m} (t+n+1)_n (t+n+1)_{2n-m}
+      / ((t)_{n+1}^3 (t)_{2n-m+1})
+    """
     n, m = p.n, p.m
     scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
     return _BlockProduct(
@@ -228,13 +194,33 @@ def _left_blocks(p: FormParameters) -> _BlockProduct:
 
 
 def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
+    """The j-th term of the right kernel (degree gap 2), 0 <= j <= n:
+
+    C(n,j)^2 C(2n-m+j, n) * (t-n)_{2n-m} (t-j)_n / ((t)_{n+1} (t)_{2n-m+1})
+    """
     n, m = p.n, p.m
+    if not 0 <= j <= n:
+        raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {n}")
     scalar = _F(binomial(n, j) ** 2 * binomial(2 * n - m + j, n))
     return _BlockProduct(
         scalar,
         ((-n, 2 * n - m, 1), (-j, n, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
         (),
     )
+
+
+def left_kernel(p: FormParameters) -> LinearFactorProduct:
+    """The left rational kernel (degree gap 3) as merged linear factors.
+
+    After structural merging the poles sit at t = -n..0 with order 4
+    (order 3 at t = -n/2 for even n, where the linear factor cancels one).
+    """
+    return _left_blocks(p).factored()
+
+
+def right_kernel_term(p: FormParameters, j: int) -> LinearFactorProduct:
+    """The j-th term of the right kernel (degree gap 2) as merged linear factors."""
+    return _right_blocks(p, j).factored()
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +335,15 @@ def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
     return out
 
 
-def _certify(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
-             expansion: PartialFractions, where: str) -> None:
+def _certify(kernels: list[_BlockProduct], expansion: PartialFractions,
+             where: str) -> None:
     """Prove that ``expansion`` is the partial-fraction form of sum of kernels.
 
-    Each kernel's poles and orders must match the merged negative exponents
-    of its LinearFactorProduct, and the kernel must vanish at infinity.
+    Each kernel's poles and orders, found by scanning the block ranges
+    (:func:`_pole_orders`), must match the negative exponents that
+    :meth:`_BlockProduct.factored` leaves after merging: a second algorithm
+    over the same spec, not an independent spec.  The kernel must vanish at
+    infinity.
     With D = prod (t+p)^E_p over the largest orders, the sum f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
@@ -364,14 +353,14 @@ def _certify(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
     orders: dict[int, int] = {}
-    for bp, readout in kernels:
+    for bp in kernels:
         own = _pole_orders(bp)
-        structural = {s: -e for s, e in readout.factors if e < 0}
-        if own != structural:
+        merged = {s: -e for s, e in bp.factored().factors if e < 0}
+        if own != merged:
             raise ReconstructionError(
                 f"{where}: block poles {sorted(own.items())} differ from the "
-                f"merged factors' poles {sorted(structural.items())}")
-        if bp.degree >= 0 or readout.degree_gap <= 0:
+                f"merged factors' poles {sorted(merged.items())}")
+        if bp.degree >= 0:
             raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
         for shift, order in own.items():
             orders[shift] = max(order, orders.get(shift, 0))
@@ -388,9 +377,9 @@ def _certify(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
     scaled = [(int(term.shift), [int(c * scale) for c in term.coefficients])
               for term in expansion.terms]
 
-    start = max(bp.first_positive_point() for bp, _ in kernels)
+    start = max(bp.first_positive_point() for bp in kernels)
     count = sum(orders.values())
-    columns = [bp.values(start, count) for bp, _ in kernels]
+    columns = [bp.values(start, count) for bp in kernels]
     for i, x in enumerate(range(start, start + count)):
         f = sum((column[i] for column in columns), start=_F(0))
         den = 1
@@ -408,24 +397,22 @@ def _certify(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
                 f"{where}: principal parts disagree with the kernel at t = {x}")
 
 
-def _principal_parts(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
-                     where: str) -> PartialFractions:
+def _principal_parts(kernels: list[_BlockProduct], where: str) -> PartialFractions:
     """Certified partial fractions of the sum of the block-product kernels.
 
-    Each kernel is paired with its LinearFactorProduct, whose merged
-    exponents serve as the certificate's independent pole readout.  The
-    principal parts come from local expansions (:class:`_LocalExpansion`),
+    The principal parts come from local expansions (:class:`_LocalExpansion`),
     added as integers over shared denominators; nothing is expanded into a
-    dense polynomial.  Raises ReconstructionError naming ``where`` when the
-    certificate (:func:`_certify`) fails.
+    dense polynomial.  The certificate (:func:`_certify`) reads the pole
+    orders a second way, by merging the same spec's factors, and raises
+    ReconstructionError naming ``where`` when anything disagrees.
     """
-    poles = [_pole_orders(bp) for bp, _ in kernels]
-    top = max((a for (bp, _), orders in zip(kernels, poles) for shift in orders
+    poles = [_pole_orders(bp) for bp in kernels]
+    top = max((a for bp, orders in zip(kernels, poles) for shift in orders
                for a in _local_magnitudes(bp, shift)), default=0)
     depth = max((order for orders in poles for order in orders.values()), default=1)
     local = _LocalExpansion(top, depth)
     parts: dict[int, tuple[list[int], int]] = {}
-    for (bp, _), orders in zip(kernels, poles):
+    for bp, orders in zip(kernels, poles):
         for shift, order in orders.items():
             numerators, den = local.part(bp, shift, order)
             acc, acc_den = parts.get(shift, ([], den))
@@ -447,7 +434,7 @@ def _principal_parts(kernels: list[tuple[_BlockProduct, LinearFactorProduct]],
 
 
 def _left_expansion(p: FormParameters) -> PartialFractions:
-    return _principal_parts([(_left_blocks(p), left_kernel(p))],
+    return _principal_parts([_left_blocks(p)],
                             f"left side of cell (n, m) = ({p.n}, {p.m})")
 
 
@@ -462,14 +449,9 @@ def right_form(p: FormParameters) -> ZetaLinearForm:
     Partial fractions and tail sums are linear, so the n+1 principal parts
     are added first and certified once, and one tail sum closes them.
     """
-    kernels = [(_right_blocks(p, j), right_kernel_term(p, j)) for j in range(p.n + 1)]
+    kernels = [_right_blocks(p, j) for j in range(p.n + 1)]
     expansion = _principal_parts(kernels, f"right side of cell (n, m) = ({p.n}, {p.m})")
     return _F(1, 6) * derivative_tail_sum(expansion, 2, 1)
-
-
-def identity_holds(p: FormParameters) -> bool:
-    """Componentwise equality of the two exact forms at one cell."""
-    return left_form(p) == right_form(p)
 
 
 def verify_cell(n: int, m: int) -> dict:
@@ -508,17 +490,14 @@ def pochhammer_derivative(x: int, k: int, nu: int) -> Fraction:
                                         - harmonic(1, nu + x - 1))
 
 
-def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
-    """[g, g', g''](point) by the derivative rule in logarithmic form.
+def _log_derivatives(bp: _BlockProduct, point: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(g, L, L') at ``point``, where L = (log g)'.
 
-    With L = (log g)' = sum e_b (S_1-difference over the block) + sum e/(t+s):
-    g' = g L and g'' = g (L^2 + L'), which is exactly the generic product-rule
-    application of :func:`pochhammer_derivative` to every factor.  Requires
+    L = sum e_b (S_1-difference over the block) + sum e/(t+s), and
+    L' = -sum e_b (S_2-difference over the block) - sum e/(t+s)^2.  Requires
     every block base at ``point`` to be a positive integer (DomainError
-    otherwise) — callers use it on the all-positive tail ranges.
+    otherwise) and no loose factor to vanish there (PoleError).
     """
-    if order not in (1, 2):
-        raise ValueError(f"generated route supports orders 1 and 2, got {order}")
     value = bp.scalar
     log_d = _F(0)
     log_dd = _F(0)
@@ -540,17 +519,24 @@ def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fr
         value = value * base ** e
         log_d += e / base
         log_dd -= e / base ** 2
-    out = [value]
-    out.append(value * log_d)
+    return value, log_d, log_dd
+
+
+def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
+    """[g, g', g''](point) by the derivative rule in logarithmic form.
+
+    g' = g L and g'' = g (L^2 + L') with L = (log g)' (:func:`_log_derivatives`),
+    which is exactly the generic product-rule application of
+    :func:`pochhammer_derivative` to every factor.  Callers use it on the
+    all-positive tail ranges.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"generated route supports orders 1 and 2, got {order}")
+    value, log_d, log_dd = _log_derivatives(bp, point)
+    out = [value, value * log_d]
     if order >= 2:
         out.append(value * (log_d * log_d + log_dd))
     return out
-
-
-def _oracle_derivatives(kernel: LinearFactorProduct, point: int, order: int) -> list[Fraction]:
-    """[f, f', ..., f^(order)](point) for an expanded kernel (the blind route)."""
-    numerator, den_factors = kernel.expand_parts()
-    return factored_derivative_values(numerator, den_factors, point, order)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +692,8 @@ def right_finite_sum(p: FormParameters) -> Fraction:
 
 def right_tail_component(p: FormParameters, j: int) -> ZetaLinearForm:
     """Exact tail of the j-th right series from v = n+1 on (shifted to 1)."""
-    kernel = (_right_blocks(p, j).shifted(p.n), right_kernel_term(p, j).shifted(p.n))
-    expansion = _principal_parts(
-        [kernel], f"right tail j = {j} of cell (n, m) = ({p.n}, {p.m})")
+    expansion = _principal_parts([_right_blocks(p, j).shifted(p.n)],
+                                 f"right tail j = {j} of cell (n, m) = ({p.n}, {p.m})")
     return derivative_tail_sum(expansion, 2, 1)
 
 
@@ -778,18 +763,18 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
-                    "oracle": _oracle_derivatives(left_kernel(p), nu + shift, 1)[1],
+                    "oracle": left_kernel(p).derivative_values_at(nu + shift, 1)[1],
                     "generated": _generated_derivatives(_left_blocks(p), nu + shift, 1)[1],
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
                     "printed": left_mid_summand(p, nu),
-                    "oracle": _oracle_derivatives(left_kernel(p), nu + n - m, 1)[1],
+                    "oracle": left_kernel(p).derivative_values_at(nu + n - m, 1)[1],
                 })
             for nu in _sample(rng, range(n + 1, 3 * n + 7), samples):
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
-                    "oracle": _oracle_derivatives(right_kernel_term(p, j), nu, 2)[2],
+                    "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
                     "generated": _generated_derivatives(_right_blocks(p, j), nu, 2)[2],
                 })
             if n >= 1:
@@ -798,14 +783,14 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                     nu = rng.randint(j + 1, n)
                     record("right-mid", p, j, nu, {
                         "printed": right_mid_summand(p, j, nu),
-                        "oracle": _oracle_derivatives(right_kernel_term(p, j), nu, 2)[2],
+                        "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
                     })
                 for _ in range(min(samples, n)):
                     j = rng.randint(1, n)
                     nu = rng.randint(1, j)
                     record("right-low", p, j, nu, {
                         "printed": right_low_summand(p, j, nu),
-                        "oracle": _oracle_derivatives(right_kernel_term(p, j), nu, 2)[2],
+                        "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
                     })
     return checks
 
@@ -815,10 +800,14 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 # ---------------------------------------------------------------------------
 
 
-def _series_tail_numeric(bp: _BlockProduct, kernel: LinearFactorProduct,
+def _series_tail_numeric(bp: _BlockProduct, numerator: Polynomial,
+                         den_factors: tuple[tuple[Fraction, int], ...],
                          order: int, start: int, scale_pow: int,
                          target: Fraction) -> tuple[Fraction, Fraction]:
     """(value, error bound) for sum_{v >= start} g^(order)(v), numerically.
+
+    ``numerator`` and ``den_factors`` are ``bp.factored().expand_parts()``,
+    which the caller has already expanded for the head of the series.
 
     Truncates at a cutoff A chosen so the Euler–Maclaurin closure of the
     remainder is below ``target``: the partial sum start..A-1 runs in
@@ -830,8 +819,6 @@ def _series_tail_numeric(bp: _BlockProduct, kernel: LinearFactorProduct,
     All corrections are exact Fractions; only the streamed partial sum
     carries rounding, bounded crudely but safely in the returned bound.
     """
-    numerator, den_factors = kernel.expand_parts()
-
     cutoff = 1 << 13
     while True:
         high = factored_derivative_values(numerator, den_factors, cutoff, order + 7)
@@ -848,23 +835,8 @@ def _series_tail_numeric(bp: _BlockProduct, kernel: LinearFactorProduct,
     def fix(value: Fraction) -> int:
         return value.numerator * scale // value.denominator
 
-    value = bp.scalar
-    log_d = _F(0)
-    log_dd = _F(0)
-    for x, k, e in bp.blocks:
-        base = start + x
-        value = value * _F(pochhammer(base, k)) ** e
-        if k > 0:
-            log_d += e * (harmonic(1, base + k - 1) - harmonic(1, base - 1))
-            log_dd -= e * (harmonic(2, base + k - 1) - harmonic(2, base - 1))
-    doubled = []
-    for s, e in bp.linears:
-        two_base = 2 * start + int(2 * s)
-        value = value * _F(two_base, 2) ** e
-        log_d += e * _F(2, two_base)
-        log_dd -= e * _F(4, two_base * two_base)
-        doubled.append((int(2 * s), e))
-
+    value, log_d, log_dd = _log_derivatives(bp, start)
+    doubled = [(int(2 * s), e) for s, e in bp.linears]
     l_int = fix(log_d)
     ld_int = fix(log_dd)
     partial = 0
@@ -917,14 +889,14 @@ def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     logarithmic route is unavailable) is summed exactly pointwise; the rest
     is truncated + Euler–Maclaurin-closed by :func:`_series_tail_numeric`.
     """
-    kernel = left_kernel(p)
-    numerator, den_factors = kernel.expand_parts()
+    bp = _left_blocks(p)
+    numerator, den_factors = bp.factored().expand_parts()
     head = _F(0)
     for nu in range(p.n - p.m + 1, 2 * p.n - p.m + 1):
         head += factored_derivative_values(numerator, den_factors, nu, 1)[1]
     scale_pow = digits + 40
     target = _F(1, 10 ** (digits + 15))
-    tail, bound = _series_tail_numeric(_left_blocks(p), kernel, 1,
+    tail, bound = _series_tail_numeric(bp, numerator, den_factors, 1,
                                        2 * p.n - p.m + 1, scale_pow, target)
     value = _F(-1, 3) * (head + tail)
     return FixedPointNumber.from_fraction(value, digits, inherent_error=bound / 3)
@@ -937,11 +909,11 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     total = _F(0)
     bound = _F(0)
     for j in range(p.n + 1):
-        kernel = right_kernel_term(p, j)
-        numerator, den_factors = kernel.expand_parts()
+        bp = _right_blocks(p, j)
+        numerator, den_factors = bp.factored().expand_parts()
         for nu in range(1, p.n + 1):
             total += factored_derivative_values(numerator, den_factors, nu, 2)[2]
-        tail, tail_bound = _series_tail_numeric(_right_blocks(p, j), kernel, 2,
+        tail, tail_bound = _series_tail_numeric(bp, numerator, den_factors, 2,
                                                 p.n + 1, scale_pow, target)
         total += tail
         bound += tail_bound

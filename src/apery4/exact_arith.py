@@ -1,10 +1,10 @@
 """Exact integer / rational building blocks.
 
 Everything in this module is exact: values are Python ints or
-:class:`fractions.Fraction`.  ``Rational`` is a public alias of ``Fraction``;
-its invariants (lowest terms, positive denominator) and its ``str()`` form
-("p/q", or "p" when the denominator is 1) are exactly the serialization used
-throughout the package, so no wrapper type is needed.
+:class:`fractions.Fraction`.  The invariants of ``Fraction`` (lowest terms,
+positive denominator) and its ``str()`` form ("p/q", or "p" when the
+denominator is 1) are exactly the serialization used throughout the
+package, so no wrapper type is needed.
 
 The helpers here are the arithmetic primitives the rest of the package leans
 on in hot loops:
@@ -18,22 +18,14 @@ on in hot loops:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
-    "HarmonicValue",
     "factorial",
     "binomial",
     "pochhammer",
     "harmonic",
-    "harmonic_value",
-    "rational_from_string",
-    "warm_caches",
 ]
-
-Rational = Fraction
 
 # ---------------------------------------------------------------------------
 # factorial / binomial
@@ -113,15 +105,6 @@ def pochhammer(x: Fraction | int, k: int) -> Fraction | int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicValue:
-    """A tagged harmonic number S_order(upper) = sum_{i=1..upper} i^(-order)."""
-
-    order: int
-    upper: int
-    value: Fraction
-
-
 # per-order list of partial sums: _HARMONIC[a][n] == S_a(n), with S_a(0) = 0
 _HARMONIC: dict[int, list[Fraction]] = {}
 
@@ -143,28 +126,3 @@ def harmonic(order: int, upper: int) -> Fraction:
             value += Fraction(1, i**order)
             sums.append(value)
     return sums[upper]
-
-
-def harmonic_value(order: int, upper: int) -> HarmonicValue:
-    """Like :func:`harmonic` but returns the tagged record."""
-    return HarmonicValue(order, upper, harmonic(order, upper))
-
-
-# ---------------------------------------------------------------------------
-# serialization / cache warm-up
-# ---------------------------------------------------------------------------
-
-
-def rational_from_string(text: str) -> Fraction:
-    """Parse the canonical "p/q" / "p" serialization back to a Fraction."""
-    return Fraction(text.strip())
-
-
-def warm_caches(factorial_upto: int = 0, harmonic_upto: int = 0,
-                harmonic_orders: tuple[int, ...] = (1, 2, 3, 4, 5)) -> None:
-    """Pre-fill the factorial and harmonic caches (useful before timing)."""
-    if factorial_upto > 0:
-        factorial(factorial_upto)
-    if harmonic_upto > 0:
-        for order in harmonic_orders:
-            harmonic(order, harmonic_upto)

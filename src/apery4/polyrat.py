@@ -10,12 +10,12 @@ Conventions
   never by the root.
 * Everything is exact Fraction arithmetic; nothing here touches floats.
 
-The kernels of the package are products of shifted linear factors
-(:class:`LinearFactorProduct`), whose merged exponents give their poles and
-orders structurally.  The exact forms take their principal parts straight
-from the rising-factorial blocks (see :mod:`apery4.apery_forms`) and return
-them as :class:`PartialFractions`; no production path expands a kernel into
-dense polynomials.  Dense expansion serves the independent oracles instead:
+Each kernel of the package is written once, as rising-factorial blocks
+(see :mod:`apery4.apery_forms`); :class:`LinearFactorProduct` is its
+flattened form, with repeated shifts merged.  The exact forms take their
+principal parts straight from the blocks and return them as
+:class:`PartialFractions`; no production path expands a kernel into dense
+polynomials.  Dense expansion serves the independent oracles instead:
 :func:`factored_derivative_values` evaluates summand derivatives blindly,
 and :func:`partial_fractions` is the dense reference decomposition the
 tests compare the block route against.  It decomposes an expanded rational
@@ -39,9 +39,7 @@ __all__ = [
     "PoleExpansion",
     "PartialFractions",
     "partial_fractions",
-    "differentiate",
     "factored_derivative_values",
-    "poly_gcd",
 ]
 
 _F = Fraction
@@ -214,39 +212,6 @@ class Polynomial:
             out.append(rem)
         return out
 
-    def shift_argument(self, offset: Fraction | int) -> "Polynomial":
-        """Compose with a translation: returns p(t + offset)."""
-        out = Polynomial()
-        lin = Polynomial((offset, 1))
-        for c in reversed(self._coeffs):
-            out = out * lin + Polynomial.constant(c)
-        return out
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading_coefficient
-        if lead == 1:
-            return self
-        return Polynomial(tuple(c / lead for c in self._coeffs))
-
-    def primitive(self) -> "Polynomial":
-        """Rescale to integer coefficients with gcd 1 and positive leading."""
-        if self.is_zero:
-            return self
-        from math import gcd, lcm
-
-        denom = 1
-        for c in self._coeffs:
-            denom = lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in self._coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return Polynomial(tuple(_F(v // g) for v in ints))
-
     # -- comparison / presentation -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -312,39 +277,6 @@ class LinearFactorProduct:
                         for shift, exponent in sorted(merged.items()) if exponent)
         return cls(_as_fraction(scalar), ordered)
 
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "LinearFactorProduct":
-        return cls.of(value)
-
-    @classmethod
-    def single(cls, shift: Fraction | int, exponent: int = 1) -> "LinearFactorProduct":
-        return cls.of(1, [(shift, exponent)])
-
-    @classmethod
-    def block(cls, shift: Fraction | int, count: int, exponent: int = 1) -> "LinearFactorProduct":
-        """Rising-factorial block: prod_{i=0}^{count-1} (t + shift + i)^exponent.
-
-        ``count`` must be >= 0; count == 0 gives the empty product.
-        """
-        if count < 0:
-            raise ValueError(f"block requires count >= 0, got {count}")
-        base = _as_fraction(shift)
-        return cls.of(1, [(base + i, exponent) for i in range(count)])
-
-    def __mul__(self, other: "LinearFactorProduct | Fraction | int") -> "LinearFactorProduct":
-        if isinstance(other, (Fraction, int)):
-            return LinearFactorProduct(self.scalar * _as_fraction(other), self.factors)
-        return LinearFactorProduct.of(self.scalar * other.scalar,
-                                      self.factors + other.factors)
-
-    __rmul__ = __mul__
-
-    def shifted(self, offset: Fraction | int) -> "LinearFactorProduct":
-        """Substitute t -> t + offset (every shift grows by ``offset``)."""
-        off = _as_fraction(offset)
-        return LinearFactorProduct(self.scalar,
-                                   tuple((s + off, e) for s, e in self.factors))
-
     # -- structure readouts ---------------------------------------------------
 
     @property
@@ -395,7 +327,7 @@ class LinearFactorProduct:
         return Polynomial(num), tuple(den)
 
     def expand(self) -> "RationalFunction":
-        """Expand to a reduced RationalFunction (coprime by construction)."""
+        """Expand to a RationalFunction, coprime by construction."""
         num, den_factors = self.expand_parts()
         if num.is_zero:
             return RationalFunction(Polynomial(), Polynomial.one())
@@ -427,12 +359,12 @@ def _mul_linear(coeffs: list[Fraction], shift: Fraction) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """numerator / denominator with a monic denominator.
+    """numerator / denominator with a monic denominator: the plain input of
+    :func:`partial_fractions`.
 
-    The direct constructor trusts the caller on coprimality (used by
-    :meth:`LinearFactorProduct.expand`, where it holds structurally) but
-    always enforces a monic nonzero denominator.  Use :meth:`reduced` when
-    the inputs may share factors.
+    The constructor trusts the caller on coprimality (it holds structurally
+    for :meth:`LinearFactorProduct.expand`) but always enforces a monic
+    nonzero denominator.
     """
 
     numerator: Polynomial
@@ -442,110 +374,13 @@ class RationalFunction:
         if self.denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if self.denominator.leading_coefficient != 1:
-            raise ValueError("denominator must be monic; use RationalFunction.reduced")
-
-    @classmethod
-    def reduced(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
-        """Build with gcd cancellation and monic normalization."""
-        if denominator.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if numerator.is_zero:
-            return cls(Polynomial(), Polynomial.one())
-        g = poly_gcd(numerator, denominator)
-        if g.degree > 0:
-            numerator = numerator.divmod(g)[0]
-            denominator = denominator.divmod(g)[0]
-        lead = denominator.leading_coefficient
-        if lead != 1:
-            numerator = numerator * (_ONE / lead)
-            denominator = denominator.monic()
-        return cls(numerator, denominator)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "RationalFunction":
-        return cls(Polynomial.constant(value), Polynomial.one())
-
-    # -- queries ----------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero
-
-    @property
-    def degree_gap(self) -> int:
-        """deg(denominator) - deg(numerator); > 0 means vanishing at infinity."""
-        return self.denominator.degree - self.numerator.degree
+            raise ValueError("denominator must be monic")
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         den = self.denominator(x)
         if den == 0:
             raise PoleError(f"evaluation at pole t = {x}")
         return self.numerator(x) / den
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.reduced(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.reduced(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator)
-
-    def __mul__(self, other: "RationalFunction | Fraction | int") -> "RationalFunction":
-        if isinstance(other, (Fraction, int)):
-            return RationalFunction.reduced(self.numerator * other, self.denominator)
-        return RationalFunction.reduced(self.numerator * other.numerator,
-                                        self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def derivative(self, order: int = 1) -> "RationalFunction":
-        """Repeated quotient rule with full reduction after each step.
-
-        Fine for moderate degrees; the summand oracle uses
-        :func:`factored_derivative_values` instead to avoid gcd blowup.
-        """
-        if order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {order}")
-        current = self
-        for _ in range(order):
-            num = (current.numerator.derivative() * current.denominator
-                   - current.numerator * current.denominator.derivative())
-            current = RationalFunction.reduced(num,
-                                               current.denominator * current.denominator)
-        return current
-
-    def __str__(self) -> str:
-        if self.denominator == Polynomial.one():
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.denominator})"
-
-
-def differentiate(f: RationalFunction, order: int = 1) -> RationalFunction:
-    """d^order/dt^order of f, as a reduced rational function."""
-    return f.derivative(order)
-
-
-# ---------------------------------------------------------------------------
-# gcd
-# ---------------------------------------------------------------------------
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q (Euclid with primitive renormalization each step)."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    A, B = a.primitive(), b.primitive()
-    while not B.is_zero:
-        A, B = B, A.divmod(B)[1].primitive()
-    if A.degree == 0:
-        return Polynomial.one()
-    return A.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -621,17 +456,6 @@ class PartialFractions:
 
     polynomial_part: Polynomial
     terms: tuple[PoleExpansion, ...]
-
-    def reconstruct(self) -> RationalFunction:
-        """Re-sum to a single reduced rational function."""
-        den = [_ONE]
-        for term in self.terms:
-            for _ in range(term.order):
-                den = _mul_linear(den, term.shift)
-        D = Polynomial(den)
-        acc = self.polynomial_part * D
-        acc = acc + self._principal_numerator(D)
-        return RationalFunction.reduced(acc, D)
 
     def _principal_numerator(self, common_denominator: Polynomial) -> Polynomial:
         """sum_{p,j} A_{p,j} * (D / (t+p)^j), exact (every division is exact)."""

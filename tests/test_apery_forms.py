@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from apery4 import (DomainError, FormParameters, LinearFactorProduct,
                     PartialFractions, PoleExpansion, RangeError,
                     ReconstructionError, ZetaLinearForm, apery_forms,
-                    audit_summands, evaluate_decimal, identity_holds,
-                    left_form, left_form_numeric, left_kernel, left_mid_sum,
+                    audit_summands, evaluate_decimal, left_form, left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
                     partial_fractions, pochhammer_derivative,
                     right_finite_sum, right_form, right_form_numeric,
@@ -91,6 +90,14 @@ def test_right_kernel_term_domain():
         right_kernel_term(FormParameters(2, 1), -1)
 
 
+@pytest.mark.parametrize("j", [3, -1])
+def test_right_tail_component_domain(j):
+    # outside 0..n the binomial weight is 0, so without the check a zero
+    # kernel would pass as a valid tail
+    with pytest.raises(RangeError):
+        right_tail_component(FormParameters(2, 1), j)
+
+
 # ---------------------------------------------------------------------------
 # exact forms
 # ---------------------------------------------------------------------------
@@ -111,7 +118,7 @@ def test_regression_values(cell, expected):
 
 
 def test_identity_holds_small_cells():
-    assert all(identity_holds(FormParameters(n, m))
+    assert all(left_form(FormParameters(n, m)) == right_form(FormParameters(n, m))
                for n in range(4) for m in range(n + 1))
 
 
@@ -135,25 +142,25 @@ def test_verify_cell_record():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_pairs(p):
-    """(label, (block product, LinearFactorProduct)) for every kernel of a cell."""
-    yield "left", (_left_blocks(p), left_kernel(p))
+def _kernel_specs(p):
+    """(label, block product, LinearFactorProduct) for every kernel of a cell."""
+    yield "left", _left_blocks(p), left_kernel(p)
     for j in range(p.n + 1):
-        yield f"right j = {j}", (_right_blocks(p, j), right_kernel_term(p, j))
+        yield f"right j = {j}", _right_blocks(p, j), right_kernel_term(p, j)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_block_principal_parts_match_dense_route(n):
     for m in range(n + 1):
-        for label, (blocks, kernel) in _kernel_pairs(FormParameters(n, m)):
+        for label, blocks, kernel in _kernel_specs(FormParameters(n, m)):
             dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
-            assert _principal_parts([(blocks, kernel)], label) == dense, (n, m, label)
+            assert _principal_parts([blocks], label) == dense, (n, m, label)
 
 
 def _certified_sides(p):
     """(where, kernels, expansion) for the left kernel and the summed right one."""
-    left = [(_left_blocks(p), left_kernel(p))]
-    right = [(_right_blocks(p, j), right_kernel_term(p, j)) for j in range(p.n + 1)]
+    left = [_left_blocks(p)]
+    right = [_right_blocks(p, j) for j in range(p.n + 1)]
     for where, kernels in (("left side of cell (4, 1)", left),
                            ("right side of cell (4, 1)", right)):
         yield where, kernels, _principal_parts(kernels, where)
@@ -175,12 +182,16 @@ def test_certificate_rejects_tampered_parts(tamper):
             _certify(kernels, tampered, where)
 
 
-def test_certificate_cross_checks_the_pole_orders():
+def test_certificate_cross_checks_the_pole_orders(monkeypatch):
+    # the block scan and the merged factors read the poles of one spec by two
+    # algorithms; a scan that loses a pole must not go unnoticed
     p = FormParameters(4, 1)
-    expansion = _principal_parts([(_left_blocks(p), left_kernel(p))], "left")
-    other = left_kernel(FormParameters(3, 1))   # no pole at t = -4
+    expansion = _principal_parts([_left_blocks(p)], "left")
+    honest = apery_forms._pole_orders
+    monkeypatch.setattr(apery_forms, "_pole_orders",
+                        lambda bp: {s: e for s, e in honest(bp).items() if s != 4})
     with pytest.raises(ReconstructionError, match="block poles"):
-        _certify([(_left_blocks(p), other)], expansion, "left")
+        _certify([_left_blocks(p)], expansion, "left")
 
 
 def test_forms_always_certify(monkeypatch):
@@ -230,7 +241,7 @@ def test_pochhammer_derivative_matches_polynomial_route(x, k, nu):
         with pytest.raises(DomainError):
             pochhammer_derivative(x, k, nu)
         return
-    block = LinearFactorProduct.block(x, k)
+    block = LinearFactorProduct.of(1, [(x + i, 1) for i in range(k)])
     assert pochhammer_derivative(x, k, nu) == block.derivative_values_at(nu, 1)[1]
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import (binomial, factorial, harmonic, harmonic_value, pochhammer,
-                    rational_from_string, warm_caches)
+from apery4 import binomial, factorial, harmonic, pochhammer
 
 F = Fraction
 
@@ -79,22 +78,3 @@ def test_harmonic_rejects_bad_arguments():
 def test_harmonic_increment(order, upper):
     step = harmonic(order, upper + 1) - harmonic(order, upper)
     assert step == F(1, (upper + 1) ** order)
-
-
-def test_harmonic_value_record():
-    record = harmonic_value(2, 3)
-    assert (record.order, record.upper, record.value) == (2, 3, F(49, 36))
-
-
-def test_rational_from_string():
-    assert rational_from_string("3/4") == F(3, 4)
-    assert rational_from_string("-7") == F(-7)
-    with pytest.raises(ValueError):
-        rational_from_string("not a number")
-
-
-def test_warm_caches_is_idempotent():
-    warm_caches(factorial_upto=20, harmonic_upto=50)
-    warm_caches(factorial_upto=10, harmonic_upto=10)
-    assert factorial(20) == 2432902008176640000
-    assert harmonic(1, 2) == F(3, 2)

@@ -7,10 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apery4 import (FactorizationError, LinearFactorProduct, PoleError,
-                    Polynomial, RationalFunction, differentiate,
-                    factored_derivative_values, partial_fractions, poly_gcd)
+                    Polynomial, RationalFunction, factored_derivative_values,
+                    partial_fractions, pochhammer)
 
 F = Fraction
+
+# (2t + 1) / (t^2 (t + 1)) = 1/t + 1/t^2 - 1/(t+1), as (coefficient, shift, power)
+WORKED_PARTS = ((F(1), F(0), 1), (F(1), F(0), 2), (F(-1), F(1), 1))
+
+
+def _parts_derivative(parts, x, order):
+    """d^order/dt^order of sum c / (t + s)^j at x, termwise."""
+    return sum((c * (-1) ** order * pochhammer(j, order) / (x + s) ** (j + order)
+                for c, s, j in parts), start=F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +66,9 @@ def test_taylor_prefix_recovers_shift():
     p = Polynomial([1, -3, 0, 2])
     c = F(1, 2)
     prefix = p.taylor_prefix(c, 4)
-    assert prefix == list(p.shift_argument(c).coefficients)
-    x = F(7, 3)
-    assert sum(a * (x - c) ** i for i, a in enumerate(prefix)) == p(x)
-
-
-def test_shift_argument():
-    p = Polynomial([0, 0, 1])  # t^2
-    assert p.shift_argument(1) == Polynomial([1, 2, 1])
-
-
-def test_monic_and_primitive():
-    p = Polynomial([F(1, 2), F(3, 2)])
-    assert p.monic() == Polynomial([F(1, 3), 1])
-    assert Polynomial([4, 6]).primitive() == Polynomial([2, 3])
-
-
-def test_poly_gcd():
-    t = Polynomial.variable()
-    a = (t + Polynomial.one()) * (t - Polynomial.constant(2))
-    b = (t + Polynomial.one()) * (t + Polynomial.constant(5))
-    assert poly_gcd(a, b) == t + Polynomial.one()
-    assert poly_gcd(a, Polynomial.zero()) == a.monic()
+    # both sides have degree 3, so agreement at 4 points is identity
+    for x in (F(7, 3), 0, 1, -2):
+        assert sum(a * (x - c) ** i for i, a in enumerate(prefix)) == p(x)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +85,10 @@ def test_factor_product_merges_shifts():
 
 
 def test_factor_product_block_and_value():
-    prod = LinearFactorProduct.block(0, 3)  # t (t+1) (t+2)
+    prod = LinearFactorProduct.of(1, [(0, 1), (1, 1), (2, 1)])  # t (t+1) (t+2)
     assert prod.value_at(1) == 6
     assert prod.value_at(F(1, 2)) == F(15, 8)
-    inverse = LinearFactorProduct.block(0, 3, -1)
+    inverse = LinearFactorProduct.of(1, [(0, -1), (1, -1), (2, -1)])
     with pytest.raises(PoleError):
         inverse.value_at(-2)
 
@@ -109,18 +99,13 @@ def test_factor_product_zero_exponents_drop():
     assert prod.value_at(0) == 1
 
 
-def test_factor_product_shifted():
-    prod = LinearFactorProduct.single(0, -2)  # 1 / t^2
-    moved = prod.shifted(5)                   # 1 / (t + 5)^2
-    assert moved.value_at(0) == F(1, 25)
-    assert moved.denominator_shifts() == (F(5),)
-
-
 def test_expand_matches_pointwise_values():
     prod = LinearFactorProduct.of(F(3, 2), [(F(0), -1), (F(1, 2), 2), (F(-2), -1)])
     f = prod.expand()
     for x in (1, 3, F(7, 2)):
         assert f.evaluate(x) == prod.value_at(x)
+    with pytest.raises(PoleError):
+        f.evaluate(0)
 
 
 @settings(max_examples=50)
@@ -134,59 +119,18 @@ def test_expand_is_order_independent(pairs):
 
 
 def test_derivative_values_match_symbolic_derivative():
-    prod = LinearFactorProduct.of(2, [(F(0), -2), (F(1), 1), (F(-3), -1)])
-    f = prod.expand()
-    values = prod.derivative_values_at(F(1, 2), 3)
-    current = f
-    for k in range(4):
-        assert values[k] == current.evaluate(F(1, 2))
-        current = current.derivative()
-
-
-# ---------------------------------------------------------------------------
-# RationalFunction
-# ---------------------------------------------------------------------------
-
-
-def test_rational_function_reduced_cancels():
-    t = Polynomial.variable()
-    num = (t + Polynomial.one()) * (t - Polynomial.constant(2)) * 3
-    den = (t + Polynomial.one()) * t
-    f = RationalFunction.reduced(num, den)
-    assert f.numerator == Polynomial([-6, 3])
-    assert f.denominator == t
-    assert f.evaluate(1) == -3
-    with pytest.raises(PoleError):
-        f.evaluate(0)
-
-
-def test_rational_function_arithmetic():
-    one_over_t = RationalFunction.reduced(Polynomial.one(), Polynomial.variable())
-    shifted = RationalFunction.reduced(Polynomial.one(), Polynomial([1, 1]))
-    s = one_over_t - shifted
-    telescoped = RationalFunction.reduced(Polynomial.one(),
-                                          Polynomial.variable() * Polynomial([1, 1]))
-    assert s == telescoped
-    assert (s * 0).is_zero
-
-
-def test_derivative_quotient_rule():
-    f = RationalFunction.reduced(Polynomial.one(), Polynomial.variable())
-    d2 = f.derivative(2)
-    assert d2.evaluate(2) == F(2, 8)
-    assert differentiate(f, 2) == d2
+    # 2 (t + 1/2) / (t^2 (t + 1)) is the worked example
+    prod = LinearFactorProduct.of(2, [(F(0), -2), (F(1, 2), 1), (F(1), -1)])
+    for x in (F(1, 2), 3):
+        values = prod.derivative_values_at(x, 3)
+        assert values == [_parts_derivative(WORKED_PARTS, x, k) for k in range(4)]
 
 
 def test_factored_derivative_values_against_quotient_rule():
-    t = Polynomial.variable()
     num = Polynomial([1, 2])
     den_factors = ((F(0), 2), (F(1), 1))
-    f = RationalFunction.reduced(num, t * t * (t + Polynomial.one()))
     values = factored_derivative_values(num, den_factors, F(1, 2), 4)
-    current = f
-    for k in range(5):
-        assert values[k] == current.evaluate(F(1, 2))
-        current = current.derivative()
+    assert values == [_parts_derivative(WORKED_PARTS, F(1, 2), k) for k in range(5)]
     with pytest.raises(PoleError):
         factored_derivative_values(num, den_factors, -1, 1)
 
@@ -198,9 +142,8 @@ def test_factored_derivative_values_against_quotient_rule():
 
 def test_partial_fractions_worked_example():
     # (2t + 1) / (t^2 (t + 1)) = 1/t + 1/t^2 - 1/(t+1)
-    f = RationalFunction.reduced(
-        Polynomial([1, 2]),
-        Polynomial.variable() ** 2 * Polynomial([1, 1]))
+    f = RationalFunction(Polynomial([1, 2]),
+                         Polynomial.variable() ** 2 * Polynomial([1, 1]))
     expansion = partial_fractions(f, [F(0), F(1), F(5)])
     assert expansion.polynomial_part.is_zero
     by_shift = {term.shift: term.coefficients for term in expansion.terms}
@@ -208,17 +151,15 @@ def test_partial_fractions_worked_example():
 
 
 def test_partial_fractions_with_polynomial_part():
-    # (t^3 + 1) / (t + 1) has polynomial part t^2 - t + 1 and no pole left
-    f = RationalFunction.reduced(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]))
+    # (t^3 + 1) / (t + 1) in lowest terms is t^2 - t + 1: no pole left
+    f = RationalFunction(Polynomial([1, -1, 1]), Polynomial.one())
     expansion = partial_fractions(f, [F(1)])
     assert expansion.polynomial_part == Polynomial([1, -1, 1])
     assert expansion.terms == ()
 
 
 def test_partial_fractions_needs_all_poles_offered():
-    f = RationalFunction.reduced(
-        Polynomial.one(),
-        Polynomial.variable() * Polynomial([1, 1]))
+    f = RationalFunction(Polynomial.one(), Polynomial.variable() * Polynomial([1, 1]))
     with pytest.raises(FactorizationError):
         partial_fractions(f, [F(0)])  # the pole at -1 is not covered
 
@@ -233,4 +174,10 @@ def test_partial_fractions_round_trip(den_pairs, num_roots):
     prod = LinearFactorProduct.of(1, factors)
     f = prod.expand()
     expansion = partial_fractions(f, prod.denominator_shifts())
-    assert expansion.reconstruct() == f
+    parts = [(c, term.shift, j) for term in expansion.terms
+             for j, c in enumerate(term.coefficients, start=1)]
+    # f - (polynomial part + parts) = R / D with deg R <= deg f.num + deg D,
+    # so agreement at that many + 1 points off the poles proves R = 0
+    for x in range(4, 5 + f.numerator.degree + f.denominator.degree):
+        assert (expansion.polynomial_part(x) + _parts_derivative(parts, x, 0)
+                == prod.value_at(x))
