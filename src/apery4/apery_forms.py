@@ -19,9 +19,9 @@ claim is left_form == right_form componentwise on the whole parameter grid.
 Each kernel is written down once, as a scalar times rising-factorial blocks
 and loose linear factors; the merged
 :class:`~apery4.polyrat.LinearFactorProduct`, the dense oracle, the
-generated route, the numeric streamer and the principal parts all derive
-from that one spec.  Each form is computed from the principal parts of its
-kernel, read off the blocks without expanding anything: at a pole each block
+generated route and the principal parts all derive from that one spec.
+Each form is computed from the principal parts of its kernel, read off the
+blocks without expanding anything: at a pole each block
 is a signed factorial quotient times the exponential of a power-sum series
 whose coefficients are differences of harmonic numbers.  The derivative
 tails of the principal parts are then summed termwise (see
@@ -47,10 +47,9 @@ The module also carries the three independent evaluation routes for the
 :func:`audit_summands` samples parameter cells and compares the routes
 pointwise; any disagreement is reported, none is expected.
 
-Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-evaluate
-the defining series numerically (fixed-point truncation with exact
-Euler–Maclaurin tail closure) so the exact forms can be cross-checked
-against an arithmetic-free route to many digits.
+Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-sum the
+defining series (exact terms to a short cutoff, then an Euler–Maclaurin
+closure with a bounded remainder), a cross-check free of partial fractions.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ from .errors import DomainError, PoleError, RangeError, ReconstructionError
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
                       Polynomial, factored_derivative_values)
-from .zeta_forms import FixedPointNumber, ZetaLinearForm, derivative_tail_sum
+from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
+                         derivative_tail_sum)
 
 __all__ = [
     "FormParameters",
@@ -117,9 +117,9 @@ class _BlockProduct:
 
     The one written spec of a kernel (see :func:`_left_blocks` and
     :func:`_right_blocks`).  It keeps the rising-factorial block structure,
-    which the generated derivative route, the series streamer and the local
-    expansions of the principal parts need; :meth:`factored` flattens it
-    into the merged :class:`LinearFactorProduct` the dense oracles take.
+    which the generated derivative route and the local expansions of the
+    principal parts need; :meth:`factored` flattens it into the merged
+    :class:`LinearFactorProduct` the dense oracles take.
     """
 
     scalar: Fraction
@@ -490,14 +490,19 @@ def pochhammer_derivative(x: int, k: int, nu: int) -> Fraction:
                                         - harmonic(1, nu + x - 1))
 
 
-def _log_derivatives(bp: _BlockProduct, point: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(g, L, L') at ``point``, where L = (log g)'.
+def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
+    """[g, g', g''](point) by the derivative rule in logarithmic form.
 
-    L = sum e_b (S_1-difference over the block) + sum e/(t+s), and
-    L' = -sum e_b (S_2-difference over the block) - sum e/(t+s)^2.  Requires
-    every block base at ``point`` to be a positive integer (DomainError
-    otherwise) and no loose factor to vanish there (PoleError).
+    g' = g L and g'' = g (L^2 + L') with L = (log g)', where
+    L = sum e_b (S_1-difference over the block) + sum e/(t+s) and
+    L' = -sum e_b (S_2-difference over the block) - sum e/(t+s)^2: exactly
+    the generic product-rule application of :func:`pochhammer_derivative`
+    to every factor.  Requires every block base at ``point`` to be a
+    positive integer (DomainError otherwise) and no loose factor to vanish
+    there (PoleError); callers use it on the all-positive tail ranges.
     """
+    if order not in (1, 2):
+        raise ValueError(f"generated route supports orders 1 and 2, got {order}")
     value = bp.scalar
     log_d = _F(0)
     log_dd = _F(0)
@@ -519,20 +524,6 @@ def _log_derivatives(bp: _BlockProduct, point: int) -> tuple[Fraction, Fraction,
         value = value * base ** e
         log_d += e / base
         log_dd -= e / base ** 2
-    return value, log_d, log_dd
-
-
-def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
-    """[g, g', g''](point) by the derivative rule in logarithmic form.
-
-    g' = g L and g'' = g (L^2 + L') with L = (log g)' (:func:`_log_derivatives`),
-    which is exactly the generic product-rule application of
-    :func:`pochhammer_derivative` to every factor.  Callers use it on the
-    all-positive tail ranges.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"generated route supports orders 1 and 2, got {order}")
-    value, log_d, log_dd = _log_derivatives(bp, point)
     out = [value, value * log_d]
     if order >= 2:
         out.append(value * (log_d * log_d + log_dd))
@@ -760,21 +751,28 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
         for m in range(n + 1):
             p = FormParameters(n, m)
             shift = 2 * n - m
+            parts = {None: left_kernel(p).expand_parts()}   # right j (None: left)
+
+            def oracle(j: int | None, x: int, order: int) -> Fraction:
+                if j not in parts:
+                    parts[j] = right_kernel_term(p, j).expand_parts()
+                return factored_derivative_values(*parts[j], x, order)[order]
+
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
-                    "oracle": left_kernel(p).derivative_values_at(nu + shift, 1)[1],
+                    "oracle": oracle(None, nu + shift, 1),
                     "generated": _generated_derivatives(_left_blocks(p), nu + shift, 1)[1],
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
                     "printed": left_mid_summand(p, nu),
-                    "oracle": left_kernel(p).derivative_values_at(nu + n - m, 1)[1],
+                    "oracle": oracle(None, nu + n - m, 1),
                 })
             for nu in _sample(rng, range(n + 1, 3 * n + 7), samples):
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
-                    "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
+                    "oracle": oracle(j, nu, 2),
                     "generated": _generated_derivatives(_right_blocks(p, j), nu, 2)[2],
                 })
             if n >= 1:
@@ -783,14 +781,14 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                     nu = rng.randint(j + 1, n)
                     record("right-mid", p, j, nu, {
                         "printed": right_mid_summand(p, j, nu),
-                        "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
+                        "oracle": oracle(j, nu, 2),
                     })
                 for _ in range(min(samples, n)):
                     j = rng.randint(1, n)
                     nu = rng.randint(1, j)
                     record("right-low", p, j, nu, {
                         "printed": right_low_summand(p, j, nu),
-                        "oracle": right_kernel_term(p, j).derivative_values_at(nu, 2)[2],
+                        "oracle": oracle(j, nu, 2),
                     })
     return checks
 
@@ -800,111 +798,72 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 # ---------------------------------------------------------------------------
 
 
+# First cutoff tried: each failed try costs one high-order oracle call.
+_FIRST_CUTOFF = 256
+# Each try derives order + 2*_MAX_DEPTH + 1 times; a lower cap pushes A far out.
+_MAX_DEPTH = 8
+
+
 def _series_tail_numeric(bp: _BlockProduct, numerator: Polynomial,
                          den_factors: tuple[tuple[Fraction, int], ...],
-                         order: int, start: int, scale_pow: int,
+                         order: int, start: int,
                          target: Fraction) -> tuple[Fraction, Fraction]:
-    """(value, error bound) for sum_{v >= start} g^(order)(v), numerically.
+    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), g = bp.
 
     ``numerator`` and ``den_factors`` are ``bp.factored().expand_parts()``,
     which the caller has already expanded for the head of the series.
+    The terms start..A-1 are summed exactly by :func:`_generated_derivatives`;
+    the tail from A is closed by Euler–Maclaurin at depth M,
 
-    Truncates at a cutoff A chosen so the Euler–Maclaurin closure of the
-    remainder is below ``target``: the partial sum start..A-1 runs in
-    fixed-point arithmetic (scale 10^-scale_pow) on the logarithmic-derivative
-    stream, and the tail from A is closed with the exact corrections
+        -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A),
 
-        -g_antiderivative(A) + g(A)/2 - g'(A)/12 + g'''(A)/720 - g^(5)(A)/30240.
-
-    All corrections are exact Fractions; only the streamed partial sum
-    carries rounding, bounded crudely but safely in the returned bound.
+    whose remainder is bounded by 8 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)|.  M is
+    the least depth with that bound below ``target``; A doubles from
+    ``_FIRST_CUTOFF`` until some M <= ``_MAX_DEPTH`` qualifies.  The values
+    at A come from the dense oracle, independent of the blocks.  The value
+    is exact, so the bound is the remainder term alone.
     """
-    cutoff = 1 << 13
+    weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
+               for k in range(1, _MAX_DEPTH + 2)]
+    cutoff = max(_FIRST_CUTOFF, start)
     while True:
-        high = factored_derivative_values(numerator, den_factors, cutoff, order + 7)
-        remainder_bound = 8 * abs(high[order + 7]) * _F(1, 1209600)
-        if remainder_bound < target / 4:
+        high = factored_derivative_values(numerator, den_factors, cutoff,
+                                          order + 2 * _MAX_DEPTH + 1)
+        bounds = [8 * abs(weights[m] * high[order + 2 * m + 1])
+                  for m in range(1, _MAX_DEPTH + 1)]
+        depth = next((m for m, bound in enumerate(bounds, 1) if bound < target), 0)
+        if depth:
             break
         cutoff *= 2
-
-    corrections = (-high[order - 1] + high[order] / 2 - high[order + 1] / 12
-                   + high[order + 3] / 720 - high[order + 5] / 30240)
-
-    scale = 10 ** scale_pow
-
-    def fix(value: Fraction) -> int:
-        return value.numerator * scale // value.denominator
-
-    value, log_d, log_dd = _log_derivatives(bp, start)
-    doubled = [(int(2 * s), e) for s, e in bp.linears]
-    l_int = fix(log_d)
-    ld_int = fix(log_dd)
-    partial = 0
-    for nu in range(start, cutoff):
-        if order == 1:
-            inner = l_int
-        else:
-            inner = (l_int * l_int) // scale + ld_int
-        partial += value.numerator * inner // value.denominator
-
-        ratio_num = 1
-        ratio_den = 1
-        delta_l = 0
-        delta_ld = 0
-        for x, k, e in bp.blocks:
-            if k == 0:
-                continue
-            top, bottom = nu + x + k, nu + x
-            if e > 0:
-                ratio_num *= top ** e
-                ratio_den *= bottom ** e
-            else:
-                ratio_num *= bottom ** (-e)
-                ratio_den *= top ** (-e)
-            delta_l += e * (scale // top - scale // bottom)
-            delta_ld -= e * (scale // (top * top) - scale // (bottom * bottom))
-        for two_s, e in doubled:
-            top, bottom = 2 * nu + 2 + two_s, 2 * nu + two_s
-            if e > 0:
-                ratio_num *= top ** e
-                ratio_den *= bottom ** e
-            else:
-                ratio_num *= bottom ** (-e)
-                ratio_den *= top ** (-e)
-            delta_l += e * (2 * scale // top - 2 * scale // bottom)
-            delta_ld -= e * (4 * scale // (top * top) - 4 * scale // (bottom * bottom))
-        value = value * _F(ratio_num, ratio_den)
-        l_int += delta_l
-        ld_int += delta_ld
-
-    steps = cutoff - start
-    stream_slack = _F(200 * steps * max(1, steps), scale)
-    return _F(partial, scale) + corrections, remainder_bound + stream_slack
+    closure = -high[order - 1] + high[order] / 2 - sum(
+        weights[k - 1] * high[order + 2 * k - 1] for k in range(1, depth + 1))
+    partial = sum((_generated_derivatives(bp, v, order)[order]
+                   for v in range(start, cutoff)), start=_F(0))
+    return partial + closure, bounds[depth - 1]
 
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric re-evaluation of the left form from its defining series.
 
-    The head n-m+1 .. 2n-m (where kernel factors vanish and the stream's
-    logarithmic route is unavailable) is summed exactly pointwise; the rest
-    is truncated + Euler–Maclaurin-closed by :func:`_series_tail_numeric`.
+    The head n-m+1 .. 2n-m (where kernel factors vanish and the logarithmic
+    derivative route is unavailable) is summed exactly pointwise by the
+    oracle; the rest is summed and Euler–Maclaurin-closed by
+    :func:`_series_tail_numeric`.
     """
     bp = _left_blocks(p)
     numerator, den_factors = bp.factored().expand_parts()
     head = _F(0)
     for nu in range(p.n - p.m + 1, 2 * p.n - p.m + 1):
         head += factored_derivative_values(numerator, den_factors, nu, 1)[1]
-    scale_pow = digits + 40
     target = _F(1, 10 ** (digits + 15))
     tail, bound = _series_tail_numeric(bp, numerator, den_factors, 1,
-                                       2 * p.n - p.m + 1, scale_pow, target)
+                                       2 * p.n - p.m + 1, target)
     value = _F(-1, 3) * (head + tail)
     return FixedPointNumber.from_fraction(value, digits, inherent_error=bound / 3)
 
 
 def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric re-evaluation of the right form from its defining series."""
-    scale_pow = digits + 40
     target = _F(1, 10 ** (digits + 15))
     total = _F(0)
     bound = _F(0)
@@ -914,7 +873,7 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
         for nu in range(1, p.n + 1):
             total += factored_derivative_values(numerator, den_factors, nu, 2)[2]
         tail, tail_bound = _series_tail_numeric(bp, numerator, den_factors, 2,
-                                                p.n + 1, scale_pow, target)
+                                                p.n + 1, target)
         total += tail
         bound += tail_bound
     return FixedPointNumber.from_fraction(total / 6, digits, inherent_error=bound / 6)

@@ -362,9 +362,9 @@ class RationalFunction:
     """numerator / denominator with a monic denominator: the plain input of
     :func:`partial_fractions`.
 
-    The constructor trusts the caller on coprimality (it holds structurally
-    for :meth:`LinearFactorProduct.expand`) but always enforces a monic
-    nonzero denominator.
+    Numerator and denominator need not be coprime (they are, structurally,
+    for :meth:`LinearFactorProduct.expand`); the constructor only enforces
+    a monic nonzero denominator.
     """
 
     numerator: Polynomial
@@ -535,8 +535,12 @@ def partial_fractions(f: RationalFunction,
                     cof_series[i] = cof_series[i] * delta + cof_series[i - 1]
                 cof_series[0] = cof_series[0] * delta
         series = _series_divide(num_prefix, cof_series, e)
-        coefficients = tuple(series[e - j] for j in range(1, e + 1))
-        terms.append(PoleExpansion(p, coefficients))
+        # a numerator sharing the factor leaves zero top coefficients: trim them
+        coefficients = [series[e - j] for j in range(1, e + 1)]
+        while coefficients and coefficients[-1] == 0:
+            coefficients.pop()
+        if coefficients:
+            terms.append(PoleExpansion(p, tuple(coefficients)))
 
     result = PartialFractions(poly_part, tuple(terms))
 

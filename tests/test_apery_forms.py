@@ -16,14 +16,16 @@ from hypothesis import strategies as st
 from apery4 import (DomainError, FormParameters, LinearFactorProduct,
                     PartialFractions, PoleExpansion, RangeError,
                     ReconstructionError, ZetaLinearForm, apery_forms,
-                    audit_summands, evaluate_decimal, left_form, left_form_numeric, left_kernel, left_mid_sum,
+                    audit_summands, derivative_tail_sum, evaluate_decimal,
+                    left_form, left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
                     partial_fractions, pochhammer_derivative,
                     right_finite_sum, right_form, right_form_numeric,
                     right_kernel_term, right_low_summand, right_mid_summand,
                     right_split_check, right_tail_component, verify_cell)
-from apery4.apery_forms import (_certify, _left_blocks, _principal_parts,
-                                _right_blocks)
+from apery4.apery_forms import (_certify, _left_blocks, _left_expansion,
+                                _principal_parts, _right_blocks,
+                                _series_tail_numeric)
 from apery4.recurrence_lab import recurrence_table
 
 F = Fraction
@@ -345,3 +347,37 @@ def test_numeric_routes_match_exact_decimal():
     exact = evaluate_decimal(left_form(p), 25)
     assert exact.agrees_with(left_form_numeric(p, 25), 20)
     assert exact.agrees_with(right_form_numeric(p, 25), 20)
+
+
+# what *_form_numeric(p, 30) asks of each tail
+TAIL_TARGET = F(1, 10 ** 45)
+
+TAIL_CASES = ([("left", n, m, None) for n in range(3) for m in range(n + 1)]
+              + [("right", n, m, j) for n in range(3) for m in range(n + 1)
+                 for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("side, n, m, j", TAIL_CASES)
+def test_numeric_tail_lies_within_its_bound(side, n, m, j):
+    p = FormParameters(n, m)
+    if side == "left":
+        bp, order, start = _left_blocks(p), 1, 2 * n - m + 1
+        exact = derivative_tail_sum(_left_expansion(p), 1, start)
+    else:
+        bp, order, start = _right_blocks(p, j), 2, n + 1
+        exact = right_tail_component(p, j)
+    value, bound = _series_tail_numeric(bp, *bp.factored().expand_parts(),
+                                        order, start, TAIL_TARGET)
+    reference = evaluate_decimal(exact, 70)
+    assert bound < TAIL_TARGET
+    assert abs(value - reference.value()) + reference.error_bound <= bound
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, m", [(8, 3), (12, 5)])
+def test_numeric_routes_bracket_the_exact_value(n, m):
+    p = FormParameters(n, m)
+    reference = evaluate_decimal(recurrence_table(n)[(n, m)], 70)
+    for numeric in (left_form_numeric(p, 30), right_form_numeric(p, 30)):
+        assert (abs(numeric.value() - reference.value()) + reference.error_bound
+                <= numeric.error_bound)

@@ -3,12 +3,16 @@
 The traced benchmark run resolves every name in every module's ``__all__``
 with ``getattr`` and wraps ``LinearFactorProduct.expand`` and
 ``expand_parts`` as they appear in the class namespace, so a stale export or
-a method turned into a static method or property would crash it.
+a method turned into a static method or property would crash it.  The
+package itself depends on the standard library alone.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +32,15 @@ def test_every_export_resolves(name):
 @pytest.mark.parametrize("method", ["expand", "expand_parts"])
 def test_expanding_methods_stay_plain(method):
     assert inspect.isfunction(vars(LinearFactorProduct)[method])
+
+
+@pytest.mark.parametrize("path", sorted(Path(apery4.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []

@@ -158,6 +158,21 @@ def test_partial_fractions_with_polynomial_part():
     assert expansion.terms == ()
 
 
+def test_partial_fractions_drops_a_cancelled_pole():
+    # (t^3 + 1) / (t + 1) unreduced: the factor cancels, leaving no term
+    f = RationalFunction(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]))
+    expansion = partial_fractions(f, [1])
+    assert expansion.terms == ()
+    assert expansion.polynomial_part == Polynomial([1, -1, 1])
+
+
+def test_partial_fractions_trims_cancelled_orders():
+    # (t+1)(t+2) / ((t+1)^2 (t+2)) = 1/(t+1): order 1 at -1, no pole at -2
+    f = RationalFunction(Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]))
+    expansion = partial_fractions(f, [1, 2])
+    assert {term.shift: term.coefficients for term in expansion.terms} == {F(1): (F(1),)}
+
+
 def test_partial_fractions_needs_all_poles_offered():
     f = RationalFunction(Polynomial.one(), Polynomial.variable() * Polynomial([1, 1]))
     with pytest.raises(FactorizationError):
