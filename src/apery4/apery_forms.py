@@ -48,8 +48,9 @@ The module also carries the three independent evaluation routes for the
 pointwise; any disagreement is reported, none is expected.
 
 Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-sum the
-defining series (exact terms to a short cutoff, then an Euler–Maclaurin
-closure with a bounded remainder), a cross-check free of partial fractions.
+defining series on one dense kernel per side (exact integer terms to a short
+cutoff, then one Euler–Maclaurin closure whose remainder bound's sign
+hypothesis is proved), a cross-check free of partial fractions and blocks.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ from math import floor, lcm
 from .errors import DomainError, PoleError, RangeError, ReconstructionError
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, factored_derivative_values)
+                      Polynomial, derivative_keeps_sign, factored_derivative_sum,
+                      factored_derivative_values)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
@@ -800,80 +802,73 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 
 # First cutoff tried: each failed try costs one high-order oracle call.
 _FIRST_CUTOFF = 256
-# Each try derives order + 2*_MAX_DEPTH + 1 times; a lower cap pushes A far out.
+# Each try derives up to order + 2*_MAX_DEPTH + 2, the order of the deepest
+# sign proof; a lower cap pushes A far out.
 _MAX_DEPTH = 8
 
 
-def _series_tail_numeric(bp: _BlockProduct, numerator: Polynomial,
-                         den_factors: tuple[tuple[Fraction, int], ...],
-                         order: int, start: int,
-                         target: Fraction) -> tuple[Fraction, Fraction]:
-    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), g = bp.
+def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, int], ...],
+                    order: int, start: int, target: Fraction) -> tuple[Fraction, Fraction]:
+    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), where
+    g = numerator / prod (t + s)^e has no pole at t >= start.
 
-    ``numerator`` and ``den_factors`` are ``bp.factored().expand_parts()``,
-    which the caller has already expanded for the head of the series.
-    The terms start..A-1 are summed exactly by :func:`_generated_derivatives`;
-    the tail from A is closed by Euler–Maclaurin at depth M,
-
-        -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A),
-
-    whose remainder is bounded by 8 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)|.  M is
-    the least depth with that bound below ``target``; A doubles from
-    ``_FIRST_CUTOFF`` until some M <= ``_MAX_DEPTH`` qualifies.  The values
-    at A come from the dense oracle, independent of the blocks.  The value
-    is exact, so the bound is the remainder term alone.
+    The terms start..A-1 are summed exactly (:func:`factored_derivative_sum`)
+    and the tail from A is closed by Euler–Maclaurin at depth M,
+    -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A).  If
+    h^(2M+2) keeps one sign on [A, oo), the remainder is at most
+    2 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)| (DLMF 2.10.1); the bound is 4 times
+    that, for the least M that takes it below ``target``.  A doubles from
+    ``_FIRST_CUTOFF`` until such an M <= ``_MAX_DEPTH`` exists and
+    :func:`derivative_keeps_sign` proves the sign hypothesis at A; each
+    tried A makes one :func:`factored_derivative_values` call.
     """
     weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
                for k in range(1, _MAX_DEPTH + 2)]
     cutoff = max(_FIRST_CUTOFF, start)
     while True:
         high = factored_derivative_values(numerator, den_factors, cutoff,
-                                          order + 2 * _MAX_DEPTH + 1)
+                                          order + 2 * _MAX_DEPTH + 2)
         bounds = [8 * abs(weights[m] * high[order + 2 * m + 1])
                   for m in range(1, _MAX_DEPTH + 1)]
         depth = next((m for m, bound in enumerate(bounds, 1) if bound < target), 0)
-        if depth:
+        if depth and derivative_keeps_sign(numerator, den_factors,
+                                           order + 2 * depth + 2, cutoff):
             break
         cutoff *= 2
     closure = -high[order - 1] + high[order] / 2 - sum(
         weights[k - 1] * high[order + 2 * k - 1] for k in range(1, depth + 1))
-    partial = sum((_generated_derivatives(bp, v, order)[order]
-                   for v in range(start, cutoff)), start=_F(0))
+    partial = factored_derivative_sum(numerator, den_factors, order, start, cutoff)
     return partial + closure, bounds[depth - 1]
 
 
-def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
-    """Numeric re-evaluation of the left form from its defining series.
+def _summed_right_kernel(p: FormParameters) -> tuple[Polynomial, tuple[tuple[Fraction, int], ...]]:
+    """sum_j right_kernel_term(p, j) as (numerator, denominator factors), over
+    the least common denominator of the n+1 expanded terms."""
+    parts = [right_kernel_term(p, j).expand_parts() for j in range(p.n + 1)]
+    common: dict[Fraction, int] = {}
+    for shift, exponent in (factor for _, den_factors in parts for factor in den_factors):
+        common[shift] = max(exponent, common.get(shift, 0))
+    total = Polynomial()
+    for numerator, den_factors in parts:
+        missing = LinearFactorProduct.of(1, [*common.items()]
+                                         + [(shift, -e) for shift, e in den_factors])
+        total = total + numerator * missing.expand_parts()[0]
+    return total, tuple(sorted(common.items()))
 
-    The head n-m+1 .. 2n-m (where kernel factors vanish and the logarithmic
-    derivative route is unavailable) is summed exactly pointwise by the
-    oracle; the rest is summed and Euler–Maclaurin-closed by
-    :func:`_series_tail_numeric`.
-    """
-    bp = _left_blocks(p)
-    numerator, den_factors = bp.factored().expand_parts()
-    head = _F(0)
-    for nu in range(p.n - p.m + 1, 2 * p.n - p.m + 1):
-        head += factored_derivative_values(numerator, den_factors, nu, 1)[1]
-    target = _F(1, 10 ** (digits + 15))
-    tail, bound = _series_tail_numeric(bp, numerator, den_factors, 1,
-                                       2 * p.n - p.m + 1, target)
-    value = _F(-1, 3) * (head + tail)
-    return FixedPointNumber.from_fraction(value, digits, inherent_error=bound / 3)
+
+def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
+    """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
+    value, bound = _series_numeric(*left_kernel(p).expand_parts(), 1, p.n - p.m + 1,
+                                   _F(1, 10 ** (digits + 15)))
+    return FixedPointNumber.from_fraction(-value / 3, digits, inherent_error=bound / 3)
 
 
 def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
-    """Numeric re-evaluation of the right form from its defining series."""
-    target = _F(1, 10 ** (digits + 15))
-    total = _F(0)
-    bound = _F(0)
-    for j in range(p.n + 1):
-        bp = _right_blocks(p, j)
-        numerator, den_factors = bp.factored().expand_parts()
-        for nu in range(1, p.n + 1):
-            total += factored_derivative_values(numerator, den_factors, nu, 2)[2]
-        tail, tail_bound = _series_tail_numeric(bp, numerator, den_factors, 2,
-                                                p.n + 1, target)
-        total += tail
-        bound += tail_bound
-    return FixedPointNumber.from_fraction(total / 6, digits, inherent_error=bound / 6)
+    """Numeric 1/6 sum_{v >= 1} (d^2/dt^2 right kernel)(v): the defining series.
+
+    Euler–Maclaurin is linear, so one closure and one remainder bound on
+    the summed kernel (:func:`_summed_right_kernel`) cover the whole side.
+    """
+    value, bound = _series_numeric(*_summed_right_kernel(p), 2, 1,
+                                   _F(1, 10 ** (digits + 15)))
+    return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)

@@ -8,26 +8,31 @@ Conventions
 * Linear factors are written (t + shift): a *shift* p corresponds to the root
   t = -p.  A partial-fraction term "A_j / (t + p)^j" is keyed by the shift p,
   never by the root.
-* Everything is exact Fraction arithmetic; nothing here touches floats.
+* Everything is exact rational arithmetic; nothing here touches floats.
 
 Each kernel of the package is written once, as rising-factorial blocks
 (see :mod:`apery4.apery_forms`); :class:`LinearFactorProduct` is its
 flattened form, with repeated shifts merged.  The exact forms take their
 principal parts straight from the blocks and return them as
-:class:`PartialFractions`; no production path expands a kernel into dense
-polynomials.  Dense expansion serves the independent oracles instead:
-:func:`factored_derivative_values` evaluates summand derivatives blindly,
-and :func:`partial_fractions` is the dense reference decomposition the
-tests compare the block route against.  It decomposes an expanded rational
-function over caller-supplied pole candidates, then re-multiplies its answer
-and compares against the input (:class:`~apery4.errors.ReconstructionError`
-on mismatch), so a returned expansion is certified, not merely computed.
+:class:`PartialFractions`, never expanding a kernel into dense
+polynomials.  Dense expansion serves the independent oracles instead.
+:func:`factored_derivative_values` evaluates summand derivatives blindly by
+an integer quotient-rule chain, which also gives exact sums over a range
+(:func:`factored_derivative_sum`) and sign proofs on a ray
+(:func:`derivative_keeps_sign`).  :func:`partial_fractions` is the dense
+reference decomposition the tests compare the block route against.  It
+decomposes an expanded rational function over caller-supplied pole
+candidates, then re-multiplies its answer and compares against the input
+(:class:`~apery4.errors.ReconstructionError` on mismatch), so a returned
+expansion is certified, not merely computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import FactorizationError, PoleError, ReconstructionError
@@ -40,6 +45,8 @@ __all__ = [
     "PartialFractions",
     "partial_fractions",
     "factored_derivative_values",
+    "factored_derivative_sum",
+    "derivative_keeps_sign",
 ]
 
 _F = Fraction
@@ -128,15 +135,7 @@ class Polynomial:
                 return Polynomial()
             s = _as_fraction(other)
             return Polynomial(tuple(c * s for c in self._coeffs))
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial(_mul_coeffs(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
@@ -316,26 +315,23 @@ class LinearFactorProduct:
 
         The denominator is kept factored as (shift, positive exponent) pairs.
         """
-        num = [self.scalar]
-        den: list[tuple[Fraction, int]] = []
+        num, den = Polynomial.constant(self.scalar), []
         for shift, exponent in self.factors:
             if exponent > 0:
-                for _ in range(exponent):
-                    num = _mul_linear(num, shift)
+                num = num * Polynomial((shift, 1)) ** exponent
             else:
                 den.append((shift, -exponent))
-        return Polynomial(num), tuple(den)
+        return num, tuple(den)
 
     def expand(self) -> "RationalFunction":
         """Expand to a RationalFunction, coprime by construction."""
         num, den_factors = self.expand_parts()
         if num.is_zero:
             return RationalFunction(Polynomial(), Polynomial.one())
-        den = [_ONE]
+        den = Polynomial.one()
         for shift, exponent in den_factors:
-            for _ in range(exponent):
-                den = _mul_linear(den, shift)
-        return RationalFunction(num, Polynomial(den))
+            den = den * Polynomial((shift, 1)) ** exponent
+        return RationalFunction(num, den)
 
     def derivative_values_at(self, x: Fraction | int, order: int) -> list[Fraction]:
         """[f(x), f'(x), ..., f^(order)(x)] via the factored quotient rule."""
@@ -343,12 +339,13 @@ class LinearFactorProduct:
         return factored_derivative_values(num, den_factors, x, order)
 
 
-def _mul_linear(coeffs: list[Fraction], shift: Fraction) -> list[Fraction]:
-    """Multiply an ascending coefficient list by (t + shift)."""
-    out = [coeffs[0] * shift]
-    for i in range(1, len(coeffs)):
-        out.append(coeffs[i] * shift + coeffs[i - 1])
-    out.append(coeffs[-1])
+def _mul_coeffs(a: Sequence, b: Sequence) -> list:
+    """Product of two ascending coefficient lists (integers or Fractions)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
     return out
 
 
@@ -388,49 +385,106 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
+def _quotient_chain(numerator: Polynomial, den_factors: Sequence[tuple[Fraction, int]],
+                    order: int) -> tuple[Fraction, list[tuple[int, int, int]], list[list[int]]]:
+    """(K, [(r, q, e)], [N_0..N_order]), f^(d) = K N_d / prod (r t + q)^(e + d).
+
+    f = numerator / prod (t + q/r)^e; the numerator's denominators are
+    cleared once.  With P = prod (r t + q) and W = sum e r P/(r t + q), one
+    quotient-rule step sends N_d to N_d' P - N_d (W + d P'): integers
+    throughout, no gcd.
+    """
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+    clear = lcm(*(c.denominator for c in numerator.coefficients))
+    scale, linears, p_coeffs, weighted = _F(1, clear), [], [1], []
+    for shift, e in den_factors:
+        q, r = _as_fraction(shift).as_integer_ratio()
+        linears.append((r, q, e))
+        scale *= r ** e
+        # (P, W) -> (P l, W l + e r P) for the next factor l = r t + q
+        weighted = [a + e * r * b for a, b in
+                    zip_longest(_mul_coeffs(weighted, [q, r]), p_coeffs, fillvalue=0)]
+        p_coeffs = _mul_coeffs(p_coeffs, [q, r])
+    p_prime = [k * c for k, c in enumerate(p_coeffs)][1:]
+    chain = [[int(c * clear) for c in numerator.coefficients]]
+    for d in range(order):
+        current = chain[-1]
+        step = [a + d * b for a, b in zip_longest(weighted, p_prime, fillvalue=0)]
+        derived = _mul_coeffs([k * c for k, c in enumerate(current)][1:], p_coeffs)
+        chain.append([a - b for a, b in
+                      zip_longest(derived, _mul_coeffs(current, step), fillvalue=0)])
+    return scale, linears, chain
+
+
+def _term(coeffs: list[int], linears: list[tuple[int, int, int]],
+          a: int, b: int, d: int) -> tuple[int, int]:
+    """N(a/b) / prod (r a/b + q)^(e + d) as an unreduced integer pair."""
+    top, power = 0, 1
+    for c in reversed(coeffs):              # top = b^len N(a/b), power = b^len
+        power *= b
+        top = top * a + c * power
+    bottom, exponents = 1, 0
+    for r, q, e in linears:                 # r t + q = (r a + q b) / b at t = a/b
+        bottom *= (r * a + q * b) ** (e + d)
+        exponents += e + d
+    if not bottom:
+        raise PoleError(f"derivative evaluation at pole t = {_F(a, b)}")
+    return top * b ** exponents, power * bottom
+
+
 def factored_derivative_values(numerator: Polynomial,
                                den_factors: Sequence[tuple[Fraction, int]],
                                x: Fraction | int,
                                order: int) -> list[Fraction]:
     """Evaluate f, f', ..., f^(order) at x for f = numerator / prod (t+s_i)^{e_i}.
 
-    The denominator is never expanded: with P = prod_i (t + s_i) over the
-    distinct shifts and E_d = sum_i (e_i + d) * P/(t + s_i), one exact
-    quotient-rule step sends the numerator N to N'*P - N*E_d while every
-    denominator exponent grows by one.  This keeps all arithmetic polynomial
-    (no gcd), which matters for the high-degree summand kernels.
+    The denominator is never expanded: the chain of :func:`_quotient_chain`
+    runs in integers and each N_d is evaluated homogeneously at x = a/b, so
+    only the returned values are normalised.
     """
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    point = _as_fraction(x)
-    for shift, _ in den_factors:
-        if point + shift == 0:
-            raise PoleError(f"derivative evaluation at pole t = {x} (shift {shift})")
-
-    # P and its linear cofactors
-    p_coeffs = [_ONE]
-    for shift, _ in den_factors:
-        p_coeffs = _mul_linear(p_coeffs, shift)
-    P = Polynomial(p_coeffs)
-    cofactors = [P.div_linear(-shift)[0] for shift, _ in den_factors]
-    e_weighted = Polynomial()
-    c_sum = Polynomial()
-    for (_, exponent), cof in zip(den_factors, cofactors):
-        e_weighted = e_weighted + cof * exponent
-        c_sum = c_sum + cof
-
-    def den_value(extra: int) -> Fraction:
-        value = _ONE
-        for shift, exponent in den_factors:
-            value *= (point + shift) ** (exponent + extra)
-        return value
-
-    values = [numerator(point) / den_value(0)]
-    current = numerator
-    for d in range(order):
-        current = current.derivative() * P - current * (e_weighted + c_sum * d)
-        values.append(current(point) / den_value(d + 1))
+    scale, linears, chain = _quotient_chain(numerator, den_factors, order)
+    a, b = _as_fraction(x).as_integer_ratio()
+    values = []
+    for d, current in enumerate(chain):
+        top, bottom = _term(current, linears, a, b, d)
+        values.append(_F(scale.numerator * top, scale.denominator * bottom))
     return values
+
+
+def factored_derivative_sum(numerator: Polynomial,
+                            den_factors: Sequence[tuple[Fraction, int]],
+                            order: int, start: int, stop: int) -> Fraction:
+    """Exact sum of f^(order)(v) over the integers start <= v < stop: the terms
+    stay unreduced integer pairs, added in a balanced tree, normalised once."""
+    scale, linears, chain = _quotient_chain(numerator, den_factors, order)
+    pairs = [_term(chain[-1], linears, v, 1, order) for v in range(start, stop)]
+    while len(pairs) > 1:
+        pairs = ([(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+                 + pairs[len(pairs) - len(pairs) % 2:])
+    value, bottom = pairs[0] if pairs else (0, 1)
+    return _F(scale.numerator * value, scale.denominator * bottom)
+
+
+def derivative_keeps_sign(numerator: Polynomial,
+                          den_factors: Sequence[tuple[Fraction, int]],
+                          order: int, start: int) -> bool:
+    """Whether f^(order) provably keeps one sign on the ray t >= start.
+
+    ``start`` must lie beyond every pole (ValueError otherwise), so f^(order)
+    has the sign of K N_order(start + u), u >= 0 (:func:`_quotient_chain`).
+    If the Taylor shift N_order(start + u) has no sign change among its
+    integer coefficients, it has no positive root (Descartes' rule).  False
+    means no proof, not a proven sign change.
+    """
+    _, linears, chain = _quotient_chain(numerator, den_factors, order)
+    if any(r * start + q <= 0 for r, q, _ in linears):
+        raise ValueError(f"t = {start} does not lie beyond every pole")
+    coeffs = chain[-1]
+    for i in range(len(coeffs) - 1):
+        for k in range(len(coeffs) - 2, i - 1, -1):
+            coeffs[k] += start * coeffs[k + 1]
+    return len({c > 0 for c in coeffs if c}) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from apery4 import (DomainError, FormParameters, LinearFactorProduct,
                     right_kernel_term, right_low_summand, right_mid_summand,
                     right_split_check, right_tail_component, verify_cell)
 from apery4.apery_forms import (_certify, _left_blocks, _left_expansion,
-                                _principal_parts, _right_blocks,
-                                _series_tail_numeric)
+                                _principal_parts, _right_blocks, _series_numeric,
+                                _summed_right_kernel)
 from apery4.recurrence_lab import recurrence_table
 
 F = Fraction
@@ -354,7 +354,8 @@ TAIL_TARGET = F(1, 10 ** 45)
 
 TAIL_CASES = ([("left", n, m, None) for n in range(3) for m in range(n + 1)]
               + [("right", n, m, j) for n in range(3) for m in range(n + 1)
-                 for j in range(n + 1)])
+                 for j in range(n + 1)]
+              + [("summed", n, m, None) for n in range(3) for m in range(n + 1)])
 
 
 @pytest.mark.parametrize("side, n, m, j", TAIL_CASES)
@@ -363,17 +364,58 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
     if side == "left":
         bp, order, start = _left_blocks(p), 1, 2 * n - m + 1
         exact = derivative_tail_sum(_left_expansion(p), 1, start)
-    else:
+    elif side == "right":
         bp, order, start = _right_blocks(p, j), 2, n + 1
         exact = right_tail_component(p, j)
-    value, bound = _series_tail_numeric(bp, *bp.factored().expand_parts(),
-                                        order, start, TAIL_TARGET)
+    else:
+        # the whole right series of the summed kernel, from v = 1
+        order, start = 2, 1
+        exact = 6 * right_form(p)
+    parts = (_summed_right_kernel(p) if side == "summed"
+             else bp.factored().expand_parts())
+    value, bound = _series_numeric(*parts, order, start, TAIL_TARGET)
     reference = evaluate_decimal(exact, 70)
     assert bound < TAIL_TARGET
     assert abs(value - reference.value()) + reference.error_bound <= bound
 
 
-@pytest.mark.slow
+def _high_order_cutoffs(monkeypatch) -> list:
+    """Record the cutoff of every closure-order oracle call of apery_forms."""
+    cutoffs = []
+    oracle = apery_forms.factored_derivative_values
+
+    def spy(numerator, den_factors, x, order):
+        if order >= 8:
+            cutoffs.append(x)
+        return oracle(numerator, den_factors, x, order)
+
+    monkeypatch.setattr(apery_forms, "factored_derivative_values", spy)
+    return cutoffs
+
+
+def test_right_side_closes_once(monkeypatch):
+    cutoffs = _high_order_cutoffs(monkeypatch)
+    right_form_numeric(FormParameters(4, 1), 30)
+    assert 1 <= len(cutoffs) <= 2
+
+
+def test_mixed_sign_shift_doubles_the_cutoff(monkeypatch):
+    # at (12, 5) the left series meets its target at A = 256, but there the
+    # Taylor shift of h^(2M+2) has mixed signs, so the bound is unproved
+    cutoffs = _high_order_cutoffs(monkeypatch)
+    proofs = []
+    keeps_sign = apery_forms.derivative_keeps_sign
+
+    def spy(numerator, den_factors, order, start):
+        proofs.append((start, keeps_sign(numerator, den_factors, order, start)))
+        return proofs[-1][1]
+
+    monkeypatch.setattr(apery_forms, "derivative_keeps_sign", spy)
+    left_form_numeric(FormParameters(12, 5), 30)
+    assert proofs == [(256, False), (512, True)]
+    assert cutoffs == [256, 512]
+
+
 @pytest.mark.parametrize("n, m", [(8, 3), (12, 5)])
 def test_numeric_routes_bracket_the_exact_value(n, m):
     p = FormParameters(n, m)

@@ -1,5 +1,6 @@
 """Unit tests for polynomials, factored products, and partial fractions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from apery4 import (FactorizationError, LinearFactorProduct, PoleError,
                     Polynomial, RationalFunction, factored_derivative_values,
                     partial_fractions, pochhammer)
+from apery4.polyrat import derivative_keeps_sign, factored_derivative_sum
 
 F = Fraction
 
@@ -133,6 +135,58 @@ def test_factored_derivative_values_against_quotient_rule():
     assert values == [_parts_derivative(WORKED_PARTS, F(1, 2), k) for k in range(5)]
     with pytest.raises(PoleError):
         factored_derivative_values(num, den_factors, -1, 1)
+
+
+def _random_product(rng: random.Random) -> LinearFactorProduct:
+    """A product with half-integer shifts, poles up to order 3, a Fraction scalar."""
+    factors = [(F(rng.randint(-6, 6), 2), rng.choice((-3, -2, -1, 1, 2)))
+               for _ in range(rng.randint(1, 6))]
+    return LinearFactorProduct.of(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), factors)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_factored_derivative_values_match_partial_fraction_reference(seed):
+    rng = random.Random(seed)
+    prod = _random_product(rng)
+    expansion = partial_fractions(prod.expand(), prod.denominator_shifts())
+    parts = [(c, term.shift, j) for term in expansion.terms
+             for j, c in enumerate(term.coefficients, start=1)]
+    poles = set(prod.denominator_shifts())
+    points = [F(rng.randint(-20, 20), rng.choice((3, 4, 7))) for _ in range(3)]
+    for x in [x for x in points if -x not in poles]:
+        values = factored_derivative_values(*prod.expand_parts(), x, 6)
+        polynomial = expansion.polynomial_part
+        for d in range(7):
+            # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
+            assert values[d] == polynomial(x) + _parts_derivative(parts, x, d)
+            polynomial = polynomial.derivative()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_derivative_sum_matches_termwise_sum(seed):
+    rng = random.Random(seed)
+    prod = _random_product(rng)
+    parts = prod.expand_parts()
+    start = 4                               # beyond every shift -3..3
+    for order in (0, 1, 2):
+        for stop in (start - 2, start, start + 1, start + rng.randint(2, 40)):
+            termwise = sum((factored_derivative_values(*parts, v, order)[order]
+                            for v in range(start, stop)), start=F(0))
+            assert factored_derivative_sum(*parts, order, start, stop) == termwise
+    with pytest.raises(PoleError):
+        factored_derivative_sum(Polynomial.one(), ((F(-5), 1),), 1, 4, 8)
+
+
+def test_derivative_keeps_sign_sees_a_sign_change():
+    # (t - 300) / t^3 changes sign at t = 300 and nowhere beyond it
+    num, den_factors = Polynomial([-300, 1]), ((F(0), 3),)
+    assert not derivative_keeps_sign(num, den_factors, 0, 256)
+    assert derivative_keeps_sign(num, den_factors, 0, 300)
+    # f' = (900 - 2t) / t^4 changes sign at t = 450
+    assert not derivative_keeps_sign(num, den_factors, 1, 300)
+    assert derivative_keeps_sign(num, den_factors, 1, 450)
+    with pytest.raises(ValueError):
+        derivative_keeps_sign(num, ((F(-500), 1),), 0, 256)
 
 
 # ---------------------------------------------------------------------------
