@@ -37,7 +37,7 @@ print(f"denominator shifts after merging: {kernel.denominator_shifts()}")
 # The principal parts come from local expansions of the rising-factorial
 # blocks at each pole; nothing is expanded.  The call also certifies them:
 # kernel and parts must agree at deg D integer points.
-expansion = _principal_parts([blocks], "left side of (2, 1)")
+expansion = _principal_parts(blocks, "left side of (2, 1)")
 print("\nprincipal parts (certified at deg D points beyond the poles):")
 for term in expansion.terms:
     for j, coefficient in enumerate(term.coefficients, start=1):

@@ -5,7 +5,7 @@ For integer parameters n >= m >= 0 the package studies two rational kernels,
 * the *left* kernel, a degree-gap-3 product of shifted rising factorials with
   an extra (t + n/2) factor, and
 * the *right* kernel, a sum over j = 0..n of degree-gap-2 products weighted
-  by squared binomials,
+  by squared binomials, which share their blocks B: one kernel P(t) B(t),
 
 and the exact values
 
@@ -17,20 +17,13 @@ the zeta(2), zeta(3), zeta(5) coordinates cancel).  The central verified
 claim is left_form == right_form componentwise on the whole parameter grid.
 
 Each kernel is written down once, as a scalar times rising-factorial blocks
-and loose linear factors; the merged
-:class:`~apery4.polyrat.LinearFactorProduct`, the dense oracle, the
+and loose linear factors (times the integer polynomial P on the right); the
+merged :class:`~apery4.polyrat.LinearFactorProduct`, the dense oracle, the
 generated route and the principal parts all derive from that one spec.
-Each form is computed from the principal parts of its kernel, read off the
-blocks without expanding anything: at a pole each block
-is a signed factorial quotient times the exponential of a power-sum series
-whose coefficients are differences of harmonic numbers.  The derivative
-tails of the principal parts are then summed termwise (see
-:mod:`apery4.zeta_forms`); the right form adds its n+1 kernels' parts first
-and sums the tails once.  Every decomposition carries an always-on
-certificate: the pole orders found by scanning the blocks must match those
-left after merging the same spec's factors, and kernel and principal parts
-must agree at deg D integer points, D being the common denominator, which
-proves them equal as rational functions.
+Each form sums the derivative tails of its kernel's principal parts
+termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
+at each pole without expanding anything (:class:`_LocalExpansion`), and an
+always-on certificate proves them (:func:`_certify`).
 
 The module also carries the three independent evaluation routes for the
 *summands* (the term values of the split series):
@@ -57,16 +50,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
 from math import floor, lcm
 
-from .errors import DomainError, PoleError, RangeError, ReconstructionError
+from .errors import (DivergenceError, DomainError, PoleError, RangeError,
+                     ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, derivative_keeps_sign, factored_derivative_sum,
-                      factored_derivative_values)
+                      Polynomial, _mul_coeffs, derivative_keeps_sign,
+                      factored_derivative_sum, factored_derivative_values)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
@@ -115,34 +108,34 @@ class FormParameters:
 
 @dataclass(frozen=True)
 class _BlockProduct:
-    """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors.
+    """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors,
+    times an integer cofactor polynomial (ascending; 1 but on the right).
 
-    The one written spec of a kernel (see :func:`_left_blocks` and
-    :func:`_right_blocks`).  It keeps the rising-factorial block structure,
+    The one written spec of a kernel (see :func:`_left_blocks`,
+    :func:`_right_spec`).  It keeps the rising-factorial block structure,
     which the generated derivative route and the local expansions of the
     principal parts need; :meth:`factored` flattens it into the merged
-    :class:`LinearFactorProduct` the dense oracles take.
+    :class:`LinearFactorProduct` the dense oracles take.  A view that
+    cannot carry the cofactor refuses it.
     """
 
     scalar: Fraction
     blocks: tuple[tuple[int, int, int], ...]        # (x, k, e) with x integer
     linears: tuple[tuple[Fraction, int], ...]       # (s, e), s possibly n/2
+    cofactor: tuple[int, ...] = (1,)
 
     @property
     def degree(self) -> int:
         """deg(numerator) - deg(denominator), before any cancellation."""
-        return sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
+        return (sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
+                + len(self.cofactor) - 1)
 
     def factored(self) -> LinearFactorProduct:
         """The blocks flattened to (t + x + i)^e factors, merged and sorted."""
+        if self.cofactor != (1,):
+            raise ValueError("a LinearFactorProduct cannot carry the polynomial cofactor")
         factors = [(x + i, e) for x, k, e in self.blocks for i in range(k)]
         return LinearFactorProduct.of(self.scalar, factors + list(self.linears))
-
-    def shifted(self, offset: int) -> "_BlockProduct":
-        """Substitute t -> t + offset."""
-        return _BlockProduct(self.scalar,
-                             tuple((x + offset, k, e) for x, k, e in self.blocks),
-                             tuple((s + offset, e) for s, e in self.linears))
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -162,7 +155,10 @@ class _BlockProduct:
             value *= (start + s) ** e
         out = []
         for t in range(start, start + count):
-            out.append(value)
+            cofactor = 0
+            for c in reversed(self.cofactor):
+                cofactor = cofactor * t + c
+            out.append(value * cofactor)
             num = den = 1
             for x, k, e in self.blocks:
                 top, bottom = t + x + k, t + x
@@ -195,20 +191,41 @@ def _left_blocks(p: FormParameters) -> _BlockProduct:
     )
 
 
-def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
-    """The j-th term of the right kernel (degree gap 2), 0 <= j <= n:
+def _right_spec(p: FormParameters) -> tuple[_BlockProduct, list[int]]:
+    """The right kernel's shared blocks B and weights C_j, 0 <= j <= n: its
+    j-th term is C_j (t-j)_n B (degree gap 2), where
 
-    C(n,j)^2 C(2n-m+j, n) * (t-n)_{2n-m} (t-j)_n / ((t)_{n+1} (t)_{2n-m+1})
+    C_j = C(n,j)^2 C(2n-m+j, n),  B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}).
     """
     n, m = p.n, p.m
-    if not 0 <= j <= n:
-        raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {n}")
-    scalar = _F(binomial(n, j) ** 2 * binomial(2 * n - m + j, n))
-    return _BlockProduct(
-        scalar,
-        ((-n, 2 * n - m, 1), (-j, n, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
-        (),
-    )
+    shared = _BlockProduct(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1),
+                                   (0, 2 * n - m + 1, -1)), ())
+    return shared, [binomial(n, j) ** 2 * binomial(2 * n - m + j, n) for j in range(n + 1)]
+
+
+def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
+    """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
+    if not 0 <= j <= p.n:
+        raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {p.n}")
+    shared, weights = _right_spec(p)
+    return replace(shared, scalar=_F(weights[j]), blocks=((-j, p.n, 1),) + shared.blocks)
+
+
+def _right_kernel(p: FormParameters) -> _BlockProduct:
+    """The summed right kernel P(t) B(t), P = sum_j C_j (t-j)_n in integers.
+
+    As (t-j)_n = (t-j)_j (t)_{n-j}, P = a_n with a_j = (t+n-j) a_(j-1) +
+    C_j (t-j)_j.  P vanishes at no pole of B, so P B has B's pole orders:
+    at t = -q, q >= 0, (t-j)_n is 0 for j < n-q and (-1)^n (q+j-n+1)_n
+    otherwise, so P(-q) = (-1)^n sum_{j >= n-q} C_j (q+j-n+1)_n, a sum of
+    terms of one sign that always includes j = n.
+    """
+    shared, weights = _right_spec(p)
+    cofactor, falling = [], [1]
+    for j, weight in enumerate(weights):            # falling = (t-j)_j
+        cofactor = [c + weight * f for c, f in zip(_mul_coeffs(cofactor, [p.n - j, 1]), falling)]
+        falling = _mul_coeffs(falling, [-j - 1, 1])
+    return replace(shared, cofactor=tuple(cofactor))
 
 
 def left_kernel(p: FormParameters) -> LinearFactorProduct:
@@ -269,11 +286,11 @@ class _LocalExpansion:
     h[r][i] = L^r S_r(i).  The series g = exp(sum c_r u^r) has
     g_k = G_k / (k! L^k) with integer G_0 = 1 and
     G_k = sum_{i=1..k} (-1)^(i+1) P_i G_(k-i) (k-1)!/(k-i)!,
-    and the principal part is A_j = C g_(E-j).
+    and the principal part is A_j = C g_(E-j), or sum_i Q_i A_(j+i) with a
+    cofactor Q = sum_i Q_i u^i (Taylor coefficients by synthetic division).
     """
 
     def __init__(self, top: int, depth: int) -> None:
-        self.depth = depth
         self.scale = lcm(*range(1, top + 1))
         self.table: list[list[int]] = [[]]
         for r in range(1, depth):
@@ -286,11 +303,9 @@ class _LocalExpansion:
     def part(self, bp: _BlockProduct, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of bp at t = -shift.
 
-        The denominator is the one of C times (depth-1)! L^(depth-1), so
-        kernels sharing their denominator blocks share it, and their parts
-        add as integers.
+        The denominator is the one of C times (order-1)! L^(order-1).
         """
-        scale, table, depth = self.scale, self.table, self.depth
+        scale, table = self.scale, self.table
         num, den = bp.scalar.numerator, bp.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
         for x, k, e in bp.blocks:
@@ -323,11 +338,17 @@ class _LocalExpansion:
             series.append(sum((-1) ** (i + 1) * sums[i] * series[k - i]
                               * factorial(k - 1) // factorial(k - i)
                               for i in range(1, k + 1)))
-        # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (depth-1)! L^(depth-1)
-        numerators = [num * series[order - j] * factorial(depth - 1)
-                      // factorial(order - j) * scale ** (depth - 1 - order + j)
-                      for j in range(1, order + 1)]
-        return numerators, den * factorial(depth - 1) * scale ** (depth - 1)
+        # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (E-1)! L^(E-1)
+        parts = [num * series[order - j] * factorial(order - 1)
+                 // factorial(order - j) * scale ** (j - 1)
+                 for j in range(1, order + 1)]
+        taylor, coeffs = [], list(bp.cofactor)
+        for _ in range(order):              # divide by (t + shift), keep the remainder
+            for i in range(len(coeffs) - 2, -1, -1):
+                coeffs[i] -= shift * coeffs[i + 1]
+            taylor.append(coeffs.pop(0) if coeffs else 0)
+        numerators = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
+        return numerators, den * factorial(order - 1) * scale ** (order - 1)
 
 
 def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
@@ -337,16 +358,15 @@ def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
     return out
 
 
-def _certify(kernels: list[_BlockProduct], expansion: PartialFractions,
-             where: str) -> None:
-    """Prove that ``expansion`` is the partial-fraction form of sum of kernels.
+def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None:
+    """Prove that ``expansion`` is the partial-fraction form of the kernel ``bp``.
 
-    Each kernel's poles and orders, found by scanning the block ranges
-    (:func:`_pole_orders`), must match the negative exponents that
-    :meth:`_BlockProduct.factored` leaves after merging: a second algorithm
-    over the same spec, not an independent spec.  The kernel must vanish at
-    infinity.
-    With D = prod (t+p)^E_p over the largest orders, the sum f and the
+    The poles and orders found by scanning the block ranges
+    (:func:`_pole_orders`) must match the negative exponents that
+    :meth:`_BlockProduct.factored` leaves after merging the blocks: a second
+    algorithm over the same spec, not an independent spec.  The kernel must
+    vanish at infinity.
+    With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
     proves R = 0.  The points are consecutive integers where every factor
@@ -354,18 +374,14 @@ def _certify(kernels: list[_BlockProduct], expansion: PartialFractions,
     integers as L*D(x)*F(x) with L the lcm of the coefficient denominators.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    orders: dict[int, int] = {}
-    for bp in kernels:
-        own = _pole_orders(bp)
-        merged = {s: -e for s, e in bp.factored().factors if e < 0}
-        if own != merged:
-            raise ReconstructionError(
-                f"{where}: block poles {sorted(own.items())} differ from the "
-                f"merged factors' poles {sorted(merged.items())}")
-        if bp.degree >= 0:
-            raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
-        for shift, order in own.items():
-            orders[shift] = max(order, orders.get(shift, 0))
+    orders = _pole_orders(bp)
+    merged = {s: -e for s, e in replace(bp, cofactor=(1,)).factored().factors if e < 0}
+    if orders != merged:
+        raise ReconstructionError(
+            f"{where}: block poles {sorted(orders.items())} differ from the "
+            f"merged factors' poles {sorted(merged.items())}")
+    if bp.degree >= 0:
+        raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
     if not expansion.polynomial_part.is_zero:
         raise ReconstructionError(f"{where}: expansion has a polynomial part")
     scale = 1
@@ -379,11 +395,9 @@ def _certify(kernels: list[_BlockProduct], expansion: PartialFractions,
     scaled = [(int(term.shift), [int(c * scale) for c in term.coefficients])
               for term in expansion.terms]
 
-    start = max(bp.first_positive_point() for bp in kernels)
+    start = bp.first_positive_point()
     count = sum(orders.values())
-    columns = [bp.values(start, count) for bp in kernels]
-    for i, x in enumerate(range(start, start + count)):
-        f = sum((column[i] for column in columns), start=_F(0))
+    for x, f in zip(range(start, start + count), bp.values(start, count)):
         den = 1
         for shift, order in orders.items():
             den *= (x + shift) ** order
@@ -399,34 +413,20 @@ def _certify(kernels: list[_BlockProduct], expansion: PartialFractions,
                 f"{where}: principal parts disagree with the kernel at t = {x}")
 
 
-def _principal_parts(kernels: list[_BlockProduct], where: str) -> PartialFractions:
-    """Certified partial fractions of the sum of the block-product kernels.
-
-    The principal parts come from local expansions (:class:`_LocalExpansion`),
-    added as integers over shared denominators; nothing is expanded into a
-    dense polynomial.  The certificate (:func:`_certify`) reads the pole
-    orders a second way, by merging the same spec's factors, and raises
-    ReconstructionError naming ``where`` when anything disagrees.
+def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
+    """Certified partial fractions of the block-product kernel ``bp``: one
+    local expansion (:class:`_LocalExpansion`) per pole, in integers, with
+    nothing expanded into a dense polynomial, proved by :func:`_certify`.
     """
-    poles = [_pole_orders(bp) for bp in kernels]
-    top = max((a for bp, orders in zip(kernels, poles) for shift in orders
-               for a in _local_magnitudes(bp, shift)), default=0)
-    depth = max((order for orders in poles for order in orders.values()), default=1)
-    local = _LocalExpansion(top, depth)
-    parts: dict[int, tuple[list[int], int]] = {}
-    for bp, orders in zip(kernels, poles):
-        for shift, order in orders.items():
-            numerators, den = local.part(bp, shift, order)
-            acc, acc_den = parts.get(shift, ([], den))
-            if acc_den != den:
-                acc, numerators = [c * den for c in acc], [c * acc_den for c in numerators]
-                den *= acc_den
-            parts[shift] = ([a + c for a, c in zip_longest(acc, numerators, fillvalue=0)],
-                            den)
-    expansion = PartialFractions(Polynomial(), tuple(
-        PoleExpansion(_F(shift), tuple(_F(c, den) for c in numerators))
-        for shift, (numerators, den) in sorted(parts.items())))
-    _certify(kernels, expansion, where)
+    orders = _pole_orders(bp)
+    top = max((a for shift in orders for a in _local_magnitudes(bp, shift)), default=0)
+    local = _LocalExpansion(top, max(orders.values(), default=1))
+    terms = []
+    for shift in sorted(orders):
+        numerators, den = local.part(bp, shift, orders[shift])
+        terms.append(PoleExpansion(_F(shift), tuple(_F(c, den) for c in numerators)))
+    expansion = PartialFractions(Polynomial(), tuple(terms))
+    _certify(bp, expansion, where)
     return expansion
 
 
@@ -436,7 +436,7 @@ def _principal_parts(kernels: list[_BlockProduct], where: str) -> PartialFractio
 
 
 def _left_expansion(p: FormParameters) -> PartialFractions:
-    return _principal_parts([_left_blocks(p)],
+    return _principal_parts(_left_blocks(p),
                             f"left side of cell (n, m) = ({p.n}, {p.m})")
 
 
@@ -446,13 +446,11 @@ def left_form(p: FormParameters) -> ZetaLinearForm:
 
 
 def right_form(p: FormParameters) -> ZetaLinearForm:
-    """Exact value of the right form: 1/6 sum_j sum_{v >= 1} (d^2/dt^2 term_j)(v).
-
-    Partial fractions and tail sums are linear, so the n+1 principal parts
-    are added first and certified once, and one tail sum closes them.
+    """Exact value of the right form: 1/6 sum_{v >= 1} (d^2/dt^2 P B)(v), one
+    expansion, certificate and tail sum on the kernel of :func:`_right_kernel`.
     """
-    kernels = [_right_blocks(p, j) for j in range(p.n + 1)]
-    expansion = _principal_parts(kernels, f"right side of cell (n, m) = ({p.n}, {p.m})")
+    expansion = _principal_parts(_right_kernel(p),
+                                 f"right side of cell (n, m) = ({p.n}, {p.m})")
     return _F(1, 6) * derivative_tail_sum(expansion, 2, 1)
 
 
@@ -505,6 +503,8 @@ def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fr
     """
     if order not in (1, 2):
         raise ValueError(f"generated route supports orders 1 and 2, got {order}")
+    if bp.cofactor != (1,):
+        raise ValueError("the generated route cannot carry the polynomial cofactor")
     value = bp.scalar
     log_d = _F(0)
     log_dd = _F(0)
@@ -684,10 +684,10 @@ def right_finite_sum(p: FormParameters) -> Fraction:
 
 
 def right_tail_component(p: FormParameters, j: int) -> ZetaLinearForm:
-    """Exact tail of the j-th right series from v = n+1 on (shifted to 1)."""
-    expansion = _principal_parts([_right_blocks(p, j).shifted(p.n)],
+    """Exact tail of the j-th right series from v = n+1 on."""
+    expansion = _principal_parts(_right_blocks(p, j),
                                  f"right tail j = {j} of cell (n, m) = ({p.n}, {p.m})")
-    return derivative_tail_sum(expansion, 2, 1)
+    return derivative_tail_sum(expansion, 2, p.n + 1)
 
 
 def right_split_check(p: FormParameters) -> bool:
@@ -821,7 +821,15 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
     ``_FIRST_CUTOFF`` until such an M <= ``_MAX_DEPTH`` exists and
     :func:`derivative_keeps_sign` proves the sign hypothesis at A; each
     tried A makes one :func:`factored_derivative_values` call.
+
+    The closure needs g^(order-1) -> 0 at infinity, deg g <= order - 2, or
+    DivergenceError is raised.  For a g that passes, the doubling ends: the
+    bounds decay in A, and the Taylor shift's signs settle on the leading one.
     """
+    degree = numerator.degree - sum(e for _, e in den_factors)
+    if degree > order - 2:
+        raise DivergenceError(f"kernel of degree {degree} has no closure at "
+                              f"derivative order {order} (needs <= {order - 2})")
     weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
                for k in range(1, _MAX_DEPTH + 2)]
     cutoff = max(_FIRST_CUTOFF, start)
@@ -841,21 +849,6 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
     return partial + closure, bounds[depth - 1]
 
 
-def _summed_right_kernel(p: FormParameters) -> tuple[Polynomial, tuple[tuple[Fraction, int], ...]]:
-    """sum_j right_kernel_term(p, j) as (numerator, denominator factors), over
-    the least common denominator of the n+1 expanded terms."""
-    parts = [right_kernel_term(p, j).expand_parts() for j in range(p.n + 1)]
-    common: dict[Fraction, int] = {}
-    for shift, exponent in (factor for _, den_factors in parts for factor in den_factors):
-        common[shift] = max(exponent, common.get(shift, 0))
-    total = Polynomial()
-    for numerator, den_factors in parts:
-        missing = LinearFactorProduct.of(1, [*common.items()]
-                                         + [(shift, -e) for shift, e in den_factors])
-        total = total + numerator * missing.expand_parts()[0]
-    return total, tuple(sorted(common.items()))
-
-
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
     value, bound = _series_numeric(*left_kernel(p).expand_parts(), 1, p.n - p.m + 1,
@@ -867,8 +860,10 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric 1/6 sum_{v >= 1} (d^2/dt^2 right kernel)(v): the defining series.
 
     Euler–Maclaurin is linear, so one closure and one remainder bound on
-    the summed kernel (:func:`_summed_right_kernel`) cover the whole side.
+    the summed kernel P B (:func:`_right_kernel`) cover the whole side.
     """
-    value, bound = _series_numeric(*_summed_right_kernel(p), 2, 1,
-                                   _F(1, 10 ** (digits + 15)))
+    kernel = _right_kernel(p)
+    numerator, den_factors = replace(kernel, cofactor=(1,)).factored().expand_parts()
+    value, bound = _series_numeric(numerator * Polynomial(kernel.cofactor), den_factors,
+                                   2, 1, _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)

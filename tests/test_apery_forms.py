@@ -7,14 +7,17 @@ rule on the expanded kernels) before the printed formulas were trusted.
 """
 
 import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery4 import (DomainError, FormParameters, LinearFactorProduct,
-                    PartialFractions, PoleExpansion, RangeError,
+from apery4 import (DivergenceError, DomainError, FormParameters,
+                    LinearFactorProduct, PartialFractions, PoleExpansion,
+                    Polynomial, RangeError, RationalFunction,
                     ReconstructionError, ZetaLinearForm, apery_forms,
                     audit_summands, derivative_tail_sum, evaluate_decimal,
                     left_form, left_form_numeric, left_kernel, left_mid_sum,
@@ -24,8 +27,8 @@ from apery4 import (DomainError, FormParameters, LinearFactorProduct,
                     right_kernel_term, right_low_summand, right_mid_summand,
                     right_split_check, right_tail_component, verify_cell)
 from apery4.apery_forms import (_certify, _left_blocks, _left_expansion,
-                                _principal_parts, _right_blocks, _series_numeric,
-                                _summed_right_kernel)
+                                _principal_parts, _right_blocks, _right_kernel,
+                                _series_numeric)
 from apery4.recurrence_lab import recurrence_table
 
 F = Fraction
@@ -156,16 +159,50 @@ def test_block_principal_parts_match_dense_route(n):
     for m in range(n + 1):
         for label, blocks, kernel in _kernel_specs(FormParameters(n, m)):
             dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
-            assert _principal_parts([blocks], label) == dense, (n, m, label)
+            assert _principal_parts(blocks, label) == dense, (n, m, label)
+
+
+def _summed_parts(*expansions):
+    """{shift: coefficients} of the termwise sum of principal parts."""
+    total = {}
+    for expansion in expansions:
+        for term in expansion.terms:
+            total[term.shift] = tuple(
+                a + c for a, c in zip_longest(total.get(term.shift, ()),
+                                              term.coefficients, fillvalue=0))
+    return total
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_summed_right_kernel_matches_its_terms(n):
+    # P B against the n+1 per-j kernels: the certified parts pole by pole and
+    # coefficient by coefficient, and the values at non-pole rational points
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        kernel = _right_kernel(p)
+        terms = [_principal_parts(_right_blocks(p, j), f"right j = {j}")
+                 for j in range(n + 1)]
+        assert (_summed_parts(_principal_parts(kernel, "right"))
+                == _summed_parts(*terms)), (n, m)
+        blocks = replace(kernel, cofactor=(1,)).factored()
+        for x in (F(1, 3), F(-7, 2), F(5, 7)):
+            assert (Polynomial(kernel.cofactor)(x) * blocks.value_at(x)
+                    == sum(right_kernel_term(p, j).value_at(x) for j in range(n + 1))), (n, m, x)
+
+
+def test_cofactor_is_never_dropped():
+    kernel = _right_kernel(FormParameters(3, 1))
+    for view in (kernel.factored,
+                 lambda: apery_forms._generated_derivatives(kernel, 10, 2)):
+        with pytest.raises(ValueError, match="cofactor"):
+            view()
 
 
 def _certified_sides(p):
-    """(where, kernels, expansion) for the left kernel and the summed right one."""
-    left = [_left_blocks(p)]
-    right = [_right_blocks(p, j) for j in range(p.n + 1)]
-    for where, kernels in (("left side of cell (4, 1)", left),
-                           ("right side of cell (4, 1)", right)):
-        yield where, kernels, _principal_parts(kernels, where)
+    """(where, kernel, expansion) for the left kernel and the summed right one."""
+    for where, kernel in (("left side of cell (4, 1)", _left_blocks(p)),
+                          ("right side of cell (4, 1)", _right_kernel(p))):
+        yield where, kernel, _principal_parts(kernel, where)
 
 
 def _bump_second_term(terms):
@@ -178,22 +215,43 @@ def _bump_second_term(terms):
 @pytest.mark.parametrize("tamper", [_bump_second_term, lambda terms: terms[:-1]],
                          ids=["coefficient-off-by-1e-9", "pole-dropped"])
 def test_certificate_rejects_tampered_parts(tamper):
-    for where, kernels, expansion in _certified_sides(FormParameters(4, 1)):
+    for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms))
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernels, tampered, where)
+            _certify(kernel, tampered, where)
+
+
+def test_certificate_uses_every_point():
+    # add R/D with R vanishing at the first deg D - 1 certificate points: only
+    # the last point tells the tampered parts from the honest ones
+    for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
+        orders = apery_forms._pole_orders(kernel)
+        den = Polynomial.one()
+        for shift, order in orders.items():
+            den = den * Polynomial((shift, 1)) ** order
+        start = kernel.first_positive_point()
+        last = start + den.degree - 1
+        remainder = Polynomial.constant(7)
+        for x in range(start, last):
+            remainder = remainder * Polynomial((-x, 1))
+        extra = partial_fractions(RationalFunction(remainder, den), orders)
+        tampered = PartialFractions(Polynomial(), tuple(
+            PoleExpansion(shift, coefficients) for shift, coefficients
+            in sorted(_summed_parts(expansion, extra).items())))
+        with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
+            _certify(kernel, tampered, where)
 
 
 def test_certificate_cross_checks_the_pole_orders(monkeypatch):
     # the block scan and the merged factors read the poles of one spec by two
     # algorithms; a scan that loses a pole must not go unnoticed
     p = FormParameters(4, 1)
-    expansion = _principal_parts([_left_blocks(p)], "left")
+    expansion = _principal_parts(_left_blocks(p), "left")
     honest = apery_forms._pole_orders
     monkeypatch.setattr(apery_forms, "_pole_orders",
                         lambda bp: {s: e for s, e in honest(bp).items() if s != 4})
     with pytest.raises(ReconstructionError, match="block poles"):
-        _certify([_left_blocks(p)], expansion, "left")
+        _certify(_left_blocks(p), expansion, "left")
 
 
 def test_forms_always_certify(monkeypatch):
@@ -368,12 +426,12 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
         bp, order, start = _right_blocks(p, j), 2, n + 1
         exact = right_tail_component(p, j)
     else:
-        # the whole right series of the summed kernel, from v = 1
-        order, start = 2, 1
+        # the whole right series of the summed kernel P B, from v = 1
+        bp, order, start = _right_kernel(p), 2, 1
         exact = 6 * right_form(p)
-    parts = (_summed_right_kernel(p) if side == "summed"
-             else bp.factored().expand_parts())
-    value, bound = _series_numeric(*parts, order, start, TAIL_TARGET)
+    numerator, den_factors = replace(bp, cofactor=(1,)).factored().expand_parts()
+    value, bound = _series_numeric(numerator * Polynomial(bp.cofactor), den_factors,
+                                   order, start, TAIL_TARGET)
     reference = evaluate_decimal(exact, 70)
     assert bound < TAIL_TARGET
     assert abs(value - reference.value()) + reference.error_bound <= bound
@@ -391,6 +449,17 @@ def _high_order_cutoffs(monkeypatch) -> list:
 
     monkeypatch.setattr(apery_forms, "factored_derivative_values", spy)
     return cutoffs
+
+
+@pytest.mark.parametrize("numerator, degree", [((0, 1), 0), ((0, 0, 1), 1)],
+                         ids=["t-over-t-plus-1", "t-squared-over-t-plus-1"])
+def test_series_without_a_closure_raises(numerator, degree, monkeypatch):
+    # sum of g' from 1 for g = numerator/(t+1): g does not vanish at infinity,
+    # so the closure -g(A) + ... would return a wrong value with a tiny bound
+    cutoffs = _high_order_cutoffs(monkeypatch)
+    with pytest.raises(DivergenceError, match=f"degree {degree} "):
+        _series_numeric(Polynomial(numerator), ((F(1), 1),), 1, 1, TAIL_TARGET)
+    assert cutoffs == []
 
 
 def test_right_side_closes_once(monkeypatch):
