@@ -37,12 +37,14 @@ print(f"denominator shifts after merging: {kernel.denominator_shifts()}")
 # The principal parts come from local expansions of the rising-factorial
 # blocks at each pole; nothing is expanded.  The call also certifies them:
 # kernel and parts must agree at deg D integer points.
+# They are integers over one common denominator N.
 expansion = _principal_parts(blocks, "left side of (2, 1)")
-print("\nprincipal parts (certified at deg D points beyond the poles):")
+print("\nprincipal parts (certified at deg D points beyond the poles), "
+      f"over N = {expansion.denominator}:")
 for term in expansion.terms:
-    for j, coefficient in enumerate(term.coefficients, start=1):
-        if coefficient:
-            print(f"  {coefficient} / (t + {term.shift})^{j}")
+    for j, numerator in enumerate(term.numerators, start=1):
+        if numerator:
+            print(f"  {numerator} / (N (t + {term.shift})^{j})")
 
 # The dense route expands the kernel and decomposes it by Taylor division;
 # it stays as the reference the block route is tested against.

@@ -26,8 +26,7 @@ from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
                       Polynomial, RationalFunction, factored_derivative_values,
                       partial_fractions)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
-                         derivative_tail_sum, evaluate_decimal,
-                         tail_power_sum, zeta_value)
+                         derivative_tail_sum, evaluate_decimal, zeta_value)
 
 __all__ = [
     "Apery4Error",

@@ -365,13 +365,15 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
     (:func:`_pole_orders`) must match the negative exponents that
     :meth:`_BlockProduct.factored` leaves after merging the blocks: a second
     algorithm over the same spec, not an independent spec.  The kernel must
-    vanish at infinity.
+    vanish at infinity, and the expansion must have no polynomial part and
+    no term above its pole's order.
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
     proves R = 0.  The points are consecutive integers where every factor
     is positive; there f steps by an O(blocks) ratio, and F is evaluated in
-    integers as L*D(x)*F(x) with L the lcm of the coefficient denominators.
+    integers as N*D(x)*F(x), read straight off the numerators over the
+    expansion's denominator N.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
     orders = _pole_orders(bp)
@@ -384,17 +386,14 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
     if not expansion.polynomial_part.is_zero:
         raise ReconstructionError(f"{where}: expansion has a polynomial part")
-    scale = 1
     for term in expansion.terms:
         if term.order > orders.get(term.shift, 0):
             raise ReconstructionError(
                 f"{where}: term of order {term.order} at shift {term.shift} "
                 "exceeds the kernel's pole order there")
-        for c in term.coefficients:
-            scale = lcm(scale, c.denominator)
-    scaled = [(int(term.shift), [int(c * scale) for c in term.coefficients])
-              for term in expansion.terms]
 
+    scale = expansion.denominator
+    terms = [(int(term.shift), term.numerators) for term in expansion.terms]
     start = bp.first_positive_point()
     count = sum(orders.values())
     for x, f in zip(range(start, start + count), bp.values(start, count)):
@@ -402,12 +401,12 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
         for shift, order in orders.items():
             den *= (x + shift) ** order
         parts = 0
-        for shift, coefficients in scaled:
+        for shift, numerators in terms:
             base = x + shift
             horner = 0
-            for c in coefficients:
+            for c in numerators:
                 horner = horner * base + c
-            parts += horner * (den // base ** len(coefficients))
+            parts += horner * (den // base ** len(numerators))
         if f.numerator * scale * den != parts * f.denominator:
             raise ReconstructionError(
                 f"{where}: principal parts disagree with the kernel at t = {x}")
@@ -416,16 +415,17 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
 def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
     """Certified partial fractions of the block-product kernel ``bp``: one
     local expansion (:class:`_LocalExpansion`) per pole, in integers, with
-    nothing expanded into a dense polynomial, proved by :func:`_certify`.
+    nothing expanded into a dense polynomial, rescaled to one denominator
+    and proved by :func:`_certify`.
     """
     orders = _pole_orders(bp)
     top = max((a for shift in orders for a in _local_magnitudes(bp, shift)), default=0)
     local = _LocalExpansion(top, max(orders.values(), default=1))
-    terms = []
-    for shift in sorted(orders):
-        numerators, den = local.part(bp, shift, orders[shift])
-        terms.append(PoleExpansion(_F(shift), tuple(_F(c, den) for c in numerators)))
-    expansion = PartialFractions(Polynomial(), tuple(terms))
+    parts = [(shift, *local.part(bp, shift, orders[shift])) for shift in sorted(orders)]
+    common = lcm(*(den for _, _, den in parts))
+    expansion = PartialFractions(Polynomial(), tuple(
+        PoleExpansion(_F(shift), tuple(c * (common // den) for c in numerators))
+        for shift, numerators, den in parts), common)
     _certify(bp, expansion, where)
     return expansion
 

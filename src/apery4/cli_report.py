@@ -144,6 +144,8 @@ def _write_grid_csv(records: list[dict], path: str) -> None:
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
+    if args.json == "-" and args.csv == "-":
+        raise _UsageError("--json and --csv cannot both write to stdout")
     _at_least(args.n_max, 0, "--n-max")
     jobs = _job_count(args)
     _check_writable(args.json)

@@ -13,9 +13,9 @@ Conventions
 Each kernel of the package is written once, as rising-factorial blocks
 (see :mod:`apery4.apery_forms`); :class:`LinearFactorProduct` is its
 flattened form, with repeated shifts merged.  The exact forms take their
-principal parts straight from the blocks and return them as
-:class:`PartialFractions`, never expanding a kernel into dense
-polynomials.  Dense expansion serves the independent oracles instead.
+principal parts straight from the blocks, in integers, and return them as
+:class:`PartialFractions` (integer numerators over one reduced denominator),
+never expanding a kernel.  Dense expansion serves the independent oracles.
 :func:`factored_derivative_values` evaluates summand derivatives blindly by
 an integer quotient-rule chain, which also gives exact sums over a range
 (:func:`factored_derivative_sum`) and sign proofs on a ray
@@ -24,7 +24,8 @@ reference decomposition the tests compare the block route against.  It
 decomposes an expanded rational function over caller-supplied pole
 candidates, then re-multiplies its answer and compares against the input
 (:class:`~apery4.errors.ReconstructionError` on mismatch), so a returned
-expansion is certified, not merely computed.
+expansion is certified, not merely computed; it converts its answer to
+integers over one denominator at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import FactorizationError, PoleError, ReconstructionError
@@ -494,37 +495,40 @@ def derivative_keeps_sign(numerator: Polynomial,
 
 @dataclass(frozen=True)
 class PoleExpansion:
-    """Principal part at one pole: sum_j coefficients[j-1] / (t + shift)^j."""
+    """Principal part at one pole, over its expansion's integer denominator D:
+    sum_j numerators[j-1] / (D (t + shift)^j)."""
 
     shift: Fraction
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.coefficients)
+        return len(self.numerators)
 
 
 @dataclass(frozen=True)
 class PartialFractions:
-    """polynomial_part + sum over poles of principal parts."""
+    """polynomial_part + sum over poles of principal parts, whose integer
+    numerators share one ``denominator``, always reduced to the least one.
+
+    So ``==`` compares values, for terms sorted by shift and with no trailing
+    zero numerator, as both producers leave them.
+    """
 
     polynomial_part: Polynomial
     terms: tuple[PoleExpansion, ...]
+    denominator: int
 
-    def _principal_numerator(self, common_denominator: Polynomial) -> Polynomial:
-        """sum_{p,j} A_{p,j} * (D / (t+p)^j), exact (every division is exact)."""
-        acc = Polynomial()
-        for term in self.terms:
-            quotient = common_denominator
-            root = -term.shift
-            for coeff in term.coefficients:
-                quotient, rem = quotient.div_linear(root)
-                if rem != 0:
-                    raise ReconstructionError(
-                        f"common denominator not divisible by (t + {term.shift})")
-                if coeff:
-                    acc = acc + quotient * coeff
-        return acc
+    def __post_init__(self) -> None:
+        if not self.denominator:
+            raise ZeroDivisionError("principal parts over a zero denominator")
+        g = gcd(self.denominator, *(c for term in self.terms for c in term.numerators))
+        g = g if self.denominator > 0 else -g
+        if g != 1:
+            object.__setattr__(self, "denominator", self.denominator // g)
+            object.__setattr__(self, "terms", tuple(
+                PoleExpansion(term.shift, tuple(c // g for c in term.numerators))
+                for term in self.terms))
 
 
 def partial_fractions(f: RationalFunction,
@@ -575,7 +579,7 @@ def partial_fractions(f: RationalFunction,
             f"({remaining}) outside the candidate shifts")
 
     # local expansions
-    terms: list[PoleExpansion] = []
+    terms: list[tuple[Fraction, list[Fraction]]] = []
     for p, e in poles:
         center = -p
         num_prefix = num.taylor_prefix(center, e)
@@ -594,17 +598,26 @@ def partial_fractions(f: RationalFunction,
         while coefficients and coefficients[-1] == 0:
             coefficients.pop()
         if coefficients:
-            terms.append(PoleExpansion(p, tuple(coefficients)))
-
-    result = PartialFractions(poly_part, tuple(terms))
+            terms.append((p, coefficients))
 
     # always-on certification: rebuild the numerator over f's own denominator
-    rebuilt = result.polynomial_part * f.denominator
-    rebuilt = rebuilt + result._principal_numerator(f.denominator)
+    # as poly_part * D + sum_{p,j} A_{p,j} D / (t+p)^j (every division exact)
+    rebuilt = poly_part * f.denominator
+    for p, coefficients in terms:
+        quotient = f.denominator
+        for coeff in coefficients:
+            quotient, rem = quotient.div_linear(-p)
+            if rem != 0:
+                raise ReconstructionError(f"common denominator not divisible by (t + {p})")
+            rebuilt = rebuilt + quotient * coeff
     if rebuilt != f.numerator:
         raise ReconstructionError(
             "partial fraction expansion failed to reproduce its input")
-    return result
+    # the answer as integers over the lcm of its coefficient denominators
+    common = lcm(*(c.denominator for _, coefficients in terms for c in coefficients))
+    return PartialFractions(poly_part, tuple(
+        PoleExpansion(p, tuple(int(c * common) for c in coefficients))
+        for p, coefficients in terms), common)
 
 
 def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list[Fraction]:

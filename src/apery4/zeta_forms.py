@@ -9,13 +9,12 @@ symbols (no relation such as zeta(2)^2 = 5/2 zeta(4) is ever applied by the
 arithmetic — products of forms are not defined).  Equality of forms is
 componentwise.
 
-Two kinds of exact summation produce such forms:
-
-* :func:`tail_power_sum` — sum_{v >= start} (v + offset)^(-power) written as
-  zeta(power) minus a harmonic prefix, and
-* :func:`derivative_tail_sum` — sum_{v >= start} f^(d)(v) for a proper
-  rational f given by a partial-fraction expansion with integer pole shifts,
-  using d/dt^d of (t+p)^(-j) = (-1)^d (j)_d (t+p)^(-j-d) termwise.
+One exact summation produces such forms: :func:`derivative_tail_sum`,
+sum_{v >= start} f^(d)(v) for a proper rational f given by its principal
+parts (integer numerators over one denominator, integer pole shifts).  It
+uses d/dt^d of (t+p)^(-j) = (-1)^d (j)_d (t+p)^(-j-d) termwise and writes
+each tail sum_{v >= start} (v+p)^(-s) as zeta(s) minus a harmonic prefix,
+accumulating every coordinate in integers over one denominator.
 
 For float-side cross-checks, :func:`zeta_value` computes zeta(s) to any
 requested number of digits by Euler–Maclaurin summation carried out entirely
@@ -28,15 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import DivergenceError, NonProperError, PoleInRangeError, RangeError
+from .errors import NonProperError, PoleInRangeError
 from .exact_arith import factorial, harmonic, pochhammer
 from .polyrat import PartialFractions
 
 __all__ = [
     "ZETA_ORDERS",
     "ZetaLinearForm",
-    "tail_power_sum",
     "derivative_tail_sum",
     "bernoulli_even",
     "zeta_value",
@@ -58,10 +57,6 @@ class ZetaLinearForm:
 
     constant: Fraction
     zeta_coefficients: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    @classmethod
-    def zero(cls) -> "ZetaLinearForm":
-        return cls(_ZERO, (_ZERO, _ZERO, _ZERO, _ZERO))
 
     @classmethod
     def from_constant(cls, value: Fraction | int) -> "ZetaLinearForm":
@@ -150,43 +145,24 @@ class ZetaLinearForm:
 # ---------------------------------------------------------------------------
 
 
-def tail_power_sum(offset: int, power: int, start: int) -> ZetaLinearForm:
-    """sum_{v >= start} (v + offset)^(-power), exactly.
-
-    Equals zeta(power) - S_power(start + offset - 1) after re-indexing, so
-    the result is a linear form in the tracked zeta basis.
-
-    Raises
-    ------
-    DivergenceError  if power < 2 (the tail diverges),
-    RangeError       if start + offset < 1 (a term hits a zero or negative base),
-    ValueError       if power > 5 (outside the tracked basis).
-    """
-    if power < 2:
-        raise DivergenceError(f"tail of (v + {offset})^(-{power}) diverges")
-    if power > 5:
-        raise ValueError(f"zeta({power}) is outside the tracked basis {ZETA_ORDERS}")
-    first = start + offset
-    if first < 1:
-        raise RangeError(
-            f"tail from v = {start} with offset {offset} crosses base {first} <= 0")
-    return (ZetaLinearForm.zeta_term(power)
-            - ZetaLinearForm.from_constant(harmonic(power, first - 1)))
-
-
 def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> ZetaLinearForm:
     """sum_{v >= start} f^(order)(v) for f given by its partial fractions.
 
-    Termwise, d^order/dt^order (t+p)^(-j) = (-1)^order (j)_order (t+p)^(-j-order),
-    so each principal-part coefficient contributes an exact
-    :func:`tail_power_sum`.  Supported orders are 1 and 2 (the only ones the
-    zeta(4) bookkeeping needs; j + order must stay within the basis).
+    Termwise, d^order/dt^order (t+p)^(-j) = w (t+p)^(-s) with
+    w = (-1)^order (j)_order and s = j + order, and the tail of (v+p)^(-s) is
+    zeta(s) - S_s(p+start-1).  So each numerator c adds w c to the zeta(s)
+    coordinate and -w c S_s(p+start-1) to the constant, both accumulated in
+    integers: over the expansion's denominator, times lcm(1..top)^5 for the
+    constant (every S_s(u), u <= top, s <= 5, has a denominator dividing it).
+    Supported orders are 1 and 2 (the only ones the zeta(4) bookkeeping needs).
 
     Raises
     ------
     NonProperError    if the expansion carries a nonzero polynomial part,
     PoleInRangeError  if some pole -p lies in [start, infinity),
-    ValueError        for orders outside {1, 2} or non-integer pole shifts.
+    ValueError        for orders outside {1, 2}, non-integer pole shifts, or
+                      a nonzero numerator whose zeta(j + order) lies outside
+                      the basis.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
@@ -194,22 +170,28 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
         raise NonProperError(
             "tail sums need a proper rational function; polynomial part is "
             f"{expansion.polynomial_part}")
-    total = ZetaLinearForm.zero()
+    top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
+    unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
+    constant, zetas = 0, [0] * len(ZETA_ORDERS)
     for term in expansion.terms:
         if term.shift.denominator != 1:
-            raise ValueError(
-                f"pole shift {term.shift} is not an integer; integer-offset "
-                "tails cannot absorb it")
+            raise ValueError(f"pole shift {term.shift} is not an integer")
         p = int(term.shift)
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")
-        for j, coeff in enumerate(term.coefficients, start=1):
-            if coeff == 0:
+        for j, c in enumerate(term.numerators, start=1):
+            if not c:
                 continue
-            weight = _F((-1) ** order * pochhammer(j, order))
-            total = total + (weight * coeff) * tail_power_sum(p, j + order, start)
-    return total
+            s = j + order
+            if s not in ZETA_ORDERS:
+                raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
+            weighted = (-1) ** order * pochhammer(j, order) * c
+            zetas[s - 2] += weighted
+            h = harmonic(s, p + start - 1)
+            constant -= weighted * h.numerator * (unit // h.denominator)
+    return ZetaLinearForm(_F(constant, expansion.denominator * unit),
+                          tuple(_F(z, expansion.denominator) for z in zetas))
 
 
 # ---------------------------------------------------------------------------

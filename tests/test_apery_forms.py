@@ -10,6 +10,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -163,14 +164,17 @@ def test_block_principal_parts_match_dense_route(n):
 
 
 def _summed_parts(*expansions):
-    """{shift: coefficients} of the termwise sum of principal parts."""
+    """The termwise sum of proper principal parts, over their common denominator."""
+    common = lcm(*(expansion.denominator for expansion in expansions))
     total = {}
     for expansion in expansions:
+        unit = common // expansion.denominator
         for term in expansion.terms:
             total[term.shift] = tuple(
-                a + c for a, c in zip_longest(total.get(term.shift, ()),
-                                              term.coefficients, fillvalue=0))
-    return total
+                a + unit * c for a, c in zip_longest(total.get(term.shift, ()),
+                                                     term.numerators, fillvalue=0))
+    return PartialFractions(Polynomial(), tuple(
+        PoleExpansion(shift, numerators) for shift, numerators in sorted(total.items())), common)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -182,8 +186,7 @@ def test_summed_right_kernel_matches_its_terms(n):
         kernel = _right_kernel(p)
         terms = [_principal_parts(_right_blocks(p, j), f"right j = {j}")
                  for j in range(n + 1)]
-        assert (_summed_parts(_principal_parts(kernel, "right"))
-                == _summed_parts(*terms)), (n, m)
+        assert _principal_parts(kernel, "right") == _summed_parts(*terms), (n, m)
         blocks = replace(kernel, cofactor=(1,)).factored()
         for x in (F(1, 3), F(-7, 2), F(5, 7)):
             assert (Polynomial(kernel.cofactor)(x) * blocks.value_at(x)
@@ -206,17 +209,18 @@ def _certified_sides(p):
 
 
 def _bump_second_term(terms):
+    # one unit of the common denominator: the smallest change the parts allow
     term = terms[1]
-    bumped = PoleExpansion(term.shift, (term.coefficients[0] + F(1, 10**9),)
-                           + term.coefficients[1:])
+    bumped = PoleExpansion(term.shift, (term.numerators[0] + 1,) + term.numerators[1:])
     return terms[:1] + (bumped,) + terms[2:]
 
 
 @pytest.mark.parametrize("tamper", [_bump_second_term, lambda terms: terms[:-1]],
-                         ids=["coefficient-off-by-1e-9", "pole-dropped"])
+                         ids=["numerator-off-by-one", "pole-dropped"])
 def test_certificate_rejects_tampered_parts(tamper):
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
-        tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms))
+        tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms),
+                                    expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
             _certify(kernel, tampered, where)
 
@@ -235,9 +239,7 @@ def test_certificate_uses_every_point():
         for x in range(start, last):
             remainder = remainder * Polynomial((-x, 1))
         extra = partial_fractions(RationalFunction(remainder, den), orders)
-        tampered = PartialFractions(Polynomial(), tuple(
-            PoleExpansion(shift, coefficients) for shift, coefficients
-            in sorted(_summed_parts(expansion, extra).items())))
+        tampered = _summed_parts(expansion, extra)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
             _certify(kernel, tampered, where)
 

@@ -171,3 +171,13 @@ def test_usage_errors_exit_2_with_one_error_line(argv, jobs_env, tmp_path,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert captured.out == ""
+
+
+def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
+    # both reports on one stream would parse as neither format
+    calls = []
+    monkeypatch.setattr(cli_report, "verify_cell", lambda n, m: calls.append((n, m)))
+    assert main(["verify-identity", "--n-max", "1", "--json", "-", "--csv", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --json and --csv cannot both write to stdout\n"
+    assert captured.out == "" and calls == []

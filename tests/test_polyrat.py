@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery4 import (FactorizationError, LinearFactorProduct, PoleError,
-                    Polynomial, RationalFunction, factored_derivative_values,
-                    partial_fractions, pochhammer)
+from apery4 import (FactorizationError, LinearFactorProduct, PartialFractions,
+                    PoleError, PoleExpansion, Polynomial, RationalFunction,
+                    factored_derivative_values, partial_fractions, pochhammer)
 from apery4.polyrat import derivative_keeps_sign, factored_derivative_sum
 
 F = Fraction
@@ -149,8 +149,8 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
     rng = random.Random(seed)
     prod = _random_product(rng)
     expansion = partial_fractions(prod.expand(), prod.denominator_shifts())
-    parts = [(c, term.shift, j) for term in expansion.terms
-             for j, c in enumerate(term.coefficients, start=1)]
+    parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
+             for j, c in enumerate(term.numerators, start=1)]
     poles = set(prod.denominator_shifts())
     points = [F(rng.randint(-20, 20), rng.choice((3, 4, 7))) for _ in range(3)]
     for x in [x for x in points if -x not in poles]:
@@ -200,8 +200,9 @@ def test_partial_fractions_worked_example():
                          Polynomial.variable() ** 2 * Polynomial([1, 1]))
     expansion = partial_fractions(f, [F(0), F(1), F(5)])
     assert expansion.polynomial_part.is_zero
-    by_shift = {term.shift: term.coefficients for term in expansion.terms}
-    assert by_shift == {F(0): (F(1), F(1)), F(1): (F(-1),)}
+    by_shift = {term.shift: term.numerators for term in expansion.terms}
+    assert by_shift == {F(0): (1, 1), F(1): (-1,)}
+    assert expansion.denominator == 1
 
 
 def test_partial_fractions_with_polynomial_part():
@@ -224,7 +225,22 @@ def test_partial_fractions_trims_cancelled_orders():
     # (t+1)(t+2) / ((t+1)^2 (t+2)) = 1/(t+1): order 1 at -1, no pole at -2
     f = RationalFunction(Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]))
     expansion = partial_fractions(f, [1, 2])
-    assert {term.shift: term.coefficients for term in expansion.terms} == {F(1): (F(1),)}
+    assert {term.shift: term.numerators for term in expansion.terms} == {F(1): (1,)}
+    assert expansion.denominator == 1
+
+
+def test_partial_fractions_are_reduced_to_one_least_denominator():
+    # 1 / (t (t + 2)) = (1/2) / t - (1/2) / (t + 2)
+    f = RationalFunction(Polynomial.one(), Polynomial([0, 2, 1]))
+    expansion = partial_fractions(f, [0, 2])
+    assert expansion.denominator == 2
+    assert [term.numerators for term in expansion.terms] == [(1,), (-1,)]
+    # every construction reduces, so equal values compare equal
+    same = PartialFractions(Polynomial(), (PoleExpansion(F(0), (-3,)),
+                                           PoleExpansion(F(2), (3,))), -6)
+    assert same == expansion
+    with pytest.raises(ZeroDivisionError):
+        PartialFractions(Polynomial(), (), 0)
 
 
 def test_partial_fractions_needs_all_poles_offered():
@@ -243,8 +259,8 @@ def test_partial_fractions_round_trip(den_pairs, num_roots):
     prod = LinearFactorProduct.of(1, factors)
     f = prod.expand()
     expansion = partial_fractions(f, prod.denominator_shifts())
-    parts = [(c, term.shift, j) for term in expansion.terms
-             for j, c in enumerate(term.coefficients, start=1)]
+    parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
+             for j, c in enumerate(term.numerators, start=1)]
     # f - (polynomial part + parts) = R / D with deg R <= deg f.num + deg D,
     # so agreement at that many + 1 points off the poles proves R = 0
     for x in range(4, 5 + f.numerator.degree + f.denominator.degree):

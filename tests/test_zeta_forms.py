@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import (DivergenceError, FixedPointNumber, NonProperError,
-                    PoleInRangeError, Polynomial, RationalFunction,
-                    ZetaLinearForm, bernoulli_even, derivative_tail_sum,
-                    evaluate_decimal, partial_fractions, tail_power_sum,
-                    zeta_value)
+from apery4 import (FixedPointNumber, NonProperError, PoleInRangeError,
+                    Polynomial, RationalFunction, ZetaLinearForm,
+                    bernoulli_even, derivative_tail_sum, evaluate_decimal,
+                    partial_fractions, zeta_value)
 from apery4.polyrat import PartialFractions, PoleExpansion
 
 F = Fraction
@@ -56,7 +55,7 @@ def test_form_rejects_unknown_order():
     with pytest.raises(ValueError):
         ZetaLinearForm.zeta_term(6)
     with pytest.raises(ValueError):
-        ZetaLinearForm.zero().coefficient(1)
+        ZetaLinearForm.from_constant(0).coefficient(1)
 
 
 def test_form_mapping_round_trip():
@@ -64,7 +63,7 @@ def test_form_mapping_round_trip():
     mapping = form.to_mapping()
     assert mapping == {"c0": "-13", "z4": "12"}
     assert ZetaLinearForm.from_mapping(mapping) == form
-    assert ZetaLinearForm.zero().to_mapping() == {}
+    assert ZetaLinearForm.from_constant(0).to_mapping() == {}
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50),
@@ -78,7 +77,7 @@ def test_form_mapping_round_trip_random(c0, z2, z4):
 def test_form_str():
     form = ZetaLinearForm.from_constant(F(277, 16)) + ZetaLinearForm.zeta_term(4, -16)
     assert str(form) == "277/16 - 16*zeta(4)"
-    assert str(ZetaLinearForm.zero()) == "0"
+    assert str(ZetaLinearForm.from_constant(0)) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +85,25 @@ def test_form_str():
 # ---------------------------------------------------------------------------
 
 
-def test_tail_power_sum_basic():
-    # sum_{v >= 1} 1/(v + 1)^2 = zeta(2) - 1
-    tail = tail_power_sum(1, 2, 1)
-    assert tail.coefficient(2) == 1 and tail.constant == -1
-    # sum_{v >= 3} 1/v^4 = zeta(4) - 1 - 1/16
-    tail = tail_power_sum(0, 4, 3)
-    assert tail.coefficient(4) == 1 and tail.constant == F(-17, 16)
+def _parts(*terms, denominator=1):
+    """Proper principal parts from (shift, numerators) pairs over ``denominator``."""
+    return PartialFractions(Polynomial.zero(), tuple(
+        PoleExpansion(F(shift), numerators) for shift, numerators in terms), denominator)
 
 
-def test_tail_power_sum_domain():
-    with pytest.raises(DivergenceError):
-        tail_power_sum(0, 1, 1)
-    with pytest.raises(ValueError):
-        tail_power_sum(0, 6, 1)
-    with pytest.raises(Exception):
-        tail_power_sum(-3, 2, 1)  # pole or divergence inside the range
+def test_derivative_tail_shifted_pole():
+    # f = 1/(t + 1), order 1: sum_{v >= 1} -1/(v + 1)^2 = -(zeta(2) - 1)
+    tail = derivative_tail_sum(_parts((1, (1,))), 1, 1)
+    assert tail == ZetaLinearForm.from_constant(1) - ZetaLinearForm.zeta_term(2)
+    # f = 1/(6 t^2), order 2: sum_{v >= 3} 1/v^4 = zeta(4) - 1 - 1/16
+    tail = derivative_tail_sum(_parts((0, (0, 1)), denominator=6), 2, 3)
+    assert tail == ZetaLinearForm.zeta_term(4) - ZetaLinearForm.from_constant(F(17, 16))
+
+
+def test_derivative_tail_rejects_zeta_outside_basis():
+    # a pole of order 4 at derivative order 2 needs zeta(6)
+    with pytest.raises(ValueError, match=r"zeta\(6\)"):
+        derivative_tail_sum(_parts((0, (0, 0, 0, 1))), 2, 1)
 
 
 def test_derivative_tail_telescopes_to_constant():
@@ -127,13 +129,11 @@ def test_derivative_tail_rejects_bad_input():
         derivative_tail_sum(expansion, 3, 1)
     with pytest.raises(PoleInRangeError):
         derivative_tail_sum(expansion, 1, 0)  # the pole at 0 sits in the range
-    improper = PartialFractions(Polynomial.one(), expansion.terms)
+    improper = PartialFractions(Polynomial.one(), expansion.terms, expansion.denominator)
     with pytest.raises(NonProperError):
         derivative_tail_sum(improper, 1, 1)
-    fractional = PartialFractions(Polynomial.zero(),
-                                  (PoleExpansion(F(1, 2), (F(1),)),))
     with pytest.raises(ValueError):
-        derivative_tail_sum(fractional, 1, 1)
+        derivative_tail_sum(_parts((F(1, 2), (1,))), 1, 1)
 
 
 # ---------------------------------------------------------------------------
