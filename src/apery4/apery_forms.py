@@ -32,7 +32,7 @@ The module also carries the three independent evaluation routes for the
    (:func:`left_tail_summand`, :func:`left_mid_summand`,
    :func:`right_mid_summand`, :func:`right_low_summand`),
 2. a structure-blind polynomial oracle (factored quotient rule on the
-   expanded kernel, :func:`polyrat.factored_derivative_values`), and
+   expanded kernel, one :class:`polyrat.DerivativeChain` per kernel), and
 3. a generated route applying the rising-factorial derivative rule
    (:func:`pochhammer_derivative`) through the product rule in logarithmic
    form (valid wherever no factor vanishes).
@@ -57,9 +57,8 @@ from math import floor, lcm
 from .errors import (DivergenceError, DomainError, PoleError, RangeError,
                      ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
-from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, _mul_coeffs, derivative_keeps_sign,
-                      factored_derivative_sum, factored_derivative_values)
+from .polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
+                      PoleExpansion, Polynomial, _mul_coeffs)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
@@ -753,28 +752,29 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
         for m in range(n + 1):
             p = FormParameters(n, m)
             shift = 2 * n - m
-            parts = {None: left_kernel(p).expand_parts()}   # right j (None: left)
+            # one chain per kernel: the left one (key None) at order 1, right j at 2
+            chains = {None: DerivativeChain(*left_kernel(p).expand_parts(), 1)}
 
-            def oracle(j: int | None, x: int, order: int) -> Fraction:
-                if j not in parts:
-                    parts[j] = right_kernel_term(p, j).expand_parts()
-                return factored_derivative_values(*parts[j], x, order)[order]
+            def oracle(j: int | None, x: int) -> Fraction:
+                if j not in chains:
+                    chains[j] = DerivativeChain(*right_kernel_term(p, j).expand_parts(), 2)
+                return chains[j].values(x)[-1]
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
-                    "oracle": oracle(None, nu + shift, 1),
+                    "oracle": oracle(None, nu + shift),
                     "generated": _generated_derivatives(_left_blocks(p), nu + shift, 1)[1],
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
                     "printed": left_mid_summand(p, nu),
-                    "oracle": oracle(None, nu + n - m, 1),
+                    "oracle": oracle(None, nu + n - m),
                 })
             for nu in _sample(rng, range(n + 1, 3 * n + 7), samples):
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
-                    "oracle": oracle(j, nu, 2),
+                    "oracle": oracle(j, nu),
                     "generated": _generated_derivatives(_right_blocks(p, j), nu, 2)[2],
                 })
             if n >= 1:
@@ -783,14 +783,14 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                     nu = rng.randint(j + 1, n)
                     record("right-mid", p, j, nu, {
                         "printed": right_mid_summand(p, j, nu),
-                        "oracle": oracle(j, nu, 2),
+                        "oracle": oracle(j, nu),
                     })
                 for _ in range(min(samples, n)):
                     j = rng.randint(1, n)
                     nu = rng.randint(1, j)
                     record("right-low", p, j, nu, {
                         "printed": right_low_summand(p, j, nu),
-                        "oracle": oracle(j, nu, 2),
+                        "oracle": oracle(j, nu),
                     })
     return checks
 
@@ -812,15 +812,15 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
     """(value, error bound) for sum_{v >= start} h(v), h = g^(order), where
     g = numerator / prod (t + s)^e has no pole at t >= start.
 
-    The terms start..A-1 are summed exactly (:func:`factored_derivative_sum`)
-    and the tail from A is closed by Euler–Maclaurin at depth M,
+    One :class:`DerivativeChain` of order ``order + 2 _MAX_DEPTH + 2`` sums
+    the terms start..A-1 exactly and closes the tail by Euler–Maclaurin at M,
     -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A).  If
     h^(2M+2) keeps one sign on [A, oo), the remainder is at most
     2 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)| (DLMF 2.10.1); the bound is 4 times
     that, for the least M that takes it below ``target``.  A doubles from
-    ``_FIRST_CUTOFF`` until such an M <= ``_MAX_DEPTH`` exists and
-    :func:`derivative_keeps_sign` proves the sign hypothesis at A; each
-    tried A makes one :func:`factored_derivative_values` call.
+    ``_FIRST_CUTOFF`` until such an M <= ``_MAX_DEPTH`` exists and the
+    chain's ``keeps_sign`` proves the sign hypothesis at A; each tried A
+    makes one ``values`` call.
 
     The closure needs g^(order-1) -> 0 at infinity, deg g <= order - 2, or
     DivergenceError is raised.  For a g that passes, the doubling ends: the
@@ -832,20 +832,19 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
                               f"derivative order {order} (needs <= {order - 2})")
     weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
                for k in range(1, _MAX_DEPTH + 2)]
+    chain = DerivativeChain(numerator, den_factors, order + 2 * _MAX_DEPTH + 2)
     cutoff = max(_FIRST_CUTOFF, start)
     while True:
-        high = factored_derivative_values(numerator, den_factors, cutoff,
-                                          order + 2 * _MAX_DEPTH + 2)
+        high = chain.values(cutoff)
         bounds = [8 * abs(weights[m] * high[order + 2 * m + 1])
                   for m in range(1, _MAX_DEPTH + 1)]
         depth = next((m for m, bound in enumerate(bounds, 1) if bound < target), 0)
-        if depth and derivative_keeps_sign(numerator, den_factors,
-                                           order + 2 * depth + 2, cutoff):
+        if depth and chain.keeps_sign(order + 2 * depth + 2, cutoff):
             break
         cutoff *= 2
     closure = -high[order - 1] + high[order] / 2 - sum(
         weights[k - 1] * high[order + 2 * k - 1] for k in range(1, depth + 1))
-    partial = factored_derivative_sum(numerator, den_factors, order, start, cutoff)
+    partial = chain.sum(order, start, cutoff)
     return partial + closure, bounds[depth - 1]
 
 

@@ -15,11 +15,11 @@ Each kernel of the package is written once, as rising-factorial blocks
 flattened form, with repeated shifts merged.  The exact forms take their
 principal parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (integer numerators over one reduced denominator),
-never expanding a kernel.  Dense expansion serves the independent oracles.
-:func:`factored_derivative_values` evaluates summand derivatives blindly by
-an integer quotient-rule chain, which also gives exact sums over a range
-(:func:`factored_derivative_sum`) and sign proofs on a ray
-(:func:`derivative_keeps_sign`).  :func:`partial_fractions` is the dense
+never expanding a kernel.  Dense expansion, in integers with one scalar,
+serves the independent oracles.  A :class:`DerivativeChain` is a kernel's
+integer quotient-rule chain, built once for derivative values at any point,
+exact sums over a range and sign proofs on a ray.
+:func:`partial_fractions` is the dense
 reference decomposition the tests compare the block route against.  It
 decomposes an expanded rational function over caller-supplied pole
 candidates, then re-multiplies its answer and compares against the input
@@ -45,9 +45,8 @@ __all__ = [
     "PoleExpansion",
     "PartialFractions",
     "partial_fractions",
+    "DerivativeChain",
     "factored_derivative_values",
-    "factored_derivative_sum",
-    "derivative_keeps_sign",
 ]
 
 _F = Fraction
@@ -314,30 +313,35 @@ class LinearFactorProduct:
     def expand_parts(self) -> tuple[Polynomial, tuple[tuple[Fraction, int], ...]]:
         """(numerator polynomial including scalar, denominator factor list).
 
-        The denominator is kept factored as (shift, positive exponent) pairs.
+        The denominator is kept factored as (shift, positive exponent) pairs;
+        the numerator is multiplied out in integers and scaled once.
         """
-        num, den = Polynomial.constant(self.scalar), []
-        for shift, exponent in self.factors:
-            if exponent > 0:
-                num = num * Polynomial((shift, 1)) ** exponent
-            else:
-                den.append((shift, -exponent))
-        return num, tuple(den)
+        coeffs, lead = _linear_product((s, e) for s, e in self.factors if e > 0)
+        scale = self.scalar / lead
+        return (Polynomial(c * scale for c in coeffs),
+                tuple((s, -e) for s, e in self.factors if e < 0))
 
     def expand(self) -> "RationalFunction":
         """Expand to a RationalFunction, coprime by construction."""
         num, den_factors = self.expand_parts()
-        if num.is_zero:
-            return RationalFunction(Polynomial(), Polynomial.one())
-        den = Polynomial.one()
-        for shift, exponent in den_factors:
-            den = den * Polynomial((shift, 1)) ** exponent
-        return RationalFunction(num, den)
+        coeffs, lead = _linear_product(den_factors if not num.is_zero else ())
+        return RationalFunction(num, Polynomial(_F(c, lead) for c in coeffs))
 
     def derivative_values_at(self, x: Fraction | int, order: int) -> list[Fraction]:
         """[f(x), f'(x), ..., f^(order)(x)] via the factored quotient rule."""
-        num, den_factors = self.expand_parts()
-        return factored_derivative_values(num, den_factors, x, order)
+        return factored_derivative_values(*self.expand_parts(), x, order)
+
+
+def _linear_product(factors: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
+    """(coefficients of prod (r t + q)^e, prod r^e) for shifts q/r, e >= 0: so
+    prod (t + q/r)^e is the integer coefficient list over that one integer."""
+    coeffs, lead = [1], 1
+    for shift, exponent in factors:
+        q, r = shift.as_integer_ratio()
+        for _ in range(exponent):
+            coeffs = _mul_coeffs((q, r), coeffs)
+        lead *= r ** exponent
+    return coeffs, lead
 
 
 def _mul_coeffs(a: Sequence, b: Sequence) -> list:
@@ -405,8 +409,8 @@ def _quotient_chain(numerator: Polynomial, den_factors: Sequence[tuple[Fraction,
         scale *= r ** e
         # (P, W) -> (P l, W l + e r P) for the next factor l = r t + q
         weighted = [a + e * r * b for a, b in
-                    zip_longest(_mul_coeffs(weighted, [q, r]), p_coeffs, fillvalue=0)]
-        p_coeffs = _mul_coeffs(p_coeffs, [q, r])
+                    zip_longest(_mul_coeffs([q, r], weighted), p_coeffs, fillvalue=0)]
+        p_coeffs = _mul_coeffs([q, r], p_coeffs)
     p_prime = [k * c for k, c in enumerate(p_coeffs)][1:]
     chain = [[int(c * clear) for c in numerator.coefficients]]
     for d in range(order):
@@ -434,58 +438,68 @@ def _term(coeffs: list[int], linears: list[tuple[int, int, int]],
     return top * b ** exponents, power * bottom
 
 
+class DerivativeChain:
+    """f, f', ..., f^(order) of f = numerator / prod (t + s)^e as the integer
+    chain of :func:`_quotient_chain`: it does not depend on the point, so one
+    instance serves every evaluation, sum and sign proof; no method changes it.
+    """
+
+    __slots__ = ("order", "_scale", "_linears", "_chain")
+
+    def __init__(self, numerator: Polynomial, den_factors: Sequence[tuple[Fraction, int]],
+                 order: int) -> None:
+        self._scale, self._linears, self._chain = _quotient_chain(numerator, den_factors, order)
+        self.order = order
+
+    def _numerator(self, order: int) -> list[int]:
+        if not 0 <= order <= self.order:
+            raise ValueError(f"derivative order {order} outside 0..{self.order}")
+        return self._chain[order]
+
+    def values(self, x: Fraction | int) -> list[Fraction]:
+        """f(x), ..., f^(order)(x), each N_d evaluated homogeneously at x = a/b
+        so that only the returned values are normalised; PoleError at a pole."""
+        a, b = _as_fraction(x).as_integer_ratio()
+        scale, values = self._scale, []
+        for d, current in enumerate(self._chain):
+            top, bottom = _term(current, self._linears, a, b, d)
+            values.append(_F(scale.numerator * top, scale.denominator * bottom))
+        return values
+
+    def sum(self, order: int, start: int, stop: int) -> Fraction:
+        """Exact sum of f^(order)(v) over the integers start <= v < stop, as
+        unreduced integer pairs added in a balanced tree and normalised once."""
+        coeffs = self._numerator(order)
+        pairs = [_term(coeffs, self._linears, v, 1, order) for v in range(start, stop)]
+        while len(pairs) > 1:
+            pairs = ([(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+                     + pairs[len(pairs) - len(pairs) % 2:])
+        value, bottom = pairs[0] if pairs else (0, 1)
+        return _F(self._scale.numerator * value, self._scale.denominator * bottom)
+
+    def keeps_sign(self, order: int, start: int) -> bool:
+        """Whether f^(order) provably keeps one sign on the ray t >= start.
+
+        ``start`` must lie beyond every pole (ValueError otherwise), so f^(order)
+        has the sign of K N_order(start + u), u >= 0.  If that Taylor shift has no
+        sign change among its integer coefficients, it has no positive root
+        (Descartes' rule).  False means no proof, not a proven sign change.
+        """
+        coeffs = list(self._numerator(order))      # shifted in a copy
+        if any(r * start + q <= 0 for r, q, _ in self._linears):
+            raise ValueError(f"t = {start} does not lie beyond every pole")
+        for i in range(len(coeffs) - 1):
+            for k in range(len(coeffs) - 2, i - 1, -1):
+                coeffs[k] += start * coeffs[k + 1]
+        return len({c > 0 for c in coeffs if c}) <= 1
+
+
 def factored_derivative_values(numerator: Polynomial,
                                den_factors: Sequence[tuple[Fraction, int]],
-                               x: Fraction | int,
-                               order: int) -> list[Fraction]:
-    """Evaluate f, f', ..., f^(order) at x for f = numerator / prod (t+s_i)^{e_i}.
-
-    The denominator is never expanded: the chain of :func:`_quotient_chain`
-    runs in integers and each N_d is evaluated homogeneously at x = a/b, so
-    only the returned values are normalised.
-    """
-    scale, linears, chain = _quotient_chain(numerator, den_factors, order)
-    a, b = _as_fraction(x).as_integer_ratio()
-    values = []
-    for d, current in enumerate(chain):
-        top, bottom = _term(current, linears, a, b, d)
-        values.append(_F(scale.numerator * top, scale.denominator * bottom))
-    return values
-
-
-def factored_derivative_sum(numerator: Polynomial,
-                            den_factors: Sequence[tuple[Fraction, int]],
-                            order: int, start: int, stop: int) -> Fraction:
-    """Exact sum of f^(order)(v) over the integers start <= v < stop: the terms
-    stay unreduced integer pairs, added in a balanced tree, normalised once."""
-    scale, linears, chain = _quotient_chain(numerator, den_factors, order)
-    pairs = [_term(chain[-1], linears, v, 1, order) for v in range(start, stop)]
-    while len(pairs) > 1:
-        pairs = ([(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
-                 + pairs[len(pairs) - len(pairs) % 2:])
-    value, bottom = pairs[0] if pairs else (0, 1)
-    return _F(scale.numerator * value, scale.denominator * bottom)
-
-
-def derivative_keeps_sign(numerator: Polynomial,
-                          den_factors: Sequence[tuple[Fraction, int]],
-                          order: int, start: int) -> bool:
-    """Whether f^(order) provably keeps one sign on the ray t >= start.
-
-    ``start`` must lie beyond every pole (ValueError otherwise), so f^(order)
-    has the sign of K N_order(start + u), u >= 0 (:func:`_quotient_chain`).
-    If the Taylor shift N_order(start + u) has no sign change among its
-    integer coefficients, it has no positive root (Descartes' rule).  False
-    means no proof, not a proven sign change.
-    """
-    _, linears, chain = _quotient_chain(numerator, den_factors, order)
-    if any(r * start + q <= 0 for r, q, _ in linears):
-        raise ValueError(f"t = {start} does not lie beyond every pole")
-    coeffs = chain[-1]
-    for i in range(len(coeffs) - 1):
-        for k in range(len(coeffs) - 2, i - 1, -1):
-            coeffs[k] += start * coeffs[k + 1]
-    return len({c > 0 for c in coeffs if c}) <= 1
+                               x: Fraction | int, order: int) -> list[Fraction]:
+    """Evaluate f, f', ..., f^(order) at x for f = numerator / prod (t+s_i)^{e_i}
+    through a one-off :class:`DerivativeChain`."""
+    return DerivativeChain(numerator, den_factors, order).values(x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ values were frozen from the structure-blind polynomial oracle (quotient
 rule on the expanded kernels) before the printed formulas were trusted.
 """
 
+import hashlib
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +25,7 @@ from apery4 import (DivergenceError, DomainError, FormParameters,
                     audit_summands, derivative_tail_sum, evaluate_decimal,
                     left_form, left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
-                    partial_fractions, pochhammer_derivative,
+                    partial_fractions, pochhammer_derivative, polyrat,
                     right_finite_sum, right_form, right_form_numeric,
                     right_kernel_term, right_low_summand, right_mid_summand,
                     right_split_check, right_tail_component, verify_cell)
@@ -391,6 +393,31 @@ def test_audit_is_deterministic_and_green():
                         "right-mid", "right-low"}
 
 
+def test_audit_builds_one_chain_per_kernel(monkeypatch):
+    orders = _count_chains(monkeypatch)
+    expansions = []
+    expand_parts = LinearFactorProduct.expand_parts
+
+    def spy(product):
+        expansions.append(product)
+        return expand_parts(product)
+
+    monkeypatch.setattr(LinearFactorProduct, "expand_parts", spy)
+    audit_summands(n_max=3, samples=2, seed=11)
+    assert len(orders) == len(expansions) == 36
+    assert set(orders) == {1, 2}
+
+
+def test_audit_values_are_pinned():
+    # digest of every exact summand the audit compares, as first recorded;
+    # an oracle or formula change that moves any value changes it
+    checks = audit_summands(n_max=10, samples=2, seed=0)
+    blob = json.dumps([[c.family, c.n, c.m, c.j, c.nu, list(c.routes), list(c.values)]
+                       for c in checks], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "3fdeb010915e1ef9082bd18b3d16de57efecaaedd03ed78c10ce48a62827f942")
+
+
 def test_audit_seed_changes_sampling():
     a = audit_summands(n_max=4, samples=1, seed=0)
     b = audit_summands(n_max=4, samples=1, seed=1)
@@ -440,17 +467,30 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
 
 
 def _high_order_cutoffs(monkeypatch) -> list:
-    """Record the cutoff of every closure-order oracle call of apery_forms."""
+    """Record the cutoff of every closure-order chain evaluation."""
     cutoffs = []
-    oracle = apery_forms.factored_derivative_values
+    values = polyrat.DerivativeChain.values
 
-    def spy(numerator, den_factors, x, order):
-        if order >= 8:
+    def spy(chain, x):
+        if chain.order >= 8:
             cutoffs.append(x)
-        return oracle(numerator, den_factors, x, order)
+        return values(chain, x)
 
-    monkeypatch.setattr(apery_forms, "factored_derivative_values", spy)
+    monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
     return cutoffs
+
+
+def _count_chains(monkeypatch) -> list:
+    """Record the order of every quotient chain built."""
+    orders = []
+    build = polyrat._quotient_chain
+
+    def spy(numerator, den_factors, order):
+        orders.append(order)
+        return build(numerator, den_factors, order)
+
+    monkeypatch.setattr(polyrat, "_quotient_chain", spy)
+    return orders
 
 
 @pytest.mark.parametrize("numerator, degree", [((0, 1), 0), ((0, 0, 1), 1)],
@@ -475,16 +515,26 @@ def test_mixed_sign_shift_doubles_the_cutoff(monkeypatch):
     # Taylor shift of h^(2M+2) has mixed signs, so the bound is unproved
     cutoffs = _high_order_cutoffs(monkeypatch)
     proofs = []
-    keeps_sign = apery_forms.derivative_keeps_sign
+    keeps_sign = polyrat.DerivativeChain.keeps_sign
 
-    def spy(numerator, den_factors, order, start):
-        proofs.append((start, keeps_sign(numerator, den_factors, order, start)))
+    def spy(chain, order, start):
+        proofs.append((start, keeps_sign(chain, order, start)))
         return proofs[-1][1]
 
-    monkeypatch.setattr(apery_forms, "derivative_keeps_sign", spy)
+    monkeypatch.setattr(polyrat.DerivativeChain, "keeps_sign", spy)
     left_form_numeric(FormParameters(12, 5), 30)
     assert proofs == [(256, False), (512, True)]
     assert cutoffs == [256, 512]
+
+
+@pytest.mark.parametrize("numeric, n, m", [(left_form_numeric, 12, 5),
+                                            (right_form_numeric, 4, 1)],
+                         ids=["left-12-5", "right-4-1"])
+def test_numeric_side_builds_one_chain(numeric, n, m, monkeypatch):
+    # every tried cutoff, the sign proofs and the exact sum share one chain
+    orders = _count_chains(monkeypatch)
+    numeric(FormParameters(n, m), 30)
+    assert len(orders) == 1
 
 
 @pytest.mark.parametrize("n, m", [(8, 3), (12, 5)])

@@ -1,9 +1,14 @@
 """Unit tests for the command-line interface (driven in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apery4
 from apery4 import cli_report, verify_cell
 from apery4.cli_report import main
 
@@ -181,3 +186,19 @@ def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --json and --csv cannot both write to stdout\n"
     assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("n_max, code", [("1", 0), ("-1", 2)])
+def test_module_entry_point_runs_from_a_checkout(n_max, code):
+    # python -m apery4 needs no installed script, only the package on the path
+    source = str(Path(apery4.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "apery4", "summand-audit", "--n-max", n_max],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+    else:
+        assert done.stdout and done.stderr == ""

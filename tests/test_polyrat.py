@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from apery4 import (FactorizationError, LinearFactorProduct, PartialFractions,
                     PoleError, PoleExpansion, Polynomial, RationalFunction,
                     factored_derivative_values, partial_fractions, pochhammer)
-from apery4.polyrat import derivative_keeps_sign, factored_derivative_sum
+from apery4.polyrat import DerivativeChain
 
 F = Fraction
 
@@ -167,26 +167,83 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
     rng = random.Random(seed)
     prod = _random_product(rng)
     parts = prod.expand_parts()
+    chain = DerivativeChain(*parts, 2)
     start = 4                               # beyond every shift -3..3
     for order in (0, 1, 2):
         for stop in (start - 2, start, start + 1, start + rng.randint(2, 40)):
             termwise = sum((factored_derivative_values(*parts, v, order)[order]
                             for v in range(start, stop)), start=F(0))
-            assert factored_derivative_sum(*parts, order, start, stop) == termwise
+            assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
-        factored_derivative_sum(Polynomial.one(), ((F(-5), 1),), 1, 4, 8)
+        DerivativeChain(Polynomial.one(), ((F(-5), 1),), 1).sum(1, 4, 8)
 
 
 def test_derivative_keeps_sign_sees_a_sign_change():
     # (t - 300) / t^3 changes sign at t = 300 and nowhere beyond it
-    num, den_factors = Polynomial([-300, 1]), ((F(0), 3),)
-    assert not derivative_keeps_sign(num, den_factors, 0, 256)
-    assert derivative_keeps_sign(num, den_factors, 0, 300)
+    chain = DerivativeChain(Polynomial([-300, 1]), ((F(0), 3),), 1)
+    assert not chain.keeps_sign(0, 256)
+    assert chain.keeps_sign(0, 300)
     # f' = (900 - 2t) / t^4 changes sign at t = 450
-    assert not derivative_keeps_sign(num, den_factors, 1, 300)
-    assert derivative_keeps_sign(num, den_factors, 1, 450)
+    assert not chain.keeps_sign(1, 300)
+    assert chain.keeps_sign(1, 450)
     with pytest.raises(ValueError):
-        derivative_keeps_sign(num, ((F(-500), 1),), 0, 256)
+        DerivativeChain(Polynomial([-300, 1]), ((F(-500), 1),), 0).keeps_sign(0, 256)
+
+
+def test_chain_is_unchanged_by_its_sign_proofs():
+    # one chain serves a whole series: a sign proof at one cutoff must not
+    # disturb the values and sums taken after it
+    chain = DerivativeChain(Polynomial([-300, 1]), ((F(0), 3), (F(1, 2), 1)), 2)
+    before = chain.values(F(7, 3)), chain.sum(2, 1, 40), chain.sum(1, 1, 40)
+    for order in (0, 1, 2):
+        chain.keeps_sign(order, 300)
+    assert (chain.values(F(7, 3)), chain.sum(2, 1, 40), chain.sum(1, 1, 40)) == before
+    assert [chain.keeps_sign(1, start) for start in (300, 450)] == [False, True]
+
+
+def test_chain_rejects_orders_it_does_not_carry():
+    chain = DerivativeChain(Polynomial.one(), ((F(1), 2),), 2)
+    assert chain.order == 2
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            chain.sum(order, 0, 4)
+        with pytest.raises(ValueError):
+            chain.keeps_sign(order, 0)
+    with pytest.raises(ValueError):
+        DerivativeChain(Polynomial.one(), ((F(1), 2),), -1)
+
+
+def _fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomial]:
+    """The product multiplied out with Fraction polynomial powers: the reference
+    for the integer route of expand_parts/expand."""
+    num, den = Polynomial.constant(prod.scalar), Polynomial.one()
+    for shift, exponent in prod.factors:
+        if exponent > 0:
+            num = num * Polynomial((shift, 1)) ** exponent
+        else:
+            den = den * Polynomial((shift, 1)) ** -exponent
+    return num, den
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_expansion_matches_fraction_powers(seed):
+    rng = random.Random(seed)
+    scalar = rng.choice((0, -1, 7, F(-5, 6), F(9, 4)))
+    factors = [(F(rng.randint(-9, 9), rng.choice((1, 2, 3))), rng.choice((-2, -1, 1, 2, 3)))
+               for _ in range(rng.randint(0, 6))]
+    prod = LinearFactorProduct.of(scalar, factors)
+    num, den = _fraction_expansion(prod)
+    assert prod.expand_parts() == (num, tuple((s, -e) for s, e in prod.factors if e < 0))
+    expected = (RationalFunction(num, den) if not num.is_zero
+                else RationalFunction(Polynomial(), Polynomial.one()))
+    assert prod.expand() == expected
+
+
+@pytest.mark.parametrize("scalar", [0, -3, F(2, 7)])
+def test_integer_expansion_of_the_empty_product(scalar):
+    prod = LinearFactorProduct.of(scalar)
+    assert prod.expand_parts() == (Polynomial.constant(scalar), ())
+    assert prod.expand() == RationalFunction(Polynomial.constant(scalar), Polynomial.one())
 
 
 # ---------------------------------------------------------------------------
