@@ -52,7 +52,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, lcm, prod
 
 from .errors import (DivergenceError, DomainError, PoleError, RangeError,
                      ReconstructionError)
@@ -114,8 +114,8 @@ class _BlockProduct:
     :func:`_right_spec`).  It keeps the rising-factorial block structure,
     which the generated derivative route and the local expansions of the
     principal parts need; :meth:`factored` flattens it into the merged
-    :class:`LinearFactorProduct` the dense oracles take.  A view that
-    cannot carry the cofactor refuses it.
+    :class:`LinearFactorProduct` the dense oracles take; :meth:`values`
+    steps it in integers.  A view that cannot carry the cofactor refuses it.
     """
 
     scalar: Fraction
@@ -141,35 +141,32 @@ class _BlockProduct:
         return max([1 - x for x, k, _ in self.blocks if k > 0]
                    + [floor(-s) + 1 for s, _ in self.linears], default=1)
 
-    def values(self, start: int, count: int) -> list[Fraction]:
-        """[g(start), ..., g(start + count - 1)], stepping by g(t+1)/g(t).
-
-        Every factor must be positive at ``start`` (see
-        :meth:`first_positive_point`).
-        """
-        value = self.scalar
-        for x, k, e in self.blocks:
-            value *= _F(pochhammer(start + x, k)) ** e
-        for s, e in self.linears:
-            value *= (start + s) ** e
+    def values(self, start: int, count: int) -> list[tuple[int, int]]:
+        """g(start), ..., g(start + count - 1) as unreduced integer pairs,
+        each run prod_{i<k} (d t + c + d i)^e stepped by its new top over its
+        old bottom, an exact division (t + q/d = (d t + q)/d, d^e in the
+        scalar).  Every factor must be positive at ``start``."""
+        runs = ([(1, x, k, e) for x, k, e in self.blocks if k]     # (d, c, d k, e)
+                + [(s.denominator, s.numerator, s.denominator, e) for s, e in self.linears])
+        scalar = self.scalar / prod(_F(s.denominator) ** e for s, e in self.linears)
+        num, den = scalar.numerator, scalar.denominator
+        sides = ([(d, c, width, e) for d, c, width, e in runs if e > 0],
+                 [(d, c, width, -e) for d, c, width, e in runs if e < 0])
+        products = [prod(prod(range(d * start + c, d * start + c + width, d)) ** e
+                         for d, c, width, e in side) for side in sides]     # [N, Q]
         out = []
         for t in range(start, start + count):
             cofactor = 0
             for c in reversed(self.cofactor):
                 cofactor = cofactor * t + c
-            out.append(value * cofactor)
-            num = den = 1
-            for x, k, e in self.blocks:
-                top, bottom = t + x + k, t + x
-                if e > 0:
-                    num *= top ** e
-                    den *= bottom ** e
-                else:
-                    num *= bottom ** -e
-                    den *= top ** -e
-            value *= _F(num, den)
-            for s, e in self.linears:
-                value *= ((t + 1 + s) / (t + s)) ** e
+            out.append((num * cofactor * products[0], den * products[1]))
+            for i, side in enumerate(sides):
+                top = bottom = 1
+                for d, c, width, e in side:
+                    base = d * t + c
+                    top *= (base + width) ** e
+                    bottom *= base ** e
+                products[i] = products[i] * top // bottom
         return out
 
 
@@ -246,14 +243,6 @@ def right_kernel_term(p: FormParameters, j: int) -> LinearFactorProduct:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_runs(low: int, high: int) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero integers of [low, high] as (sign, first |a|, count) runs."""
-    positive = max(low, 1)
-    negative = max(-high, 1)
-    return ((1, positive, max(0, high - positive + 1)),
-            (-1, negative, max(0, -low - negative + 1)))
-
-
 def _pole_orders(bp: _BlockProduct) -> dict[int, int]:
     """{shift p: order} of the poles t = -p, from the merged block exponents."""
     candidates: set[int] = set()
@@ -287,6 +276,7 @@ class _LocalExpansion:
     G_k = sum_{i=1..k} (-1)^(i+1) P_i G_(k-i) (k-1)!/(k-i)!,
     and the principal part is A_j = C g_(E-j), or sum_i Q_i A_(j+i) with a
     cofactor Q = sum_i Q_i u^i (Taylor coefficients by synthetic division).
+    Block products and the recursion's ratios are read from tables.
     """
 
     def __init__(self, top: int, depth: int) -> None:
@@ -298,25 +288,32 @@ class _LocalExpansion:
             for a in range(1, top + 1):
                 row.append(row[-1] + unit // a ** r)
             self.table.append(row)
+        self.factorials = [1]
+        for i in range(1, max(top, depth) + 1):
+            self.factorials.append(self.factorials[-1] * i)
+        # ratios[k][i-1] = (-1)^(i+1) (k-1)!/(k-i)!, the weights of G_k's recursion
+        self.ratios = [[(-1) ** (i + 1) * self.factorials[k - 1] // self.factorials[k - i]
+                        for i in range(1, k + 1)] for k in range(depth)]
 
     def part(self, bp: _BlockProduct, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of bp at t = -shift.
 
         The denominator is the one of C times (order-1)! L^(order-1).
         """
-        scale, table = self.scale, self.table
+        scale, table, factorials = self.scale, self.table, self.factorials
         num, den = bp.scalar.numerator, bp.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
         for x, k, e in bp.blocks:
-            for sign, first, count in _nonzero_runs(x - shift, x - shift + k - 1):
-                if count == 0:
+            low, high = x - shift, x - shift + k - 1
+            # the nonzero a in [low, high] as runs of one sign, |a| = first..last
+            for sign, first, last in ((1, max(low, 1), high), (-1, max(-high, 1), -low)):
+                if first > last:
                     continue
-                product = sign ** count * pochhammer(first, count)
+                product = sign ** (last - first + 1) * factorials[last] // factorials[first - 1]
                 if e > 0:
                     num *= product ** e
                 else:
                     den *= product ** -e
-                last = first + count - 1
                 for r in range(1, order):
                     sums[r] += e * sign ** r * (table[r][last] - table[r][first - 1])
         for s, e in bp.linears:
@@ -334,20 +331,18 @@ class _LocalExpansion:
                 sums[r] += e * d ** r * (scale // b) ** r
         series = [1]
         for k in range(1, order):
-            series.append(sum((-1) ** (i + 1) * sums[i] * series[k - i]
-                              * factorial(k - 1) // factorial(k - i)
-                              for i in range(1, k + 1)))
+            series.append(sum(ratio * sums[i] * series[k - i]
+                              for i, ratio in enumerate(self.ratios[k], 1)))
         # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (E-1)! L^(E-1)
-        parts = [num * series[order - j] * factorial(order - 1)
-                 // factorial(order - j) * scale ** (j - 1)
-                 for j in range(1, order + 1)]
+        parts = [num * series[order - j] * (factorials[order - 1] // factorials[order - j])
+                 * scale ** (j - 1) for j in range(1, order + 1)]
         taylor, coeffs = [], list(bp.cofactor)
         for _ in range(order):              # divide by (t + shift), keep the remainder
             for i in range(len(coeffs) - 2, -1, -1):
                 coeffs[i] -= shift * coeffs[i + 1]
             taylor.append(coeffs.pop(0) if coeffs else 0)
         numerators = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
-        return numerators, den * factorial(order - 1) * scale ** (order - 1)
+        return numerators, den * factorials[order - 1] * scale ** (order - 1)
 
 
 def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
@@ -370,9 +365,11 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
     proves R = 0.  The points are consecutive integers where every factor
-    is positive; there f steps by an O(blocks) ratio, and F is evaluated in
-    integers as N*D(x)*F(x), read straight off the numerators over the
-    expansion's denominator N.
+    is positive.  There f = num/den (:meth:`_BlockProduct.values`), and one
+    pass over every term accumulates parts / prefix = N F(x), N the
+    expansion's denominator: parts = parts (x+p)^E + H(x) prefix and
+    prefix *= (x+p)^E, H the Horner value of the term's numerators padded
+    to its pole's order E.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
     orders = _pole_orders(bp)
@@ -392,21 +389,23 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
                 "exceeds the kernel's pole order there")
 
     scale = expansion.denominator
-    terms = [(int(term.shift), term.numerators) for term in expansion.terms]
+    terms = []
+    for term in expansion.terms:
+        order = orders.get(term.shift, 0)
+        terms.append((int(term.shift), order, term.numerators + (0,) * (order - term.order)))
     start = bp.first_positive_point()
     count = sum(orders.values())
-    for x, f in zip(range(start, start + count), bp.values(start, count)):
-        den = 1
-        for shift, order in orders.items():
-            den *= (x + shift) ** order
-        parts = 0
-        for shift, numerators in terms:
+    for x, (num, den) in zip(range(start, start + count), bp.values(start, count)):
+        parts, prefix = 0, 1
+        for shift, order, numerators in terms:
             base = x + shift
             horner = 0
             for c in numerators:
                 horner = horner * base + c
-            parts += horner * (den // base ** len(numerators))
-        if f.numerator * scale * den != parts * f.denominator:
+            power = base ** order
+            parts = parts * power + horner * prefix
+            prefix *= power
+        if num * scale * prefix != parts * den:
             raise ReconstructionError(
                 f"{where}: principal parts disagree with the kernel at t = {x}")
 

@@ -31,7 +31,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from . import __version__
 from .apery_forms import FormParameters, audit_summands, left_form, verify_cell
@@ -182,12 +184,15 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
                   f"recurrence={'n/a' if rec is None else rec}  "
                   f"{r['elapsedMs']:.1f}ms")
         verdict = "all verified" if failed == 0 else "FAILURES FOUND"
+        slowest = max(records, key=lambda r: r["elapsedMs"])
         print(f"{len(records)} cells up to n = {args.n_max}: {verdict} "
-              f"({total_ms / 1000.0:.1f}s)")
+              f"({total_ms / 1000.0:.1f}s; slowest cell ({slowest['n']}, {slowest['m']}) "
+              f"{slowest['elapsedMs']:.1f}ms)")
     return 0 if failed == 0 else 1
 
 
-def _run_suite(name: str, n_max: int) -> tuple[int, int]:
+def _run_suite(name: str, n_max: int,
+               left: Callable[[int, int], ZetaLinearForm]) -> tuple[int, int]:
     """(passed, failed) counts for one named recurrence suite."""
     passed = failed = 0
 
@@ -199,8 +204,7 @@ def _run_suite(name: str, n_max: int) -> tuple[int, int]:
             failed += 1
 
     if name == "main":
-        values = {(n, m): left_form(FormParameters(n, m))
-                  for n in range(n_max + 1) for m in range(n + 1)}
+        values = {(n, m): left(n, m) for n in range(n_max + 1) for m in range(n + 1)}
         for n in range(n_max + 1):
             for m in range(max(0, n - 1)):
                 tally(recurrence_holds(values, n, m))
@@ -215,9 +219,9 @@ def _run_suite(name: str, n_max: int) -> tuple[int, int]:
             tally(right_column_check(n))
     elif name == "closed-forms":
         for n in range(n_max + 1):
-            tally(closed_form_m0(n) == left_form(FormParameters(n, 0)))
+            tally(closed_form_m0(n) == left(n, 0))
         for n in range(1, n_max + 1):
-            tally(closed_form_m1(n) == left_form(FormParameters(n, 1)))
+            tally(closed_form_m1(n) == left(n, 1))
     elif name == "binom-identity":
         for n in range(3, max(4, n_max + 1)):
             for m in range(n - 1):
@@ -232,9 +236,10 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
     _check_writable(args.json)
     names = ([s for s in _SUITES if s != "all"]
              if args.suite == "all" else [args.suite])
+    left = cache(lambda n, m: left_form(FormParameters(n, m)))  # suites share cells
     results = []
     for name in names:
-        passed, failed = _run_suite(name, args.n_max)
+        passed, failed = _run_suite(name, args.n_max, left)
         results.append({"suite": name, "checks": passed + failed,
                         "passed": passed, "failed": failed})
     total_failed = sum(r["failed"] for r in results)

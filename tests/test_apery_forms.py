@@ -195,6 +195,27 @@ def test_summed_right_kernel_matches_its_terms(n):
                     == sum(right_kernel_term(p, j).value_at(x) for j in range(n + 1))), (n, m, x)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_integer_kernel_values_match_the_dense_oracle(n):
+    # every kernel's stepped integer pairs at every certificate point: the
+    # left kernel, each right j-kernel and the summed right kernel P B
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        kernels = [(label, blocks, blocks.factored().value_at)
+                   for label, blocks, _ in _kernel_specs(p)]
+        summed = _right_kernel(p)
+        shared = replace(summed, cofactor=(1,)).factored()
+        kernels.append(("right P B", summed,
+                        lambda x: shared.value_at(x) * Polynomial(summed.cofactor)(x)))
+        for label, blocks, value_at in kernels:
+            start = blocks.first_positive_point()
+            count = sum(apery_forms._pole_orders(blocks).values())
+            pairs = blocks.values(start, count)
+            assert len(pairs) == count, (n, m, label)
+            for x, (num, den) in zip(range(start, start + count), pairs):
+                assert F(num, den) == value_at(x), (n, m, label, x)
+
+
 def test_cofactor_is_never_dropped():
     kernel = _right_kernel(FormParameters(3, 1))
     for view in (kernel.factored,
@@ -222,6 +243,30 @@ def _bump_second_term(terms):
 def test_certificate_rejects_tampered_parts(tamper):
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms),
+                                    expansion.denominator)
+        with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
+            _certify(kernel, tampered, where)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda kernel: replace(kernel, scalar=kernel.scalar + 1),
+    lambda kernel: replace(kernel, cofactor=(kernel.cofactor[0] + 1,) + kernel.cofactor[1:]),
+], ids=["scalar-off-by-one", "cofactor-off-by-one"])
+def test_certificate_rejects_tampered_kernels(tamper):
+    # the honest parts against a kernel with the same poles but other values
+    for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
+        tampered = tamper(kernel)
+        assert apery_forms._pole_orders(tampered) == apery_forms._pole_orders(kernel)
+        with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
+            _certify(tampered, expansion, where)
+
+
+def test_certificate_counts_every_term_at_a_shift():
+    # a second term at an existing shift, placed first: a map keyed by shift
+    # keeps only the last term there and would drop this one
+    for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
+        extra = PoleExpansion(expansion.terms[0].shift, (1,))
+        tampered = PartialFractions(expansion.polynomial_part, (extra,) + expansion.terms,
                                     expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
             _certify(kernel, tampered, where)

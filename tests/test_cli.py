@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import apery4
-from apery4 import cli_report, verify_cell
+from apery4 import cli_report, left_form, verify_cell
 from apery4.cli_report import main
 
 
@@ -20,6 +20,18 @@ def test_verify_identity_text_report(capsys):
     assert "identity=True pure=True recurrence=n/a" in out
     assert "identity=True pure=True recurrence=True" in out  # (2, 0)
     assert "6 cells up to n = 2: all verified" in out
+
+
+def test_verify_identity_names_the_slowest_cell(capsys, monkeypatch):
+    # the closing line reads the slowest cell off the per-cell elapsedMs
+    def timed(n, m):
+        return {**verify_cell(n, m), "elapsedMs": 40.3 if (n, m) == (2, 1) else 1.0}
+
+    monkeypatch.setattr(cli_report, "verify_cell", timed)
+    assert main(["verify-identity", "--n-max", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("6 cells up to n = 2: all verified (")
+    assert last.endswith("s; slowest cell (2, 1) 40.3ms)")
 
 
 def test_verify_identity_json_report_is_canonical(capsys):
@@ -91,6 +103,20 @@ def test_verify_recurrences_all(capsys):
     assert main(["verify-recurrences", "--suite", "all", "--n-max", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("suite ") == 5
+
+
+def test_verify_recurrences_all_computes_each_left_cell_once(capsys, monkeypatch):
+    # "main" and "closed-forms" both read cells (n, 0) and (n, 1)
+    calls = []
+
+    def counted(p):
+        calls.append((p.n, p.m))
+        return left_form(p)
+
+    monkeypatch.setattr(cli_report, "left_form", counted)
+    assert main(["verify-recurrences", "--suite", "all", "--n-max", "4"]) == 0
+    assert "all suites pass" in capsys.readouterr().out
+    assert sorted(calls) == [(n, m) for n in range(5) for m in range(n + 1)]
 
 
 def test_verify_recurrences_json_report(capsys):
