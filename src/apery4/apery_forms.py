@@ -752,11 +752,11 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             p = FormParameters(n, m)
             shift = 2 * n - m
             # one chain per kernel: the left one (key None) at order 1, right j at 2
-            chains = {None: DerivativeChain(*left_kernel(p).expand_parts(), 1)}
+            chains = {None: DerivativeChain.of(left_kernel(p), 1)}
 
             def oracle(j: int | None, x: int) -> Fraction:
                 if j not in chains:
-                    chains[j] = DerivativeChain(*right_kernel_term(p, j).expand_parts(), 2)
+                    chains[j] = DerivativeChain.of(right_kernel_term(p, j), 2)
                 return chains[j].values(x)[-1]
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):

@@ -17,8 +17,8 @@ principal parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (integer numerators over one reduced denominator),
 never expanding a kernel.  Dense expansion, in integers with one scalar,
 serves the independent oracles.  A :class:`DerivativeChain` is a kernel's
-integer quotient-rule chain, built once for derivative values at any point,
-exact sums over a range and sign proofs on a ray.
+integer quotient-rule chain, built once from that expansion for derivative
+values at any point, exact sums over a range and sign proofs on a ray.
 :func:`partial_fractions` is the dense
 reference decomposition the tests compare the block route against.  It
 decomposes an expanded rational function over caller-supplied pole
@@ -316,10 +316,13 @@ class LinearFactorProduct:
         The denominator is kept factored as (shift, positive exponent) pairs;
         the numerator is multiplied out in integers and scaled once.
         """
+        coeffs, scale, den_factors = self._integer_parts()
+        return Polynomial(c * scale for c in coeffs), den_factors
+
+    def _integer_parts(self) -> tuple[list[int], Fraction, tuple[tuple[Fraction, int], ...]]:
+        """(integer numerator coefficients, their scale, denominator factors)."""
         coeffs, lead = _linear_product((s, e) for s, e in self.factors if e > 0)
-        scale = self.scalar / lead
-        return (Polynomial(c * scale for c in coeffs),
-                tuple((s, -e) for s, e in self.factors if e < 0))
+        return coeffs, self.scalar / lead, tuple((s, -e) for s, e in self.factors if e < 0)
 
     def expand(self) -> "RationalFunction":
         """Expand to a RationalFunction, coprime by construction."""
@@ -329,7 +332,7 @@ class LinearFactorProduct:
 
     def derivative_values_at(self, x: Fraction | int, order: int) -> list[Fraction]:
         """[f(x), f'(x), ..., f^(order)(x)] via the factored quotient rule."""
-        return factored_derivative_values(*self.expand_parts(), x, order)
+        return DerivativeChain.of(self, order).values(x)
 
 
 def _linear_product(factors: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
@@ -339,9 +342,14 @@ def _linear_product(factors: Iterable[tuple[Fraction, int]]) -> tuple[list[int],
     for shift, exponent in factors:
         q, r = shift.as_integer_ratio()
         for _ in range(exponent):
-            coeffs = _mul_coeffs((q, r), coeffs)
+            coeffs = _times_linear(coeffs, q, r)
         lead *= r ** exponent
     return coeffs, lead
+
+
+def _times_linear(coeffs: list[int], q: int, r: int) -> list[int]:
+    """coeffs times (r t + q), synthetically; [] gives [0]."""
+    return [q * c + r * v for c, v in zip(coeffs + [0], [0] + coeffs)]
 
 
 def _mul_coeffs(a: Sequence, b: Sequence) -> list:
@@ -390,32 +398,30 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_chain(numerator: Polynomial, den_factors: Sequence[tuple[Fraction, int]],
+def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
+                    den_factors: Sequence[tuple[Fraction, int]],
                     order: int) -> tuple[Fraction, list[tuple[int, int, int]], list[list[int]]]:
     """(K, [(r, q, e)], [N_0..N_order]), f^(d) = K N_d / prod (r t + q)^(e + d).
 
-    f = numerator / prod (t + q/r)^e; the numerator's denominators are
-    cleared once.  With P = prod (r t + q) and W = sum e r P/(r t + q), one
-    quotient-rule step sends N_d to N_d' P - N_d (W + d P'): integers
-    throughout, no gcd.
+    f = scale * sum coeffs[i] t^i / prod (t + q/r)^e.  With P = prod (r t + q)
+    and W = sum e r P/(r t + q), one quotient-rule step sends N_d to
+    N_d' P - N_d (W + d P'): integers throughout, no gcd.
     """
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
-    clear = lcm(*(c.denominator for c in numerator.coefficients))
-    scale, linears, p_coeffs, weighted = _F(1, clear), [], [1], []
+    linears, p_coeffs, weighted = [], [1], []
     for shift, e in den_factors:
         q, r = _as_fraction(shift).as_integer_ratio()
         linears.append((r, q, e))
         scale *= r ** e
         # (P, W) -> (P l, W l + e r P) for the next factor l = r t + q
-        weighted = [a + e * r * b for a, b in
-                    zip_longest(_mul_coeffs([q, r], weighted), p_coeffs, fillvalue=0)]
-        p_coeffs = _mul_coeffs([q, r], p_coeffs)
+        weighted = [w + e * r * c for w, c in zip(_times_linear(weighted, q, r), p_coeffs)]
+        p_coeffs = _times_linear(p_coeffs, q, r)
     p_prime = [k * c for k, c in enumerate(p_coeffs)][1:]
-    chain = [[int(c * clear) for c in numerator.coefficients]]
+    chain = [list(coeffs) if scale else []]        # a zero scale is the zero function
     for d in range(order):
         current = chain[-1]
-        step = [a + d * b for a, b in zip_longest(weighted, p_prime, fillvalue=0)]
+        step = [a + d * b for a, b in zip(weighted, p_prime)]
         derived = _mul_coeffs([k * c for k, c in enumerate(current)][1:], p_coeffs)
         chain.append([a - b for a, b in
                       zip_longest(derived, _mul_coeffs(current, step), fillvalue=0)])
@@ -444,12 +450,26 @@ class DerivativeChain:
     instance serves every evaluation, sum and sign proof; no method changes it.
     """
 
-    __slots__ = ("order", "_scale", "_linears", "_chain")
+    __slots__ = ("_scale", "_linears", "_chain")
 
     def __init__(self, numerator: Polynomial, den_factors: Sequence[tuple[Fraction, int]],
                  order: int) -> None:
-        self._scale, self._linears, self._chain = _quotient_chain(numerator, den_factors, order)
-        self.order = order
+        clear = lcm(*(c.denominator for c in numerator.coefficients))
+        self._scale, self._linears, self._chain = _quotient_chain(
+            [c.numerator * (clear // c.denominator) for c in numerator.coefficients],
+            _F(1, clear), den_factors, order)
+
+    @classmethod
+    def of(cls, product: LinearFactorProduct, order: int) -> "DerivativeChain":
+        """The chain of ``product`` from its integer expansion, no Polynomial."""
+        chain = cls.__new__(cls)
+        chain._scale, chain._linears, chain._chain = _quotient_chain(
+            *product._integer_parts(), order)
+        return chain
+
+    @property
+    def order(self) -> int:
+        return len(self._chain) - 1
 
     def _numerator(self, order: int) -> list[int]:
         if not 0 <= order <= self.order:
@@ -468,11 +488,12 @@ class DerivativeChain:
 
     def sum(self, order: int, start: int, stop: int) -> Fraction:
         """Exact sum of f^(order)(v) over the integers start <= v < stop, as
-        unreduced integer pairs added in a balanced tree and normalised once."""
+        integer pairs added in a balanced tree over reduced denominators
+        (adjacent terms share most factors) and normalised once."""
         coeffs = self._numerator(order)
         pairs = [_term(coeffs, self._linears, v, 1, order) for v in range(start, stop)]
         while len(pairs) > 1:
-            pairs = ([(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+            pairs = ([_merge(a, b, c, d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
         return _F(self._scale.numerator * value, self._scale.denominator * bottom)
@@ -492,6 +513,13 @@ class DerivativeChain:
             for k in range(len(coeffs) - 2, i - 1, -1):
                 coeffs[k] += start * coeffs[k + 1]
         return len({c > 0 for c in coeffs if c}) <= 1
+
+
+def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d over (b/g) d, g = gcd(b, d), unnormalised."""
+    g = gcd(b, d)
+    b //= g
+    return a * (d // g) + c * b, b * d
 
 
 def factored_derivative_values(numerator: Polynomial,

@@ -440,16 +440,16 @@ def test_audit_is_deterministic_and_green():
 
 def test_audit_builds_one_chain_per_kernel(monkeypatch):
     orders = _count_chains(monkeypatch)
-    expansions = []
-    expand_parts = LinearFactorProduct.expand_parts
+    products = []
+    of = polyrat.DerivativeChain.of
 
-    def spy(product):
-        expansions.append(product)
-        return expand_parts(product)
+    def spy(cls, product, order):
+        products.append(product)
+        return of(product, order)
 
-    monkeypatch.setattr(LinearFactorProduct, "expand_parts", spy)
+    monkeypatch.setattr(polyrat.DerivativeChain, "of", classmethod(spy))
     audit_summands(n_max=3, samples=2, seed=11)
-    assert len(orders) == len(expansions) == 36
+    assert len(orders) == len(products) == 36
     assert set(orders) == {1, 2}
 
 
@@ -530,9 +530,9 @@ def _count_chains(monkeypatch) -> list:
     orders = []
     build = polyrat._quotient_chain
 
-    def spy(numerator, den_factors, order):
+    def spy(coeffs, scale, den_factors, order):
         orders.append(order)
-        return build(numerator, den_factors, order)
+        return build(coeffs, scale, den_factors, order)
 
     monkeypatch.setattr(polyrat, "_quotient_chain", spy)
     return orders
@@ -582,10 +582,23 @@ def test_numeric_side_builds_one_chain(numeric, n, m, monkeypatch):
     assert len(orders) == 1
 
 
-@pytest.mark.parametrize("n, m", [(8, 3), (12, 5)])
+@pytest.mark.parametrize("n, m", [(8, 3), (12, 5), (16, 7), (20, 9)])
 def test_numeric_routes_bracket_the_exact_value(n, m):
     p = FormParameters(n, m)
     reference = evaluate_decimal(recurrence_table(n)[(n, m)], 70)
     for numeric in (left_form_numeric(p, 30), right_form_numeric(p, 30)):
         assert (abs(numeric.value() - reference.value()) + reference.error_bound
                 <= numeric.error_bound)
+
+
+def test_numeric_values_are_pinned():
+    # digest of (mantissa, scale, error bound) of both numeric sides at 30
+    # digits, as first recorded; a sum that drops, repeats or mis-scales a
+    # term, or a changed cutoff or closure, changes it
+    rows = []
+    for n, m in ((0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)):
+        for side in (left_form_numeric, right_form_numeric):
+            x = side(FormParameters(n, m), 30)
+            rows.append([side.__name__, n, m, x.mantissa, x.scale, str(x.error_bound)])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "012a4d940e3c003526167e2d719f188f955d498831bf2bf283d3a14bc8aed408")

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery4 import (FactorizationError, LinearFactorProduct, PartialFractions,
-                    PoleError, PoleExpansion, Polynomial, RationalFunction,
-                    factored_derivative_values, partial_fractions, pochhammer)
+from apery4 import (FactorizationError, FormParameters, LinearFactorProduct,
+                    PartialFractions, PoleError, PoleExpansion, Polynomial,
+                    RationalFunction, factored_derivative_values, left_kernel,
+                    partial_fractions, pochhammer, right_kernel_term)
 from apery4.polyrat import DerivativeChain
 
 F = Fraction
@@ -176,6 +178,42 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
         DerivativeChain(Polynomial.one(), ((F(-5), 1),), 1).sum(1, 4, 8)
+
+
+def _chain_routes_agree(prod: LinearFactorProduct) -> None:
+    """DerivativeChain.of(prod) against the chain of prod's dense expansion:
+    values at orders 0..2, sums over several ranges and sign proofs."""
+    new, old = DerivativeChain.of(prod, 2), DerivativeChain(*prod.expand_parts(), 2)
+    assert new.order == old.order == 2
+    start = max((floor(-s) + 1 for s in prod.denominator_shifts()), default=0)
+    for x in (start, start + 3, start + F(1, 2), start + F(5, 3)):
+        assert new.values(x) == old.values(x)
+    for order in (0, 1, 2):
+        for stop in (start, start + 1, start + 2, start + 13, start + 64):
+            assert new.sum(order, start, stop) == old.sum(order, start, stop)
+        for at in (start, start + 5, start + 300):
+            assert new.keeps_sign(order, at) == old.keeps_sign(order, at)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_from_product_matches_dense_route_on_random_products(seed):
+    _chain_routes_agree(_random_product(random.Random(seed)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chain_from_product_matches_dense_route_on_kernels(n):
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        _chain_routes_agree(left_kernel(p))
+        for j in range(n + 1):
+            _chain_routes_agree(right_kernel_term(p, j))
+
+
+@pytest.mark.parametrize("prod", [LinearFactorProduct.of(F(-3, 2)),
+                                  LinearFactorProduct.of(0, [(F(1, 2), -2), (F(-40), 1)])],
+                         ids=["empty-product", "zero-scalar"])
+def test_chain_from_product_matches_dense_route_on_degenerate_products(prod):
+    _chain_routes_agree(prod)
 
 
 def test_derivative_keeps_sign_sees_a_sign_change():
