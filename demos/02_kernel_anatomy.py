@@ -4,13 +4,13 @@ Every series summand in the package is a derivative of a rational function
 written once as a scalar times rising-factorial blocks.  This demo
 dissects the left kernel at (n, m) = (2, 1): its blocks, the merged factor
 structure and pole pattern derived from them, the certified principal parts
-read off the blocks, the dense reference decomposition they agree with, and
+read off the blocks, the points at which the certificate proves them, and
 how derivative tails of the principal parts turn into zeta values.
 """
 
 from fractions import Fraction
 
-from apery4 import FormParameters, derivative_tail_sum, partial_fractions
+from apery4 import FormParameters, derivative_tail_sum
 from apery4.apery_forms import _left_blocks, _principal_parts
 
 p = FormParameters(2, 1)
@@ -46,13 +46,18 @@ for term in expansion.terms:
         if numerator:
             print(f"  {numerator} / (N (t + {term.shift})^{j})")
 
-# The dense route expands the kernel and decomposes it by Taylor division;
-# it stays as the reference the block route is tested against.
-f = kernel.expand()
-dense = partial_fractions(f, kernel.denominator_shifts())
-print(f"\ndense reference (numerator degree {f.numerator.degree}, denominator "
-      f"degree {f.denominator.degree}) agrees: {dense == expansion}")
-assert dense == expansion
+# Kernel and parts are both (polynomial of degree < deg D) / D, so equality
+# at deg D distinct points proves them equal.  The certificate takes the
+# consecutive integers from the first point where every factor is positive,
+# and there steps the kernel's value in integers (blocks.values).
+start = blocks.first_positive_point()
+count = kernel.denominator_degree
+print(f"\nthe certificate's deg D = {count} points, kernel value against the parts:")
+for x, (num, den) in zip(range(start, start + count), blocks.values(start, count)):
+    parts = sum(Fraction(c, expansion.denominator) / (x + term.shift) ** j
+                for term in expansion.terms for j, c in enumerate(term.numerators, start=1))
+    print(f"  t = {x:>2}  kernel {Fraction(num, den)}  parts {parts}")
+    assert parts == Fraction(num, den)
 
 # Summing d/dt of each principal-part term from v = n-m+1 gives the exact
 # linear form in zeta values -- all tails are shifted polyzeta tails.

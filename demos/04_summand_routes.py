@@ -6,7 +6,8 @@ so the package evaluates every summand by independent routes and compares
 exactly:
 
 * printed    -- the harmonic-number closed formula, typed in by hand,
-* oracle     -- a structure-blind quotient rule on the expanded kernel,
+* oracle     -- a structure-blind quotient rule on the kernel's integer
+                expansion (its derivative chain),
 * generated  -- the rising-factorial derivative rule applied generically
                 through the product rule in logarithmic form.
 """
@@ -25,7 +26,7 @@ point = nu + 2 * p.n - p.m
 # printed formula is typed in separately
 blocks = _left_blocks(p)
 printed = left_tail_summand(p, nu)
-oracle = blocks.factored().derivative_values_at(point, 1)[1]
+oracle = blocks.chain(1).values(point)[1]
 generated = _generated_derivatives(blocks, point, 1)[1]
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")

@@ -19,12 +19,11 @@ from .apery_forms import (FormParameters, SummandCheck, audit_summands,
                           right_mid_summand, right_split_check,
                           right_tail_component, verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError,
-                     FactorizationError, NonProperError, PoleError,
-                     PoleInRangeError, RangeError, ReconstructionError)
+                     NonProperError, PoleError, PoleInRangeError, RangeError,
+                     ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, RationalFunction, factored_derivative_values,
-                      partial_fractions)
+                      Polynomial, RationalFunction)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum, evaluate_decimal, zeta_value)
 
@@ -32,7 +31,6 @@ __all__ = [
     "Apery4Error",
     "DivergenceError",
     "DomainError",
-    "FactorizationError",
     "FixedPointNumber",
     "FormParameters",
     "LinearFactorProduct",
@@ -52,7 +50,6 @@ __all__ = [
     "binomial",
     "derivative_tail_sum",
     "evaluate_decimal",
-    "factored_derivative_values",
     "factorial",
     "harmonic",
     "left_form",
@@ -62,7 +59,6 @@ __all__ = [
     "left_mid_summand",
     "left_split_check",
     "left_tail_summand",
-    "partial_fractions",
     "pochhammer",
     "pochhammer_derivative",
     "right_finite_sum",

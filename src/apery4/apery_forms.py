@@ -18,8 +18,9 @@ claim is left_form == right_form componentwise on the whole parameter grid.
 
 Each kernel is written down once, as a scalar times rising-factorial blocks
 and loose linear factors (times the integer polynomial P on the right); the
-merged :class:`~apery4.polyrat.LinearFactorProduct`, the dense oracle, the
-generated route and the principal parts all derive from that one spec.
+merged :class:`~apery4.polyrat.LinearFactorProduct`, the derivative chain
+(:meth:`_BlockProduct.chain`), the generated route and the principal parts
+all derive from that one spec.
 Each form sums the derivative tails of its kernel's principal parts
 termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
 at each pole without expanding anything (:class:`_LocalExpansion`), and an
@@ -32,7 +33,8 @@ The module also carries the three independent evaluation routes for the
    (:func:`left_tail_summand`, :func:`left_mid_summand`,
    :func:`right_mid_summand`, :func:`right_low_summand`),
 2. a structure-blind polynomial oracle (factored quotient rule on the
-   expanded kernel, one :class:`polyrat.DerivativeChain` per kernel), and
+   kernel's integer expansion, one :class:`polyrat.DerivativeChain` per
+   kernel), and
 3. a generated route applying the rising-factorial derivative rule
    (:func:`pochhammer_derivative`) through the product rule in logarithmic
    form (valid wherever no factor vanishes).
@@ -41,9 +43,9 @@ The module also carries the three independent evaluation routes for the
 pointwise; any disagreement is reported, none is expected.
 
 Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-sum the
-defining series on one dense kernel per side (exact integer terms to a short
-cutoff, then one Euler–Maclaurin closure whose remainder bound's sign
-hypothesis is proved), a cross-check free of partial fractions and blocks.
+defining series on one derivative chain per side (exact integer terms to a
+short cutoff, then one Euler–Maclaurin closure whose remainder bound's sign
+hypothesis is proved), a cross-check free of partial fractions.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ class _BlockProduct:
     :func:`_right_spec`).  It keeps the rising-factorial block structure,
     which the generated derivative route and the local expansions of the
     principal parts need; :meth:`factored` flattens it into the merged
-    :class:`LinearFactorProduct` the dense oracles take; :meth:`values`
-    steps it in integers.  A view that cannot carry the cofactor refuses it.
+    :class:`LinearFactorProduct`; :meth:`chain` expands it in integers into
+    a :class:`DerivativeChain`; :meth:`values` steps it in integers.  A view
+    that cannot carry the cofactor refuses it.
     """
 
     scalar: Fraction
@@ -129,12 +132,23 @@ class _BlockProduct:
         return (sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
                 + len(self.cofactor) - 1)
 
+    def linear_factors(self) -> list[tuple[Fraction | int, int]]:
+        """Every (shift, exponent) of the spec, the blocks flattened to
+        (t + x + i)^e, unmerged; the cofactor is left out."""
+        return [(x + i, e) for x, k, e in self.blocks for i in range(k)] + list(self.linears)
+
     def factored(self) -> LinearFactorProduct:
         """The blocks flattened to (t + x + i)^e factors, merged and sorted."""
         if self.cofactor != (1,):
             raise ValueError("a LinearFactorProduct cannot carry the polynomial cofactor")
-        factors = [(x + i, e) for x, k, e in self.blocks for i in range(k)]
-        return LinearFactorProduct.of(self.scalar, factors + list(self.linears))
+        return LinearFactorProduct.of(self.scalar, self.linear_factors())
+
+    def chain(self, order: int) -> DerivativeChain:
+        """The kernel's :class:`DerivativeChain` up to ``order``: the integer
+        expansion of the merged factors times the cofactor."""
+        coeffs, scale, den_factors = LinearFactorProduct.of(
+            self.scalar, self.linear_factors())._integer_parts()
+        return DerivativeChain(_mul_coeffs(coeffs, self.cofactor), scale, den_factors, order)
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -352,15 +366,17 @@ def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
     return out
 
 
-def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None:
+def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, int],
+             where: str) -> None:
     """Prove that ``expansion`` is the partial-fraction form of the kernel ``bp``.
 
-    The poles and orders found by scanning the block ranges
-    (:func:`_pole_orders`) must match the negative exponents that
-    :meth:`_BlockProduct.factored` leaves after merging the blocks: a second
-    algorithm over the same spec, not an independent spec.  The kernel must
-    vanish at infinity, and the expansion must have no polynomial part and
-    no term above its pole's order.
+    The poles and ``orders`` found by scanning the block ranges
+    (:func:`_pole_orders`) must match the negative exponents left after
+    merging the flattened factors (:meth:`_BlockProduct.linear_factors`)
+    shift by shift: a second algorithm over the same spec, not an
+    independent spec.  The kernel must vanish at infinity, and the
+    expansion must have no polynomial part and no term above its pole's
+    order.
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
@@ -372,12 +388,14 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, where: str) -> None
     to its pole's order E.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    orders = _pole_orders(bp)
-    merged = {s: -e for s, e in replace(bp, cofactor=(1,)).factored().factors if e < 0}
-    if orders != merged:
+    merged: dict[Fraction | int, int] = {}
+    for shift, exponent in bp.linear_factors():
+        merged[shift] = merged.get(shift, 0) + exponent
+    poles = {s: -e for s, e in merged.items() if e < 0}
+    if orders != poles:
         raise ReconstructionError(
             f"{where}: block poles {sorted(orders.items())} differ from the "
-            f"merged factors' poles {sorted(merged.items())}")
+            f"merged factors' poles {sorted(poles.items())}")
     if bp.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
     if not expansion.polynomial_part.is_zero:
@@ -424,7 +442,7 @@ def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
     expansion = PartialFractions(Polynomial(), tuple(
         PoleExpansion(_F(shift), tuple(c * (common // den) for c in numerators))
         for shift, numerators, den in parts), common)
-    _certify(bp, expansion, where)
+    _certify(bp, expansion, orders, where)
     return expansion
 
 
@@ -752,11 +770,11 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             p = FormParameters(n, m)
             shift = 2 * n - m
             # one chain per kernel: the left one (key None) at order 1, right j at 2
-            chains = {None: DerivativeChain.of(left_kernel(p), 1)}
+            chains = {None: _left_blocks(p).chain(1)}
 
             def oracle(j: int | None, x: int) -> Fraction:
                 if j not in chains:
-                    chains[j] = DerivativeChain.of(right_kernel_term(p, j), 2)
+                    chains[j] = _right_blocks(p, j).chain(2)
                 return chains[j].values(x)[-1]
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
@@ -806,13 +824,13 @@ _FIRST_CUTOFF = 256
 _MAX_DEPTH = 8
 
 
-def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, int], ...],
-                    order: int, start: int, target: Fraction) -> tuple[Fraction, Fraction]:
+def _series_numeric(bp: _BlockProduct, order: int, start: int,
+                    target: Fraction) -> tuple[Fraction, Fraction]:
     """(value, error bound) for sum_{v >= start} h(v), h = g^(order), where
-    g = numerator / prod (t + s)^e has no pole at t >= start.
+    g is the kernel ``bp``, with no pole at t >= start.
 
-    One :class:`DerivativeChain` of order ``order + 2 _MAX_DEPTH + 2`` sums
-    the terms start..A-1 exactly and closes the tail by Euler–Maclaurin at M,
+    One chain of order ``order + 2 _MAX_DEPTH + 2`` (:meth:`_BlockProduct.chain`)
+    sums the terms start..A-1 exactly and closes the tail by Euler–Maclaurin at M,
     -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A).  If
     h^(2M+2) keeps one sign on [A, oo), the remainder is at most
     2 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)| (DLMF 2.10.1); the bound is 4 times
@@ -825,13 +843,12 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
     DivergenceError is raised.  For a g that passes, the doubling ends: the
     bounds decay in A, and the Taylor shift's signs settle on the leading one.
     """
-    degree = numerator.degree - sum(e for _, e in den_factors)
-    if degree > order - 2:
-        raise DivergenceError(f"kernel of degree {degree} has no closure at "
+    if bp.degree > order - 2:
+        raise DivergenceError(f"kernel of degree {bp.degree} has no closure at "
                               f"derivative order {order} (needs <= {order - 2})")
     weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
                for k in range(1, _MAX_DEPTH + 2)]
-    chain = DerivativeChain(numerator, den_factors, order + 2 * _MAX_DEPTH + 2)
+    chain = bp.chain(order + 2 * _MAX_DEPTH + 2)
     cutoff = max(_FIRST_CUTOFF, start)
     while True:
         high = chain.values(cutoff)
@@ -849,7 +866,7 @@ def _series_numeric(numerator: Polynomial, den_factors: tuple[tuple[Fraction, in
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
-    value, bound = _series_numeric(*left_kernel(p).expand_parts(), 1, p.n - p.m + 1,
+    value, bound = _series_numeric(_left_blocks(p), 1, p.n - p.m + 1,
                                    _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(-value / 3, digits, inherent_error=bound / 3)
 
@@ -860,8 +877,5 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     Euler–Maclaurin is linear, so one closure and one remainder bound on
     the summed kernel P B (:func:`_right_kernel`) cover the whole side.
     """
-    kernel = _right_kernel(p)
-    numerator, den_factors = replace(kernel, cofactor=(1,)).factored().expand_parts()
-    value, bound = _series_numeric(numerator * Polynomial(kernel.cofactor), den_factors,
-                                   2, 1, _F(1, 10 ** (digits + 15)))
+    value, bound = _series_numeric(_right_kernel(p), 2, 1, _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)

@@ -20,7 +20,9 @@ configuration; cells are sorted by (n, m) regardless of worker scheduling.
 Exit status: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors.  argparse rejects malformed arguments itself;
 out-of-range settings, unwritable report paths and out-of-domain parameters
-are reported as one ``error:`` line on stderr before any work starts.
+are reported as one ``error:`` line on stderr before any work starts.  A
+check that raises while it runs (a certificate that does not hold, say) is
+a failed verification: one ``error:`` line naming where, and status 1.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import cache
 
 from . import __version__
 from .apery_forms import FormParameters, audit_summands, left_form, verify_cell
-from .errors import Apery4Error
+from .errors import Apery4Error, RangeError
 from .recurrence_lab import (alternating_binomial_check, closed_form_m0,
                              closed_form_m1, left_boundary_check,
                              recurrence_holds, right_column_check,
@@ -269,7 +271,11 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _at_least(args.digits, 1, "--digits")
-    form = left_form(FormParameters(args.n, args.m))
+    try:
+        p = FormParameters(args.n, args.m)
+    except RangeError as exc:
+        raise _UsageError(str(exc)) from None
+    form = left_form(p)
     print(f"Z({args.n}, {args.m}) = {form}")
     print(f"  constant    = {form.constant}")
     print(f"  zeta(4)     = {form.coefficient(4)}")
@@ -361,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except Apery4Error as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

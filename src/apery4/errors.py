@@ -15,7 +15,6 @@ __all__ = [
     "PoleError",
     "PoleInRangeError",
     "NonProperError",
-    "FactorizationError",
     "ReconstructionError",
 ]
 
@@ -46,10 +45,6 @@ class PoleInRangeError(Apery4Error, ArithmeticError):
 
 class NonProperError(Apery4Error, ArithmeticError):
     """A tail sum was requested for a non-proper rational function."""
-
-
-class FactorizationError(Apery4Error, ArithmeticError):
-    """The supplied candidate shifts do not exhaust a denominator."""
 
 
 class ReconstructionError(Apery4Error, ArithmeticError):

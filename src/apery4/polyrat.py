@@ -1,5 +1,5 @@
-"""Dense exact polynomials, factored linear products, rational functions and
-partial fractions over the rationals.
+"""Exact polynomials, factored linear products, their derivative chains and
+the principal-parts result type, over the rationals.
 
 Conventions
 -----------
@@ -12,20 +12,16 @@ Conventions
 
 Each kernel of the package is written once, as rising-factorial blocks
 (see :mod:`apery4.apery_forms`); :class:`LinearFactorProduct` is its
-flattened form, with repeated shifts merged.  The exact forms take their
-principal parts straight from the blocks, in integers, and return them as
-:class:`PartialFractions` (integer numerators over one reduced denominator),
-never expanding a kernel.  Dense expansion, in integers with one scalar,
-serves the independent oracles.  A :class:`DerivativeChain` is a kernel's
-integer quotient-rule chain, built once from that expansion for derivative
-values at any point, exact sums over a range and sign proofs on a ray.
-:func:`partial_fractions` is the dense
-reference decomposition the tests compare the block route against.  It
-decomposes an expanded rational function over caller-supplied pole
-candidates, then re-multiplies its answer and compares against the input
-(:class:`~apery4.errors.ReconstructionError` on mismatch), so a returned
-expansion is certified, not merely computed; it converts its answer to
-integers over one denominator at the end.
+flattened form, with repeated shifts merged, multiplied out in integers
+with one scalar.  The exact forms take their principal parts straight from
+the blocks, in integers, and return them as :class:`PartialFractions`
+(integer numerators over one reduced denominator), never expanding a
+kernel.  A :class:`DerivativeChain` is a kernel's integer quotient-rule
+chain, built once from its integer expansion for derivative values at any
+point, exact sums over a range and sign proofs on a ray: the route of the
+numeric series and of the summand oracle.  :class:`Polynomial` and
+:class:`RationalFunction` are the plain dense forms that
+:meth:`LinearFactorProduct.expand` returns.
 """
 
 from __future__ import annotations
@@ -33,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import FactorizationError, PoleError, ReconstructionError
+from .errors import PoleError
 
 __all__ = [
     "Polynomial",
@@ -44,14 +40,11 @@ __all__ = [
     "RationalFunction",
     "PoleExpansion",
     "PartialFractions",
-    "partial_fractions",
     "DerivativeChain",
-    "factored_derivative_values",
 ]
 
 _F = Fraction
 _ZERO = _F(0)
-_ONE = _F(1)
 
 
 def _as_fraction(value: Fraction | int) -> Fraction:
@@ -64,7 +57,9 @@ def _as_fraction(value: Fraction | int) -> Fraction:
 
 
 class Polynomial:
-    """Immutable dense polynomial over Q, coefficients ascending by degree."""
+    """Immutable dense polynomial over Q, coefficients ascending by degree:
+    the plain form :meth:`LinearFactorProduct.expand` returns, evaluated by
+    Horner's scheme.  It carries no arithmetic."""
 
     __slots__ = ("_coeffs",)
 
@@ -73,8 +68,6 @@ class Polynomial:
         while normalized and normalized[-1] == 0:
             normalized.pop()
         object.__setattr__(self, "_coeffs", tuple(normalized))
-
-    # -- basic structure ----------------------------------------------------
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -95,123 +88,12 @@ class Polynomial:
             return _ZERO
         return self._coeffs[-1]
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial t."""
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "Polynomial":
-        return cls((value,))
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            if other == 0:
-                return Polynomial()
-            s = _as_fraction(other)
-            return Polynomial(tuple(c * s for c in self._coeffs))
-        return Polynomial(_mul_coeffs(self._coeffs, other._coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(
-                f"polynomial powers need an integer exponent >= 0, got {exponent!r}")
-        out = Polynomial.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
     def __call__(self, x: Fraction | int) -> Fraction:
         """Evaluate by Horner's scheme."""
         acc: Fraction | int = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return _as_fraction(acc)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(c * i for i, c in enumerate(self._coeffs))[1:])
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        d = other.degree
-        lead = other.leading_coefficient
-        if len(rem) <= d:
-            return Polynomial(), self
-        q = [_ZERO] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / lead
-            q[i - d] = f
-            for j, oc in enumerate(other._coeffs):
-                rem[i - d + j] -= f * oc
-        return Polynomial(q), Polynomial(rem[:d])
-
-    def div_linear(self, root: Fraction | int) -> tuple["Polynomial", Fraction]:
-        """Divide by (t - root): returns (quotient, remainder = self(root)).
-
-        Synthetic division; the workhorse for multiplicity scans and Taylor
-        prefixes, so it avoids general long division.
-        """
-        if self.is_zero:
-            return self, _ZERO
-        desc = self._coeffs[::-1]
-        acc = desc[0]
-        out = [acc]
-        for c in desc[1:]:
-            acc = acc * root + c
-            out.append(acc)
-        return Polynomial(out[-2::-1]), _as_fraction(out[-1])
-
-    def taylor_prefix(self, center: Fraction | int, count: int) -> list[Fraction]:
-        """First ``count`` Taylor coefficients of self around t = center.
-
-        Computed by repeated synthetic division: self(t) = sum a_i (t-center)^i
-        and the returned list is [a_0, ..., a_{count-1}].
-        """
-        out: list[Fraction] = []
-        current = self
-        for _ in range(count):
-            current, rem = current.div_linear(center)
-            out.append(rem)
-        return out
-
-    # -- comparison / presentation -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -330,10 +212,6 @@ class LinearFactorProduct:
         coeffs, lead = _linear_product(den_factors if not num.is_zero else ())
         return RationalFunction(num, Polynomial(_F(c, lead) for c in coeffs))
 
-    def derivative_values_at(self, x: Fraction | int, order: int) -> list[Fraction]:
-        """[f(x), f'(x), ..., f^(order)(x)] via the factored quotient rule."""
-        return DerivativeChain.of(self, order).values(x)
-
 
 def _linear_product(factors: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
     """(coefficients of prod (r t + q)^e, prod r^e) for shifts q/r, e >= 0: so
@@ -369,12 +247,10 @@ def _mul_coeffs(a: Sequence, b: Sequence) -> list:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """numerator / denominator with a monic denominator: the plain input of
-    :func:`partial_fractions`.
+    """numerator / denominator with a monic denominator: the dense form that
+    :meth:`LinearFactorProduct.expand` returns, coprime by construction.
 
-    Numerator and denominator need not be coprime (they are, structurally,
-    for :meth:`LinearFactorProduct.expand`); the constructor only enforces
-    a monic nonzero denominator.
+    The constructor only enforces a monic nonzero denominator.
     """
 
     numerator: Polynomial
@@ -394,7 +270,7 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# factored-denominator derivatives (oracle support)
+# derivative chains
 # ---------------------------------------------------------------------------
 
 
@@ -445,27 +321,19 @@ def _term(coeffs: list[int], linears: list[tuple[int, int, int]],
 
 
 class DerivativeChain:
-    """f, f', ..., f^(order) of f = numerator / prod (t + s)^e as the integer
-    chain of :func:`_quotient_chain`: it does not depend on the point, so one
-    instance serves every evaluation, sum and sign proof; no method changes it.
+    """f, f', ..., f^(order) of f = scale * sum coeffs[i] t^i / prod (t + s)^e,
+    from the integer expansion (``LinearFactorProduct._integer_parts``), as the
+    integer chain of :func:`_quotient_chain`.  It does not depend on the
+    point, so one instance serves every evaluation, sum and sign proof; no
+    method changes it.
     """
 
     __slots__ = ("_scale", "_linears", "_chain")
 
-    def __init__(self, numerator: Polynomial, den_factors: Sequence[tuple[Fraction, int]],
-                 order: int) -> None:
-        clear = lcm(*(c.denominator for c in numerator.coefficients))
+    def __init__(self, coeffs: Sequence[int], scale: Fraction,
+                 den_factors: Sequence[tuple[Fraction, int]], order: int) -> None:
         self._scale, self._linears, self._chain = _quotient_chain(
-            [c.numerator * (clear // c.denominator) for c in numerator.coefficients],
-            _F(1, clear), den_factors, order)
-
-    @classmethod
-    def of(cls, product: LinearFactorProduct, order: int) -> "DerivativeChain":
-        """The chain of ``product`` from its integer expansion, no Polynomial."""
-        chain = cls.__new__(cls)
-        chain._scale, chain._linears, chain._chain = _quotient_chain(
-            *product._integer_parts(), order)
-        return chain
+            coeffs, scale, den_factors, order)
 
     @property
     def order(self) -> int:
@@ -522,16 +390,8 @@ def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return a * (d // g) + c * b, b * d
 
 
-def factored_derivative_values(numerator: Polynomial,
-                               den_factors: Sequence[tuple[Fraction, int]],
-                               x: Fraction | int, order: int) -> list[Fraction]:
-    """Evaluate f, f', ..., f^(order) at x for f = numerator / prod (t+s_i)^{e_i}
-    through a one-off :class:`DerivativeChain`."""
-    return DerivativeChain(numerator, den_factors, order).values(x)
-
-
 # ---------------------------------------------------------------------------
-# partial fractions
+# principal parts
 # ---------------------------------------------------------------------------
 
 
@@ -554,7 +414,7 @@ class PartialFractions:
     numerators share one ``denominator``, always reduced to the least one.
 
     So ``==`` compares values, for terms sorted by shift and with no trailing
-    zero numerator, as both producers leave them.
+    zero numerator, as the block route and the dense test reference leave them.
     """
 
     polynomial_part: Polynomial
@@ -571,106 +431,3 @@ class PartialFractions:
             object.__setattr__(self, "terms", tuple(
                 PoleExpansion(term.shift, tuple(c // g for c in term.numerators))
                 for term in self.terms))
-
-
-def partial_fractions(f: RationalFunction,
-                      candidate_shifts: Iterable[Fraction | int]) -> PartialFractions:
-    """Partial-fraction decomposition with caller-supplied pole candidates.
-
-    The denominator of ``f`` must factor completely as prod (t + p)^{e_p}
-    over the candidate shifts (duplicates and non-roots among the candidates
-    are harmless); otherwise FactorizationError.  For each pole the principal
-    part is extracted from the local Taylor expansions of the numerator and
-    of the complementary factor (series division, exact).  The result is
-    re-multiplied and compared with ``f`` before being returned.
-
-    Returns a :class:`PartialFractions` whose terms are sorted by shift.
-    """
-    seen: set[Fraction] = set()
-    candidates: list[Fraction] = []
-    for shift in candidate_shifts:
-        p = _as_fraction(shift)
-        if p not in seen:
-            seen.add(p)
-            candidates.append(p)
-    candidates.sort()
-
-    # polynomial part
-    if f.numerator.degree >= f.denominator.degree:
-        poly_part, num = f.numerator.divmod(f.denominator)
-    else:
-        poly_part, num = Polynomial(), f.numerator
-
-    # multiplicity scan: peel candidate roots off the denominator
-    remaining = f.denominator
-    poles: list[tuple[Fraction, int]] = []
-    for p in candidates:
-        root = -p
-        mult = 0
-        while remaining.degree >= 1:
-            quotient, rem = remaining.div_linear(root)
-            if rem != 0:
-                break
-            remaining = quotient
-            mult += 1
-        if mult:
-            poles.append((p, mult))
-    if remaining.degree > 0:
-        raise FactorizationError(
-            f"denominator keeps a degree-{remaining.degree} cofactor "
-            f"({remaining}) outside the candidate shifts")
-
-    # local expansions
-    terms: list[tuple[Fraction, list[Fraction]]] = []
-    for p, e in poles:
-        center = -p
-        num_prefix = num.taylor_prefix(center, e)
-        cof_series = [_ONE] + [_ZERO] * (e - 1)
-        for q, eq in poles:
-            if q == p:
-                continue
-            delta = q - p
-            for _ in range(eq):
-                for i in range(e - 1, 0, -1):
-                    cof_series[i] = cof_series[i] * delta + cof_series[i - 1]
-                cof_series[0] = cof_series[0] * delta
-        series = _series_divide(num_prefix, cof_series, e)
-        # a numerator sharing the factor leaves zero top coefficients: trim them
-        coefficients = [series[e - j] for j in range(1, e + 1)]
-        while coefficients and coefficients[-1] == 0:
-            coefficients.pop()
-        if coefficients:
-            terms.append((p, coefficients))
-
-    # always-on certification: rebuild the numerator over f's own denominator
-    # as poly_part * D + sum_{p,j} A_{p,j} D / (t+p)^j (every division exact)
-    rebuilt = poly_part * f.denominator
-    for p, coefficients in terms:
-        quotient = f.denominator
-        for coeff in coefficients:
-            quotient, rem = quotient.div_linear(-p)
-            if rem != 0:
-                raise ReconstructionError(f"common denominator not divisible by (t + {p})")
-            rebuilt = rebuilt + quotient * coeff
-    if rebuilt != f.numerator:
-        raise ReconstructionError(
-            "partial fraction expansion failed to reproduce its input")
-    # the answer as integers over the lcm of its coefficient denominators
-    common = lcm(*(c.denominator for _, coefficients in terms for c in coefficients))
-    return PartialFractions(poly_part, tuple(
-        PoleExpansion(p, tuple(int(c * common) for c in coefficients))
-        for p, coefficients in terms), common)
-
-
-def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list[Fraction]:
-    """First ``count`` coefficients of num(u)/den(u) as power series (den[0] != 0)."""
-    lead = den[0]
-    if lead == 0:
-        raise ZeroDivisionError("series division by a series with zero constant term")
-    out: list[Fraction] = []
-    for i in range(count):
-        acc = num[i] if i < len(num) else _ZERO
-        for k in range(1, min(i, len(den) - 1) + 1):
-            acc = acc - den[k] * out[i - k]
-        out.append(acc / lead)
-    return out

@@ -1,0 +1,241 @@
+"""The dense Fraction reference that the tests compare the integer routes against.
+
+Nothing in the package calls it.  It holds the polynomial ring over Q
+(:class:`Polynomial`, a :class:`apery4.polyrat.Polynomial` with arithmetic,
+long and synthetic division and Taylor prefixes), a kernel multiplied out
+with Fraction polynomial powers (:func:`fraction_expansion`), and the
+reference partial-fraction decomposition of a plain numerator/denominator
+pair (:func:`partial_fractions`).  That decomposition expands each pole by
+Taylor and series division, then re-multiplies its answer and compares it
+with the input (:class:`~apery4.errors.ReconstructionError` on mismatch), so
+a returned expansion is certified, not merely computed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Iterable
+
+from apery4 import polyrat
+from apery4.errors import Apery4Error, ReconstructionError
+from apery4.polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
+                            RationalFunction, _mul_coeffs)
+
+_F = Fraction
+_ZERO = _F(0)
+_ONE = _F(1)
+
+
+class FactorizationError(Apery4Error, ArithmeticError):
+    """The supplied candidate shifts do not exhaust a denominator."""
+
+
+class Polynomial(polyrat.Polynomial):
+    """A dense polynomial over Q with ring operations; it compares equal to
+    the package's :class:`~apery4.polyrat.Polynomial` of the same coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "Polynomial":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "Polynomial":
+        return cls((1,))
+
+    @classmethod
+    def variable(cls) -> "Polynomial":
+        """The polynomial t."""
+        return cls((0, 1))
+
+    @classmethod
+    def constant(cls, value: Fraction | int) -> "Polynomial":
+        return cls((value,))
+
+    def __add__(self, other: polyrat.Polynomial) -> "Polynomial":
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Polynomial(out)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(-c for c in self.coefficients)
+
+    def __sub__(self, other: polyrat.Polynomial) -> "Polynomial":
+        return self + Polynomial(-c for c in other.coefficients)
+
+    def __mul__(self, other: polyrat.Polynomial | Fraction | int) -> "Polynomial":
+        if isinstance(other, (Fraction, int)):
+            return Polynomial(c * other for c in self.coefficients)
+        return Polynomial(_mul_coeffs(self.coefficients, other.coefficients))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "Polynomial":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(
+                f"polynomial powers need an integer exponent >= 0, got {exponent!r}")
+        out = Polynomial.one()
+        base = self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            base = base * base
+            exponent >>= 1
+        return out
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial(tuple(c * i for i, c in enumerate(self.coefficients))[1:])
+
+    def divmod(self, other: polyrat.Polynomial) -> tuple["Polynomial", "Polynomial"]:
+        """Exact long division: self = q*other + r with deg r < deg other."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coefficients)
+        d = other.degree
+        lead = other.leading_coefficient
+        if len(rem) <= d:
+            return Polynomial(), self
+        q = [_ZERO] * (len(rem) - d)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c == 0:
+                continue
+            f = c / lead
+            q[i - d] = f
+            for j, oc in enumerate(other.coefficients):
+                rem[i - d + j] -= f * oc
+        return Polynomial(q), Polynomial(rem[:d])
+
+    def div_linear(self, root: Fraction | int) -> tuple["Polynomial", Fraction]:
+        """Divide by (t - root): returns (quotient, remainder = self(root))."""
+        if self.is_zero:
+            return self, _ZERO
+        desc = self.coefficients[::-1]
+        acc = desc[0]
+        out = [acc]
+        for c in desc[1:]:
+            acc = acc * root + c
+            out.append(acc)
+        return Polynomial(out[-2::-1]), _F(out[-1])
+
+    def taylor_prefix(self, center: Fraction | int, count: int) -> list[Fraction]:
+        """First ``count`` Taylor coefficients of self around t = center, by
+        repeated synthetic division: self(t) = sum a_i (t-center)^i."""
+        out: list[Fraction] = []
+        current = self
+        for _ in range(count):
+            current, rem = current.div_linear(center)
+            out.append(rem)
+        return out
+
+
+def fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomial]:
+    """The product multiplied out with Fraction polynomial powers: the reference
+    for the integer route of expand_parts/expand and of the derivative chain."""
+    num, den = Polynomial.constant(prod.scalar), Polynomial.one()
+    for shift, exponent in prod.factors:
+        if exponent > 0:
+            num = num * Polynomial((shift, 1)) ** exponent
+        else:
+            den = den * Polynomial((shift, 1)) ** -exponent
+    return num, den
+
+
+def partial_fractions(f: RationalFunction,
+                      candidate_shifts: Iterable[Fraction | int]) -> PartialFractions:
+    """Partial-fraction decomposition with caller-supplied pole candidates.
+
+    The denominator of ``f`` must factor completely as prod (t + p)^{e_p}
+    over the candidate shifts (duplicates and non-roots among the candidates
+    are harmless); otherwise FactorizationError.  For each pole the principal
+    part is extracted from the local Taylor expansions of the numerator and
+    of the complementary factor (series division, exact).  The result is
+    re-multiplied and compared with ``f`` before being returned, as integers
+    over the lcm of its coefficient denominators, its terms sorted by shift.
+    """
+    numerator = Polynomial(f.numerator.coefficients)
+    denominator = Polynomial(f.denominator.coefficients)
+    candidates = sorted({_F(shift) for shift in candidate_shifts})
+
+    # polynomial part
+    if numerator.degree >= denominator.degree:
+        poly_part, num = numerator.divmod(denominator)
+    else:
+        poly_part, num = Polynomial(), numerator
+
+    # multiplicity scan: peel candidate roots off the denominator
+    remaining = denominator
+    poles: list[tuple[Fraction, int]] = []
+    for p in candidates:
+        mult = 0
+        while remaining.degree >= 1:
+            quotient, rem = remaining.div_linear(-p)
+            if rem != 0:
+                break
+            remaining = quotient
+            mult += 1
+        if mult:
+            poles.append((p, mult))
+    if remaining.degree > 0:
+        raise FactorizationError(
+            f"denominator keeps a degree-{remaining.degree} cofactor "
+            f"({remaining}) outside the candidate shifts")
+
+    # local expansions
+    terms: list[tuple[Fraction, list[Fraction]]] = []
+    for p, e in poles:
+        num_prefix = num.taylor_prefix(-p, e)
+        cof_series = [_ONE] + [_ZERO] * (e - 1)
+        for q, eq in poles:
+            if q == p:
+                continue
+            delta = q - p
+            for _ in range(eq):
+                for i in range(e - 1, 0, -1):
+                    cof_series[i] = cof_series[i] * delta + cof_series[i - 1]
+                cof_series[0] = cof_series[0] * delta
+        series = _series_divide(num_prefix, cof_series, e)
+        # a numerator sharing the factor leaves zero top coefficients: trim them
+        coefficients = [series[e - j] for j in range(1, e + 1)]
+        while coefficients and coefficients[-1] == 0:
+            coefficients.pop()
+        if coefficients:
+            terms.append((p, coefficients))
+
+    # certification: rebuild the numerator over f's own denominator as
+    # poly_part * D + sum_{p,j} A_{p,j} D / (t+p)^j (every division exact)
+    rebuilt = poly_part * denominator
+    for p, coefficients in terms:
+        quotient = denominator
+        for coeff in coefficients:
+            quotient, rem = quotient.div_linear(-p)
+            if rem != 0:
+                raise ReconstructionError(f"common denominator not divisible by (t + {p})")
+            rebuilt = rebuilt + quotient * coeff
+    if rebuilt != numerator:
+        raise ReconstructionError(
+            "partial fraction expansion failed to reproduce its input")
+    common = lcm(*(c.denominator for _, coefficients in terms for c in coefficients))
+    return PartialFractions(poly_part, tuple(
+        PoleExpansion(p, tuple(int(c * common) for c in coefficients))
+        for p, coefficients in terms), common)
+
+
+def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list[Fraction]:
+    """First ``count`` coefficients of num(u)/den(u) as power series (den[0] != 0)."""
+    lead = den[0]
+    if lead == 0:
+        raise ZeroDivisionError("series division by a series with zero constant term")
+    out: list[Fraction] = []
+    for i in range(count):
+        acc = num[i] if i < len(num) else _ZERO
+        for k in range(1, min(i, len(den) - 1) + 1):
+            acc = acc - den[k] * out[i - k]
+        out.append(acc / lead)
+    return out

@@ -20,19 +20,21 @@ from hypothesis import strategies as st
 
 from apery4 import (DivergenceError, DomainError, FormParameters,
                     LinearFactorProduct, PartialFractions, PoleExpansion,
-                    Polynomial, RangeError, RationalFunction,
-                    ReconstructionError, ZetaLinearForm, apery_forms,
-                    audit_summands, derivative_tail_sum, evaluate_decimal,
-                    left_form, left_form_numeric, left_kernel, left_mid_sum,
+                    RangeError, RationalFunction, ReconstructionError,
+                    ZetaLinearForm, apery_forms, audit_summands,
+                    derivative_tail_sum, evaluate_decimal, left_form,
+                    left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
-                    partial_fractions, pochhammer_derivative, polyrat,
-                    right_finite_sum, right_form, right_form_numeric,
-                    right_kernel_term, right_low_summand, right_mid_summand,
-                    right_split_check, right_tail_component, verify_cell)
-from apery4.apery_forms import (_certify, _left_blocks, _left_expansion,
-                                _principal_parts, _right_blocks, _right_kernel,
-                                _series_numeric)
+                    pochhammer_derivative, polyrat, right_finite_sum,
+                    right_form, right_form_numeric, right_kernel_term,
+                    right_low_summand, right_mid_summand, right_split_check,
+                    right_tail_component, verify_cell)
+from apery4.apery_forms import (_BlockProduct, _certify, _left_blocks,
+                                _left_expansion, _principal_parts,
+                                _right_blocks, _right_kernel, _series_numeric)
+from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
+from dense_reference import Polynomial, partial_fractions
 
 F = Fraction
 
@@ -216,6 +218,23 @@ def test_integer_kernel_values_match_the_dense_oracle(n):
                 assert F(num, den) == value_at(x), (n, m, label, x)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_summed_right_chain_matches_its_terms(n):
+    # the chain of P B, built through the cofactor product, against the sum of
+    # the n+1 per-j chains: values beyond the poles and sums over two ranges
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        summed = _right_kernel(p).chain(2)
+        terms = [_right_blocks(p, j).chain(2) for j in range(n + 1)]
+        for x in (F(1, 3), F(7, 2), F(40, 7)):
+            assert summed.values(x) == [sum(values) for values in
+                                        zip(*(chain.values(x) for chain in terms))], (n, m, x)
+        for order in (0, 1, 2):
+            for start, stop in ((1, 4), (3, 30)):
+                assert summed.sum(order, start, stop) == sum(
+                    chain.sum(order, start, stop) for chain in terms), (n, m, order, start)
+
+
 def test_cofactor_is_never_dropped():
     kernel = _right_kernel(FormParameters(3, 1))
     for view in (kernel.factored,
@@ -245,7 +264,7 @@ def test_certificate_rejects_tampered_parts(tamper):
         tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms),
                                     expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, where)
+            _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -258,7 +277,7 @@ def test_certificate_rejects_tampered_kernels(tamper):
         tampered = tamper(kernel)
         assert apery_forms._pole_orders(tampered) == apery_forms._pole_orders(kernel)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(tampered, expansion, where)
+            _certify(tampered, expansion, apery_forms._pole_orders(tampered), where)
 
 
 def test_certificate_counts_every_term_at_a_shift():
@@ -269,7 +288,7 @@ def test_certificate_counts_every_term_at_a_shift():
         tampered = PartialFractions(expansion.polynomial_part, (extra,) + expansion.terms,
                                     expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, where)
+            _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
 
 
 def test_certificate_uses_every_point():
@@ -288,7 +307,7 @@ def test_certificate_uses_every_point():
         extra = partial_fractions(RationalFunction(remainder, den), orders)
         tampered = _summed_parts(expansion, extra)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
-            _certify(kernel, tampered, where)
+            _certify(kernel, tampered, orders, where)
 
 
 def test_certificate_cross_checks_the_pole_orders(monkeypatch):
@@ -300,7 +319,8 @@ def test_certificate_cross_checks_the_pole_orders(monkeypatch):
     monkeypatch.setattr(apery_forms, "_pole_orders",
                         lambda bp: {s: e for s, e in honest(bp).items() if s != 4})
     with pytest.raises(ReconstructionError, match="block poles"):
-        _certify(_left_blocks(p), expansion, "left")
+        _certify(_left_blocks(p), expansion, apery_forms._pole_orders(_left_blocks(p)),
+                 "left")
 
 
 def test_forms_always_certify(monkeypatch):
@@ -351,7 +371,8 @@ def test_pochhammer_derivative_matches_polynomial_route(x, k, nu):
             pochhammer_derivative(x, k, nu)
         return
     block = LinearFactorProduct.of(1, [(x + i, 1) for i in range(k)])
-    assert pochhammer_derivative(x, k, nu) == block.derivative_values_at(nu, 1)[1]
+    chain = DerivativeChain(*block._integer_parts(), 1)
+    assert pochhammer_derivative(x, k, nu) == chain.values(nu)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +462,13 @@ def test_audit_is_deterministic_and_green():
 def test_audit_builds_one_chain_per_kernel(monkeypatch):
     orders = _count_chains(monkeypatch)
     products = []
-    of = polyrat.DerivativeChain.of
+    chain = _BlockProduct.chain
 
-    def spy(cls, product, order):
-        products.append(product)
-        return of(product, order)
+    def spy(bp, order):
+        products.append(bp)
+        return chain(bp, order)
 
-    monkeypatch.setattr(polyrat.DerivativeChain, "of", classmethod(spy))
+    monkeypatch.setattr(_BlockProduct, "chain", spy)
     audit_summands(n_max=3, samples=2, seed=11)
     assert len(orders) == len(products) == 36
     assert set(orders) == {1, 2}
@@ -503,9 +524,7 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
         # the whole right series of the summed kernel P B, from v = 1
         bp, order, start = _right_kernel(p), 2, 1
         exact = 6 * right_form(p)
-    numerator, den_factors = replace(bp, cofactor=(1,)).factored().expand_parts()
-    value, bound = _series_numeric(numerator * Polynomial(bp.cofactor), den_factors,
-                                   order, start, TAIL_TARGET)
+    value, bound = _series_numeric(bp, order, start, TAIL_TARGET)
     reference = evaluate_decimal(exact, 70)
     assert bound < TAIL_TARGET
     assert abs(value - reference.value()) + reference.error_bound <= bound
@@ -545,7 +564,8 @@ def test_series_without_a_closure_raises(numerator, degree, monkeypatch):
     # so the closure -g(A) + ... would return a wrong value with a tiny bound
     cutoffs = _high_order_cutoffs(monkeypatch)
     with pytest.raises(DivergenceError, match=f"degree {degree} "):
-        _series_numeric(Polynomial(numerator), ((F(1), 1),), 1, 1, TAIL_TARGET)
+        _series_numeric(_BlockProduct(F(1), (), ((F(1), -1),), numerator), 1, 1,
+                        TAIL_TARGET)
     assert cutoffs == []
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import apery4
-from apery4 import cli_report, left_form, verify_cell
+from apery4 import FormParameters, apery_forms, cli_report, left_form, verify_cell
 from apery4.cli_report import main
 
 
@@ -177,6 +177,23 @@ def test_recurrence_checks_the_right_values(capsys, monkeypatch):
     assert ("cell n= 2 m= 0  FAIL  identity=True pure=True recurrence=False"
             in out)
     assert "FAILURES FOUND" in out
+
+
+def test_a_failed_certificate_exits_1_naming_cell_and_side(capsys, monkeypatch):
+    # a certificate that does not hold is a failed verification, not a usage error
+    honest = apery_forms._LocalExpansion.part
+    tampered = apery_forms._right_kernel(FormParameters(2, 1))
+
+    def off_by_one(self, bp, shift, order):
+        numerators, den = honest(self, bp, shift, order)
+        return ([numerators[0] + 1] + numerators[1:], den) if bp == tampered else (numerators, den)
+
+    monkeypatch.setattr(apery_forms._LocalExpansion, "part", off_by_one)
+    assert main(["verify-identity", "--n-max", "2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: right side of cell (n, m) = (2, 1): ")
 
 
 @pytest.mark.parametrize("argv,jobs_env", [

@@ -1,23 +1,30 @@
-"""Unit tests for polynomials, factored products, and partial fractions."""
+"""Unit tests for polynomials, factored products, derivative chains, and
+the dense partial-fraction reference."""
 
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery4 import (FactorizationError, FormParameters, LinearFactorProduct,
-                    PartialFractions, PoleError, PoleExpansion, Polynomial,
-                    RationalFunction, factored_derivative_values, left_kernel,
-                    partial_fractions, pochhammer, right_kernel_term)
+from apery4 import (FormParameters, LinearFactorProduct, PartialFractions,
+                    PoleError, PoleExpansion, RationalFunction, left_kernel,
+                    pochhammer, right_kernel_term)
 from apery4.polyrat import DerivativeChain
+from dense_reference import (FactorizationError, Polynomial, fraction_expansion,
+                             partial_fractions)
 
 F = Fraction
 
 # (2t + 1) / (t^2 (t + 1)) = 1/t + 1/t^2 - 1/(t+1), as (coefficient, shift, power)
 WORKED_PARTS = ((F(1), F(0), 1), (F(1), F(0), 2), (F(-1), F(1), 1))
+
+
+def _chain(prod: LinearFactorProduct, order: int) -> DerivativeChain:
+    """The chain of ``prod`` from its integer expansion."""
+    return DerivativeChain(*prod._integer_parts(), order)
 
 
 def _parts_derivative(parts, x, order):
@@ -126,17 +133,16 @@ def test_derivative_values_match_symbolic_derivative():
     # 2 (t + 1/2) / (t^2 (t + 1)) is the worked example
     prod = LinearFactorProduct.of(2, [(F(0), -2), (F(1, 2), 1), (F(1), -1)])
     for x in (F(1, 2), 3):
-        values = prod.derivative_values_at(x, 3)
+        values = _chain(prod, 3).values(x)
         assert values == [_parts_derivative(WORKED_PARTS, x, k) for k in range(4)]
 
 
 def test_factored_derivative_values_against_quotient_rule():
-    num = Polynomial([1, 2])
-    den_factors = ((F(0), 2), (F(1), 1))
-    values = factored_derivative_values(num, den_factors, F(1, 2), 4)
+    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)), 4)
+    values = chain.values(F(1, 2))
     assert values == [_parts_derivative(WORKED_PARTS, F(1, 2), k) for k in range(5)]
     with pytest.raises(PoleError):
-        factored_derivative_values(num, den_factors, -1, 1)
+        chain.values(-1)
 
 
 def _random_product(rng: random.Random) -> LinearFactorProduct:
@@ -155,8 +161,9 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
              for j, c in enumerate(term.numerators, start=1)]
     poles = set(prod.denominator_shifts())
     points = [F(rng.randint(-20, 20), rng.choice((3, 4, 7))) for _ in range(3)]
+    chain = _chain(prod, 6)
     for x in [x for x in points if -x not in poles]:
-        values = factored_derivative_values(*prod.expand_parts(), x, 6)
+        values = chain.values(x)
         polynomial = expansion.polynomial_part
         for d in range(7):
             # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
@@ -168,22 +175,25 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
 def test_factored_derivative_sum_matches_termwise_sum(seed):
     rng = random.Random(seed)
     prod = _random_product(rng)
-    parts = prod.expand_parts()
-    chain = DerivativeChain(*parts, 2)
+    chain = _chain(prod, 2)
     start = 4                               # beyond every shift -3..3
     for order in (0, 1, 2):
         for stop in (start - 2, start, start + 1, start + rng.randint(2, 40)):
-            termwise = sum((factored_derivative_values(*parts, v, order)[order]
-                            for v in range(start, stop)), start=F(0))
+            termwise = sum((chain.values(v)[order] for v in range(start, stop)), start=F(0))
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
-        DerivativeChain(Polynomial.one(), ((F(-5), 1),), 1).sum(1, 4, 8)
+        DerivativeChain([1], F(1), ((F(-5), 1),), 1).sum(1, 4, 8)
 
 
 def _chain_routes_agree(prod: LinearFactorProduct) -> None:
-    """DerivativeChain.of(prod) against the chain of prod's dense expansion:
-    values at orders 0..2, sums over several ranges and sign proofs."""
-    new, old = DerivativeChain.of(prod, 2), DerivativeChain(*prod.expand_parts(), 2)
+    """The chain of prod's integer expansion against the chain of its Fraction
+    expansion (denominators cleared here): values at orders 0..2, sums over
+    several ranges and sign proofs."""
+    num, _ = fraction_expansion(prod)
+    clear = lcm(*(c.denominator for c in num.coefficients))
+    old = DerivativeChain([c.numerator * (clear // c.denominator) for c in num.coefficients],
+                          F(1, clear), tuple((s, -e) for s, e in prod.factors if e < 0), 2)
+    new = _chain(prod, 2)
     assert new.order == old.order == 2
     start = max((floor(-s) + 1 for s in prod.denominator_shifts()), default=0)
     for x in (start, start + 3, start + F(1, 2), start + F(5, 3)):
@@ -218,20 +228,20 @@ def test_chain_from_product_matches_dense_route_on_degenerate_products(prod):
 
 def test_derivative_keeps_sign_sees_a_sign_change():
     # (t - 300) / t^3 changes sign at t = 300 and nowhere beyond it
-    chain = DerivativeChain(Polynomial([-300, 1]), ((F(0), 3),), 1)
+    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3),), 1)
     assert not chain.keeps_sign(0, 256)
     assert chain.keeps_sign(0, 300)
     # f' = (900 - 2t) / t^4 changes sign at t = 450
     assert not chain.keeps_sign(1, 300)
     assert chain.keeps_sign(1, 450)
     with pytest.raises(ValueError):
-        DerivativeChain(Polynomial([-300, 1]), ((F(-500), 1),), 0).keeps_sign(0, 256)
+        DerivativeChain([-300, 1], F(1), ((F(-500), 1),), 0).keeps_sign(0, 256)
 
 
 def test_chain_is_unchanged_by_its_sign_proofs():
     # one chain serves a whole series: a sign proof at one cutoff must not
     # disturb the values and sums taken after it
-    chain = DerivativeChain(Polynomial([-300, 1]), ((F(0), 3), (F(1, 2), 1)), 2)
+    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(1, 2), 1)), 2)
     before = chain.values(F(7, 3)), chain.sum(2, 1, 40), chain.sum(1, 1, 40)
     for order in (0, 1, 2):
         chain.keeps_sign(order, 300)
@@ -240,7 +250,7 @@ def test_chain_is_unchanged_by_its_sign_proofs():
 
 
 def test_chain_rejects_orders_it_does_not_carry():
-    chain = DerivativeChain(Polynomial.one(), ((F(1), 2),), 2)
+    chain = DerivativeChain([1], F(1), ((F(1), 2),), 2)
     assert chain.order == 2
     for order in (-1, 3):
         with pytest.raises(ValueError):
@@ -248,19 +258,7 @@ def test_chain_rejects_orders_it_does_not_carry():
         with pytest.raises(ValueError):
             chain.keeps_sign(order, 0)
     with pytest.raises(ValueError):
-        DerivativeChain(Polynomial.one(), ((F(1), 2),), -1)
-
-
-def _fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomial]:
-    """The product multiplied out with Fraction polynomial powers: the reference
-    for the integer route of expand_parts/expand."""
-    num, den = Polynomial.constant(prod.scalar), Polynomial.one()
-    for shift, exponent in prod.factors:
-        if exponent > 0:
-            num = num * Polynomial((shift, 1)) ** exponent
-        else:
-            den = den * Polynomial((shift, 1)) ** -exponent
-    return num, den
+        DerivativeChain([1], F(1), ((F(1), 2),), -1)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -270,7 +268,7 @@ def test_integer_expansion_matches_fraction_powers(seed):
     factors = [(F(rng.randint(-9, 9), rng.choice((1, 2, 3))), rng.choice((-2, -1, 1, 2, 3)))
                for _ in range(rng.randint(0, 6))]
     prod = LinearFactorProduct.of(scalar, factors)
-    num, den = _fraction_expansion(prod)
+    num, den = fraction_expansion(prod)
     assert prod.expand_parts() == (num, tuple((s, -e) for s, e in prod.factors if e < 0))
     expected = (RationalFunction(num, den) if not num.is_zero
                 else RationalFunction(Polynomial(), Polynomial.one()))

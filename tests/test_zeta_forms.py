@@ -13,10 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apery4 import (FixedPointNumber, NonProperError, PoleInRangeError,
-                    Polynomial, RationalFunction, ZetaLinearForm,
-                    bernoulli_even, derivative_tail_sum, evaluate_decimal,
-                    partial_fractions, zeta_value)
+                    RationalFunction, ZetaLinearForm, bernoulli_even,
+                    derivative_tail_sum, evaluate_decimal, zeta_value)
 from apery4.polyrat import PartialFractions, PoleExpansion
+from dense_reference import Polynomial, partial_fractions
 
 F = Fraction
 
