@@ -8,13 +8,15 @@ exactly:
 * printed    -- the harmonic-number closed formula, typed in by hand,
 * oracle     -- a structure-blind quotient rule on the kernel's integer
                 expansion (its derivative chain),
-* generated  -- the rising-factorial derivative rule applied generically
-                through the product rule in logarithmic form.
+* generated  -- the rising-factorial derivative rule applied to every
+                factor at once, in logarithmic form: the local expansion
+                that gives the exact forms their principal parts, read at a
+                point where no factor vanishes.
 """
 
 from apery4 import (FormParameters, audit_summands, left_tail_summand,
                     pochhammer_derivative)
-from apery4.apery_forms import _generated_derivatives, _left_blocks
+from apery4.apery_forms import _derivatives_at, _left_blocks
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
 print(f"d/dt (1 + t)_2 at t = 1: {pochhammer_derivative(1, 2, 1)}")
@@ -27,7 +29,7 @@ point = nu + 2 * p.n - p.m
 blocks = _left_blocks(p)
 printed = left_tail_summand(p, nu)
 oracle = blocks.chain(1).values(point)[1]
-generated = _generated_derivatives(blocks, point, 1)[1]
+generated = _derivatives_at(blocks, point, 1)[1]
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")
 print(f"  oracle    {oracle}")

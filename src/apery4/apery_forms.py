@@ -19,8 +19,8 @@ claim is left_form == right_form componentwise on the whole parameter grid.
 Each kernel is written down once, as a scalar times rising-factorial blocks
 and loose linear factors (times the integer polynomial P on the right); the
 merged :class:`~apery4.polyrat.LinearFactorProduct`, the derivative chain
-(:meth:`_BlockProduct.chain`), the generated route and the principal parts
-all derive from that one spec.
+(:meth:`_BlockProduct.chain`), the principal parts and the generated route
+all derive from that one spec, the last two through one local expansion.
 Each form sums the derivative tails of its kernel's principal parts
 termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
 at each pole without expanding anything (:class:`_LocalExpansion`), and an
@@ -36,8 +36,9 @@ The module also carries the three independent evaluation routes for the
    kernel's integer expansion, one :class:`polyrat.DerivativeChain` per
    kernel), and
 3. a generated route applying the rising-factorial derivative rule
-   (:func:`pochhammer_derivative`) through the product rule in logarithmic
-   form (valid wherever no factor vanishes).
+   (:func:`pochhammer_derivative`) to every factor in logarithmic form: the
+   local expansion that yields the principal parts, read at a point where
+   no factor vanishes (:func:`_derivatives_at`).
 
 :func:`audit_summands` samples parameter cells and compares the routes
 pointwise; any disagreement is reported, none is expected.
@@ -56,7 +57,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, lcm, prod
 
-from .errors import (DivergenceError, DomainError, PoleError, RangeError,
+from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
@@ -114,8 +115,9 @@ class _BlockProduct:
 
     The one written spec of a kernel (see :func:`_left_blocks`,
     :func:`_right_spec`).  It keeps the rising-factorial block structure,
-    which the generated derivative route and the local expansions of the
-    principal parts need; :meth:`factored` flattens it into the merged
+    which the local expansions (:class:`_LocalExpansion`) read, at the poles
+    for the principal parts and at regular points for the generated route;
+    :meth:`factored` flattens it into the merged
     :class:`LinearFactorProduct`; :meth:`chain` expands it in integers into
     a :class:`DerivativeChain`; :meth:`values` steps it in integers.  A view
     that cannot carry the cofactor refuses it.
@@ -274,26 +276,36 @@ def _pole_orders(bp: _BlockProduct) -> dict[int, int]:
 
 
 class _LocalExpansion:
-    """Principal parts of block products at integer poles, all in integers.
+    """Local expansions of block products at integer points, all in integers:
+    the principal parts at a pole (:func:`_principal_parts`), and the Taylor
+    coefficients where no factor vanishes (:func:`_derivatives_at`).
 
-    At a pole t = -p of order E, put u = t + p.  Each block factor (t + c)
-    with a = c - p != 0 is a (1 + u/a), and a loose factor (t + s) with
-    s = q/d is (b/d)(1 + d u/b) for b = q - d p != 0; the factors with a = 0
-    or b = 0 are the powers of u.  So near u = 0 a kernel is
-    C u^-E exp(sum_r c_r u^r), where C is the scalar times the product of the
-    a^e (signed factorial quotients over each block) and
+    At t = -p, expanded as a pole of order E, put u = t + p.  Each block
+    factor (t + c) with a = c - p != 0 is a (1 + u/a), and a loose factor
+    (t + s) with s = q/d is (b/d)(1 + d u/b) for b = q - d p != 0; the
+    factors with a = 0 or b = 0 are the powers of u.  So near u = 0 a kernel
+    times u^E is C exp(sum_r c_r u^r), where C is the scalar times the
+    product of the a^e (signed factorial quotients over each block) and
     r c_r = (-1)^(r+1) P_r / L^r with P_r = L^r sum e a^-r an integer:
-    L = lcm(1..top) for a ``top`` covering every |a| and |b|, so the power
-    sums over a block are differences of the integer harmonic table
-    h[r][i] = L^r S_r(i).  The series g = exp(sum c_r u^r) has
-    g_k = G_k / (k! L^k) with integer G_0 = 1 and
+    L = lcm(1..top) for a ``top`` covering every |a| and |b| at the points
+    the engine is built for, so the power sums over a block are differences
+    of the integer harmonic table h[r][i] = L^r S_r(i).  The series
+    g = exp(sum c_r u^r) has g_k = G_k / (k! L^k) with integer G_0 = 1 and
     G_k = sum_{i=1..k} (-1)^(i+1) P_i G_(k-i) (k-1)!/(k-i)!,
-    and the principal part is A_j = C g_(E-j), or sum_i Q_i A_(j+i) with a
-    cofactor Q = sum_i Q_i u^i (Taylor coefficients by synthetic division).
+    and the coefficient of u^-j is A_j = C g_(E-j), or sum_i Q_i A_(j+i)
+    with a cofactor Q = sum_i Q_i u^i (Taylor coefficients by synthetic
+    division).  At a pole of order E these are the principal parts; where
+    no factor vanishes, A_j is the kernel's Taylor coefficient of u^(E-j).
     Block products and the recursion's ratios are read from tables.
     """
 
-    def __init__(self, top: int, depth: int) -> None:
+    def __init__(self, bp: _BlockProduct, shifts: list[int], depth: int) -> None:
+        """Tables for expansions of ``bp`` at t = -shift, for each of
+        ``shifts``, up to ``depth`` terms."""
+        ends = [end for x, k, _ in bp.blocks if k > 0 for end in (x, x + k - 1)]
+        top = max([abs(end - shift) for shift in shifts for end in ends]
+                  + [abs(s.numerator - s.denominator * shift)
+                     for shift in shifts for s, _ in bp.linears], default=0)
         self.scale = lcm(*range(1, top + 1))
         self.table: list[list[int]] = [[]]
         for r in range(1, depth):
@@ -357,13 +369,6 @@ class _LocalExpansion:
             taylor.append(coeffs.pop(0) if coeffs else 0)
         numerators = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
         return numerators, den * factorials[order - 1] * scale ** (order - 1)
-
-
-def _local_magnitudes(bp: _BlockProduct, shift: int) -> list[int]:
-    """Every |a| and |b| that :meth:`_LocalExpansion.part` meets at ``shift``."""
-    out = [abs(a) for x, k, _ in bp.blocks if k > 0 for a in (x - shift, x + k - 1 - shift)]
-    out += [abs(s.numerator - s.denominator * shift) for s, _ in bp.linears]
-    return out
 
 
 def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, int],
@@ -435,8 +440,7 @@ def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
     and proved by :func:`_certify`.
     """
     orders = _pole_orders(bp)
-    top = max((a for shift in orders for a in _local_magnitudes(bp, shift)), default=0)
-    local = _LocalExpansion(top, max(orders.values(), default=1))
+    local = _LocalExpansion(bp, list(orders), max(orders.values(), default=1))
     parts = [(shift, *local.part(bp, shift, orders[shift])) for shift in sorted(orders)]
     common = lcm(*(den for _, _, den in parts))
     expansion = PartialFractions(Polynomial(), tuple(
@@ -506,46 +510,23 @@ def pochhammer_derivative(x: int, k: int, nu: int) -> Fraction:
                                         - harmonic(1, nu + x - 1))
 
 
-def _generated_derivatives(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
-    """[g, g', g''](point) by the derivative rule in logarithmic form.
+def _derivatives_at(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
+    """[g, g', ..., g^(order)](point) of the kernel ``bp``, cofactor included.
 
-    g' = g L and g'' = g (L^2 + L') with L = (log g)', where
-    L = sum e_b (S_1-difference over the block) + sum e/(t+s) and
-    L' = -sum e_b (S_2-difference over the block) - sum e/(t+s)^2: exactly
-    the generic product-rule application of :func:`pochhammer_derivative`
-    to every factor.  Requires every block base at ``point`` to be a
-    positive integer (DomainError otherwise) and no loose factor to vanish
-    there (PoleError); callers use it on the all-positive tail ranges.
+    The generated summand route: the rule of :func:`pochhammer_derivative`
+    (power sums over each block as harmonic differences) applied to every
+    factor at once through log g, to any order.  Where no factor vanishes,
+    the local expansion (:class:`_LocalExpansion`) at ``point`` as a pole of
+    order ``order + 1`` has the Taylor coefficients g^(k)(point)/k! as its
+    numerators.  DomainError below ``bp.first_positive_point()``.
     """
-    if order not in (1, 2):
-        raise ValueError(f"generated route supports orders 1 and 2, got {order}")
-    if bp.cofactor != (1,):
-        raise ValueError("the generated route cannot carry the polynomial cofactor")
-    value = bp.scalar
-    log_d = _F(0)
-    log_dd = _F(0)
-    for x, k, e in bp.blocks:
-        base = point + x
-        if k == 0:
-            continue
-        if base < 1:
-            raise DomainError(
-                f"block (t + {x})_{k} at t = {point} has base {base} < 1; "
-                "the derivative rule does not apply")
-        value = value * _F(pochhammer(base, k)) ** e
-        log_d += e * (harmonic(1, base + k - 1) - harmonic(1, base - 1))
-        log_dd -= e * (harmonic(2, base + k - 1) - harmonic(2, base - 1))
-    for s, e in bp.linears:
-        base = point + s
-        if base == 0:
-            raise PoleError(f"linear factor (t + {s}) vanishes at t = {point}")
-        value = value * base ** e
-        log_d += e / base
-        log_dd -= e / base ** 2
-    out = [value, value * log_d]
-    if order >= 2:
-        out.append(value * (log_d * log_d + log_dd))
-    return out
+    first = bp.first_positive_point()
+    if point < first:
+        raise DomainError(f"derivative rule needs t >= {first}, where every factor "
+                          f"is positive, got t = {point}")
+    local = _LocalExpansion(bp, [-point], order + 1)
+    numerators, den = local.part(bp, -point, order + 1)
+    return [_F(local.factorials[k] * numerators[order - k], den) for k in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +762,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
                     "oracle": oracle(None, nu + shift),
-                    "generated": _generated_derivatives(_left_blocks(p), nu + shift, 1)[1],
+                    "generated": _derivatives_at(_left_blocks(p), nu + shift, 1)[1],
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
@@ -792,7 +773,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
                     "oracle": oracle(j, nu),
-                    "generated": _generated_derivatives(_right_blocks(p, j), nu, 2)[2],
+                    "generated": _derivatives_at(_right_blocks(p, j), nu, 2)[2],
                 })
             if n >= 1:
                 for _ in range(min(samples, n)):

@@ -19,8 +19,9 @@ configuration; cells are sorted by (n, m) regardless of worker scheduling.
 
 Exit status: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors.  argparse rejects malformed arguments itself;
-out-of-range settings, unwritable report paths and out-of-domain parameters
-are reported as one ``error:`` line on stderr before any work starts.  A
+out-of-range settings, unwritable report paths, two reports sent to one
+file or stream and out-of-domain parameters are reported as one ``error:``
+line on stderr before any work starts, and leave existing reports intact.  A
 check that raises while it runs (a certificate that does not hold, say) is
 a failed verification: one ``error:`` line naming where, and status 1.
 """
@@ -63,22 +64,23 @@ def _at_least(value: int, low: int, name: str) -> int:
 
 
 def _check_writable(path: str | None) -> None:
-    """Create a report file before any work, so a bad path is a usage error."""
+    """Open a report path for appending before any work, so a bad path is a
+    usage error; an existing report keeps its bytes until it is rewritten."""
     if path is None or path == "-":
         return
     try:
-        with open(path, "w", encoding="utf-8"):
+        with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _canonical_json(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _write_text(text: str, path: str) -> None:
-    """Write a rendered report to ``path``, or to stdout when it is ``-``."""
+def _write_json(path: str, command: str, config: dict, summary: dict, body: dict) -> None:
+    """Write the canonical JSON report (``body`` plus the ``summary`` tally,
+    tool version and configuration echo) to ``path``, or stdout for ``-``."""
+    text = json.dumps({**body, "summary": summary, "toolVersion": __version__,
+                       "configEcho": {"command": command, **config}},
+                      sort_keys=True, separators=(",", ":"))
     if path == "-":
         print(text)
     else:
@@ -106,8 +108,7 @@ def _grid_records(n_max: int, jobs: int) -> list[dict]:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(verify_cell, [c[0] for c in cells],
-                                    [c[1] for c in cells]))
-    records.sort(key=lambda r: (r["n"], r["m"]))
+                                    [c[1] for c in cells]))   # in the order of cells
     # The recurrence in m needs the two neighbouring cells of the same row,
     # so it is checked here on the collected grid rather than per worker,
     # on the values of both constructions.
@@ -150,6 +151,8 @@ def _write_grid_csv(records: list[dict], path: str) -> None:
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
     if args.json == "-" and args.csv == "-":
         raise _UsageError("--json and --csv cannot both write to stdout")
+    if args.json and args.csv and os.path.realpath(args.json) == os.path.realpath(args.csv):
+        raise _UsageError(f"--json and --csv cannot both write to {args.json}")
     _at_least(args.n_max, 0, "--n-max")
     jobs = _job_count(args)
     _check_writable(args.json)
@@ -159,22 +162,10 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     total_ms = round((time.perf_counter() - started) * 1000.0, 3)
     failed = sum(1 for r in records if not _cell_passed(r))
     if args.json:
-        _write_text(_canonical_json({
-            "cells": records,
-            "summary": {
-                "total": len(records),
-                "passed": len(records) - failed,
-                "failed": failed,
-            },
-            "toolVersion": __version__,
-            "configEcho": {
-                "command": "verify-identity",
-                "csv": args.csv,
-                "jobs": jobs,
-                "json": args.json,
-                "nMax": args.n_max,
-            },
-        }), args.json)
+        _write_json(args.json, "verify-identity",
+                    {"csv": args.csv, "jobs": jobs, "json": args.json, "nMax": args.n_max},
+                    {"total": len(records), "passed": len(records) - failed, "failed": failed},
+                    {"cells": records})
     if args.csv:
         _write_grid_csv(records, args.csv)
     if args.json != "-" and args.csv != "-":
@@ -194,43 +185,24 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 
 
 def _run_suite(name: str, n_max: int,
-               left: Callable[[int, int], ZetaLinearForm]) -> tuple[int, int]:
-    """(passed, failed) counts for one named recurrence suite."""
-    passed = failed = 0
-
-    def tally(ok: bool) -> None:
-        nonlocal passed, failed
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-
+               left: Callable[[int, int], ZetaLinearForm]) -> list[bool]:
+    """The outcome of every check of one named recurrence suite."""
     if name == "main":
         values = {(n, m): left(n, m) for n in range(n_max + 1) for m in range(n + 1)}
-        for n in range(n_max + 1):
-            for m in range(max(0, n - 1)):
-                tally(recurrence_holds(values, n, m))
-        for n in range(201):
-            for m in range(n):
-                tally(trailing_coefficient_nonzero(n, m))
-    elif name == "boundary-m0":
-        for n in range(n_max + 1):
-            tally(left_boundary_check(n))
-    elif name == "boundary-zr":
-        for n in range(n_max + 1):
-            tally(right_column_check(n))
-    elif name == "closed-forms":
-        for n in range(n_max + 1):
-            tally(closed_form_m0(n) == left(n, 0))
-        for n in range(1, n_max + 1):
-            tally(closed_form_m1(n) == left(n, 1))
-    elif name == "binom-identity":
-        for n in range(3, max(4, n_max + 1)):
-            for m in range(n - 1):
-                tally(alternating_binomial_check(n, m))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {name!r}")
-    return passed, failed
+        return ([recurrence_holds(values, n, m)
+                 for n in range(n_max + 1) for m in range(max(0, n - 1))]
+                + [trailing_coefficient_nonzero(n, m) for n in range(201) for m in range(n)])
+    if name == "boundary-m0":
+        return [left_boundary_check(n) for n in range(n_max + 1)]
+    if name == "boundary-zr":
+        return [right_column_check(n) for n in range(n_max + 1)]
+    if name == "closed-forms":
+        return ([closed_form_m0(n) == left(n, 0) for n in range(n_max + 1)]
+                + [closed_form_m1(n) == left(n, 1) for n in range(1, n_max + 1)])
+    if name == "binom-identity":
+        return [alternating_binomial_check(n, m)
+                for n in range(3, max(4, n_max + 1)) for m in range(n - 1)]
+    raise ValueError(f"unknown suite {name!r}")  # pragma: no cover - argparse restricts choices
 
 
 def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
@@ -241,26 +213,16 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
     left = cache(lambda n, m: left_form(FormParameters(n, m)))  # suites share cells
     results = []
     for name in names:
-        passed, failed = _run_suite(name, args.n_max, left)
-        results.append({"suite": name, "checks": passed + failed,
-                        "passed": passed, "failed": failed})
+        checks = _run_suite(name, args.n_max, left)
+        results.append({"suite": name, "checks": len(checks),
+                        "passed": sum(checks), "failed": len(checks) - sum(checks)})
     total_failed = sum(r["failed"] for r in results)
     if args.json:
-        _write_text(_canonical_json({
-            "suites": results,
-            "summary": {
-                "total": sum(r["checks"] for r in results),
-                "passed": sum(r["passed"] for r in results),
-                "failed": total_failed,
-            },
-            "toolVersion": __version__,
-            "configEcho": {
-                "command": "verify-recurrences",
-                "json": args.json,
-                "nMax": args.n_max,
-                "suite": args.suite,
-            },
-        }), args.json)
+        _write_json(args.json, "verify-recurrences",
+                    {"json": args.json, "nMax": args.n_max, "suite": args.suite},
+                    {"total": sum(r["checks"] for r in results),
+                     "passed": sum(r["passed"] for r in results), "failed": total_failed},
+                    {"suites": results})
     if args.json != "-":
         for r in results:
             print(f"suite {r['suite']:<15} checks={r['checks']:>5} "

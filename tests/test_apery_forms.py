@@ -29,8 +29,8 @@ from apery4 import (DivergenceError, DomainError, FormParameters,
                     right_form, right_form_numeric, right_kernel_term,
                     right_low_summand, right_mid_summand, right_split_check,
                     right_tail_component, verify_cell)
-from apery4.apery_forms import (_BlockProduct, _certify, _left_blocks,
-                                _left_expansion, _principal_parts,
+from apery4.apery_forms import (_BlockProduct, _certify, _derivatives_at,
+                                _left_blocks, _left_expansion, _principal_parts,
                                 _right_blocks, _right_kernel, _series_numeric)
 from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
@@ -236,11 +236,15 @@ def test_summed_right_chain_matches_its_terms(n):
 
 
 def test_cofactor_is_never_dropped():
-    kernel = _right_kernel(FormParameters(3, 1))
-    for view in (kernel.factored,
-                 lambda: apery_forms._generated_derivatives(kernel, 10, 2)):
-        with pytest.raises(ValueError, match="cofactor"):
-            view()
+    # the merged view refuses the cofactor; the generated route carries it,
+    # so P B's derivatives are the sums of its j-kernels' derivatives
+    p = FormParameters(3, 1)
+    kernel = _right_kernel(p)
+    with pytest.raises(ValueError, match="cofactor"):
+        kernel.factored()
+    for point in (4, 10):
+        assert _derivatives_at(kernel, point, 2) == [sum(values) for values in zip(
+            *(_derivatives_at(_right_blocks(p, j), point, 2) for j in range(p.n + 1)))]
 
 
 def _certified_sides(p):
@@ -340,6 +344,22 @@ def test_forms_always_certify(monkeypatch):
         right_tail_component(p, 2)
 
 
+@pytest.mark.parametrize("n", range(16))
+def test_left_parts_mirror_about_minus_n_over_2(n):
+    # the left kernel is odd about t = -n/2, f(-n-t) = -f(t), so its parts
+    # mirror: A_{n-p,j} = (-1)^(j+1) A_{p,j}.  The zeta(3) and zeta(5)
+    # coordinates of the left form are sums over the poles of A_{p,2} and
+    # A_{p,4}, odd under the mirror, so they cancel in pairs: this is why
+    # they vanish on the left.  Criterion 3 is still checked exactly.
+    for m in range(n + 1):
+        terms = {int(term.shift): term.numerators
+                 for term in _left_expansion(FormParameters(n, m)).terms}
+        assert sorted(terms) == list(range(n + 1)), (n, m)
+        for shift, numerators in terms.items():
+            mirrored = tuple((-1) ** j * a for j, a in enumerate(terms[n - shift]))
+            assert numerators == mirrored, (n, m, shift)
+
+
 @pytest.mark.slow
 def test_both_sides_match_recurrence_table_to_n_40():
     for (n, m), expected in recurrence_table(40).items():
@@ -373,6 +393,34 @@ def test_pochhammer_derivative_matches_polynomial_route(x, k, nu):
     block = LinearFactorProduct.of(1, [(x + i, 1) for i in range(k)])
     chain = DerivativeChain(*block._integer_parts(), 1)
     assert pochhammer_derivative(x, k, nu) == chain.values(nu)[1]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_derivatives_at_match_the_chain(n):
+    # the generated route against the oracle's chain at orders 0..4, on every
+    # left kernel, right j-kernel and summed right kernel P B, from the first
+    # point where every factor is positive on
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        kernels = [(label, blocks) for label, blocks, _ in _kernel_specs(p)]
+        kernels.append(("right P B", _right_kernel(p)))
+        for label, blocks in kernels:
+            chain = blocks.chain(4)
+            first = blocks.first_positive_point()
+            for x in (first, first + 1, first + 5, first + 40):
+                values = chain.values(x)
+                for order in range(5):
+                    assert _derivatives_at(blocks, x, order) == values[:order + 1], (
+                        n, m, label, x, order)
+
+
+def test_derivatives_at_needs_every_factor_positive():
+    p = FormParameters(3, 1)
+    for blocks in (_left_blocks(p), _right_blocks(p, 2), _right_kernel(p)):
+        first = blocks.first_positive_point()
+        assert _derivatives_at(blocks, first, 1)
+        with pytest.raises(DomainError):
+            _derivatives_at(blocks, first - 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,29 @@ def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
     assert captured.out == "" and calls == []
 
 
+def test_a_usage_error_keeps_an_existing_report(tmp_path, capsys):
+    # the paths are checked before any work, without truncating an old report
+    old = tmp_path / "old.json"
+    old.write_text('{"old": "report"}')
+    argv = ["verify-identity", "--n-max", "1", "--json", str(old),
+            "--csv", str(tmp_path / "missing" / "x.csv")]
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert old.read_text() == '{"old": "report"}'
+
+
+def test_json_and_csv_cannot_share_a_file(tmp_path, monkeypatch, capsys):
+    # the CSV would silently overwrite the JSON report
+    calls = []
+    monkeypatch.setattr(cli_report, "verify_cell", lambda n, m: calls.append((n, m)))
+    path = str(tmp_path / "report")
+    assert main(["verify-identity", "--n-max", "1", "--json", path, "--csv", path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == "" and calls == []
+
+
 @pytest.mark.parametrize("n_max, code", [("1", 0), ("-1", 2)])
 def test_module_entry_point_runs_from_a_checkout(n_max, code):
     # python -m apery4 needs no installed script, only the package on the path
