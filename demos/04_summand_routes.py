@@ -6,8 +6,9 @@ so the package evaluates every summand by independent routes and compares
 exactly:
 
 * printed    -- the harmonic-number closed formula, typed in by hand,
-* oracle     -- a structure-blind quotient rule on the kernel's integer
-                expansion (its derivative chain),
+* oracle     -- a structure-blind product and quotient rule on the
+                kernel's integer expansion, applied to Taylor series at
+                the point (its derivative chain's values),
 * generated  -- the rising-factorial derivative rule applied to every
                 factor at once, in logarithmic form: the local expansion
                 that gives the exact forms their principal parts, read at a

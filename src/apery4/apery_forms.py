@@ -32,9 +32,9 @@ The module also carries the three independent evaluation routes for the
 1. printed closed formulas in terms of harmonic numbers
    (:func:`left_tail_summand`, :func:`left_mid_summand`,
    :func:`right_mid_summand`, :func:`right_low_summand`),
-2. a structure-blind polynomial oracle (factored quotient rule on the
-   kernel's integer expansion, one :class:`polyrat.DerivativeChain` per
-   kernel), and
+2. a structure-blind polynomial oracle (product and quotient rule on the
+   kernel's integer expansion, on Taylor series at the point, one
+   :class:`polyrat.DerivativeChain` per kernel), and
 3. a generated route applying the rising-factorial derivative rule
    (:func:`pochhammer_derivative`) to every factor in logarithmic form: the
    local expansion that yields the principal parts, read at a point where
@@ -61,7 +61,8 @@ from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
-                      PoleExpansion, Polynomial, _mul_coeffs)
+                      PoleExpansion, Polynomial, _linear_product, _merged_shifts,
+                      _mul_coeffs)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
@@ -148,9 +149,10 @@ class _BlockProduct:
     def chain(self, order: int) -> DerivativeChain:
         """The kernel's :class:`DerivativeChain` up to ``order``: the integer
         expansion of the merged factors times the cofactor."""
-        coeffs, scale, den_factors = LinearFactorProduct.of(
-            self.scalar, self.linear_factors())._integer_parts()
-        return DerivativeChain(_mul_coeffs(coeffs, self.cofactor), scale, den_factors, order)
+        merged = _merged_shifts(self.linear_factors())
+        coeffs, lead = _linear_product((s, e) for s, e in merged.items() if e > 0)
+        return DerivativeChain(_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
+                               [(s, -e) for s, e in merged.items() if e < 0], order)
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""

@@ -65,14 +65,18 @@ def _at_least(value: int, low: int, name: str) -> int:
 
 def _check_writable(path: str | None) -> None:
     """Open a report path for appending before any work, so a bad path is a
-    usage error; an existing report keeps its bytes until it is rewritten."""
+    usage error; an existing report keeps its bytes until it is rewritten,
+    and a file the check creates is removed again."""
     if path is None or path == "-":
         return
+    existed = os.path.lexists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(path: str, command: str, config: dict, summary: dict, body: dict) -> None:

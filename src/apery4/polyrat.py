@@ -16,11 +16,12 @@ flattened form, with repeated shifts merged, multiplied out in integers
 with one scalar.  The exact forms take their principal parts straight from
 the blocks, in integers, and return them as :class:`PartialFractions`
 (integer numerators over one reduced denominator), never expanding a
-kernel.  A :class:`DerivativeChain` is a kernel's integer quotient-rule
-chain, built once from its integer expansion for derivative values at any
-point, exact sums over a range and sign proofs on a ray: the route of the
-numeric series and of the summand oracle.  :class:`Polynomial` and
-:class:`RationalFunction` are the plain dense forms that
+kernel.  A :class:`DerivativeChain` holds a kernel's integer expansion;
+it takes derivative values at a point by the product and quotient rule on
+Taylor series there, and builds the dense integer quotient-rule chain on
+first need, for exact sums over a range and sign proofs on a ray: the
+route of the numeric series and of the summand oracle.  :class:`Polynomial`
+and :class:`RationalFunction` are the plain dense forms that
 :meth:`LinearFactorProduct.expand` returns.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import PoleError
@@ -148,14 +149,8 @@ class LinearFactorProduct:
     @classmethod
     def of(cls, scalar: Fraction | int,
            factors: Iterable[tuple[Fraction | int, int]] = ()) -> "LinearFactorProduct":
-        # int and Fraction keys of equal value hash alike, so shifts merge
-        # before the survivors are converted; most shifts are ints, which
-        # hash and sort far faster than Fractions.
-        merged: dict[Fraction | int, int] = {}
-        for shift, exponent in factors:
-            merged[shift] = merged.get(shift, 0) + exponent
-        ordered = tuple((_as_fraction(shift), exponent)
-                        for shift, exponent in sorted(merged.items()) if exponent)
+        merged = sorted(_merged_shifts(factors).items())
+        ordered = tuple((_as_fraction(shift), exponent) for shift, exponent in merged if exponent)
         return cls(_as_fraction(scalar), ordered)
 
     # -- structure readouts ---------------------------------------------------
@@ -213,7 +208,17 @@ class LinearFactorProduct:
         return RationalFunction(num, Polynomial(_F(c, lead) for c in coeffs))
 
 
-def _linear_product(factors: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
+def _merged_shifts(factors: Iterable[tuple[Fraction | int, int]]) -> dict[Fraction | int, int]:
+    """The exponents of equal shifts added.  int and Fraction keys of equal
+    value hash alike, so shifts merge before any is converted; most shifts
+    are ints, which hash and sort far faster than Fractions."""
+    merged: dict[Fraction | int, int] = {}
+    for shift, exponent in factors:
+        merged[shift] = merged.get(shift, 0) + exponent
+    return merged
+
+
+def _linear_product(factors: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
     """(coefficients of prod (r t + q)^e, prod r^e) for shifts q/r, e >= 0: so
     prod (t + q/r)^e is the integer coefficient list over that one integer."""
     coeffs, lead = [1], 1
@@ -275,21 +280,17 @@ class RationalFunction:
 
 
 def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
-                    den_factors: Sequence[tuple[Fraction, int]],
-                    order: int) -> tuple[Fraction, list[tuple[int, int, int]], list[list[int]]]:
-    """(K, [(r, q, e)], [N_0..N_order]), f^(d) = K N_d / prod (r t + q)^(e + d).
+                    den_factors: Sequence[tuple[Fraction | int, int]],
+                    order: int) -> list[list[int]]:
+    """[N_0..N_order], f^(d) = K N_d / prod (r t + q)^(e + d), K = scale prod r^e.
 
     f = scale * sum coeffs[i] t^i / prod (t + q/r)^e.  With P = prod (r t + q)
     and W = sum e r P/(r t + q), one quotient-rule step sends N_d to
     N_d' P - N_d (W + d P'): integers throughout, no gcd.
     """
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    linears, p_coeffs, weighted = [], [1], []
+    p_coeffs, weighted = [1], []
     for shift, e in den_factors:
-        q, r = _as_fraction(shift).as_integer_ratio()
-        linears.append((r, q, e))
-        scale *= r ** e
+        q, r = shift.as_integer_ratio()
         # (P, W) -> (P l, W l + e r P) for the next factor l = r t + q
         weighted = [w + e * r * c for w, c in zip(_times_linear(weighted, q, r), p_coeffs)]
         p_coeffs = _times_linear(p_coeffs, q, r)
@@ -301,65 +302,92 @@ def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
         derived = _mul_coeffs([k * c for k, c in enumerate(current)][1:], p_coeffs)
         chain.append([a - b for a, b in
                       zip_longest(derived, _mul_coeffs(current, step), fillvalue=0)])
-    return scale, linears, chain
-
-
-def _term(coeffs: list[int], linears: list[tuple[int, int, int]],
-          a: int, b: int, d: int) -> tuple[int, int]:
-    """N(a/b) / prod (r a/b + q)^(e + d) as an unreduced integer pair."""
-    top, power = 0, 1
-    for c in reversed(coeffs):              # top = b^len N(a/b), power = b^len
-        power *= b
-        top = top * a + c * power
-    bottom, exponents = 1, 0
-    for r, q, e in linears:                 # r t + q = (r a + q b) / b at t = a/b
-        bottom *= (r * a + q * b) ** (e + d)
-        exponents += e + d
-    if not bottom:
-        raise PoleError(f"derivative evaluation at pole t = {_F(a, b)}")
-    return top * b ** exponents, power * bottom
+    return chain
 
 
 class DerivativeChain:
     """f, f', ..., f^(order) of f = scale * sum coeffs[i] t^i / prod (t + s)^e,
-    from the integer expansion (``LinearFactorProduct._integer_parts``), as the
-    integer chain of :func:`_quotient_chain`.  It does not depend on the
-    point, so one instance serves every evaluation, sum and sign proof; no
-    method changes it.
+    from the integer expansion (``LinearFactorProduct._integer_parts``).
+
+    :meth:`values` applies the product and quotient rule at the point, to
+    truncated Taylor series; :meth:`sum` and :meth:`keeps_sign` read the
+    dense integer chain of :func:`_quotient_chain`, built for ``order`` on
+    the first of their calls.  It does not depend on the point, so one
+    instance serves every evaluation, sum and sign proof; no method changes
+    what an instance computes.
     """
 
-    __slots__ = ("_scale", "_linears", "_chain")
+    __slots__ = ("_spec", "_scale", "_linears", "_chain")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
-                 den_factors: Sequence[tuple[Fraction, int]], order: int) -> None:
-        self._scale, self._linears, self._chain = _quotient_chain(
-            coeffs, scale, den_factors, order)
+                 den_factors: Sequence[tuple[Fraction | int, int]], order: int) -> None:
+        if order < 0:
+            raise ValueError(f"derivative order must be >= 0, got {order}")
+        self._spec, self._chain = (coeffs, scale, den_factors, order), None
+        # (r, q, e) for each t + q/r = (r t + q) / r, the r^e moved into the scale
+        self._linears = [(s.denominator, s.numerator, e) for s, e in den_factors]
+        self._scale = scale * prod(r ** e for r, _, e in self._linears)
 
     @property
     def order(self) -> int:
-        return len(self._chain) - 1
+        return self._spec[3]
 
     def _numerator(self, order: int) -> list[int]:
         if not 0 <= order <= self.order:
             raise ValueError(f"derivative order {order} outside 0..{self.order}")
+        if self._chain is None:
+            self._chain = _quotient_chain(*self._spec)
         return self._chain[order]
 
     def values(self, x: Fraction | int) -> list[Fraction]:
-        """f(x), ..., f^(order)(x), each N_d evaluated homogeneously at x = a/b
-        so that only the returned values are normalised; PoleError at a pole."""
+        """f(x), ..., f^(order)(x) at x = a/b, from f's Taylor series in u,
+        t = (a + u)/b, in integers: the numerator's by homogeneous synthetic
+        division, times each (r t + q)^-e's binomial series, that of
+        (L + r u)^-e with L = r a + q b, made by e geometric divisions; the
+        u^k coefficients are scaled by D^k, D = lcm of the L's.  PoleError
+        at a pole."""
         a, b = _as_fraction(x).as_integer_ratio()
-        scale, values = self._scale, []
-        for d, current in enumerate(self._chain):
-            top, bottom = _term(current, self._linears, a, b, d)
-            values.append(_F(scale.numerator * top, scale.denominator * bottom))
+        coeffs, order = self._spec[0], self.order
+        bases = [r * a + q * b for r, q, _ in self._linears]
+        if 0 in bases:
+            raise PoleError(f"derivative evaluation at pole t = {_F(a, b)}")
+        lcd, deg = lcm(*bases), max(len(coeffs) - 1, 0)
+        series = [c * b ** (deg - i) for i, c in enumerate(coeffs)]    # b^deg N((a + u)/b)
+        for i in range(min(order + 1, deg)):        # pass i leaves the u^i coefficient
+            for k in range(deg - 1, i - 1, -1):
+                series[k] += a * series[k + 1]
+        series = [c * lcd ** k for k, c in enumerate(series[:order + 1])]
+        series += [0] * (order + 1 - len(series))
+        top = self._scale.numerator * b ** sum(e for *_, e in self._linears)
+        bottom = self._scale.denominator * b ** deg
+        for (r, _, e), base in zip(self._linears, bases):
+            ratio = r * (lcd // base)
+            for _ in range(e):                      # divided by 1 + r u / L, exactly
+                for k in range(1, order + 1):
+                    series[k] -= ratio * series[k - 1]
+            bottom *= base ** e
+        values = []
+        for d, c in enumerate(series):              # f^(d)(x) = b^d d! [u^d] f
+            if d:
+                top, bottom = top * b * d, bottom * lcd
+            values.append(_F(top * c, bottom))
         return values
 
     def sum(self, order: int, start: int, stop: int) -> Fraction:
         """Exact sum of f^(order)(v) over the integers start <= v < stop, as
-        integer pairs added in a balanced tree over reduced denominators
-        (adjacent terms share most factors) and normalised once."""
-        coeffs = self._numerator(order)
-        pairs = [_term(coeffs, self._linears, v, 1, order) for v in range(start, stop)]
+        integer pairs N_order(v) / prod (r v + q)^(e + order) added in a
+        balanced tree over reduced denominators (adjacent terms share most
+        factors) and normalised once."""
+        coeffs, pairs = self._numerator(order), []
+        for v in range(start, stop):
+            top, bottom = 0, 1
+            for c in reversed(coeffs):
+                top = top * v + c
+            for r, q, e in self._linears:
+                bottom *= (r * v + q) ** (e + order)
+            if not bottom:
+                raise PoleError(f"derivative evaluation at pole t = {v}")
+            pairs.append((top, bottom))
         while len(pairs) > 1:
             pairs = ([_merge(a, b, c, d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
                      + pairs[len(pairs) - len(pairs) % 2:])

@@ -5,8 +5,9 @@ Nothing in the package calls it.  It holds the polynomial ring over Q
 long and synthetic division and Taylor prefixes), a kernel multiplied out
 with Fraction polynomial powers (:func:`fraction_expansion`), and the
 reference partial-fraction decomposition of a plain numerator/denominator
-pair (:func:`partial_fractions`).  That decomposition expands each pole by
-Taylor and series division, then re-multiplies its answer and compares it
+pair (:func:`partial_fractions`), and derivative values read off the dense
+quotient chain (:func:`chain_values`).  The decomposition expands each pole
+by Taylor and series division, then re-multiplies its answer and compares it
 with the input (:class:`~apery4.errors.ReconstructionError` on mismatch), so
 a returned expansion is certified, not merely computed.
 """
@@ -18,9 +19,9 @@ from math import lcm
 from typing import Iterable
 
 from apery4 import polyrat
-from apery4.errors import Apery4Error, ReconstructionError
-from apery4.polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                            RationalFunction, _mul_coeffs)
+from apery4.errors import Apery4Error, PoleError, ReconstructionError
+from apery4.polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
+                            PoleExpansion, RationalFunction, _mul_coeffs)
 
 _F = Fraction
 _ZERO = _F(0)
@@ -145,6 +146,25 @@ def fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomia
         else:
             den = den * Polynomial((shift, 1)) ** -exponent
     return num, den
+
+
+def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
+    """f(x), ..., f^(order)(x) of ``chain`` from its dense quotient chain
+    (:func:`apery4.polyrat._quotient_chain`): each N_d evaluated at x over
+    prod (r x + q)^(e + d), times K; PoleError at a pole."""
+    linears = [(_F(shift), e) for shift, e in chain._spec[2]]
+    factor = chain._spec[1]
+    for shift, e in linears:
+        factor *= shift.denominator ** e
+    x, values = _F(x), []
+    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec)):
+        bottom = _ONE
+        for shift, e in linears:
+            bottom *= (shift.denominator * x + shift.numerator) ** (e + d)
+        if not bottom:
+            raise PoleError(f"derivative evaluation at pole t = {x}")
+        values.append(factor * Polynomial(numerator)(x) / bottom)
+    return values
 
 
 def partial_fractions(f: RationalFunction,

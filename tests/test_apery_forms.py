@@ -22,7 +22,7 @@ from apery4 import (DivergenceError, DomainError, FormParameters,
                     LinearFactorProduct, PartialFractions, PoleExpansion,
                     RangeError, RationalFunction, ReconstructionError,
                     ZetaLinearForm, apery_forms, audit_summands,
-                    derivative_tail_sum, evaluate_decimal, left_form,
+                    derivative_tail_sum, evaluate_decimal, exact_arith, left_form,
                     left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
                     pochhammer_derivative, polyrat, right_finite_sum,
@@ -34,7 +34,7 @@ from apery4.apery_forms import (_BlockProduct, _certify, _derivatives_at,
                                 _right_blocks, _right_kernel, _series_numeric)
 from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
-from dense_reference import Polynomial, partial_fractions
+from dense_reference import Polynomial, chain_values, partial_fractions
 
 F = Fraction
 
@@ -414,6 +414,33 @@ def test_derivatives_at_match_the_chain(n):
                         n, m, label, x, order)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_chain_values_match_the_dense_chain_on_kernels(n):
+    # values at the point against N_d of the dense chain, orders 0..4, on
+    # every left kernel, right j-kernel and summed right kernel P B, beyond
+    # the poles and between them
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        kernels = [(label, blocks) for label, blocks, _ in _kernel_specs(p)]
+        kernels.append(("right P B", _right_kernel(p)))
+        for label, blocks in kernels:
+            first = blocks.first_positive_point()
+            for order in range(5):
+                chain = blocks.chain(order)
+                for x in (first, first + 7, first + F(1, 3), F(-1, 3), F(-5, 4)):
+                    assert chain.values(x) == chain_values(chain, x), (n, m, label, x)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)])
+def test_closure_values_match_the_dense_chain(n, m):
+    # criterion 9's cells, both sides, at the closure order of the first two cutoffs
+    p = FormParameters(n, m)
+    for blocks, order in ((_left_blocks(p), 1), (_right_kernel(p), 2)):
+        chain = blocks.chain(order + 2 * apery_forms._MAX_DEPTH + 2)
+        for cutoff in (256, 512):
+            assert chain.values(cutoff) == chain_values(chain, cutoff), (n, m, order, cutoff)
+
+
 def test_derivatives_at_needs_every_factor_positive():
     p = FormParameters(3, 1)
     for blocks in (_left_blocks(p), _right_blocks(p, 2), _right_kernel(p)):
@@ -508,18 +535,42 @@ def test_audit_is_deterministic_and_green():
 
 
 def test_audit_builds_one_chain_per_kernel(monkeypatch):
-    orders = _count_chains(monkeypatch)
-    products = []
+    # one chain per kernel, read only through values at the point: the
+    # dense quotient chain is never built
+    built = _count_chains(monkeypatch)
+    orders = []
     chain = _BlockProduct.chain
 
     def spy(bp, order):
-        products.append(bp)
+        orders.append(order)
         return chain(bp, order)
 
     monkeypatch.setattr(_BlockProduct, "chain", spy)
     audit_summands(n_max=3, samples=2, seed=11)
-    assert len(orders) == len(products) == 36
+    assert len(orders) == 36
     assert set(orders) == {1, 2}
+    assert built == []
+
+
+def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
+    # the oracle is independent of the generated route's local expansions
+    # and of the printed formulas' harmonic numbers: with both refused it
+    # still gives every oracle value of the audit
+    checks = audit_summands(n_max=4, samples=2, seed=0)
+
+    def refuse(*args):
+        raise AssertionError("the oracle read another route's tables")
+
+    monkeypatch.setattr(apery_forms._LocalExpansion, "part", refuse)
+    for module in (exact_arith, apery_forms, polyrat):     # and every binding of it
+        monkeypatch.setattr(module, "harmonic", refuse, raising=False)
+    with pytest.raises(AssertionError):
+        audit_summands(n_max=1, samples=1, seed=0)
+    for c in checks:
+        p = FormParameters(c.n, c.m)
+        x = c.nu + {"left-tail": 2 * c.n - c.m, "left-mid": c.n - c.m}.get(c.family, 0)
+        blocks, order = (_left_blocks(p), 1) if c.j is None else (_right_blocks(p, c.j), 2)
+        assert str(blocks.chain(order).values(x)[-1]) == c.values[c.routes.index("oracle")], c
 
 
 def test_audit_values_are_pinned():

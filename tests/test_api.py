@@ -4,7 +4,8 @@ The traced benchmark run resolves every name in every module's ``__all__``
 with ``getattr`` and wraps ``LinearFactorProduct.expand`` and
 ``expand_parts`` as they appear in the class namespace, so a stale export or
 a method turned into a static method or property would crash it.  The
-package itself depends on the standard library alone.
+package itself depends on the standard library alone, and its distribution
+metadata names the package and its version.
 """
 
 import ast
@@ -44,3 +45,10 @@ def test_imports_only_the_standard_library(path):
                  if isinstance(node, ast.ImportFrom) and node.level == 0]
     assert [name for name in imported
             if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_distribution_metadata_matches_the_package():
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert (project["name"], project["version"]) == ("apery4", apery4.__version__)

@@ -242,6 +242,16 @@ def test_a_usage_error_keeps_an_existing_report(tmp_path, capsys):
     assert old.read_text() == '{"old": "report"}'
 
 
+def test_a_usage_error_leaves_no_new_report(tmp_path, capsys):
+    # a good --json path checked before a bad --csv path is not created
+    new = tmp_path / "new.json"
+    argv = ["verify-identity", "--n-max", "1", "--json", str(new),
+            "--csv", str(tmp_path / "missing" / "x.csv")]
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not new.exists()
+
+
 def test_json_and_csv_cannot_share_a_file(tmp_path, monkeypatch, capsys):
     # the CSV would silently overwrite the JSON report
     calls = []

@@ -13,8 +13,8 @@ from apery4 import (FormParameters, LinearFactorProduct, PartialFractions,
                     PoleError, PoleExpansion, RationalFunction, left_kernel,
                     pochhammer, right_kernel_term)
 from apery4.polyrat import DerivativeChain
-from dense_reference import (FactorizationError, Polynomial, fraction_expansion,
-                             partial_fractions)
+from dense_reference import (FactorizationError, Polynomial, chain_values,
+                             fraction_expansion, partial_fractions)
 
 F = Fraction
 
@@ -169,6 +169,23 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
             # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
             assert values[d] == polynomial(x) + _parts_derivative(parts, x, d)
             polynomial = polynomial.derivative()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_values_at_the_point_match_the_dense_chain(seed):
+    # the Taylor route of values against N_d of the dense chain at the point
+    rng = random.Random(seed)
+    prod = _random_product(rng)
+    poles = set(prod.denominator_shifts())
+    points = [F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 7))) for _ in range(6)]
+    for order in range(7):
+        chain = _chain(prod, order)
+        for x in [x for x in points if -x not in poles]:
+            assert chain.values(x) == chain_values(chain, x), (order, x)
+        for shift in poles:
+            for route in (chain.values, lambda x: chain_values(chain, x)):
+                with pytest.raises(PoleError):
+                    route(-shift)
 
 
 @pytest.mark.parametrize("seed", range(6))
