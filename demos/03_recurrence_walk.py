@@ -10,7 +10,7 @@ boundary recurrences that pin the m = 0 column from both constructions.
 
 import time
 
-from apery4 import FormParameters, left_form
+from apery4 import FormParameters, left_form, right_form
 from apery4.recurrence_lab import (closed_form_m0, closed_form_m1,
                                    left_boundary_check, left_boundary_value,
                                    recurrence_coefficients, recurrence_table,
@@ -44,10 +44,11 @@ print(f"  Z(3, 1) = {closed_form_m1(3)}")
 # inhomogeneous first-order one whose right-hand side is a pure rational...
 print("\nleft boundary combination -16(2n+1)^4 Z(n,0) - (n+1)^4 Z(n+1,0):")
 for n in range(3):
-    assert left_boundary_check(n)
+    assert left_boundary_check(series, n)
     print(f"  n = {n}: {left_boundary_value(n)} (zeta parts cancel)")
 
 # ...and a homogeneous second-order annihilator for the other construction.
+right_column = {(n, 0): right_form(FormParameters(n, 0)) for n in range(5)}
 for n in range(3):
-    assert right_column_check(n)
+    assert right_column_check(right_column, n)
 print("right column annihilator verified for n = 0, 1, 2")

@@ -15,12 +15,14 @@ exactly:
                 point where no factor vanishes.
 """
 
-from apery4 import (FormParameters, audit_summands, left_tail_summand,
-                    pochhammer_derivative)
-from apery4.apery_forms import _derivatives_at, _left_blocks
+from fractions import Fraction
+
+from apery4 import FormParameters, audit_summands, left_tail_summand
+from apery4.apery_forms import _BlockProduct, _derivatives_at, _left_blocks
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
-print(f"d/dt (1 + t)_2 at t = 1: {pochhammer_derivative(1, 2, 1)}")
+one_block = _BlockProduct(Fraction(1), ((1, 2, 1),), ())
+print(f"d/dt (1 + t)_2 at t = 1: {_derivatives_at(one_block, 1, 1)[1]}")
 
 p = FormParameters(2, 1)
 nu = 3

@@ -13,11 +13,11 @@ from __future__ import annotations
 from .apery_forms import (FormParameters, SummandCheck, audit_summands,
                           left_form, left_form_numeric, left_kernel,
                           left_mid_sum, left_mid_summand, left_split_check,
-                          left_tail_summand, pochhammer_derivative,
-                          right_finite_sum, right_form, right_form_numeric,
-                          right_kernel_term, right_low_summand,
-                          right_mid_summand, right_split_check,
-                          right_tail_component, verify_cell)
+                          left_tail_summand, right_finite_sum, right_form,
+                          right_form_numeric, right_kernel_term,
+                          right_low_summand, right_mid_summand,
+                          right_split_check, right_tail_component,
+                          verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError,
                      NonProperError, PoleError, PoleInRangeError, RangeError,
                      ReconstructionError)
@@ -60,7 +60,6 @@ __all__ = [
     "left_split_check",
     "left_tail_summand",
     "pochhammer",
-    "pochhammer_derivative",
     "right_finite_sum",
     "right_form",
     "right_form_numeric",

@@ -35,10 +35,10 @@ The module also carries the three independent evaluation routes for the
 2. a structure-blind polynomial oracle (product and quotient rule on the
    kernel's integer expansion, on Taylor series at the point, one
    :class:`polyrat.DerivativeChain` per kernel), and
-3. a generated route applying the rising-factorial derivative rule
-   (:func:`pochhammer_derivative`) to every factor in logarithmic form: the
-   local expansion that yields the principal parts, read at a point where
-   no factor vanishes (:func:`_derivatives_at`).
+3. a generated route applying the rising-factorial derivative rule (power
+   sums over each block as harmonic differences) to every factor in
+   logarithmic form: the local expansion that yields the principal parts,
+   read at a point where no factor vanishes (:func:`_derivatives_at`).
 
 :func:`audit_summands` samples parameter cells and compares the routes
 pointwise; any disagreement is reported, none is expected.
@@ -82,7 +82,6 @@ __all__ = [
     "right_finite_sum",
     "right_tail_component",
     "right_split_check",
-    "pochhammer_derivative",
     "SummandCheck",
     "audit_summands",
     "left_form_numeric",
@@ -205,24 +204,25 @@ def _left_blocks(p: FormParameters) -> _BlockProduct:
     )
 
 
-def _right_spec(p: FormParameters) -> tuple[_BlockProduct, list[int]]:
-    """The right kernel's shared blocks B and weights C_j, 0 <= j <= n: its
-    j-th term is C_j (t-j)_n B (degree gap 2), where
-
-    C_j = C(n,j)^2 C(2n-m+j, n),  B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}).
-    """
+def _right_spec(p: FormParameters) -> _BlockProduct:
+    """The right kernel's shared blocks B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}):
+    its j-th term, 0 <= j <= n, is C_j (t-j)_n B (degree gap 2), C_j below."""
     n, m = p.n, p.m
-    shared = _BlockProduct(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1),
-                                   (0, 2 * n - m + 1, -1)), ())
-    return shared, [binomial(n, j) ** 2 * binomial(2 * n - m + j, n) for j in range(n + 1)]
+    return _BlockProduct(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1),
+                                 (0, 2 * n - m + 1, -1)), ())
+
+
+def _right_weight(p: FormParameters, j: int) -> int:
+    """The weight C_j = C(n,j)^2 C(2n-m+j, n) of the right kernel's j-th term."""
+    return binomial(p.n, j) ** 2 * binomial(2 * p.n - p.m + j, p.n)
 
 
 def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
     """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
     if not 0 <= j <= p.n:
         raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {p.n}")
-    shared, weights = _right_spec(p)
-    return replace(shared, scalar=_F(weights[j]), blocks=((-j, p.n, 1),) + shared.blocks)
+    shared = _right_spec(p)
+    return replace(shared, scalar=_F(_right_weight(p, j)), blocks=((-j, p.n, 1),) + shared.blocks)
 
 
 def _right_kernel(p: FormParameters) -> _BlockProduct:
@@ -234,12 +234,12 @@ def _right_kernel(p: FormParameters) -> _BlockProduct:
     otherwise, so P(-q) = (-1)^n sum_{j >= n-q} C_j (q+j-n+1)_n, a sum of
     terms of one sign that always includes j = n.
     """
-    shared, weights = _right_spec(p)
     cofactor, falling = [], [1]
-    for j, weight in enumerate(weights):            # falling = (t-j)_j
+    for j in range(p.n + 1):                        # falling = (t-j)_j
+        weight = _right_weight(p, j)
         cofactor = [c + weight * f for c, f in zip(_mul_coeffs(cofactor, [p.n - j, 1]), falling)]
         falling = _mul_coeffs(falling, [-j - 1, 1])
-    return replace(shared, cofactor=tuple(cofactor))
+    return replace(_right_spec(p), cofactor=tuple(cofactor))
 
 
 def left_kernel(p: FormParameters) -> LinearFactorProduct:
@@ -395,10 +395,7 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
     to its pole's order E.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    merged: dict[Fraction | int, int] = {}
-    for shift, exponent in bp.linear_factors():
-        merged[shift] = merged.get(shift, 0) + exponent
-    poles = {s: -e for s, e in merged.items() if e < 0}
+    poles = {s: -e for s, e in _merged_shifts(bp.linear_factors()).items() if e < 0}
     if orders != poles:
         raise ReconstructionError(
             f"{where}: block poles {sorted(orders.items())} differ from the "
@@ -462,6 +459,12 @@ def _left_expansion(p: FormParameters) -> PartialFractions:
                             f"left side of cell (n, m) = ({p.n}, {p.m})")
 
 
+def _right_expansion(p: FormParameters) -> PartialFractions:
+    """The certified parts of the summed right kernel P B (:func:`_right_kernel`)."""
+    return _principal_parts(_right_kernel(p),
+                            f"right side of cell (n, m) = ({p.n}, {p.m})")
+
+
 def left_form(p: FormParameters) -> ZetaLinearForm:
     """Exact value of the left form: -1/3 sum_{v >= n-m+1} (d/dt kernel)(v)."""
     return _F(-1, 3) * derivative_tail_sum(_left_expansion(p), 1, p.n - p.m + 1)
@@ -469,11 +472,9 @@ def left_form(p: FormParameters) -> ZetaLinearForm:
 
 def right_form(p: FormParameters) -> ZetaLinearForm:
     """Exact value of the right form: 1/6 sum_{v >= 1} (d^2/dt^2 P B)(v), one
-    expansion, certificate and tail sum on the kernel of :func:`_right_kernel`.
+    expansion, certificate and tail sum on the summed kernel.
     """
-    expansion = _principal_parts(_right_kernel(p),
-                                 f"right side of cell (n, m) = ({p.n}, {p.m})")
-    return _F(1, 6) * derivative_tail_sum(expansion, 2, 1)
+    return _F(1, 6) * derivative_tail_sum(_right_expansion(p), 2, 1)
 
 
 def verify_cell(n: int, m: int) -> dict:
@@ -494,29 +495,15 @@ def verify_cell(n: int, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the rising-factorial derivative rule and the generated route
+# the generated route: the rising-factorial derivative rule at a point
 # ---------------------------------------------------------------------------
-
-
-def pochhammer_derivative(x: int, k: int, nu: int) -> Fraction:
-    """d/dt (x + t)_k at t = nu, for integer x with nu + x >= 1.
-
-    Equals (x + nu)_k * (S_1(nu+x+k-1) - S_1(nu+x-1)) by the product rule.
-    """
-    if k < 0:
-        raise ValueError(f"pochhammer_derivative requires k >= 0, got k = {k}")
-    if nu + x < 1:
-        raise DomainError(
-            f"derivative rule needs nu + x >= 1, got nu + x = {nu + x}")
-    return _F(pochhammer(nu + x, k)) * (harmonic(1, nu + x + k - 1)
-                                        - harmonic(1, nu + x - 1))
 
 
 def _derivatives_at(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
     """[g, g', ..., g^(order)](point) of the kernel ``bp``, cofactor included.
 
-    The generated summand route: the rule of :func:`pochhammer_derivative`
-    (power sums over each block as harmonic differences) applied to every
+    The generated summand route: the rising-factorial derivative rule,
+    d/dt (t+x)_k = (t+x)_k (S_1(t+x+k-1) - S_1(t+x-1)), applied to every
     factor at once through log g, to any order.  Where no factor vanishes,
     the local expansion (:class:`_LocalExpansion`) at ``point`` as a pole of
     order ``order + 1`` has the Taylor coefficients g^(k)(point)/k! as its
@@ -612,10 +599,12 @@ def left_mid_sum(p: FormParameters) -> Fraction:
 
 
 def left_split_check(p: FormParameters) -> bool:
-    """Re-derive the left form from its tail + mid split and compare."""
-    tail = derivative_tail_sum(_left_expansion(p), 1, 2 * p.n - p.m + 1)
-    split_value = _F(-1, 3) * (tail + ZetaLinearForm.from_constant(left_mid_sum(p)))
-    return split_value == left_form(p)
+    """Tail from v = 2n-m+1 plus printed mid part == the whole left series,
+    both summed from one certified expansion."""
+    expansion = _left_expansion(p)
+    tail = derivative_tail_sum(expansion, 1, 2 * p.n - p.m + 1)
+    whole = derivative_tail_sum(expansion, 1, p.n - p.m + 1)
+    return tail + ZetaLinearForm.from_constant(left_mid_sum(p)) == whole
 
 
 def right_mid_summand(p: FormParameters, j: int, nu: int) -> Fraction:
@@ -690,11 +679,12 @@ def right_tail_component(p: FormParameters, j: int) -> ZetaLinearForm:
 
 
 def right_split_check(p: FormParameters) -> bool:
-    """Re-derive the right form from its tail + finite split and compare."""
-    total = ZetaLinearForm.from_constant(right_finite_sum(p))
-    for j in range(p.n + 1):
-        total = total + right_tail_component(p, j)
-    return _F(1, 6) * total == right_form(p)
+    """Tail from v = n+1 plus printed finite part == the whole right series,
+    both summed from one certified expansion of P B, the sum of the j-terms."""
+    expansion = _right_expansion(p)
+    tail = derivative_tail_sum(expansion, 2, p.n + 1)
+    whole = derivative_tail_sum(expansion, 2, 1)
+    return tail + ZetaLinearForm.from_constant(right_finite_sum(p)) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +742,9 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
         for m in range(n + 1):
             p = FormParameters(n, m)
             shift = 2 * n - m
+            left = _left_blocks(p)
             # one chain per kernel: the left one (key None) at order 1, right j at 2
-            chains = {None: _left_blocks(p).chain(1)}
+            chains = {None: left.chain(1)}
 
             def oracle(j: int | None, x: int) -> Fraction:
                 if j not in chains:
@@ -764,7 +755,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
                     "oracle": oracle(None, nu + shift),
-                    "generated": _derivatives_at(_left_blocks(p), nu + shift, 1)[1],
+                    "generated": _derivatives_at(left, nu + shift, 1)[1],
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {

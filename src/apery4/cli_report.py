@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from . import __version__
-from .apery_forms import FormParameters, audit_summands, left_form, verify_cell
+from .apery_forms import FormParameters, audit_summands, left_form, right_form, verify_cell
 from .errors import Apery4Error, RangeError
 from .recurrence_lab import (alternating_binomial_check, closed_form_m0,
                              closed_form_m1, left_boundary_check,
@@ -188,18 +188,20 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _run_suite(name: str, n_max: int,
-               left: Callable[[int, int], ZetaLinearForm]) -> list[bool]:
-    """The outcome of every check of one named recurrence suite."""
+def _run_suite(name: str, n_max: int, left: Callable[[int, int], ZetaLinearForm],
+               right: Callable[[int, int], ZetaLinearForm]) -> list[bool]:
+    """The outcome of every check of one named suite, on the cell readers' values."""
     if name == "main":
         values = {(n, m): left(n, m) for n in range(n_max + 1) for m in range(n + 1)}
         return ([recurrence_holds(values, n, m)
                  for n in range(n_max + 1) for m in range(max(0, n - 1))]
                 + [trailing_coefficient_nonzero(n, m) for n in range(201) for m in range(n)])
     if name == "boundary-m0":
-        return [left_boundary_check(n) for n in range(n_max + 1)]
+        column = {(n, 0): left(n, 0) for n in range(n_max + 2)}
+        return [left_boundary_check(column, n) for n in range(n_max + 1)]
     if name == "boundary-zr":
-        return [right_column_check(n) for n in range(n_max + 1)]
+        column = {(n, 0): right(n, 0) for n in range(n_max + 3)}
+        return [right_column_check(column, n) for n in range(n_max + 1)]
     if name == "closed-forms":
         return ([closed_form_m0(n) == left(n, 0) for n in range(n_max + 1)]
                 + [closed_form_m1(n) == left(n, 1) for n in range(1, n_max + 1)])
@@ -215,9 +217,10 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
     names = ([s for s in _SUITES if s != "all"]
              if args.suite == "all" else [args.suite])
     left = cache(lambda n, m: left_form(FormParameters(n, m)))  # suites share cells
+    right = cache(lambda n, m: right_form(FormParameters(n, m)))
     results = []
     for name in names:
-        checks = _run_suite(name, args.n_max, left)
+        checks = _run_suite(name, args.n_max, left, right)
         results.append({"suite": name, "checks": len(checks),
                         "passed": sum(checks), "failed": len(checks) - sum(checks)})
     total_failed = sum(r["failed"] for r in results)

@@ -12,14 +12,15 @@ by the telescoping certificates, and a linear-time tabulation of the whole
 grid driven by the recurrence alone.
 
 Everything is exact; every check function returns a plain bool after
-comparing values componentwise as linear forms in {1, zeta(4)}.
+comparing values componentwise as linear forms in {1, zeta(4)}.  The series
+values come in as a mapping {(n, m): value}; this module computes none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .apery_forms import FormParameters, left_form, right_form
 from .errors import RangeError
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .zeta_forms import ZetaLinearForm
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _F = Fraction
+_Values = Mapping[tuple[int, int], ZetaLinearForm]       # {(n, m): Z(n, m)}
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +77,7 @@ def trailing_coefficient_nonzero(n: int, m: int) -> bool:
     return recurrence_coefficients(n, m)[2] != 0
 
 
-def recurrence_holds(values: dict[tuple[int, int], ZetaLinearForm],
-                     n: int, m: int) -> bool:
+def recurrence_holds(values: _Values, n: int, m: int) -> bool:
     """Check the recurrence at one admissible (n, m) on precomputed values."""
     if not 0 <= m <= n - 2:
         raise RangeError(f"recurrence needs 0 <= m <= n-2, got (n, m) = ({n}, {m})")
@@ -178,11 +179,11 @@ def left_boundary_value(n: int) -> Fraction:
                48 * factorial(2 * n + 1) ** 5)
 
 
-def left_boundary_check(n: int) -> bool:
-    """Verify the left boundary combination at n against the series values."""
-    combo = (-16 * (2 * n + 1) ** 4 * left_form(FormParameters(n, 0))
-             - (n + 1) ** 4 * left_form(FormParameters(n + 1, 0)))
-    return combo == ZetaLinearForm.from_constant(left_boundary_value(n))
+def left_boundary_check(values: _Values, n: int) -> bool:
+    """Check the left boundary combination at n on the values of (n, 0), (n+1, 0)."""
+    expected = ZetaLinearForm.from_constant(left_boundary_value(n))
+    return (-16 * (2 * n + 1) ** 4 * values[(n, 0)]
+            - (n + 1) ** 4 * values[(n + 1, 0)]) == expected
 
 
 def right_column_coefficients(n: int) -> tuple[int, int, int]:
@@ -208,12 +209,11 @@ def right_column_coefficients(n: int) -> tuple[int, int, int]:
     return l0, l1, l2
 
 
-def right_column_check(n: int) -> bool:
-    """Verify the right-column recurrence at n against the series values."""
+def right_column_check(values: _Values, n: int) -> bool:
+    """Check the right-column recurrence at n on the values of (n..n+2, 0)."""
     l0, l1, l2 = right_column_coefficients(n)
-    combo = (l0 * right_form(FormParameters(n, 0))
-             + l1 * right_form(FormParameters(n + 1, 0))
-             + l2 * right_form(FormParameters(n + 2, 0)))
+    combo = (l0 * values[(n, 0)] + l1 * values[(n + 1, 0)]
+             + l2 * values[(n + 2, 0)])
     return combo.is_zero
 
 

@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from apery4 import (FormParameters, ZetaLinearForm, audit_summands,
-                    evaluate_decimal, left_form, left_form_numeric,
-                    right_form, right_form_numeric)
+from apery4 import (FormParameters, audit_summands, evaluate_decimal,
+                    left_form, left_form_numeric, right_form,
+                    right_form_numeric)
 from apery4.recurrence_lab import (alternating_binomial_check, closed_form_m0,
-                                   closed_form_m1, left_boundary_value,
-                                   recurrence_coefficients,
+                                   closed_form_m1, left_boundary_check,
+                                   recurrence_holds, right_column_check,
                                    right_column_coefficients,
                                    trailing_coefficient_nonzero)
 
@@ -40,6 +40,11 @@ def grid():
             p = FormParameters(n, m)
             values[(n, m)] = (left_form(p), right_form(p))
     return values
+
+
+def _side(grid, side):
+    """One construction's values {(n, m): form} on the session grid."""
+    return {cell: pair[side] for cell, pair in grid.items()}
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -71,14 +76,8 @@ def test_criterion_3_weight4_purity(grid):
 
 
 def test_criterion_4_recurrence_in_m(grid):
-    ok = True
-    for n in range(GRID_N_MAX + 1):
-        for m in range(max(0, n - 1)):
-            a0, a1, a2 = recurrence_coefficients(n, m)
-            for side in (0, 1):
-                combo = (a0 * grid[(n, m)][side] + a1 * grid[(n, m + 1)][side]
-                         + a2 * grid[(n, m + 2)][side])
-                ok = ok and combo.is_zero
+    ok = all(recurrence_holds(_side(grid, side), n, m) for side in (0, 1)
+             for n in range(GRID_N_MAX + 1) for m in range(max(0, n - 1)))
     scan = all(trailing_coefficient_nonzero(n, m)
                for n in range(201) for m in range(n))
     _report(f"criterion 4: three-term recurrence in m holds exactly for both "
@@ -94,18 +93,10 @@ def test_criterion_5_boundary_closed_forms(grid):
 
 
 def test_criterion_6_column_recurrences(grid):
-    ok_left = True
-    for n in range(13):
-        combo = (-16 * (2 * n + 1) ** 4 * grid[(n, 0)][0]
-                 - (n + 1) ** 4 * grid[(n + 1, 0)][0])
-        ok_left = ok_left and combo == ZetaLinearForm.from_constant(
-            left_boundary_value(n))
-    ok_right = right_column_coefficients(0)[0] == 9037440
-    for n in range(11):
-        l0, l1, l2 = right_column_coefficients(n)
-        combo = (l0 * grid[(n, 0)][1] + l1 * grid[(n + 1, 0)][1]
-                 + l2 * grid[(n + 2, 0)][1])
-        ok_right = ok_right and combo.is_zero
+    left, right = _side(grid, 0), _side(grid, 1)
+    ok_left = all(left_boundary_check(left, n) for n in range(13))
+    ok_right = (right_column_coefficients(0)[0] == 9037440
+                and all(right_column_check(right, n) for n in range(11)))
     _report("criterion 6: m = 0 column recurrences hold exactly (left "
             "combination for n <= 12, right annihilator for n <= 10)",
             ok_left and ok_right)

@@ -15,24 +15,20 @@ from itertools import zip_longest
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apery4 import (DivergenceError, DomainError, FormParameters,
-                    LinearFactorProduct, PartialFractions, PoleExpansion,
-                    RangeError, RationalFunction, ReconstructionError,
-                    ZetaLinearForm, apery_forms, audit_summands,
-                    derivative_tail_sum, evaluate_decimal, exact_arith, left_form,
+                    PartialFractions, PoleExpansion, RangeError,
+                    RationalFunction, ReconstructionError, ZetaLinearForm,
+                    apery_forms, audit_summands, derivative_tail_sum,
+                    evaluate_decimal, exact_arith, left_form,
                     left_form_numeric, left_kernel, left_mid_sum,
                     left_mid_summand, left_split_check, left_tail_summand,
-                    pochhammer_derivative, polyrat, right_finite_sum,
-                    right_form, right_form_numeric, right_kernel_term,
-                    right_low_summand, right_mid_summand, right_split_check,
-                    right_tail_component, verify_cell)
+                    polyrat, right_finite_sum, right_form, right_form_numeric,
+                    right_kernel_term, right_low_summand, right_mid_summand,
+                    right_split_check, right_tail_component, verify_cell)
 from apery4.apery_forms import (_BlockProduct, _certify, _derivatives_at,
                                 _left_blocks, _left_expansion, _principal_parts,
                                 _right_blocks, _right_kernel, _series_numeric)
-from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
 from dense_reference import Polynomial, chain_values, partial_fractions
 
@@ -137,6 +133,22 @@ def test_split_checks():
         p = FormParameters(n, m)
         assert left_split_check(p)
         assert right_split_check(p)
+
+
+def test_split_checks_certify_one_expansion_each(monkeypatch):
+    wheres = []
+    principal_parts = apery_forms._principal_parts
+
+    def counted(bp, where):
+        wheres.append(where)
+        return principal_parts(bp, where)
+
+    monkeypatch.setattr(apery_forms, "_principal_parts", counted)
+    p = FormParameters(12, 5)
+    assert left_split_check(p)
+    assert right_split_check(p)
+    assert wheres == ["left side of cell (n, m) = (12, 5)",
+                      "right side of cell (n, m) = (12, 5)"]
 
 
 def test_verify_cell_record():
@@ -369,34 +381,20 @@ def test_both_sides_match_recurrence_table_to_n_40():
 
 
 # ---------------------------------------------------------------------------
-# the rising-factorial derivative rule
+# the rising-factorial derivative rule: the generated route
 # ---------------------------------------------------------------------------
-
-
-def test_pochhammer_derivative_worked_example():
-    assert pochhammer_derivative(1, 2, 1) == 5
-
-
-def test_pochhammer_derivative_domain():
-    with pytest.raises(DomainError):
-        pochhammer_derivative(-3, 2, 1)
-    with pytest.raises(ValueError):
-        pochhammer_derivative(1, -1, 1)
-
-
-@given(st.integers(-3, 6), st.integers(0, 6), st.integers(1, 8))
-def test_pochhammer_derivative_matches_polynomial_route(x, k, nu):
-    if nu + x < 1:
-        with pytest.raises(DomainError):
-            pochhammer_derivative(x, k, nu)
-        return
-    block = LinearFactorProduct.of(1, [(x + i, 1) for i in range(k)])
-    chain = DerivativeChain(*block._integer_parts(), 1)
-    assert pochhammer_derivative(x, k, nu) == chain.values(nu)[1]
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_derivatives_at_match_the_chain(n):
+    # the rule on one block (t + x)_n: d/dt (1 + t)_2 at t = 1 is 5, and at
+    # order 1 it matches the chain wherever every factor is positive
+    assert _derivatives_at(_BlockProduct(F(1), ((1, 2, 1),), ()), 1, 1) == [6, 5]
+    for x in range(-3, 7):
+        block = _BlockProduct(F(1), ((x, n, 1),), ())
+        chain = block.chain(1)
+        for nu in range(block.first_positive_point(), 9):
+            assert _derivatives_at(block, nu, 1) == chain.values(nu), (x, n, nu)
     # the generated route against the oracle's chain at orders 0..4, on every
     # left kernel, right j-kernel and summed right kernel P B, from the first
     # point where every factor is positive on
@@ -443,7 +441,8 @@ def test_closure_values_match_the_dense_chain(n, m):
 
 def test_derivatives_at_needs_every_factor_positive():
     p = FormParameters(3, 1)
-    for blocks in (_left_blocks(p), _right_blocks(p, 2), _right_kernel(p)):
+    for blocks in (_left_blocks(p), _right_blocks(p, 2), _right_kernel(p),
+                   _BlockProduct(F(1), ((-3, 2, 1),), ())):
         first = blocks.first_positive_point()
         assert _derivatives_at(blocks, first, 1)
         with pytest.raises(DomainError):

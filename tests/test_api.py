@@ -47,6 +47,18 @@ def test_imports_only_the_standard_library(path):
             if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
+def test_recurrence_lab_imports_nothing_from_apery_forms():
+    # the recurrences and closed forms stay a route to the grid independent of
+    # the series construction: they read its values from the caller
+    path = Path(apery4.__file__).parent / "recurrence_lab.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in names if "apery_forms" in name.split(".")] == []
+
+
 def test_distribution_metadata_matches_the_package():
     tomllib = pytest.importorskip("tomllib")      # Python 3.11 and later
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import apery4
-from apery4 import FormParameters, apery_forms, cli_report, left_form, verify_cell
+from apery4 import (FormParameters, apery_forms, cli_report, left_form, right_form,
+                    verify_cell)
 from apery4.cli_report import main
 
 
@@ -106,17 +107,23 @@ def test_verify_recurrences_all(capsys):
 
 
 def test_verify_recurrences_all_computes_each_left_cell_once(capsys, monkeypatch):
-    # "main" and "closed-forms" both read cells (n, 0) and (n, 1)
-    calls = []
+    # "main", "closed-forms" and "boundary-m0" all read cells (n, 0), which
+    # "boundary-m0" needs up to n_max + 1; "boundary-zr" reads the right
+    # side's (n, 0) up to n_max + 2
+    calls = {"left": [], "right": []}
 
-    def counted(p):
-        calls.append((p.n, p.m))
-        return left_form(p)
+    def counted(side, form):
+        def spy(p):
+            calls[side].append((p.n, p.m))
+            return form(p)
+        return spy
 
-    monkeypatch.setattr(cli_report, "left_form", counted)
+    monkeypatch.setattr(cli_report, "left_form", counted("left", left_form))
+    monkeypatch.setattr(cli_report, "right_form", counted("right", right_form))
     assert main(["verify-recurrences", "--suite", "all", "--n-max", "4"]) == 0
     assert "all suites pass" in capsys.readouterr().out
-    assert sorted(calls) == [(n, m) for n in range(5) for m in range(n + 1)]
+    assert sorted(calls["left"]) == [(n, m) for n in range(5) for m in range(n + 1)] + [(5, 0)]
+    assert sorted(calls["right"]) == [(n, 0) for n in range(7)]
 
 
 def test_verify_recurrences_json_report(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from apery4 import FormParameters, RangeError, ZetaLinearForm, left_form
+from apery4 import FormParameters, RangeError, ZetaLinearForm, left_form, right_form
 from apery4.recurrence_lab import (alternating_binomial_check,
                                    alternating_binomial_closed_form,
                                    alternating_binomial_sum, central_sum,
@@ -98,7 +98,8 @@ def test_left_boundary_value_base_case():
 
 @pytest.mark.parametrize("n", range(0, 4))
 def test_left_boundary_check(n):
-    assert left_boundary_check(n)
+    column = {(k, 0): left_form(FormParameters(k, 0)) for k in (n, n + 1)}
+    assert left_boundary_check(column, n)
 
 
 def test_right_column_coefficients_base_case():
@@ -116,7 +117,23 @@ def test_right_column_coefficients_never_vanish():
 
 @pytest.mark.parametrize("n", range(0, 3))
 def test_right_column_check(n):
-    assert right_column_check(n)
+    column = {(k, 0): right_form(FormParameters(k, 0)) for k in (n, n + 1, n + 2)}
+    assert right_column_check(column, n)
+
+
+@pytest.mark.parametrize("check, form, arguments, cells", [
+    (recurrence_holds, left_form, (4, 1), [(4, 1), (4, 2), (4, 3)]),
+    (left_boundary_check, left_form, (2,), [(2, 0), (3, 0)]),
+    (right_column_check, right_form, (1,), [(1, 0), (2, 0), (3, 0)]),
+], ids=["recurrence", "left-boundary", "right-column"])
+def test_checks_read_every_cell_they_are_given(check, form, arguments, cells):
+    # each check passes on the series values and fails once any one of its
+    # cells has 1 added to its constant
+    values = {cell: form(FormParameters(*cell)) for cell in cells}
+    assert check(values, *arguments)
+    for cell in cells:
+        changed = {**values, cell: values[cell] + ZetaLinearForm.from_constant(1)}
+        assert not check(changed, *arguments), cell
 
 
 # ---------------------------------------------------------------------------
