@@ -18,9 +18,8 @@ from .apery_forms import (FormParameters, SummandCheck, audit_summands,
                           right_low_summand, right_mid_summand,
                           right_split_check, right_tail_component,
                           verify_cell)
-from .errors import (Apery4Error, DivergenceError, DomainError,
-                     NonProperError, PoleError, PoleInRangeError, RangeError,
-                     ReconstructionError)
+from .errors import (Apery4Error, DivergenceError, DomainError, PoleError,
+                     PoleInRangeError, RangeError, ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
                       Polynomial, RationalFunction)
@@ -34,7 +33,6 @@ __all__ = [
     "FixedPointNumber",
     "FormParameters",
     "LinearFactorProduct",
-    "NonProperError",
     "PartialFractions",
     "PoleError",
     "PoleExpansion",

@@ -61,8 +61,7 @@ from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
-                      PoleExpansion, Polynomial, _linear_product, _merged_shifts,
-                      _mul_coeffs)
+                      PoleExpansion, _linear_product, _merged_shifts, _mul_coeffs)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
@@ -302,8 +301,9 @@ class _LocalExpansion:
     """
 
     def __init__(self, bp: _BlockProduct, shifts: list[int], depth: int) -> None:
-        """Tables for expansions of ``bp`` at t = -shift, for each of
-        ``shifts``, up to ``depth`` terms."""
+        """Tables for expansions of the kernel ``bp`` at t = -shift, for each
+        of ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel."""
+        self.kernel, self.shifts = bp, set(shifts)
         ends = [end for x, k, _ in bp.blocks if k > 0 for end in (x, x + k - 1)]
         top = max([abs(end - shift) for shift in shifts for end in ends]
                   + [abs(s.numerator - s.denominator * shift)
@@ -323,12 +323,15 @@ class _LocalExpansion:
         self.ratios = [[(-1) ** (i + 1) * self.factorials[k - 1] // self.factorials[k - i]
                         for i in range(1, k + 1)] for k in range(depth)]
 
-    def part(self, bp: _BlockProduct, shift: int, order: int) -> tuple[list[int], int]:
-        """(numerators of A_1..A_order, common denominator) of bp at t = -shift.
+    def part(self, shift: int, order: int) -> tuple[list[int], int]:
+        """(numerators of A_1..A_order, common denominator) of the kernel at
+        t = -shift, a shift the tables cover (ValueError otherwise), order <= depth.
 
         The denominator is the one of C times (order-1)! L^(order-1).
         """
-        scale, table, factorials = self.scale, self.table, self.factorials
+        if shift not in self.shifts:
+            raise ValueError(f"no tables for shift {shift}, only {sorted(self.shifts)}")
+        bp, scale, table, factorials = self.kernel, self.scale, self.table, self.factorials
         num, den = bp.scalar.numerator, bp.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
         for x, k, e in bp.blocks:
@@ -382,8 +385,7 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
     merging the flattened factors (:meth:`_BlockProduct.linear_factors`)
     shift by shift: a second algorithm over the same spec, not an
     independent spec.  The kernel must vanish at infinity, and the
-    expansion must have no polynomial part and no term above its pole's
-    order.
+    expansion must have no term above its pole's order.
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
@@ -402,8 +404,6 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
             f"merged factors' poles {sorted(poles.items())}")
     if bp.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
-    if not expansion.polynomial_part.is_zero:
-        raise ReconstructionError(f"{where}: expansion has a polynomial part")
     for term in expansion.terms:
         if term.order > orders.get(term.shift, 0):
             raise ReconstructionError(
@@ -440,9 +440,9 @@ def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
     """
     orders = _pole_orders(bp)
     local = _LocalExpansion(bp, list(orders), max(orders.values(), default=1))
-    parts = [(shift, *local.part(bp, shift, orders[shift])) for shift in sorted(orders)]
+    parts = [(shift, *local.part(shift, orders[shift])) for shift in sorted(orders)]
     common = lcm(*(den for _, _, den in parts))
-    expansion = PartialFractions(Polynomial(), tuple(
+    expansion = PartialFractions(tuple(
         PoleExpansion(_F(shift), tuple(c * (common // den) for c in numerators))
         for shift, numerators, den in parts), common)
     _certify(bp, expansion, orders, where)
@@ -514,7 +514,7 @@ def _derivatives_at(bp: _BlockProduct, point: int, order: int) -> list[Fraction]
         raise DomainError(f"derivative rule needs t >= {first}, where every factor "
                           f"is positive, got t = {point}")
     local = _LocalExpansion(bp, [-point], order + 1)
-    numerators, den = local.part(bp, -point, order + 1)
+    numerators, den = local.part(-point, order + 1)
     return [_F(local.factorials[k] * numerators[order - k], den) for k in range(order + 1)]
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "DivergenceError",
     "PoleError",
     "PoleInRangeError",
-    "NonProperError",
     "ReconstructionError",
 ]
 
@@ -41,10 +40,6 @@ class PoleError(Apery4Error, ZeroDivisionError):
 
 class PoleInRangeError(Apery4Error, ArithmeticError):
     """A tail sum was requested over a range containing a pole."""
-
-
-class NonProperError(Apery4Error, ArithmeticError):
-    """A tail sum was requested for a non-proper rational function."""
 
 
 class ReconstructionError(Apery4Error, ArithmeticError):

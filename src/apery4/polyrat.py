@@ -15,14 +15,15 @@ Each kernel of the package is written once, as rising-factorial blocks
 flattened form, with repeated shifts merged, multiplied out in integers
 with one scalar.  The exact forms take their principal parts straight from
 the blocks, in integers, and return them as :class:`PartialFractions`
-(integer numerators over one reduced denominator), never expanding a
-kernel.  A :class:`DerivativeChain` holds a kernel's integer expansion;
-it takes derivative values at a point by the product and quotient rule on
-Taylor series there, and builds the dense integer quotient-rule chain on
-first need, for exact sums over a range and sign proofs on a ray: the
-route of the numeric series and of the summand oracle.  :class:`Polynomial`
-and :class:`RationalFunction` are the plain dense forms that
-:meth:`LinearFactorProduct.expand` returns.
+(proper principal parts: integer numerators over one reduced
+denominator), never expanding a kernel.  A :class:`DerivativeChain` holds
+a kernel's integer expansion; it takes derivative values at a point by the
+product and quotient rule on Taylor series there, and builds the dense
+integer quotient-rule chain on first need, for exact sums over a range and
+sign proofs on a ray: the route of the numeric series and of the summand
+oracle.  :class:`Polynomial` and :class:`RationalFunction` are the plain
+dense forms that :meth:`LinearFactorProduct.expand` returns; no other
+module reads them.
 """
 
 from __future__ import annotations
@@ -106,26 +107,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
-            if c == 0:
-                continue
-            mag = str(abs(c))
-            if i == 0:
-                body = mag
-            else:
-                power = "t" if i == 1 else f"t^{i}"
-                body = power if abs(c) == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +419,15 @@ class PoleExpansion:
 
 @dataclass(frozen=True)
 class PartialFractions:
-    """polynomial_part + sum over poles of principal parts, whose integer
-    numerators share one ``denominator``, always reduced to the least one.
+    """A proper rational function as the sum over its poles of principal
+    parts, whose integer numerators share one ``denominator``, always reduced
+    to the least one.  There is no polynomial part: every kernel of the
+    package vanishes at infinity.
 
     So ``==`` compares values, for terms sorted by shift and with no trailing
     zero numerator, as the block route and the dense test reference leave them.
     """
 
-    polynomial_part: Polynomial
     terms: tuple[PoleExpansion, ...]
     denominator: int
 

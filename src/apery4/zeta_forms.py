@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import NonProperError, PoleInRangeError
+from .errors import PoleInRangeError
 from .exact_arith import factorial, harmonic, pochhammer
 from .polyrat import PartialFractions
 
@@ -146,7 +146,7 @@ class ZetaLinearForm:
 
 
 def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> ZetaLinearForm:
-    """sum_{v >= start} f^(order)(v) for f given by its partial fractions.
+    """sum_{v >= start} f^(order)(v) for a proper f given by its principal parts.
 
     Termwise, d^order/dt^order (t+p)^(-j) = w (t+p)^(-s) with
     w = (-1)^order (j)_order and s = j + order, and the tail of (v+p)^(-s) is
@@ -158,7 +158,6 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
 
     Raises
     ------
-    NonProperError    if the expansion carries a nonzero polynomial part,
     PoleInRangeError  if some pole -p lies in [start, infinity),
     ValueError        for orders outside {1, 2}, non-integer pole shifts, or
                       a nonzero numerator whose zeta(j + order) lies outside
@@ -166,10 +165,6 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    if not expansion.polynomial_part.is_zero:
-        raise NonProperError(
-            "tail sums need a proper rational function; polynomial part is "
-            f"{expansion.polynomial_part}")
     top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
     unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
     constant, zetas = 0, [0] * len(ZETA_ORDERS)

@@ -3,13 +3,16 @@
 Nothing in the package calls it.  It holds the polynomial ring over Q
 (:class:`Polynomial`, a :class:`apery4.polyrat.Polynomial` with arithmetic,
 long and synthetic division and Taylor prefixes), a kernel multiplied out
-with Fraction polynomial powers (:func:`fraction_expansion`), and the
-reference partial-fraction decomposition of a plain numerator/denominator
-pair (:func:`partial_fractions`), and derivative values read off the dense
-quotient chain (:func:`chain_values`).  The decomposition expands each pole
-by Taylor and series division, then re-multiplies its answer and compares it
-with the input (:class:`~apery4.errors.ReconstructionError` on mismatch), so
-a returned expansion is certified, not merely computed.
+with Fraction polynomial powers (:func:`fraction_expansion`), the reference
+partial-fraction decomposition of a plain numerator/denominator pair
+(:func:`partial_fractions`), and derivative values read off the dense
+quotient chain (:func:`chain_values`).  The decomposition splits off the
+polynomial part by long division, which the package's proper
+:class:`~apery4.polyrat.PartialFractions` has no field for, so it returns it
+beside the principal parts.  It expands each pole by Taylor and series
+division, then re-multiplies its answer and compares it with the input
+(:class:`~apery4.errors.ReconstructionError` on mismatch), so a returned
+expansion is certified, not merely computed.
 """
 
 from __future__ import annotations
@@ -167,9 +170,10 @@ def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
     return values
 
 
-def partial_fractions(f: RationalFunction,
-                      candidate_shifts: Iterable[Fraction | int]) -> PartialFractions:
-    """Partial-fraction decomposition with caller-supplied pole candidates.
+def partial_fractions(f: RationalFunction, candidate_shifts: Iterable[Fraction | int]
+                      ) -> tuple[Polynomial, PartialFractions]:
+    """(polynomial part, principal parts) of ``f``, with caller-supplied pole
+    candidates.
 
     The denominator of ``f`` must factor completely as prod (t + p)^{e_p}
     over the candidate shifts (duplicates and non-roots among the candidates
@@ -242,7 +246,7 @@ def partial_fractions(f: RationalFunction,
         raise ReconstructionError(
             "partial fraction expansion failed to reproduce its input")
     common = lcm(*(c.denominator for _, coefficients in terms for c in coefficients))
-    return PartialFractions(poly_part, tuple(
+    return poly_part, PartialFractions(tuple(
         PoleExpansion(p, tuple(int(c * common) for c in coefficients))
         for p, coefficients in terms), common)
 

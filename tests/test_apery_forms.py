@@ -175,7 +175,10 @@ def _kernel_specs(p):
 def test_block_principal_parts_match_dense_route(n):
     for m in range(n + 1):
         for label, blocks, kernel in _kernel_specs(FormParameters(n, m)):
-            dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
+            # the dense route's polynomial part is the independent witness
+            # that every kernel is proper
+            polynomial, dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
+            assert polynomial.is_zero, (n, m, label)
             assert _principal_parts(blocks, label) == dense, (n, m, label)
 
 
@@ -189,7 +192,7 @@ def _summed_parts(*expansions):
             total[term.shift] = tuple(
                 a + unit * c for a, c in zip_longest(total.get(term.shift, ()),
                                                      term.numerators, fillvalue=0))
-    return PartialFractions(Polynomial(), tuple(
+    return PartialFractions(tuple(
         PoleExpansion(shift, numerators) for shift, numerators in sorted(total.items())), common)
 
 
@@ -277,8 +280,7 @@ def _bump_second_term(terms):
                          ids=["numerator-off-by-one", "pole-dropped"])
 def test_certificate_rejects_tampered_parts(tamper):
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
-        tampered = PartialFractions(expansion.polynomial_part, tamper(expansion.terms),
-                                    expansion.denominator)
+        tampered = PartialFractions(tamper(expansion.terms), expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
             _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
 
@@ -301,8 +303,7 @@ def test_certificate_counts_every_term_at_a_shift():
     # keeps only the last term there and would drop this one
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         extra = PoleExpansion(expansion.terms[0].shift, (1,))
-        tampered = PartialFractions(expansion.polynomial_part, (extra,) + expansion.terms,
-                                    expansion.denominator)
+        tampered = PartialFractions((extra,) + expansion.terms, expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
             _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
 
@@ -320,7 +321,8 @@ def test_certificate_uses_every_point():
         remainder = Polynomial.constant(7)
         for x in range(start, last):
             remainder = remainder * Polynomial((-x, 1))
-        extra = partial_fractions(RationalFunction(remainder, den), orders)
+        polynomial, extra = partial_fractions(RationalFunction(remainder, den), orders)
+        assert polynomial.is_zero
         tampered = _summed_parts(expansion, extra)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
             _certify(kernel, tampered, orders, where)
@@ -339,11 +341,21 @@ def test_certificate_cross_checks_the_pole_orders(monkeypatch):
                  "left")
 
 
+def test_local_parts_come_only_from_the_tabled_shifts():
+    # L = lcm(1..top) covers the shifts the tables were built for; at another
+    # shift the loose factor's b need not divide it.  At t = -2 the kernel
+    # (t + 1/2) / (t (t+1) (t+2))^2 has A_2 = -3/8 and A_1 = -3/8 * 7/3 = -7/8.
+    kernel = _BlockProduct(F(1), ((0, 3, -2),), ((F(1, 2), 1),))
+    assert apery_forms._LocalExpansion(kernel, [2], 2).part(2, 2) == ([-42, -18], 48)
+    with pytest.raises(ValueError, match="no tables for shift 2"):
+        apery_forms._LocalExpansion(kernel, [0], 2).part(2, 2)
+
+
 def test_forms_always_certify(monkeypatch):
     honest = apery_forms._LocalExpansion.part
 
-    def off_by_one(self, bp, shift, order):
-        numerators, den = honest(self, bp, shift, order)
+    def off_by_one(self, shift, order):
+        numerators, den = honest(self, shift, order)
         return [numerators[0] + 1] + numerators[1:], den
 
     monkeypatch.setattr(apery_forms._LocalExpansion, "part", off_by_one)

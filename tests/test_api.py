@@ -59,6 +59,35 @@ def test_recurrence_lab_imports_nothing_from_apery_forms():
     assert [name for name in names if "apery_forms" in name.split(".")] == []
 
 
+def test_no_module_but_polyrat_reads_the_dense_layer():
+    # the dense Polynomial and RationalFunction have no production reader:
+    # only polyrat defines them and the package root exports them
+    dense = {"Polynomial", "RationalFunction"}
+    readers = []
+    for path in sorted(Path(apery4.__file__).parent.glob("*.py")):
+        if path.name in ("polyrat.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        readers += [(path.name, name) for name in sorted(names & dense)]
+    assert readers == []
+
+
+def test_every_error_type_is_raised():
+    # an exported error that nothing raises is dead API
+    raised = set()
+    for path in Path(apery4.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    exported = set(importlib.import_module("apery4.errors").__all__) - {"Apery4Error"}
+    assert sorted(exported - raised) == []
+
+
 def test_distribution_metadata_matches_the_package():
     tomllib = pytest.importorskip("tomllib")      # Python 3.11 and later
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

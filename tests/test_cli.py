@@ -191,9 +191,10 @@ def test_a_failed_certificate_exits_1_naming_cell_and_side(capsys, monkeypatch):
     honest = apery_forms._LocalExpansion.part
     tampered = apery_forms._right_kernel(FormParameters(2, 1))
 
-    def off_by_one(self, bp, shift, order):
-        numerators, den = honest(self, bp, shift, order)
-        return ([numerators[0] + 1] + numerators[1:], den) if bp == tampered else (numerators, den)
+    def off_by_one(self, shift, order):
+        numerators, den = honest(self, shift, order)
+        return (([numerators[0] + 1] + numerators[1:], den) if self.kernel == tampered
+                else (numerators, den))
 
     monkeypatch.setattr(apery_forms._LocalExpansion, "part", off_by_one)
     assert main(["verify-identity", "--n-max", "2"]) == 1

@@ -156,7 +156,7 @@ def _random_product(rng: random.Random) -> LinearFactorProduct:
 def test_factored_derivative_values_match_partial_fraction_reference(seed):
     rng = random.Random(seed)
     prod = _random_product(rng)
-    expansion = partial_fractions(prod.expand(), prod.denominator_shifts())
+    polynomial_part, expansion = partial_fractions(prod.expand(), prod.denominator_shifts())
     parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
              for j, c in enumerate(term.numerators, start=1)]
     poles = set(prod.denominator_shifts())
@@ -164,7 +164,7 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
     chain = _chain(prod, 6)
     for x in [x for x in points if -x not in poles]:
         values = chain.values(x)
-        polynomial = expansion.polynomial_part
+        polynomial = polynomial_part
         for d in range(7):
             # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
             assert values[d] == polynomial(x) + _parts_derivative(parts, x, d)
@@ -308,8 +308,8 @@ def test_partial_fractions_worked_example():
     # (2t + 1) / (t^2 (t + 1)) = 1/t + 1/t^2 - 1/(t+1)
     f = RationalFunction(Polynomial([1, 2]),
                          Polynomial.variable() ** 2 * Polynomial([1, 1]))
-    expansion = partial_fractions(f, [F(0), F(1), F(5)])
-    assert expansion.polynomial_part.is_zero
+    polynomial, expansion = partial_fractions(f, [F(0), F(1), F(5)])
+    assert polynomial.is_zero
     by_shift = {term.shift: term.numerators for term in expansion.terms}
     assert by_shift == {F(0): (1, 1), F(1): (-1,)}
     assert expansion.denominator == 1
@@ -318,23 +318,24 @@ def test_partial_fractions_worked_example():
 def test_partial_fractions_with_polynomial_part():
     # (t^3 + 1) / (t + 1) in lowest terms is t^2 - t + 1: no pole left
     f = RationalFunction(Polynomial([1, -1, 1]), Polynomial.one())
-    expansion = partial_fractions(f, [F(1)])
-    assert expansion.polynomial_part == Polynomial([1, -1, 1])
+    polynomial, expansion = partial_fractions(f, [F(1)])
+    assert polynomial == Polynomial([1, -1, 1])
     assert expansion.terms == ()
 
 
 def test_partial_fractions_drops_a_cancelled_pole():
     # (t^3 + 1) / (t + 1) unreduced: the factor cancels, leaving no term
     f = RationalFunction(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]))
-    expansion = partial_fractions(f, [1])
+    polynomial, expansion = partial_fractions(f, [1])
     assert expansion.terms == ()
-    assert expansion.polynomial_part == Polynomial([1, -1, 1])
+    assert polynomial == Polynomial([1, -1, 1])
 
 
 def test_partial_fractions_trims_cancelled_orders():
     # (t+1)(t+2) / ((t+1)^2 (t+2)) = 1/(t+1): order 1 at -1, no pole at -2
     f = RationalFunction(Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]))
-    expansion = partial_fractions(f, [1, 2])
+    polynomial, expansion = partial_fractions(f, [1, 2])
+    assert polynomial.is_zero
     assert {term.shift: term.numerators for term in expansion.terms} == {F(1): (1,)}
     assert expansion.denominator == 1
 
@@ -342,15 +343,14 @@ def test_partial_fractions_trims_cancelled_orders():
 def test_partial_fractions_are_reduced_to_one_least_denominator():
     # 1 / (t (t + 2)) = (1/2) / t - (1/2) / (t + 2)
     f = RationalFunction(Polynomial.one(), Polynomial([0, 2, 1]))
-    expansion = partial_fractions(f, [0, 2])
-    assert expansion.denominator == 2
+    polynomial, expansion = partial_fractions(f, [0, 2])
+    assert polynomial.is_zero and expansion.denominator == 2
     assert [term.numerators for term in expansion.terms] == [(1,), (-1,)]
     # every construction reduces, so equal values compare equal
-    same = PartialFractions(Polynomial(), (PoleExpansion(F(0), (-3,)),
-                                           PoleExpansion(F(2), (3,))), -6)
+    same = PartialFractions((PoleExpansion(F(0), (-3,)), PoleExpansion(F(2), (3,))), -6)
     assert same == expansion
     with pytest.raises(ZeroDivisionError):
-        PartialFractions(Polynomial(), (), 0)
+        PartialFractions((), 0)
 
 
 def test_partial_fractions_needs_all_poles_offered():
@@ -368,11 +368,11 @@ def test_partial_fractions_round_trip(den_pairs, num_roots):
     factors += [(F(r), 1) for r in num_roots]
     prod = LinearFactorProduct.of(1, factors)
     f = prod.expand()
-    expansion = partial_fractions(f, prod.denominator_shifts())
+    polynomial, expansion = partial_fractions(f, prod.denominator_shifts())
     parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
              for j, c in enumerate(term.numerators, start=1)]
     # f - (polynomial part + parts) = R / D with deg R <= deg f.num + deg D,
     # so agreement at that many + 1 points off the poles proves R = 0
     for x in range(4, 5 + f.numerator.degree + f.denominator.degree):
-        assert (expansion.polynomial_part(x) + _parts_derivative(parts, x, 0)
+        assert (polynomial(x) + _parts_derivative(parts, x, 0)
                 == prod.value_at(x))
