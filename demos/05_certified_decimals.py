@@ -24,12 +24,12 @@ print(f"\nZ(2, 0) = {exact}")
 direct = evaluate_decimal(exact, 30)
 print(f"  exact coordinates + certified zeta(4):  {direct}")
 
-# route 2: sum the first few hundred terms of each defining series exactly
+# route 2: sum the first hundred or so terms of each defining series exactly
 # (integer quotient-rule derivatives of the expanded kernel; the right side
 # sums its n+1 kernels into one first), then close the tail by Euler-Maclaurin
-# at the least depth whose remainder bound meets the target, once the sign
-# hypothesis of that bound is proved at the cutoff (exact Bernoulli numbers;
-# no zeta constant is consulted)
+# at the least depth whose remainder bound meets the target, a bound read off
+# the kernel's expansion by Cauchy's estimate (exact Bernoulli numbers; no
+# zeta constant is consulted)
 numeric_left = left_form_numeric(p, 30)
 print(f"  left series, truncated and tail-closed: {numeric_left}")
 

@@ -45,8 +45,9 @@ pointwise; any disagreement is reported, none is expected.
 
 Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-sum the
 defining series on one derivative chain per side (exact integer terms to a
-short cutoff, then one Euler–Maclaurin closure whose remainder bound's sign
-hypothesis is proved), a cross-check free of partial fractions.
+short cutoff, then one Euler–Maclaurin closure whose remainder is bounded
+from the kernel's integer expansion by Cauchy's estimate), a cross-check
+free of partial fractions.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import ceil, floor, lcm, log, prod, sqrt
 
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
@@ -144,13 +145,16 @@ class _BlockProduct:
             raise ValueError("a LinearFactorProduct cannot carry the polynomial cofactor")
         return LinearFactorProduct.of(self.scalar, self.linear_factors())
 
-    def chain(self, order: int) -> DerivativeChain:
-        """The kernel's :class:`DerivativeChain` up to ``order``: the integer
-        expansion of the merged factors times the cofactor."""
+    def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
+        """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
         merged = _merged_shifts(self.linear_factors())
         coeffs, lead = _linear_product((s, e) for s, e in merged.items() if e > 0)
-        return DerivativeChain(_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
-                               [(s, -e) for s, e in merged.items() if e < 0], order)
+        return (_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
+                [(s, -e) for s, e in merged.items() if e < 0])
+
+    def chain(self, order: int) -> DerivativeChain:
+        """The kernel's :class:`DerivativeChain` up to ``order``."""
+        return DerivativeChain(*self.expansion(), order)
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -791,51 +795,69 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 # ---------------------------------------------------------------------------
 
 
-# First cutoff tried: each failed try costs one high-order oracle call.
-_FIRST_CUTOFF = 256
-# Each try derives up to order + 2*_MAX_DEPTH + 2, the order of the deepest
-# sign proof; a lower cap pushes A far out.
-_MAX_DEPTH = 8
+# The first cutoff A, and the deepest closure tried at each A before it doubles.
+_FIRST_CUTOFF, _MAX_DEPTH = 128, 32
+
+
+def _log(x: Fraction | int) -> float:
+    """Natural log of a positive rational of any size."""
+    return log(x.numerator) - log(x.denominator)
+
+
+def _remainder_factors(expansion: tuple, order: int, depth: int,
+                       cutoff: int) -> list[tuple[Fraction | int, int]]:
+    """(base, exponent) pairs whose product bounds the remainder after ``depth``
+    closure terms at A = ``cutoff`` (see :func:`_series_numeric`)."""
+    coeffs, scale, den_factors = expansion
+    if any(shift < 0 for shift, _ in den_factors):
+        raise DomainError("the remainder bound needs every pole at t <= 0")
+    big_d, big_e, k = len(coeffs) - 1, sum(e for _, e in den_factors), order + 2 * depth + 2
+    gap = big_e - big_d + k                         # d + k
+    root = (sqrt((big_d + big_e) ** 2 + 4 * gap * k) - big_d - big_e) / (2 * gap)
+    q = ceil(1000 / root)                           # alpha within root/2000 of root, not 0
+    alpha = _F(round(root * q), q)
+    top = sum(abs(c) * cutoff ** i for i, c in enumerate(coeffs))      # S A^D
+    return [(2 * abs(bernoulli_even(k - order)) / factorial(k - order), 1), (factorial(k), 1),
+            (abs(scale) * _F(top, cutoff ** big_d), 1), (1 + alpha, big_d), (1 - alpha, -big_e),
+            (alpha, -k), (cutoff, 1 - gap), (gap - 1, -1)]
 
 
 def _series_numeric(bp: _BlockProduct, order: int, start: int,
                     target: Fraction) -> tuple[Fraction, Fraction]:
-    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), where
-    g is the kernel ``bp``, with no pole at t >= start.
+    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for the
+    kernel g = K N(t) / prod (t + s)^e of ``bp`` (:meth:`_BlockProduct.expansion`),
+    every s >= 0 (DomainError otherwise), deg g <= order - 2 (DivergenceError).
 
-    One chain of order ``order + 2 _MAX_DEPTH + 2`` (:meth:`_BlockProduct.chain`)
-    sums the terms start..A-1 exactly and closes the tail by Euler–Maclaurin at M,
-    -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A).  If
-    h^(2M+2) keeps one sign on [A, oo), the remainder is at most
-    2 |B_(2M+2)|/(2M+2)! |h^(2M+1)(A)| (DLMF 2.10.1); the bound is 4 times
-    that, for the least M that takes it below ``target``.  A doubles from
-    ``_FIRST_CUTOFF`` until such an M <= ``_MAX_DEPTH`` exists and the
-    chain's ``keeps_sign`` proves the sign hypothesis at A; each tried A
-    makes one ``values`` call.
-
-    The closure needs g^(order-1) -> 0 at infinity, deg g <= order - 2, or
-    DivergenceError is raised.  For a g that passes, the doubling ends: the
-    bounds decay in A, and the Taylor shift's signs settle on the leading one.
+    The terms below A are summed exactly and the tail is closed at depth M by
+    -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A), whose remainder is
+    at most 2 |B_(2M+2)|/(2M+2)! int_A^oo |g^(k)|, k = order + 2M + 2 (DLMF 2.10.1).
+    Let D = deg N, E = sum e, d = E - D, S = sum_i |N_i| A^(i-D), 0 < alpha < 1.
+    For x >= A the circle |z - x| = alpha x holds no pole: on it |z + s| >=
+    (1 - alpha) x and |N(z)| <= ((1 + alpha) x)^D S, so Cauchy's estimate gives
+    |g^(k)(x)| <= k! |K| S (1 + alpha)^D / ((1 - alpha)^E alpha^k x^(d+k)), and the
+    integral is that constant times A^(1-d-k) / (d+k-1).  alpha, rationalised, is
+    the root in (0, 1) of alpha^2 (d + k) + alpha (D + E) - k, which minimises
+    the alpha-dependent factor.  A doubles from ``_FIRST_CUTOFF`` until some
+    M <= ``_MAX_DEPTH`` takes the bound below ``target`` in floats (it ends, as
+    d + k - 1 >= 2M + 3 and S falls in A); the least M's bound is then computed
+    in Fractions, one ``values`` call reads g^(order-1) .. g^(order+2M-1) at A,
+    and the exact sum builds the dense chain up to ``order`` only.
     """
     if bp.degree > order - 2:
         raise DivergenceError(f"kernel of degree {bp.degree} has no closure at "
                               f"derivative order {order} (needs <= {order - 2})")
-    weights = [bernoulli_even(2 * k) / factorial(2 * k)      # weights[k-1] = B_2k/(2k)!
-               for k in range(1, _MAX_DEPTH + 2)]
-    chain = bp.chain(order + 2 * _MAX_DEPTH + 2)
-    cutoff = max(_FIRST_CUTOFF, start)
-    while True:
-        high = chain.values(cutoff)
-        bounds = [8 * abs(weights[m] * high[order + 2 * m + 1])
-                  for m in range(1, _MAX_DEPTH + 1)]
-        depth = next((m for m, bound in enumerate(bounds, 1) if bound < target), 0)
-        if depth and chain.keeps_sign(order + 2 * depth + 2, cutoff):
-            break
+    expansion, cutoff, log_target = bp.expansion(), max(_FIRST_CUTOFF, start), _log(target)
+    while not (depth := next((m for m in range(1, _MAX_DEPTH + 1) if sum(
+            e * _log(base) for base, e in _remainder_factors(expansion, order, m, cutoff))
+            < log_target), 0)):
         cutoff *= 2
+    bound = prod(_F(base) ** e for base, e in _remainder_factors(expansion, order, depth, cutoff))
+    chain = DerivativeChain(*expansion, order + 2 * depth - 1)
+    high = chain.values(cutoff)
     closure = -high[order - 1] + high[order] / 2 - sum(
-        weights[k - 1] * high[order + 2 * k - 1] for k in range(1, depth + 1))
-    partial = chain.sum(order, start, cutoff)
-    return partial + closure, bounds[depth - 1]
+        bernoulli_even(2 * k) / factorial(2 * k) * high[order + 2 * k - 1]
+        for k in range(1, depth + 1))
+    return chain.sum(order, start, cutoff) + closure, bound
 
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:

@@ -107,10 +107,12 @@ def _job_count(args: argparse.Namespace) -> int:
 
 def _grid_records(n_max: int, jobs: int) -> list[dict]:
     cells = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
-    if jobs == 1:
+    # fork starts every worker at the first submit: no more than cells or cores
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers == 1:
         records = [verify_cell(n, m) for n, m in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(verify_cell, [c[0] for c in cells],
                                     [c[1] for c in cells]))   # in the order of cells
     # The recurrence in m needs the two neighbouring cells of the same row,

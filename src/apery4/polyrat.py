@@ -19,11 +19,10 @@ the blocks, in integers, and return them as :class:`PartialFractions`
 denominator), never expanding a kernel.  A :class:`DerivativeChain` holds
 a kernel's integer expansion; it takes derivative values at a point by the
 product and quotient rule on Taylor series there, and builds the dense
-integer quotient-rule chain on first need, for exact sums over a range and
-sign proofs on a ray: the route of the numeric series and of the summand
-oracle.  :class:`Polynomial` and :class:`RationalFunction` are the plain
-dense forms that :meth:`LinearFactorProduct.expand` returns; no other
-module reads them.
+integer quotient-rule chain on first need, for exact sums over a range:
+the route of the numeric series and of the summand oracle.
+:class:`Polynomial` and :class:`RationalFunction` are the plain dense forms
+that :meth:`LinearFactorProduct.expand` returns; no other module reads them.
 """
 
 from __future__ import annotations
@@ -291,34 +290,22 @@ class DerivativeChain:
     from the integer expansion (``LinearFactorProduct._integer_parts``).
 
     :meth:`values` applies the product and quotient rule at the point, to
-    truncated Taylor series; :meth:`sum` and :meth:`keeps_sign` read the
-    dense integer chain of :func:`_quotient_chain`, built for ``order`` on
-    the first of their calls.  It does not depend on the point, so one
-    instance serves every evaluation, sum and sign proof; no method changes
-    what an instance computes.
+    truncated Taylor series; :meth:`sum` reads the dense integer chain of
+    :func:`_quotient_chain`, built only up to the order it sums.  It does
+    not depend on the point, so one instance serves every evaluation and
+    sum; no method changes what an instance computes.
     """
 
-    __slots__ = ("_spec", "_scale", "_linears", "_chain")
+    __slots__ = ("_spec", "order", "_scale", "_linears", "_chain")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
                  den_factors: Sequence[tuple[Fraction | int, int]], order: int) -> None:
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        self._spec, self._chain = (coeffs, scale, den_factors, order), None
+        self._spec, self.order, self._chain = (coeffs, scale, den_factors), order, None
         # (r, q, e) for each t + q/r = (r t + q) / r, the r^e moved into the scale
         self._linears = [(s.denominator, s.numerator, e) for s, e in den_factors]
         self._scale = scale * prod(r ** e for r, _, e in self._linears)
-
-    @property
-    def order(self) -> int:
-        return self._spec[3]
-
-    def _numerator(self, order: int) -> list[int]:
-        if not 0 <= order <= self.order:
-            raise ValueError(f"derivative order {order} outside 0..{self.order}")
-        if self._chain is None:
-            self._chain = _quotient_chain(*self._spec)
-        return self._chain[order]
 
     def values(self, x: Fraction | int) -> list[Fraction]:
         """f(x), ..., f^(order)(x) at x = a/b, from f's Taylor series in u,
@@ -359,7 +346,11 @@ class DerivativeChain:
         integer pairs N_order(v) / prod (r v + q)^(e + order) added in a
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
-        coeffs, pairs = self._numerator(order), []
+        if not 0 <= order <= self.order:
+            raise ValueError(f"derivative order {order} outside 0..{self.order}")
+        if self._chain is None or len(self._chain) <= order:
+            self._chain = _quotient_chain(*self._spec, order)
+        coeffs, pairs = self._chain[order], []
         for v in range(start, stop):
             top, bottom = 0, 1
             for c in reversed(coeffs):
@@ -374,22 +365,6 @@ class DerivativeChain:
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
         return _F(self._scale.numerator * value, self._scale.denominator * bottom)
-
-    def keeps_sign(self, order: int, start: int) -> bool:
-        """Whether f^(order) provably keeps one sign on the ray t >= start.
-
-        ``start`` must lie beyond every pole (ValueError otherwise), so f^(order)
-        has the sign of K N_order(start + u), u >= 0.  If that Taylor shift has no
-        sign change among its integer coefficients, it has no positive root
-        (Descartes' rule).  False means no proof, not a proven sign change.
-        """
-        coeffs = list(self._numerator(order))      # shifted in a copy
-        if any(r * start + q <= 0 for r, q, _ in self._linears):
-            raise ValueError(f"t = {start} does not lie beyond every pole")
-        for i in range(len(coeffs) - 1):
-            for k in range(len(coeffs) - 2, i - 1, -1):
-                coeffs[k] += start * coeffs[k + 1]
-        return len({c > 0 for c in coeffs if c}) <= 1
 
 
 def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:

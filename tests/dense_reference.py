@@ -160,7 +160,7 @@ def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
     for shift, e in linears:
         factor *= shift.denominator ** e
     x, values = _F(x), []
-    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec)):
+    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec, chain.order)):
         bottom = _ONE
         for shift, e in linears:
             bottom *= (shift.denominator * x + shift.numerator) ** (e + d)

@@ -12,7 +12,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -442,13 +442,23 @@ def test_chain_values_match_the_dense_chain_on_kernels(n):
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)])
-def test_closure_values_match_the_dense_chain(n, m):
-    # criterion 9's cells, both sides, at the closure order of the first two cutoffs
+def test_closure_values_match_the_dense_chain(n, m, monkeypatch):
+    # criterion 9's cells, both sides, at 30 decimals: the closure's values at
+    # the order order + 2M - 1 and the cutoff A that the route chooses
+    closures = []
+    values = polyrat.DerivativeChain.values
+
+    def spy(chain, x):
+        closures.append((chain, x, values(chain, x)))
+        return closures[-1][2]
+
+    monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
     p = FormParameters(n, m)
-    for blocks, order in ((_left_blocks(p), 1), (_right_kernel(p), 2)):
-        chain = blocks.chain(order + 2 * apery_forms._MAX_DEPTH + 2)
-        for cutoff in (256, 512):
-            assert chain.values(cutoff) == chain_values(chain, cutoff), (n, m, order, cutoff)
+    left_form_numeric(p, 30)
+    right_form_numeric(p, 30)
+    assert len(closures) == 2
+    for chain, cutoff, closure in closures:
+        assert closure == chain_values(chain, cutoff), (n, m, chain.order, cutoff)
 
 
 def test_derivatives_at_needs_every_factor_positive():
@@ -640,14 +650,14 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
     assert abs(value - reference.value()) + reference.error_bound <= bound
 
 
-def _high_order_cutoffs(monkeypatch) -> list:
-    """Record the cutoff of every closure-order chain evaluation."""
+def _closure_cutoffs(monkeypatch) -> list:
+    """Record the point of every chain evaluation: in the numeric route, the
+    closure's one ``values`` call at the cutoff A."""
     cutoffs = []
     values = polyrat.DerivativeChain.values
 
     def spy(chain, x):
-        if chain.order >= 8:
-            cutoffs.append(x)
+        cutoffs.append(x)
         return values(chain, x)
 
     monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
@@ -672,47 +682,79 @@ def _count_chains(monkeypatch) -> list:
 def test_series_without_a_closure_raises(numerator, degree, monkeypatch):
     # sum of g' from 1 for g = numerator/(t+1): g does not vanish at infinity,
     # so the closure -g(A) + ... would return a wrong value with a tiny bound
-    cutoffs = _high_order_cutoffs(monkeypatch)
+    cutoffs = _closure_cutoffs(monkeypatch)
     with pytest.raises(DivergenceError, match=f"degree {degree} "):
         _series_numeric(_BlockProduct(F(1), (), ((F(1), -1),), numerator), 1, 1,
                         TAIL_TARGET)
     assert cutoffs == []
 
 
+def test_series_refuses_a_pole_right_of_zero():
+    # g = 1/(t-1)^3 from v = 2 has no pole on the ray, but the remainder
+    # bound's |z + s| >= (1 - alpha) x needs every shift s >= 0
+    with pytest.raises(DomainError):
+        _series_numeric(_BlockProduct(F(1), (), ((F(-1), -3),)), 1, 2, TAIL_TARGET)
+
+
+def _remainder_bound(blocks, order, depth, cutoff):
+    return prod(F(base) ** e for base, e in
+                apery_forms._remainder_factors(blocks.expansion(), order, depth, cutoff))
+
+
+def test_remainder_bound_is_pinned_on_small_kernels():
+    # order 1, M = 1, A = 2, so k = 5 and the Bernoulli weight is
+    # 2 |B_4| / 4! = 1/360.
+    # g = 1/t^2: D = 0, E = 2, d + k = 7, 7 alpha^2 + 2 alpha - 5 = 0 gives
+    # alpha = 5/7, S = 1, and the bound is
+    # 1/360 * 5! * 1 * 1 / ((2/7)^2 (5/7)^5) * 2^-6 / 6 = 823543/14400000.
+    assert _remainder_bound(_BlockProduct(F(1), (), ((F(0), -2),)), 1, 1, 2) == F(
+        823543, 14400000)
+    # g = -3/5 (t^3 - 2t + 3) / ((t + 1)^2 (t + 3/2)^2): D = 3, E = 4, d + k = 6,
+    # 6 alpha^2 + 7 alpha - 5 = 0 gives alpha = 1/2,
+    # S = 3/2^3 + 2/2^2 + 0/2 + 1 = 15/8, and the bound is
+    # 1/360 * 5! * (3/5 * 15/8) * (3/2)^3 / ((1/2)^4 (1/2)^5) * 2^-5 / 5 = 81/20.
+    kernel = _BlockProduct(F(-3, 5), (), ((F(1), -2), (F(3, 2), -2)), (3, -2, 0, 1))
+    assert _remainder_bound(kernel, 1, 1, 2) == F(81, 20)
+
+
 def test_right_side_closes_once(monkeypatch):
-    cutoffs = _high_order_cutoffs(monkeypatch)
+    cutoffs = _closure_cutoffs(monkeypatch)
     right_form_numeric(FormParameters(4, 1), 30)
-    assert 1 <= len(cutoffs) <= 2
+    assert cutoffs == [apery_forms._FIRST_CUTOFF]
 
 
-def test_mixed_sign_shift_doubles_the_cutoff(monkeypatch):
-    # at (12, 5) the left series meets its target at A = 256, but there the
-    # Taylor shift of h^(2M+2) has mixed signs, so the bound is unproved
-    cutoffs = _high_order_cutoffs(monkeypatch)
-    proofs = []
-    keeps_sign = polyrat.DerivativeChain.keeps_sign
+def test_cutoff_doubles_until_a_depth_meets_the_target(monkeypatch):
+    # at (8, 3) and 80 decimals no closure depth up to _MAX_DEPTH meets the
+    # target at A = 128 or 256, so both sides close at A = 512
+    cutoffs = _closure_cutoffs(monkeypatch)
+    tried = []
+    factors = apery_forms._remainder_factors
 
-    def spy(chain, order, start):
-        proofs.append((start, keeps_sign(chain, order, start)))
-        return proofs[-1][1]
+    def spy(expansion, order, depth, cutoff):
+        tried.append(cutoff)
+        return factors(expansion, order, depth, cutoff)
 
-    monkeypatch.setattr(polyrat.DerivativeChain, "keeps_sign", spy)
-    left_form_numeric(FormParameters(12, 5), 30)
-    assert proofs == [(256, False), (512, True)]
-    assert cutoffs == [256, 512]
+    monkeypatch.setattr(apery_forms, "_remainder_factors", spy)
+    for side in (left_form_numeric, right_form_numeric):
+        tried.clear()
+        side(FormParameters(8, 3), 80)
+        assert sorted(set(tried)) == [128, 256, 512]
+        assert tried.count(128) == tried.count(256) == apery_forms._MAX_DEPTH
+    assert cutoffs == [512, 512]
 
 
-@pytest.mark.parametrize("numeric, n, m", [(left_form_numeric, 12, 5),
-                                            (right_form_numeric, 4, 1)],
+@pytest.mark.parametrize("numeric, n, m, order", [(left_form_numeric, 12, 5, 1),
+                                                   (right_form_numeric, 4, 1, 2)],
                          ids=["left-12-5", "right-4-1"])
-def test_numeric_side_builds_one_chain(numeric, n, m, monkeypatch):
-    # every tried cutoff, the sign proofs and the exact sum share one chain
+def test_numeric_side_builds_one_chain(numeric, n, m, order, monkeypatch):
+    # the exact sum builds the one dense chain of the side, and only up to
+    # the order it sums; the closure's derivatives come from the point
     orders = _count_chains(monkeypatch)
     numeric(FormParameters(n, m), 30)
-    assert len(orders) == 1
+    assert orders == [order]
 
 
-@pytest.mark.parametrize("n, m", [(8, 3), (12, 5), (16, 7), (20, 9)])
+@pytest.mark.parametrize("n, m", [(8, 3), (12, 5), (16, 7), (20, 9), (30, 14)])
 def test_numeric_routes_bracket_the_exact_value(n, m):
     p = FormParameters(n, m)
     reference = evaluate_decimal(recurrence_table(n)[(n, m)], 70)
@@ -721,14 +763,25 @@ def test_numeric_routes_bracket_the_exact_value(n, m):
                 <= numeric.error_bound)
 
 
+@pytest.mark.slow
+def test_numeric_routes_bracket_the_exact_value_to_n_20():
+    for (n, m), exact in recurrence_table(20).items():
+        p = FormParameters(n, m)
+        reference = evaluate_decimal(exact, 70)
+        for numeric in (left_form_numeric(p, 30), right_form_numeric(p, 30)):
+            assert (abs(numeric.value() - reference.value()) + reference.error_bound
+                    <= numeric.error_bound), (n, m)
+
+
 def test_numeric_values_are_pinned():
     # digest of (mantissa, scale, error bound) of both numeric sides at 30
-    # digits, as first recorded; a sum that drops, repeats or mis-scales a
-    # term, or a changed cutoff or closure, changes it
+    # digits, recorded once both sides bracketed the 70-digit reference on
+    # every cell here; a sum that drops, repeats or mis-scales a term, or a
+    # changed cutoff, closure or remainder bound, changes it
     rows = []
     for n, m in ((0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)):
         for side in (left_form_numeric, right_form_numeric):
             x = side(FormParameters(n, m), 30)
             rows.append([side.__name__, n, m, x.mantissa, x.scale, str(x.error_bound)])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "012a4d940e3c003526167e2d719f188f955d498831bf2bf283d3a14bc8aed408")
+        "68bcf0d330871b766bd90ed96d880535d3bb5534d028372ddc6018749022f48f")

@@ -83,6 +83,39 @@ def test_verify_identity_parallel_jobs(capsys):
     assert "all verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs, n_max, cpus, workers", [
+    (64, 3, 4, 4),          # bounded by the cores
+    (64, 1, 8, 3),          # bounded by the cells
+    (3, 5, 8, 3),           # as asked
+    (64, 3, None, None),    # cores unknown: one, so no pool
+    (2, 0, 8, None),        # one cell: no pool
+])
+def test_pool_is_bounded_by_cells_and_cores(jobs, n_max, cpus, workers, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in this process: it forks nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_report.os, "cpu_count", lambda: cpus)
+    records = cli_report._grid_records(n_max, jobs)
+    assert sizes == ([workers] if workers else [])
+    assert [(r["n"], r["m"]) for r in records] == [
+        (n, m) for n in range(n_max + 1) for m in range(n + 1)]
+
+
 def test_jobs_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("APERY4_JOBS", "2")
     assert main(["verify-identity", "--n-max", "1"]) == 0

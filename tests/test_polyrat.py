@@ -204,8 +204,8 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
 
 def _chain_routes_agree(prod: LinearFactorProduct) -> None:
     """The chain of prod's integer expansion against the chain of its Fraction
-    expansion (denominators cleared here): values at orders 0..2, sums over
-    several ranges and sign proofs."""
+    expansion (denominators cleared here): values at orders 0..2 and sums
+    over several ranges."""
     num, _ = fraction_expansion(prod)
     clear = lcm(*(c.denominator for c in num.coefficients))
     old = DerivativeChain([c.numerator * (clear // c.denominator) for c in num.coefficients],
@@ -218,8 +218,6 @@ def _chain_routes_agree(prod: LinearFactorProduct) -> None:
     for order in (0, 1, 2):
         for stop in (start, start + 1, start + 2, start + 13, start + 64):
             assert new.sum(order, start, stop) == old.sum(order, start, stop)
-        for at in (start, start + 5, start + 300):
-            assert new.keeps_sign(order, at) == old.keeps_sign(order, at)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -243,27 +241,14 @@ def test_chain_from_product_matches_dense_route_on_degenerate_products(prod):
     _chain_routes_agree(prod)
 
 
-def test_derivative_keeps_sign_sees_a_sign_change():
-    # (t - 300) / t^3 changes sign at t = 300 and nowhere beyond it
-    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3),), 1)
-    assert not chain.keeps_sign(0, 256)
-    assert chain.keeps_sign(0, 300)
-    # f' = (900 - 2t) / t^4 changes sign at t = 450
-    assert not chain.keeps_sign(1, 300)
-    assert chain.keeps_sign(1, 450)
-    with pytest.raises(ValueError):
-        DerivativeChain([-300, 1], F(1), ((F(-500), 1),), 0).keeps_sign(0, 256)
-
-
-def test_chain_is_unchanged_by_its_sign_proofs():
-    # one chain serves a whole series: a sign proof at one cutoff must not
-    # disturb the values and sums taken after it
+def test_chain_sums_every_order_it_carries():
+    # the dense chain is built up to the first order summed and rebuilt for a
+    # higher one: sums taken in any order of orders match the termwise sums
     chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(1, 2), 1)), 2)
-    before = chain.values(F(7, 3)), chain.sum(2, 1, 40), chain.sum(1, 1, 40)
-    for order in (0, 1, 2):
-        chain.keeps_sign(order, 300)
-    assert (chain.values(F(7, 3)), chain.sum(2, 1, 40), chain.sum(1, 1, 40)) == before
-    assert [chain.keeps_sign(1, start) for start in (300, 450)] == [False, True]
+    termwise = [sum((chain.values(v)[order] for v in range(1, 40)), start=F(0))
+                for order in range(3)]
+    orders = (1, 2, 0, 1)
+    assert [chain.sum(order, 1, 40) for order in orders] == [termwise[o] for o in orders]
 
 
 def test_chain_rejects_orders_it_does_not_carry():
@@ -272,8 +257,6 @@ def test_chain_rejects_orders_it_does_not_carry():
     for order in (-1, 3):
         with pytest.raises(ValueError):
             chain.sum(order, 0, 4)
-        with pytest.raises(ValueError):
-            chain.keeps_sign(order, 0)
     with pytest.raises(ValueError):
         DerivativeChain([1], F(1), ((F(1), 2),), -1)
 
