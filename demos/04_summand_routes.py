@@ -17,22 +17,24 @@ exactly:
 
 from fractions import Fraction
 
-from apery4 import FormParameters, audit_summands, left_tail_summand
-from apery4.apery_forms import _BlockProduct, _derivatives_at, _left_blocks
+from apery4 import (FormParameters, Kernel, audit_summands, left_kernel,
+                    left_tail_summand)
+from apery4.apery_forms import _derivatives_at
+from apery4.polyrat import DerivativeChain
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
-one_block = _BlockProduct(Fraction(1), ((1, 2, 1),), ())
+one_block = Kernel(Fraction(1), ((1, 2, 1),), ())
 print(f"d/dt (1 + t)_2 at t = 1: {_derivatives_at(one_block, 1, 1)[1]}")
 
 p = FormParameters(2, 1)
 nu = 3
 point = nu + 2 * p.n - p.m
-# oracle and generated route start from the same kernel spec; only the
-# printed formula is typed in separately
-blocks = _left_blocks(p)
+# oracle and generated route start from the same kernel; only the printed
+# formula is typed in separately
+kernel = left_kernel(p)
 printed = left_tail_summand(p, nu)
-oracle = blocks.chain(1).values(point)[1]
-generated = _derivatives_at(blocks, point, 1)[1]
+oracle = DerivativeChain(*kernel.expansion()).values(point, 1)[1]
+generated = _derivatives_at(kernel, point, 1)[1]
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")
 print(f"  oracle    {oracle}")

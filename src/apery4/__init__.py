@@ -10,19 +10,17 @@ evaluation routes.  See the README for a tour.
 
 from __future__ import annotations
 
-from .apery_forms import (FormParameters, SummandCheck, audit_summands,
-                          left_form, left_form_numeric, left_kernel,
-                          left_mid_sum, left_mid_summand, left_split_check,
-                          left_tail_summand, right_finite_sum, right_form,
-                          right_form_numeric, right_kernel_term,
-                          right_low_summand, right_mid_summand,
-                          right_split_check, right_tail_component,
-                          verify_cell)
+from .apery_forms import (FormParameters, Kernel, SummandCheck,
+                          audit_summands, left_form, left_form_numeric,
+                          left_kernel, left_mid_sum, left_mid_summand,
+                          left_split_check, left_tail_summand,
+                          right_finite_sum, right_form, right_form_numeric,
+                          right_kernel, right_low_summand, right_mid_summand,
+                          right_split_check, verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError, PoleError,
                      PoleInRangeError, RangeError, ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
-from .polyrat import (LinearFactorProduct, PartialFractions, PoleExpansion,
-                      Polynomial, RationalFunction)
+from .polyrat import PartialFractions, PoleExpansion
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum, evaluate_decimal, zeta_value)
 
@@ -32,14 +30,12 @@ __all__ = [
     "DomainError",
     "FixedPointNumber",
     "FormParameters",
-    "LinearFactorProduct",
+    "Kernel",
     "PartialFractions",
     "PoleError",
     "PoleExpansion",
     "PoleInRangeError",
-    "Polynomial",
     "RangeError",
-    "RationalFunction",
     "ReconstructionError",
     "SummandCheck",
     "ZetaLinearForm",
@@ -61,11 +57,10 @@ __all__ = [
     "right_finite_sum",
     "right_form",
     "right_form_numeric",
-    "right_kernel_term",
+    "right_kernel",
     "right_low_summand",
     "right_mid_summand",
     "right_split_check",
-    "right_tail_component",
     "verify_cell",
     "zeta_value",
 ]

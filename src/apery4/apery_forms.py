@@ -16,11 +16,12 @@ each an exact linear form in zeta values (in fact in {1, zeta(4)} alone —
 the zeta(2), zeta(3), zeta(5) coordinates cancel).  The central verified
 claim is left_form == right_form componentwise on the whole parameter grid.
 
-Each kernel is written down once, as a scalar times rising-factorial blocks
-and loose linear factors (times the integer polynomial P on the right); the
-merged :class:`~apery4.polyrat.LinearFactorProduct`, the derivative chain
-(:meth:`_BlockProduct.chain`), the principal parts and the generated route
-all derive from that one spec, the last two through one local expansion.
+Each kernel is written down once, as a :class:`Kernel`: a scalar times
+rising-factorial blocks and loose linear factors (times the integer
+polynomial P on the right), returned by :func:`left_kernel` and
+:func:`right_kernel`.  Its pole orders, its integer expansion (the input of
+a :class:`~apery4.polyrat.DerivativeChain`), the principal parts and the
+generated route all derive from it, the last two through one local expansion.
 Each form sums the derivative tails of its kernel's principal parts
 termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
 at each pole without expanding anything (:class:`_LocalExpansion`), and an
@@ -61,15 +62,16 @@ from math import ceil, floor, lcm, log, prod, sqrt
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
-from .polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
-                      PoleExpansion, _linear_product, _merged_shifts, _mul_coeffs)
+from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion,
+                      _linear_product, _merged_shifts, _mul_coeffs, _times_linear)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum)
 
 __all__ = [
     "FormParameters",
+    "Kernel",
     "left_kernel",
-    "right_kernel_term",
+    "right_kernel",
     "left_form",
     "right_form",
     "verify_cell",
@@ -80,7 +82,6 @@ __all__ = [
     "right_mid_summand",
     "right_low_summand",
     "right_finite_sum",
-    "right_tail_component",
     "right_split_check",
     "SummandCheck",
     "audit_summands",
@@ -109,18 +110,18 @@ class FormParameters:
 
 
 @dataclass(frozen=True)
-class _BlockProduct:
+class Kernel:
     """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors,
     times an integer cofactor polynomial (ascending; 1 but on the right).
 
-    The one written spec of a kernel (see :func:`_left_blocks`,
-    :func:`_right_spec`).  It keeps the rising-factorial block structure,
+    The one written form of a kernel (see :func:`left_kernel`,
+    :func:`right_kernel`).  It keeps the rising-factorial block structure,
     which the local expansions (:class:`_LocalExpansion`) read, at the poles
     for the principal parts and at regular points for the generated route;
-    :meth:`factored` flattens it into the merged
-    :class:`LinearFactorProduct`; :meth:`chain` expands it in integers into
-    a :class:`DerivativeChain`; :meth:`values` steps it in integers.  A view
-    that cannot carry the cofactor refuses it.
+    :meth:`pole_orders` scans the blocks for the poles; :meth:`expansion`
+    multiplies it out in integers, the input of a
+    :class:`~apery4.polyrat.DerivativeChain`; :meth:`values` steps it in
+    integers.
     """
 
     scalar: Fraction
@@ -135,15 +136,24 @@ class _BlockProduct:
                 + len(self.cofactor) - 1)
 
     def linear_factors(self) -> list[tuple[Fraction | int, int]]:
-        """Every (shift, exponent) of the spec, the blocks flattened to
+        """Every (shift, exponent) of the kernel, the blocks flattened to
         (t + x + i)^e, unmerged; the cofactor is left out."""
         return [(x + i, e) for x, k, e in self.blocks for i in range(k)] + list(self.linears)
 
-    def factored(self) -> LinearFactorProduct:
-        """The blocks flattened to (t + x + i)^e factors, merged and sorted."""
-        if self.cofactor != (1,):
-            raise ValueError("a LinearFactorProduct cannot carry the polynomial cofactor")
-        return LinearFactorProduct.of(self.scalar, self.linear_factors())
+    def pole_orders(self) -> dict[int, int]:
+        """{shift p: order} of the poles t = -p, from the merged block exponents."""
+        candidates: set[int] = set()
+        for x, k, e in self.blocks:
+            if e < 0:
+                candidates.update(range(x, x + k))
+        candidates.update(s for s, e in self.linears if e < 0)
+        orders: dict[int, int] = {}
+        for q in candidates:
+            exponent = (sum(e for x, k, e in self.blocks if x <= q < x + k)
+                        + sum(e for s, e in self.linears if s == q))
+            if exponent < 0:
+                orders[q] = -exponent
+        return orders
 
     def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
         """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
@@ -151,10 +161,6 @@ class _BlockProduct:
         coeffs, lead = _linear_product((s, e) for s, e in merged.items() if e > 0)
         return (_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
                 [(s, -e) for s, e in merged.items() if e < 0])
-
-    def chain(self, order: int) -> DerivativeChain:
-        """The kernel's :class:`DerivativeChain` up to ``order``."""
-        return DerivativeChain(*self.expansion(), order)
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -190,16 +196,19 @@ class _BlockProduct:
         return out
 
 
-def _left_blocks(p: FormParameters) -> _BlockProduct:
+def left_kernel(p: FormParameters) -> Kernel:
     """The left kernel (degree gap 3):
 
     (-1)^m n!^2 / (m! (2n-m)!) * (t + n/2)
       * (t-n)_m (t-2n+m)_{2n-m} (t+n+1)_n (t+n+1)_{2n-m}
       / ((t)_{n+1}^3 (t)_{2n-m+1})
+
+    After merging, its poles sit at t = -n..0 with order 4 (order 3 at
+    t = -n/2 for even n, where the linear factor cancels one).
     """
     n, m = p.n, p.m
     scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
-    return _BlockProduct(
+    return Kernel(
         scalar,
         ((-n, m, 1), (m - 2 * n, 2 * n - m, 1), (n + 1, n, 1),
          (n + 1, 2 * n - m, 1), (0, n + 1, -3), (0, 2 * n - m + 1, -1)),
@@ -207,12 +216,11 @@ def _left_blocks(p: FormParameters) -> _BlockProduct:
     )
 
 
-def _right_spec(p: FormParameters) -> _BlockProduct:
+def _right_spec(p: FormParameters) -> Kernel:
     """The right kernel's shared blocks B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}):
     its j-th term, 0 <= j <= n, is C_j (t-j)_n B (degree gap 2), C_j below."""
     n, m = p.n, p.m
-    return _BlockProduct(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1),
-                                 (0, 2 * n - m + 1, -1)), ())
+    return Kernel(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)), ())
 
 
 def _right_weight(p: FormParameters, j: int) -> int:
@@ -220,7 +228,7 @@ def _right_weight(p: FormParameters, j: int) -> int:
     return binomial(p.n, j) ** 2 * binomial(2 * p.n - p.m + j, p.n)
 
 
-def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
+def _right_blocks(p: FormParameters, j: int) -> Kernel:
     """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
     if not 0 <= j <= p.n:
         raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {p.n}")
@@ -228,8 +236,9 @@ def _right_blocks(p: FormParameters, j: int) -> _BlockProduct:
     return replace(shared, scalar=_F(_right_weight(p, j)), blocks=((-j, p.n, 1),) + shared.blocks)
 
 
-def _right_kernel(p: FormParameters) -> _BlockProduct:
-    """The summed right kernel P(t) B(t), P = sum_j C_j (t-j)_n in integers.
+def right_kernel(p: FormParameters) -> Kernel:
+    """The summed right kernel P(t) B(t) (degree gap 2), P = sum_j C_j (t-j)_n
+    in integers.
 
     As (t-j)_n = (t-j)_j (t)_{n-j}, P = a_n with a_j = (t+n-j) a_(j-1) +
     C_j (t-j)_j.  P vanishes at no pole of B, so P B has B's pole orders:
@@ -240,44 +249,14 @@ def _right_kernel(p: FormParameters) -> _BlockProduct:
     cofactor, falling = [], [1]
     for j in range(p.n + 1):                        # falling = (t-j)_j
         weight = _right_weight(p, j)
-        cofactor = [c + weight * f for c, f in zip(_mul_coeffs(cofactor, [p.n - j, 1]), falling)]
-        falling = _mul_coeffs(falling, [-j - 1, 1])
+        cofactor = [c + weight * f for c, f in zip(_times_linear(cofactor, p.n - j, 1), falling)]
+        falling = _times_linear(falling, -j - 1, 1)
     return replace(_right_spec(p), cofactor=tuple(cofactor))
-
-
-def left_kernel(p: FormParameters) -> LinearFactorProduct:
-    """The left rational kernel (degree gap 3) as merged linear factors.
-
-    After structural merging the poles sit at t = -n..0 with order 4
-    (order 3 at t = -n/2 for even n, where the linear factor cancels one).
-    """
-    return _left_blocks(p).factored()
-
-
-def right_kernel_term(p: FormParameters, j: int) -> LinearFactorProduct:
-    """The j-th term of the right kernel (degree gap 2) as merged linear factors."""
-    return _right_blocks(p, j).factored()
 
 
 # ---------------------------------------------------------------------------
 # principal parts from the block structure, with a point-evaluation certificate
 # ---------------------------------------------------------------------------
-
-
-def _pole_orders(bp: _BlockProduct) -> dict[int, int]:
-    """{shift p: order} of the poles t = -p, from the merged block exponents."""
-    candidates: set[int] = set()
-    for x, k, e in bp.blocks:
-        if e < 0:
-            candidates.update(range(x, x + k))
-    candidates.update(s for s, e in bp.linears if e < 0)
-    orders: dict[int, int] = {}
-    for q in candidates:
-        exponent = (sum(e for x, k, e in bp.blocks if x <= q < x + k)
-                    + sum(e for s, e in bp.linears if s == q))
-        if exponent < 0:
-            orders[q] = -exponent
-    return orders
 
 
 class _LocalExpansion:
@@ -304,14 +283,14 @@ class _LocalExpansion:
     Block products and the recursion's ratios are read from tables.
     """
 
-    def __init__(self, bp: _BlockProduct, shifts: list[int], depth: int) -> None:
-        """Tables for expansions of the kernel ``bp`` at t = -shift, for each
-        of ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel."""
-        self.kernel, self.shifts = bp, set(shifts)
-        ends = [end for x, k, _ in bp.blocks if k > 0 for end in (x, x + k - 1)]
+    def __init__(self, kernel: Kernel, shifts: list[int], depth: int) -> None:
+        """Tables for expansions of ``kernel`` at t = -shift, for each of
+        ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel."""
+        self.kernel, self.shifts = kernel, set(shifts)
+        ends = [end for x, k, _ in kernel.blocks if k > 0 for end in (x, x + k - 1)]
         top = max([abs(end - shift) for shift in shifts for end in ends]
                   + [abs(s.numerator - s.denominator * shift)
-                     for shift in shifts for s, _ in bp.linears], default=0)
+                     for shift in shifts for s, _ in kernel.linears], default=0)
         self.scale = lcm(*range(1, top + 1))
         self.table: list[list[int]] = [[]]
         for r in range(1, depth):
@@ -335,10 +314,10 @@ class _LocalExpansion:
         """
         if shift not in self.shifts:
             raise ValueError(f"no tables for shift {shift}, only {sorted(self.shifts)}")
-        bp, scale, table, factorials = self.kernel, self.scale, self.table, self.factorials
-        num, den = bp.scalar.numerator, bp.scalar.denominator
+        kernel, scale, table, factorials = self.kernel, self.scale, self.table, self.factorials
+        num, den = kernel.scalar.numerator, kernel.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
-        for x, k, e in bp.blocks:
+        for x, k, e in kernel.blocks:
             low, high = x - shift, x - shift + k - 1
             # the nonzero a in [low, high] as runs of one sign, |a| = first..last
             for sign, first, last in ((1, max(low, 1), high), (-1, max(-high, 1), -low)):
@@ -351,7 +330,7 @@ class _LocalExpansion:
                     den *= product ** -e
                 for r in range(1, order):
                     sums[r] += e * sign ** r * (table[r][last] - table[r][first - 1])
-        for s, e in bp.linears:
+        for s, e in kernel.linears:
             d = s.denominator
             b = s.numerator - d * shift
             if b == 0:
@@ -371,7 +350,7 @@ class _LocalExpansion:
         # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (E-1)! L^(E-1)
         parts = [num * series[order - j] * (factorials[order - 1] // factorials[order - j])
                  * scale ** (j - 1) for j in range(1, order + 1)]
-        taylor, coeffs = [], list(bp.cofactor)
+        taylor, coeffs = [], list(kernel.cofactor)
         for _ in range(order):              # divide by (t + shift), keep the remainder
             for i in range(len(coeffs) - 2, -1, -1):
                 coeffs[i] -= shift * coeffs[i + 1]
@@ -380,13 +359,13 @@ class _LocalExpansion:
         return numerators, den * factorials[order - 1] * scale ** (order - 1)
 
 
-def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, int],
+def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int],
              where: str) -> None:
-    """Prove that ``expansion`` is the partial-fraction form of the kernel ``bp``.
+    """Prove that ``expansion`` is the partial-fraction form of ``kernel``.
 
     The poles and ``orders`` found by scanning the block ranges
-    (:func:`_pole_orders`) must match the negative exponents left after
-    merging the flattened factors (:meth:`_BlockProduct.linear_factors`)
+    (:meth:`Kernel.pole_orders`) must match the negative exponents left after
+    merging the flattened factors (:meth:`Kernel.linear_factors`)
     shift by shift: a second algorithm over the same spec, not an
     independent spec.  The kernel must vanish at infinity, and the
     expansion must have no term above its pole's order.
@@ -394,19 +373,19 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
     proves R = 0.  The points are consecutive integers where every factor
-    is positive.  There f = num/den (:meth:`_BlockProduct.values`), and one
+    is positive.  There f = num/den (:meth:`Kernel.values`), and one
     pass over every term accumulates parts / prefix = N F(x), N the
     expansion's denominator: parts = parts (x+p)^E + H(x) prefix and
     prefix *= (x+p)^E, H the Horner value of the term's numerators padded
     to its pole's order E.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    poles = {s: -e for s, e in _merged_shifts(bp.linear_factors()).items() if e < 0}
+    poles = {s: -e for s, e in _merged_shifts(kernel.linear_factors()).items() if e < 0}
     if orders != poles:
         raise ReconstructionError(
             f"{where}: block poles {sorted(orders.items())} differ from the "
             f"merged factors' poles {sorted(poles.items())}")
-    if bp.degree >= 0:
+    if kernel.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
     for term in expansion.terms:
         if term.order > orders.get(term.shift, 0):
@@ -418,10 +397,10 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
     terms = []
     for term in expansion.terms:
         order = orders.get(term.shift, 0)
-        terms.append((int(term.shift), order, term.numerators + (0,) * (order - term.order)))
-    start = bp.first_positive_point()
+        terms.append((term.shift, order, term.numerators + (0,) * (order - term.order)))
+    start = kernel.first_positive_point()
     count = sum(orders.values())
-    for x, (num, den) in zip(range(start, start + count), bp.values(start, count)):
+    for x, (num, den) in zip(range(start, start + count), kernel.values(start, count)):
         parts, prefix = 0, 1
         for shift, order, numerators in terms:
             base = x + shift
@@ -436,20 +415,20 @@ def _certify(bp: _BlockProduct, expansion: PartialFractions, orders: dict[int, i
                 f"{where}: principal parts disagree with the kernel at t = {x}")
 
 
-def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
-    """Certified partial fractions of the block-product kernel ``bp``: one
-    local expansion (:class:`_LocalExpansion`) per pole, in integers, with
-    nothing expanded into a dense polynomial, rescaled to one denominator
-    and proved by :func:`_certify`.
+def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
+    """Certified partial fractions of ``kernel``: one local expansion
+    (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
+    into a dense polynomial, rescaled to one denominator and proved by
+    :func:`_certify`.  The pole shifts stay ints.
     """
-    orders = _pole_orders(bp)
-    local = _LocalExpansion(bp, list(orders), max(orders.values(), default=1))
+    orders = kernel.pole_orders()
+    local = _LocalExpansion(kernel, list(orders), max(orders.values(), default=1))
     parts = [(shift, *local.part(shift, orders[shift])) for shift in sorted(orders)]
     common = lcm(*(den for _, _, den in parts))
     expansion = PartialFractions(tuple(
-        PoleExpansion(_F(shift), tuple(c * (common // den) for c in numerators))
+        PoleExpansion(shift, tuple(c * (common // den) for c in numerators))
         for shift, numerators, den in parts), common)
-    _certify(bp, expansion, orders, where)
+    _certify(kernel, expansion, orders, where)
     return expansion
 
 
@@ -459,13 +438,13 @@ def _principal_parts(bp: _BlockProduct, where: str) -> PartialFractions:
 
 
 def _left_expansion(p: FormParameters) -> PartialFractions:
-    return _principal_parts(_left_blocks(p),
+    return _principal_parts(left_kernel(p),
                             f"left side of cell (n, m) = ({p.n}, {p.m})")
 
 
 def _right_expansion(p: FormParameters) -> PartialFractions:
-    """The certified parts of the summed right kernel P B (:func:`_right_kernel`)."""
-    return _principal_parts(_right_kernel(p),
+    """The certified parts of the summed right kernel P B (:func:`right_kernel`)."""
+    return _principal_parts(right_kernel(p),
                             f"right side of cell (n, m) = ({p.n}, {p.m})")
 
 
@@ -503,21 +482,21 @@ def verify_cell(n: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _derivatives_at(bp: _BlockProduct, point: int, order: int) -> list[Fraction]:
-    """[g, g', ..., g^(order)](point) of the kernel ``bp``, cofactor included.
+def _derivatives_at(kernel: Kernel, point: int, order: int) -> list[Fraction]:
+    """[g, g', ..., g^(order)](point) of ``kernel``, cofactor included.
 
     The generated summand route: the rising-factorial derivative rule,
     d/dt (t+x)_k = (t+x)_k (S_1(t+x+k-1) - S_1(t+x-1)), applied to every
     factor at once through log g, to any order.  Where no factor vanishes,
     the local expansion (:class:`_LocalExpansion`) at ``point`` as a pole of
     order ``order + 1`` has the Taylor coefficients g^(k)(point)/k! as its
-    numerators.  DomainError below ``bp.first_positive_point()``.
+    numerators.  DomainError below ``kernel.first_positive_point()``.
     """
-    first = bp.first_positive_point()
+    first = kernel.first_positive_point()
     if point < first:
         raise DomainError(f"derivative rule needs t >= {first}, where every factor "
                           f"is positive, got t = {point}")
-    local = _LocalExpansion(bp, [-point], order + 1)
+    local = _LocalExpansion(kernel, [-point], order + 1)
     numerators, den = local.part(-point, order + 1)
     return [_F(local.factorials[k] * numerators[order - k], den) for k in range(order + 1)]
 
@@ -675,13 +654,6 @@ def right_finite_sum(p: FormParameters) -> Fraction:
     return total
 
 
-def right_tail_component(p: FormParameters, j: int) -> ZetaLinearForm:
-    """Exact tail of the j-th right series from v = n+1 on."""
-    expansion = _principal_parts(_right_blocks(p, j),
-                                 f"right tail j = {j} of cell (n, m) = ({p.n}, {p.m})")
-    return derivative_tail_sum(expansion, 2, p.n + 1)
-
-
 def right_split_check(p: FormParameters) -> bool:
     """Tail from v = n+1 plus printed finite part == the whole right series,
     both summed from one certified expansion of P B, the sum of the j-terms."""
@@ -746,14 +718,14 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
         for m in range(n + 1):
             p = FormParameters(n, m)
             shift = 2 * n - m
-            left = _left_blocks(p)
-            # one chain per kernel: the left one (key None) at order 1, right j at 2
-            chains = {None: left.chain(1)}
+            left = left_kernel(p)
+            # one chain per kernel: the left one (key None) read at order 1, right j at 2
+            chains = {None: DerivativeChain(*left.expansion())}
 
             def oracle(j: int | None, x: int) -> Fraction:
                 if j not in chains:
-                    chains[j] = _right_blocks(p, j).chain(2)
-                return chains[j].values(x)[-1]
+                    chains[j] = DerivativeChain(*_right_blocks(p, j).expansion())
+                return chains[j].values(x, 1 if j is None else 2)[-1]
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
@@ -822,10 +794,10 @@ def _remainder_factors(expansion: tuple, order: int, depth: int,
             (alpha, -k), (cutoff, 1 - gap), (gap - 1, -1)]
 
 
-def _series_numeric(bp: _BlockProduct, order: int, start: int,
+def _series_numeric(kernel: Kernel, order: int, start: int,
                     target: Fraction) -> tuple[Fraction, Fraction]:
-    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for the
-    kernel g = K N(t) / prod (t + s)^e of ``bp`` (:meth:`_BlockProduct.expansion`),
+    """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for
+    g = K N(t) / prod (t + s)^e, ``kernel`` multiplied out (:meth:`Kernel.expansion`),
     every s >= 0 (DomainError otherwise), deg g <= order - 2 (DivergenceError).
 
     The terms below A are summed exactly and the tail is closed at depth M by
@@ -843,17 +815,17 @@ def _series_numeric(bp: _BlockProduct, order: int, start: int,
     in Fractions, one ``values`` call reads g^(order-1) .. g^(order+2M-1) at A,
     and the exact sum builds the dense chain up to ``order`` only.
     """
-    if bp.degree > order - 2:
-        raise DivergenceError(f"kernel of degree {bp.degree} has no closure at "
+    if kernel.degree > order - 2:
+        raise DivergenceError(f"kernel of degree {kernel.degree} has no closure at "
                               f"derivative order {order} (needs <= {order - 2})")
-    expansion, cutoff, log_target = bp.expansion(), max(_FIRST_CUTOFF, start), _log(target)
+    expansion, cutoff, log_target = kernel.expansion(), max(_FIRST_CUTOFF, start), _log(target)
     while not (depth := next((m for m in range(1, _MAX_DEPTH + 1) if sum(
             e * _log(base) for base, e in _remainder_factors(expansion, order, m, cutoff))
             < log_target), 0)):
         cutoff *= 2
     bound = prod(_F(base) ** e for base, e in _remainder_factors(expansion, order, depth, cutoff))
-    chain = DerivativeChain(*expansion, order + 2 * depth - 1)
-    high = chain.values(cutoff)
+    chain = DerivativeChain(*expansion)
+    high = chain.values(cutoff, order + 2 * depth - 1)
     closure = -high[order - 1] + high[order] / 2 - sum(
         bernoulli_even(2 * k) / factorial(2 * k) * high[order + 2 * k - 1]
         for k in range(1, depth + 1))
@@ -862,7 +834,7 @@ def _series_numeric(bp: _BlockProduct, order: int, start: int,
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
-    value, bound = _series_numeric(_left_blocks(p), 1, p.n - p.m + 1,
+    value, bound = _series_numeric(left_kernel(p), 1, p.n - p.m + 1,
                                    _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(-value / 3, digits, inherent_error=bound / 3)
 
@@ -871,7 +843,7 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric 1/6 sum_{v >= 1} (d^2/dt^2 right kernel)(v): the defining series.
 
     Euler–Maclaurin is linear, so one closure and one remainder bound on
-    the summed kernel P B (:func:`_right_kernel`) cover the whole side.
+    the summed kernel P B (:func:`right_kernel`) cover the whole side.
     """
-    value, bound = _series_numeric(_right_kernel(p), 2, 1, _F(1, 10 ** (digits + 15)))
+    value, bound = _series_numeric(right_kernel(p), 2, 1, _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)

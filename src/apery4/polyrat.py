@@ -11,18 +11,20 @@ Conventions
 * Everything is exact rational arithmetic; nothing here touches floats.
 
 Each kernel of the package is written once, as rising-factorial blocks
-(see :mod:`apery4.apery_forms`); :class:`LinearFactorProduct` is its
-flattened form, with repeated shifts merged, multiplied out in integers
-with one scalar.  The exact forms take their principal parts straight from
-the blocks, in integers, and return them as :class:`PartialFractions`
-(proper principal parts: integer numerators over one reduced
-denominator), never expanding a kernel.  A :class:`DerivativeChain` holds
-a kernel's integer expansion; it takes derivative values at a point by the
-product and quotient rule on Taylor series there, and builds the dense
-integer quotient-rule chain on first need, for exact sums over a range:
-the route of the numeric series and of the summand oracle.
-:class:`Polynomial` and :class:`RationalFunction` are the plain dense forms
-that :meth:`LinearFactorProduct.expand` returns; no other module reads them.
+(:class:`apery4.apery_forms.Kernel`).  The exact forms take their principal
+parts straight from the blocks, in integers, and return them as
+:class:`PartialFractions` (proper principal parts: integer numerators over
+one reduced denominator), never expanding a kernel.  A
+:class:`DerivativeChain` holds a kernel's integer expansion; it takes
+derivative values at a point by the product and quotient rule on Taylor
+series there, and builds the dense integer quotient-rule chain on first
+need, for exact sums over a range: the route of the numeric series and of
+the summand oracle.  :class:`LinearFactorProduct` (a flattened kernel with
+repeated shifts merged) and the plain dense :class:`Polynomial` and
+:class:`RationalFunction` that its :meth:`~LinearFactorProduct.expand`
+returns have no reader in the package; they stay only while the
+benchmark's layer tracer (``bench/layers.py``) wraps ``expand`` and
+``expand_parts`` by name (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -286,8 +288,9 @@ def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
 
 
 class DerivativeChain:
-    """f, f', ..., f^(order) of f = scale * sum coeffs[i] t^i / prod (t + s)^e,
-    from the integer expansion (``LinearFactorProduct._integer_parts``).
+    """The derivatives of f = scale * sum coeffs[i] t^i / prod (t + s)^e, from
+    its integer expansion (``Kernel.expansion`` in :mod:`apery4.apery_forms`),
+    to any order asked for per call.
 
     :meth:`values` applies the product and quotient rule at the point, to
     truncated Taylor series; :meth:`sum` reads the dense integer chain of
@@ -296,26 +299,25 @@ class DerivativeChain:
     sum; no method changes what an instance computes.
     """
 
-    __slots__ = ("_spec", "order", "_scale", "_linears", "_chain")
+    __slots__ = ("_spec", "_scale", "_linears", "_chain")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
-                 den_factors: Sequence[tuple[Fraction | int, int]], order: int) -> None:
-        if order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {order}")
-        self._spec, self.order, self._chain = (coeffs, scale, den_factors), order, None
+                 den_factors: Sequence[tuple[Fraction | int, int]]) -> None:
+        self._spec, self._chain = (coeffs, scale, den_factors), None
         # (r, q, e) for each t + q/r = (r t + q) / r, the r^e moved into the scale
         self._linears = [(s.denominator, s.numerator, e) for s, e in den_factors]
         self._scale = scale * prod(r ** e for r, _, e in self._linears)
 
-    def values(self, x: Fraction | int) -> list[Fraction]:
+    def values(self, x: Fraction | int, order: int) -> list[Fraction]:
         """f(x), ..., f^(order)(x) at x = a/b, from f's Taylor series in u,
         t = (a + u)/b, in integers: the numerator's by homogeneous synthetic
         division, times each (r t + q)^-e's binomial series, that of
         (L + r u)^-e with L = r a + q b, made by e geometric divisions; the
         u^k coefficients are scaled by D^k, D = lcm of the L's.  PoleError
         at a pole."""
+        _check_order(order)
         a, b = _as_fraction(x).as_integer_ratio()
-        coeffs, order = self._spec[0], self.order
+        coeffs = self._spec[0]
         bases = [r * a + q * b for r, q, _ in self._linears]
         if 0 in bases:
             raise PoleError(f"derivative evaluation at pole t = {_F(a, b)}")
@@ -346,8 +348,7 @@ class DerivativeChain:
         integer pairs N_order(v) / prod (r v + q)^(e + order) added in a
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"derivative order {order} outside 0..{self.order}")
+        _check_order(order)
         if self._chain is None or len(self._chain) <= order:
             self._chain = _quotient_chain(*self._spec, order)
         coeffs, pairs = self._chain[order], []
@@ -367,6 +368,11 @@ class DerivativeChain:
         return _F(self._scale.numerator * value, self._scale.denominator * bottom)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+
+
 def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """a/b + c/d over (b/g) d, g = gcd(b, d), unnormalised."""
     g = gcd(b, d)
@@ -384,7 +390,7 @@ class PoleExpansion:
     """Principal part at one pole, over its expansion's integer denominator D:
     sum_j numerators[j-1] / (D (t + shift)^j)."""
 
-    shift: Fraction
+    shift: int | Fraction
     numerators: tuple[int, ...]
 
     @property

@@ -1,8 +1,9 @@
 """The dense Fraction reference that the tests compare the integer routes against.
 
-Nothing in the package calls it.  It holds the polynomial ring over Q
-(:class:`Polynomial`, a :class:`apery4.polyrat.Polynomial` with arithmetic,
-long and synthetic division and Taylor prefixes), a kernel multiplied out
+Nothing in the package calls it, and it reads none of the package's
+polynomial types.  It holds the polynomial ring over Q (:class:`Polynomial`,
+with arithmetic, long and synthetic division and Taylor prefixes), a kernel
+flattened and merged by its own code (:func:`flattened`) and multiplied out
 with Fraction polynomial powers (:func:`fraction_expansion`), the reference
 partial-fraction decomposition of a plain numerator/denominator pair
 (:func:`partial_fractions`), and derivative values read off the dense
@@ -22,9 +23,9 @@ from math import lcm
 from typing import Iterable
 
 from apery4 import polyrat
+from apery4.apery_forms import Kernel
 from apery4.errors import Apery4Error, PoleError, ReconstructionError
-from apery4.polyrat import (DerivativeChain, LinearFactorProduct, PartialFractions,
-                            PoleExpansion, RationalFunction, _mul_coeffs)
+from apery4.polyrat import DerivativeChain, PartialFractions, PoleExpansion
 
 _F = Fraction
 _ZERO = _F(0)
@@ -35,11 +36,49 @@ class FactorizationError(Apery4Error, ArithmeticError):
     """The supplied candidate shifts do not exhaust a denominator."""
 
 
-class Polynomial(polyrat.Polynomial):
-    """A dense polynomial over Q with ring operations; it compares equal to
-    the package's :class:`~apery4.polyrat.Polynomial` of the same coefficients."""
+class Polynomial:
+    """A dense polynomial over Q, coefficients ascending by degree, with ring
+    operations; the zero polynomial has degree -1.  Integral coefficients are
+    kept as ints, which multiply far faster than Fractions."""
 
-    __slots__ = ()
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
+        normalized = [c if isinstance(c, int) else _F(c) for c in coeffs]
+        normalized = [c.numerator if c.denominator == 1 else c for c in normalized]
+        while normalized and normalized[-1] == 0:
+            normalized.pop()
+        self.coefficients = tuple(normalized)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coefficients
+
+    @property
+    def leading_coefficient(self) -> Fraction:
+        return self.coefficients[-1] if self.coefficients else _ZERO
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """Evaluate by Horner's scheme."""
+        acc: Fraction | int = 0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return _F(acc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __repr__(self) -> str:
+        return f"Polynomial({[str(c) for c in self.coefficients]})"
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -58,7 +97,7 @@ class Polynomial(polyrat.Polynomial):
     def constant(cls, value: Fraction | int) -> "Polynomial":
         return cls((value,))
 
-    def __add__(self, other: polyrat.Polynomial) -> "Polynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
@@ -70,13 +109,17 @@ class Polynomial(polyrat.Polynomial):
     def __neg__(self) -> "Polynomial":
         return Polynomial(-c for c in self.coefficients)
 
-    def __sub__(self, other: polyrat.Polynomial) -> "Polynomial":
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + Polynomial(-c for c in other.coefficients)
 
-    def __mul__(self, other: polyrat.Polynomial | Fraction | int) -> "Polynomial":
+    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if isinstance(other, (Fraction, int)):
             return Polynomial(c * other for c in self.coefficients)
-        return Polynomial(_mul_coeffs(self.coefficients, other.coefficients))
+        out: list[Fraction | int] = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -96,7 +139,7 @@ class Polynomial(polyrat.Polynomial):
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(c * i for i, c in enumerate(self.coefficients))[1:])
 
-    def divmod(self, other: polyrat.Polynomial) -> tuple["Polynomial", "Polynomial"]:
+    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact long division: self = q*other + r with deg r < deg other."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -139,11 +182,27 @@ class Polynomial(polyrat.Polynomial):
         return out
 
 
-def fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomial]:
-    """The product multiplied out with Fraction polynomial powers: the reference
-    for the integer route of expand_parts/expand and of the derivative chain."""
-    num, den = Polynomial.constant(prod.scalar), Polynomial.one()
-    for shift, exponent in prod.factors:
+def flattened(kernel: Kernel) -> list[tuple[Fraction, int]]:
+    """The kernel's linear factors (shift, exponent), the exponents of equal
+    shifts added, zero exponents dropped, sorted by shift; no cofactor."""
+    merged: dict[Fraction, int] = {}
+    for shift, exponent in kernel.linear_factors():
+        merged[_F(shift)] = merged.get(_F(shift), 0) + exponent
+    return sorted((shift, exponent) for shift, exponent in merged.items() if exponent)
+
+
+def poles(kernel: Kernel) -> list[Fraction]:
+    """The shifts of the kernel's denominator factors after merging."""
+    return [shift for shift, exponent in flattened(kernel) if exponent < 0]
+
+
+def fraction_expansion(kernel: Kernel) -> tuple[Polynomial, Polynomial]:
+    """(numerator, monic denominator) of the kernel, multiplied out with
+    Fraction polynomial powers from its merged factors, the scalar and the
+    cofactor in the numerator: the reference for the integer expansion
+    behind every derivative chain."""
+    num, den = Polynomial(kernel.cofactor) * kernel.scalar, Polynomial.one()
+    for shift, exponent in flattened(kernel):
         if exponent > 0:
             num = num * Polynomial((shift, 1)) ** exponent
         else:
@@ -151,7 +210,13 @@ def fraction_expansion(prod: LinearFactorProduct) -> tuple[Polynomial, Polynomia
     return num, den
 
 
-def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
+def kernel_values(kernel: Kernel, points: Iterable[Fraction | int]) -> list[Fraction]:
+    """The kernel's exact values at ``points``, from its Fraction expansion."""
+    num, den = fraction_expansion(kernel)
+    return [num(x) / den(x) for x in points]
+
+
+def chain_values(chain: DerivativeChain, x: Fraction | int, order: int) -> list[Fraction]:
     """f(x), ..., f^(order)(x) of ``chain`` from its dense quotient chain
     (:func:`apery4.polyrat._quotient_chain`): each N_d evaluated at x over
     prod (r x + q)^(e + d), times K; PoleError at a pole."""
@@ -160,7 +225,7 @@ def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
     for shift, e in linears:
         factor *= shift.denominator ** e
     x, values = _F(x), []
-    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec, chain.order)):
+    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec, order)):
         bottom = _ONE
         for shift, e in linears:
             bottom *= (shift.denominator * x + shift.numerator) ** (e + d)
@@ -170,12 +235,13 @@ def chain_values(chain: DerivativeChain, x: Fraction | int) -> list[Fraction]:
     return values
 
 
-def partial_fractions(f: RationalFunction, candidate_shifts: Iterable[Fraction | int]
+def partial_fractions(numerator: Polynomial, denominator: Polynomial,
+                      candidate_shifts: Iterable[Fraction | int]
                       ) -> tuple[Polynomial, PartialFractions]:
-    """(polynomial part, principal parts) of ``f``, with caller-supplied pole
-    candidates.
+    """(polynomial part, principal parts) of f = numerator / denominator, with
+    caller-supplied pole candidates.
 
-    The denominator of ``f`` must factor completely as prod (t + p)^{e_p}
+    The denominator must factor completely as prod (t + p)^{e_p}
     over the candidate shifts (duplicates and non-roots among the candidates
     are harmless); otherwise FactorizationError.  For each pole the principal
     part is extracted from the local Taylor expansions of the numerator and
@@ -183,8 +249,6 @@ def partial_fractions(f: RationalFunction, candidate_shifts: Iterable[Fraction |
     re-multiplied and compared with ``f`` before being returned, as integers
     over the lcm of its coefficient denominators, its terms sorted by shift.
     """
-    numerator = Polynomial(f.numerator.coefficients)
-    denominator = Polynomial(f.denominator.coefficients)
     candidates = sorted({_F(shift) for shift in candidate_shifts})
 
     # polynomial part

@@ -16,21 +16,21 @@ from math import lcm, prod
 
 import pytest
 
-from apery4 import (DivergenceError, DomainError, FormParameters,
+from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
                     PartialFractions, PoleExpansion, RangeError,
-                    RationalFunction, ReconstructionError, ZetaLinearForm,
-                    apery_forms, audit_summands, derivative_tail_sum,
-                    evaluate_decimal, exact_arith, left_form,
-                    left_form_numeric, left_kernel, left_mid_sum,
-                    left_mid_summand, left_split_check, left_tail_summand,
-                    polyrat, right_finite_sum, right_form, right_form_numeric,
-                    right_kernel_term, right_low_summand, right_mid_summand,
-                    right_split_check, right_tail_component, verify_cell)
-from apery4.apery_forms import (_BlockProduct, _certify, _derivatives_at,
-                                _left_blocks, _left_expansion, _principal_parts,
-                                _right_blocks, _right_kernel, _series_numeric)
+                    ReconstructionError, ZetaLinearForm, apery_forms,
+                    audit_summands, derivative_tail_sum, evaluate_decimal,
+                    exact_arith, left_form, left_form_numeric, left_kernel,
+                    left_mid_sum, left_mid_summand, left_split_check,
+                    left_tail_summand, polyrat, right_finite_sum, right_form,
+                    right_form_numeric, right_kernel, right_low_summand,
+                    right_mid_summand, right_split_check, verify_cell)
+from apery4.apery_forms import (_certify, _derivatives_at, _left_expansion,
+                                _principal_parts, _right_blocks, _series_numeric)
+from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
-from dense_reference import Polynomial, chain_values, partial_fractions
+from dense_reference import (Polynomial, chain_values, flattened, fraction_expansion,
+                             kernel_values, partial_fractions, poles)
 
 F = Fraction
 
@@ -68,40 +68,49 @@ def test_parameters_domain():
 
 def test_left_kernel_degree_gap_is_3():
     for n, m in [(0, 0), (1, 0), (3, 2), (5, 5)]:
-        assert left_kernel(FormParameters(n, m)).degree_gap == 3
+        assert left_kernel(FormParameters(n, m)).degree == -3
 
 
 def test_right_kernel_degree_gap_is_2():
     for n, m, j in [(0, 0, 0), (2, 1, 0), (3, 3, 3), (5, 2, 4)]:
-        assert right_kernel_term(FormParameters(n, m), j).degree_gap == 2
+        assert _right_blocks(FormParameters(n, m), j).degree == -2
+        assert right_kernel(FormParameters(n, m)).degree == -2
 
 
 def test_base_kernels_are_pure_powers():
-    assert left_kernel(FormParameters(0, 0)).factors == ((F(0), -3),)
-    assert right_kernel_term(FormParameters(0, 0), 0).factors == ((F(0), -2),)
+    assert flattened(left_kernel(FormParameters(0, 0))) == [(0, -3)]
+    assert flattened(_right_blocks(FormParameters(0, 0), 0)) == [(0, -2)]
 
 
 def test_left_kernel_poles_cancel_to_low_range():
-    # after merging, poles survive only at shifts 0..n (order <= 4)
-    kernel = left_kernel(FormParameters(4, 1))
-    shifts = kernel.denominator_shifts()
-    assert min(shifts) == 0 and max(shifts) == 4
-    assert all(e >= -4 for _, e in kernel.factors)
+    # left_kernel's claim: after merging, the poles sit at t = -n..0 with
+    # order 4, order 3 at t = -n/2 for even n
+    for n in range(16):
+        expected = {q: 3 if 2 * q == n else 4 for q in range(n + 1)}
+        for m in range(n + 1):
+            assert left_kernel(FormParameters(n, m)).pole_orders() == expected, (n, m)
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_right_kernel_keeps_the_pole_orders_of_its_blocks(n):
+    # right_kernel's claim: P vanishes at no pole of the shared blocks B, so
+    # P B has B's pole orders: (t)_{n+1} (t)_{2n-m+1} over (t-n)_{2n-m} leaves
+    # order 2 at t = -n..-(n-m) and order 1 at the other t = -(2n-m)..0
+    for m in range(n + 1):
+        kernel = right_kernel(FormParameters(n, m))
+        orders = kernel.pole_orders()
+        assert orders == replace(kernel, cofactor=(1,)).pole_orders(), m
+        assert orders == {q: 1 + (n - m <= q <= n) for q in range(2 * n - m + 1)}, m
+        assert all(Polynomial(kernel.cofactor)(-q) for q in orders), m
 
 
 def test_right_kernel_term_domain():
-    with pytest.raises(RangeError):
-        right_kernel_term(FormParameters(2, 1), 3)
-    with pytest.raises(RangeError):
-        right_kernel_term(FormParameters(2, 1), -1)
-
-
-@pytest.mark.parametrize("j", [3, -1])
-def test_right_tail_component_domain(j):
     # outside 0..n the binomial weight is 0, so without the check a zero
-    # kernel would pass as a valid tail
+    # kernel would pass as a valid term
     with pytest.raises(RangeError):
-        right_tail_component(FormParameters(2, 1), j)
+        _right_blocks(FormParameters(2, 1), 3)
+    with pytest.raises(RangeError):
+        _right_blocks(FormParameters(2, 1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +174,21 @@ def test_verify_cell_record():
 
 
 def _kernel_specs(p):
-    """(label, block product, LinearFactorProduct) for every kernel of a cell."""
-    yield "left", _left_blocks(p), left_kernel(p)
+    """(label, kernel) for the left kernel and every right j-kernel of a cell."""
+    yield "left", left_kernel(p)
     for j in range(p.n + 1):
-        yield f"right j = {j}", _right_blocks(p, j), right_kernel_term(p, j)
+        yield f"right j = {j}", _right_blocks(p, j)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_block_principal_parts_match_dense_route(n):
     for m in range(n + 1):
-        for label, blocks, kernel in _kernel_specs(FormParameters(n, m)):
+        for label, kernel in _kernel_specs(FormParameters(n, m)):
             # the dense route's polynomial part is the independent witness
             # that every kernel is proper
-            polynomial, dense = partial_fractions(kernel.expand(), kernel.denominator_shifts())
+            polynomial, dense = partial_fractions(*fraction_expansion(kernel), poles(kernel))
             assert polynomial.is_zero, (n, m, label)
-            assert _principal_parts(blocks, label) == dense, (n, m, label)
+            assert _principal_parts(kernel, label) == dense, (n, m, label)
 
 
 def _summed_parts(*expansions):
@@ -202,14 +211,13 @@ def test_summed_right_kernel_matches_its_terms(n):
     # coefficient by coefficient, and the values at non-pole rational points
     for m in range(n + 1):
         p = FormParameters(n, m)
-        kernel = _right_kernel(p)
+        kernel = right_kernel(p)
         terms = [_principal_parts(_right_blocks(p, j), f"right j = {j}")
                  for j in range(n + 1)]
         assert _principal_parts(kernel, "right") == _summed_parts(*terms), (n, m)
-        blocks = replace(kernel, cofactor=(1,)).factored()
-        for x in (F(1, 3), F(-7, 2), F(5, 7)):
-            assert (Polynomial(kernel.cofactor)(x) * blocks.value_at(x)
-                    == sum(right_kernel_term(p, j).value_at(x) for j in range(n + 1))), (n, m, x)
+        points = (F(1, 3), F(-7, 2), F(5, 7))
+        assert kernel_values(kernel, points) == [sum(values) for values in zip(
+            *(kernel_values(_right_blocks(p, j), points) for j in range(n + 1)))], (n, m)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -218,19 +226,13 @@ def test_integer_kernel_values_match_the_dense_oracle(n):
     # left kernel, each right j-kernel and the summed right kernel P B
     for m in range(n + 1):
         p = FormParameters(n, m)
-        kernels = [(label, blocks, blocks.factored().value_at)
-                   for label, blocks, _ in _kernel_specs(p)]
-        summed = _right_kernel(p)
-        shared = replace(summed, cofactor=(1,)).factored()
-        kernels.append(("right P B", summed,
-                        lambda x: shared.value_at(x) * Polynomial(summed.cofactor)(x)))
-        for label, blocks, value_at in kernels:
-            start = blocks.first_positive_point()
-            count = sum(apery_forms._pole_orders(blocks).values())
-            pairs = blocks.values(start, count)
+        for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
+            start = kernel.first_positive_point()
+            count = sum(kernel.pole_orders().values())
+            pairs = kernel.values(start, count)
             assert len(pairs) == count, (n, m, label)
-            for x, (num, den) in zip(range(start, start + count), pairs):
-                assert F(num, den) == value_at(x), (n, m, label, x)
+            assert [F(num, den) for num, den in pairs] == kernel_values(
+                kernel, range(start, start + count)), (n, m, label)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -239,11 +241,11 @@ def test_summed_right_chain_matches_its_terms(n):
     # the n+1 per-j chains: values beyond the poles and sums over two ranges
     for m in range(n + 1):
         p = FormParameters(n, m)
-        summed = _right_kernel(p).chain(2)
-        terms = [_right_blocks(p, j).chain(2) for j in range(n + 1)]
+        summed = DerivativeChain(*right_kernel(p).expansion())
+        terms = [DerivativeChain(*_right_blocks(p, j).expansion()) for j in range(n + 1)]
         for x in (F(1, 3), F(7, 2), F(40, 7)):
-            assert summed.values(x) == [sum(values) for values in
-                                        zip(*(chain.values(x) for chain in terms))], (n, m, x)
+            assert summed.values(x, 2) == [sum(values) for values in zip(
+                *(chain.values(x, 2) for chain in terms))], (n, m, x)
         for order in (0, 1, 2):
             for start, stop in ((1, 4), (3, 30)):
                 assert summed.sum(order, start, stop) == sum(
@@ -251,12 +253,10 @@ def test_summed_right_chain_matches_its_terms(n):
 
 
 def test_cofactor_is_never_dropped():
-    # the merged view refuses the cofactor; the generated route carries it,
-    # so P B's derivatives are the sums of its j-kernels' derivatives
+    # the generated route carries the cofactor, so P B's derivatives are the
+    # sums of its j-kernels' derivatives
     p = FormParameters(3, 1)
-    kernel = _right_kernel(p)
-    with pytest.raises(ValueError, match="cofactor"):
-        kernel.factored()
+    kernel = right_kernel(p)
     for point in (4, 10):
         assert _derivatives_at(kernel, point, 2) == [sum(values) for values in zip(
             *(_derivatives_at(_right_blocks(p, j), point, 2) for j in range(p.n + 1)))]
@@ -264,8 +264,8 @@ def test_cofactor_is_never_dropped():
 
 def _certified_sides(p):
     """(where, kernel, expansion) for the left kernel and the summed right one."""
-    for where, kernel in (("left side of cell (4, 1)", _left_blocks(p)),
-                          ("right side of cell (4, 1)", _right_kernel(p))):
+    for where, kernel in (("left side of cell (4, 1)", left_kernel(p)),
+                          ("right side of cell (4, 1)", right_kernel(p))):
         yield where, kernel, _principal_parts(kernel, where)
 
 
@@ -282,7 +282,7 @@ def test_certificate_rejects_tampered_parts(tamper):
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         tampered = PartialFractions(tamper(expansion.terms), expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
+            _certify(kernel, tampered, kernel.pole_orders(), where)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -293,9 +293,9 @@ def test_certificate_rejects_tampered_kernels(tamper):
     # the honest parts against a kernel with the same poles but other values
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         tampered = tamper(kernel)
-        assert apery_forms._pole_orders(tampered) == apery_forms._pole_orders(kernel)
+        assert tampered.pole_orders() == kernel.pole_orders()
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(tampered, expansion, apery_forms._pole_orders(tampered), where)
+            _certify(tampered, expansion, tampered.pole_orders(), where)
 
 
 def test_certificate_counts_every_term_at_a_shift():
@@ -305,14 +305,14 @@ def test_certificate_counts_every_term_at_a_shift():
         extra = PoleExpansion(expansion.terms[0].shift, (1,))
         tampered = PartialFractions((extra,) + expansion.terms, expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, apery_forms._pole_orders(kernel), where)
+            _certify(kernel, tampered, kernel.pole_orders(), where)
 
 
 def test_certificate_uses_every_point():
     # add R/D with R vanishing at the first deg D - 1 certificate points: only
     # the last point tells the tampered parts from the honest ones
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
-        orders = apery_forms._pole_orders(kernel)
+        orders = kernel.pole_orders()
         den = Polynomial.one()
         for shift, order in orders.items():
             den = den * Polynomial((shift, 1)) ** order
@@ -321,7 +321,7 @@ def test_certificate_uses_every_point():
         remainder = Polynomial.constant(7)
         for x in range(start, last):
             remainder = remainder * Polynomial((-x, 1))
-        polynomial, extra = partial_fractions(RationalFunction(remainder, den), orders)
+        polynomial, extra = partial_fractions(remainder, den, orders)
         assert polynomial.is_zero
         tampered = _summed_parts(expansion, extra)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
@@ -332,20 +332,19 @@ def test_certificate_cross_checks_the_pole_orders(monkeypatch):
     # the block scan and the merged factors read the poles of one spec by two
     # algorithms; a scan that loses a pole must not go unnoticed
     p = FormParameters(4, 1)
-    expansion = _principal_parts(_left_blocks(p), "left")
-    honest = apery_forms._pole_orders
-    monkeypatch.setattr(apery_forms, "_pole_orders",
-                        lambda bp: {s: e for s, e in honest(bp).items() if s != 4})
+    expansion = _principal_parts(left_kernel(p), "left")
+    honest = Kernel.pole_orders
+    monkeypatch.setattr(Kernel, "pole_orders",
+                        lambda kernel: {s: e for s, e in honest(kernel).items() if s != 4})
     with pytest.raises(ReconstructionError, match="block poles"):
-        _certify(_left_blocks(p), expansion, apery_forms._pole_orders(_left_blocks(p)),
-                 "left")
+        _certify(left_kernel(p), expansion, left_kernel(p).pole_orders(), "left")
 
 
 def test_local_parts_come_only_from_the_tabled_shifts():
     # L = lcm(1..top) covers the shifts the tables were built for; at another
     # shift the loose factor's b need not divide it.  At t = -2 the kernel
     # (t + 1/2) / (t (t+1) (t+2))^2 has A_2 = -3/8 and A_1 = -3/8 * 7/3 = -7/8.
-    kernel = _BlockProduct(F(1), ((0, 3, -2),), ((F(1, 2), 1),))
+    kernel = Kernel(F(1), ((0, 3, -2),), ((F(1, 2), 1),))
     assert apery_forms._LocalExpansion(kernel, [2], 2).part(2, 2) == ([-42, -18], 48)
     with pytest.raises(ValueError, match="no tables for shift 2"):
         apery_forms._LocalExpansion(kernel, [0], 2).part(2, 2)
@@ -364,8 +363,8 @@ def test_forms_always_certify(monkeypatch):
         left_form(p)
     with pytest.raises(ReconstructionError, match=r"right side of cell \(n, m\) = \(3, 1\)"):
         right_form(p)
-    with pytest.raises(ReconstructionError, match=r"right tail j = 2 of cell"):
-        right_tail_component(p, 2)
+    with pytest.raises(ReconstructionError, match=r"right j = 2 of cell"):
+        _principal_parts(_right_blocks(p, 2), "right j = 2 of cell (n, m) = (3, 1)")
 
 
 @pytest.mark.parametrize("n", range(16))
@@ -401,26 +400,24 @@ def test_both_sides_match_recurrence_table_to_n_40():
 def test_derivatives_at_match_the_chain(n):
     # the rule on one block (t + x)_n: d/dt (1 + t)_2 at t = 1 is 5, and at
     # order 1 it matches the chain wherever every factor is positive
-    assert _derivatives_at(_BlockProduct(F(1), ((1, 2, 1),), ()), 1, 1) == [6, 5]
+    assert _derivatives_at(Kernel(F(1), ((1, 2, 1),), ()), 1, 1) == [6, 5]
     for x in range(-3, 7):
-        block = _BlockProduct(F(1), ((x, n, 1),), ())
-        chain = block.chain(1)
+        block = Kernel(F(1), ((x, n, 1),), ())
+        chain = DerivativeChain(*block.expansion())
         for nu in range(block.first_positive_point(), 9):
-            assert _derivatives_at(block, nu, 1) == chain.values(nu), (x, n, nu)
+            assert _derivatives_at(block, nu, 1) == chain.values(nu, 1), (x, n, nu)
     # the generated route against the oracle's chain at orders 0..4, on every
     # left kernel, right j-kernel and summed right kernel P B, from the first
     # point where every factor is positive on
     for m in range(n + 1):
         p = FormParameters(n, m)
-        kernels = [(label, blocks) for label, blocks, _ in _kernel_specs(p)]
-        kernels.append(("right P B", _right_kernel(p)))
-        for label, blocks in kernels:
-            chain = blocks.chain(4)
-            first = blocks.first_positive_point()
+        for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
+            chain = DerivativeChain(*kernel.expansion())
+            first = kernel.first_positive_point()
             for x in (first, first + 1, first + 5, first + 40):
-                values = chain.values(x)
+                values = chain.values(x, 4)
                 for order in range(5):
-                    assert _derivatives_at(blocks, x, order) == values[:order + 1], (
+                    assert _derivatives_at(kernel, x, order) == values[:order + 1], (
                         n, m, label, x, order)
 
 
@@ -431,14 +428,13 @@ def test_chain_values_match_the_dense_chain_on_kernels(n):
     # the poles and between them
     for m in range(n + 1):
         p = FormParameters(n, m)
-        kernels = [(label, blocks) for label, blocks, _ in _kernel_specs(p)]
-        kernels.append(("right P B", _right_kernel(p)))
-        for label, blocks in kernels:
-            first = blocks.first_positive_point()
+        for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
+            first = kernel.first_positive_point()
+            chain = DerivativeChain(*kernel.expansion())
             for order in range(5):
-                chain = blocks.chain(order)
                 for x in (first, first + 7, first + F(1, 3), F(-1, 3), F(-5, 4)):
-                    assert chain.values(x) == chain_values(chain, x), (n, m, label, x)
+                    assert chain.values(x, order) == chain_values(chain, x, order), (
+                        n, m, label, x)
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)])
@@ -448,27 +444,27 @@ def test_closure_values_match_the_dense_chain(n, m, monkeypatch):
     closures = []
     values = polyrat.DerivativeChain.values
 
-    def spy(chain, x):
-        closures.append((chain, x, values(chain, x)))
-        return closures[-1][2]
+    def spy(chain, x, order):
+        closures.append((chain, x, order, values(chain, x, order)))
+        return closures[-1][3]
 
     monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
     p = FormParameters(n, m)
     left_form_numeric(p, 30)
     right_form_numeric(p, 30)
     assert len(closures) == 2
-    for chain, cutoff, closure in closures:
-        assert closure == chain_values(chain, cutoff), (n, m, chain.order, cutoff)
+    for chain, cutoff, order, closure in closures:
+        assert closure == chain_values(chain, cutoff, order), (n, m, order, cutoff)
 
 
 def test_derivatives_at_needs_every_factor_positive():
     p = FormParameters(3, 1)
-    for blocks in (_left_blocks(p), _right_blocks(p, 2), _right_kernel(p),
-                   _BlockProduct(F(1), ((-3, 2, 1),), ())):
-        first = blocks.first_positive_point()
-        assert _derivatives_at(blocks, first, 1)
+    for kernel in (left_kernel(p), _right_blocks(p, 2), right_kernel(p),
+                   Kernel(F(1), ((-3, 2, 1),), ())):
+        first = kernel.first_positive_point()
+        assert _derivatives_at(kernel, first, 1)
         with pytest.raises(DomainError):
-            _derivatives_at(blocks, first - 1, 1)
+            _derivatives_at(kernel, first - 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +528,17 @@ def test_finite_sums_match_termwise_accumulation():
     assert right_finite_sum(p) == total
 
 
-def test_right_tail_component_accumulates_to_form():
+def _right_tail_term(p, j):
+    """The exact tail of the j-th right series from v = n+1 on."""
+    return derivative_tail_sum(_principal_parts(_right_blocks(p, j), f"right j = {j}"),
+                               2, p.n + 1)
+
+
+def test_right_tail_terms_accumulate_to_form():
     p = FormParameters(2, 2)
     total = ZetaLinearForm.from_constant(right_finite_sum(p))
     for j in range(3):
-        total = total + right_tail_component(p, j)
+        total = total + _right_tail_term(p, j)
     assert F(1, 6) * total == right_form(p)
 
 
@@ -559,17 +561,22 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
     # one chain per kernel, read only through values at the point: the
     # dense quotient chain is never built
     built = _count_chains(monkeypatch)
-    orders = []
-    chain = _BlockProduct.chain
+    chains, orders = [], set()
+    init, values = DerivativeChain.__init__, DerivativeChain.values
 
-    def spy(bp, order):
-        orders.append(order)
-        return chain(bp, order)
+    def spy_init(chain, *expansion):
+        chains.append(chain)
+        init(chain, *expansion)
 
-    monkeypatch.setattr(_BlockProduct, "chain", spy)
+    def spy_values(chain, x, order):
+        orders.add(order)
+        return values(chain, x, order)
+
+    monkeypatch.setattr(DerivativeChain, "__init__", spy_init)
+    monkeypatch.setattr(DerivativeChain, "values", spy_values)
     audit_summands(n_max=3, samples=2, seed=11)
-    assert len(orders) == 36
-    assert set(orders) == {1, 2}
+    assert len(chains) == 36
+    assert orders == {1, 2}
     assert built == []
 
 
@@ -590,8 +597,9 @@ def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
     for c in checks:
         p = FormParameters(c.n, c.m)
         x = c.nu + {"left-tail": 2 * c.n - c.m, "left-mid": c.n - c.m}.get(c.family, 0)
-        blocks, order = (_left_blocks(p), 1) if c.j is None else (_right_blocks(p, c.j), 2)
-        assert str(blocks.chain(order).values(x)[-1]) == c.values[c.routes.index("oracle")], c
+        kernel, order = (left_kernel(p), 1) if c.j is None else (_right_blocks(p, c.j), 2)
+        oracle = DerivativeChain(*kernel.expansion()).values(x, order)[-1]
+        assert str(oracle) == c.values[c.routes.index("oracle")], c
 
 
 def test_audit_values_are_pinned():
@@ -635,16 +643,16 @@ TAIL_CASES = ([("left", n, m, None) for n in range(3) for m in range(n + 1)]
 def test_numeric_tail_lies_within_its_bound(side, n, m, j):
     p = FormParameters(n, m)
     if side == "left":
-        bp, order, start = _left_blocks(p), 1, 2 * n - m + 1
+        kernel, order, start = left_kernel(p), 1, 2 * n - m + 1
         exact = derivative_tail_sum(_left_expansion(p), 1, start)
     elif side == "right":
-        bp, order, start = _right_blocks(p, j), 2, n + 1
-        exact = right_tail_component(p, j)
+        kernel, order, start = _right_blocks(p, j), 2, n + 1
+        exact = _right_tail_term(p, j)
     else:
         # the whole right series of the summed kernel P B, from v = 1
-        bp, order, start = _right_kernel(p), 2, 1
+        kernel, order, start = right_kernel(p), 2, 1
         exact = 6 * right_form(p)
-    value, bound = _series_numeric(bp, order, start, TAIL_TARGET)
+    value, bound = _series_numeric(kernel, order, start, TAIL_TARGET)
     reference = evaluate_decimal(exact, 70)
     assert bound < TAIL_TARGET
     assert abs(value - reference.value()) + reference.error_bound <= bound
@@ -656,9 +664,9 @@ def _closure_cutoffs(monkeypatch) -> list:
     cutoffs = []
     values = polyrat.DerivativeChain.values
 
-    def spy(chain, x):
+    def spy(chain, x, order):
         cutoffs.append(x)
-        return values(chain, x)
+        return values(chain, x, order)
 
     monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
     return cutoffs
@@ -684,8 +692,7 @@ def test_series_without_a_closure_raises(numerator, degree, monkeypatch):
     # so the closure -g(A) + ... would return a wrong value with a tiny bound
     cutoffs = _closure_cutoffs(monkeypatch)
     with pytest.raises(DivergenceError, match=f"degree {degree} "):
-        _series_numeric(_BlockProduct(F(1), (), ((F(1), -1),), numerator), 1, 1,
-                        TAIL_TARGET)
+        _series_numeric(Kernel(F(1), (), ((F(1), -1),), numerator), 1, 1, TAIL_TARGET)
     assert cutoffs == []
 
 
@@ -693,12 +700,12 @@ def test_series_refuses_a_pole_right_of_zero():
     # g = 1/(t-1)^3 from v = 2 has no pole on the ray, but the remainder
     # bound's |z + s| >= (1 - alpha) x needs every shift s >= 0
     with pytest.raises(DomainError):
-        _series_numeric(_BlockProduct(F(1), (), ((F(-1), -3),)), 1, 2, TAIL_TARGET)
+        _series_numeric(Kernel(F(1), (), ((F(-1), -3),)), 1, 2, TAIL_TARGET)
 
 
-def _remainder_bound(blocks, order, depth, cutoff):
+def _remainder_bound(kernel, order, depth, cutoff):
     return prod(F(base) ** e for base, e in
-                apery_forms._remainder_factors(blocks.expansion(), order, depth, cutoff))
+                apery_forms._remainder_factors(kernel.expansion(), order, depth, cutoff))
 
 
 def test_remainder_bound_is_pinned_on_small_kernels():
@@ -707,13 +714,13 @@ def test_remainder_bound_is_pinned_on_small_kernels():
     # g = 1/t^2: D = 0, E = 2, d + k = 7, 7 alpha^2 + 2 alpha - 5 = 0 gives
     # alpha = 5/7, S = 1, and the bound is
     # 1/360 * 5! * 1 * 1 / ((2/7)^2 (5/7)^5) * 2^-6 / 6 = 823543/14400000.
-    assert _remainder_bound(_BlockProduct(F(1), (), ((F(0), -2),)), 1, 1, 2) == F(
+    assert _remainder_bound(Kernel(F(1), (), ((F(0), -2),)), 1, 1, 2) == F(
         823543, 14400000)
     # g = -3/5 (t^3 - 2t + 3) / ((t + 1)^2 (t + 3/2)^2): D = 3, E = 4, d + k = 6,
     # 6 alpha^2 + 7 alpha - 5 = 0 gives alpha = 1/2,
     # S = 3/2^3 + 2/2^2 + 0/2 + 1 = 15/8, and the bound is
     # 1/360 * 5! * (3/5 * 15/8) * (3/2)^3 / ((1/2)^4 (1/2)^5) * 2^-5 / 5 = 81/20.
-    kernel = _BlockProduct(F(-3, 5), (), ((F(1), -2), (F(3, 2), -2)), (3, -2, 0, 1))
+    kernel = Kernel(F(-3, 5), (), ((F(1), -2), (F(3, 2), -2)), (3, -2, 0, 1))
     assert _remainder_bound(kernel, 1, 1, 2) == F(81, 20)
 
 

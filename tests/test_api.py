@@ -3,7 +3,9 @@
 The traced benchmark run resolves every name in every module's ``__all__``
 with ``getattr`` and wraps ``LinearFactorProduct.expand`` and
 ``expand_parts`` as they appear in the class namespace, so a stale export or
-a method turned into a static method or property would crash it.  The
+a method turned into a static method or property would crash it.  Those
+methods are all the package keeps the flattened dense layer for: no other
+module, and not the tests' dense reference, reads it.  The
 package itself depends on the standard library alone, and its distribution
 metadata names the package and its version.
 """
@@ -59,20 +61,31 @@ def test_recurrence_lab_imports_nothing_from_apery_forms():
     assert [name for name in names if "apery_forms" in name.split(".")] == []
 
 
+DENSE = {"LinearFactorProduct", "Polynomial", "RationalFunction"}
+
+
 def test_no_module_but_polyrat_reads_the_dense_layer():
-    # the dense Polynomial and RationalFunction have no production reader:
-    # only polyrat defines them and the package root exports them
-    dense = {"Polynomial", "RationalFunction"}
+    # the flattened LinearFactorProduct and the dense Polynomial and
+    # RationalFunction have no production reader: only polyrat defines them,
+    # the package root does not export them, and the tests' dense reference,
+    # which must stay independent of the package's expansions, imports none
     readers = []
     for path in sorted(Path(apery4.__file__).parent.glob("*.py")):
-        if path.name in ("polyrat.py", "__init__.py"):
+        if path.name == "polyrat.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-        readers += [(path.name, name) for name in sorted(names & dense)]
+        readers += [(path.name, name) for name in sorted(names & DENSE)]
     assert readers == []
+    assert sorted(DENSE & set(apery4.__all__)) == []
+    reference = Path(__file__).resolve().parent / "dense_reference.py"
+    tree = ast.parse(reference.read_text(), filename=str(reference))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(imported & DENSE) == []
 
 
 def test_every_error_type_is_raised():

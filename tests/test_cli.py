@@ -222,7 +222,7 @@ def test_recurrence_checks_the_right_values(capsys, monkeypatch):
 def test_a_failed_certificate_exits_1_naming_cell_and_side(capsys, monkeypatch):
     # a certificate that does not hold is a failed verification, not a usage error
     honest = apery_forms._LocalExpansion.part
-    tampered = apery_forms._right_kernel(FormParameters(2, 1))
+    tampered = apery_forms.right_kernel(FormParameters(2, 1))
 
     def off_by_one(self, shift, order):
         numerators, den = honest(self, shift, order)

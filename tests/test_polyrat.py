@@ -1,5 +1,6 @@
-"""Unit tests for polynomials, factored products, derivative chains, and
-the dense partial-fraction reference."""
+"""Unit tests for the dense reference polynomials, the flattened
+LinearFactorProduct, derivative chains, and the dense partial-fraction
+reference."""
 
 import random
 from fractions import Fraction
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery4 import (FormParameters, LinearFactorProduct, PartialFractions,
-                    PoleError, PoleExpansion, RationalFunction, left_kernel,
-                    pochhammer, right_kernel_term)
-from apery4.polyrat import DerivativeChain
-from dense_reference import (FactorizationError, Polynomial, chain_values,
-                             fraction_expansion, partial_fractions)
+from apery4 import (FormParameters, Kernel, PartialFractions, PoleError,
+                    PoleExpansion, left_kernel, pochhammer, right_kernel)
+from apery4.apery_forms import _right_blocks
+from apery4.polyrat import DerivativeChain, LinearFactorProduct
+from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
+                             fraction_expansion, kernel_values, partial_fractions, poles)
 
 F = Fraction
 
@@ -22,9 +23,14 @@ F = Fraction
 WORKED_PARTS = ((F(1), F(0), 1), (F(1), F(0), 2), (F(-1), F(1), 1))
 
 
-def _chain(prod: LinearFactorProduct, order: int) -> DerivativeChain:
-    """The chain of ``prod`` from its integer expansion."""
-    return DerivativeChain(*prod._integer_parts(), order)
+def _chain(kernel: Kernel) -> DerivativeChain:
+    """The chain of ``kernel`` from its integer expansion."""
+    return DerivativeChain(*kernel.expansion())
+
+
+def _loose(scalar, factors) -> Kernel:
+    """A kernel of loose linear factors (shift, exponent) only."""
+    return Kernel(F(scalar), (), tuple((F(s), e) for s, e in factors))
 
 
 def _parts_derivative(parts, x, order):
@@ -131,39 +137,39 @@ def test_expand_is_order_independent(pairs):
 
 def test_derivative_values_match_symbolic_derivative():
     # 2 (t + 1/2) / (t^2 (t + 1)) is the worked example
-    prod = LinearFactorProduct.of(2, [(F(0), -2), (F(1, 2), 1), (F(1), -1)])
+    kernel = _loose(2, [(0, -2), (F(1, 2), 1), (1, -1)])
     for x in (F(1, 2), 3):
-        values = _chain(prod, 3).values(x)
+        values = _chain(kernel).values(x, 3)
         assert values == [_parts_derivative(WORKED_PARTS, x, k) for k in range(4)]
 
 
 def test_factored_derivative_values_against_quotient_rule():
-    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)), 4)
-    values = chain.values(F(1, 2))
+    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)))
+    values = chain.values(F(1, 2), 4)
     assert values == [_parts_derivative(WORKED_PARTS, F(1, 2), k) for k in range(5)]
     with pytest.raises(PoleError):
-        chain.values(-1)
+        chain.values(-1, 4)
 
 
-def _random_product(rng: random.Random) -> LinearFactorProduct:
+def _random_product(rng: random.Random) -> Kernel:
     """A product with half-integer shifts, poles up to order 3, a Fraction scalar."""
     factors = [(F(rng.randint(-6, 6), 2), rng.choice((-3, -2, -1, 1, 2)))
                for _ in range(rng.randint(1, 6))]
-    return LinearFactorProduct.of(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), factors)
+    return _loose(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), factors)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_factored_derivative_values_match_partial_fraction_reference(seed):
     rng = random.Random(seed)
-    prod = _random_product(rng)
-    polynomial_part, expansion = partial_fractions(prod.expand(), prod.denominator_shifts())
+    kernel = _random_product(rng)
+    polynomial_part, expansion = partial_fractions(*fraction_expansion(kernel), poles(kernel))
     parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
              for j, c in enumerate(term.numerators, start=1)]
-    poles = set(prod.denominator_shifts())
+    shifts = set(poles(kernel))
     points = [F(rng.randint(-20, 20), rng.choice((3, 4, 7))) for _ in range(3)]
-    chain = _chain(prod, 6)
-    for x in [x for x in points if -x not in poles]:
-        values = chain.values(x)
+    chain = _chain(kernel)
+    for x in [x for x in points if -x not in shifts]:
+        values = chain.values(x, 6)
         polynomial = polynomial_part
         for d in range(7):
             # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
@@ -175,46 +181,44 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
 def test_values_at_the_point_match_the_dense_chain(seed):
     # the Taylor route of values against N_d of the dense chain at the point
     rng = random.Random(seed)
-    prod = _random_product(rng)
-    poles = set(prod.denominator_shifts())
+    kernel = _random_product(rng)
+    shifts = set(poles(kernel))
     points = [F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 7))) for _ in range(6)]
+    chain = _chain(kernel)
     for order in range(7):
-        chain = _chain(prod, order)
-        for x in [x for x in points if -x not in poles]:
-            assert chain.values(x) == chain_values(chain, x), (order, x)
-        for shift in poles:
-            for route in (chain.values, lambda x: chain_values(chain, x)):
+        for x in [x for x in points if -x not in shifts]:
+            assert chain.values(x, order) == chain_values(chain, x, order), (order, x)
+        for shift in shifts:
+            for route in (chain.values, lambda x, order: chain_values(chain, x, order)):
                 with pytest.raises(PoleError):
-                    route(-shift)
+                    route(-shift, order)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_factored_derivative_sum_matches_termwise_sum(seed):
     rng = random.Random(seed)
-    prod = _random_product(rng)
-    chain = _chain(prod, 2)
+    chain = _chain(_random_product(rng))
     start = 4                               # beyond every shift -3..3
     for order in (0, 1, 2):
         for stop in (start - 2, start, start + 1, start + rng.randint(2, 40)):
-            termwise = sum((chain.values(v)[order] for v in range(start, stop)), start=F(0))
+            termwise = sum((chain.values(v, 2)[order] for v in range(start, stop)), start=F(0))
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
-        DerivativeChain([1], F(1), ((F(-5), 1),), 1).sum(1, 4, 8)
+        DerivativeChain([1], F(1), ((F(-5), 1),)).sum(1, 4, 8)
 
 
-def _chain_routes_agree(prod: LinearFactorProduct) -> None:
-    """The chain of prod's integer expansion against the chain of its Fraction
-    expansion (denominators cleared here): values at orders 0..2 and sums
-    over several ranges."""
-    num, _ = fraction_expansion(prod)
+def _chain_routes_agree(kernel: Kernel) -> None:
+    """The chain of the kernel's integer expansion against the chain of its
+    Fraction expansion (denominators cleared here): values at orders 0..2 and
+    sums over several ranges."""
+    num, _ = fraction_expansion(kernel)
     clear = lcm(*(c.denominator for c in num.coefficients))
     old = DerivativeChain([c.numerator * (clear // c.denominator) for c in num.coefficients],
-                          F(1, clear), tuple((s, -e) for s, e in prod.factors if e < 0), 2)
-    new = _chain(prod, 2)
-    assert new.order == old.order == 2
-    start = max((floor(-s) + 1 for s in prod.denominator_shifts()), default=0)
+                          F(1, clear), tuple((s, -e) for s, e in flattened(kernel) if e < 0))
+    new = _chain(kernel)
+    start = max((floor(-s) + 1 for s in poles(kernel)), default=0)
     for x in (start, start + 3, start + F(1, 2), start + F(5, 3)):
-        assert new.values(x) == old.values(x)
+        assert new.values(x, 2) == old.values(x, 2)
     for order in (0, 1, 2):
         for stop in (start, start + 1, start + 2, start + 13, start + 64):
             assert new.sum(order, start, stop) == old.sum(order, start, stop)
@@ -230,35 +234,35 @@ def test_chain_from_product_matches_dense_route_on_kernels(n):
     for m in range(n + 1):
         p = FormParameters(n, m)
         _chain_routes_agree(left_kernel(p))
+        _chain_routes_agree(right_kernel(p))
         for j in range(n + 1):
-            _chain_routes_agree(right_kernel_term(p, j))
+            _chain_routes_agree(_right_blocks(p, j))
 
 
-@pytest.mark.parametrize("prod", [LinearFactorProduct.of(F(-3, 2)),
-                                  LinearFactorProduct.of(0, [(F(1, 2), -2), (F(-40), 1)])],
+@pytest.mark.parametrize("kernel", [_loose(F(-3, 2), []),
+                                    _loose(0, [(F(1, 2), -2), (-40, 1)])],
                          ids=["empty-product", "zero-scalar"])
-def test_chain_from_product_matches_dense_route_on_degenerate_products(prod):
-    _chain_routes_agree(prod)
+def test_chain_from_product_matches_dense_route_on_degenerate_products(kernel):
+    _chain_routes_agree(kernel)
 
 
 def test_chain_sums_every_order_it_carries():
     # the dense chain is built up to the first order summed and rebuilt for a
     # higher one: sums taken in any order of orders match the termwise sums
-    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(1, 2), 1)), 2)
-    termwise = [sum((chain.values(v)[order] for v in range(1, 40)), start=F(0))
+    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(1, 2), 1)))
+    termwise = [sum((chain.values(v, 2)[order] for v in range(1, 40)), start=F(0))
                 for order in range(3)]
     orders = (1, 2, 0, 1)
     assert [chain.sum(order, 1, 40) for order in orders] == [termwise[o] for o in orders]
 
 
 def test_chain_rejects_orders_it_does_not_carry():
-    chain = DerivativeChain([1], F(1), ((F(1), 2),), 2)
-    assert chain.order == 2
-    for order in (-1, 3):
-        with pytest.raises(ValueError):
-            chain.sum(order, 0, 4)
+    # the order comes with each call; no chain carries a negative one
+    chain = DerivativeChain([1], F(1), ((F(1), 2),))
     with pytest.raises(ValueError):
-        DerivativeChain([1], F(1), ((F(1), 2),), -1)
+        chain.sum(-1, 0, 4)
+    with pytest.raises(ValueError):
+        chain.values(0, -1)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -268,18 +272,23 @@ def test_integer_expansion_matches_fraction_powers(seed):
     factors = [(F(rng.randint(-9, 9), rng.choice((1, 2, 3))), rng.choice((-2, -1, 1, 2, 3)))
                for _ in range(rng.randint(0, 6))]
     prod = LinearFactorProduct.of(scalar, factors)
-    num, den = fraction_expansion(prod)
-    assert prod.expand_parts() == (num, tuple((s, -e) for s, e in prod.factors if e < 0))
-    expected = (RationalFunction(num, den) if not num.is_zero
-                else RationalFunction(Polynomial(), Polynomial.one()))
-    assert prod.expand() == expected
+    num, den = fraction_expansion(_loose(scalar, factors))
+    numerator, den_factors = prod.expand_parts()
+    assert numerator.coefficients == num.coefficients
+    assert den_factors == tuple((s, -e) for s, e in prod.factors if e < 0)
+    f = prod.expand()
+    assert (f.numerator.coefficients, f.denominator.coefficients) == (
+        (num.coefficients, den.coefficients) if not num.is_zero else ((), (1,)))
 
 
 @pytest.mark.parametrize("scalar", [0, -3, F(2, 7)])
 def test_integer_expansion_of_the_empty_product(scalar):
     prod = LinearFactorProduct.of(scalar)
-    assert prod.expand_parts() == (Polynomial.constant(scalar), ())
-    assert prod.expand() == RationalFunction(Polynomial.constant(scalar), Polynomial.one())
+    numerator, den_factors = prod.expand_parts()
+    assert (numerator.coefficients, den_factors) == (Polynomial.constant(scalar).coefficients, ())
+    f = prod.expand()
+    assert (f.numerator.coefficients, f.denominator.coefficients) == (
+        Polynomial.constant(scalar).coefficients, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +298,8 @@ def test_integer_expansion_of_the_empty_product(scalar):
 
 def test_partial_fractions_worked_example():
     # (2t + 1) / (t^2 (t + 1)) = 1/t + 1/t^2 - 1/(t+1)
-    f = RationalFunction(Polynomial([1, 2]),
-                         Polynomial.variable() ** 2 * Polynomial([1, 1]))
-    polynomial, expansion = partial_fractions(f, [F(0), F(1), F(5)])
+    polynomial, expansion = partial_fractions(
+        Polynomial([1, 2]), Polynomial.variable() ** 2 * Polynomial([1, 1]), [F(0), F(1), F(5)])
     assert polynomial.is_zero
     by_shift = {term.shift: term.numerators for term in expansion.terms}
     assert by_shift == {F(0): (1, 1), F(1): (-1,)}
@@ -300,24 +308,22 @@ def test_partial_fractions_worked_example():
 
 def test_partial_fractions_with_polynomial_part():
     # (t^3 + 1) / (t + 1) in lowest terms is t^2 - t + 1: no pole left
-    f = RationalFunction(Polynomial([1, -1, 1]), Polynomial.one())
-    polynomial, expansion = partial_fractions(f, [F(1)])
+    polynomial, expansion = partial_fractions(Polynomial([1, -1, 1]), Polynomial.one(), [F(1)])
     assert polynomial == Polynomial([1, -1, 1])
     assert expansion.terms == ()
 
 
 def test_partial_fractions_drops_a_cancelled_pole():
     # (t^3 + 1) / (t + 1) unreduced: the factor cancels, leaving no term
-    f = RationalFunction(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]))
-    polynomial, expansion = partial_fractions(f, [1])
+    polynomial, expansion = partial_fractions(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]), [1])
     assert expansion.terms == ()
     assert polynomial == Polynomial([1, -1, 1])
 
 
 def test_partial_fractions_trims_cancelled_orders():
     # (t+1)(t+2) / ((t+1)^2 (t+2)) = 1/(t+1): order 1 at -1, no pole at -2
-    f = RationalFunction(Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]))
-    polynomial, expansion = partial_fractions(f, [1, 2])
+    polynomial, expansion = partial_fractions(
+        Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]), [1, 2])
     assert polynomial.is_zero
     assert {term.shift: term.numerators for term in expansion.terms} == {F(1): (1,)}
     assert expansion.denominator == 1
@@ -325,8 +331,7 @@ def test_partial_fractions_trims_cancelled_orders():
 
 def test_partial_fractions_are_reduced_to_one_least_denominator():
     # 1 / (t (t + 2)) = (1/2) / t - (1/2) / (t + 2)
-    f = RationalFunction(Polynomial.one(), Polynomial([0, 2, 1]))
-    polynomial, expansion = partial_fractions(f, [0, 2])
+    polynomial, expansion = partial_fractions(Polynomial.one(), Polynomial([0, 2, 1]), [0, 2])
     assert polynomial.is_zero and expansion.denominator == 2
     assert [term.numerators for term in expansion.terms] == [(1,), (-1,)]
     # every construction reduces, so equal values compare equal
@@ -337,9 +342,8 @@ def test_partial_fractions_are_reduced_to_one_least_denominator():
 
 
 def test_partial_fractions_needs_all_poles_offered():
-    f = RationalFunction(Polynomial.one(), Polynomial.variable() * Polynomial([1, 1]))
-    with pytest.raises(FactorizationError):
-        partial_fractions(f, [F(0)])  # the pole at -1 is not covered
+    with pytest.raises(FactorizationError):   # the pole at -1 is not covered
+        partial_fractions(Polynomial.one(), Polynomial.variable() * Polynomial([1, 1]), [F(0)])
 
 
 @settings(max_examples=40)
@@ -347,15 +351,13 @@ def test_partial_fractions_needs_all_poles_offered():
                 min_size=1, max_size=4),
        st.lists(st.integers(-2, 2), min_size=0, max_size=2))
 def test_partial_fractions_round_trip(den_pairs, num_roots):
-    factors = [(F(s), e) for s, e in den_pairs]
-    factors += [(F(r), 1) for r in num_roots]
-    prod = LinearFactorProduct.of(1, factors)
-    f = prod.expand()
-    polynomial, expansion = partial_fractions(f, prod.denominator_shifts())
+    kernel = _loose(1, den_pairs + [(r, 1) for r in num_roots])
+    num, den = fraction_expansion(kernel)
+    polynomial, expansion = partial_fractions(num, den, poles(kernel))
     parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
              for j, c in enumerate(term.numerators, start=1)]
     # f - (polynomial part + parts) = R / D with deg R <= deg f.num + deg D,
     # so agreement at that many + 1 points off the poles proves R = 0
-    for x in range(4, 5 + f.numerator.degree + f.denominator.degree):
-        assert (polynomial(x) + _parts_derivative(parts, x, 0)
-                == prod.value_at(x))
+    points = range(4, 5 + num.degree + den.degree)
+    for x, value in zip(points, kernel_values(kernel, points)):
+        assert polynomial(x) + _parts_derivative(parts, x, 0) == value

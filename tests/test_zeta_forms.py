@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import (FixedPointNumber, PoleInRangeError, RationalFunction,
-                    ZetaLinearForm, bernoulli_even, derivative_tail_sum,
-                    evaluate_decimal, zeta_value)
+from apery4 import (FixedPointNumber, PoleInRangeError, ZetaLinearForm,
+                    bernoulli_even, derivative_tail_sum, evaluate_decimal,
+                    zeta_value)
 from apery4.polyrat import PartialFractions, PoleExpansion
 from dense_reference import Polynomial, partial_fractions
 
@@ -108,23 +108,21 @@ def test_derivative_tail_rejects_zeta_outside_basis():
 
 def test_derivative_tail_telescopes_to_constant():
     # f = 1/(t(t+1)); sum_{v>=1} f'(v) telescopes to -1 with no zeta part
-    f = RationalFunction(Polynomial.one(), Polynomial.variable() * Polynomial([1, 1]))
-    _, expansion = partial_fractions(f, [F(0), F(1)])
+    _, expansion = partial_fractions(Polynomial.one(),
+                                     Polynomial.variable() * Polynomial([1, 1]), [F(0), F(1)])
     tail = derivative_tail_sum(expansion, 1, 1)
     assert tail == ZetaLinearForm.from_constant(-1)
 
 
 def test_derivative_tail_single_pole():
     # f = 1/t, order 2: sum_{v>=1} 2/v^3 = 2 zeta(3)
-    f = RationalFunction(Polynomial.one(), Polynomial.variable())
-    _, expansion = partial_fractions(f, [F(0)])
+    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [F(0)])
     tail = derivative_tail_sum(expansion, 2, 1)
     assert tail == ZetaLinearForm.zeta_term(3, 2)
 
 
 def test_derivative_tail_rejects_bad_input():
-    f = RationalFunction(Polynomial.one(), Polynomial.variable())
-    _, expansion = partial_fractions(f, [F(0)])
+    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [F(0)])
     with pytest.raises(ValueError):
         derivative_tail_sum(expansion, 3, 1)
     with pytest.raises(PoleInRangeError):
