@@ -24,23 +24,24 @@ for s, e in kernel.linears:
 print(f"degree (numerator minus denominator): {kernel.degree}")
 
 # Every other view is derived from those blocks.  Flattened, they are linear
-# factors (t + shift)^exponent, one per block entry, not yet merged.
-factors = kernel.linear_factors()
-print(f"\n{len(factors)} linear factors (shift, exponent):")
-print("  " + "  ".join(f"({s}, {e:+d})" for s, e in factors))
+# factors (t + shift)^exponent, one per block entry; merging the exponents
+# of equal shifts cancels most of them.
+factors = kernel.factors
+print(f"\n{len(factors)} linear factors (shift, exponent) after merging:")
+print("  " + "  ".join(f"({s}, {e:+d})" for s, e in sorted(factors.items())))
 
-# Merging the exponents of equal shifts cancels most candidate poles: the
-# poles sit at shifts 0..n only, of order 4 but at n/2, where the loose
-# factor cancels one.
+# The merged factors leave the poles at shifts 0..n only, of order 4 but at
+# n/2, where the loose factor cancels one.
 orders = kernel.pole_orders()
 print(f"pole orders after merging, shift: order: {dict(sorted(orders.items()))}")
 
 # The principal parts come from local expansions of the rising-factorial
-# blocks at each pole; nothing is expanded.  The call also certifies them:
-# kernel and parts must agree at deg D integer points.
+# blocks at each pole; nothing is expanded.  The left kernel is odd about
+# t = -n/2, so only the poles with 2p <= n are expanded and the others
+# mirrored, A_{n-p,j} = (-1)^(j+1) A_{p,j}.  The call also certifies them.
 # They are integers over one common denominator N.
 expansion = _principal_parts(kernel, "left side of (2, 1)")
-print("\nprincipal parts (certified at deg D points beyond the poles), "
+print("\nprincipal parts (certified at points beyond the poles), "
       f"over N = {expansion.denominator}:")
 for term in expansion.terms:
     for j, numerator in enumerate(term.numerators, start=1):
@@ -48,12 +49,16 @@ for term in expansion.terms:
             print(f"  {numerator} / (N (t + {term.shift})^{j})")
 
 # Kernel and parts are both (polynomial of degree < deg D) / D, so equality
-# at deg D distinct points proves them equal.  The certificate takes the
-# consecutive integers from the first point where every factor is positive,
-# and there steps the kernel's value in integers (kernel.values).
+# at deg D distinct points proves them equal.  Here both are odd about
+# t = -n/2 (the kernel's centre is n), so their difference R/D is odd too,
+# R = u^eps S(u^2) in u = t + n/2, and ceil(deg D / 2) points prove S = 0.
+# The certificate takes the consecutive integers from the first point where
+# every factor is positive, and there steps the kernel's value in integers
+# (kernel.values).  The demo checks all deg D of them.
 start = kernel.first_positive_point()
 count = sum(orders.values())
-print(f"\nthe certificate's deg D = {count} points, kernel value against the parts:")
+print(f"\nodd about t = -{kernel.centre}/2, so the certificate reads the first "
+      f"{(count + 1) // 2} of these deg D = {count} points, kernel value against the parts:")
 for x, (num, den) in zip(range(start, start + count), kernel.values(start, count)):
     parts = sum(Fraction(c, expansion.denominator) / (x + term.shift) ** j
                 for term in expansion.terms for j, c in enumerate(term.numerators, start=1))

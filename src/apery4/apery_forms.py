@@ -25,7 +25,10 @@ generated route all derive from it, the last two through one local expansion.
 Each form sums the derivative tails of its kernel's principal parts
 termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
 at each pole without expanding anything (:class:`_LocalExpansion`), and an
-always-on certificate proves them (:func:`_certify`).
+always-on certificate proves them (:func:`_certify`).  The left kernel is
+odd about t = -n/2 (:attr:`Kernel.centre`), so only its poles with 2p <= n
+are expanded and the others mirrored, and its certificate needs half the
+points.
 
 The module also carries the three independent evaluation routes for the
 *summands* (the term values of the split series):
@@ -57,6 +60,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm, log, prod, sqrt
 
 from .errors import (DivergenceError, DomainError, RangeError,
@@ -118,7 +122,9 @@ class Kernel:
     :func:`right_kernel`).  It keeps the rising-factorial block structure,
     which the local expansions (:class:`_LocalExpansion`) read, at the poles
     for the principal parts and at regular points for the generated route;
-    :meth:`pole_orders` scans the blocks for the poles; :meth:`expansion`
+    :meth:`pole_orders` scans the blocks for the poles; :attr:`factors`
+    flattens and merges them, and :attr:`centre` proves an odd kernel's
+    reflection from those; :meth:`expansion`
     multiplies it out in integers, the input of a
     :class:`~apery4.polyrat.DerivativeChain`; :meth:`values` steps it in
     integers.
@@ -131,14 +137,27 @@ class Kernel:
 
     @property
     def degree(self) -> int:
-        """deg(numerator) - deg(denominator), before any cancellation."""
-        return (sum(k * e for _, k, e in self.blocks) + sum(e for _, e in self.linears)
-                + len(self.cofactor) - 1)
+        """deg(numerator) - deg(denominator)."""
+        return sum(self.factors.values()) + len(self.cofactor) - 1
 
-    def linear_factors(self) -> list[tuple[Fraction | int, int]]:
-        """Every (shift, exponent) of the kernel, the blocks flattened to
-        (t + x + i)^e, unmerged; the cofactor is left out."""
-        return [(x + i, e) for x, k, e in self.blocks for i in range(k)] + list(self.linears)
+    @cached_property
+    def factors(self) -> dict[Fraction | int, int]:
+        """{shift: exponent} of every linear factor, the blocks flattened to
+        (t + x + i)^e and equal shifts merged; the cofactor is left out.
+        Merged once per kernel."""
+        return _merged_shifts([(x + i, e) for x, k, e in self.blocks for i in range(k)]
+                              + list(self.linears))
+
+    @cached_property
+    def centre(self) -> Fraction | int | None:
+        """c if the kernel is proved odd about t = -c/2 from its spec, else
+        None: cofactor 1, and :attr:`factors` mapped onto themselves by
+        s -> c - s, c the least plus the largest shift, with an odd exponent
+        sum (the degree), so f(-c-t) = (-1)^(sum e) f(t) = -f(t)."""
+        c = min(self.factors, default=0) + max(self.factors, default=0)
+        odd = self.cofactor == (1,) and self.degree % 2 and self.factors == {
+            c - s: e for s, e in self.factors.items()}
+        return c if odd else None
 
     def pole_orders(self) -> dict[int, int]:
         """{shift p: order} of the poles t = -p, from the merged block exponents."""
@@ -157,10 +176,9 @@ class Kernel:
 
     def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
         """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
-        merged = _merged_shifts(self.linear_factors())
-        coeffs, lead = _linear_product((s, e) for s, e in merged.items() if e > 0)
+        coeffs, lead = _linear_product((s, e) for s, e in self.factors.items() if e > 0)
         return (_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
-                [(s, -e) for s, e in merged.items() if e < 0])
+                [(s, -e) for s, e in self.factors.items() if e < 0])
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -365,7 +383,7 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
 
     The poles and ``orders`` found by scanning the block ranges
     (:meth:`Kernel.pole_orders`) must match the negative exponents left after
-    merging the flattened factors (:meth:`Kernel.linear_factors`)
+    merging the flattened factors (:attr:`Kernel.factors`)
     shift by shift: a second algorithm over the same spec, not an
     independent spec.  The kernel must vanish at infinity, and the
     expansion must have no term above its pole's order.
@@ -378,28 +396,43 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     expansion's denominator: parts = parts (x+p)^E + H(x) prefix and
     prefix *= (x+p)^E, H the Horner value of the term's numerators padded
     to its pole's order E.
+
+    ceil(deg D / 2) points suffice when (a) the kernel is proved odd about
+    t = -c/2 from the merged factors that the pole check reads
+    (:attr:`Kernel.centre`), f(-c-t) = -f(t), and (b) mirroring every term,
+    p -> c - p and A_{p,j} -> (-1)^(j+1) A_{p,j}, gives back the same terms
+    (as a multiset), so F(-c-t) = -F(t) too.  The orders are the merged
+    poles, which the reflection maps onto themselves, so
+    D(-c-t) = (-1)^(deg D) D(t); then R(-c-t) = (-1)^(deg D + 1) R(t), and
+    in u = t + c/2, R = u^eps S(u^2) with eps = (deg D + 1) mod 2 and
+    2 deg S + eps < deg D, so deg S < ceil(deg D / 2).  Every point x
+    exceeds -c/2, as every factor is positive there, so the u^2 are
+    distinct and nonzero, and ceil(deg D / 2) zeros of R prove S = 0.
+    Otherwise every point runs.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    poles = {s: -e for s, e in _merged_shifts(kernel.linear_factors()).items() if e < 0}
+    poles = {s: -e for s, e in kernel.factors.items() if e < 0}
     if orders != poles:
         raise ReconstructionError(
             f"{where}: block poles {sorted(orders.items())} differ from the "
             f"merged factors' poles {sorted(poles.items())}")
     if kernel.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
-    for term in expansion.terms:
-        if term.order > orders.get(term.shift, 0):
-            raise ReconstructionError(
-                f"{where}: term of order {term.order} at shift {term.shift} "
-                "exceeds the kernel's pole order there")
-
-    scale = expansion.denominator
     terms = []
     for term in expansion.terms:
         order = orders.get(term.shift, 0)
+        if term.order > order:
+            raise ReconstructionError(
+                f"{where}: term of order {term.order} at shift {term.shift} "
+                "exceeds the kernel's pole order there")
         terms.append((term.shift, order, term.numerators + (0,) * (order - term.order)))
-    start = kernel.first_positive_point()
-    count = sum(orders.values())
+
+    scale, centre = expansion.denominator, kernel.centre
+    start, count = kernel.first_positive_point(), sum(orders.values())
+    if centre is not None and sorted(terms) == sorted(
+            (centre - shift, order, tuple((-1) ** j * c for j, c in enumerate(numerators)))
+            for shift, order, numerators in terms):
+        count = (count + 1) // 2
     for x, (num, den) in zip(range(start, start + count), kernel.values(start, count)):
         parts, prefix = 0, 1
         for shift, order, numerators in terms:
@@ -420,14 +453,25 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
     into a dense polynomial, rescaled to one denominator and proved by
     :func:`_certify`.  The pole shifts stay ints.
+
+    A kernel proved odd about t = -c/2 (:attr:`Kernel.centre`; the left
+    kernel, c = n) is expanded only at the poles with 2p <= c; the others
+    are mirrored, A_{c-p,j} = (-1)^(j+1) A_{p,j}, over the partner's
+    denominator, and :func:`_certify` proves them at half the points.
     """
-    orders = kernel.pole_orders()
+    orders, centre = kernel.pole_orders(), kernel.centre
     local = _LocalExpansion(kernel, list(orders), max(orders.values(), default=1))
-    parts = [(shift, *local.part(shift, orders[shift])) for shift in sorted(orders)]
-    common = lcm(*(den for _, _, den in parts))
+    parts = {}
+    for shift in sorted(orders):
+        if centre is None or 2 * shift <= centre:
+            parts[shift] = local.part(shift, orders[shift])
+        else:
+            numerators, den = parts[centre - shift]
+            parts[shift] = [(-1) ** j * c for j, c in enumerate(numerators)], den
+    common = lcm(*(den for _, den in parts.values()))
     expansion = PartialFractions(tuple(
         PoleExpansion(shift, tuple(c * (common // den) for c in numerators))
-        for shift, numerators, den in parts), common)
+        for shift, (numerators, den) in parts.items()), common)
     _certify(kernel, expansion, orders, where)
     return expansion
 

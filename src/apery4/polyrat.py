@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _F = Fraction
-_ZERO = _F(0)
 
 
 def _as_fraction(value: Fraction | int) -> Fraction:
@@ -61,8 +60,8 @@ def _as_fraction(value: Fraction | int) -> Fraction:
 
 class Polynomial:
     """Immutable dense polynomial over Q, coefficients ascending by degree:
-    the plain form :meth:`LinearFactorProduct.expand` returns, evaluated by
-    Horner's scheme.  It carries no arithmetic."""
+    the plain form :meth:`LinearFactorProduct.expand` returns.  It carries
+    no arithmetic and no evaluation."""
 
     __slots__ = ("_coeffs",)
 
@@ -84,30 +83,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return _ZERO
-        return self._coeffs[-1]
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        """Evaluate by Horner's scheme."""
-        acc: Fraction | int = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return _as_fraction(acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self._coeffs]})"
 
 
 # ---------------------------------------------------------------------------
@@ -135,53 +110,16 @@ class LinearFactorProduct:
         ordered = tuple((_as_fraction(shift), exponent) for shift, exponent in merged if exponent)
         return cls(_as_fraction(scalar), ordered)
 
-    # -- structure readouts ---------------------------------------------------
-
-    @property
-    def numerator_degree(self) -> int:
-        return sum(e for _, e in self.factors if e > 0)
-
-    @property
-    def denominator_degree(self) -> int:
-        return -sum(e for _, e in self.factors if e < 0)
-
-    @property
-    def degree_gap(self) -> int:
-        """deg(denominator) - deg(numerator)."""
-        return self.denominator_degree - self.numerator_degree
-
-    def denominator_shifts(self) -> tuple[Fraction, ...]:
-        return tuple(s for s, e in self.factors if e < 0)
-
-    # -- evaluation / expansion -----------------------------------------------
-
-    def value_at(self, x: Fraction | int) -> Fraction:
-        """Exact value at t = x; PoleError on a denominator zero."""
-        num: Fraction | int = 1
-        den: Fraction | int = 1
-        for shift, exponent in self.factors:
-            base = _as_fraction(x) + shift
-            if exponent > 0:
-                num *= base ** exponent
-            else:
-                if base == 0:
-                    raise PoleError(f"evaluation at pole t = {x} (shift {shift})")
-                den *= base ** (-exponent)
-        return self.scalar * _as_fraction(num) / _as_fraction(den)
-
     def expand_parts(self) -> tuple[Polynomial, tuple[tuple[Fraction, int], ...]]:
         """(numerator polynomial including scalar, denominator factor list).
 
         The denominator is kept factored as (shift, positive exponent) pairs;
         the numerator is multiplied out in integers and scaled once.
         """
-        coeffs, scale, den_factors = self._integer_parts()
-        return Polynomial(c * scale for c in coeffs), den_factors
-
-    def _integer_parts(self) -> tuple[list[int], Fraction, tuple[tuple[Fraction, int], ...]]:
-        """(integer numerator coefficients, their scale, denominator factors)."""
         coeffs, lead = _linear_product((s, e) for s, e in self.factors if e > 0)
-        return coeffs, self.scalar / lead, tuple((s, -e) for s, e in self.factors if e < 0)
+        scale = self.scalar / lead
+        return (Polynomial(c * scale for c in coeffs),
+                tuple((s, -e) for s, e in self.factors if e < 0))
 
     def expand(self) -> "RationalFunction":
         """Expand to a RationalFunction, coprime by construction."""
@@ -234,26 +172,12 @@ def _mul_coeffs(a: Sequence, b: Sequence) -> list:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """numerator / denominator with a monic denominator: the dense form that
-    :meth:`LinearFactorProduct.expand` returns, coprime by construction.
-
-    The constructor only enforces a monic nonzero denominator.
-    """
+    """numerator / denominator, the dense form that
+    :meth:`LinearFactorProduct.expand` returns: coprime by construction,
+    with a monic denominator."""
 
     numerator: Polynomial
     denominator: Polynomial
-
-    def __post_init__(self) -> None:
-        if self.denominator.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if self.denominator.leading_coefficient != 1:
-            raise ValueError("denominator must be monic")
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        den = self.denominator(x)
-        if den == 0:
-            raise PoleError(f"evaluation at pole t = {x}")
-        return self.numerator(x) / den
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,12 @@ class Polynomial:
 
 
 def flattened(kernel: Kernel) -> list[tuple[Fraction, int]]:
-    """The kernel's linear factors (shift, exponent), the exponents of equal
-    shifts added, zero exponents dropped, sorted by shift; no cofactor."""
+    """The kernel's linear factors (shift, exponent), each block (t + x)_k^e
+    flattened to (t + x + i)^e, the exponents of equal shifts added, zero
+    exponents dropped, sorted by shift; no cofactor."""
     merged: dict[Fraction, int] = {}
-    for shift, exponent in kernel.linear_factors():
+    factors = [(x + i, e) for x, k, e in kernel.blocks for i in range(k)] + list(kernel.linears)
+    for shift, exponent in factors:
         merged[_F(shift)] = merged.get(_F(shift), 0) + exponent
     return sorted((shift, exponent) for shift, exponent in merged.items() if exponent)
 

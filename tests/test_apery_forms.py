@@ -373,14 +373,129 @@ def test_left_parts_mirror_about_minus_n_over_2(n):
     # mirror: A_{n-p,j} = (-1)^(j+1) A_{p,j}.  The zeta(3) and zeta(5)
     # coordinates of the left form are sums over the poles of A_{p,2} and
     # A_{p,4}, odd under the mirror, so they cancel in pairs: this is why
-    # they vanish on the left.  Criterion 3 is still checked exactly.
+    # they vanish on the left.  Criterion 3 is still checked exactly.  The
+    # form mirrors the parts right of -n/2 instead of expanding them, so
+    # every part is compared with the local expansion at its own shift.
     for m in range(n + 1):
-        terms = {int(term.shift): term.numerators
-                 for term in _left_expansion(FormParameters(n, m)).terms}
+        p = FormParameters(n, m)
+        kernel, expansion = left_kernel(p), _left_expansion(p)
+        orders = kernel.pole_orders()
+        local = apery_forms._LocalExpansion(kernel, list(orders), max(orders.values()))
+        terms = {int(term.shift): term.numerators for term in expansion.terms}
         assert sorted(terms) == list(range(n + 1)), (n, m)
         for shift, numerators in terms.items():
+            expanded, den = local.part(shift, orders[shift])
+            assert [F(c, expansion.denominator) for c in numerators] == [
+                F(c, den) for c in expanded], (n, m, shift)
             mirrored = tuple((-1) ** j * a for j, a in enumerate(terms[n - shift]))
             assert numerators == mirrored, (n, m, shift)
+
+
+def _spy_points(monkeypatch) -> list:
+    """The (kernel, count) of every Kernel.values call: the certificate's points."""
+    calls, honest = [], Kernel.values
+
+    def spy(kernel, start, count):
+        calls.append((kernel, count))
+        return honest(kernel, start, count)
+
+    monkeypatch.setattr(Kernel, "values", spy)
+    return calls
+
+
+def _degree(kernel):
+    """deg D, the sum of the kernel's pole orders: the full route's point count."""
+    return sum(kernel.pole_orders().values())
+
+
+def test_left_cells_certify_at_half_the_points(monkeypatch):
+    # the left kernel is proved odd and its parts mirror, so ceil(deg D / 2)
+    # points; the right kernel has an even exponent sum, so every point
+    calls = _spy_points(monkeypatch)
+    for n in range(13):
+        for m in range(n + 1):
+            p = FormParameters(n, m)
+            calls.clear()
+            left_form(p)
+            right_form(p)
+            (left, halved), (right, full) = calls
+            assert (left.centre, right.centre) == (n, None), (n, m)
+            assert halved == (_degree(left) + 1) // 2, (n, m)
+            assert full == _degree(right), (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (3, 1)], ids=["deg-D-odd", "deg-D-even"])
+def test_halved_certificate_uses_every_halved_point(n, m, monkeypatch):
+    # add R/D of the right parity, R = u^eps S(u^2) in u = t + n/2, whose S
+    # vanishes at the first h - 1 halved points, h = ceil(deg D / 2): the
+    # tampered parts still mirror, so only the last halved point tells them
+    # from the honest ones
+    p = FormParameters(n, m)
+    kernel, expansion = left_kernel(p), _left_expansion(p)
+    orders = kernel.pole_orders()
+    den = Polynomial.one()
+    for shift, order in orders.items():
+        den = den * Polynomial((shift, 1)) ** order
+    half = (den.degree + 1) // 2
+    start = kernel.first_positive_point()
+    last = start + half - 1
+    u = Polynomial((F(n, 2), 1))
+    remainder = Polynomial.constant(7) * (u if den.degree % 2 == 0 else Polynomial.one())
+    for x in range(start, last):
+        remainder = remainder * (u * u - Polynomial.constant((x + F(n, 2)) ** 2))
+    assert remainder.degree < den.degree
+    polynomial, extra = partial_fractions(remainder, den, orders)
+    assert polynomial.is_zero
+    tampered = _summed_parts(expansion, extra)
+    calls = _spy_points(monkeypatch)
+    with pytest.raises(ReconstructionError, match=rf"at t = {last}$"):
+        _certify(kernel, tampered, orders, "left")
+    assert [count for _, count in calls] == [half]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda kernel, n: replace(kernel, linears=((F(n, 2) + 1, 1),)),
+    lambda kernel, n: replace(kernel, cofactor=(1, 0, 1)),
+], ids=["centre-factor-moved", "cofactor-t-squared-plus-1"])
+@pytest.mark.parametrize("n, m", [(4, 1), (3, 1)])
+def test_kernels_that_are_not_odd_take_the_full_route(tamper, n, m, monkeypatch):
+    # (t + n/2) moved to (t + n/2 + 1), or the kernel times t^2 + 1, which
+    # keeps the degree odd, so only the cofactor check sees it: no longer
+    # odd, so the symmetry proof fails, every pole is expanded and every
+    # point runs, and the parts certify
+    kernel = left_kernel(FormParameters(n, m))
+    tampered = tamper(kernel, n)
+    assert (kernel.centre, tampered.centre) == (n, None)
+    calls = _spy_points(monkeypatch)
+    expansion = _principal_parts(tampered, "tampered")
+    assert [count for _, count in calls] == [_degree(tampered)]
+    polynomial, dense = partial_fractions(*fraction_expansion(tampered), poles(tampered))
+    assert polynomial.is_zero and expansion == dense
+
+
+def _bump(index, j):
+    """Tamper: numerator j of term ``index`` off by one."""
+    def tamper(terms):
+        numerators = list(terms[index].numerators)
+        numerators[j] += 1
+        bumped = replace(terms[index], numerators=tuple(numerators))
+        return terms[:index] + (bumped,) + terms[index + 1:]
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [_bump(0, 0), _bump(2, 1), lambda terms: terms[:1] + terms],
+                         ids=["end-pole", "centre-pole", "term-repeated"])
+def test_a_broken_mirror_takes_the_full_route(tamper, monkeypatch):
+    # one numerator off by one breaks the mirror (at the centre t = -2, A_2
+    # must vanish), and a term repeated at its shift leaves the sum not odd
+    # though every term has its mirror: the certificate runs every point
+    p = FormParameters(4, 1)
+    kernel, expansion = left_kernel(p), _left_expansion(p)
+    tampered = PartialFractions(tamper(expansion.terms), expansion.denominator)
+    calls = _spy_points(monkeypatch)
+    with pytest.raises(ReconstructionError, match=r"at t = \d+$"):
+        _certify(kernel, tampered, kernel.pole_orders(), "left")
+    assert [count for _, count in calls] == [_degree(kernel)]
 
 
 @pytest.mark.slow
