@@ -16,19 +16,14 @@ each an exact linear form in zeta values (in fact in {1, zeta(4)} alone —
 the zeta(2), zeta(3), zeta(5) coordinates cancel).  The central verified
 claim is left_form == right_form componentwise on the whole parameter grid.
 
-Each kernel is written down once, as a :class:`Kernel`: a scalar times
-rising-factorial blocks and loose linear factors (times the integer
-polynomial P on the right), returned by :func:`left_kernel` and
-:func:`right_kernel`.  Its pole orders, its integer expansion (the input of
-a :class:`~apery4.polyrat.DerivativeChain`), the principal parts and the
-generated route all derive from it, the last two through one local expansion.
-Each form sums the derivative tails of its kernel's principal parts
-termwise (see :mod:`apery4.zeta_forms`).  The parts are read off the blocks
-at each pole without expanding anything (:class:`_LocalExpansion`), and an
-always-on certificate proves them (:func:`_certify`).  The left kernel is
-odd about t = -n/2 (:attr:`Kernel.centre`), so only its poles with 2p <= n
-are expanded and the others mirrored, and its certificate needs half the
-points.
+Each kernel is written down once, as a :class:`Kernel` (:func:`left_kernel`,
+:func:`right_kernel`); its pole orders, integer expansion, principal parts
+and generated route all derive from it.  Each form sums the derivative tails
+of its kernel's principal parts termwise (see :mod:`apery4.zeta_forms`),
+read off the blocks at each pole (:class:`_LocalExpansion`) and proved by an
+always-on certificate (:func:`_certify`).  The left kernel is odd about
+t = -n/2 (:attr:`Kernel.centre`), so half its poles are mirrored and half
+its points suffice.
 
 The module also carries the three independent evaluation routes for the
 *summands* (the term values of the split series):
@@ -48,10 +43,8 @@ The module also carries the three independent evaluation routes for the
 pointwise; any disagreement is reported, none is expected.
 
 Finally, :func:`left_form_numeric` / :func:`right_form_numeric` re-sum the
-defining series on one derivative chain per side (exact integer terms to a
-short cutoff, then one Euler–Maclaurin closure whose remainder is bounded
-from the kernel's integer expansion by Cauchy's estimate), a cross-check
-free of partial fractions.
+defining series (:func:`_series_numeric`), a cross-check free of partial
+fractions.
 """
 
 from __future__ import annotations
@@ -61,7 +54,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm, log, prod, sqrt
+from math import ceil, floor, lcm, prod, sqrt
 
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
@@ -119,15 +112,10 @@ class Kernel:
     times an integer cofactor polynomial (ascending; 1 but on the right).
 
     The one written form of a kernel (see :func:`left_kernel`,
-    :func:`right_kernel`).  It keeps the rising-factorial block structure,
-    which the local expansions (:class:`_LocalExpansion`) read, at the poles
-    for the principal parts and at regular points for the generated route;
-    :meth:`pole_orders` scans the blocks for the poles; :attr:`factors`
-    flattens and merges them, and :attr:`centre` proves an odd kernel's
-    reflection from those; :meth:`expansion`
-    multiplies it out in integers, the input of a
-    :class:`~apery4.polyrat.DerivativeChain`; :meth:`values` steps it in
-    integers.
+    :func:`right_kernel`).  The local expansions (:class:`_LocalExpansion`)
+    read its rising-factorial blocks, at the poles for the principal parts
+    and at regular points for the generated route; each method derives one
+    other view of it.
     """
 
     scalar: Fraction
@@ -386,7 +374,8 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     merging the flattened factors (:attr:`Kernel.factors`)
     shift by shift: a second algorithm over the same spec, not an
     independent spec.  The kernel must vanish at infinity, and the
-    expansion must have no term above its pole's order.
+    expansion must have no term above its pole's order nor a zero top
+    numerator (a cofactor that vanishes at a pole, which the factors miss).
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
@@ -421,10 +410,10 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     terms = []
     for term in expansion.terms:
         order = orders.get(term.shift, 0)
-        if term.order > order:
+        if term.order > order or term.numerators[-1:] == (0,):
             raise ReconstructionError(
-                f"{where}: term of order {term.order} at shift {term.shift} "
-                "exceeds the kernel's pole order there")
+                f"{where}: term of order {term.order} at shift {term.shift} exceeds "
+                "the kernel's pole order there or has a zero top numerator")
         terms.append((term.shift, order, term.numerators + (0,) * (order - term.order)))
 
     scale, centre = expansion.denominator, kernel.centre
@@ -815,27 +804,36 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
 _FIRST_CUTOFF, _MAX_DEPTH = 128, 32
 
 
-def _log(x: Fraction | int) -> float:
-    """Natural log of a positive rational of any size."""
-    return log(x.numerator) - log(x.denominator)
-
-
-def _remainder_factors(expansion: tuple, order: int, depth: int,
-                       cutoff: int) -> list[tuple[Fraction | int, int]]:
-    """(base, exponent) pairs whose product bounds the remainder after ``depth``
-    closure terms at A = ``cutoff`` (see :func:`_series_numeric`)."""
+def _remainder_bound(expansion: tuple, order: int, depth: int,
+                     cutoff: int) -> tuple[int, int]:
+    """The remainder bound after ``depth`` closure terms at A = ``cutoff`` (see
+    :func:`_series_numeric`) as an unreduced pair (num, den)."""
     coeffs, scale, den_factors = expansion
     if any(shift < 0 for shift, _ in den_factors):
         raise DomainError("the remainder bound needs every pole at t <= 0")
     big_d, big_e, k = len(coeffs) - 1, sum(e for _, e in den_factors), order + 2 * depth + 2
     gap = big_e - big_d + k                         # d + k
     root = (sqrt((big_d + big_e) ** 2 + 4 * gap * k) - big_d - big_e) / (2 * gap)
-    q = ceil(1000 / root)                           # alpha within root/2000 of root, not 0
-    alpha = _F(round(root * q), q)
-    top = sum(abs(c) * cutoff ** i for i, c in enumerate(coeffs))      # S A^D
-    return [(2 * abs(bernoulli_even(k - order)) / factorial(k - order), 1), (factorial(k), 1),
-            (abs(scale) * _F(top, cutoff ** big_d), 1), (1 + alpha, big_d), (1 - alpha, -big_e),
-            (alpha, -k), (cutoff, 1 - gap), (gap - 1, -1)]
+    q = ceil(1000 / root)                           # alpha = a/q within root/2000 of root
+    a, weight, top = round(root * q), bernoulli_even(k - order), 0
+    for c in reversed(coeffs):                      # S A^D
+        top = top * cutoff + abs(c)
+    return (2 * abs(weight.numerator * scale.numerator) * factorial(k) * top
+            * (q + a) ** big_d * q ** gap,
+            weight.denominator * scale.denominator * factorial(k - order)
+            * (q - a) ** big_e * a ** k * cutoff ** (big_d + gap - 1) * (gap - 1))
+
+
+def _closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Fraction:
+    """The closure at A = ``cutoff`` (see :func:`_series_numeric`), in
+    integers over one denominator."""
+    high = chain.values(cutoff, order + 2 * depth - 1)
+    terms = [(-1, 1, high[order - 1]), (1, 2, high[order])] + [
+        (-b.numerator, b.denominator * factorial(2 * k), high[order + 2 * k - 1])
+        for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]
+    weights, values = lcm(*(w for _, w, _ in terms)), lcm(*(h.denominator for *_, h in terms))
+    return _F(sum(c * (weights // w) * h.numerator * (values // h.denominator)
+                  for c, w, h in terms), weights * values)
 
 
 def _series_numeric(kernel: Kernel, order: int, start: int,
@@ -854,30 +852,30 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     integral is that constant times A^(1-d-k) / (d+k-1).  alpha, rationalised, is
     the root in (0, 1) of alpha^2 (d + k) + alpha (D + E) - k, which minimises
     the alpha-dependent factor.  A doubles from ``_FIRST_CUTOFF`` until some
-    M <= ``_MAX_DEPTH`` takes the bound below ``target`` in floats (it ends, as
-    d + k - 1 >= 2M + 3 and S falls in A); the least M's bound is then computed
-    in Fractions, one ``values`` call reads g^(order-1) .. g^(order+2M-1) at A,
-    and the exact sum builds the dense chain up to ``order`` only.
+    M <= ``_MAX_DEPTH`` takes the bound below ``target`` (it ends, as
+    d + k - 1 >= 2M + 3 and S falls in A): the least such M, found in
+    integers (:func:`_remainder_bound`), so no float chooses it.  The
+    closure reads g^(order-1) .. g^(order+2M-1) at A (:func:`_closure`), and
+    the exact sum builds the dense chain up to ``order`` only.
     """
     if kernel.degree > order - 2:
         raise DivergenceError(f"kernel of degree {kernel.degree} has no closure at "
                               f"derivative order {order} (needs <= {order - 2})")
-    expansion, cutoff, log_target = kernel.expansion(), max(_FIRST_CUTOFF, start), _log(target)
-    while not (depth := next((m for m in range(1, _MAX_DEPTH + 1) if sum(
-            e * _log(base) for base, e in _remainder_factors(expansion, order, m, cutoff))
-            < log_target), 0)):
+    expansion, cutoff = kernel.expansion(), max(_FIRST_CUTOFF, start)
+    while not (found := next(((m, num, den) for m in range(1, _MAX_DEPTH + 1)
+                              for num, den in [_remainder_bound(expansion, order, m, cutoff)]
+                              if num * target.denominator < den * target.numerator), None)):
         cutoff *= 2
-    bound = prod(_F(base) ** e for base, e in _remainder_factors(expansion, order, depth, cutoff))
+    depth, num, den = found
     chain = DerivativeChain(*expansion)
-    high = chain.values(cutoff, order + 2 * depth - 1)
-    closure = -high[order - 1] + high[order] / 2 - sum(
-        bernoulli_even(2 * k) / factorial(2 * k) * high[order + 2 * k - 1]
-        for k in range(1, depth + 1))
-    return chain.sum(order, start, cutoff) + closure, bound
+    closure = _closure(chain, cutoff, order, depth)
+    return chain.sum(order, start, cutoff) + closure, _F(num, den)
 
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
+    if digits < 1:
+        raise RangeError(f"need digits >= 1, got {digits}")
     value, bound = _series_numeric(left_kernel(p), 1, p.n - p.m + 1,
                                    _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(-value / 3, digits, inherent_error=bound / 3)
@@ -889,5 +887,7 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     Euler–Maclaurin is linear, so one closure and one remainder bound on
     the summed kernel P B (:func:`right_kernel`) cover the whole side.
     """
+    if digits < 1:
+        raise RangeError(f"need digits >= 1, got {digits}")
     value, bound = _series_numeric(right_kernel(p), 2, 1, _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)

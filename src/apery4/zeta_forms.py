@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import PoleInRangeError
@@ -208,8 +209,9 @@ def _tangent_numbers(count: int) -> list[int]:
     return t[1:]
 
 
+@cache
 def bernoulli_even(index: int) -> Fraction:
-    """The Bernoulli number B_index for even index >= 2, exactly.
+    """The Bernoulli number B_index for even index >= 2, exactly, memoized.
 
     Via tangent numbers: B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).
     """

@@ -12,7 +12,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm, prod
+from math import lcm
 
 import pytest
 
@@ -326,6 +326,16 @@ def test_certificate_uses_every_point():
         tampered = _summed_parts(expansion, extra)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
             _certify(kernel, tampered, orders, where)
+
+
+def test_certificate_refuses_a_zero_top_numerator():
+    # times t + 1, the pole at t = -1 drops to order 3, but the merged factors
+    # ignore the cofactor and say 4: the order-4 term there has a zero top
+    # numerator, which the values alone would accept
+    kernel = replace(left_kernel(FormParameters(4, 1)), cofactor=(1, 1))
+    with pytest.raises(ReconstructionError,
+                       match=r"^left: term of order 4 at shift 1 .* zero top numerator$"):
+        _principal_parts(kernel, "left")
 
 
 def test_certificate_cross_checks_the_pole_orders(monkeypatch):
@@ -819,8 +829,7 @@ def test_series_refuses_a_pole_right_of_zero():
 
 
 def _remainder_bound(kernel, order, depth, cutoff):
-    return prod(F(base) ** e for base, e in
-                apery_forms._remainder_factors(kernel.expansion(), order, depth, cutoff))
+    return F(*apery_forms._remainder_bound(kernel.expansion(), order, depth, cutoff))
 
 
 def test_remainder_bound_is_pinned_on_small_kernels():
@@ -850,19 +859,83 @@ def test_cutoff_doubles_until_a_depth_meets_the_target(monkeypatch):
     # target at A = 128 or 256, so both sides close at A = 512
     cutoffs = _closure_cutoffs(monkeypatch)
     tried = []
-    factors = apery_forms._remainder_factors
+    bound = apery_forms._remainder_bound
 
     def spy(expansion, order, depth, cutoff):
         tried.append(cutoff)
-        return factors(expansion, order, depth, cutoff)
+        return bound(expansion, order, depth, cutoff)
 
-    monkeypatch.setattr(apery_forms, "_remainder_factors", spy)
+    monkeypatch.setattr(apery_forms, "_remainder_bound", spy)
     for side in (left_form_numeric, right_form_numeric):
         tried.clear()
         side(FormParameters(8, 3), 80)
         assert sorted(set(tried)) == [128, 256, 512]
         assert tried.count(128) == tried.count(256) == apery_forms._MAX_DEPTH
     assert cutoffs == [512, 512]
+
+
+def _chosen_closure(numeric, p, order, monkeypatch) -> tuple[int, int]:
+    """(A, M) of the one closure of ``numeric(p, 30)``: its ``values`` call at
+    the cutoff A reads the derivatives up to order + 2M - 1."""
+    calls = []
+    values = polyrat.DerivativeChain.values
+
+    def spy(chain, x, top):
+        calls.append((x, top))
+        return values(chain, x, top)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyrat.DerivativeChain, "values", spy)
+        numeric(p, 30)
+    (cutoff, top), = calls
+    return cutoff, (top - order + 1) // 2
+
+
+NUMERIC_SIDES = [(left_form_numeric, left_kernel, 1), (right_form_numeric, right_kernel, 2)]
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)])
+def test_closure_depth_is_the_least_that_meets_the_target(n, m, monkeypatch):
+    # the search runs in exact integers: at the chosen (A, M) the bound is
+    # below the target, and at A no smaller depth, and at A/2 (when A was
+    # doubled) no depth up to _MAX_DEPTH, meets it
+    p = FormParameters(n, m)
+    for numeric, kernel, order in NUMERIC_SIDES:
+        cutoff, depth = _chosen_closure(numeric, p, order, monkeypatch)
+
+        def meets(d, a):
+            return _remainder_bound(kernel(p), order, d, a) < TAIL_TARGET
+
+        assert depth >= 1 and meets(depth, cutoff)
+        assert not any(meets(d, cutoff) for d in range(1, depth))
+        if cutoff > apery_forms._FIRST_CUTOFF:
+            assert not any(meets(d, cutoff // 2)
+                           for d in range(1, apery_forms._MAX_DEPTH + 1))
+
+
+@pytest.mark.slow
+def test_closures_are_pinned_to_n_20(monkeypatch):
+    # digest of the (A, M) chosen on both sides of every cell with n <= 20 at
+    # 30 decimals, recorded while the depth search still compared float logs:
+    # the exact integer search picks the same closures
+    rows = []
+    for n in range(21):
+        for m in range(n + 1):
+            for numeric, _, order in NUMERIC_SIDES:
+                closure = _chosen_closure(numeric, FormParameters(n, m), order, monkeypatch)
+                rows.append([numeric.__name__, n, m, *closure])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "54fc8dcd022893ebf4698d8b23e82932e0c0f40004078830ab96660032d76a1d")
+
+
+@pytest.mark.parametrize("digits", [0, -3, -20])
+@pytest.mark.parametrize("numeric", [left_form_numeric, right_form_numeric])
+def test_numeric_sides_refuse_non_positive_digits(numeric, digits, monkeypatch):
+    # refused before any work: no kernel is built
+    for name in ("left_kernel", "right_kernel"):
+        monkeypatch.setattr(apery_forms, name, None)
+    with pytest.raises(RangeError, match=f"digits >= 1, got {digits}$"):
+        numeric(FormParameters(1, 0), digits)
 
 
 @pytest.mark.parametrize("numeric, n, m, order", [(left_form_numeric, 12, 5, 1),
