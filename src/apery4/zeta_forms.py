@@ -14,13 +14,16 @@ sum_{v >= start} f^(d)(v) for a proper rational f given by its principal
 parts (integer numerators over one denominator, integer pole shifts).  It
 uses d/dt^d of (t+p)^(-j) = (-1)^d (j)_d (t+p)^(-j-d) termwise and writes
 each tail sum_{v >= start} (v+p)^(-s) as zeta(s) minus a harmonic prefix,
-accumulating every coordinate in integers over one denominator.
+read off integer rows of prefix sums, accumulating every coordinate in
+integers over one denominator.
 
 For float-side cross-checks, :func:`zeta_value` computes zeta(s) to any
-requested number of digits by Euler–Maclaurin summation carried out entirely
-in exact rational arithmetic (Bernoulli numbers come from the integer
-tangent-number triangle), returning a :class:`FixedPointNumber` that carries
-a proven error bound rather than a bare float.
+requested number of digits by Euler–Maclaurin summation, exact throughout:
+the remainder after M corrections at cutoff N is below
+4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)), and the head, boundary and Bernoulli
+terms (from the integer tangent-number triangle) are summed as integer
+pairs over one common denominator.  It returns a :class:`FixedPointNumber`
+that carries a proven error bound rather than a bare float.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import lcm
 
 from .errors import PoleInRangeError
-from .exact_arith import factorial, harmonic, pochhammer
 from .polyrat import PartialFractions
 
 __all__ = [
@@ -150,11 +153,13 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
     """sum_{v >= start} f^(order)(v) for a proper f given by its principal parts.
 
     Termwise, d^order/dt^order (t+p)^(-j) = w (t+p)^(-s) with
-    w = (-1)^order (j)_order and s = j + order, and the tail of (v+p)^(-s) is
-    zeta(s) - S_s(p+start-1).  So each numerator c adds w c to the zeta(s)
-    coordinate and -w c S_s(p+start-1) to the constant, both accumulated in
-    integers: over the expansion's denominator, times lcm(1..top)^5 for the
-    constant (every S_s(u), u <= top, s <= 5, has a denominator dividing it).
+    w = (-1)^order (j)_order (-j, or j(j+1)) and s = j + order, and the tail
+    of (v+p)^(-s) is zeta(s) - S_s(p+start-1).  So each numerator c adds w c
+    to the zeta(s) coordinate and -w c S_s(p+start-1) to the constant, both
+    accumulated in integers: over the expansion's denominator, times
+    unit = lcm(1..top)^5 for the constant.  Every S_s(u), u <= top, s <= 5,
+    has a denominator dividing unit, so unit S_s(u) is read off an integer
+    row of prefix sums of unit // i^s, built per call for each s that occurs.
     Supported orders are 1 and 2 (the only ones the zeta(4) bookkeeping needs).
 
     Raises
@@ -168,6 +173,7 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
     unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
+    rows: dict[int, list[int]] = {}
     constant, zetas = 0, [0] * len(ZETA_ORDERS)
     for term in expansion.terms:
         if term.shift.denominator != 1:
@@ -182,10 +188,13 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
             s = j + order
             if s not in ZETA_ORDERS:
                 raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
-            weighted = (-1) ** order * pochhammer(j, order) * c
+            weighted = -j * c if order == 1 else j * (j + 1) * c
             zetas[s - 2] += weighted
-            h = harmonic(s, p + start - 1)
-            constant -= weighted * h.numerator * (unit // h.denominator)
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = list(accumulate((unit // i**s for i in range(1, top + 1)),
+                                                initial=0))
+            constant -= weighted * row[p + start - 1]
     return ZetaLinearForm(_F(constant, expansion.denominator * unit),
                           tuple(_F(z, expansion.denominator) for z in zetas))
 
@@ -220,7 +229,7 @@ def bernoulli_even(index: int) -> Fraction:
     k = index // 2
     global _TANGENT
     if k > len(_TANGENT):
-        _TANGENT = _tangent_numbers(k + 8)
+        _TANGENT = _tangent_numbers(max(k + 8, 2 * len(_TANGENT)))
     four_k = 4**k
     return _F((-1) ** (k - 1) * 2 * k * _TANGENT[k - 1],
               four_k * (four_k - 1))
@@ -229,6 +238,18 @@ def bernoulli_even(index: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # fixed-point numbers with tracked error
 # ---------------------------------------------------------------------------
+
+
+def _decimal_digits(value: int) -> str:
+    """str(value) for an int value >= 0 of any length.  CPython's str()
+    refuses ints past ``sys.get_int_max_str_digits()`` digits (4,300 by
+    default, never set below 640), so a long value is split in two by a
+    power of ten and each half converted on its own."""
+    if value.bit_length() <= 2000:              # under 603 digits
+        return str(value)
+    half = value.bit_length() * 3 // 20         # about half its digit count
+    high, low = divmod(value, 10**half)
+    return _decimal_digits(high) + _decimal_digits(low).rjust(half, "0")
 
 
 @dataclass(frozen=True)
@@ -252,7 +273,7 @@ class FixedPointNumber:
         return _F(self.mantissa, 10**self.scale)
 
     def decimal(self) -> str:
-        digits = str(abs(self.mantissa)).rjust(self.scale + 1, "0")
+        digits = _decimal_digits(abs(self.mantissa)).rjust(self.scale + 1, "0")
         sign = "-" if self.mantissa < 0 else ""
         if self.scale == 0:
             return f"{sign}{digits}"
@@ -277,15 +298,21 @@ class FixedPointNumber:
 _ZETA_CACHE: dict[tuple[int, int], FixedPointNumber] = {}
 
 
-def _euler_maclaurin_bound(s: int, cutoff: int, depth: int) -> Fraction:
-    """Safe bound on the remainder after the depth-th correction term.
-
-    The remainder is at most the magnitude of the first omitted term;
-    |B_{2k}| / (2k)! < 4 / (2 pi)^(2k) < 4 / 39^k gives the fully rational
-    envelope 4 * (s)_{2*depth+1} / (39^(depth+1) * cutoff^(s+2*depth+1)).
-    """
-    return _F(4 * pochhammer(s, 2 * depth + 1),
-              39 ** (depth + 1) * cutoff ** (s + 2 * depth + 1))
+def _cutoff_and_depth(s: int, digits: int) -> tuple[int, int, Fraction]:
+    """(N, M, bound): the least N = 8 * 2^i, then the least M <= 3N + 1, whose
+    remainder bound 4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)) is below
+    10^(-digits-3).  Each depth's bound is an integer pair stepped from the
+    last one and compared with the target in integers."""
+    scale, cutoff = 10 ** (digits + 3), 8
+    while True:
+        depth, num, den = 1, 4 * s * (s + 1) * (s + 2), 39**2 * cutoff ** (s + 3)
+        while num * scale >= den and depth <= 3 * cutoff:
+            num *= (s + 2 * depth + 1) * (s + 2 * depth + 2)
+            den *= 39 * cutoff**2
+            depth += 1
+        if num * scale < den:
+            return cutoff, depth, _F(num, den)
+        cutoff *= 2
 
 
 def zeta_value(s: int, digits: int) -> FixedPointNumber:
@@ -296,9 +323,13 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
         zeta(s) = sum_{k<N} k^(-s) + N^(-s)/2 + N^(1-s)/(s-1)
                   + sum_{i=1..M} B_{2i}/(2i)! * (s)_{2i-1} * N^(1-s-2i) + R,
 
-    with |R| bounded by :func:`_euler_maclaurin_bound`.  N and M are chosen
-    so the bound plus rounding is below 10^(-digits); everything is computed
-    in Fractions, so the bound is a theorem, not an estimate.
+    with |R| below the first omitted term: |B_{2k}| / (2k)! < 4 / (2 pi)^(2k)
+    < 4 / 39^k gives the rational envelope
+    4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)).  N and M are chosen so the bound
+    is below 10^(-digits-3) (:func:`_cutoff_and_depth`); the sum is taken as
+    integer pairs over one common denominator (the head over
+    lcm(1..N-1)^s), with one Fraction at the end, so the bound is a
+    theorem, not an estimate.
     """
     if s < 2:
         raise ValueError(f"zeta_value needs s >= 2, got {s}")
@@ -309,24 +340,18 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
     if cached is not None:
         return cached
 
-    target = _F(1, 10 ** (digits + 3))
-    cutoff = 8
-    while True:
-        depth = 1
-        bound = _euler_maclaurin_bound(s, cutoff, depth)
-        while bound >= target and depth <= 3 * cutoff:
-            depth += 1
-            bound = _euler_maclaurin_bound(s, cutoff, depth)
-        if bound < target:
-            break
-        cutoff = cutoff * 2
-
-    total = _F(sum(_F(1, k**s) for k in range(1, cutoff)))
-    total += _F(1, 2 * cutoff**s)
-    total += _F(1, (s - 1) * cutoff ** (s - 1))
+    cutoff, depth, bound = _cutoff_and_depth(s, digits)
+    head = lcm(*range(1, cutoff))
+    terms = [(sum((head // k) ** s for k in range(1, cutoff)), head**s),
+             (1, 2 * cutoff**s), (1, (s - 1) * cutoff ** (s - 1))]
+    rising, weight = s, 2 * cutoff ** (s + 1)    # (s)_{2i-1}, (2i)! N^(s+2i-1)
     for i in range(1, depth + 1):
-        total += (bernoulli_even(2 * i) / factorial(2 * i)
-                  * pochhammer(s, 2 * i - 1) / cutoff ** (s + 2 * i - 1))
+        b = bernoulli_even(2 * i)
+        terms.append((b.numerator * rising, b.denominator * weight))
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+        weight *= (2 * i + 1) * (2 * i + 2) * cutoff**2
+    common = lcm(*(w for _, w in terms))
+    total = _F(sum(c * (common // w) for c, w in terms), common)
 
     result = FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
     _ZETA_CACHE[key] = result

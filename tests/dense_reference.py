@@ -7,7 +7,10 @@ flattened and merged by its own code (:func:`flattened`) and multiplied out
 with Fraction polynomial powers (:func:`fraction_expansion`), the reference
 partial-fraction decomposition of a plain numerator/denominator pair
 (:func:`partial_fractions`), and derivative values read off the dense
-quotient chain (:func:`chain_values`).  The decomposition splits off the
+quotient chain (:func:`chain_values`).  It also keeps the Fraction routes
+that the package's integer zeta sums replaced: Euler–Maclaurin zeta values
+summed term by term (:func:`zeta_value`) and tail sums read off cached
+harmonic numbers (:func:`derivative_tail_sum`).  The decomposition splits off the
 polynomial part by long division, which the package's proper
 :class:`~apery4.polyrat.PartialFractions` has no field for, so it returns it
 beside the principal parts.  It expands each pole by Taylor and series
@@ -24,8 +27,10 @@ from typing import Iterable
 
 from apery4 import polyrat
 from apery4.apery_forms import Kernel
-from apery4.errors import Apery4Error, PoleError, ReconstructionError
+from apery4.errors import Apery4Error, PoleError, PoleInRangeError, ReconstructionError
+from apery4.exact_arith import factorial, harmonic, pochhammer
 from apery4.polyrat import DerivativeChain, PartialFractions, PoleExpansion
+from apery4.zeta_forms import ZETA_ORDERS, FixedPointNumber, ZetaLinearForm, bernoulli_even
 
 _F = Fraction
 _ZERO = _F(0)
@@ -329,3 +334,64 @@ def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list
             acc = acc - den[k] * out[i - k]
         out.append(acc / lead)
     return out
+
+
+def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> ZetaLinearForm:
+    """sum_{v >= start} f^(order)(v), each tail of (v+p)^(-s) taken as zeta(s)
+    minus the cached harmonic Fraction S_s(p+start-1), with the weight
+    (-1)^order (j)_order from ``pochhammer``; the constant is accumulated over
+    lcm(1..top)^5 as ``unit // S.denominator`` per numerator."""
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
+    unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
+    constant, zetas = 0, [0] * len(ZETA_ORDERS)
+    for term in expansion.terms:
+        if term.shift.denominator != 1:
+            raise ValueError(f"pole shift {term.shift} is not an integer")
+        p = int(term.shift)
+        if -p >= start:
+            raise PoleInRangeError(
+                f"pole at t = {-p} lies inside the summation range [{start}, oo)")
+        for j, c in enumerate(term.numerators, start=1):
+            if not c:
+                continue
+            s = j + order
+            if s not in ZETA_ORDERS:
+                raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
+            weighted = (-1) ** order * pochhammer(j, order) * c
+            zetas[s - 2] += weighted
+            h = harmonic(s, p + start - 1)
+            constant -= weighted * h.numerator * (unit // h.denominator)
+    return ZetaLinearForm(_F(constant, expansion.denominator * unit),
+                          tuple(_F(z, expansion.denominator) for z in zetas))
+
+
+def _euler_maclaurin_bound(s: int, cutoff: int, depth: int) -> Fraction:
+    """4 (s)_{2 depth + 1} / (39^(depth + 1) cutoff^(s + 2 depth + 1))."""
+    return _F(4 * pochhammer(s, 2 * depth + 1),
+              39 ** (depth + 1) * cutoff ** (s + 2 * depth + 1))
+
+
+def zeta_value(s: int, digits: int) -> tuple[int, int, FixedPointNumber]:
+    """(N, M, zeta(s) to ``digits`` decimals), uncached: N doubles from 8 and
+    M steps from 1 with a Fraction bound per depth, and the Euler–Maclaurin
+    sum adds Fractions term by term."""
+    target = _F(1, 10 ** (digits + 3))
+    cutoff = 8
+    while True:
+        depth = 1
+        bound = _euler_maclaurin_bound(s, cutoff, depth)
+        while bound >= target and depth <= 3 * cutoff:
+            depth += 1
+            bound = _euler_maclaurin_bound(s, cutoff, depth)
+        if bound < target:
+            break
+        cutoff = cutoff * 2
+    total = _F(sum(_F(1, k**s) for k in range(1, cutoff)))
+    total += _F(1, 2 * cutoff**s)
+    total += _F(1, (s - 1) * cutoff ** (s - 1))
+    for i in range(1, depth + 1):
+        total += (bernoulli_even(2 * i) / factorial(2 * i)
+                  * pochhammer(s, 2 * i - 1) / cutoff ** (s + 2 * i - 1))
+    return cutoff, depth, FixedPointNumber.from_fraction(total, digits, inherent_error=bound)

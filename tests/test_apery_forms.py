@@ -24,11 +24,14 @@ from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
                     left_mid_sum, left_mid_summand, left_split_check,
                     left_tail_summand, polyrat, right_finite_sum, right_form,
                     right_form_numeric, right_kernel, right_low_summand,
-                    right_mid_summand, right_split_check, verify_cell)
+                    right_mid_summand, right_split_check, verify_cell,
+                    zeta_forms)
 from apery4.apery_forms import (_certify, _derivatives_at, _left_expansion,
-                                _principal_parts, _right_blocks, _series_numeric)
+                                _principal_parts, _right_blocks, _right_expansion,
+                                _series_numeric)
 from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
+import dense_reference
 from dense_reference import (Polynomial, chain_values, flattened, fraction_expansion,
                              kernel_values, partial_fractions, poles)
 
@@ -725,6 +728,40 @@ def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
         kernel, order = (left_kernel(p), 1) if c.j is None else (_right_blocks(p, c.j), 2)
         oracle = DerivativeChain(*kernel.expansion()).values(x, order)[-1]
         assert str(oracle) == c.values[c.routes.index("oracle")], c
+
+
+def test_tails_match_the_harmonic_route_on_the_grid():
+    # every tail the forms and split checks sum on the n <= 12 grid equals
+    # the route that reads cached harmonic Fractions
+    for n in range(13):
+        for m in range(n + 1):
+            p = FormParameters(n, m)
+            for expansion, order, starts in [
+                    (_left_expansion(p), 1, (n - m + 1, 2 * n - m + 1)),
+                    (_right_expansion(p), 2, (1, n + 1))]:
+                for start in starts:
+                    assert (derivative_tail_sum(expansion, order, start)
+                            == dense_reference.derivative_tail_sum(expansion, order, start)), (
+                        n, m, order, start)
+
+
+def test_exact_sides_read_no_harmonic_number(monkeypatch):
+    # the exact forms sum their tails from integer rows: with harmonic
+    # numbers and rising factorials refused where the tail sums and zeta
+    # values live, both sides still equal the recurrence table
+    table = recurrence_table(6)
+
+    def refuse(*args):
+        raise AssertionError("an exact side read a harmonic number or a rising factorial")
+
+    for module in (exact_arith, zeta_forms):
+        monkeypatch.setattr(module, "harmonic", refuse, raising=False)
+        monkeypatch.setattr(module, "pochhammer", refuse, raising=False)
+    for (n, m), expected in table.items():
+        p = FormParameters(n, m)
+        assert left_form(p) == expected, (n, m)
+        assert right_form(p) == expected, (n, m)
+    assert len(table) == 28
 
 
 def test_audit_values_are_pinned():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_reference
 from apery4 import (FixedPointNumber, PoleInRangeError, ZetaLinearForm,
                     bernoulli_even, derivative_tail_sum, evaluate_decimal,
-                    zeta_value)
+                    zeta_forms, zeta_value)
 from apery4.polyrat import PartialFractions, PoleExpansion
 from dense_reference import Polynomial, partial_fractions
 
@@ -121,6 +122,28 @@ def test_derivative_tail_single_pole():
     assert tail == ZetaLinearForm.zeta_term(3, 2)
 
 
+@st.composite
+def _summable_tails(draw):
+    """(expansion, order, start): distinct integer shifts, numerators whose
+    zeta(j + order) lies in the basis, and a start past every pole."""
+    order = draw(st.sampled_from((1, 2)))
+    shifts = draw(st.lists(st.integers(-6, 20), min_size=1, max_size=6, unique=True))
+    terms = tuple(PoleExpansion(F(shift), tuple(draw(st.lists(
+        st.integers(-10**6, 10**6), min_size=1, max_size=5 - order))))
+        for shift in sorted(shifts))
+    denominator = draw(st.integers(1, 10**4))
+    start = draw(st.integers(max(1, 1 - min(shifts)), max(1, 1 - min(shifts)) + 8))
+    return PartialFractions(terms, denominator), order, start
+
+
+@given(_summable_tails())
+def test_derivative_tail_matches_the_harmonic_route(case):
+    # the integer rows give the same form as the cached harmonic Fractions
+    expansion, order, start = case
+    assert (derivative_tail_sum(expansion, order, start)
+            == dense_reference.derivative_tail_sum(expansion, order, start))
+
+
 def test_derivative_tail_rejects_bad_input():
     _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [F(0)])
     with pytest.raises(ValueError):
@@ -171,6 +194,48 @@ def test_even_zeta_matches_pi_powers(s, den):
     assert abs(zeta_value(s, 40).value() - exact) < F(1, 10 ** 40)
 
 
+def _assert_same_as_fraction_route(s, digits):
+    cutoff, depth, expected = dense_reference.zeta_value(s, digits)
+    assert zeta_forms._cutoff_and_depth(s, digits)[:2] == (cutoff, depth)
+    got = zeta_value(s, digits)
+    assert (got.mantissa, got.scale, got.error_bound) == (
+        expected.mantissa, expected.scale, expected.error_bound)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_zeta_value_matches_the_fraction_route(s):
+    # same (N, M), mantissa, scale and bound as the term-by-term Fraction sum;
+    # at 169 and 170 digits, s = 5 and s = 2 take M = 3N and M = 3N + 1
+    for digits in [*range(1, 61), 100, 120, 169, 170]:
+        _assert_same_as_fraction_route(s, digits)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", [300, 1000])
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_zeta_value_matches_the_fraction_route_at_length(s, digits):
+    _assert_same_as_fraction_route(s, digits)
+
+
+def test_tangent_table_grows_geometrically(monkeypatch):
+    # asking for B_2, B_4, ..., B_600 in turn rebuilds the triangle a
+    # logarithmic number of times, and the numbers match one full build
+    builds = []
+    build = zeta_forms._tangent_numbers
+    monkeypatch.setattr(zeta_forms, "_tangent_numbers",
+                        lambda count: builds.append(count) or build(count))
+    monkeypatch.setattr(zeta_forms, "_TANGENT", [])
+    bernoulli_even.cache_clear()
+    try:
+        values = [bernoulli_even(2 * k) for k in range(1, 301)]
+    finally:
+        bernoulli_even.cache_clear()
+    assert builds == [9, 18, 36, 72, 144, 288, 576]
+    tangent = build(300)
+    assert values == [F((-1) ** (k - 1) * 2 * k * tangent[k - 1], 4**k * (4**k - 1))
+                      for k in range(1, 301)]
+
+
 def test_zeta_value_caches_and_validates():
     assert zeta_value(2, 10) is zeta_value(2, 10)
     with pytest.raises(ValueError):
@@ -190,6 +255,16 @@ def test_fixed_point_rounding_and_decimal():
     assert fx.decimal() == "0.33333"
     assert FixedPointNumber.from_fraction(F(-1, 3), 5).decimal() == "-0.33333"
     assert FixedPointNumber.from_fraction(F(5), 0).decimal() == "5"
+
+
+def test_fixed_point_decimal_past_the_int_to_str_limit():
+    # 5,000 digits is past CPython's default int-to-str limit of 4,300
+    fx = FixedPointNumber.from_fraction(F(1, 3), 5000)
+    assert fx.decimal() == "0." + "3" * 5000
+    fx = FixedPointNumber.from_fraction(F(-10 ** 4999 - 2, 7), 5000)
+    head, tail = fx.decimal().split(".")
+    assert head == "-" + "142857" * 833 + "1" and len(tail) == 5000
+    assert tail == ("714285" * 834)[:5000]
 
 
 def test_fixed_point_agreement_respects_bounds():
