@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -61,7 +62,7 @@ from .errors import (DivergenceError, DomainError, RangeError,
 from .exact_arith import binomial, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion,
                       _linear_product, _merged_shifts, _mul_coeffs, _times_linear)
-from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
+from .zeta_forms import (FixedPointNumber, ZetaLinearForm, _closure, bernoulli_even,
                          derivative_tail_sum)
 
 __all__ = [
@@ -824,18 +825,6 @@ def _remainder_bound(expansion: tuple, order: int, depth: int,
             * (q - a) ** big_e * a ** k * cutoff ** (big_d + gap - 1) * (gap - 1))
 
 
-def _closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Fraction:
-    """The closure at A = ``cutoff`` (see :func:`_series_numeric`), in
-    integers over one denominator."""
-    high = chain.values(cutoff, order + 2 * depth - 1)
-    terms = [(-1, 1, high[order - 1]), (1, 2, high[order])] + [
-        (-b.numerator, b.denominator * factorial(2 * k), high[order + 2 * k - 1])
-        for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]
-    weights, values = lcm(*(w for _, w, _ in terms)), lcm(*(h.denominator for *_, h in terms))
-    return _F(sum(c * (weights // w) * h.numerator * (values // h.denominator)
-                  for c, w, h in terms), weights * values)
-
-
 def _series_numeric(kernel: Kernel, order: int, start: int,
                     target: Fraction) -> tuple[Fraction, Fraction]:
     """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for
@@ -868,17 +857,23 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
         cutoff *= 2
     depth, num, den = found
     chain = DerivativeChain(*expansion)
-    closure = _closure(chain, cutoff, order, depth)
-    return chain.sum(order, start, cutoff) + closure, _F(num, den)
+    return chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth), _F(num, den)
+
+
+def _numeric_side(kernel: Callable[[FormParameters], Kernel], p: FormParameters,
+                  order: int, start: int, weight: Fraction, digits: int) -> FixedPointNumber:
+    """``weight`` * sum_{v >= start} (d/dt)^order kernel(p)(v) to ``digits`` >= 1
+    decimals (RangeError before any kernel is built), closed 15 decimals past."""
+    if digits < 1:
+        raise RangeError(f"need digits >= 1, got {digits}")
+    value, bound = _series_numeric(kernel(p), order, start, _F(1, 10 ** (digits + 15)))
+    return FixedPointNumber.from_fraction(weight * value, digits,
+                                          inherent_error=abs(weight) * bound)
 
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
-    if digits < 1:
-        raise RangeError(f"need digits >= 1, got {digits}")
-    value, bound = _series_numeric(left_kernel(p), 1, p.n - p.m + 1,
-                                   _F(1, 10 ** (digits + 15)))
-    return FixedPointNumber.from_fraction(-value / 3, digits, inherent_error=bound / 3)
+    return _numeric_side(left_kernel, p, 1, p.n - p.m + 1, _F(-1, 3), digits)
 
 
 def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
@@ -887,7 +882,4 @@ def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     Euler–Maclaurin is linear, so one closure and one remainder bound on
     the summed kernel P B (:func:`right_kernel`) cover the whole side.
     """
-    if digits < 1:
-        raise RangeError(f"need digits >= 1, got {digits}")
-    value, bound = _series_numeric(right_kernel(p), 2, 1, _F(1, 10 ** (digits + 15)))
-    return FixedPointNumber.from_fraction(value / 6, digits, inherent_error=bound / 6)
+    return _numeric_side(right_kernel, p, 2, 1, _F(1, 6), digits)

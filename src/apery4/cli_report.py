@@ -21,15 +21,17 @@ Exit status: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage errors.  argparse rejects malformed arguments itself;
 out-of-range settings, unwritable report paths, two reports sent to one
 file or stream and out-of-domain parameters are reported as one ``error:``
-line on stderr before any work starts, and leave existing reports intact.  A
-check that raises while it runs (a certificate that does not hold, say) is
-a failed verification: one ``error:`` line naming where, and status 1.
+line on stderr before any work starts, and leave existing reports intact (a
+report that fails to write after the work is a usage error, too).  A check
+that raises while it runs (a certificate that does not hold, say) is a
+failed verification: one ``error:`` line naming where, and status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -79,17 +81,26 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
+def _write(path: str, text: str) -> None:
+    """Write a finished report to ``path``, or stdout for ``-``; a report
+    that cannot be written (a full disk, say) is a usage error."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_json(path: str, command: str, config: dict, summary: dict, body: dict) -> None:
     """Write the canonical JSON report (``body`` plus the ``summary`` tally,
     tool version and configuration echo) to ``path``, or stdout for ``-``."""
     text = json.dumps({**body, "summary": summary, "toolVersion": __version__,
                        "configEcho": {"command": command, **config}},
                       sort_keys=True, separators=(",", ":"))
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    _write(path, text + "\n")
 
 
 def _job_count(args: argparse.Namespace) -> int:
@@ -135,23 +146,19 @@ def _cell_passed(record: dict) -> bool:
 def _write_grid_csv(records: list[dict], path: str) -> None:
     """Lossy convenience view: coordinates, the two surviving coefficients,
     and the pass flags (recurrence blank where not applicable)."""
-    handle = (sys.stdout if path == "-"
-              else open(path, "w", encoding="utf-8", newline=""))
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "m", "constant", "zeta4",
-                         "identityPass", "recurrencePass"])
-        for r in records:
-            rec = r["recurrencePass"]
-            writer.writerow([
-                r["n"], r["m"],
-                r["left"].get("c0", "0"), r["left"].get("z4", "0"),
-                str(r["identityPass"]).lower(),
-                "" if rec is None else str(rec).lower(),
-            ])
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["n", "m", "constant", "zeta4",
+                     "identityPass", "recurrencePass"])
+    for r in records:
+        rec = r["recurrencePass"]
+        writer.writerow([
+            r["n"], r["m"],
+            r["left"].get("c0", "0"), r["left"].get("z4", "0"),
+            str(r["identityPass"]).lower(),
+            "" if rec is None else str(rec).lower(),
+        ])
+    _write(path, buffer.getvalue())
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:

@@ -216,11 +216,11 @@ class DerivativeChain:
     its integer expansion (``Kernel.expansion`` in :mod:`apery4.apery_forms`),
     to any order asked for per call.
 
-    :meth:`values` applies the product and quotient rule at the point, to
-    truncated Taylor series; :meth:`sum` reads the dense integer chain of
-    :func:`_quotient_chain`, built only up to the order it sums.  It does
-    not depend on the point, so one instance serves every evaluation and
-    sum; no method changes what an instance computes.
+    :meth:`numerators` applies the product and quotient rule at the point to
+    truncated Taylor series (:meth:`values` reduces them); :meth:`sum` reads
+    the dense integer chain of :func:`_quotient_chain`, built only up to the
+    order it sums.  It does not depend on the point, so one instance serves
+    every evaluation and sum; no method changes what an instance computes.
     """
 
     __slots__ = ("_spec", "_scale", "_linears", "_chain")
@@ -232,13 +232,13 @@ class DerivativeChain:
         self._linears = [(s.denominator, s.numerator, e) for s, e in den_factors]
         self._scale = scale * prod(r ** e for r, _, e in self._linears)
 
-    def values(self, x: Fraction | int, order: int) -> list[Fraction]:
-        """f(x), ..., f^(order)(x) at x = a/b, from f's Taylor series in u,
-        t = (a + u)/b, in integers: the numerator's by homogeneous synthetic
-        division, times each (r t + q)^-e's binomial series, that of
-        (L + r u)^-e with L = r a + q b, made by e geometric divisions; the
-        u^k coefficients are scaled by D^k, D = lcm of the L's.  PoleError
-        at a pole."""
+    def numerators(self, x: Fraction | int, order: int) -> tuple[list[int], int]:
+        """([N_0, ..., N_order], D) with f^(d)(x) = N_d / D, at x = a/b, from
+        f's Taylor series in u, t = (a + u)/b, in integers: the numerator's
+        by homogeneous synthetic division, times each (r t + q)^-e's binomial
+        series, that of (L + r u)^-e with L = r a + q b, made by e geometric
+        divisions; the u^k coefficients are scaled by C^k, C = lcm of the
+        L's, so D carries C^order.  PoleError at a pole."""
         _check_order(order)
         a, b = _as_fraction(x).as_integer_ratio()
         coeffs = self._spec[0]
@@ -260,12 +260,16 @@ class DerivativeChain:
                 for k in range(1, order + 1):
                     series[k] -= ratio * series[k - 1]
             bottom *= base ** e
-        values = []
+        numerators = []
         for d, c in enumerate(series):              # f^(d)(x) = b^d d! [u^d] f
-            if d:
-                top, bottom = top * b * d, bottom * lcd
-            values.append(_F(top * c, bottom))
-        return values
+            numerators.append(top * c * lcd ** (order - d))
+            top *= b * (d + 1)
+        return numerators, bottom * lcd ** order
+
+    def values(self, x: Fraction | int, order: int) -> list[Fraction]:
+        """f(x), ..., f^(order)(x) as Fractions: :meth:`numerators` reduced."""
+        numerators, denominator = self.numerators(x, order)
+        return [_F(n, denominator) for n in numerators]
 
     def sum(self, order: int, start: int, stop: int) -> Fraction:
         """Exact sum of f^(order)(v) over the integers start <= v < stop, as

@@ -20,10 +20,11 @@ integers over one denominator.
 For float-side cross-checks, :func:`zeta_value` computes zeta(s) to any
 requested number of digits by Euler–Maclaurin summation, exact throughout:
 the remainder after M corrections at cutoff N is below
-4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)), and the head, boundary and Bernoulli
-terms (from the integer tangent-number triangle) are summed as integer
-pairs over one common denominator.  It returns a :class:`FixedPointNumber`
-that carries a proven error bound rather than a bare float.
+4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)); the head is summed in integers, and
+the boundary and Bernoulli terms come from :func:`_closure`, the one
+Euler–Maclaurin closure, which both numeric sides also use.  It returns a
+:class:`FixedPointNumber` that carries a proven error bound rather than a
+bare float.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import lcm
+from math import factorial, lcm
 
 from .errors import PoleInRangeError
-from .polyrat import PartialFractions
+from .polyrat import DerivativeChain, PartialFractions
 
 __all__ = [
     "ZETA_ORDERS",
@@ -235,6 +236,19 @@ def bernoulli_even(index: int) -> Fraction:
               four_k * (four_k - 1))
 
 
+def _closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Fraction:
+    """-g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A), h = g^(order),
+    closing sum_{v >= A} h(v) for g = ``chain`` at A = ``cutoff``, M = ``depth``:
+    in integers, over the denominator of :meth:`DerivativeChain.numerators`."""
+    numerators, denominator = chain.numerators(cutoff, order + 2 * depth - 1)
+    terms = [(-1, 1, order - 1), (1, 2, order)] + [
+        (-b.numerator, b.denominator * factorial(2 * k), order + 2 * k - 1)
+        for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]
+    weights = lcm(*(w for _, w, _ in terms))
+    return _F(sum(c * (weights // w) * numerators[d] for c, w, d in terms),
+              weights * denominator)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point numbers with tracked error
 # ---------------------------------------------------------------------------
@@ -264,9 +278,9 @@ class FixedPointNumber:
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
         """Round an exact value (with optional prior error) to fixed point."""
-        shifted = value * 10**scale
-        mantissa = (shifted.numerator * 2 + shifted.denominator) // (2 * shifted.denominator)
-        rounding = abs(_F(mantissa, 10**scale) - value)
+        (num, den), power = value.as_integer_ratio(), 10**scale
+        mantissa = (2 * num * power + den) // (2 * den)
+        rounding = _F(abs(mantissa * den - num * power), den * power)
         return cls(mantissa, scale, rounding + inherent_error)
 
     def value(self) -> Fraction:
@@ -294,9 +308,6 @@ class FixedPointNumber:
 # ---------------------------------------------------------------------------
 # zeta values by exact Euler–Maclaurin
 # ---------------------------------------------------------------------------
-
-_ZETA_CACHE: dict[tuple[int, int], FixedPointNumber] = {}
-
 
 def _cutoff_and_depth(s: int, digits: int) -> tuple[int, int, Fraction]:
     """(N, M, bound): the least N = 8 * 2^i, then the least M <= 3N + 1, whose
@@ -326,36 +337,20 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
     with |R| below the first omitted term: |B_{2k}| / (2k)! < 4 / (2 pi)^(2k)
     < 4 / 39^k gives the rational envelope
     4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)).  N and M are chosen so the bound
-    is below 10^(-digits-3) (:func:`_cutoff_and_depth`); the sum is taken as
-    integer pairs over one common denominator (the head over
-    lcm(1..N-1)^s), with one Fraction at the end, so the bound is a
-    theorem, not an estimate.
+    is below 10^(-digits-3) (:func:`_cutoff_and_depth`).  The head is summed
+    in integers over lcm(1..N-1)^s; the boundary and Bernoulli terms are the
+    shared closure (:func:`_closure`) of h = t^(-s) = g', g = -t^(1-s)/(s-1),
+    so the bound is a theorem, not an estimate.
     """
     if s < 2:
         raise ValueError(f"zeta_value needs s >= 2, got {s}")
     if digits < 1:
         raise ValueError(f"zeta_value needs digits >= 1, got {digits}")
-    key = (s, digits)
-    cached = _ZETA_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     cutoff, depth, bound = _cutoff_and_depth(s, digits)
     head = lcm(*range(1, cutoff))
-    terms = [(sum((head // k) ** s for k in range(1, cutoff)), head**s),
-             (1, 2 * cutoff**s), (1, (s - 1) * cutoff ** (s - 1))]
-    rising, weight = s, 2 * cutoff ** (s + 1)    # (s)_{2i-1}, (2i)! N^(s+2i-1)
-    for i in range(1, depth + 1):
-        b = bernoulli_even(2 * i)
-        terms.append((b.numerator * rising, b.denominator * weight))
-        rising *= (s + 2 * i - 1) * (s + 2 * i)
-        weight *= (2 * i + 1) * (2 * i + 2) * cutoff**2
-    common = lcm(*(w for _, w in terms))
-    total = _F(sum(c * (common // w) for c, w in terms), common)
-
-    result = FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
-    _ZETA_CACHE[key] = result
-    return result
+    closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, s - 1)]), cutoff, 1, depth)
+    total = _F(sum((head // k) ** s for k in range(1, cutoff)), head**s) + closure
+    return FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
 
 
 def evaluate_decimal(form: ZetaLinearForm, digits: int) -> FixedPointNumber:

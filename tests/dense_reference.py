@@ -8,9 +8,11 @@ with Fraction polynomial powers (:func:`fraction_expansion`), the reference
 partial-fraction decomposition of a plain numerator/denominator pair
 (:func:`partial_fractions`), and derivative values read off the dense
 quotient chain (:func:`chain_values`).  It also keeps the Fraction routes
-that the package's integer zeta sums replaced: Euler–Maclaurin zeta values
-summed term by term (:func:`zeta_value`) and tail sums read off cached
-harmonic numbers (:func:`derivative_tail_sum`).  The decomposition splits off the
+that the package's integer sums replaced: Euler–Maclaurin zeta values
+summed term by term (:func:`zeta_value`), the Euler–Maclaurin closure read
+off Fraction derivative values (:func:`closure`), fixed-point rounding of a
+Fraction (:func:`fixed_point`) and tail sums read off cached harmonic
+numbers (:func:`derivative_tail_sum`).  The decomposition splits off the
 polynomial part by long division, which the package's proper
 :class:`~apery4.polyrat.PartialFractions` has no field for, so it returns it
 beside the principal parts.  It expands each pole by Taylor and series
@@ -242,6 +244,30 @@ def chain_values(chain: DerivativeChain, x: Fraction | int, order: int) -> list[
     return values
 
 
+def closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Fraction:
+    """-g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A), h = g^(order),
+    at A = ``cutoff``, M = ``depth``: from the Fraction values of ``chain``,
+    each term's numerator brought over the lcm of the weights and the lcm of
+    the values' denominators."""
+    high = chain.values(cutoff, order + 2 * depth - 1)
+    terms = [(-1, 1, high[order - 1]), (1, 2, high[order])] + [
+        (-b.numerator, b.denominator * factorial(2 * k), high[order + 2 * k - 1])
+        for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]
+    weights, values = lcm(*(w for _, w, _ in terms)), lcm(*(h.denominator for *_, h in terms))
+    return _F(sum(c * (weights // w) * h.numerator * (values // h.denominator)
+                  for c, w, h in terms), weights * values)
+
+
+def fixed_point(value: Fraction, scale: int,
+                inherent_error: Fraction = _ZERO) -> FixedPointNumber:
+    """``value`` rounded half up to ``scale`` decimals by Fraction arithmetic,
+    its bound the rounding error plus ``inherent_error``."""
+    shifted = value * 10**scale
+    mantissa = (shifted.numerator * 2 + shifted.denominator) // (2 * shifted.denominator)
+    rounding = abs(_F(mantissa, 10**scale) - value)
+    return FixedPointNumber(mantissa, scale, rounding + inherent_error)
+
+
 def partial_fractions(numerator: Polynomial, denominator: Polynomial,
                       candidate_shifts: Iterable[Fraction | int]
                       ) -> tuple[Polynomial, PartialFractions]:
@@ -374,9 +400,9 @@ def _euler_maclaurin_bound(s: int, cutoff: int, depth: int) -> Fraction:
 
 
 def zeta_value(s: int, digits: int) -> tuple[int, int, FixedPointNumber]:
-    """(N, M, zeta(s) to ``digits`` decimals), uncached: N doubles from 8 and
-    M steps from 1 with a Fraction bound per depth, and the Euler–Maclaurin
-    sum adds Fractions term by term."""
+    """(N, M, zeta(s) to ``digits`` decimals): N doubles from 8 and M steps
+    from 1 with a Fraction bound per depth, the Euler–Maclaurin sum adds
+    Fractions term by term, and :func:`fixed_point` rounds it."""
     target = _F(1, 10 ** (digits + 3))
     cutoff = 8
     while True:
@@ -394,4 +420,4 @@ def zeta_value(s: int, digits: int) -> tuple[int, int, FixedPointNumber]:
     for i in range(1, depth + 1):
         total += (bernoulli_even(2 * i) / factorial(2 * i)
                   * pochhammer(s, 2 * i - 1) / cutoff ** (s + 2 * i - 1))
-    return cutoff, depth, FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
+    return cutoff, depth, fixed_point(total, digits, inherent_error=bound)

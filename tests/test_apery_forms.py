@@ -570,13 +570,14 @@ def test_closure_values_match_the_dense_chain(n, m, monkeypatch):
     # criterion 9's cells, both sides, at 30 decimals: the closure's values at
     # the order order + 2M - 1 and the cutoff A that the route chooses
     closures = []
-    values = polyrat.DerivativeChain.values
+    numerators = polyrat.DerivativeChain.numerators
 
     def spy(chain, x, order):
-        closures.append((chain, x, order, values(chain, x, order)))
-        return closures[-1][3]
+        tops, bottom = numerators(chain, x, order)
+        closures.append((chain, x, order, [F(top, bottom) for top in tops]))
+        return tops, bottom
 
-    monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
+    monkeypatch.setattr(polyrat.DerivativeChain, "numerators", spy)
     p = FormParameters(n, m)
     left_form_numeric(p, 30)
     right_form_numeric(p, 30)
@@ -822,15 +823,15 @@ def test_numeric_tail_lies_within_its_bound(side, n, m, j):
 
 def _closure_cutoffs(monkeypatch) -> list:
     """Record the point of every chain evaluation: in the numeric route, the
-    closure's one ``values`` call at the cutoff A."""
+    closure's one ``numerators`` call at the cutoff A."""
     cutoffs = []
-    values = polyrat.DerivativeChain.values
+    numerators = polyrat.DerivativeChain.numerators
 
     def spy(chain, x, order):
         cutoffs.append(x)
-        return values(chain, x, order)
+        return numerators(chain, x, order)
 
-    monkeypatch.setattr(polyrat.DerivativeChain, "values", spy)
+    monkeypatch.setattr(polyrat.DerivativeChain, "numerators", spy)
     return cutoffs
 
 
@@ -912,23 +913,54 @@ def test_cutoff_doubles_until_a_depth_meets_the_target(monkeypatch):
 
 
 def _chosen_closure(numeric, p, order, monkeypatch) -> tuple[int, int]:
-    """(A, M) of the one closure of ``numeric(p, 30)``: its ``values`` call at
-    the cutoff A reads the derivatives up to order + 2M - 1."""
+    """(A, M) of the one closure of ``numeric(p, 30)``: its ``numerators``
+    call at the cutoff A reads the derivatives up to order + 2M - 1."""
     calls = []
-    values = polyrat.DerivativeChain.values
+    numerators = polyrat.DerivativeChain.numerators
 
     def spy(chain, x, top):
         calls.append((x, top))
-        return values(chain, x, top)
+        return numerators(chain, x, top)
 
     with monkeypatch.context() as patch:
-        patch.setattr(polyrat.DerivativeChain, "values", spy)
+        patch.setattr(polyrat.DerivativeChain, "numerators", spy)
         numeric(p, 30)
     (cutoff, top), = calls
     return cutoff, (top - order + 1) // 2
 
 
 NUMERIC_SIDES = [(left_form_numeric, left_kernel, 1), (right_form_numeric, right_kernel, 2)]
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)])
+def test_closure_matches_the_fraction_closure(n, m, monkeypatch):
+    # the integer closure against the Fraction closure, both sides, at the
+    # (A, M) each side chooses at 30 decimals
+    p = FormParameters(n, m)
+    for numeric, kernel, order in NUMERIC_SIDES:
+        cutoff, depth = _chosen_closure(numeric, p, order, monkeypatch)
+        chain = DerivativeChain(*kernel(p).expansion())
+        assert (zeta_forms._closure(chain, cutoff, order, depth)
+                == dense_reference.closure(chain, cutoff, order, depth)), (numeric, cutoff)
+
+
+def test_zeta_value_and_each_numeric_side_close_once(monkeypatch):
+    # one Euler–Maclaurin closure serves zeta(s) and both numeric sides
+    assert apery_forms._closure is zeta_forms._closure
+    orders, shared = [], zeta_forms._closure
+
+    def spy(chain, cutoff, order, depth):
+        orders.append(order)
+        return shared(chain, cutoff, order, depth)
+
+    monkeypatch.setattr(zeta_forms, "_closure", spy)
+    monkeypatch.setattr(apery_forms, "_closure", spy)
+    zeta_forms.zeta_value(4, 30)
+    assert orders == [1]
+    left_form_numeric(FormParameters(4, 1), 30)
+    assert orders == [1, 1]
+    right_form_numeric(FormParameters(4, 1), 30)
+    assert orders == [1, 1, 2]
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)])

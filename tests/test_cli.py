@@ -262,6 +262,23 @@ def test_usage_errors_exit_2_with_one_error_line(argv, jobs_env, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--n-max", "2", "--json", "/dev/full"],
+    ["verify-identity", "--n-max", "2", "--csv", "/dev/full"],
+    ["verify-recurrences", "--suite", "closed-forms", "--n-max", "2", "--json", "/dev/full"],
+], ids=["verify-identity-json", "verify-identity-csv", "verify-recurrences-json"])
+def test_a_report_that_cannot_be_written_exits_2(argv, capsys):
+    # /dev/full opens but refuses every write: the work is done and the
+    # report is lost, one error line and no traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: cannot write /dev/full: ")
+    assert captured.out == ""
+
+
 def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
     # both reports on one stream would parse as neither format
     calls = []

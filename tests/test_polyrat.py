@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from apery4 import (FormParameters, Kernel, PartialFractions, PoleError,
-                    PoleExpansion, left_kernel, pochhammer, right_kernel)
+                    PoleExpansion, left_kernel, pochhammer, right_kernel, zeta_forms)
 from apery4.apery_forms import _right_blocks
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
 from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
@@ -194,6 +195,16 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
         DerivativeChain([1], F(1), ((F(-5), 1),)).sum(1, 4, 8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_matches_the_fraction_closure_on_random_products(seed):
+    # the integer closure against the Fraction closure past every pole
+    rng = random.Random(seed)
+    chain = _chain(_random_product(rng))
+    for cutoff, order, depth in [(4, 1, 1), (5, 2, 3), (9, 1, 6), (16, 3, 2), (128, 2, 9)]:
+        assert (zeta_forms._closure(chain, cutoff, order, depth)
+                == dense_reference.closure(chain, cutoff, order, depth)), (cutoff, order, depth)
 
 
 def _chain_routes_agree(kernel: Kernel) -> None:

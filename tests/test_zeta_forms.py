@@ -9,7 +9,7 @@ Machin arctangent series, so no literal depends on the code it checks.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_reference
@@ -237,7 +237,6 @@ def test_tangent_table_grows_geometrically(monkeypatch):
 
 
 def test_zeta_value_caches_and_validates():
-    assert zeta_value(2, 10) is zeta_value(2, 10)
     with pytest.raises(ValueError):
         zeta_value(1, 10)
     with pytest.raises(ValueError):
@@ -255,6 +254,19 @@ def test_fixed_point_rounding_and_decimal():
     assert fx.decimal() == "0.33333"
     assert FixedPointNumber.from_fraction(F(-1, 3), 5).decimal() == "-0.33333"
     assert FixedPointNumber.from_fraction(F(5), 0).decimal() == "5"
+
+
+@given(st.fractions(), st.integers(0, 40), st.fractions(min_value=0, max_denominator=10**6))
+@example(F(1, 2), 0, F(0))          # ties round up, towards +oo, on both sides of 0
+@example(F(-1, 2), 0, F(1, 7))
+@example(F(-5, 2), 0, F(0))
+@example(F(1, 40), 2, F(0))
+@example(F(-3, 2000), 3, F(1, 7))
+@example(F(7), 0, F(0))
+def test_fixed_point_rounding_matches_the_fraction_route(value, scale, error):
+    # the integer rounding against the rounding of value * 10^scale as a Fraction
+    assert (FixedPointNumber.from_fraction(value, scale, error)
+            == dense_reference.fixed_point(value, scale, error))
 
 
 def test_fixed_point_decimal_past_the_int_to_str_limit():
