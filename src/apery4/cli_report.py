@@ -22,9 +22,10 @@ fails, 2 on usage errors.  argparse rejects malformed arguments itself;
 out-of-range settings, unwritable report paths, two reports sent to one
 file or stream and out-of-domain parameters are reported as one ``error:``
 line on stderr before any work starts, and leave existing reports intact (a
-report that fails to write after the work is a usage error, too).  A check
-that raises while it runs (a certificate that does not hold, say) is a
-failed verification: one ``error:`` line naming where, and status 1.
+report that fails to write after the work, to a file or to stdout, is a
+usage error, too).  A check that raises while it runs (a certificate that
+does not hold, say) is a failed verification: one ``error:`` line naming
+where, and status 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from . import __version__
@@ -82,16 +82,23 @@ def _check_writable(path: str | None) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    """Write a finished report to ``path``, or stdout for ``-``; a report
-    that cannot be written (a full disk, say) is a usage error."""
-    if path == "-":
-        sys.stdout.write(text)
-        return
+    """Write a finished report to ``path``, or to stdout (flushed) for ``-``;
+    a report that cannot be written (a full disk, say) is a usage error."""
     try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot write {'stdout' if path == '-' else path}: "
+                          f"{exc.strerror}") from None
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Write a text report to stdout, one line each, as :func:`_write` does."""
+    _write("-", "".join(f"{line}\n" for line in lines))
 
 
 def _write_json(path: str, command: str, config: dict, summary: dict, body: dict) -> None:
@@ -123,6 +130,7 @@ def _grid_records(n_max: int, jobs: int) -> list[dict]:
     if workers == 1:
         records = [verify_cell(n, m) for n, m in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(verify_cell, [c[0] for c in cells],
                                     [c[1] for c in cells]))   # in the order of cells
@@ -182,18 +190,20 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     if args.csv:
         _write_grid_csv(records, args.csv)
     if args.json != "-" and args.csv != "-":
+        lines = []
         for r in records:
             rec = r["recurrencePass"]
             flag = "ok" if _cell_passed(r) else "FAIL"
-            print(f"cell n={r['n']:>2} m={r['m']:>2}  {flag:>4}  "
-                  f"identity={r['identityPass']} pure={r['pureWeight4']} "
-                  f"recurrence={'n/a' if rec is None else rec}  "
-                  f"{r['elapsedMs']:.1f}ms")
+            lines.append(f"cell n={r['n']:>2} m={r['m']:>2}  {flag:>4}  "
+                         f"identity={r['identityPass']} pure={r['pureWeight4']} "
+                         f"recurrence={'n/a' if rec is None else rec}  "
+                         f"{r['elapsedMs']:.1f}ms")
         verdict = "all verified" if failed == 0 else "FAILURES FOUND"
         slowest = max(records, key=lambda r: r["elapsedMs"])
-        print(f"{len(records)} cells up to n = {args.n_max}: {verdict} "
-              f"({total_ms / 1000.0:.1f}s; slowest cell ({slowest['n']}, {slowest['m']}) "
-              f"{slowest['elapsedMs']:.1f}ms)")
+        lines.append(f"{len(records)} cells up to n = {args.n_max}: {verdict} "
+                     f"({total_ms / 1000.0:.1f}s; slowest cell ({slowest['n']}, {slowest['m']}) "
+                     f"{slowest['elapsedMs']:.1f}ms)")
+        _print_lines(lines)
     return 0 if failed == 0 else 1
 
 
@@ -240,10 +250,9 @@ def _cmd_verify_recurrences(args: argparse.Namespace) -> int:
                      "passed": sum(r["passed"] for r in results), "failed": total_failed},
                     {"suites": results})
     if args.json != "-":
-        for r in results:
-            print(f"suite {r['suite']:<15} checks={r['checks']:>5} "
-                  f"pass={r['passed']:>5} fail={r['failed']}")
-        print("all suites pass" if total_failed == 0 else "FAILURES FOUND")
+        _print_lines([f"suite {r['suite']:<15} checks={r['checks']:>5} "
+                      f"pass={r['passed']:>5} fail={r['failed']}" for r in results]
+                     + ["all suites pass" if total_failed == 0 else "FAILURES FOUND"])
     return 1 if total_failed else 0
 
 
@@ -254,10 +263,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except RangeError as exc:
         raise _UsageError(str(exc)) from None
     form = left_form(p)
-    print(f"Z({args.n}, {args.m}) = {form}")
-    print(f"  constant    = {form.constant}")
-    print(f"  zeta(4)     = {form.coefficient(4)}")
-    print(f"  decimal({args.digits}) = {evaluate_decimal(form, args.digits)}")
+    _print_lines([f"Z({args.n}, {args.m}) = {form}",
+                  f"  constant    = {form.constant}",
+                  f"  zeta(4)     = {form.coefficient(4)}",
+                  f"  decimal({args.digits}) = {evaluate_decimal(form, args.digits)}"])
     return 0
 
 
@@ -268,19 +277,19 @@ def _cmd_summand_audit(args: argparse.Namespace) -> int:
     by_family: dict[str, list] = {}
     for check in checks:
         by_family.setdefault(check.family, []).append(check)
-    disagreements = 0
+    disagreements, lines = 0, []
     for family in sorted(by_family):
         fam = by_family[family]
         bad = [c for c in fam if not c.agree]
         disagreements += len(bad)
         routes = "/".join(fam[0].routes)
         status = "all agree" if not bad else f"{len(bad)} DISAGREE"
-        print(f"family {family:<10} checks={len(fam):>4} routes={routes:<26} {status}")
-        for c in bad:
-            print(f"  n={c.n} m={c.m} j={c.j} nu={c.nu}: "
-                  + ", ".join(f"{r}={v}" for r, v in zip(c.routes, c.values)))
-    print(f"total {len(checks)} checks, {disagreements} disagreements "
-          f"(n_max={args.n_max}, samples={args.samples}, seed={args.seed})")
+        lines.append(f"family {family:<10} checks={len(fam):>4} routes={routes:<26} {status}")
+        lines.extend(f"  n={c.n} m={c.m} j={c.j} nu={c.nu}: "
+                     + ", ".join(f"{r}={v}" for r, v in zip(c.routes, c.values)) for c in bad)
+    lines.append(f"total {len(checks)} checks, {disagreements} disagreements "
+                 f"(n_max={args.n_max}, samples={args.samples}, seed={args.seed})")
+    _print_lines(lines)
     return 0 if disagreements == 0 else 1
 
 

@@ -11,8 +11,9 @@ quotient chain (:func:`chain_values`).  It also keeps the Fraction routes
 that the package's integer sums replaced: Euler–Maclaurin zeta values
 summed term by term (:func:`zeta_value`), the Euler–Maclaurin closure read
 off Fraction derivative values (:func:`closure`), fixed-point rounding of a
-Fraction (:func:`fixed_point`) and tail sums read off cached harmonic
-numbers (:func:`derivative_tail_sum`).  The decomposition splits off the
+Fraction (:func:`fixed_point`), tail sums read off cached harmonic
+numbers (:func:`derivative_tail_sum`) and the numeric route's remainder
+bound computed whole at each cutoff (:func:`remainder_bound`).  The decomposition splits off the
 polynomial part by long division, which the package's proper
 :class:`~apery4.polyrat.PartialFractions` has no field for, so it returns it
 beside the principal parts.  It expands each pole by Taylor and series
@@ -24,7 +25,7 @@ expansion is certified, not merely computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm, sqrt
 from typing import Iterable
 
 from apery4 import polyrat
@@ -256,6 +257,22 @@ def closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Frac
     weights, values = lcm(*(w for _, w, _ in terms)), lcm(*(h.denominator for *_, h in terms))
     return _F(sum(c * (weights // w) * h.numerator * (values // h.denominator)
                   for c, w, h in terms), weights * values)
+
+
+def remainder_bound(expansion: tuple, order: int, depth: int, cutoff: int) -> Fraction:
+    """The numeric route's remainder bound after ``depth`` closure terms at
+    A = ``cutoff``, unfactored: every factor computed at this A, the
+    Cauchy circle's alpha rationalised as the package does."""
+    coeffs, scale, den_factors = expansion
+    big_d, big_e, k = len(coeffs) - 1, sum(e for _, e in den_factors), order + 2 * depth + 2
+    gap = big_e - big_d + k
+    root = (sqrt((big_d + big_e) ** 2 + 4 * gap * k) - big_d - big_e) / (2 * gap)
+    q = ceil(1000 / root)
+    alpha = _F(round(root * q), q)
+    top = sum(abs(c) * cutoff ** i for i, c in enumerate(coeffs))
+    return (2 * abs(bernoulli_even(k - order)) / factorial(k - order) * factorial(k)
+            * abs(scale) * top * (1 + alpha) ** big_d
+            / ((1 - alpha) ** big_e * alpha ** k * _F(cutoff) ** (big_e + k - 1) * (gap - 1)))
 
 
 def fixed_point(value: Fraction, scale: int,

@@ -8,6 +8,7 @@ rule on the expanded kernels) before the printed formulas were trusted.
 
 import hashlib
 import json
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -887,33 +888,33 @@ def test_remainder_bound_is_pinned_on_small_kernels():
 
 
 def test_right_side_closes_once(monkeypatch):
+    # one closure, at the cutoff the search chooses
     cutoffs = _closure_cutoffs(monkeypatch)
     right_form_numeric(FormParameters(4, 1), 30)
-    assert cutoffs == [apery_forms._FIRST_CUTOFF]
+    chosen = apery_forms._cheapest_closure(right_kernel(FormParameters(4, 1)).expansion(),
+                                           2, 1, TAIL_TARGET)
+    assert cutoffs == [chosen[0]]
 
 
-def test_cutoff_doubles_until_a_depth_meets_the_target(monkeypatch):
-    # at (8, 3) and 80 decimals no closure depth up to _MAX_DEPTH meets the
-    # target at A = 128 or 256, so both sides close at A = 512
+def test_cutoff_is_limited(monkeypatch):
+    # at (8, 3) and 80 decimals both sides need A = 128 (no depth up to
+    # _MAX_DEPTH meets the target at A = 64): below that limit no closure is
+    # built and the error names the limit and the target
     cutoffs = _closure_cutoffs(monkeypatch)
-    tried = []
-    bound = apery_forms._remainder_bound
-
-    def spy(expansion, order, depth, cutoff):
-        tried.append(cutoff)
-        return bound(expansion, order, depth, cutoff)
-
-    monkeypatch.setattr(apery_forms, "_remainder_bound", spy)
+    monkeypatch.setattr(apery_forms, "_MAX_CUTOFF", 64)
     for side in (left_form_numeric, right_form_numeric):
-        tried.clear()
+        with pytest.raises(DivergenceError,
+                           match=f"target 1/1{'0' * 95} at a cutoff up to A = 64$"):
+            side(FormParameters(8, 3), 80)
+    assert cutoffs == []
+    monkeypatch.setattr(apery_forms, "_MAX_CUTOFF", 128)
+    for side in (left_form_numeric, right_form_numeric):
         side(FormParameters(8, 3), 80)
-        assert sorted(set(tried)) == [128, 256, 512]
-        assert tried.count(128) == tried.count(256) == apery_forms._MAX_DEPTH
-    assert cutoffs == [512, 512]
+    assert cutoffs == [128, 128]
 
 
-def _chosen_closure(numeric, p, order, monkeypatch) -> tuple[int, int]:
-    """(A, M) of the one closure of ``numeric(p, 30)``: its ``numerators``
+def _chosen_closure(numeric, p, order, monkeypatch, digits=30) -> tuple[int, int]:
+    """(A, M) of the one closure of ``numeric(p, digits)``: its ``numerators``
     call at the cutoff A reads the derivatives up to order + 2M - 1."""
     calls = []
     numerators = polyrat.DerivativeChain.numerators
@@ -924,7 +925,7 @@ def _chosen_closure(numeric, p, order, monkeypatch) -> tuple[int, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(polyrat.DerivativeChain, "numerators", spy)
-        numeric(p, 30)
+        numeric(p, digits)
     (cutoff, top), = calls
     return cutoff, (top - order + 1) // 2
 
@@ -963,30 +964,62 @@ def test_zeta_value_and_each_numeric_side_close_once(monkeypatch):
     assert orders == [1, 1, 2]
 
 
+def _estimate(expansion, order, start, cutoff, depth):
+    """The search's cost estimate (A - start) (D + 1 + F) w + (order + 2M)^2 (D + 1 + E)."""
+    coeffs, _, den_factors = expansion
+    size, big_e = len(coeffs), sum(e for _, e in den_factors)
+    return ((cutoff - start) * (size + len(den_factors)) * apery_forms._TERM_WEIGHT
+            + (order + 2 * depth) ** 2 * (size + big_e))
+
+
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)])
 def test_closure_depth_is_the_least_that_meets_the_target(n, m, monkeypatch):
-    # the search runs in exact integers: at the chosen (A, M) the bound is
-    # below the target, and at A no smaller depth, and at A/2 (when A was
-    # doubled) no depth up to _MAX_DEPTH, meets it
-    p = FormParameters(n, m)
+    # each side closes once, at a pair (A, M) that meets the target by the
+    # unfactored bound; no smaller M meets it at A, and no pair with A =
+    # max(16, start) 2^i up to 4 A and M <= _MAX_DEPTH that meets it has a
+    # lower estimate ((8, 3) at 80 decimals, where A is not the least)
+    p, digits = FormParameters(n, m), 80 if (n, m) == (8, 3) else 30
+    target = F(1, 10 ** (digits + 15))
     for numeric, kernel, order in NUMERIC_SIDES:
-        cutoff, depth = _chosen_closure(numeric, p, order, monkeypatch)
+        cutoff, depth = _chosen_closure(numeric, p, order, monkeypatch, digits)
+        start = n - m + 1 if order == 1 else 1
+        expansion = kernel(p).expansion()
 
         def meets(d, a):
-            return _remainder_bound(kernel(p), order, d, a) < TAIL_TARGET
+            return dense_reference.remainder_bound(expansion, order, d, a) < target
 
         assert depth >= 1 and meets(depth, cutoff)
         assert not any(meets(d, cutoff) for d in range(1, depth))
-        if cutoff > apery_forms._FIRST_CUTOFF:
-            assert not any(meets(d, cutoff // 2)
-                           for d in range(1, apery_forms._MAX_DEPTH + 1))
+        least = _estimate(expansion, order, start, cutoff, depth)
+        a = max(apery_forms._FIRST_CUTOFF, start)
+        while a <= 4 * cutoff:
+            # the least M that meets the target at a is the cheapest there
+            d = next((d for d in range(1, apery_forms._MAX_DEPTH + 1) if meets(d, a)), None)
+            assert d is None or _estimate(expansion, order, start, a, d) >= least, (a, d)
+            a *= 2
+
+
+def test_remainder_bound_matches_the_unfactored_bound():
+    # C(M) T(A) / A^(E+k-1), C(M) / |K| memoized per (D, E, order, M), against
+    # the bound computed whole, on random kernels with every pole at t <= 0
+    rng = random.Random(5)
+    for _ in range(40):
+        poles = [(F(rng.randint(0, 12), 2), -rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        zeros = [(F(rng.randint(-8, 8), 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        kernel = Kernel(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), (), tuple(poles + zeros),
+                        tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) + (1,))
+        order, expansion = max(1, kernel.degree + 2) + rng.randint(0, 2), kernel.expansion()
+        for _ in range(5):
+            depth, cutoff = rng.randint(1, 64), rng.choice((1, 2, 7, 16, 100, 1024, 65536))
+            assert (F(*apery_forms._remainder_bound(expansion, order, depth, cutoff))
+                    == dense_reference.remainder_bound(expansion, order, depth, cutoff))
 
 
 @pytest.mark.slow
 def test_closures_are_pinned_to_n_20(monkeypatch):
     # digest of the (A, M) chosen on both sides of every cell with n <= 20 at
-    # 30 decimals, recorded while the depth search still compared float logs:
-    # the exact integer search picks the same closures
+    # 30 decimals, recorded for the least-cost search once both sides of
+    # every such cell bracketed the 70-digit reference
     rows = []
     for n in range(21):
         for m in range(n + 1):
@@ -994,7 +1027,7 @@ def test_closures_are_pinned_to_n_20(monkeypatch):
                 closure = _chosen_closure(numeric, FormParameters(n, m), order, monkeypatch)
                 rows.append([numeric.__name__, n, m, *closure])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "54fc8dcd022893ebf4698d8b23e82932e0c0f40004078830ab96660032d76a1d")
+        "8f73c6ba23b605615cd265f1f22ce24fc66620df315fcee05dfbf43ed48437ea")
 
 
 @pytest.mark.parametrize("digits", [0, -3, -20])
@@ -1018,7 +1051,8 @@ def test_numeric_side_builds_one_chain(numeric, n, m, order, monkeypatch):
     assert orders == [order]
 
 
-@pytest.mark.parametrize("n, m", [(8, 3), (12, 5), (16, 7), (20, 9), (30, 14)])
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5),
+                                  (16, 7), (20, 9), (30, 14)])
 def test_numeric_routes_bracket_the_exact_value(n, m):
     p = FormParameters(n, m)
     reference = evaluate_decimal(recurrence_table(n)[(n, m)], 70)
@@ -1037,6 +1071,20 @@ def test_numeric_routes_bracket_the_exact_value_to_n_20():
                     <= numeric.error_bound), (n, m)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n, m, digits", [(60, 0, 104), (60, 60, 91)])
+def test_numeric_routes_bracket_the_exact_value_at_scale(n, m, digits, monkeypatch):
+    # both sides bracket the exact value at n = 60, one closure each, and
+    # the right side's cutoff stays at 4,096 or below
+    p = FormParameters(n, m)
+    reference = evaluate_decimal(recurrence_table(n)[(n, m)], digits + 10)
+    cutoffs = _closure_cutoffs(monkeypatch)
+    for numeric in (left_form_numeric(p, digits), right_form_numeric(p, digits)):
+        assert (abs(numeric.value() - reference.value()) + reference.error_bound
+                <= numeric.error_bound), numeric
+    assert len(cutoffs) == 2 and cutoffs[1] <= 4096
+
+
 def test_numeric_values_are_pinned():
     # digest of (mantissa, scale, error bound) of both numeric sides at 30
     # digits, recorded once both sides bracketed the 70-digit reference on
@@ -1048,4 +1096,4 @@ def test_numeric_values_are_pinned():
             x = side(FormParameters(n, m), 30)
             rows.append([side.__name__, n, m, x.mantissa, x.scale, str(x.error_bound)])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "68bcf0d330871b766bd90ed96d880535d3bb5534d028372ddc6018749022f48f")
+        "016266ce3c6e418a3ea74c34867ac1003b6754fd042ce3ca8e1423d554c927bc")

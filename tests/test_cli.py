@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface (driven in-process)."""
 
+import concurrent.futures
+import errno
+import io
 import json
 import os
 import subprocess
@@ -108,7 +111,7 @@ def test_pool_is_bounded_by_cells_and_cores(jobs, n_max, cpus, workers, monkeypa
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli_report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_report.os, "cpu_count", lambda: cpus)
     records = cli_report._grid_records(n_max, jobs)
     assert sizes == ([workers] if workers else [])
@@ -277,6 +280,58 @@ def test_a_report_that_cannot_be_written_exits_2(argv, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error: cannot write /dev/full: ")
     assert captured.out == ""
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--n-max", "2", "--json", "-"],
+    ["verify-identity", "--n-max", "2", "--csv", "-"],
+    ["verify-identity", "--n-max", "2"],
+    ["verify-recurrences", "--suite", "closed-forms", "--n-max", "2"],
+    ["verify-recurrences", "--suite", "closed-forms", "--n-max", "2", "--json", "-"],
+    ["eval", "--n", "2", "--m", "1"],
+    ["summand-audit", "--n-max", "1"],
+], ids=["verify-identity-json", "verify-identity-csv", "verify-identity-text",
+        "verify-recurrences-text", "verify-recurrences-json", "eval", "summand-audit"])
+def test_a_report_that_cannot_reach_stdout_exits_2(argv, capsys, monkeypatch):
+    # the work is done and the report is lost: one error line, no traceback
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("report", [["--json", "-"], ["--csv", "-"], []],
+                         ids=["json", "csv", "text"])
+def test_stdout_on_a_full_device_exits_2(report):
+    # end to end, through the interpreter's own flush at exit
+    source = str(Path(apery4.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH")))))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "apery4", "verify-identity",
+                               "--n-max", "1", *report],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_import_loads_no_process_pool():
+    # only a run that forks imports the pool, and multiprocessing with it
+    source = str(Path(apery4.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import apery4.cli_report; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') "
+            "or m == 'concurrent.futures.process'))")
+    done = subprocess.run([sys.executable, "-c", code, source],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
