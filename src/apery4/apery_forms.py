@@ -37,7 +37,7 @@ The module also carries the three independent evaluation routes for the
 3. a generated route applying the rising-factorial derivative rule (power
    sums over each block as harmonic differences) to every factor in
    logarithmic form: the local expansion that yields the principal parts,
-   read at a point where no factor vanishes (:func:`_derivatives_at`).
+   read at a point where no factor vanishes (:func:`_derivative_numerators`).
 
 :func:`audit_summands` samples parameter cells and compares the routes
 pointwise; any disagreement is reported, none is expected.
@@ -59,7 +59,7 @@ from math import ceil, floor, inf, isqrt, lcm, prod, sqrt
 
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
-from .exact_arith import binomial, factorial, harmonic, pochhammer
+from .exact_arith import _factorials, _power_sums, binomial, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion,
                       _linear_product, _merged_shifts, _mul_coeffs, _times_linear)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, _closure, bernoulli_even,
@@ -149,24 +149,36 @@ class Kernel:
         return c if odd else None
 
     def pole_orders(self) -> dict[int, int]:
-        """{shift p: order} of the poles t = -p, from the merged block exponents."""
-        candidates: set[int] = set()
-        for x, k, e in self.blocks:
-            if e < 0:
-                candidates.update(range(x, x + k))
-        candidates.update(s for s, e in self.linears if e < 0)
-        orders: dict[int, int] = {}
-        for q in candidates:
-            exponent = (sum(e for x, k, e in self.blocks if x <= q < x + k)
-                        + sum(e for s, e in self.linears if s == q))
-            if exponent < 0:
-                orders[q] = -exponent
+        """{shift p: order} of the poles t = -p, in one sweep over the block
+        boundaries: a block (t+x)_k^e adds e to the exponents of the shifts
+        x..x+k-1, written as +e at x and -e at x + k, and a loose factor at
+        an integer shift is a block of length 1; one at any other shift lies
+        in no block and keeps its own exponent."""
+        blocks, loose = list(self.blocks), {}
+        for s, e in self.linears:
+            if s.denominator == 1:
+                blocks.append((int(s), 1, e))
+            else:
+                loose[s] = loose.get(s, 0) + e
+        steps: dict[int, int] = {}
+        for x, k, e in blocks:
+            if k > 0:
+                steps[x] = steps.get(x, 0) + e
+                steps[x + k] = steps.get(x + k, 0) - e
+        orders = {s: -e for s, e in loose.items() if e < 0}
+        level, points = 0, sorted(steps)
+        for here, after in zip(points, points[1:]):
+            level += steps[here]
+            if level < 0:
+                orders.update(dict.fromkeys(range(here, after), -level))
         return orders
 
     def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
         """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
         coeffs, lead = _linear_product((s, e) for s, e in self.factors.items() if e > 0)
-        return (_mul_coeffs(coeffs, self.cofactor), self.scalar / lead,
+        if self.cofactor != (1,):
+            coeffs = _mul_coeffs(coeffs, self.cofactor)
+        return (coeffs, self.scalar / lead,
                 [(s, -e) for s, e in self.factors.items() if e < 0])
 
     def first_positive_point(self) -> int:
@@ -269,7 +281,7 @@ def right_kernel(p: FormParameters) -> Kernel:
 class _LocalExpansion:
     """Local expansions of block products at integer points, all in integers:
     the principal parts at a pole (:func:`_principal_parts`), and the Taylor
-    coefficients where no factor vanishes (:func:`_derivatives_at`).
+    coefficients where no factor vanishes (:func:`_derivative_numerators`).
 
     At t = -p, expanded as a pole of order E, put u = t + p.  Each block
     factor (t + c) with a = c - p != 0 is a (1 + u/a), and a loose factor
@@ -292,26 +304,19 @@ class _LocalExpansion:
 
     def __init__(self, kernel: Kernel, shifts: list[int], depth: int) -> None:
         """Tables for expansions of ``kernel`` at t = -shift, for each of
-        ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel."""
-        self.kernel, self.shifts = kernel, set(shifts)
-        ends = [end for x, k, _ in kernel.blocks if k > 0 for end in (x, x + k - 1)]
-        top = max([abs(end - shift) for shift in shifts for end in ends]
-                  + [abs(s.numerator - s.denominator * shift)
-                     for shift in shifts for s, _ in kernel.linears], default=0)
-        self.scale = lcm(*range(1, top + 1))
-        self.table: list[list[int]] = [[]]
-        for r in range(1, depth):
-            unit = self.scale ** r
-            row = [0]
-            for a in range(1, top + 1):
-                row.append(row[-1] + unit // a ** r)
-            self.table.append(row)
-        self.factorials = [1]
-        for i in range(1, max(top, depth) + 1):
-            self.factorials.append(self.factorials[-1] * i)
-        # ratios[k][i-1] = (-1)^(i+1) (k-1)!/(k-i)!, the weights of G_k's recursion
-        self.ratios = [[(-1) ** (i + 1) * self.factorials[k - 1] // self.factorials[k - i]
-                        for i in range(1, k + 1)] for k in range(depth)]
+        ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel.
+        |a| and |b| are largest at the least or the largest shift, and the
+        power-sum rows are the shared ones of that top (:func:`_power_sums`)."""
+        self.kernel, self.shifts, top = kernel, set(shifts), 0
+        if shifts:
+            low, high = min(shifts), max(shifts)
+            # a block's a = x + i - shift runs over [x - high, x + k - 1 - low]
+            top = max([max(x + k - 1 - low, high - x) for x, k, _ in kernel.blocks if k > 0]
+                      + [abs(s.numerator - s.denominator * shift)
+                         for s, _ in kernel.linears for shift in (low, high)], default=0)
+        self.scale, self.table = _power_sums(top, depth - 1)
+        self.factorials = _factorials(max(top, depth))
+        self.ratios = _recursion_weights(depth)
 
     def part(self, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of the kernel at
@@ -364,6 +369,15 @@ class _LocalExpansion:
             taylor.append(coeffs.pop(0) if coeffs else 0)
         numerators = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
         return numerators, den * factorials[order - 1] * scale ** (order - 1)
+
+
+@cache
+def _recursion_weights(depth: int) -> tuple[tuple[int, ...], ...]:
+    """ratios[k][i-1] = (-1)^(i+1) (k-1)!/(k-i)! for k < ``depth``: the
+    weights of G_k's recursion (:class:`_LocalExpansion`)."""
+    factorials = _factorials(depth)
+    return tuple(tuple((-1) ** (i + 1) * factorials[k - 1] // factorials[k - i]
+                       for i in range(1, k + 1)) for k in range(depth))
 
 
 def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int],
@@ -516,8 +530,9 @@ def verify_cell(n: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _derivatives_at(kernel: Kernel, point: int, order: int) -> list[Fraction]:
-    """[g, g', ..., g^(order)](point) of ``kernel``, cofactor included.
+def _derivative_numerators(kernel: Kernel, point: int, order: int) -> tuple[list[int], int]:
+    """([N_0, ..., N_order], D) with g^(k)(point) = N_k / D for ``kernel``,
+    cofactor included, unreduced (:func:`_derivatives_at` reduces them).
 
     The generated summand route: the rising-factorial derivative rule,
     d/dt (t+x)_k = (t+x)_k (S_1(t+x+k-1) - S_1(t+x-1)), applied to every
@@ -532,7 +547,14 @@ def _derivatives_at(kernel: Kernel, point: int, order: int) -> list[Fraction]:
                           f"is positive, got t = {point}")
     local = _LocalExpansion(kernel, [-point], order + 1)
     numerators, den = local.part(-point, order + 1)
-    return [_F(local.factorials[k] * numerators[order - k], den) for k in range(order + 1)]
+    return [local.factorials[k] * numerators[order - k] for k in range(order + 1)], den
+
+
+def _derivatives_at(kernel: Kernel, point: int, order: int) -> list[Fraction]:
+    """[g, g', ..., g^(order)](point) of ``kernel``: :func:`_derivative_numerators`
+    as Fractions."""
+    numerators, den = _derivative_numerators(kernel, point, order)
+    return [_F(c, den) for c in numerators]
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +741,12 @@ class SummandCheck:
         return len(set(self.values)) == 1
 
 
+def _highest(derivatives: tuple[list[int], int]) -> Fraction:
+    """The highest derivative of a (numerators, denominator) pair, alone reduced."""
+    numerators, den = derivatives
+    return _F(numerators[-1], den)
+
+
 def _sample(rng: random.Random, population: range, count: int) -> list[int]:
     if len(population) <= count:
         return list(population)
@@ -759,13 +787,13 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             def oracle(j: int | None, x: int) -> Fraction:
                 if j not in chains:
                     chains[j] = DerivativeChain(*_right_blocks(p, j).expansion())
-                return chains[j].values(x, 1 if j is None else 2)[-1]
+                return _highest(chains[j].numerators(x, 1 if j is None else 2))
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
                     "oracle": oracle(None, nu + shift),
-                    "generated": _derivatives_at(left, nu + shift, 1)[1],
+                    "generated": _highest(_derivative_numerators(left, nu + shift, 1)),
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
@@ -776,7 +804,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
                     "oracle": oracle(j, nu),
-                    "generated": _derivatives_at(_right_blocks(p, j), nu, 2)[2],
+                    "generated": _highest(_derivative_numerators(_right_blocks(p, j), nu, 2)),
                 })
             if n >= 1:
                 for _ in range(min(samples, n)):

@@ -12,7 +12,10 @@ on in hot loops:
 * ``factorial`` / ``binomial`` — memoized exact integers,
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1),
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
-  cached per order so S_a(n) and S_a(n-1) share work.
+  cached per order so S_a(n) and S_a(n-1) share work,
+* ``_power_sums`` — the same sums in integers, L^r S_r(i) with
+  L = lcm(1..top), in a bounded table that the local expansions and the
+  zeta tails share.
 """
 
 from __future__ import annotations
@@ -41,13 +44,18 @@ def factorial(k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"factorial undefined for negative k = {k}")
+    return _factorials(k)[k]
+
+
+def _factorials(k: int) -> list[int]:
+    """The memoized list [0!, 1!, ...], at least k+1 long; read-only."""
     cache = _FACTORIALS
     if k >= len(cache):
         value = cache[-1]
         for i in range(len(cache), k + 1):
             value *= i
             cache.append(value)
-    return cache[k]
+    return cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -126,3 +134,43 @@ def harmonic(order: int, upper: int) -> Fraction:
             value += Fraction(1, i**order)
             sums.append(value)
     return sums[upper]
+
+
+# ---------------------------------------------------------------------------
+# integer power-sum rows
+# ---------------------------------------------------------------------------
+
+# The most tops whose power-sum tables are kept; the least recently read goes first.
+_POWER_SUM_TABLES = 32
+# {top: (L, rows)}, in the order last read; tops with one L share its rows
+_POWER_SUMS: dict[int, tuple[int, list[list[int]]]] = {}
+
+
+def _power_sums(top: int, count: int) -> tuple[int, list[list[int]]]:
+    """(L, rows): L = lcm(1..top) and rows[r][i] = L^r S_r(i), an integer
+    (i^r divides L^r), for 1 <= r <= count and 0 <= i <= top; read-only.
+
+    L grows only at prime powers, so a new top takes the table of a kept top
+    with the same L if there is one, and builds one otherwise.  Rows are
+    built on first need and extended as tops grow.  The tables of the last
+    ``_POWER_SUM_TABLES`` tops read are kept.
+    """
+    entry = _POWER_SUMS.pop(top, None)
+    if entry is None:
+        scale = math.lcm(*range(1, top + 1))
+        entry = next((kept for kept in _POWER_SUMS.values() if kept[0] == scale),
+                     (scale, [[]]))
+        if len(_POWER_SUMS) >= _POWER_SUM_TABLES:
+            del _POWER_SUMS[next(iter(_POWER_SUMS))]
+    _POWER_SUMS[top] = entry
+    scale, rows = entry
+    for r in range(1, count + 1):
+        if r == len(rows):
+            rows.append([0])
+        row = rows[r]
+        if len(row) <= top:
+            unit, total = scale ** r, row[-1]
+            for i in range(len(row), top + 1):
+                total += unit // i ** r
+                row.append(total)
+    return entry

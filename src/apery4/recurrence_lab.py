@@ -78,13 +78,22 @@ def trailing_coefficient_nonzero(n: int, m: int) -> bool:
 
 
 def recurrence_holds(values: _Values, n: int, m: int) -> bool:
-    """Check the recurrence at one admissible (n, m) on precomputed values."""
+    """Check the recurrence at one admissible (n, m) on precomputed values.
+
+    Coordinate by coordinate, with Z(n, m+i) = p_i/q_i as the values carry
+    them, a0 p0/q0 + a1 p1/q1 + a2 p2/q2 = 0 is decided in integers as
+    a0 p0 q1 q2 + a1 p1 q0 q2 + a2 p2 q0 q1 == 0."""
     if not 0 <= m <= n - 2:
         raise RangeError(f"recurrence needs 0 <= m <= n-2, got (n, m) = ({n}, {m})")
     a0, a1, a2 = recurrence_coefficients(n, m)
-    combo = (a0 * values[(n, m)] + a1 * values[(n, m + 1)]
-             + a2 * values[(n, m + 2)])
-    return combo.is_zero
+    forms = [values[(n, m + i)] for i in range(3)]
+    for c0, c1, c2 in zip(*((form.constant, *form.zeta_coefficients) for form in forms)):
+        p0, q0 = c0.numerator, c0.denominator
+        p1, q1 = c1.numerator, c1.denominator
+        p2, q2 = c2.numerator, c2.denominator
+        if a0 * p0 * q1 * q2 + a1 * p1 * q0 * q2 + a2 * p2 * q0 * q1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

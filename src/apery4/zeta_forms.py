@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import factorial, lcm
 
 from .errors import PoleInRangeError
+from .exact_arith import _power_sums
 from .polyrat import DerivativeChain, PartialFractions
 
 __all__ = [
@@ -155,12 +155,14 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
 
     Termwise, d^order/dt^order (t+p)^(-j) = w (t+p)^(-s) with
     w = (-1)^order (j)_order (-j, or j(j+1)) and s = j + order, and the tail
-    of (v+p)^(-s) is zeta(s) - S_s(p+start-1).  So each numerator c adds w c
-    to the zeta(s) coordinate and -w c S_s(p+start-1) to the constant, both
-    accumulated in integers: over the expansion's denominator, times
-    unit = lcm(1..top)^5 for the constant.  Every S_s(u), u <= top, s <= 5,
-    has a denominator dividing unit, so unit S_s(u) is read off an integer
-    row of prefix sums of unit // i^s, built per call for each s that occurs.
+    of (v+p)^(-s) is zeta(s) - S_s(p+start-1).  So the zeta(s) coordinate is
+    w times the sum of the numerators c of (t+p)^-j, and the constant is -w times
+    their sum weighted by S_s(p+start-1), both in integers: over the
+    expansion's denominator, times unit = L^5, L = lcm(1..top), for the
+    constant.  Every S_s(u), u <= top, s <= 5, has a denominator dividing
+    L^s, so the weighted sum of each s gathers c L^s S_s(u), read off the
+    shared integer rows of :func:`~apery4.exact_arith._power_sums`, and is
+    brought over unit by L^(5-s) once.
     Supported orders are 1 and 2 (the only ones the zeta(4) bookkeeping needs).
 
     Raises
@@ -173,9 +175,9 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
-    unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
-    rows: dict[int, list[int]] = {}
-    constant, zetas = 0, [0] * len(ZETA_ORDERS)
+    highest = ZETA_ORDERS[-1]
+    scale, rows = _power_sums(top, highest)
+    sums, dots = [0] * (highest + 1), [0] * (highest + 1)     # indexed by s
     for term in expansion.terms:
         if term.shift.denominator != 1:
             raise ValueError(f"pole shift {term.shift} is not an integer")
@@ -183,21 +185,18 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")
-        for j, c in enumerate(term.numerators, start=1):
-            if not c:
-                continue
-            s = j + order
-            if s not in ZETA_ORDERS:
-                raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
-            weighted = -j * c if order == 1 else j * (j + 1) * c
-            zetas[s - 2] += weighted
-            row = rows.get(s)
-            if row is None:
-                row = rows[s] = list(accumulate((unit // i**s for i in range(1, top + 1)),
-                                                initial=0))
-            constant -= weighted * row[p + start - 1]
-    return ZetaLinearForm(_F(constant, expansion.denominator * unit),
-                          tuple(_F(z, expansion.denominator) for z in zetas))
+        index = p + start - 1
+        for s, c in enumerate(term.numerators, start=order + 1):
+            if c:
+                if s > highest:
+                    raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
+                sums[s] += c
+                dots[s] += c * rows[s][index]
+    weights = {s: -(s - 1) if order == 1 else (s - 2) * (s - 1) for s in ZETA_ORDERS}
+    constant = -sum(weights[s] * dots[s] * scale ** (highest - s) for s in ZETA_ORDERS if dots[s])
+    return ZetaLinearForm(_F(constant, expansion.denominator * scale ** highest),
+                          tuple(_F(weights[s] * sums[s], expansion.denominator)
+                                for s in ZETA_ORDERS))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ that the package's integer sums replaced: Euler–Maclaurin zeta values
 summed term by term (:func:`zeta_value`), the Euler–Maclaurin closure read
 off Fraction derivative values (:func:`closure`), fixed-point rounding of a
 Fraction (:func:`fixed_point`), tail sums read off cached harmonic
-numbers (:func:`derivative_tail_sum`) and the numeric route's remainder
-bound computed whole at each cutoff (:func:`remainder_bound`).  The decomposition splits off the
+numbers (:func:`derivative_tail_sum`), the numeric route's remainder
+bound computed whole at each cutoff (:func:`remainder_bound`), the
+three-term recurrence summed as Fraction linear forms
+(:func:`recurrence_holds`) and a kernel's pole orders scanned candidate by
+candidate over every block (:func:`pole_orders`).  The decomposition splits off the
 polynomial part by long division, which the package's proper
 :class:`~apery4.polyrat.PartialFractions` has no field for, so it returns it
 beside the principal parts.  It expands each pole by Taylor and series
@@ -33,6 +36,7 @@ from apery4.apery_forms import Kernel
 from apery4.errors import Apery4Error, PoleError, PoleInRangeError, ReconstructionError
 from apery4.exact_arith import factorial, harmonic, pochhammer
 from apery4.polyrat import DerivativeChain, PartialFractions, PoleExpansion
+from apery4.recurrence_lab import recurrence_coefficients
 from apery4.zeta_forms import ZETA_ORDERS, FixedPointNumber, ZetaLinearForm, bernoulli_even
 
 _F = Fraction
@@ -199,6 +203,25 @@ def flattened(kernel: Kernel) -> list[tuple[Fraction, int]]:
     for shift, exponent in factors:
         merged[_F(shift)] = merged.get(_F(shift), 0) + exponent
     return sorted((shift, exponent) for shift, exponent in merged.items() if exponent)
+
+
+def pole_orders(kernel: Kernel) -> dict[Fraction | int, int]:
+    """{shift p: order} of the kernel's poles, scanned candidate by candidate:
+    every shift of a block with a negative exponent and every loose factor
+    with one, its exponent summed over every block whose integer shifts
+    x..x+k-1 hold it and every loose factor at it."""
+    candidates: set[Fraction | int] = set()
+    for x, k, e in kernel.blocks:
+        if e < 0:
+            candidates.update(range(x, x + k))
+    candidates.update(s for s, e in kernel.linears if e < 0)
+    orders = {}
+    for q in candidates:
+        exponent = (sum(e for x, k, e in kernel.blocks if q in range(x, x + k))
+                    + sum(e for s, e in kernel.linears if s == q))
+        if exponent < 0:
+            orders[q] = -exponent
+    return orders
 
 
 def poles(kernel: Kernel) -> list[Fraction]:
@@ -438,3 +461,10 @@ def zeta_value(s: int, digits: int) -> tuple[int, int, FixedPointNumber]:
         total += (bernoulli_even(2 * i) / factorial(2 * i)
                   * pochhammer(s, 2 * i - 1) / cutoff ** (s + 2 * i - 1))
     return cutoff, depth, fixed_point(total, digits, inherent_error=bound)
+
+
+def recurrence_holds(values, n: int, m: int) -> bool:
+    """a0 Z(n,m) + a1 Z(n,m+1) + a2 Z(n,m+2) == 0, summed as linear forms of
+    Fractions, each step normalised."""
+    a0, a1, a2 = recurrence_coefficients(n, m)
+    return (a0 * values[(n, m)] + a1 * values[(n, m + 1)] + a2 * values[(n, m + 2)]).is_zero

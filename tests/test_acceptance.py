@@ -3,24 +3,22 @@
 Every criterion below is exact unless it states a tolerance; each test
 prints one [PASS]/[FAIL] line (shown in the run summary) and asserts it.
 The shared grid of exact form values for 0 <= m <= n <= 20 is computed once
-per session through both constructions independently.
+per session through both constructions independently (``grid`` in
+``conftest.py``).
 """
 
 from fractions import Fraction
 
-import pytest
-
 from apery4 import (FormParameters, audit_summands, evaluate_decimal,
-                    left_form, left_form_numeric, right_form,
-                    right_form_numeric)
+                    left_form_numeric, right_form_numeric)
 from apery4.recurrence_lab import (alternating_binomial_check, closed_form_m0,
                                    closed_form_m1, left_boundary_check,
                                    recurrence_holds, right_column_check,
                                    right_column_coefficients,
                                    trailing_coefficient_nonzero)
+from conftest import GRID_N_MAX
 
 F = Fraction
-GRID_N_MAX = 20
 NUMERIC_CELLS = ((0, 0), (1, 1), (2, 0), (3, 2), (4, 1))
 
 PINNED_VALUES = {
@@ -29,17 +27,6 @@ PINNED_VALUES = {
     (1, 1): (F(-13), F(12)),
     (2, 1): (F(4090247, 1944), F(-1944)),
 }
-
-
-@pytest.fixture(scope="session")
-def grid():
-    """(left, right) exact form pairs on the whole triangular grid."""
-    values = {}
-    for n in range(GRID_N_MAX + 1):
-        for m in range(n + 1):
-            p = FormParameters(n, m)
-            values[(n, m)] = (left_form(p), right_form(p))
-    return values
 
 
 def _side(grid, side):

@@ -16,6 +16,8 @@ from itertools import zip_longest
 from math import lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
                     PartialFractions, PoleExpansion, RangeError,
@@ -106,6 +108,42 @@ def test_right_kernel_keeps_the_pole_orders_of_its_blocks(n):
         assert orders == replace(kernel, cofactor=(1,)).pole_orders(), m
         assert orders == {q: 1 + (n - m <= q <= n) for q in range(2 * n - m + 1)}, m
         assert all(Polynomial(kernel.cofactor)(-q) for q in orders), m
+
+
+def _merged_poles(kernel):
+    return {s: -e for s, e in kernel.factors.items() if e < 0}
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_pole_sweep_matches_the_candidate_scan_on_the_grid(n):
+    # every left kernel, summed right kernel and right j-kernel with n <= 20:
+    # the sweep, the reference scan and the merged factors agree
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
+            orders = kernel.pole_orders()
+            assert orders == dense_reference.pole_orders(kernel), (n, m, label)
+            assert orders == _merged_poles(kernel), (n, m, label)
+
+
+_BLOCKS = st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5), st.integers(-3, 3)),
+                   max_size=6)
+_LINEARS = st.lists(st.tuples(st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2])),
+                              st.integers(-3, 3)), max_size=3)
+
+
+@given(_BLOCKS, _LINEARS)
+@example([(0, 3, -1), (0, 3, 1)], [])                    # exponents that cancel
+@example([(0, 0, -2), (2, 3, -1), (3, 4, -2)], [])       # an empty block, overlaps
+@example([(0, 2, 1)], [(F(1, 2), -1), (F(1), -1)])       # a half-integer pole inside a block
+@example([(-2, 4, -1)], [(F(-1, 2), 1), (F(-1, 2), -2), (F(1), 1)])
+def test_pole_sweep_matches_the_candidate_scan(blocks, linears):
+    # empty blocks, overlapping ranges, cancelling exponents, loose factors
+    # at integer and half-integer shifts
+    kernel = Kernel(F(1), tuple(blocks), tuple(linears))
+    orders = kernel.pole_orders()
+    assert orders == dense_reference.pole_orders(kernel)
+    assert orders == _merged_poles(kernel)
 
 
 def test_right_kernel_term_domain():
@@ -352,6 +390,27 @@ def test_certificate_cross_checks_the_pole_orders(monkeypatch):
                         lambda kernel: {s: e for s, e in honest(kernel).items() if s != 4})
     with pytest.raises(ReconstructionError, match="block poles"):
         _certify(left_kernel(p), expansion, left_kernel(p).pole_orders(), "left")
+
+
+def test_local_expansions_share_one_table_build_per_cell_at_most(monkeypatch):
+    # both sides of every cell of the n <= 12 grid, from a cold table cache:
+    # every local expansion and zeta tail reads shared power-sum rows
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    tables, honest = [], exact_arith._power_sums
+
+    def spy(top, count):
+        entry = honest(top, count)
+        if not any(entry[1] is rows for _, rows in tables):
+            tables.append(entry)
+        return entry
+
+    monkeypatch.setattr(apery_forms, "_power_sums", spy)
+    monkeypatch.setattr(zeta_forms, "_power_sums", spy)
+    cells = [(n, m) for n in range(13) for m in range(n + 1)]
+    for n, m in cells:
+        assert verify_cell(n, m)["identityPass"], (n, m)
+    assert 0 < len(tables) <= len(cells)
+    assert len({scale for scale, _ in tables}) == len(tables)    # no L built twice
 
 
 def test_local_parts_come_only_from_the_tabled_shifts():
@@ -688,22 +747,27 @@ def test_audit_is_deterministic_and_green():
 
 
 def test_audit_builds_one_chain_per_kernel(monkeypatch):
-    # one chain per kernel, read only through values at the point: the
-    # dense quotient chain is never built
+    # one chain per kernel, read only through its numerators at the point:
+    # the dense quotient chain is never built
     built = _count_chains(monkeypatch)
     chains, orders = [], set()
-    init, values = DerivativeChain.__init__, DerivativeChain.values
+    init, numerators = DerivativeChain.__init__, DerivativeChain.numerators
 
     def spy_init(chain, *expansion):
         chains.append(chain)
         init(chain, *expansion)
 
-    def spy_values(chain, x, order):
+    def spy_numerators(chain, x, order):
         orders.add(order)
-        return values(chain, x, order)
+        return numerators(chain, x, order)
+
+    def refuse(*args):
+        raise AssertionError("the audit reduced every derivative, not the one it compares")
 
     monkeypatch.setattr(DerivativeChain, "__init__", spy_init)
-    monkeypatch.setattr(DerivativeChain, "values", spy_values)
+    monkeypatch.setattr(DerivativeChain, "numerators", spy_numerators)
+    monkeypatch.setattr(DerivativeChain, "values", refuse)
+    monkeypatch.setattr(apery_forms, "_derivatives_at", refuse)
     audit_summands(n_max=3, samples=2, seed=11)
     assert len(chains) == 36
     assert orders == {1, 2}

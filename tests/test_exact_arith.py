@@ -1,12 +1,17 @@
 """Unit tests for the exact arithmetic helpers."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import binomial, factorial, harmonic, pochhammer
+from apery4 import binomial, exact_arith, factorial, harmonic, pochhammer
+from apery4.exact_arith import _POWER_SUM_TABLES, _power_sums
 
 F = Fraction
 
@@ -78,3 +83,38 @@ def test_harmonic_rejects_bad_arguments():
 def test_harmonic_increment(order, upper):
     step = harmonic(order, upper + 1) - harmonic(order, upper)
     assert step == F(1, (upper + 1) ** order)
+
+
+def test_power_sum_rows_are_scaled_harmonic_numbers(monkeypatch):
+    # L = lcm(1..top) exactly and rows[r][i] = L^r S_r(i), tops up and down
+    # so that tops with one L extend and read each other's rows
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    for top in [*range(0, 30), 45, 40, 37, 38, 60]:
+        count = 1 + top % 5
+        scale, rows = _power_sums(top, count)
+        assert scale == lcm(*range(1, top + 1)), top
+        for r in range(1, count + 1):
+            assert rows[r][:top + 1] == [scale ** r * harmonic(r, i) for i in range(top + 1)]
+
+
+def test_power_sum_tables_stay_at_their_limit(monkeypatch):
+    # a sweep of tops 1..300 keeps the tables of the last tops read only
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    for top in range(1, 301):
+        _power_sums(top, 1)
+    assert list(exact_arith._POWER_SUMS) == list(range(301 - _POWER_SUM_TABLES, 301))
+    _power_sums(290, 2)                                 # read again: kept last
+    _power_sums(7, 1)
+    assert list(exact_arith._POWER_SUMS)[-2:] == [290, 7]
+    assert len(exact_arith._POWER_SUMS) == _POWER_SUM_TABLES
+
+
+def test_importing_the_package_builds_no_table():
+    # the tables are built on first need, never at start-up
+    source = str(Path(exact_arith.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import apery4.cli_report; "
+            "from apery4.exact_arith import _FACTORIALS, _POWER_SUMS; "
+            "print(len(_POWER_SUMS), _FACTORIALS)")
+    done = subprocess.run([sys.executable, "-c", code, source],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0 [1]\n"), done.stderr

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import dense_reference
 from apery4 import FormParameters, RangeError, ZetaLinearForm, left_form, right_form
 from apery4.recurrence_lab import (alternating_binomial_check,
                                    alternating_binomial_closed_form,
@@ -14,8 +17,10 @@ from apery4.recurrence_lab import (alternating_binomial_check,
                                    recurrence_table, right_column_check,
                                    right_column_coefficients,
                                    trailing_coefficient_nonzero)
+from conftest import GRID_N_MAX
 
 F = Fraction
+COORDINATES = ("c0", "z2", "z3", "z4", "z5")
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +45,57 @@ def test_recurrence_holds_on_series_values():
             assert recurrence_holds(values, n, m)
     with pytest.raises(RangeError):
         recurrence_holds(values, 2, 1)
+
+
+def test_integer_recurrence_matches_the_fraction_route_on_the_grid(grid):
+    # both constructions, every admissible cell of the n <= 20 grid
+    for side in (0, 1):
+        values = {cell: pair[side] for cell, pair in grid.items()}
+        for n in range(GRID_N_MAX + 1):
+            for m in range(max(0, n - 1)):
+                assert recurrence_holds(values, n, m), (side, n, m)
+                assert dense_reference.recurrence_holds(values, n, m), (side, n, m)
+
+
+@pytest.mark.parametrize("coordinate", COORDINATES)
+def test_moving_one_coordinate_by_one_over_q_breaks_the_recurrence(grid, coordinate):
+    # each of the three cells, on both sides: Z + 1/q in one coordinate, q
+    # its denominator (1 for the zero coordinates) or that times 7^40
+    for side in (0, 1):
+        values = {cell: pair[side] for cell, pair in grid.items()}
+        for n, m in ((2, 0), (9, 4), (GRID_N_MAX, GRID_N_MAX - 2)):
+            for cell in ((n, m), (n, m + 1), (n, m + 2)):
+                mapping = values[cell].to_mapping()
+                q = F(mapping.get(coordinate, "0")).denominator
+                for step in (F(1, q), F(1, q * 7 ** 40)):
+                    moved = {**mapping, coordinate: str(F(mapping.get(coordinate, "0")) + step)}
+                    changed = {**values, cell: ZetaLinearForm.from_mapping(moved)}
+                    assert not recurrence_holds(changed, n, m), (side, cell, step)
+                    assert not dense_reference.recurrence_holds(changed, n, m)
+
+
+# rationals whose denominators share the factors 2, 3 and 5, zero included
+_SHARED = st.builds(lambda p, a, b, c: F(p, 2 ** a * 3 ** b * 5 ** c),
+                    st.integers(-10 ** 30, 10 ** 30), st.integers(0, 40),
+                    st.integers(0, 20), st.integers(0, 10))
+_FORMS = st.builds(lambda c: ZetaLinearForm(c[0], tuple(c[1:])),
+                   st.lists(st.one_of(st.just(F(0)), _SHARED), min_size=5, max_size=5))
+
+
+@given(st.integers(2, 60), st.integers(0, 58), _FORMS, _FORMS, _FORMS)
+@example(2, 0, ZetaLinearForm.from_constant(0), ZetaLinearForm.from_constant(0),
+         ZetaLinearForm.from_constant(0))
+def test_integer_recurrence_matches_the_fraction_route(n, m, z0, z1, offset):
+    # Z(n, m+2) solved from the first two, so the recurrence holds, then
+    # moved by a form that may be zero: both routes give one verdict
+    m %= n - 1
+    a0, a1, a2 = recurrence_coefficients(n, m)
+    z2 = F(-1, a2) * (a0 * z0 + a1 * z1)
+    values = {(n, m): z0, (n, m + 1): z1, (n, m + 2): z2}
+    assert recurrence_holds(values, n, m)
+    moved = {**values, (n, m + 2): z2 + offset}
+    assert recurrence_holds(moved, n, m) == dense_reference.recurrence_holds(moved, n, m)
+    assert recurrence_holds(moved, n, m) == offset.is_zero
 
 
 def test_trailing_coefficient_never_vanishes_below_diagonal():
