@@ -8,7 +8,7 @@ exactly:
 * printed    -- the harmonic-number closed formula, typed in by hand,
 * oracle     -- a structure-blind product and quotient rule on the
                 kernel's integer expansion, applied to Taylor series at
-                the point (its derivative chain's values),
+                the point (its derivative chain's numerators),
 * generated  -- the rising-factorial derivative rule applied to every
                 factor at once, in logarithmic form: the local expansion
                 that gives the exact forms their principal parts, read at a
@@ -19,22 +19,23 @@ from fractions import Fraction
 
 from apery4 import (FormParameters, Kernel, audit_summands, left_kernel,
                     left_tail_summand)
-from apery4.apery_forms import _derivatives_at
+from apery4.apery_forms import _derivative_numerators, _highest
 from apery4.polyrat import DerivativeChain
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
 one_block = Kernel(Fraction(1), ((1, 2, 1),), ())
-print(f"d/dt (1 + t)_2 at t = 1: {_derivatives_at(one_block, 1, 1)[1]}")
+print(f"d/dt (1 + t)_2 at t = 1: {_highest(_derivative_numerators(one_block, 1, 1))}")
 
 p = FormParameters(2, 1)
 nu = 3
 point = nu + 2 * p.n - p.m
 # oracle and generated route start from the same kernel; only the printed
-# formula is typed in separately
+# formula is typed in separately; each route's integer numerators over one
+# denominator are reduced only for the derivative compared
 kernel = left_kernel(p)
 printed = left_tail_summand(p, nu)
-oracle = DerivativeChain(*kernel.expansion()).values(point, 1)[1]
-generated = _derivatives_at(kernel, point, 1)[1]
+oracle = _highest(DerivativeChain(*kernel.expansion()).numerators(point, 1))
+generated = _highest(_derivative_numerators(kernel, point, 1))
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")
 print(f"  oracle    {oracle}")

@@ -456,7 +456,8 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     """Certified partial fractions of ``kernel``: one local expansion
     (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
     into a dense polynomial, rescaled to one denominator and proved by
-    :func:`_certify`.  The pole shifts stay ints.
+    :func:`_certify`.  The pole shifts stay ints; a pole at any other shift
+    is a DomainError naming ``where``, raised before any table is built.
 
     A kernel proved odd about t = -c/2 (:attr:`Kernel.centre`; the left
     kernel, c = n) is expanded only at the poles with 2p <= c; the others
@@ -464,6 +465,9 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     denominator, and :func:`_certify` proves them at half the points.
     """
     orders, centre = kernel.pole_orders(), kernel.centre
+    for shift in orders:
+        if shift.denominator != 1:
+            raise DomainError(f"{where}: pole at t = {-shift} is not an integer")
     local = _LocalExpansion(kernel, list(orders), max(orders.values(), default=1))
     parts = {}
     for shift in sorted(orders):
@@ -532,7 +536,7 @@ def verify_cell(n: int, m: int) -> dict:
 
 def _derivative_numerators(kernel: Kernel, point: int, order: int) -> tuple[list[int], int]:
     """([N_0, ..., N_order], D) with g^(k)(point) = N_k / D for ``kernel``,
-    cofactor included, unreduced (:func:`_derivatives_at` reduces them).
+    cofactor included, unreduced.
 
     The generated summand route: the rising-factorial derivative rule,
     d/dt (t+x)_k = (t+x)_k (S_1(t+x+k-1) - S_1(t+x-1)), applied to every
@@ -548,13 +552,6 @@ def _derivative_numerators(kernel: Kernel, point: int, order: int) -> tuple[list
     local = _LocalExpansion(kernel, [-point], order + 1)
     numerators, den = local.part(-point, order + 1)
     return [local.factorials[k] * numerators[order - k] for k in range(order + 1)], den
-
-
-def _derivatives_at(kernel: Kernel, point: int, order: int) -> list[Fraction]:
-    """[g, g', ..., g^(order)](point) of ``kernel``: :func:`_derivative_numerators`
-    as Fractions."""
-    numerators, den = _derivative_numerators(kernel, point, order)
-    return [_F(c, den) for c in numerators]
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ Each kernel of the package is written once, as rising-factorial blocks
 parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (proper principal parts: integer numerators over
 one reduced denominator), never expanding a kernel.  A
-:class:`DerivativeChain` holds a kernel's integer expansion; it takes
-derivative values at a point by the product and quotient rule on Taylor
-series there, and builds the dense integer quotient-rule chain on first
-need, for exact sums over a range: the route of the numeric series and of
-the summand oracle.  :class:`LinearFactorProduct` (a flattened kernel with
-repeated shifts merged) and the plain dense :class:`Polynomial` and
+:class:`DerivativeChain` holds a kernel's integer expansion over integer
+pole shifts; it takes derivatives at an integer point by the product and
+quotient rule on Taylor series there, and builds the dense integer
+quotient-rule chain for each exact sum over a range: the route of the
+numeric series, of the summand oracle and of zeta(s)'s closure.
+:class:`LinearFactorProduct` (a flattened kernel with repeated shifts
+merged) and the plain dense :class:`Polynomial` and
 :class:`RationalFunction` that its :meth:`~LinearFactorProduct.expand`
 returns have no reader in the package; they stay only while the
 benchmark's layer tracer (``bench/layers.py``) wraps ``expand`` and
@@ -32,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "Polynomial",
@@ -47,10 +48,6 @@ __all__ = [
 ]
 
 _F = Fraction
-
-
-def _as_fraction(value: Fraction | int) -> Fraction:
-    return value if isinstance(value, Fraction) else _F(value)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +63,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        normalized = [_as_fraction(c) for c in coeffs]
+        normalized = [_F(c) for c in coeffs]
         while normalized and normalized[-1] == 0:
             normalized.pop()
         object.__setattr__(self, "_coeffs", tuple(normalized))
@@ -107,8 +104,8 @@ class LinearFactorProduct:
     def of(cls, scalar: Fraction | int,
            factors: Iterable[tuple[Fraction | int, int]] = ()) -> "LinearFactorProduct":
         merged = sorted(_merged_shifts(factors).items())
-        ordered = tuple((_as_fraction(shift), exponent) for shift, exponent in merged if exponent)
-        return cls(_as_fraction(scalar), ordered)
+        ordered = tuple((_F(shift), exponent) for shift, exponent in merged if exponent)
+        return cls(_F(scalar), ordered)
 
     def expand_parts(self) -> tuple[Polynomial, tuple[tuple[Fraction, int], ...]]:
         """(numerator polynomial including scalar, denominator factor list).
@@ -185,23 +182,20 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
-                    den_factors: Sequence[tuple[Fraction | int, int]],
+def _quotient_chain(coeffs: Sequence[int], shifts: Sequence[tuple[int, int]],
                     order: int) -> list[list[int]]:
-    """[N_0..N_order], f^(d) = K N_d / prod (r t + q)^(e + d), K = scale prod r^e.
-
-    f = scale * sum coeffs[i] t^i / prod (t + q/r)^e.  With P = prod (r t + q)
-    and W = sum e r P/(r t + q), one quotient-rule step sends N_d to
-    N_d' P - N_d (W + d P'): integers throughout, no gcd.
+    """[N_0..N_order], f^(d) = K N_d / prod (t + q)^(e + d), for
+    f = K sum coeffs[i] t^i / prod (t + q)^e over integer shifts q.  With
+    P = prod (t + q) and W = sum e P/(t + q), one quotient-rule step sends
+    N_d to N_d' P - N_d (W + d P'): integers throughout, no gcd.
     """
     p_coeffs, weighted = [1], []
-    for shift, e in den_factors:
-        q, r = shift.as_integer_ratio()
-        # (P, W) -> (P l, W l + e r P) for the next factor l = r t + q
-        weighted = [w + e * r * c for w, c in zip(_times_linear(weighted, q, r), p_coeffs)]
-        p_coeffs = _times_linear(p_coeffs, q, r)
+    for q, e in shifts:
+        # (P, W) -> (P l, W l + e P) for the next factor l = t + q
+        weighted = [w + e * c for w, c in zip(_times_linear(weighted, q, 1), p_coeffs)]
+        p_coeffs = _times_linear(p_coeffs, q, 1)
     p_prime = [k * c for k, c in enumerate(p_coeffs)][1:]
-    chain = [list(coeffs) if scale else []]        # a zero scale is the zero function
+    chain = [list(coeffs)]
     for d in range(order):
         current = chain[-1]
         step = [a + d * b for a, b in zip(weighted, p_prime)]
@@ -212,80 +206,71 @@ def _quotient_chain(coeffs: Sequence[int], scale: Fraction,
 
 
 class DerivativeChain:
-    """The derivatives of f = scale * sum coeffs[i] t^i / prod (t + s)^e, from
+    """The derivatives of f = scale * sum coeffs[i] t^i / prod (t + q)^e, from
     its integer expansion (``Kernel.expansion`` in :mod:`apery4.apery_forms`),
-    to any order asked for per call.
+    to any order asked for per call, at integer points.
 
+    Every pole shift q is an integer (DomainError when the chain is built,
+    as for a point that is not an integer when a method is called): the
+    kernels, the summand oracle and zeta(s)'s closure have no other poles.
     :meth:`numerators` applies the product and quotient rule at the point to
-    truncated Taylor series (:meth:`values` reduces them); :meth:`sum` reads
-    the dense integer chain of :func:`_quotient_chain`, built only up to the
-    order it sums.  It does not depend on the point, so one instance serves
-    every evaluation and sum; no method changes what an instance computes.
+    truncated Taylor series; :meth:`sum` builds the dense integer chain of
+    :func:`_quotient_chain` up to the order it sums, and keeps nothing.
     """
 
-    __slots__ = ("_spec", "_scale", "_linears", "_chain")
+    __slots__ = ("_coeffs", "_scale", "_shifts")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
                  den_factors: Sequence[tuple[Fraction | int, int]]) -> None:
-        self._spec, self._chain = (coeffs, scale, den_factors), None
-        # (r, q, e) for each t + q/r = (r t + q) / r, the r^e moved into the scale
-        self._linears = [(s.denominator, s.numerator, e) for s, e in den_factors]
-        self._scale = scale * prod(r ** e for r, _, e in self._linears)
+        self._coeffs, self._scale = coeffs, scale
+        self._shifts = [(_integer(s, "pole shift"), e) for s, e in den_factors]
 
-    def numerators(self, x: Fraction | int, order: int) -> tuple[list[int], int]:
-        """([N_0, ..., N_order], D) with f^(d)(x) = N_d / D, at x = a/b, from
-        f's Taylor series in u, t = (a + u)/b, in integers: the numerator's
-        by homogeneous synthetic division, times each (r t + q)^-e's binomial
-        series, that of (L + r u)^-e with L = r a + q b, made by e geometric
-        divisions; the u^k coefficients are scaled by C^k, C = lcm of the
-        L's, so D carries C^order.  PoleError at a pole."""
+    def numerators(self, x: int, order: int) -> tuple[list[int], int]:
+        """([N_0, ..., N_order], D) with f^(d)(x) = N_d / D, from f's Taylor
+        series in u = t - x, in integers: the numerator's by synthetic
+        division, times each (t + q)^-e's binomial series, that of
+        (L + u)^-e with L = x + q, made by e geometric divisions; the u^k
+        coefficients are scaled by C^k, C = lcm of the L's, so D carries
+        C^order.  PoleError at a pole."""
         _check_order(order)
-        a, b = _as_fraction(x).as_integer_ratio()
-        coeffs = self._spec[0]
-        bases = [r * a + q * b for r, q, _ in self._linears]
+        x, coeffs = _integer(x, "point"), self._coeffs
+        bases = [x + q for q, _ in self._shifts]
         if 0 in bases:
-            raise PoleError(f"derivative evaluation at pole t = {_F(a, b)}")
+            raise PoleError(f"derivative evaluation at pole t = {x}")
         lcd, deg = lcm(*bases), max(len(coeffs) - 1, 0)
-        series = [c * b ** (deg - i) for i, c in enumerate(coeffs)]    # b^deg N((a + u)/b)
+        series = list(coeffs)
         for i in range(min(order + 1, deg)):        # pass i leaves the u^i coefficient
             for k in range(deg - 1, i - 1, -1):
-                series[k] += a * series[k + 1]
+                series[k] += x * series[k + 1]
         series = [c * lcd ** k for k, c in enumerate(series[:order + 1])]
         series += [0] * (order + 1 - len(series))
-        top = self._scale.numerator * b ** sum(e for *_, e in self._linears)
-        bottom = self._scale.denominator * b ** deg
-        for (r, _, e), base in zip(self._linears, bases):
-            ratio = r * (lcd // base)
-            for _ in range(e):                      # divided by 1 + r u / L, exactly
+        top, bottom = self._scale.numerator, self._scale.denominator
+        for (_, e), base in zip(self._shifts, bases):
+            ratio = lcd // base
+            for _ in range(e):                      # divided by 1 + u / L, exactly
                 for k in range(1, order + 1):
                     series[k] -= ratio * series[k - 1]
             bottom *= base ** e
         numerators = []
-        for d, c in enumerate(series):              # f^(d)(x) = b^d d! [u^d] f
+        for d, c in enumerate(series):              # f^(d)(x) = d! [u^d] f
             numerators.append(top * c * lcd ** (order - d))
-            top *= b * (d + 1)
+            top *= d + 1
         return numerators, bottom * lcd ** order
-
-    def values(self, x: Fraction | int, order: int) -> list[Fraction]:
-        """f(x), ..., f^(order)(x) as Fractions: :meth:`numerators` reduced."""
-        numerators, denominator = self.numerators(x, order)
-        return [_F(n, denominator) for n in numerators]
 
     def sum(self, order: int, start: int, stop: int) -> Fraction:
         """Exact sum of f^(order)(v) over the integers start <= v < stop, as
-        integer pairs N_order(v) / prod (r v + q)^(e + order) added in a
+        integer pairs N_order(v) / prod (v + q)^(e + order) added in a
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
         _check_order(order)
-        if self._chain is None or len(self._chain) <= order:
-            self._chain = _quotient_chain(*self._spec, order)
-        coeffs, pairs = self._chain[order], []
-        for v in range(start, stop):
+        coeffs = _quotient_chain(self._coeffs, self._shifts, order)[order]
+        pairs = []
+        for v in range(_integer(start, "point"), _integer(stop, "point")):
             top, bottom = 0, 1
             for c in reversed(coeffs):
                 top = top * v + c
-            for r, q, e in self._linears:
-                bottom *= (r * v + q) ** (e + order)
+            for q, e in self._shifts:
+                bottom *= (v + q) ** (e + order)
             if not bottom:
                 raise PoleError(f"derivative evaluation at pole t = {v}")
             pairs.append((top, bottom))
@@ -294,6 +279,14 @@ class DerivativeChain:
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
         return _F(self._scale.numerator * value, self._scale.denominator * bottom)
+
+
+def _integer(value: Fraction | int, what: str) -> int:
+    """``value`` as an int; DomainError if it is not an integer."""
+    q, r = value.as_integer_ratio()
+    if r != 1:
+        raise DomainError(f"{what} must be an integer, got {value}")
+    return q
 
 
 def _check_order(order: int) -> None:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
-from .errors import PoleInRangeError
+from .errors import PoleInRangeError, RangeError
 from .exact_arith import _power_sums
 from .polyrat import DerivativeChain, PartialFractions
 
@@ -276,7 +276,10 @@ class FixedPointNumber:
     @classmethod
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
-        """Round an exact value (with optional prior error) to fixed point."""
+        """Round an exact value (with optional prior error) to fixed point,
+        ``scale`` >= 0 decimals (RangeError otherwise)."""
+        if scale < 0:
+            raise RangeError(f"need scale >= 0, got {scale}")
         (num, den), power = value.as_integer_ratio(), 10**scale
         mantissa = (2 * num * power + den) // (2 * den)
         rounding = _F(abs(mantissa * den - num * power), den * power)

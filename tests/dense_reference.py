@@ -6,8 +6,10 @@ with arithmetic, long and synthetic division and Taylor prefixes), a kernel
 flattened and merged by its own code (:func:`flattened`) and multiplied out
 with Fraction polynomial powers (:func:`fraction_expansion`), the reference
 partial-fraction decomposition of a plain numerator/denominator pair
-(:func:`partial_fractions`), and derivative values read off the dense
-quotient chain (:func:`chain_values`).  It also keeps the Fraction routes
+(:func:`partial_fractions`), derivative values read off the dense
+quotient chain (:func:`chain_values`), and the Fraction view of the
+integer derivative numerators that the package returns
+(:func:`fraction_values`).  It also keeps the Fraction routes
 that the package's integer sums replaced: Euler–Maclaurin zeta values
 summed term by term (:func:`zeta_value`), the Euler–Maclaurin closure read
 off Fraction derivative values (:func:`closure`), fixed-point rounding of a
@@ -249,22 +251,26 @@ def kernel_values(kernel: Kernel, points: Iterable[Fraction | int]) -> list[Frac
     return [num(x) / den(x) for x in points]
 
 
+def fraction_values(derivatives: tuple[list[int], int]) -> list[Fraction]:
+    """The Fraction view of an integer derivative pair ([N_0, ..., N_k], D),
+    as :meth:`~apery4.polyrat.DerivativeChain.numerators` and
+    :func:`~apery4.apery_forms._derivative_numerators` return it: each N_d / D."""
+    numerators, denominator = derivatives
+    return [_F(n, denominator) for n in numerators]
+
+
 def chain_values(chain: DerivativeChain, x: Fraction | int, order: int) -> list[Fraction]:
     """f(x), ..., f^(order)(x) of ``chain`` from its dense quotient chain
     (:func:`apery4.polyrat._quotient_chain`): each N_d evaluated at x over
-    prod (r x + q)^(e + d), times K; PoleError at a pole."""
-    linears = [(_F(shift), e) for shift, e in chain._spec[2]]
-    factor = chain._spec[1]
-    for shift, e in linears:
-        factor *= shift.denominator ** e
-    x, values = _F(x), []
-    for d, numerator in enumerate(polyrat._quotient_chain(*chain._spec, order)):
-        bottom = _ONE
-        for shift, e in linears:
-            bottom *= (shift.denominator * x + shift.numerator) ** (e + d)
+    prod (x + q)^(e + d), times K; PoleError at a pole."""
+    values = []
+    for d, numerator in enumerate(polyrat._quotient_chain(chain._coeffs, chain._shifts, order)):
+        bottom = 1
+        for shift, e in chain._shifts:
+            bottom *= (x + shift) ** (e + d)
         if not bottom:
             raise PoleError(f"derivative evaluation at pole t = {x}")
-        values.append(factor * Polynomial(numerator)(x) / bottom)
+        values.append(chain._scale * Polynomial(numerator)(x) / bottom)
     return values
 
 
@@ -273,7 +279,7 @@ def closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Frac
     at A = ``cutoff``, M = ``depth``: from the Fraction values of ``chain``,
     each term's numerator brought over the lcm of the weights and the lcm of
     the values' denominators."""
-    high = chain.values(cutoff, order + 2 * depth - 1)
+    high = fraction_values(chain.numerators(cutoff, order + 2 * depth - 1))
     terms = [(-1, 1, high[order - 1]), (1, 2, high[order])] + [
         (-b.numerator, b.denominator * factorial(2 * k), high[order + 2 * k - 1])
         for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]

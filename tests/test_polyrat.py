@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
-from apery4 import (FormParameters, Kernel, PartialFractions, PoleError,
+from apery4 import (DomainError, FormParameters, Kernel, PartialFractions, PoleError,
                     PoleExpansion, left_kernel, pochhammer, right_kernel, zeta_forms)
 from apery4.apery_forms import _right_blocks
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
 from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
-                             fraction_expansion, kernel_values, partial_fractions, poles)
+                             fraction_expansion, fraction_values, kernel_values,
+                             partial_fractions, poles)
 
 F = Fraction
 
@@ -128,23 +129,27 @@ def test_expand_is_order_independent(pairs):
 def test_derivative_values_match_symbolic_derivative():
     # 2 (t + 1/2) / (t^2 (t + 1)) is the worked example
     kernel = _loose(2, [(0, -2), (F(1, 2), 1), (1, -1)])
-    for x in (F(1, 2), 3):
-        values = _chain(kernel).values(x, 3)
+    for x in (1, 3, -4):
+        values = fraction_values(_chain(kernel).numerators(x, 3))
         assert values == [_parts_derivative(WORKED_PARTS, x, k) for k in range(4)]
 
 
 def test_factored_derivative_values_against_quotient_rule():
     chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)))
-    values = chain.values(F(1, 2), 4)
-    assert values == [_parts_derivative(WORKED_PARTS, F(1, 2), k) for k in range(5)]
+    values = fraction_values(chain.numerators(2, 4))
+    assert values == [_parts_derivative(WORKED_PARTS, 2, k) for k in range(5)]
     with pytest.raises(PoleError):
-        chain.values(-1, 4)
+        chain.numerators(-1, 4)
 
 
 def _random_product(rng: random.Random) -> Kernel:
-    """A product with half-integer shifts, poles up to order 3, a Fraction scalar."""
-    factors = [(F(rng.randint(-6, 6), 2), rng.choice((-3, -2, -1, 1, 2)))
-               for _ in range(rng.randint(1, 6))]
+    """A product with integer poles up to order 3, factors at integer and
+    half-integer shifts in its numerator, and a Fraction scalar."""
+    factors = []
+    for _ in range(rng.randint(1, 6)):
+        shift = F(rng.randint(-6, 6), 2)
+        exponents = (-3, -2, -1, 1, 2) if shift.denominator == 1 else (1, 2)
+        factors.append((shift, rng.choice(exponents)))
     return _loose(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), factors)
 
 
@@ -156,10 +161,10 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
     parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
              for j, c in enumerate(term.numerators, start=1)]
     shifts = set(poles(kernel))
-    points = [F(rng.randint(-20, 20), rng.choice((3, 4, 7))) for _ in range(3)]
+    points = [rng.randint(-20, 20) for _ in range(3)]
     chain = _chain(kernel)
     for x in [x for x in points if -x not in shifts]:
-        values = chain.values(x, 6)
+        values = fraction_values(chain.numerators(x, 6))
         polynomial = polynomial_part
         for d in range(7):
             # sum A_j (-1)^d (j)_d / (x + p)^(j + d), plus the polynomial part
@@ -173,13 +178,17 @@ def test_values_at_the_point_match_the_dense_chain(seed):
     rng = random.Random(seed)
     kernel = _random_product(rng)
     shifts = set(poles(kernel))
-    points = [F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 7))) for _ in range(6)]
+    points = [rng.randint(-20, 20) for _ in range(6)]
     chain = _chain(kernel)
+
+    def values(x, order):
+        return fraction_values(chain.numerators(x, order))
+
     for order in range(7):
         for x in [x for x in points if -x not in shifts]:
-            assert chain.values(x, order) == chain_values(chain, x, order), (order, x)
+            assert values(x, order) == chain_values(chain, x, order), (order, x)
         for shift in shifts:
-            for route in (chain.values, lambda x, order: chain_values(chain, x, order)):
+            for route in (values, lambda x, order: chain_values(chain, x, order)):
                 with pytest.raises(PoleError):
                     route(-shift, order)
 
@@ -191,7 +200,8 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
     start = 4                               # beyond every shift -3..3
     for order in (0, 1, 2):
         for stop in (start - 2, start, start + 1, start + rng.randint(2, 40)):
-            termwise = sum((chain.values(v, 2)[order] for v in range(start, stop)), start=F(0))
+            termwise = sum((fraction_values(chain.numerators(v, 2))[order]
+                            for v in range(start, stop)), start=F(0))
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
         DerivativeChain([1], F(1), ((F(-5), 1),)).sum(1, 4, 8)
@@ -217,8 +227,8 @@ def _chain_routes_agree(kernel: Kernel) -> None:
                           F(1, clear), tuple((s, -e) for s, e in flattened(kernel) if e < 0))
     new = _chain(kernel)
     start = max((floor(-s) + 1 for s in poles(kernel)), default=0)
-    for x in (start, start + 3, start + F(1, 2), start + F(5, 3)):
-        assert new.values(x, 2) == old.values(x, 2)
+    for x in (start, start + 1, start + 3):
+        assert fraction_values(new.numerators(x, 2)) == fraction_values(old.numerators(x, 2))
     for order in (0, 1, 2):
         for stop in (start, start + 1, start + 2, start + 13, start + 64):
             assert new.sum(order, start, stop) == old.sum(order, start, stop)
@@ -240,18 +250,18 @@ def test_chain_from_product_matches_dense_route_on_kernels(n):
 
 
 @pytest.mark.parametrize("kernel", [_loose(F(-3, 2), []),
-                                    _loose(0, [(F(1, 2), -2), (-40, 1)])],
+                                    _loose(0, [(1, -2), (-40, 1)])],
                          ids=["empty-product", "zero-scalar"])
 def test_chain_from_product_matches_dense_route_on_degenerate_products(kernel):
     _chain_routes_agree(kernel)
 
 
 def test_chain_sums_every_order_it_carries():
-    # the dense chain is built up to the first order summed and rebuilt for a
-    # higher one: sums taken in any order of orders match the termwise sums
-    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(1, 2), 1)))
-    termwise = [sum((chain.values(v, 2)[order] for v in range(1, 40)), start=F(0))
-                for order in range(3)]
+    # each sum builds the dense chain up to its own order: sums taken in any
+    # order of orders match the termwise sums
+    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(2), 1)))
+    termwise = [sum((fraction_values(chain.numerators(v, 2))[order] for v in range(1, 40)),
+                    start=F(0)) for order in range(3)]
     orders = (1, 2, 0, 1)
     assert [chain.sum(order, 1, 40) for order in orders] == [termwise[o] for o in orders]
 
@@ -262,7 +272,25 @@ def test_chain_rejects_orders_it_does_not_carry():
     with pytest.raises(ValueError):
         chain.sum(-1, 0, 4)
     with pytest.raises(ValueError):
-        chain.values(0, -1)
+        chain.numerators(0, -1)
+
+
+def test_chain_refuses_a_shift_that_is_not_an_integer():
+    # every pole of the package's kernels lies at an integer
+    DerivativeChain([1], F(1), ((F(4, 2), 2), (3, 1)))
+    with pytest.raises(DomainError, match="pole shift must be an integer, got 1/2"):
+        DerivativeChain([1], F(1), ((F(0), 2), (F(1, 2), 1)))
+
+
+def test_chain_refuses_a_point_that_is_not_an_integer():
+    # numerators and sum read the chain at integers only
+    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)))
+    assert chain.numerators(F(6, 3), 1) == chain.numerators(2, 1)
+    assert chain.sum(1, F(2), 9) == chain.sum(1, 2, 9)
+    for call in (lambda: chain.numerators(F(1, 2), 1), lambda: chain.sum(1, F(3, 2), 9),
+                 lambda: chain.sum(1, 2, F(17, 2))):
+        with pytest.raises(DomainError, match="point must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_reference
-from apery4 import (FixedPointNumber, PoleInRangeError, ZetaLinearForm,
+from apery4 import (FixedPointNumber, PoleInRangeError, RangeError, ZetaLinearForm,
                     bernoulli_even, derivative_tail_sum, evaluate_decimal,
                     zeta_forms, zeta_value)
 from apery4.polyrat import PartialFractions, PoleExpansion
@@ -254,6 +254,13 @@ def test_fixed_point_rounding_and_decimal():
     assert fx.decimal() == "0.33333"
     assert FixedPointNumber.from_fraction(F(-1, 3), 5).decimal() == "-0.33333"
     assert FixedPointNumber.from_fraction(F(5), 0).decimal() == "5"
+
+
+def test_fixed_point_refuses_a_negative_scale():
+    # 10^scale is a float below 0, so the rounding has no exact meaning there
+    with pytest.raises(RangeError, match="need scale >= 0, got -2"):
+        FixedPointNumber.from_fraction(F(1234), -2)
+    assert FixedPointNumber.from_fraction(F(1234), 0).decimal() == "1234"
 
 
 @given(st.fractions(), st.integers(0, 40), st.fractions(min_value=0, max_denominator=10**6))
