@@ -52,7 +52,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, floor, inf, isqrt, lcm, prod, sqrt
@@ -60,7 +59,7 @@ from math import ceil, floor, inf, isqrt, lcm, prod, sqrt
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import _factorials, _power_sums, binomial, factorial, harmonic, pochhammer
-from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion,
+from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion, _Value,
                       _linear_product, _merged_shifts, _mul_coeffs, _times_linear)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, _closure, bernoulli_even,
                          derivative_tail_sum)
@@ -90,16 +89,16 @@ __all__ = [
 _F = Fraction
 
 
-@dataclass(frozen=True)
-class FormParameters:
+class FormParameters(_Value):
     """A grid cell (n, m) with 0 <= m <= n."""
 
-    n: int
-    m: int
+    _fields = __slots__ = ("n", "m")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.m <= self.n:
-            raise RangeError(f"need 0 <= m <= n, got (n, m) = ({self.n}, {self.m})")
+    def __init__(self, n: int, m: int) -> None:
+        if not 0 <= m <= n:
+            raise RangeError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +106,7 @@ class FormParameters:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(_Value):
     """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors,
     times an integer cofactor polynomial (ascending; 1 but on the right).
 
@@ -119,10 +117,22 @@ class Kernel:
     other view of it.
     """
 
-    scalar: Fraction
-    blocks: tuple[tuple[int, int, int], ...]        # (x, k, e) with x integer
-    linears: tuple[tuple[Fraction, int], ...]       # (s, e), s possibly n/2
-    cofactor: tuple[int, ...] = (1,)
+    # blocks (x, k, e) with x integer, linears (s, e) with s possibly n/2
+    _fields = ("scalar", "blocks", "linears", "cofactor")
+    __slots__ = _fields + ("__dict__",)             # the cached views below
+
+    def __init__(self, scalar: Fraction, blocks: tuple[tuple[int, int, int], ...],
+                 linears: tuple[tuple[Fraction, int], ...],
+                 cofactor: tuple[int, ...] = (1,)) -> None:
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "linears", linears)
+        object.__setattr__(self, "cofactor", cofactor)
+
+    def replace(self, **changes) -> "Kernel":
+        """This kernel with the fields named in ``changes`` replaced."""
+        return Kernel(**{"scalar": self.scalar, "blocks": self.blocks,
+                         "linears": self.linears, "cofactor": self.cofactor, **changes})
 
     @property
     def degree(self) -> int:
@@ -252,7 +262,7 @@ def _right_blocks(p: FormParameters, j: int) -> Kernel:
     if not 0 <= j <= p.n:
         raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {p.n}")
     shared = _right_spec(p)
-    return replace(shared, scalar=_F(_right_weight(p, j)), blocks=((-j, p.n, 1),) + shared.blocks)
+    return shared.replace(scalar=_F(_right_weight(p, j)), blocks=((-j, p.n, 1),) + shared.blocks)
 
 
 def right_kernel(p: FormParameters) -> Kernel:
@@ -270,7 +280,7 @@ def right_kernel(p: FormParameters) -> Kernel:
         weight = _right_weight(p, j)
         cofactor = [c + weight * f for c, f in zip(_times_linear(cofactor, p.n - j, 1), falling)]
         falling = _times_linear(falling, -j - 1, 1)
-    return replace(_right_spec(p), cofactor=tuple(cofactor))
+    return _right_spec(p).replace(cofactor=tuple(cofactor))
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +731,20 @@ def right_split_check(p: FormParameters) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummandCheck:
+class SummandCheck(_Value):
     """One pointwise comparison of independent summand evaluation routes."""
 
-    family: str
-    n: int
-    m: int
-    j: int | None
-    nu: int
-    routes: tuple[str, ...]
-    values: tuple[str, ...]
+    _fields = __slots__ = ("family", "n", "m", "j", "nu", "routes", "values")
+
+    def __init__(self, family: str, n: int, m: int, j: int | None, nu: int,
+                 routes: tuple[str, ...], values: tuple[str, ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "routes", routes)
+        object.__setattr__(self, "values", values)
 
     @property
     def agree(self) -> bool:

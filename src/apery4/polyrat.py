@@ -30,7 +30,6 @@ benchmark's layer tracer (``bench/layers.py``) wraps ``expand`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -48,6 +47,39 @@ __all__ = [
 ]
 
 _F = Fraction
+
+
+class _Value:
+    """The shared behaviour of the package's immutable value types.  Each
+    names its fields in ``_fields``, holds them in ``__slots__`` and sets
+    them in a straight-line ``__init__`` through ``object.__setattr__``;
+    assignment is refused, values compare and hash by type and fields, and
+    pickle and copy rebuild them through ``__init__``."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +119,7 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFactorProduct:
+class LinearFactorProduct(_Value):
     """scalar * prod_i (t + shift_i)^(exponent_i) with distinct sorted shifts.
 
     Construction always merges repeated shifts by adding exponents and drops
@@ -97,8 +128,11 @@ class LinearFactorProduct:
     function that is coprime *by construction* — no polynomial gcd needed.
     """
 
-    scalar: Fraction
-    factors: tuple[tuple[Fraction, int], ...]
+    _fields = __slots__ = ("scalar", "factors")
+
+    def __init__(self, scalar: Fraction, factors: tuple[tuple[Fraction, int], ...]) -> None:
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def of(cls, scalar: Fraction | int,
@@ -167,14 +201,16 @@ def _mul_coeffs(a: Sequence, b: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Value):
     """numerator / denominator, the dense form that
     :meth:`LinearFactorProduct.expand` returns: coprime by construction,
     with a monic denominator."""
 
-    numerator: Polynomial
-    denominator: Polynomial
+    _fields = __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: Polynomial, denominator: Polynomial) -> None:
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +342,22 @@ def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleExpansion:
+class PoleExpansion(_Value):
     """Principal part at one pole, over its expansion's integer denominator D:
     sum_j numerators[j-1] / (D (t + shift)^j)."""
 
-    shift: int | Fraction
-    numerators: tuple[int, ...]
+    _fields = __slots__ = ("shift", "numerators")
+
+    def __init__(self, shift: int | Fraction, numerators: tuple[int, ...]) -> None:
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "numerators", numerators)
 
     @property
     def order(self) -> int:
         return len(self.numerators)
 
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PartialFractions(_Value):
     """A proper rational function as the sum over its poles of principal
     parts, whose integer numerators share one ``denominator``, always reduced
     to the least one.  There is no polynomial part: every kernel of the
@@ -330,16 +367,16 @@ class PartialFractions:
     zero numerator, as the block route and the dense test reference leave them.
     """
 
-    terms: tuple[PoleExpansion, ...]
-    denominator: int
+    _fields = __slots__ = ("terms", "denominator")
 
-    def __post_init__(self) -> None:
-        if not self.denominator:
+    def __init__(self, terms: tuple[PoleExpansion, ...], denominator: int) -> None:
+        if not denominator:
             raise ZeroDivisionError("principal parts over a zero denominator")
-        g = gcd(self.denominator, *(c for term in self.terms for c in term.numerators))
-        g = g if self.denominator > 0 else -g
+        g = gcd(denominator, *(c for term in terms for c in term.numerators))
+        g = g if denominator > 0 else -g
         if g != 1:
-            object.__setattr__(self, "denominator", self.denominator // g)
-            object.__setattr__(self, "terms", tuple(
-                PoleExpansion(term.shift, tuple(c // g for c in term.numerators))
-                for term in self.terms))
+            denominator //= g
+            terms = tuple(PoleExpansion(term.shift, tuple(c // g for c in term.numerators))
+                          for term in terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "denominator", denominator)

@@ -29,14 +29,13 @@ bare float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
 from .errors import PoleInRangeError, RangeError
 from .exact_arith import _power_sums
-from .polyrat import DerivativeChain, PartialFractions
+from .polyrat import DerivativeChain, PartialFractions, _Value
 
 __all__ = [
     "ZETA_ORDERS",
@@ -56,12 +55,15 @@ ZETA_ORDERS = (2, 3, 4, 5)
 _JSON_KEYS = {2: "z2", 3: "z3", 4: "z4", 5: "z5"}
 
 
-@dataclass(frozen=True)
-class ZetaLinearForm:
+class ZetaLinearForm(_Value):
     """c0 + sum_s coefficient[s] * zeta(s) for s in ZETA_ORDERS, all exact."""
 
-    constant: Fraction
-    zeta_coefficients: tuple[Fraction, Fraction, Fraction, Fraction]
+    _fields = __slots__ = ("constant", "zeta_coefficients")
+
+    def __init__(self, constant: Fraction,
+                 zeta_coefficients: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "zeta_coefficients", zeta_coefficients)
 
     @classmethod
     def from_constant(cls, value: Fraction | int) -> "ZetaLinearForm":
@@ -265,13 +267,15 @@ def _decimal_digits(value: int) -> str:
     return _decimal_digits(high) + _decimal_digits(low).rjust(half, "0")
 
 
-@dataclass(frozen=True)
-class FixedPointNumber:
+class FixedPointNumber(_Value):
     """mantissa * 10^(-scale), plus an exact bound on |true - stored|."""
 
-    mantissa: int
-    scale: int
-    error_bound: Fraction
+    _fields = __slots__ = ("mantissa", "scale", "error_bound")
+
+    def __init__(self, mantissa: int, scale: int, error_bound: Fraction) -> None:
+        object.__setattr__(self, "mantissa", mantissa)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "error_bound", error_bound)
 
     @classmethod
     def from_fraction(cls, value: Fraction, scale: int,

@@ -10,7 +10,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -105,7 +104,7 @@ def test_right_kernel_keeps_the_pole_orders_of_its_blocks(n):
     for m in range(n + 1):
         kernel = right_kernel(FormParameters(n, m))
         orders = kernel.pole_orders()
-        assert orders == replace(kernel, cofactor=(1,)).pole_orders(), m
+        assert orders == kernel.replace(cofactor=(1,)).pole_orders(), m
         assert orders == {q: 1 + (n - m <= q <= n) for q in range(2 * n - m + 1)}, m
         assert all(Polynomial(kernel.cofactor)(-q) for q in orders), m
 
@@ -331,8 +330,8 @@ def test_certificate_rejects_tampered_parts(tamper):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda kernel: replace(kernel, scalar=kernel.scalar + 1),
-    lambda kernel: replace(kernel, cofactor=(kernel.cofactor[0] + 1,) + kernel.cofactor[1:]),
+    lambda kernel: kernel.replace(scalar=kernel.scalar + 1),
+    lambda kernel: kernel.replace(cofactor=(kernel.cofactor[0] + 1,) + kernel.cofactor[1:]),
 ], ids=["scalar-off-by-one", "cofactor-off-by-one"])
 def test_certificate_rejects_tampered_kernels(tamper):
     # the honest parts against a kernel with the same poles but other values
@@ -377,7 +376,7 @@ def test_certificate_refuses_a_zero_top_numerator():
     # times t + 1, the pole at t = -1 drops to order 3, but the merged factors
     # ignore the cofactor and say 4: the order-4 term there has a zero top
     # numerator, which the values alone would accept
-    kernel = replace(left_kernel(FormParameters(4, 1)), cofactor=(1, 1))
+    kernel = left_kernel(FormParameters(4, 1)).replace(cofactor=(1, 1))
     with pytest.raises(ReconstructionError,
                        match=r"^left: term of order 4 at shift 1 .* zero top numerator$"):
         _principal_parts(kernel, "left")
@@ -541,8 +540,8 @@ def test_halved_certificate_uses_every_halved_point(n, m, monkeypatch):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda kernel, n: replace(kernel, linears=((F(n, 2) + 1, 1),)),
-    lambda kernel, n: replace(kernel, cofactor=(1, 0, 1)),
+    lambda kernel, n: kernel.replace(linears=((F(n, 2) + 1, 1),)),
+    lambda kernel, n: kernel.replace(cofactor=(1, 0, 1)),
 ], ids=["centre-factor-moved", "cofactor-t-squared-plus-1"])
 @pytest.mark.parametrize("n, m", [(4, 1), (3, 1)])
 def test_kernels_that_are_not_odd_take_the_full_route(tamper, n, m, monkeypatch):
@@ -565,7 +564,7 @@ def _bump(index, j):
     def tamper(terms):
         numerators = list(terms[index].numerators)
         numerators[j] += 1
-        bumped = replace(terms[index], numerators=tuple(numerators))
+        bumped = PoleExpansion(terms[index].shift, tuple(numerators))
         return terms[:index] + (bumped,) + terms[index + 1:]
     return tamper
 

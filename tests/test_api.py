@@ -11,15 +11,20 @@ metadata names the package and its version.
 """
 
 import ast
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import apery4
+from apery4 import (FixedPointNumber, FormParameters, Kernel, PartialFractions, PoleExpansion,
+                    RangeError, SummandCheck, ZetaLinearForm)
 from apery4.polyrat import LinearFactorProduct
 
 MODULES = ["apery4"] + [f"apery4.{info.name}"
@@ -106,3 +111,71 @@ def test_distribution_metadata_matches_the_package():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert (project["name"], project["version"]) == ("apery4", apery4.__version__)
+
+
+# each exported value type: a fresh value per call, and its fields in order
+VALUES = {
+    "FormParameters": (lambda: FormParameters(4, 1), ("n", "m")),
+    "Kernel": (lambda: Kernel(F(2), ((-1, 3, 1), (0, 2, -2)), ((F(1, 2), 1),), (1, 1)),
+               ("scalar", "blocks", "linears", "cofactor")),
+    "PoleExpansion": (lambda: PoleExpansion(1, (2, 3)), ("shift", "numerators")),
+    "PartialFractions": (lambda: PartialFractions((PoleExpansion(0, (1,)),
+                                                   PoleExpansion(1, (2, 3))), 5),
+                         ("terms", "denominator")),
+    "ZetaLinearForm": (lambda: ZetaLinearForm(F(1, 3), (F(0), F(0), F(-2), F(0))),
+                       ("constant", "zeta_coefficients")),
+    "FixedPointNumber": (lambda: FixedPointNumber(-123, 2, F(1, 200)),
+                         ("mantissa", "scale", "error_bound")),
+    "SummandCheck": (lambda: SummandCheck("left-tail", 4, 1, None, 3, ("printed", "oracle"),
+                                          ("1/2", "1/2")),
+                     ("family", "n", "m", "j", "nu", "routes", "values")),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_are_immutable(name):
+    make, fields = VALUES[name]
+    value = make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == make()
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_compare_by_type_and_fields(name):
+    make, fields = VALUES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    as_tuple = tuple(getattr(a, field) for field in fields)
+    assert a != as_tuple and as_tuple != a
+    assert type(a)(*as_tuple) == a
+    assert repr(a).startswith(f"{name}({fields[0]}=")
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_pickle_and_copy(name):
+    make, _ = VALUES[name]
+    value = make()
+    if isinstance(value, Kernel):
+        value.factors, value.centre                 # cached before the copies
+    for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(other) is type(value) and other == value
+
+
+def test_kernel_replace_has_its_own_views():
+    kernel = VALUES["Kernel"][0]()
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1, F(1, 2): 1}, None)
+    odd = kernel.replace(blocks=((0, 3, 1),), linears=(), cofactor=(1,))
+    assert odd == Kernel(F(2), ((0, 3, 1),), ())
+    assert (odd.factors, odd.centre) == ({0: 1, 1: 1, 2: 1}, 2)
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1, F(1, 2): 1}, None)
+    with pytest.raises(TypeError):
+        kernel.replace(degree=3)
+
+
+def test_form_parameters_keep_their_range_check():
+    with pytest.raises(RangeError, match=r"^need 0 <= m <= n"):
+        FormParameters(1, 2)

@@ -334,6 +334,18 @@ def test_import_loads_no_process_pool():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def test_import_loads_no_code_generator_or_csv():
+    # the value types are plain slotted classes and only --csv loads csv;
+    # modules a site hook loaded before the import are not counted
+    source = str(Path(apery4.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import apery4.cli_report; added = set(sys.modules) - before; "
+            "print(sorted(added & {'dataclasses', 'inspect', 'csv'}))")
+    done = subprocess.run([sys.executable, "-c", code, source],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_json_and_csv_cannot_share_stdout(monkeypatch, capsys):
     # both reports on one stream would parse as neither format
     calls = []

@@ -25,7 +25,12 @@ ALLOWED = {
     # LinearFactorProduct.expand and expand_parts by name (ROADMAP item 5)
     "polyrat.py": {"Polynomial.__init__", "Polynomial.coefficients", "Polynomial.degree",
                    "Polynomial.is_zero", "LinearFactorProduct.of",
-                   "LinearFactorProduct.expand_parts", "LinearFactorProduct.expand"},
+                   "LinearFactorProduct.expand_parts", "LinearFactorProduct.expand",
+                   "LinearFactorProduct.__init__", "RationalFunction.__init__",
+                   # the value types' immutability, run only on misuse
+                   "_Value.__setattr__",
+                   # pickle and copy, hashing and messages: no command needs them
+                   "_Value.__reduce__", "_Value.__hash__", "_Value.__repr__"},
     # criterion 9's comparison, which no command makes yet (ROADMAP item 4)
     "zeta_forms.py": {"FixedPointNumber.agrees_with"},
     # the independent grid route that the tests check the forms against
