@@ -54,7 +54,7 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, floor, inf, isqrt, lcm, prod, sqrt
+from math import ceil, floor, gcd, inf, isqrt, lcm, prod, sqrt
 
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
@@ -372,13 +372,14 @@ class _LocalExpansion:
         # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (E-1)! L^(E-1)
         parts = [num * series[order - j] * (factorials[order - 1] // factorials[order - j])
                  * scale ** (j - 1) for j in range(1, order + 1)]
-        taylor, coeffs = [], list(kernel.cofactor)
-        for _ in range(order):              # divide by (t + shift), keep the remainder
-            for i in range(len(coeffs) - 2, -1, -1):
-                coeffs[i] -= shift * coeffs[i + 1]
-            taylor.append(coeffs.pop(0) if coeffs else 0)
-        numerators = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
-        return numerators, den * factorials[order - 1] * scale ** (order - 1)
+        if kernel.cofactor != (1,):         # else Q's Taylor coefficients are 1, 0, ...
+            taylor, coeffs = [], list(kernel.cofactor)
+            for _ in range(order):          # divide by (t + shift), keep the remainder
+                for i in range(len(coeffs) - 2, -1, -1):
+                    coeffs[i] -= shift * coeffs[i + 1]
+                taylor.append(coeffs.pop(0) if coeffs else 0)
+            parts = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
+        return parts, den * factorials[order - 1] * scale ** (order - 1)
 
 
 @cache
@@ -404,12 +405,15 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
-    proves R = 0.  The points are consecutive integers where every factor
-    is positive.  There f = num/den (:meth:`Kernel.values`), and one
-    pass over every term accumulates parts / prefix = N F(x), N the
-    expansion's denominator: parts = parts (x+p)^E + H(x) prefix and
-    prefix *= (x+p)^E, H the Horner value of the term's numerators padded
-    to its pole's order E.
+    proves R = 0.  The points are integers from t = 1 on
+    (:func:`_certificate_points`): below the kernel's first positive point
+    only the zeros of a merged numerator factor, which are no poles, and
+    f = 0 there with no value computed; from the first positive point on,
+    consecutive integers where every factor is positive, f = num/den
+    (:meth:`Kernel.values`).  At each point one pass over every term
+    accumulates parts / prefix = N F(x), N the expansion's denominator:
+    parts = parts (x+p)^E + H(x) prefix and prefix *= (x+p)^E, H the Horner
+    value of the term's numerators padded to its pole's order E.
 
     ceil(deg D / 2) points suffice when (a) the kernel is proved odd about
     t = -c/2 from the merged factors that the pole check reads
@@ -420,9 +424,9 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     D(-c-t) = (-1)^(deg D) D(t); then R(-c-t) = (-1)^(deg D + 1) R(t), and
     in u = t + c/2, R = u^eps S(u^2) with eps = (deg D + 1) mod 2 and
     2 deg S + eps < deg D, so deg S < ceil(deg D / 2).  Every point x
-    exceeds -c/2, as every factor is positive there, so the u^2 are
-    distinct and nonzero, and ceil(deg D / 2) zeros of R prove S = 0.
-    Otherwise every point runs.
+    exceeds -c/2 (the zeros are taken only there, and every factor is
+    positive at the others), so the u^2 are distinct and nonzero, and
+    ceil(deg D / 2) zeros of R prove S = 0.  Otherwise every point runs.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
     poles = {s: -e for s, e in kernel.factors.items() if e < 0}
@@ -442,12 +446,12 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
         terms.append((term.shift, order, term.numerators + (0,) * (order - term.order)))
 
     scale, centre = expansion.denominator, kernel.centre
-    start, count = kernel.first_positive_point(), sum(orders.values())
+    least, count = 1, sum(orders.values())
     if centre is not None and sorted(terms) == sorted(
             (centre - shift, order, tuple((-1) ** j * c for j, c in enumerate(numerators)))
             for shift, order, numerators in terms):
-        count = (count + 1) // 2
-    for x, (num, den) in zip(range(start, start + count), kernel.values(start, count)):
+        least, count = max(1, -centre // 2 + 1), (count + 1) // 2
+    for x, num, den in _certificate_points(kernel, least, count):
         parts, prefix = 0, 1
         for shift, order, numerators in terms:
             base = x + shift
@@ -462,11 +466,22 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
                 f"{where}: principal parts disagree with the kernel at t = {x}")
 
 
+def _certificate_points(kernel: Kernel, least: int, count: int) -> list[tuple[int, int, int]]:
+    """(x, num, den) with f(x) = num/den at ``count`` distinct integers, no
+    pole among them: the zeros of a merged numerator factor from ``least`` up
+    to :meth:`Kernel.first_positive_point`, as 0/1 with no value computed,
+    then consecutive points from there (:meth:`Kernel.values`)."""
+    first = kernel.first_positive_point()
+    zeros = [(x, 0, 1) for x in range(least, first) if kernel.factors.get(-x, 0) > 0][:count]
+    return zeros + [(x, num, den) for x, (num, den)
+                    in enumerate(kernel.values(first, count - len(zeros)), first)]
+
+
 def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     """Certified partial fractions of ``kernel``: one local expansion
     (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
-    into a dense polynomial, rescaled to one denominator and proved by
-    :func:`_certify`.  The pole shifts stay ints; a pole at any other shift
+    into a dense polynomial, rescaled to one denominator and reduced by the
+    gcd in the same pass, and proved by :func:`_certify`.  The pole shifts stay ints; a pole at any other shift
     is a DomainError naming ``where``, raised before any table is built.
 
     A kernel proved odd about t = -c/2 (:attr:`Kernel.centre`; the left
@@ -487,9 +502,10 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
             numerators, den = parts[centre - shift]
             parts[shift] = [(-1) ** j * c for j, c in enumerate(numerators)], den
     common = lcm(*(den for _, den in parts.values()))
+    g = gcd(common, *(common // den * gcd(*numerators) for numerators, den in parts.values()))
     expansion = PartialFractions(tuple(
-        PoleExpansion(shift, tuple(c * (common // den) for c in numerators))
-        for shift, (numerators, den) in parts.items()), common)
+        PoleExpansion(shift, tuple(c * (common // den) // g for c in numerators))
+        for shift, (numerators, den) in parts.items()), common // g)
     _certify(kernel, expansion, orders, where)
     return expansion
 

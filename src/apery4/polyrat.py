@@ -87,12 +87,12 @@ class _Value:
 # ---------------------------------------------------------------------------
 
 
-class Polynomial:
+class Polynomial(_Value):
     """Immutable dense polynomial over Q, coefficients ascending by degree:
     the plain form :meth:`LinearFactorProduct.expand` returns.  It carries
     no arithmetic and no evaluation."""
 
-    __slots__ = ("_coeffs",)
+    _fields = __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
         normalized = [_F(c) for c in coeffs]

@@ -223,8 +223,11 @@ def _kernel_specs(p):
 
 @pytest.mark.parametrize("n", range(9))
 def test_block_principal_parts_match_dense_route(n):
+    # the left kernel, every right j-kernel and the summed right kernel P B,
+    # whose parts go through the cofactor's Taylor coefficients
     for m in range(n + 1):
-        for label, kernel in _kernel_specs(FormParameters(n, m)):
+        p = FormParameters(n, m)
+        for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
             # the dense route's polynomial part is the independent witness
             # that every kernel is proper
             polynomial, dense = partial_fractions(*fraction_expansion(kernel), poles(kernel))
@@ -352,24 +355,71 @@ def test_certificate_counts_every_term_at_a_shift():
             _certify(kernel, tampered, kernel.pole_orders(), where)
 
 
+def _pole_denominator(orders):
+    """D = prod (t + p)^E over the pole orders, as a dense polynomial."""
+    den = Polynomial.one()
+    for shift, order in orders.items():
+        den = den * Polynomial((shift, 1)) ** order
+    return den
+
+
+def _tampered_by(kernel, expansion, zeros):
+    """The parts plus R/D, R = 7 prod (t - x) over ``zeros``, deg R < deg D."""
+    orders = kernel.pole_orders()
+    remainder = Polynomial.constant(7)
+    for x in zeros:
+        remainder = remainder * Polynomial((-x, 1))
+    polynomial, extra = partial_fractions(remainder, _pole_denominator(orders), orders)
+    assert polynomial.is_zero
+    return _summed_parts(expansion, extra)
+
+
+def _vanishes_below_the_first_positive_point(kernel):
+    start = kernel.first_positive_point()
+    return kernel_values(kernel, range(1, start)) == [0] * (start - 1)
+
+
 def test_certificate_uses_every_point():
-    # add R/D with R vanishing at the first deg D - 1 certificate points: only
+    # both kernels vanish at 1..first positive point - 1, so the points are
+    # 1..deg D; add R/D with R vanishing at the first deg D - 1 of them: only
     # the last point tells the tampered parts from the honest ones
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
-        orders = kernel.pole_orders()
-        den = Polynomial.one()
-        for shift, order in orders.items():
-            den = den * Polynomial((shift, 1)) ** order
-        start = kernel.first_positive_point()
-        last = start + den.degree - 1
-        remainder = Polynomial.constant(7)
-        for x in range(start, last):
-            remainder = remainder * Polynomial((-x, 1))
-        polynomial, extra = partial_fractions(remainder, den, orders)
-        assert polynomial.is_zero
-        tampered = _summed_parts(expansion, extra)
+        assert _vanishes_below_the_first_positive_point(kernel)
+        last = _degree(kernel)
+        tampered = _tampered_by(kernel, expansion, range(1, last))
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
-            _certify(kernel, tampered, orders, where)
+            _certify(kernel, tampered, kernel.pole_orders(), where)
+
+
+def test_certificate_checks_the_zeros_below_the_first_positive_point():
+    # R vanishing at every point 2..deg D but t = 1, a zero of the kernel:
+    # the parts must vanish there too
+    for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
+        assert _vanishes_below_the_first_positive_point(kernel)
+        last = _degree(kernel)
+        tampered = _tampered_by(kernel, expansion, range(2, last + 1))
+        with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = 1$"):
+            _certify(kernel, tampered, kernel.pole_orders(), where)
+
+
+# (t-3)(t-2) / (t (t+1) (t+2))^2: first positive point 4, zeros at 2 and 3,
+# and 2/36 at t = 1, which is no zero and must be skipped
+SKIPPING = Kernel(F(1), ((-3, 2, 1), (0, 3, -2)), ())
+
+
+def test_certificate_skips_a_point_where_the_kernel_does_not_vanish(monkeypatch):
+    assert SKIPPING.first_positive_point() == 4
+    assert kernel_values(SKIPPING, range(1, 4)) == [F(1, 18), 0, 0]
+    values = _spy_values(monkeypatch)
+    expansion = _principal_parts(SKIPPING, "skipping")
+    polynomial, dense = partial_fractions(*fraction_expansion(SKIPPING), poles(SKIPPING))
+    assert polynomial.is_zero and expansion == dense
+    assert [(start, count) for _, start, count in values] == [(4, 4)]
+    # deg D = 6 points, 2..7: R vanishing at all but one is caught at that one
+    for point in range(2, 8):
+        tampered = _tampered_by(SKIPPING, expansion, [x for x in range(2, 8) if x != point])
+        with pytest.raises(ReconstructionError, match=rf"^skipping: .* at t = {point}$"):
+            _certify(SKIPPING, tampered, SKIPPING.pole_orders(), "skipping")
 
 
 def test_certificate_refuses_a_zero_top_numerator():
@@ -478,11 +528,26 @@ def test_left_parts_mirror_about_minus_n_over_2(n):
 
 
 def _spy_points(monkeypatch) -> list:
-    """The (kernel, count) of every Kernel.values call: the certificate's points."""
+    """The (kernel, count) of every certificate: the points it checks, the
+    kernel's zeros below its first positive point included."""
+    calls, honest = [], apery_forms._certificate_points
+
+    def spy(kernel, least, count):
+        points = honest(kernel, least, count)
+        calls.append((kernel, len(points)))
+        return points
+
+    monkeypatch.setattr(apery_forms, "_certificate_points", spy)
+    return calls
+
+
+def _spy_values(monkeypatch) -> list:
+    """The (kernel, start, count) of every Kernel.values call: the points
+    where a value is computed."""
     calls, honest = [], Kernel.values
 
     def spy(kernel, start, count):
-        calls.append((kernel, count))
+        calls.append((kernel, start, count))
         return honest(kernel, start, count)
 
     monkeypatch.setattr(Kernel, "values", spy)
@@ -510,6 +575,45 @@ def test_left_cells_certify_at_half_the_points(monkeypatch):
             assert full == _degree(right), (n, m)
 
 
+def test_halved_certificate_takes_no_point_left_of_the_centre(monkeypatch):
+    # (t-2) / ((t-1) (t-3))^2 is odd about t = 2 (c = -4), deg D = 4, so
+    # R = u S(u^2) in u = t - 2 with deg S < 2: two points with distinct
+    # u^2 > 0.  Its zero t = 2 is u = 0, where R vanishes anyway, so the
+    # points are 4 and 5, and R = 7 u (u^2 - 4), odd and zero at t = 4,
+    # is caught at t = 5
+    kernel = Kernel(F(1), ((-3, 1, -2), (-2, 1, 1), (-1, 1, -2)), ())
+    assert (kernel.centre, kernel.first_positive_point()) == (-4, 4)
+    calls = _spy_points(monkeypatch)
+    expansion = _principal_parts(kernel, "centred")
+    polynomial, dense = partial_fractions(*fraction_expansion(kernel), poles(kernel))
+    assert polynomial.is_zero and expansion == dense
+    assert [count for _, count in calls] == [2]
+    orders = kernel.pole_orders()
+    u = Polynomial((-2, 1))
+    remainder = Polynomial.constant(7) * u * (u * u - Polynomial.constant(4))
+    polynomial, extra = partial_fractions(remainder, _pole_denominator(orders), orders)
+    assert polynomial.is_zero
+    calls.clear()
+    with pytest.raises(ReconstructionError, match=r"^centred: .* at t = 5$"):
+        _certify(kernel, _summed_parts(expansion, extra), orders, "centred")
+    assert [count for _, count in calls] == [2]             # the tamper still mirrors
+
+
+def test_values_are_computed_only_from_the_first_positive_point(monkeypatch):
+    # the left kernel vanishes at 1..2n-m and P B at 1..n, so of the
+    # ceil(deg D / 2) = 2n+2 and deg D = 2n+2 points, m+2 and n+2 need values
+    calls = _spy_values(monkeypatch)
+    for n in range(13):
+        for m in range(n + 1):
+            p = FormParameters(n, m)
+            calls.clear()
+            left_form(p)
+            right_form(p)
+            (_, left_start, left), (_, right_start, right) = calls
+            assert (left_start, left) == (2 * n - m + 1, m + 2), (n, m)
+            assert (right_start, right) == (n + 1, n + 2), (n, m)
+
+
 @pytest.mark.parametrize("n, m", [(4, 1), (3, 1)], ids=["deg-D-odd", "deg-D-even"])
 def test_halved_certificate_uses_every_halved_point(n, m, monkeypatch):
     # add R/D of the right parity, R = u^eps S(u^2) in u = t + n/2, whose S
@@ -518,16 +622,14 @@ def test_halved_certificate_uses_every_halved_point(n, m, monkeypatch):
     # from the honest ones
     p = FormParameters(n, m)
     kernel, expansion = left_kernel(p), _left_expansion(p)
+    assert _vanishes_below_the_first_positive_point(kernel)
     orders = kernel.pole_orders()
-    den = Polynomial.one()
-    for shift, order in orders.items():
-        den = den * Polynomial((shift, 1)) ** order
+    den = _pole_denominator(orders)
     half = (den.degree + 1) // 2
-    start = kernel.first_positive_point()
-    last = start + half - 1
+    last = half                                 # the halved points are 1..half
     u = Polynomial((F(n, 2), 1))
     remainder = Polynomial.constant(7) * (u if den.degree % 2 == 0 else Polynomial.one())
-    for x in range(start, last):
+    for x in range(1, last):
         remainder = remainder * (u * u - Polynomial.constant((x + F(n, 2)) ** 2))
     assert remainder.degree < den.degree
     polynomial, extra = partial_fractions(remainder, den, orders)
@@ -585,8 +687,8 @@ def test_a_broken_mirror_takes_the_full_route(tamper, monkeypatch):
 
 
 @pytest.mark.slow
-def test_both_sides_match_recurrence_table_to_n_40():
-    for (n, m), expected in recurrence_table(40).items():
+def test_both_sides_match_recurrence_table_to_n_60():
+    for (n, m), expected in recurrence_table(60).items():
         p = FormParameters(n, m)
         assert left_form(p) == expected, (n, m, "left")
         assert right_form(p) == expected, (n, m, "right")

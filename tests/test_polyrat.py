@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 from apery4 import (DomainError, FormParameters, Kernel, PartialFractions, PoleError,
-                    PoleExpansion, left_kernel, pochhammer, right_kernel, zeta_forms)
+                    PoleExpansion, left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
 from apery4.apery_forms import _right_blocks
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
 from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
@@ -51,6 +51,18 @@ def test_polynomial_trims_trailing_zeros():
     assert Polynomial([0]).is_zero
     assert Polynomial().degree == -1
     assert Polynomial([5]).degree == 0
+
+
+def test_package_polynomial_is_an_immutable_value():
+    # the dense form LinearFactorProduct.expand returns, not the reference's
+    p = polyrat.Polynomial([1, 2, 0])
+    with pytest.raises(AttributeError):
+        p._coeffs = (5,)
+    with pytest.raises(AttributeError):
+        del p._coeffs
+    assert p.coefficients == (1, 2)
+    assert p == polyrat.Polynomial([1, 2]) and hash(p) == hash(polyrat.Polynomial([1, 2]))
+    assert p != polyrat.Polynomial([1, 3]) and p != (F(1), F(2))
 
 
 def test_polynomial_arithmetic_and_evaluation():
