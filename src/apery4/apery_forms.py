@@ -55,6 +55,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, floor, gcd, inf, isqrt, lcm, prod, sqrt
+from operator import mul
 
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
@@ -203,8 +204,9 @@ class Kernel(_Value):
         scalar).  Every factor must be positive at ``start``."""
         runs = ([(1, x, k, e) for x, k, e in self.blocks if k]     # (d, c, d k, e)
                 + [(s.denominator, s.numerator, s.denominator, e) for s, e in self.linears])
-        scalar = self.scalar / prod(_F(s.denominator) ** e for s, e in self.linears)
-        num, den = scalar.numerator, scalar.denominator
+        num, den = self.scalar.as_integer_ratio()
+        for s, e in self.linears:
+            num, den = num * s.denominator ** max(-e, 0), den * s.denominator ** max(e, 0)
         sides = ([(d, c, width, e) for d, c, width, e in runs if e > 0],
                  [(d, c, width, -e) for d, c, width, e in runs if e < 0])
         products = [prod(prod(range(d * start + c, d * start + c + width, d)) ** e
@@ -309,7 +311,7 @@ class _LocalExpansion:
     with a cofactor Q = sum_i Q_i u^i (Taylor coefficients by synthetic
     division).  At a pole of order E these are the principal parts; where
     no factor vanishes, A_j is the kernel's Taylor coefficient of u^(E-j).
-    Block products and the recursion's ratios are read from tables.
+    Block products, recursion ratios and order multipliers come from tables.
     """
 
     def __init__(self, kernel: Kernel, shifts: list[int], depth: int) -> None:
@@ -325,8 +327,11 @@ class _LocalExpansion:
                       + [abs(s.numerator - s.denominator * shift)
                          for s, _ in kernel.linears for shift in (low, high)], default=0)
         self.scale, self.table = _power_sums(top, depth - 1)
-        self.factorials = _factorials(max(top, depth))
+        self.factorials = factorials = _factorials(max(top, depth))
         self.ratios = _recursion_weights(depth)
+        # (order-1)!/(order-j)! L^(j-1), j = 1..order, for each order <= depth
+        self.multipliers = [[factorials[order - 1] // factorials[order - j] * self.scale ** (j - 1)
+                             for j in range(1, order + 1)] for order in range(depth + 1)]
 
     def part(self, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of the kernel at
@@ -342,44 +347,46 @@ class _LocalExpansion:
         for x, k, e in kernel.blocks:
             low, high = x - shift, x - shift + k - 1
             # the nonzero a in [low, high] as runs of one sign, |a| = first..last
-            for sign, first, last in ((1, max(low, 1), high), (-1, max(-high, 1), -low)):
+            for sign, first, last in ((1, low if low > 1 else 1, high),
+                                      (-1, -high if high < -1 else 1, -low)):
                 if first > last:
                     continue
-                product = sign ** (last - first + 1) * factorials[last] // factorials[first - 1]
-                if e > 0:
-                    num *= product ** e
-                else:
-                    den *= product ** -e
-                for r in range(1, order):
-                    sums[r] += e * sign ** r * (table[r][last] - table[r][first - 1])
+                product = factorials[last] // factorials[first - 1]
+                if sign < 0 and (last - first) % 2 == 0:    # an odd count of a < 0
+                    product = -product
+                num, den = (num * product ** e, den) if e > 0 else (num, den * product ** -e)
+                weight = e
+                for r in range(1, order):                   # weight = e sign^r
+                    weight *= sign
+                    sums[r] += weight * (table[r][last] - table[r][first - 1])
         for s, e in kernel.linears:
             d = s.denominator
             b = s.numerator - d * shift
             if b == 0:
                 continue
-            if e > 0:
-                num *= b ** e
-                den *= d ** e
-            else:
-                num *= d ** -e
-                den *= b ** -e
+            num, den = (num * b ** e, den * d ** e) if e > 0 else (num * d ** -e, den * b ** -e)
             for r in range(1, order):
                 sums[r] += e * d ** r * (scale // b) ** r
         series = [1]
         for k in range(1, order):
-            series.append(sum(ratio * sums[i] * series[k - i]
-                              for i, ratio in enumerate(self.ratios[k], 1)))
+            g = 0
+            for i, ratio in enumerate(self.ratios[k], 1):
+                g += ratio * sums[i] * series[k - i]
+            series.append(g)
         # A_j = num G_(E-j) / (den (E-j)! L^(E-j)), over den (E-1)! L^(E-1)
-        parts = [num * series[order - j] * (factorials[order - 1] // factorials[order - j])
-                 * scale ** (j - 1) for j in range(1, order + 1)]
+        multipliers = self.multipliers[order]
+        parts = [num * g * w for g, w in zip(reversed(series), multipliers)]
         if kernel.cofactor != (1,):         # else Q's Taylor coefficients are 1, 0, ...
-            taylor, coeffs = [], list(kernel.cofactor)
+            taylor, coeffs = [], kernel.cofactor[::-1]
             for _ in range(order):          # divide by (t + shift), keep the remainder
-                for i in range(len(coeffs) - 2, -1, -1):
-                    coeffs[i] -= shift * coeffs[i + 1]
-                taylor.append(coeffs.pop(0) if coeffs else 0)
-            parts = [sum(q * a for q, a in zip(taylor, parts[j:])) for j in range(order)]
-        return parts, den * factorials[order - 1] * scale ** (order - 1)
+                quotient, rest = [], 0
+                for c in coeffs:
+                    rest = c - shift * rest
+                    quotient.append(rest)
+                taylor.append(quotient.pop() if quotient else 0)
+                coeffs = quotient
+            parts = [sum(map(mul, taylor, parts[j:])) for j in range(order)]
+        return parts, den * multipliers[-1]
 
 
 @cache
@@ -502,10 +509,11 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
             numerators, den = parts[centre - shift]
             parts[shift] = [(-1) ** j * c for j, c in enumerate(numerators)], den
     common = lcm(*(den for _, den in parts.values()))
-    g = gcd(common, *(common // den * gcd(*numerators) for numerators, den in parts.values()))
+    parts = {shift: (numerators, common // den) for shift, (numerators, den) in parts.items()}
+    g = gcd(common, *(factor * gcd(*numerators) for numerators, factor in parts.values()))
     expansion = PartialFractions(tuple(
-        PoleExpansion(shift, tuple(c * (common // den) // g for c in numerators))
-        for shift, (numerators, den) in parts.items()), common // g)
+        PoleExpansion(shift, tuple(c * factor // g for c in numerators))
+        for shift, (numerators, factor) in parts.items()), common // g)
     _certify(kernel, expansion, orders, where)
     return expansion
 
@@ -528,14 +536,14 @@ def _right_expansion(p: FormParameters) -> PartialFractions:
 
 def left_form(p: FormParameters) -> ZetaLinearForm:
     """Exact value of the left form: -1/3 sum_{v >= n-m+1} (d/dt kernel)(v)."""
-    return _F(-1, 3) * derivative_tail_sum(_left_expansion(p), 1, p.n - p.m + 1)
+    return derivative_tail_sum(_left_expansion(p), 1, p.n - p.m + 1, _F(-1, 3))
 
 
 def right_form(p: FormParameters) -> ZetaLinearForm:
     """Exact value of the right form: 1/6 sum_{v >= 1} (d^2/dt^2 P B)(v), one
     expansion, certificate and tail sum on the summed kernel.
     """
-    return _F(1, 6) * derivative_tail_sum(_right_expansion(p), 2, 1)
+    return derivative_tail_sum(_right_expansion(p), 2, 1, _F(1, 6))
 
 
 def verify_cell(n: int, m: int) -> dict:

@@ -200,8 +200,9 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
                          f"{r['elapsedMs']:.1f}ms")
         verdict = "all verified" if failed == 0 else "FAILURES FOUND"
         slowest = max(records, key=lambda r: r["elapsedMs"])
+        total = f"{total_ms:.1f}ms" if total_ms < 1000.0 else f"{total_ms / 1000.0:.1f}s"
         lines.append(f"{len(records)} cells up to n = {args.n_max}: {verdict} "
-                     f"({total_ms / 1000.0:.1f}s; slowest cell ({slowest['n']}, {slowest['m']}) "
+                     f"({total}; slowest cell ({slowest['n']}, {slowest['m']}) "
                      f"{slowest['elapsedMs']:.1f}ms)")
         _print_lines(lines)
     return 0 if failed == 0 else 1

@@ -128,9 +128,9 @@ class ZetaLinearForm(_Value):
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ZetaLinearForm":
-        constant = _F(mapping.get("c0", "0"))
-        coeffs = tuple(_F(mapping.get(_JSON_KEYS[s], "0")) for s in ZETA_ORDERS)
-        return cls(constant, coeffs)
+        constant, *coeffs = (_F(mapping[key]) if key in mapping else _ZERO
+                             for key in ("c0", *_JSON_KEYS.values()))
+        return cls(constant, tuple(coeffs))
 
     def __str__(self) -> str:
         parts = []
@@ -152,8 +152,10 @@ class ZetaLinearForm(_Value):
 # ---------------------------------------------------------------------------
 
 
-def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> ZetaLinearForm:
-    """sum_{v >= start} f^(order)(v) for a proper f given by its principal parts.
+def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
+                        weight: Fraction | int = 1) -> ZetaLinearForm:
+    """``weight`` * sum_{v >= start} f^(order)(v) for a proper f given by its
+    principal parts.
 
     Termwise, d^order/dt^order (t+p)^(-j) = w (t+p)^(-s) with
     w = (-1)^order (j)_order (-j, or j(j+1)) and s = j + order, and the tail
@@ -164,7 +166,8 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
     constant.  Every S_s(u), u <= top, s <= 5, has a denominator dividing
     L^s, so the weighted sum of each s gathers c L^s S_s(u), read off the
     shared integer rows of :func:`~apery4.exact_arith._power_sums`, and is
-    brought over unit by L^(5-s) once.
+    brought over unit by L^(5-s) once.  ``weight`` joins those integer sums: each
+    nonzero coordinate is built as one Fraction, each zero is the shared zero.
     Supported orders are 1 and 2 (the only ones the zeta(4) bookkeeping needs).
 
     Raises
@@ -194,10 +197,11 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
                     raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
                 sums[s] += c
                 dots[s] += c * rows[s][index]
-    weights = {s: -(s - 1) if order == 1 else (s - 2) * (s - 1) for s in ZETA_ORDERS}
+    num, den = weight.numerator, weight.denominator * expansion.denominator
+    weights = {s: num * (-(s - 1) if order == 1 else (s - 2) * (s - 1)) for s in ZETA_ORDERS}
     constant = -sum(weights[s] * dots[s] * scale ** (highest - s) for s in ZETA_ORDERS if dots[s])
-    return ZetaLinearForm(_F(constant, expansion.denominator * scale ** highest),
-                          tuple(_F(weights[s] * sums[s], expansion.denominator)
+    return ZetaLinearForm(_F(constant, den * scale ** highest) if constant else _ZERO,
+                          tuple(_F(weights[s] * sums[s], den) if sums[s] else _ZERO
                                 for s in ZETA_ORDERS))
 
 

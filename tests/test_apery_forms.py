@@ -924,6 +924,27 @@ def test_tails_match_the_harmonic_route_on_the_grid():
                         n, m, order, start)
 
 
+def test_weighted_tails_equal_the_scaled_tails_on_the_grid():
+    # the weight folded into the integer sums gives the form that scaling
+    # the unweighted tail gives, on every tail the forms and split checks sum
+    # on the n <= 12 grid; a zero coordinate is the exact zero
+    for n in range(13):
+        for m in range(n + 1):
+            p = FormParameters(n, m)
+            for expansion, order, starts in [
+                    (_left_expansion(p), 1, (n - m + 1, 2 * n - m + 1)),
+                    (_right_expansion(p), 2, (1, n + 1))]:
+                for start in starts:
+                    plain = derivative_tail_sum(expansion, order, start)
+                    for weight in (F(-1, 3), F(1, 6)):
+                        weighted = derivative_tail_sum(expansion, order, start, weight)
+                        assert weighted == weight * plain, (n, m, order, start, weight)
+                        coordinates = (weighted.constant,) + weighted.zeta_coefficients
+                        assert all(type(c) is F for c in coordinates)
+                        if start == starts[0]:      # the form's own tail: z2, z3, z5 vanish
+                            assert [weighted.coefficient(s) for s in (2, 3, 5)] == [F(0)] * 3
+
+
 def test_exact_sides_read_no_harmonic_number(monkeypatch):
     # the exact forms sum their tails from integer rows: with harmonic
     # numbers and rising factorials refused where the tail sums and zeta

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import errno
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,19 @@ def test_verify_identity_names_the_slowest_cell(capsys, monkeypatch):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("6 cells up to n = 2: all verified (")
     assert last.endswith("s; slowest cell (2, 1) 40.3ms)")
+
+
+# sha256 of ``verify-identity --n-max 12 --jobs 1 --json -`` with every
+# "elapsedMs" entry cut out: the byte-exact report of the exact route
+PINNED_REPORT_SHA256 = "c524d143ddaaf71eb335ad3b4b4da37d9a7d1038027ae5c324392ffd7f88eff5"
+
+
+def test_verify_identity_report_is_pinned_to_n_12(capsys):
+    assert main(["verify-identity", "--n-max", "12", "--jobs", "1", "--json", "-"]) == 0
+    raw = capsys.readouterr().out.encode()
+    assert raw.count(b'"elapsedMs":') == 91
+    stripped = re.sub(rb'"elapsedMs":[^,}]*,?', b"", raw)
+    assert hashlib.sha256(stripped).hexdigest() == PINNED_REPORT_SHA256
 
 
 def test_verify_identity_json_report_is_canonical(capsys):

@@ -75,6 +75,31 @@ def test_form_mapping_round_trip_random(c0, z2, z4):
     assert ZetaLinearForm.from_mapping(form.to_mapping()) == form
 
 
+def test_form_from_an_empty_mapping_is_exact_zero():
+    form = ZetaLinearForm.from_mapping({})
+    assert form == ZetaLinearForm.from_constant(0)
+    coordinates = (form.constant,) + form.zeta_coefficients
+    assert coordinates == (F(0),) * 5 and all(type(c) is F for c in coordinates)
+    assert form.to_mapping() == {}
+
+
+def test_form_from_explicit_zero_entries():
+    zeros = {"c0": "0", "z2": "0", "z3": "0", "z4": "0", "z5": "0"}
+    assert ZetaLinearForm.from_mapping(zeros) == ZetaLinearForm.from_mapping({})
+    form = ZetaLinearForm.from_mapping({**zeros, "z4": "12", "c0": "-13/2", "z5": "1/7"})
+    assert form.to_mapping() == {"c0": "-13/2", "z4": "12", "z5": "1/7"}
+    assert form.zeta_coefficients == (F(0), F(0), F(12), F(1, 7))
+
+
+def test_form_mapping_round_trip_on_the_grid(grid):
+    # every form of the n <= 20 grid comes back exactly from its report mapping
+    for left, right in grid.values():
+        for form in (left, right):
+            mapping = form.to_mapping()
+            back = ZetaLinearForm.from_mapping(mapping)
+            assert back == form and back.to_mapping() == mapping
+
+
 def test_form_str():
     form = ZetaLinearForm.from_constant(F(277, 16)) + ZetaLinearForm.zeta_term(4, -16)
     assert str(form) == "277/16 - 16*zeta(4)"
