@@ -487,9 +487,11 @@ def _certificate_points(kernel: Kernel, least: int, count: int) -> list[tuple[in
 def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     """Certified partial fractions of ``kernel``: one local expansion
     (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
-    into a dense polynomial, rescaled to one denominator and reduced by the
-    gcd in the same pass, and proved by :func:`_certify`.  The pole shifts stay ints; a pole at any other shift
-    is a DomainError naming ``where``, raised before any table is built.
+    into a dense polynomial, rescaled to one positive denominator and reduced
+    by the gcd in the same pass (:class:`PartialFractions` takes them as they
+    come), and proved by :func:`_certify`.  The pole shifts stay ints; a pole
+    at any other shift is a DomainError naming ``where``, raised before any
+    table is built.
 
     A kernel proved odd about t = -c/2 (:attr:`Kernel.centre`; the left
     kernel, c = n) is expanded only at the poles with 2p <= c; the others
@@ -954,7 +956,8 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
                     target: Fraction) -> tuple[Fraction, Fraction]:
     """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for
     g = K N(t) / prod (t + s)^e, ``kernel`` multiplied out (:meth:`Kernel.expansion`),
-    every s >= 0 (DomainError otherwise), deg g <= order - 2 (DivergenceError).
+    every s an integer >= 0 (DomainError otherwise, before any search),
+    deg g <= order - 2 (DivergenceError).
 
     The terms below A are summed exactly and the tail is closed at depth M by
     -g^(order-1)(A) + h(A)/2 - sum_{k<=M} B_2k/(2k)! h^(2k-1)(A), whose remainder is
@@ -997,8 +1000,8 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     expansion = kernel.expansion()
     if any(shift < 0 for shift, _ in expansion[2]):
         raise DomainError("the remainder bound needs every pole at t <= 0")
+    chain = DerivativeChain(*expansion)    # refuses a non-integer pole before the search
     cutoff, depth = _cheapest_closure(expansion, order, start, target)
-    chain = DerivativeChain(*expansion)
     return (chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth),
             _F(*_remainder_bound(expansion, order, depth, cutoff)))
 

@@ -109,19 +109,6 @@ def _write_json(path: str, command: str, config: dict, summary: dict, body: dict
     _write(path, text + "\n")
 
 
-def _job_count(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return _at_least(args.jobs, 1, "--jobs")
-    env = os.environ.get("APERY4_JOBS", "").strip()
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise _UsageError(f"APERY4_JOBS must be an integer, got {env!r}") from None
-    return _at_least(jobs, 1, "APERY4_JOBS")
-
-
 def _grid_records(n_max: int, jobs: int) -> list[dict]:
     cells = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
     # fork starts every worker at the first submit: no more than cells or cores
@@ -175,7 +162,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     if args.json and args.csv and os.path.realpath(args.json) == os.path.realpath(args.csv):
         raise _UsageError(f"--json and --csv cannot both write to {args.json}")
     _at_least(args.n_max, 0, "--n-max")
-    jobs = _job_count(args)
+    jobs = _at_least(args.jobs, 1, "--jobs")
     _check_writable(args.json)
     _check_writable(args.csv)
     started = time.perf_counter()
@@ -306,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute both constructions on the grid and compare them")
     p.add_argument("--n-max", type=int, default=10,
                    help="largest n of the triangular grid (default 10)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: APERY4_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH "
                         "('-' for stdout, replacing the text report)")

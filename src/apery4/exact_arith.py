@@ -10,7 +10,7 @@ The helpers here are the arithmetic primitives the rest of the package leans
 on in hot loops:
 
 * ``factorial`` / ``binomial`` — memoized exact integers,
-* ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1),
+* ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
   cached per order so S_a(n) and S_a(n-1) share work,
 * ``_power_sums`` — the same sums in integers, L^r S_r(i) with
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import DomainError
 
 __all__ = [
     "factorial",
@@ -77,25 +79,16 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(x: Fraction | int, k: int) -> Fraction | int:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1.
-
-    ``k`` must be a nonnegative integer (ValueError otherwise).  Integer
-    ``x`` takes an exact factorial-quotient fast path; rational ``x``
-    falls back to the defining product.
-    """
+def pochhammer(x: int, k: int) -> int:
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1, for an
+    integer ``x`` (DomainError otherwise: every caller's base is an integer)
+    and a nonnegative integer ``k`` (ValueError otherwise)."""
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k = {k}")
+    if not isinstance(x, int):
+        raise DomainError(f"pochhammer requires an integer base, got x = {x!r}")
     if k == 0:
         return 1
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            x = int(x)
-        else:
-            value = x
-            for i in range(1, k):
-                value *= x + i
-            return value
     if x >= 1:
         # (x)_k = (x+k-1)! / (x-1)!
         return factorial(x + k - 1) // factorial(x - 1)

@@ -359,12 +359,14 @@ class PoleExpansion(_Value):
 
 class PartialFractions(_Value):
     """A proper rational function as the sum over its poles of principal
-    parts, whose integer numerators share one ``denominator``, always reduced
-    to the least one.  There is no polynomial part: every kernel of the
-    package vanishes at infinity.
+    parts, whose integer numerators share one ``denominator``.  There is no
+    polynomial part: every kernel of the package vanishes at infinity.
 
-    So ``==`` compares values, for terms sorted by shift and with no trailing
-    zero numerator, as the block route and the dense test reference leave them.
+    Its producer leaves it reduced, over the least positive denominator
+    (``_principal_parts`` in :mod:`apery4.apery_forms`, the one place that
+    reduces); so ``==`` compares values, for terms sorted by shift and with
+    no trailing zero numerator, as the block route and the dense test
+    reference leave them.
     """
 
     _fields = __slots__ = ("terms", "denominator")
@@ -372,11 +374,5 @@ class PartialFractions(_Value):
     def __init__(self, terms: tuple[PoleExpansion, ...], denominator: int) -> None:
         if not denominator:
             raise ZeroDivisionError("principal parts over a zero denominator")
-        g = gcd(denominator, *(c for term in terms for c in term.numerators))
-        g = g if denominator > 0 else -g
-        if g != 1:
-            denominator //= g
-            terms = tuple(PoleExpansion(term.shift, tuple(c // g for c in term.numerators))
-                          for term in terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "denominator", denominator)

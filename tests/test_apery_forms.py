@@ -12,7 +12,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -236,7 +236,8 @@ def test_block_principal_parts_match_dense_route(n):
 
 
 def _summed_parts(*expansions):
-    """The termwise sum of proper principal parts, over their common denominator."""
+    """The termwise sum of proper principal parts, over their common
+    denominator, reduced as the block route leaves its parts."""
     common = lcm(*(expansion.denominator for expansion in expansions))
     total = {}
     for expansion in expansions:
@@ -245,8 +246,10 @@ def _summed_parts(*expansions):
             total[term.shift] = tuple(
                 a + unit * c for a, c in zip_longest(total.get(term.shift, ()),
                                                      term.numerators, fillvalue=0))
+    g = gcd(common, *(c for numerators in total.values() for c in numerators))
     return PartialFractions(tuple(
-        PoleExpansion(shift, numerators) for shift, numerators in sorted(total.items())), common)
+        PoleExpansion(shift, tuple(c // g for c in numerators))
+        for shift, numerators in sorted(total.items())), common // g)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -1063,6 +1066,21 @@ def test_series_refuses_a_pole_right_of_zero():
     # bound's |z + s| >= (1 - alpha) x needs every shift s >= 0
     with pytest.raises(DomainError):
         _series_numeric(Kernel(F(1), (), ((F(-1), -3),)), 1, 2, TAIL_TARGET)
+
+
+def test_series_refuses_a_pole_off_the_integers_before_the_search(monkeypatch):
+    # g = 1/(t + 1/2)^4: the derivative chain takes integer poles only, and
+    # it is built before the (A, M) search, which never runs
+    searches, search = [], apery_forms._cheapest_closure
+
+    def spy(expansion, order, start, target):
+        searches.append((order, start))
+        return search(expansion, order, start, target)
+
+    monkeypatch.setattr(apery_forms, "_cheapest_closure", spy)
+    with pytest.raises(DomainError, match="pole shift must be an integer, got 1/2"):
+        _series_numeric(Kernel(F(1), (), ((F(1, 2), -4),)), 2, 1, TAIL_TARGET)
+    assert searches == []
 
 
 def _remainder_bound(kernel, order, depth, cutoff):

@@ -134,10 +134,11 @@ def test_pool_is_bounded_by_cells_and_cores(jobs, n_max, cpus, workers, monkeypa
         (n, m) for n in range(n_max + 1) for m in range(n + 1)]
 
 
-def test_jobs_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("APERY4_JOBS", "2")
-    assert main(["verify-identity", "--n-max", "1"]) == 0
-    assert "all verified" in capsys.readouterr().out
+def test_jobs_default_to_one_whatever_the_environment(capsys, monkeypatch):
+    # --jobs is the one worker-count setting: no environment variable is read
+    monkeypatch.setenv("APERY4_JOBS", "abc")
+    assert main(["verify-identity", "--n-max", "1", "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["configEcho"]["jobs"] == 1
 
 
 @pytest.mark.parametrize("suite,n_max", [
@@ -255,23 +256,18 @@ def test_a_failed_certificate_exits_1_naming_cell_and_side(capsys, monkeypatch):
     assert lines[0].startswith("error: right side of cell (n, m) = (2, 1): ")
 
 
-@pytest.mark.parametrize("argv,jobs_env", [
-    (["verify-identity", "--n-max", "-1"], None),
-    (["verify-recurrences", "--suite", "binom-identity", "--n-max", "-5"], None),
-    (["summand-audit", "--n-max", "-3"], None),
-    (["eval", "--n", "1", "--m", "0", "--digits", "0"], None),
-    (["summand-audit", "--samples", "-1"], None),
-    (["verify-identity", "--n-max", "1", "--jobs", "-4"], None),
-    (["verify-identity", "--n-max", "1"], "abc"),
-    (["verify-identity", "--n-max", "1", "--json", "{missing}/report.json"], None),
-    (["verify-identity", "--n-max", "1", "--csv", "{missing}/report.csv"], None),
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--n-max", "-1"],
+    ["verify-recurrences", "--suite", "binom-identity", "--n-max", "-5"],
+    ["summand-audit", "--n-max", "-3"],
+    ["eval", "--n", "1", "--m", "0", "--digits", "0"],
+    ["summand-audit", "--samples", "-1"],
+    ["verify-identity", "--n-max", "1", "--jobs", "-4"],
+    ["verify-identity", "--n-max", "1", "--json", "{missing}/report.json"],
+    ["verify-identity", "--n-max", "1", "--csv", "{missing}/report.csv"],
 ], ids=["verify-identity-n-max", "verify-recurrences-n-max", "summand-audit-n-max",
-        "eval-digits", "summand-audit-samples", "jobs", "jobs-env", "json-path",
-        "csv-path"])
-def test_usage_errors_exit_2_with_one_error_line(argv, jobs_env, tmp_path,
-                                                 monkeypatch, capsys):
-    if jobs_env is not None:
-        monkeypatch.setenv("APERY4_JOBS", jobs_env)
+        "eval-digits", "summand-audit-samples", "jobs", "json-path", "csv-path"])
+def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, capsys):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

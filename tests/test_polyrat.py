@@ -4,7 +4,7 @@ reference."""
 
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dense_reference
 from apery4 import (DomainError, FormParameters, Kernel, PartialFractions, PoleError,
-                    PoleExpansion, left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
-from apery4.apery_forms import _right_blocks
+                    left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
+from apery4.apery_forms import _left_expansion, _right_blocks, _right_expansion
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
 from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
                              fraction_expansion, fraction_values, kernel_values,
@@ -374,11 +374,20 @@ def test_partial_fractions_are_reduced_to_one_least_denominator():
     polynomial, expansion = partial_fractions(Polynomial.one(), Polynomial([0, 2, 1]), [0, 2])
     assert polynomial.is_zero and expansion.denominator == 2
     assert [term.numerators for term in expansion.terms] == [(1,), (-1,)]
-    # every construction reduces, so equal values compare equal
-    same = PartialFractions((PoleExpansion(F(0), (-3,)), PoleExpansion(F(2), (3,))), -6)
-    assert same == expansion
     with pytest.raises(ZeroDivisionError):
         PartialFractions((), 0)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_block_route_parts_are_reduced_over_a_positive_denominator(n):
+    # the type takes its parts as they come: the block route is the one
+    # place that reduces them, on every expansion of the n <= 12 grid
+    for m in range(n + 1):
+        for expansion in (_left_expansion(FormParameters(n, m)),
+                          _right_expansion(FormParameters(n, m))):
+            numerators = [c for term in expansion.terms for c in term.numerators]
+            assert expansion.denominator > 0, (n, m)
+            assert gcd(expansion.denominator, *numerators) == 1, (n, m)
 
 
 def test_partial_fractions_needs_all_poles_offered():
