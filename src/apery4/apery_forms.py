@@ -159,30 +159,11 @@ class Kernel(_Value):
             c - s: e for s, e in self.factors.items()}
         return c if odd else None
 
-    def pole_orders(self) -> dict[int, int]:
-        """{shift p: order} of the poles t = -p, in one sweep over the block
-        boundaries: a block (t+x)_k^e adds e to the exponents of the shifts
-        x..x+k-1, written as +e at x and -e at x + k, and a loose factor at
-        an integer shift is a block of length 1; one at any other shift lies
-        in no block and keeps its own exponent."""
-        blocks, loose = list(self.blocks), {}
-        for s, e in self.linears:
-            if s.denominator == 1:
-                blocks.append((int(s), 1, e))
-            else:
-                loose[s] = loose.get(s, 0) + e
-        steps: dict[int, int] = {}
-        for x, k, e in blocks:
-            if k > 0:
-                steps[x] = steps.get(x, 0) + e
-                steps[x + k] = steps.get(x + k, 0) - e
-        orders = {s: -e for s, e in loose.items() if e < 0}
-        level, points = 0, sorted(steps)
-        for here, after in zip(points, points[1:]):
-            level += steps[here]
-            if level < 0:
-                orders.update(dict.fromkeys(range(here, after), -level))
-        return orders
+    def pole_orders(self) -> dict[Fraction | int, int]:
+        """{shift p: order} of the poles t = -p: the negative exponents of
+        :attr:`factors`, an integer shift as an int."""
+        return {s if s.denominator > 1 else int(s): -e
+                for s, e in self.factors.items() if e < 0}
 
     def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
         """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
@@ -327,11 +308,9 @@ class _LocalExpansion:
                       + [abs(s.numerator - s.denominator * shift)
                          for s, _ in kernel.linears for shift in (low, high)], default=0)
         self.scale, self.table = _power_sums(top, depth - 1)
-        self.factorials = factorials = _factorials(max(top, depth))
+        self.factorials = _factorials(max(top, depth))
         self.ratios = _recursion_weights(depth)
-        # (order-1)!/(order-j)! L^(j-1), j = 1..order, for each order <= depth
-        self.multipliers = [[factorials[order - 1] // factorials[order - j] * self.scale ** (j - 1)
-                             for j in range(1, order + 1)] for order in range(depth + 1)]
+        self.multipliers = _order_multipliers(self.scale, depth)
 
     def part(self, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of the kernel at
@@ -390,6 +369,16 @@ class _LocalExpansion:
 
 
 @cache
+def _order_multipliers(scale: int, depth: int) -> tuple[tuple[int, ...], ...]:
+    """multipliers[order][j-1] = (order-1)!/(order-j)! L^(j-1), j = 1..order,
+    for each order <= ``depth``, L = ``scale``: what turns G_(order-j) into
+    A_j over the last one (:class:`_LocalExpansion`)."""
+    factorials = _factorials(depth)
+    return tuple(tuple(factorials[order - 1] // factorials[order - j] * scale ** (j - 1)
+                       for j in range(1, order + 1)) for order in range(depth + 1))
+
+
+@cache
 def _recursion_weights(depth: int) -> tuple[tuple[int, ...], ...]:
     """ratios[k][i-1] = (-1)^(i+1) (k-1)!/(k-i)! for k < ``depth``: the
     weights of G_k's recursion (:class:`_LocalExpansion`)."""
@@ -398,17 +387,15 @@ def _recursion_weights(depth: int) -> tuple[tuple[int, ...], ...]:
                        for i in range(1, k + 1)) for k in range(depth))
 
 
-def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int],
-             where: str) -> None:
+def _certify(kernel: Kernel, expansion: PartialFractions, where: str) -> None:
     """Prove that ``expansion`` is the partial-fraction form of ``kernel``.
 
-    The poles and ``orders`` found by scanning the block ranges
-    (:meth:`Kernel.pole_orders`) must match the negative exponents left after
-    merging the flattened factors (:attr:`Kernel.factors`)
-    shift by shift: a second algorithm over the same spec, not an
-    independent spec.  The kernel must vanish at infinity, and the
-    expansion must have no term above its pole's order nor a zero top
-    numerator (a cofactor that vanishes at a pole, which the factors miss).
+    The poles and their orders are the kernel's own
+    (:meth:`Kernel.pole_orders`, the negative exponents of the merged
+    factors), never the caller's.  The kernel must vanish at infinity, and
+    the expansion must have no term above its pole's order (none at a shift
+    that is no pole) nor a zero top numerator (a cofactor that vanishes at a
+    pole, which the factors miss).
     With D = prod (t+p)^E_p over those orders, the kernel f and the
     expansion F both equal (polynomial of degree < deg D) / D, so
     f - F = R/D with deg R < deg D, and f == F at deg D distinct points
@@ -420,10 +407,11 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     (:meth:`Kernel.values`).  At each point one pass over every term
     accumulates parts / prefix = N F(x), N the expansion's denominator:
     parts = parts (x+p)^E + H(x) prefix and prefix *= (x+p)^E, H the Horner
-    value of the term's numerators padded to its pole's order E.
+    value of the term's numerators padded to its pole's order E, started
+    from the leading numerator.
 
     ceil(deg D / 2) points suffice when (a) the kernel is proved odd about
-    t = -c/2 from the merged factors that the pole check reads
+    t = -c/2 from the merged factors that give the poles
     (:attr:`Kernel.centre`), f(-c-t) = -f(t), and (b) mirroring every term,
     p -> c - p and A_{p,j} -> (-1)^(j+1) A_{p,j}, gives back the same terms
     (as a multiset), so F(-c-t) = -F(t) too.  The orders are the merged
@@ -436,14 +424,9 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
     ceil(deg D / 2) zeros of R prove S = 0.  Otherwise every point runs.
     Raises ReconstructionError naming ``where`` on any mismatch.
     """
-    poles = {s: -e for s, e in kernel.factors.items() if e < 0}
-    if orders != poles:
-        raise ReconstructionError(
-            f"{where}: block poles {sorted(orders.items())} differ from the "
-            f"merged factors' poles {sorted(poles.items())}")
     if kernel.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
-    terms = []
+    orders, terms = kernel.pole_orders(), []
     for term in expansion.terms:
         order = orders.get(term.shift, 0)
         if term.order > order or term.numerators[-1:] == (0,):
@@ -458,12 +441,13 @@ def _certify(kernel: Kernel, expansion: PartialFractions, orders: dict[int, int]
             (centre - shift, order, tuple((-1) ** j * c for j, c in enumerate(numerators)))
             for shift, order, numerators in terms):
         least, count = max(1, -centre // 2 + 1), (count + 1) // 2
+    terms = [(shift, order, numerators[0], numerators[1:])
+             for shift, order, numerators in terms if order]     # order 0: an empty term
     for x, num, den in _certificate_points(kernel, least, count):
         parts, prefix = 0, 1
-        for shift, order, numerators in terms:
+        for shift, order, horner, rest in terms:
             base = x + shift
-            horner = 0
-            for c in numerators:
+            for c in rest:
                 horner = horner * base + c
             power = base ** order
             parts = parts * power + horner * prefix
@@ -516,7 +500,7 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     expansion = PartialFractions(tuple(
         PoleExpansion(shift, tuple(c * factor // g for c in numerators))
         for shift, (numerators, factor) in parts.items()), common // g)
-    _certify(kernel, expansion, orders, where)
+    _certify(kernel, expansion, where)
     return expansion
 
 

@@ -116,7 +116,7 @@ def _merged_poles(kernel):
 @pytest.mark.parametrize("n", range(21))
 def test_pole_sweep_matches_the_candidate_scan_on_the_grid(n):
     # every left kernel, summed right kernel and right j-kernel with n <= 20:
-    # the sweep, the reference scan and the merged factors agree
+    # the poles of the merged factors and the reference scan agree
     for m in range(n + 1):
         p = FormParameters(n, m)
         for label, kernel in [*_kernel_specs(p), ("right P B", right_kernel(p))]:
@@ -136,13 +136,16 @@ _LINEARS = st.lists(st.tuples(st.builds(F, st.integers(-12, 12), st.sampled_from
 @example([(0, 0, -2), (2, 3, -1), (3, 4, -2)], [])       # an empty block, overlaps
 @example([(0, 2, 1)], [(F(1, 2), -1), (F(1), -1)])       # a half-integer pole inside a block
 @example([(-2, 4, -1)], [(F(-1, 2), 1), (F(-1, 2), -2), (F(1), 1)])
+@example([], [(F(2), -2)])                               # an integer pole, loose factor alone
 def test_pole_sweep_matches_the_candidate_scan(blocks, linears):
     # empty blocks, overlapping ranges, cancelling exponents, loose factors
-    # at integer and half-integer shifts
+    # at integer and half-integer shifts; an integer pole's shift is an int,
+    # which the local expansions need
     kernel = Kernel(F(1), tuple(blocks), tuple(linears))
     orders = kernel.pole_orders()
     assert orders == dense_reference.pole_orders(kernel)
     assert orders == _merged_poles(kernel)
+    assert all(type(s) is int for s in orders if s.denominator == 1)
 
 
 def test_right_kernel_term_domain():
@@ -332,7 +335,7 @@ def test_certificate_rejects_tampered_parts(tamper):
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
         tampered = PartialFractions(tamper(expansion.terms), expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, kernel.pole_orders(), where)
+            _certify(kernel, tampered, where)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -345,7 +348,7 @@ def test_certificate_rejects_tampered_kernels(tamper):
         tampered = tamper(kernel)
         assert tampered.pole_orders() == kernel.pole_orders()
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(tampered, expansion, tampered.pole_orders(), where)
+            _certify(tampered, expansion, where)
 
 
 def test_certificate_counts_every_term_at_a_shift():
@@ -355,7 +358,7 @@ def test_certificate_counts_every_term_at_a_shift():
         extra = PoleExpansion(expansion.terms[0].shift, (1,))
         tampered = PartialFractions((extra,) + expansion.terms, expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
-            _certify(kernel, tampered, kernel.pole_orders(), where)
+            _certify(kernel, tampered, where)
 
 
 def _pole_denominator(orders):
@@ -391,7 +394,7 @@ def test_certificate_uses_every_point():
         last = _degree(kernel)
         tampered = _tampered_by(kernel, expansion, range(1, last))
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = {last}$"):
-            _certify(kernel, tampered, kernel.pole_orders(), where)
+            _certify(kernel, tampered, where)
 
 
 def test_certificate_checks_the_zeros_below_the_first_positive_point():
@@ -402,7 +405,7 @@ def test_certificate_checks_the_zeros_below_the_first_positive_point():
         last = _degree(kernel)
         tampered = _tampered_by(kernel, expansion, range(2, last + 1))
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = 1$"):
-            _certify(kernel, tampered, kernel.pole_orders(), where)
+            _certify(kernel, tampered, where)
 
 
 # (t-3)(t-2) / (t (t+1) (t+2))^2: first positive point 4, zeros at 2 and 3,
@@ -422,7 +425,7 @@ def test_certificate_skips_a_point_where_the_kernel_does_not_vanish(monkeypatch)
     for point in range(2, 8):
         tampered = _tampered_by(SKIPPING, expansion, [x for x in range(2, 8) if x != point])
         with pytest.raises(ReconstructionError, match=rf"^skipping: .* at t = {point}$"):
-            _certify(SKIPPING, tampered, SKIPPING.pole_orders(), "skipping")
+            _certify(SKIPPING, tampered, "skipping")
 
 
 def test_certificate_refuses_a_zero_top_numerator():
@@ -446,16 +449,34 @@ def test_principal_parts_refuse_a_pole_that_is_not_an_integer(monkeypatch):
     assert built == []
 
 
-def test_certificate_cross_checks_the_pole_orders(monkeypatch):
-    # the block scan and the merged factors read the poles of one spec by two
-    # algorithms; a scan that loses a pole must not go unnoticed
-    p = FormParameters(4, 1)
-    expansion = _principal_parts(left_kernel(p), "left")
-    honest = Kernel.pole_orders
-    monkeypatch.setattr(Kernel, "pole_orders",
-                        lambda kernel: {s: e for s, e in honest(kernel).items() if s != 4})
-    with pytest.raises(ReconstructionError, match="block poles"):
-        _certify(left_kernel(p), expansion, left_kernel(p).pole_orders(), "left")
+def _tampered_terms(terms):
+    """The honest terms with one term dropped, with one term's top numerator
+    dropped, or with a term added at a shift that is no pole."""
+    for i, term in enumerate(terms):
+        yield terms[:i] + terms[i + 1:]
+        yield terms[:i] + (PoleExpansion(term.shift, term.numerators[:-1]),) + terms[i + 1:]
+    shifts = [term.shift for term in terms]
+    for shift in (min(shifts) - 1, max(shifts) + 1, F(1, 2)):
+        yield terms + (PoleExpansion(shift, (1,)),)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_certificate_reads_the_poles_from_the_kernel(n):
+    # the certificate takes the poles and their orders from the kernel alone,
+    # so parts that miss a pole, cut one short or add one the kernel lacks
+    # are refused on both sides of every cell, (0, 0) and its one pole too
+    for m in range(n + 1):
+        p = FormParameters(n, m)
+        for where, kernel in (("left", left_kernel(p)), ("right", right_kernel(p))):
+            expansion = _principal_parts(kernel, where)
+            variants = list(_tampered_terms(expansion.terms))
+            assert len(variants) == 2 * len(expansion.terms) + 3
+            for terms in variants:
+                with pytest.raises(ReconstructionError, match=rf"^{where}: "):
+                    _certify(kernel, PartialFractions(terms, expansion.denominator), where)
+            empty = PoleExpansion(-1, ())              # adds nothing, so it certifies
+            _certify(kernel, PartialFractions(expansion.terms + (empty,),
+                                              expansion.denominator), where)
 
 
 def test_local_expansions_share_one_table_build_per_cell_at_most(monkeypatch):
@@ -487,6 +508,22 @@ def test_local_parts_come_only_from_the_tabled_shifts():
     assert apery_forms._LocalExpansion(kernel, [2], 2).part(2, 2) == ([-42, -18], 48)
     with pytest.raises(ValueError, match="no tables for shift 2"):
         apery_forms._LocalExpansion(kernel, [0], 2).part(2, 2)
+
+
+def test_local_expansions_with_one_L_and_depth_share_one_multipliers_table():
+    # (order-1)!/(order-j)! L^(j-1) depends on L = lcm(1..top) and the depth
+    # alone, so the left and right kernels of (4, 1) at their poles, both
+    # with L = lcm(1..11), read one table; another depth reads another
+    p = FormParameters(4, 1)
+    left, right, deeper = (
+        apery_forms._LocalExpansion(kernel, list(kernel.pole_orders()), depth)
+        for kernel, depth in ((left_kernel(p), 4), (right_kernel(p), 4), (left_kernel(p), 5)))
+    assert left.scale == right.scale == deeper.scale == lcm(*range(1, 12))
+    assert left.multipliers is right.multipliers
+    assert deeper.multipliers is not left.multipliers
+    assert deeper.multipliers[:5] == left.multipliers == tuple(
+        tuple(exact_arith.factorial(order - 1) // exact_arith.factorial(order - j)
+              * left.scale ** (j - 1) for j in range(1, order + 1)) for order in range(5))
 
 
 def test_forms_always_certify(monkeypatch):
@@ -598,7 +635,7 @@ def test_halved_certificate_takes_no_point_left_of_the_centre(monkeypatch):
     assert polynomial.is_zero
     calls.clear()
     with pytest.raises(ReconstructionError, match=r"^centred: .* at t = 5$"):
-        _certify(kernel, _summed_parts(expansion, extra), orders, "centred")
+        _certify(kernel, _summed_parts(expansion, extra), "centred")
     assert [count for _, count in calls] == [2]             # the tamper still mirrors
 
 
@@ -640,7 +677,7 @@ def test_halved_certificate_uses_every_halved_point(n, m, monkeypatch):
     tampered = _summed_parts(expansion, extra)
     calls = _spy_points(monkeypatch)
     with pytest.raises(ReconstructionError, match=rf"at t = {last}$"):
-        _certify(kernel, tampered, orders, "left")
+        _certify(kernel, tampered, "left")
     assert [count for _, count in calls] == [half]
 
 
@@ -685,7 +722,7 @@ def test_a_broken_mirror_takes_the_full_route(tamper, monkeypatch):
     tampered = PartialFractions(tamper(expansion.terms), expansion.denominator)
     calls = _spy_points(monkeypatch)
     with pytest.raises(ReconstructionError, match=r"at t = \d+$"):
-        _certify(kernel, tampered, kernel.pole_orders(), "left")
+        _certify(kernel, tampered, "left")
     assert [count for _, count in calls] == [_degree(kernel)]
 
 

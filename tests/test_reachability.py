@@ -9,8 +9,8 @@ with a JSON report), both numeric sides at (4, 1) at 30 and at 150 decimals
 (the latter reaches the closure search's doubling and walk up) and both
 split checks, and reports every line of the package that ran.  It must be a
 fresh interpreter: the memoized helpers (``_depth_factor``,
-``_recursion_weights``, ``bernoulli_even``) run their bodies only on a cold
-cache.
+``_recursion_weights``, ``_order_multipliers``, ``bernoulli_even``) run their
+bodies only on a cold cache.
 
 A function's lines are those its compiled code (lambdas and comprehensions
 included, nested functions apart) places below its signature, less the lines
