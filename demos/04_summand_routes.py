@@ -7,8 +7,8 @@ exactly:
 
 * printed    -- the harmonic-number closed formula, typed in by hand,
 * oracle     -- a structure-blind product and quotient rule on the
-                kernel's integer expansion, applied to Taylor series at
-                the point (its derivative chain's numerators),
+                kernel's linear factors, on Taylor series at the point
+                (its derivative chain's numerators),
 * generated  -- the rising-factorial derivative rule applied to every
                 factor at once, in logarithmic form: the local expansion
                 that gives the exact forms their principal parts, read at a
@@ -34,7 +34,8 @@ point = nu + 2 * p.n - p.m
 # denominator are reduced only for the derivative compared
 kernel = left_kernel(p)
 printed = left_tail_summand(p, nu)
-oracle = _highest(DerivativeChain(*kernel.expansion()).numerators(point, 1))
+oracle = _highest(DerivativeChain(kernel.cofactor, kernel.scalar, kernel.factors.items())
+                  .numerators(point, 1))
 generated = _highest(_derivative_numerators(kernel, point, 1))
 print(f"\nleft tail summand at (n, m) = (2, 1), v = {nu}:")
 print(f"  printed   {printed}")

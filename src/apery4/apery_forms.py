@@ -31,8 +31,8 @@ The module also carries the three independent evaluation routes for the
 1. printed closed formulas in terms of harmonic numbers
    (:func:`left_tail_summand`, :func:`left_mid_summand`,
    :func:`right_mid_summand`, :func:`right_low_summand`),
-2. a structure-blind polynomial oracle (product and quotient rule on the
-   kernel's integer expansion, on Taylor series at the point, one
+2. a structure-blind polynomial oracle (the product and quotient rule on
+   the kernel's linear factors, on Taylor series at the point, one
    :class:`polyrat.DerivativeChain` per kernel), and
 3. a generated route applying the rising-factorial derivative rule (power
    sums over each block as harmonic differences) to every factor in
@@ -166,12 +166,12 @@ class Kernel(_Value):
                 for s, e in self.factors.items() if e < 0}
 
     def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
-        """(N, K, [(s, e > 0)]): the merged kernel as K N(t) / prod (t + s)^e."""
+        """(N, K, [(s, e < 0)]): the merged kernel as K N(t) prod (t + s)^e,
+        its numerator multiplied out, its poles kept factored."""
         coeffs, lead = _linear_product((s, e) for s, e in self.factors.items() if e > 0)
         if self.cofactor != (1,):
             coeffs = _mul_coeffs(coeffs, self.cofactor)
-        return (coeffs, self.scalar / lead,
-                [(s, -e) for s, e in self.factors.items() if e < 0])
+        return coeffs, self.scalar / lead, [(s, e) for s, e in self.factors.items() if e < 0]
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
@@ -800,20 +800,30 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
         for m in range(n + 1):
             p = FormParameters(n, m)
             shift = 2 * n - m
-            left = left_kernel(p)
-            # one chain per kernel: the left one (key None) read at order 1, right j at 2
-            chains = {None: DerivativeChain(*left.expansion())}
+            # per kernel, built once: the left one (key None) read at order 1,
+            # right j at 2, and the oracle's chain on its factors
+            kernels = {}
+
+            def kernel(j: int | None) -> tuple[Kernel, DerivativeChain, int]:
+                if j not in kernels:
+                    k = left_kernel(p) if j is None else _right_blocks(p, j)
+                    kernels[j] = (k, DerivativeChain(k.cofactor, k.scalar, k.factors.items()),
+                                  1 if j is None else 2)
+                return kernels[j]
 
             def oracle(j: int | None, x: int) -> Fraction:
-                if j not in chains:
-                    chains[j] = DerivativeChain(*_right_blocks(p, j).expansion())
-                return _highest(chains[j].numerators(x, 1 if j is None else 2))
+                _, chain, order = kernel(j)
+                return _highest(chain.numerators(x, order))
+
+            def generated(j: int | None, x: int) -> Fraction:
+                k, _, order = kernel(j)
+                return _highest(_derivative_numerators(k, x, order))
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
                 record("left-tail", p, None, nu, {
                     "printed": left_tail_summand(p, nu),
                     "oracle": oracle(None, nu + shift),
-                    "generated": _highest(_derivative_numerators(left, nu + shift, 1)),
+                    "generated": generated(None, nu + shift),
                 })
             for nu in _sample(rng, range(1, n + 1), samples):
                 record("left-mid", p, None, nu, {
@@ -824,7 +834,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
                 j = rng.randrange(0, n + 1)
                 record("right-tail", p, j, nu, {
                     "oracle": oracle(j, nu),
-                    "generated": _highest(_derivative_numerators(_right_blocks(p, j), nu, 2)),
+                    "generated": generated(j, nu),
                 })
             if n >= 1:
                 for _ in range(min(samples, n)):
@@ -876,8 +886,8 @@ def _remainder_bound(expansion: tuple, order: int, depth: int,
                      cutoff: int) -> tuple[int, int]:
     """The remainder bound after ``depth`` closure terms at A = ``cutoff`` (see
     :func:`_series_numeric`) as an unreduced pair (num, den)."""
-    coeffs, scale, den_factors = expansion
-    big_e = sum(e for _, e in den_factors)
+    coeffs, scale, poles = expansion
+    big_e = -sum(e for _, e in poles)
     num, den = _depth_factor(len(coeffs) - 1, big_e, order, depth)
     top = 0
     for c in reversed(coeffs):                      # T(A)
@@ -890,9 +900,9 @@ def _cheapest_closure(expansion: tuple, order: int, start: int,
                       target: Fraction) -> tuple[int, int]:
     """The (A, M) of least estimated cost whose remainder bound is below
     ``target``, by the search of :func:`_series_numeric`."""
-    coeffs, scale, den_factors = expansion
-    big_d, big_e = len(coeffs) - 1, sum(e for _, e in den_factors)
-    per_term, per_derivative = _TERM_WEIGHT * (big_d + 1 + len(den_factors)), big_d + 1 + big_e
+    coeffs, scale, poles = expansion
+    big_d, big_e = len(coeffs) - 1, -sum(e for _, e in poles)
+    per_term, per_derivative = _TERM_WEIGHT * (big_d + 1 + len(poles)), big_d + 1 + big_e
     low = abs(scale.numerator) * target.denominator
     high = scale.denominator * target.numerator
 

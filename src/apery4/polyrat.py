@@ -15,11 +15,12 @@ Each kernel of the package is written once, as rising-factorial blocks
 parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (proper principal parts: integer numerators over
 one reduced denominator), never expanding a kernel.  A
-:class:`DerivativeChain` holds a kernel's integer expansion over integer
-pole shifts; it takes derivatives at an integer point by the product and
-quotient rule on Taylor series there, and builds the dense integer
-quotient-rule chain for each exact sum over a range: the route of the
-numeric series, of the summand oracle and of zeta(s)'s closure.
+:class:`DerivativeChain` holds a kernel's numerator, partly factored, over
+integer pole shifts; it takes derivatives at an integer point by the
+product and quotient rule on the linear factors, on Taylor series there,
+and builds the dense integer quotient-rule chain for each exact sum over a
+range: the route of the numeric series, of the summand oracle and of
+zeta(s)'s closure.
 :class:`LinearFactorProduct` (a flattened kernel with repeated shifts
 merged) and the plain dense :class:`Polynomial` and
 :class:`RationalFunction` that its :meth:`~LinearFactorProduct.expand`
@@ -242,32 +243,42 @@ def _quotient_chain(coeffs: Sequence[int], shifts: Sequence[tuple[int, int]],
 
 
 class DerivativeChain:
-    """The derivatives of f = scale * sum coeffs[i] t^i / prod (t + q)^e, from
-    its integer expansion (``Kernel.expansion`` in :mod:`apery4.apery_forms`),
-    to any order asked for per call, at integer points.
+    """The derivatives of f = scale * sum coeffs[i] t^i * prod (t + s)^e, to
+    any order asked for per call, at integer points.
 
-    Every pole shift q is an integer (DomainError when the chain is built,
-    as for a point that is not an integer when a method is called): the
-    kernels, the summand oracle and zeta(s)'s closure have no other poles.
-    :meth:`numerators` applies the product and quotient rule at the point to
-    truncated Taylor series; :meth:`sum` builds the dense integer chain of
-    :func:`_quotient_chain` up to the order it sums, and keeps nothing.
+    The (s, e) pairs follow ``Kernel.factors`` (:mod:`apery4.apery_forms`):
+    e > 0 is a numerator factor at any rational shift, e < 0 a pole of order
+    -e at an integer shift (DomainError otherwise when the chain is built, as
+    for a point that is not an integer when a method is called).  The
+    summand oracle passes a kernel's cofactor and factors, the numeric series
+    its integer expansion (``Kernel.expansion``), poles alone.
+    :meth:`numerators` applies the product and quotient rule on the linear
+    factors, on truncated Taylor series at the point, and builds no
+    polynomial; :meth:`sum` multiplies the numerator factors out and builds
+    the dense integer chain of :func:`_quotient_chain` up to the order it
+    sums, and keeps nothing.
     """
 
-    __slots__ = ("_coeffs", "_scale", "_shifts")
+    __slots__ = ("_coeffs", "_scale", "_factors", "_shifts")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
-                 den_factors: Sequence[tuple[Fraction | int, int]]) -> None:
+                 factors: Iterable[tuple[Fraction | int, int]]) -> None:
         self._coeffs, self._scale = coeffs, scale
-        self._shifts = [(_integer(s, "pole shift"), e) for s, e in den_factors]
+        self._factors, self._shifts = [], []
+        for s, e in factors:
+            if e > 0:
+                self._factors.append((*s.as_integer_ratio(), e))
+            elif e < 0:
+                self._shifts.append((_integer(s, "pole shift"), -e))
 
     def numerators(self, x: int, order: int) -> tuple[list[int], int]:
         """([N_0, ..., N_order], D) with f^(d)(x) = N_d / D, from f's Taylor
-        series in u = t - x, in integers: the numerator's by synthetic
-        division, times each (t + q)^-e's binomial series, that of
-        (L + u)^-e with L = x + q, made by e geometric divisions; the u^k
-        coefficients are scaled by C^k, C = lcm of the L's, so D carries
-        C^order.  PoleError at a pole."""
+        series in u = t - x, in integers: the coefficients' by synthetic
+        division, times each (t + q/r)^e = (L + r u)^e / r^e, L = r x + q, by
+        e steps of the series, r^e into D, then divided by each
+        (t + q)^-e = (L + u)^-e, L = x + q, by e geometric divisions; the u^k
+        coefficients are scaled by C^k, C = lcm of the poles' L's, so D
+        carries C^order.  PoleError at a pole."""
         _check_order(order)
         x, coeffs = _integer(x, "point"), self._coeffs
         bases = [x + q for q, _ in self._shifts]
@@ -281,6 +292,13 @@ class DerivativeChain:
         series = [c * lcd ** k for k, c in enumerate(series[:order + 1])]
         series += [0] * (order + 1 - len(series))
         top, bottom = self._scale.numerator, self._scale.denominator
+        for q, r, e in self._factors:
+            base, step = r * x + q, r * lcd
+            for _ in range(e):                      # times L + r C (u / C)
+                for k in range(order, 0, -1):
+                    series[k] = base * series[k] + step * series[k - 1]
+                series[0] *= base
+            bottom *= r ** e
         for (_, e), base in zip(self._shifts, bases):
             ratio = lcd // base
             for _ in range(e):                      # divided by 1 + u / L, exactly
@@ -299,7 +317,8 @@ class DerivativeChain:
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
         _check_order(order)
-        coeffs = _quotient_chain(self._coeffs, self._shifts, order)[order]
+        product, lead = _linear_product((_F(q, r), e) for q, r, e in self._factors)
+        coeffs = _quotient_chain(_mul_coeffs(product, self._coeffs), self._shifts, order)[order]
         pairs = []
         for v in range(_integer(start, "point"), _integer(stop, "point")):
             top, bottom = 0, 1
@@ -314,7 +333,7 @@ class DerivativeChain:
             pairs = ([_merge(a, b, c, d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
-        return _F(self._scale.numerator * value, self._scale.denominator * bottom)
+        return _F(self._scale.numerator * value, self._scale.denominator * lead * bottom)
 
 
 def _integer(value: Fraction | int, what: str) -> int:

@@ -358,7 +358,7 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
         raise ValueError(f"zeta_value needs digits >= 1, got {digits}")
     cutoff, depth, bound = _cutoff_and_depth(s, digits)
     head = lcm(*range(1, cutoff))
-    closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, s - 1)]), cutoff, 1, depth)
+    closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, 1 - s)]), cutoff, 1, depth)
     total = _F(sum((head // k) ** s for k in range(1, cutoff)), head**s) + closure
     return FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
 

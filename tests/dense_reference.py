@@ -261,10 +261,15 @@ def fraction_values(derivatives: tuple[list[int], int]) -> list[Fraction]:
 
 def chain_values(chain: DerivativeChain, x: Fraction | int, order: int) -> list[Fraction]:
     """f(x), ..., f^(order)(x) of ``chain`` from its dense quotient chain
-    (:func:`apery4.polyrat._quotient_chain`): each N_d evaluated at x over
-    prod (x + q)^(e + d), times K; PoleError at a pole."""
+    (:func:`apery4.polyrat._quotient_chain`) over its numerator, its
+    numerator factors multiplied out here as Fraction polynomials: each N_d
+    evaluated at x over prod (x + q)^(e + d), times K; PoleError at a pole."""
+    dense = Polynomial(chain._coeffs)
+    for q, r, e in chain._factors:
+        dense = dense * Polynomial((_F(q, r), 1)) ** e
     values = []
-    for d, numerator in enumerate(polyrat._quotient_chain(chain._coeffs, chain._shifts, order)):
+    for d, numerator in enumerate(polyrat._quotient_chain(dense.coefficients, chain._shifts,
+                                                          order)):
         bottom = 1
         for shift, e in chain._shifts:
             bottom *= (x + shift) ** (e + d)
@@ -292,8 +297,8 @@ def remainder_bound(expansion: tuple, order: int, depth: int, cutoff: int) -> Fr
     """The numeric route's remainder bound after ``depth`` closure terms at
     A = ``cutoff``, unfactored: every factor computed at this A, the
     Cauchy circle's alpha rationalised as the package does."""
-    coeffs, scale, den_factors = expansion
-    big_d, big_e, k = len(coeffs) - 1, sum(e for _, e in den_factors), order + 2 * depth + 2
+    coeffs, scale, poles = expansion
+    big_d, big_e, k = len(coeffs) - 1, -sum(e for _, e in poles), order + 2 * depth + 2
     gap = big_e - big_d + k
     root = (sqrt((big_d + big_e) ** 2 + 4 * gap * k) - big_d - big_e) / (2 * gap)
     q = ceil(1000 / root)

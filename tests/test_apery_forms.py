@@ -783,6 +783,53 @@ def test_chain_values_match_the_dense_chain_on_kernels(n):
                         n, m, label, x)
 
 
+_COFACTORS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+
+
+@given(_BLOCKS, _LINEARS, _COFACTORS)
+@example([(-6, 5, 1), (0, 3, -2)], [(F(5, 2), 1)], [1])    # zeros at t = 2..6, t + 5/2
+@example(left_kernel(FormParameters(3, 1)).blocks,          # zeros at t = 1..5, t + 3/2
+         left_kernel(FormParameters(3, 1)).linears, [1])
+@example([(0, 3, -1)], [(F(-7, 2), 2), (F(-9), 1)], [-2, 0, 1])
+@example([(0, 2, -2)], [(F(1, 2), -1)], [1])               # a half-integer pole
+@example([(0, 4, -1)], [(F(-5, 2), 1)], [2, 3])            # the cofactor vanishes at t = -2/3
+@example([(0, 4, -1)], [], [-2, 1])                       # the cofactor vanishes at t = 2
+@example([(0, 4, -1)], [], [1, 1])                       # the cofactor vanishes at pole t = -1
+def test_factored_chain_matches_the_dense_chain_on_random_kernels(blocks, linears, cofactor):
+    # the summand oracle's chain on a kernel's cofactor and linear factors,
+    # against the chain on its integer expansion and the dense Fraction chain,
+    # at the regular points 1..12 (numerator zeros among them) and orders
+    # 0..4; a half-integer pole is a DomainError on both routes
+    kernel = Kernel(F(-5, 3), tuple(blocks), tuple(linears), tuple(cofactor))
+    orders = kernel.pole_orders()
+
+    def factored():
+        return DerivativeChain(kernel.cofactor, kernel.scalar, kernel.factors.items())
+
+    if any(s.denominator != 1 for s in orders):
+        for build in (factored, lambda: DerivativeChain(*kernel.expansion())):
+            with pytest.raises(DomainError):
+                build()
+        return
+    chain, dense = factored(), DerivativeChain(*kernel.expansion())
+    for x in (x for x in range(1, 13) if -x not in orders):
+        reference = chain_values(chain, x, 4)
+        for order in range(5):
+            values = fraction_values(chain.numerators(x, order))
+            assert values == fraction_values(dense.numerators(x, order)), (x, order)
+            assert values == reference[:order + 1], (x, order)
+    # a proper kernel with integer poles: its certified parts are the dense
+    # route's, or a ReconstructionError where the cofactor vanishes at a pole
+    # (the factors overstate that pole's order)
+    if kernel.degree < 0:
+        if any(Polynomial(cofactor)(-s) == 0 for s in orders):
+            with pytest.raises(ReconstructionError):
+                _principal_parts(kernel, "random kernel")
+        else:
+            _, expected = partial_fractions(*fraction_expansion(kernel), poles(kernel))
+            assert _principal_parts(kernel, "random kernel") == expected
+
+
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)])
 def test_closure_values_match_the_dense_chain(n, m, monkeypatch):
     # criterion 9's cells, both sides, at 30 decimals: the closure's values at
@@ -905,11 +952,13 @@ def test_audit_is_deterministic_and_green():
 
 
 def test_audit_builds_one_chain_per_kernel(monkeypatch):
-    # one chain per kernel, read only through its numerators at the point:
-    # the dense quotient chain is never built
+    # one kernel and one chain per kernel, read only through its numerators
+    # at the point: the dense quotient chain is never built, nor any kernel
+    # multiplied out, and each right j-kernel is built once per cell
     built = _count_chains(monkeypatch)
-    chains, orders = [], set()
+    chains, orders, blocks = [], set(), []
     init, numerators = DerivativeChain.__init__, DerivativeChain.numerators
+    right_blocks = apery_forms._right_blocks
 
     def spy_init(chain, *expansion):
         chains.append(chain)
@@ -919,12 +968,24 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
         orders.add(order)
         return numerators(chain, x, order)
 
+    def spy_right_blocks(p, j):
+        blocks.append((p.n, p.m, j))
+        return right_blocks(p, j)
+
+    def refuse(*args):
+        raise AssertionError("the audit multiplied a kernel out")
+
     monkeypatch.setattr(DerivativeChain, "__init__", spy_init)
     monkeypatch.setattr(DerivativeChain, "numerators", spy_numerators)
-    audit_summands(n_max=3, samples=2, seed=11)
+    monkeypatch.setattr(apery_forms, "_right_blocks", spy_right_blocks)
+    monkeypatch.setattr(Kernel, "expansion", refuse)
+    for module in (polyrat, apery_forms):       # and every binding of it
+        monkeypatch.setattr(module, "_linear_product", refuse)
+    checks = audit_summands(n_max=3, samples=2, seed=11)
     assert len(chains) == 36
     assert orders == {1, 2}
     assert built == []
+    assert sorted(blocks) == sorted({(c.n, c.m, c.j) for c in checks if c.j is not None})
 
 
 def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
@@ -1012,6 +1073,14 @@ def test_audit_values_are_pinned():
                        for c in checks], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "3fdeb010915e1ef9082bd18b3d16de57efecaaedd03ed78c10ce48a62827f942")
+
+
+@pytest.mark.slow
+def test_audit_agrees_to_n_30():
+    # the audit at scale: every route agrees on every sampled point
+    checks = audit_summands(n_max=30, samples=2, seed=0)
+    assert len(checks) == 4948
+    assert all(check.agree for check in checks)
 
 
 def test_audit_seed_changes_sampling():
@@ -1219,9 +1288,9 @@ def test_zeta_value_and_each_numeric_side_close_once(monkeypatch):
 
 def _estimate(expansion, order, start, cutoff, depth):
     """The search's cost estimate (A - start) (D + 1 + F) w + (order + 2M)^2 (D + 1 + E)."""
-    coeffs, _, den_factors = expansion
-    size, big_e = len(coeffs), sum(e for _, e in den_factors)
-    return ((cutoff - start) * (size + len(den_factors)) * apery_forms._TERM_WEIGHT
+    coeffs, _, pole_factors = expansion
+    size, big_e = len(coeffs), -sum(e for _, e in pole_factors)
+    return ((cutoff - start) * (size + len(pole_factors)) * apery_forms._TERM_WEIGHT
             + (order + 2 * depth) ** 2 * (size + big_e))
 
 

@@ -147,7 +147,7 @@ def test_derivative_values_match_symbolic_derivative():
 
 
 def test_factored_derivative_values_against_quotient_rule():
-    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)))
+    chain = DerivativeChain([1, 2], F(1), ((F(0), -2), (F(1), -1)))
     values = fraction_values(chain.numerators(2, 4))
     assert values == [_parts_derivative(WORKED_PARTS, 2, k) for k in range(5)]
     with pytest.raises(PoleError):
@@ -216,7 +216,7 @@ def test_factored_derivative_sum_matches_termwise_sum(seed):
                             for v in range(start, stop)), start=F(0))
             assert chain.sum(order, start, stop) == termwise
     with pytest.raises(PoleError):
-        DerivativeChain([1], F(1), ((F(-5), 1),)).sum(1, 4, 8)
+        DerivativeChain([1], F(1), ((F(-5), -1),)).sum(1, 4, 8)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -230,20 +230,22 @@ def test_closure_matches_the_fraction_closure_on_random_products(seed):
 
 
 def _chain_routes_agree(kernel: Kernel) -> None:
-    """The chain of the kernel's integer expansion against the chain of its
-    Fraction expansion (denominators cleared here): values at orders 0..2 and
-    sums over several ranges."""
+    """The chain of the kernel's integer expansion and the chain on its
+    cofactor and linear factors against the chain of its Fraction expansion
+    (denominators cleared here): values at orders 0..2 and sums over several
+    ranges."""
     num, _ = fraction_expansion(kernel)
     clear = lcm(*(c.denominator for c in num.coefficients))
     old = DerivativeChain([c.numerator * (clear // c.denominator) for c in num.coefficients],
-                          F(1, clear), tuple((s, -e) for s, e in flattened(kernel) if e < 0))
-    new = _chain(kernel)
+                          F(1, clear), tuple((s, e) for s, e in flattened(kernel) if e < 0))
     start = max((floor(-s) + 1 for s in poles(kernel)), default=0)
-    for x in (start, start + 1, start + 3):
-        assert fraction_values(new.numerators(x, 2)) == fraction_values(old.numerators(x, 2))
-    for order in (0, 1, 2):
-        for stop in (start, start + 1, start + 2, start + 13, start + 64):
-            assert new.sum(order, start, stop) == old.sum(order, start, stop)
+    for new in (_chain(kernel),
+                DerivativeChain(kernel.cofactor, kernel.scalar, kernel.factors.items())):
+        for x in (start, start + 1, start + 3):
+            assert fraction_values(new.numerators(x, 2)) == fraction_values(old.numerators(x, 2))
+        for order in (0, 1, 2):
+            for stop in (start, start + 1, start + 2, start + 13, start + 64):
+                assert new.sum(order, start, stop) == old.sum(order, start, stop)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -271,7 +273,7 @@ def test_chain_from_product_matches_dense_route_on_degenerate_products(kernel):
 def test_chain_sums_every_order_it_carries():
     # each sum builds the dense chain up to its own order: sums taken in any
     # order of orders match the termwise sums
-    chain = DerivativeChain([-300, 1], F(1), ((F(0), 3), (F(2), 1)))
+    chain = DerivativeChain([-300, 1], F(1), ((F(0), -3), (F(2), -1)))
     termwise = [sum((fraction_values(chain.numerators(v, 2))[order] for v in range(1, 40)),
                     start=F(0)) for order in range(3)]
     orders = (1, 2, 0, 1)
@@ -280,7 +282,7 @@ def test_chain_sums_every_order_it_carries():
 
 def test_chain_rejects_orders_it_does_not_carry():
     # the order comes with each call; no chain carries a negative one
-    chain = DerivativeChain([1], F(1), ((F(1), 2),))
+    chain = DerivativeChain([1], F(1), ((F(1), -2),))
     with pytest.raises(ValueError):
         chain.sum(-1, 0, 4)
     with pytest.raises(ValueError):
@@ -289,14 +291,15 @@ def test_chain_rejects_orders_it_does_not_carry():
 
 def test_chain_refuses_a_shift_that_is_not_an_integer():
     # every pole of the package's kernels lies at an integer
-    DerivativeChain([1], F(1), ((F(4, 2), 2), (3, 1)))
+    # and a numerator factor may sit at any rational shift
+    DerivativeChain([1], F(1), ((F(4, 2), -2), (3, -1), (F(1, 2), 1)))
     with pytest.raises(DomainError, match="pole shift must be an integer, got 1/2"):
-        DerivativeChain([1], F(1), ((F(0), 2), (F(1, 2), 1)))
+        DerivativeChain([1], F(1), ((F(0), -2), (F(1, 2), -1)))
 
 
 def test_chain_refuses_a_point_that_is_not_an_integer():
     # numerators and sum read the chain at integers only
-    chain = DerivativeChain([1, 2], F(1), ((F(0), 2), (F(1), 1)))
+    chain = DerivativeChain([1, 2], F(1), ((F(0), -2), (F(1), -1)))
     assert chain.numerators(F(6, 3), 1) == chain.numerators(2, 1)
     assert chain.sum(1, F(2), 9) == chain.sum(1, 2, 9)
     for call in (lambda: chain.numerators(F(1, 2), 1), lambda: chain.sum(1, F(3, 2), 9),
