@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from .apery_forms import (FormParameters, Kernel, SummandCheck,
                           audit_summands, left_form, left_form_numeric,
-                          left_kernel, left_mid_sum, left_mid_summand,
-                          left_split_check, left_tail_summand,
-                          right_finite_sum, right_form, right_form_numeric,
-                          right_kernel, right_low_summand, right_mid_summand,
-                          right_split_check, verify_cell)
+                          left_kernel, left_mid_summand, left_tail_summand,
+                          right_form, right_form_numeric, right_kernel,
+                          right_low_summand, right_mid_summand, verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError, PoleError,
                      PoleInRangeError, RangeError, ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
@@ -49,18 +47,14 @@ __all__ = [
     "left_form",
     "left_form_numeric",
     "left_kernel",
-    "left_mid_sum",
     "left_mid_summand",
-    "left_split_check",
     "left_tail_summand",
     "pochhammer",
-    "right_finite_sum",
     "right_form",
     "right_form_numeric",
     "right_kernel",
     "right_low_summand",
     "right_mid_summand",
-    "right_split_check",
     "verify_cell",
     "zeta_value",
 ]

@@ -75,12 +75,8 @@ __all__ = [
     "verify_cell",
     "left_tail_summand",
     "left_mid_summand",
-    "left_mid_sum",
-    "left_split_check",
     "right_mid_summand",
     "right_low_summand",
-    "right_finite_sum",
-    "right_split_check",
     "SummandCheck",
     "audit_summands",
     "left_form_numeric",
@@ -648,21 +644,6 @@ def left_mid_summand(p: FormParameters, nu: int) -> Fraction:
     )
 
 
-def left_mid_sum(p: FormParameters) -> Fraction:
-    """Exact finite mid-range part of the left series: sum_{nu=m+1}^{n}."""
-    return sum((left_mid_summand(p, nu) for nu in range(p.m + 1, p.n + 1)),
-               start=_F(0))
-
-
-def left_split_check(p: FormParameters) -> bool:
-    """Tail from v = 2n-m+1 plus printed mid part == the whole left series,
-    both summed from one certified expansion."""
-    expansion = _left_expansion(p)
-    tail = derivative_tail_sum(expansion, 1, 2 * p.n - p.m + 1)
-    whole = derivative_tail_sum(expansion, 1, p.n - p.m + 1)
-    return tail + ZetaLinearForm.from_constant(left_mid_sum(p)) == whole
-
-
 def right_mid_summand(p: FormParameters, j: int, nu: int) -> Fraction:
     """Printed formula for the right mid-range summand, 0 <= j < nu <= n.
 
@@ -712,28 +693,6 @@ def right_low_summand(p: FormParameters, j: int, nu: int) -> Fraction:
         * factorial(n + nu - m - 1) * factorial(n - nu) * factorial(n + nu - j - 1)
         * pochhammer(nu - j, j - nu),
         pochhammer(nu, n + 1) * pochhammer(nu, 2 * n - m + 1))
-
-
-def right_finite_sum(p: FormParameters) -> Fraction:
-    """Exact finite part of the right series: all (j, nu) with 1 <= nu <= n."""
-    n = p.n
-    total = _F(0)
-    for j in range(0, n):
-        for nu in range(j + 1, n + 1):
-            total += right_mid_summand(p, j, nu)
-    for j in range(1, n + 1):
-        for nu in range(1, j + 1):
-            total += right_low_summand(p, j, nu)
-    return total
-
-
-def right_split_check(p: FormParameters) -> bool:
-    """Tail from v = n+1 plus printed finite part == the whole right series,
-    both summed from one certified expansion of P B, the sum of the j-terms."""
-    expansion = _right_expansion(p)
-    tail = derivative_tail_sum(expansion, 2, p.n + 1)
-    whole = derivative_tail_sum(expansion, 2, 1)
-    return tail + ZetaLinearForm.from_constant(right_finite_sum(p)) == whole
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,12 @@ def _factorials(k: int) -> list[int]:
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k).
 
-    Returns 0 when k < 0 or k > n; raises ValueError when n < 0 (the
-    negative-upper-index extension is never needed here and silently
-    extending it would mask call-site bugs).
+    Returns 0 when k > n; raises ValueError when n < 0 or k < 0 (the
+    negative-index extensions are never needed here and silently extending
+    them would mask call-site bugs).
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n = {n}")
-    if k < 0 or k > n:
-        return 0
     return math.comb(n, k)
 
 

@@ -23,14 +23,12 @@ from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
                     ReconstructionError, ZetaLinearForm, apery_forms,
                     audit_summands, derivative_tail_sum, evaluate_decimal,
                     exact_arith, left_form, left_form_numeric, left_kernel,
-                    left_mid_sum, left_mid_summand, left_split_check,
-                    left_tail_summand, polyrat, right_finite_sum, right_form,
+                    left_mid_summand, left_tail_summand, polyrat, right_form,
                     right_form_numeric, right_kernel, right_low_summand,
-                    right_mid_summand, right_split_check, verify_cell,
-                    zeta_forms)
-from apery4.apery_forms import (_certify, _derivative_numerators, _left_expansion,
-                                _principal_parts, _right_blocks, _right_expansion,
-                                _series_numeric)
+                    right_mid_summand, verify_cell, zeta_forms)
+from apery4.apery_forms import (_certificate_points, _certify, _derivative_numerators,
+                                _left_expansion, _principal_parts, _right_blocks,
+                                _right_expansion, _series_numeric)
 from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
 import dense_reference
@@ -125,10 +123,11 @@ def test_pole_sweep_matches_the_candidate_scan_on_the_grid(n):
             assert orders == _merged_poles(kernel), (n, m, label)
 
 
-_BLOCKS = st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5), st.integers(-3, 3)),
-                   max_size=6)
-_LINEARS = st.lists(st.tuples(st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2])),
-                              st.integers(-3, 3)), max_size=3)
+_BLOCK = st.tuples(st.integers(-6, 6), st.integers(0, 5), st.integers(-3, 3))
+_LINEAR = st.tuples(st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2])),
+                    st.integers(-3, 3))
+_BLOCKS = st.lists(_BLOCK, max_size=6)
+_LINEARS = st.lists(_LINEAR, max_size=3)
 
 
 @given(_BLOCKS, _LINEARS)
@@ -179,29 +178,6 @@ def test_regression_values(cell, expected):
 def test_identity_holds_small_cells():
     assert all(left_form(FormParameters(n, m)) == right_form(FormParameters(n, m))
                for n in range(4) for m in range(n + 1))
-
-
-def test_split_checks():
-    for n, m in [(0, 0), (1, 0), (2, 1), (3, 3), (4, 2)]:
-        p = FormParameters(n, m)
-        assert left_split_check(p)
-        assert right_split_check(p)
-
-
-def test_split_checks_certify_one_expansion_each(monkeypatch):
-    wheres = []
-    principal_parts = apery_forms._principal_parts
-
-    def counted(bp, where):
-        wheres.append(where)
-        return principal_parts(bp, where)
-
-    monkeypatch.setattr(apery_forms, "_principal_parts", counted)
-    p = FormParameters(12, 5)
-    assert left_split_check(p)
-    assert right_split_check(p)
-    assert wheres == ["left side of cell (n, m) = (12, 5)",
-                      "right side of cell (n, m) = (12, 5)"]
 
 
 def test_verify_cell_record():
@@ -826,8 +802,69 @@ def test_factored_chain_matches_the_dense_chain_on_random_kernels(blocks, linear
             with pytest.raises(ReconstructionError):
                 _principal_parts(kernel, "random kernel")
         else:
+            honest = _principal_parts(kernel, "random kernel")
             _, expected = partial_fractions(*fraction_expansion(kernel), poles(kernel))
-            assert _principal_parts(kernel, "random kernel") == expected
+            assert honest == expected
+            _assert_moved_numerators_are_refused(kernel, honest)
+
+
+def _assert_moved_numerators_are_refused(kernel, honest):
+    # each term of the honest expansion in turn, one of its numerators moved by +-1
+    for i, term in enumerate(honest.terms):
+        numerators = list(term.numerators)
+        numerators[i % len(numerators)] += (-1) ** i
+        moved = PoleExpansion(term.shift, tuple(numerators))
+        with pytest.raises(ReconstructionError):
+            _certify(kernel, PartialFractions(
+                honest.terms[:i] + (moved,) + honest.terms[i + 1:], honest.denominator),
+                "moved numerator")
+
+
+@given(st.lists(_BLOCK, max_size=2), st.lists(_LINEAR, max_size=2), st.integers(-6, 6),
+       st.sampled_from([-3, -1, 1, 3]))
+@example([(0, 3, -2)], [], 2, 1)                    # poles at 0, -1, -2, one at the centre
+@example([(-1, 2, -1)], [], 1, 1)                   # four simple poles, t + 1/2 at the centre
+@example([(0, 4, -2), (2, 2, 1)], [(F(-1), 1)], 3, 1)       # poles partly cancelled
+def test_reflected_random_kernels_take_the_halved_route(blocks, linears, centre, exponent):
+    # blocks and loose factors with their mirrors under s -> c - s, times an
+    # odd power of (t + c/2), cofactor 1: a kernel odd about t = -c/2
+    # (Kernel.centre), whose parts, read at the poles with 2p <= c and
+    # mirrored, are the dense route's; an expansion that does not mirror
+    # gets every point, so one that is wrong only off the halved route's
+    # points is refused
+    if centre % 2:
+        exponent = abs(exponent)                    # no pole at a half-integer centre
+    kernel = Kernel(F(-5, 3),
+                    tuple(blocks) + tuple((centre - x - k + 1, k, e) for x, k, e in blocks),
+                    tuple(linears) + tuple((centre - s, e) for s, e in linears)
+                    + ((F(centre, 2), exponent),))
+    assert kernel.centre == centre
+    orders = kernel.pole_orders()
+    if kernel.degree >= 0 or any(s.denominator != 1 for s in orders):
+        return
+    honest = _principal_parts(kernel, "reflected kernel")
+    _, expected = partial_fractions(*fraction_expansion(kernel), poles(kernel))
+    assert honest == expected
+    _assert_moved_numerators_are_refused(kernel, honest)
+    # honest + R/D, R the monic polynomial that vanishes at the halved points
+    count = sum(orders.values())
+    halved = _certificate_points(kernel, max(1, -centre // 2 + 1), (count + 1) // 2)
+    if len(halved) == count:                        # a simple pole: nothing is halved
+        return
+    zeros, den = Polynomial.one(), Polynomial.one()
+    for x, _, _ in halved:
+        zeros = zeros * Polynomial((-x, 1))
+    for shift, order in orders.items():
+        den = den * Polynomial((shift, 1)) ** order
+    numerators = {term.shift: list(term.numerators) for term in honest.terms}
+    for term in partial_fractions(zeros, den, orders)[1].terms:
+        for j, c in enumerate(term.numerators):
+            numerators[term.shift][j] += c
+    wrong = PartialFractions(tuple(PoleExpansion(shift, tuple(row))
+                                   for shift, row in sorted(numerators.items())),
+                             honest.denominator)
+    with pytest.raises(ReconstructionError):
+        _certify(kernel, wrong, "reflected kernel")
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)])
@@ -909,17 +946,41 @@ def test_summand_domain_errors():
         right_low_summand(p, 2, 3)  # needs nu <= j
 
 
-def test_finite_sums_match_termwise_accumulation():
-    p = FormParameters(4, 2)
-    assert left_mid_sum(p) == sum(left_mid_summand(p, v) for v in range(1, 5))
-    total = F(0)
-    for j in range(0, 4):
-        for nu in range(j + 1, 5):
-            total += right_mid_summand(p, j, nu)
-    for j in range(1, 5):
-        for nu in range(1, j + 1):
-            total += right_low_summand(p, j, nu)
-    assert right_finite_sum(p) == total
+def _printed_finite_summand(p, j, nu):
+    """The printed value of the j-th right summand at 1 <= nu <= n."""
+    return right_mid_summand(p, j, nu) if j < nu else right_low_summand(p, j, nu)
+
+
+def test_printed_finite_summands_equal_the_oracle_at_every_point():
+    # every printed left mid and right mid and low summand of every cell with
+    # n <= 8 equals the oracle's derivative at its point; on each side's
+    # certified expansion the tail plus the oracle's finite sum is the whole
+    # series, the split of the series that the forms sum in one piece
+    def oracle(kernel, order):
+        chain = DerivativeChain(kernel.cofactor, kernel.scalar, kernel.factors.items())
+        return lambda x: fraction_values(chain.numerators(x, order))[-1]
+
+    for n in range(9):
+        for m in range(n + 1):
+            p = FormParameters(n, m)
+            left, left_finite = oracle(left_kernel(p), 1), F(0)
+            for nu in range(1, n + 1):
+                value = left(nu + n - m)
+                assert left_mid_summand(p, nu) == value, (n, m, nu)
+                left_finite += value
+            right_finite = F(0)
+            for j in range(n + 1):
+                right = oracle(_right_blocks(p, j), 2)
+                for nu in range(1, n + 1):
+                    value = right(nu)
+                    assert _printed_finite_summand(p, j, nu) == value, (n, m, j, nu)
+                    right_finite += value
+            for expansion, order, whole, tail, finite in [
+                    (_left_expansion(p), 1, n - m + 1, 2 * n - m + 1, left_finite),
+                    (_right_expansion(p), 2, 1, n + 1, right_finite)]:
+                assert (derivative_tail_sum(expansion, order, tail)
+                        + ZetaLinearForm.from_constant(finite)
+                        == derivative_tail_sum(expansion, order, whole)), (n, m, order)
 
 
 def _right_tail_term(p, j):
@@ -930,7 +991,8 @@ def _right_tail_term(p, j):
 
 def test_right_tail_terms_accumulate_to_form():
     p = FormParameters(2, 2)
-    total = ZetaLinearForm.from_constant(right_finite_sum(p))
+    total = ZetaLinearForm.from_constant(
+        sum(_printed_finite_summand(p, j, nu) for j in range(3) for nu in range(1, 3)))
     for j in range(3):
         total = total + _right_tail_term(p, j)
     assert F(1, 6) * total == right_form(p)
@@ -1011,8 +1073,9 @@ def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
 
 
 def test_tails_match_the_harmonic_route_on_the_grid():
-    # every tail the forms and split checks sum on the n <= 12 grid equals
-    # the route that reads cached harmonic Fractions
+    # every tail the forms sum on the n <= 12 grid, and the tail past the
+    # printed finite summands, equals the route that reads cached harmonic
+    # Fractions
     for n in range(13):
         for m in range(n + 1):
             p = FormParameters(n, m)
@@ -1027,8 +1090,9 @@ def test_tails_match_the_harmonic_route_on_the_grid():
 
 def test_weighted_tails_equal_the_scaled_tails_on_the_grid():
     # the weight folded into the integer sums gives the form that scaling
-    # the unweighted tail gives, on every tail the forms and split checks sum
-    # on the n <= 12 grid; a zero coordinate is the exact zero
+    # the unweighted tail gives, on every tail the forms sum on the n <= 12
+    # grid and on the tail past the printed finite summands; a zero
+    # coordinate is the exact zero
     for n in range(13):
         for m in range(n + 1):
             p = FormParameters(n, m)

@@ -26,7 +26,9 @@ def test_factorial_rejects_negative():
 
 
 def test_binomial_row_with_out_of_range():
-    assert [binomial(5, k) for k in range(-1, 7)] == [0, 1, 5, 10, 10, 5, 1, 0]
+    assert [binomial(5, k) for k in range(7)] == [1, 5, 10, 10, 5, 1, 0]
+    with pytest.raises(ValueError):
+        binomial(5, -1)
 
 
 def test_binomial_rejects_negative_n():
@@ -36,7 +38,11 @@ def test_binomial_rejects_negative_n():
 
 @given(st.integers(0, 60), st.integers(-5, 65))
 def test_binomial_is_factorial_ratio(n, k):
-    expected = factorial(n) // (factorial(k) * factorial(n - k)) if 0 <= k <= n else 0
+    if k < 0:
+        with pytest.raises(ValueError):
+            binomial(n, k)
+        return
+    expected = factorial(n) // (factorial(k) * factorial(n - k)) if k <= n else 0
     assert binomial(n, k) == expected
 
 
