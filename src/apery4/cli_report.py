@@ -102,10 +102,12 @@ def _print_lines(lines: list[str]) -> None:
 
 def _write_json(path: str, command: str, config: dict, summary: dict, body: dict) -> None:
     """Write the canonical JSON report (``body`` plus the ``summary`` tally,
-    tool version and configuration echo) to ``path``, or stdout for ``-``."""
+    tool version and configuration echo) to ``path``, or stdout for ``-``;
+    a form is written as its :meth:`~ZetaLinearForm.to_mapping`."""
     text = json.dumps({**body, "summary": summary, "toolVersion": __version__,
                        "configEcho": {"command": command, **config}},
-                      sort_keys=True, separators=(",", ":"))
+                      sort_keys=True, separators=(",", ":"),
+                      default=ZetaLinearForm.to_mapping)
     _write(path, text + "\n")
 
 
@@ -122,9 +124,8 @@ def _grid_records(n_max: int, jobs: int) -> list[dict]:
                                     [c[1] for c in cells]))   # in the order of cells
     # The recurrence in m needs the two neighbouring cells of the same row,
     # so it is checked here on the collected grid rather than per worker,
-    # on the values of both constructions.
-    sides = [{(r["n"], r["m"]): ZetaLinearForm.from_mapping(r[side]) for r in records}
-             for side in ("left", "right")]
+    # on the forms of both constructions.
+    sides = [{(r["n"], r["m"]): r[side] for r in records} for side in ("left", "right")]
     for r in records:
         n, m = r["n"], r["m"]
         r["recurrencePass"] = (all(recurrence_holds(forms, n, m) for forms in sides)
@@ -149,7 +150,7 @@ def _write_grid_csv(records: list[dict], path: str) -> None:
         rec = r["recurrencePass"]
         writer.writerow([
             r["n"], r["m"],
-            r["left"].get("c0", "0"), r["left"].get("z4", "0"),
+            r["left"].constant, r["left"].coefficient(4),
             str(r["identityPass"]).lower(),
             "" if rec is None else str(rec).lower(),
         ])

@@ -9,7 +9,7 @@ package, so no wrapper type is needed.
 The helpers here are the arithmetic primitives the rest of the package leans
 on in hot loops:
 
-* ``factorial`` / ``binomial`` — memoized exact integers,
+* ``factorial`` — memoized exact k!; ``binomial`` is ``math.comb`` itself,
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
   cached per order so S_a(n) and S_a(n-1) share work,
@@ -60,16 +60,8 @@ def _factorials(k: int) -> list[int]:
     return cache
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k).
-
-    Returns 0 when k > n; raises ValueError when n < 0 or k < 0 (the
-    negative-index extensions are never needed here and silently extending
-    them would mask call-site bugs).
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n = {n}")
-    return math.comb(n, k)
+# Exact C(n, k): ValueError for n < 0 or k < 0, 0 for k > n.
+binomial = math.comb
 
 
 # ---------------------------------------------------------------------------

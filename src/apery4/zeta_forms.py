@@ -126,12 +126,6 @@ class ZetaLinearForm(_Value):
                 out[_JSON_KEYS[order]] = str(c)
         return out
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "ZetaLinearForm":
-        constant, *coeffs = (_F(mapping[key]) if key in mapping else _ZERO
-                             for key in ("c0", *_JSON_KEYS.values()))
-        return cls(constant, tuple(coeffs))
-
     def __str__(self) -> str:
         parts = []
         if self.constant != 0 or self.is_zero:
@@ -285,13 +279,19 @@ class FixedPointNumber(_Value):
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
         """Round an exact value (with optional prior error) to fixed point,
-        ``scale`` >= 0 decimals (RangeError otherwise)."""
-        if scale < 0:
-            raise RangeError(f"need scale >= 0, got {scale}")
+        ``scale`` >= 1 decimals (RangeError otherwise).  The bound, rounding
+        error plus ``inherent_error``, is rounded up to whole tenths of the last
+        digit, so it prints at any scale; with an inherited error of at most a
+        tenth, it is at most 6 tenths, below one unit."""
+        if scale < 1:
+            raise RangeError(f"need scale >= 1, got {scale}")
         (num, den), power = value.as_integer_ratio(), 10**scale
         mantissa = (2 * num * power + den) // (2 * den)
-        rounding = _F(abs(mantissa * den - num * power), den * power)
-        return cls(mantissa, scale, rounding + inherent_error)
+        # in tenths, bound * 10 power = top / (den b) with the bound
+        # |mantissa den - num power| / (den power) + a / b, taken up to its ceiling
+        a, b = inherent_error.as_integer_ratio()
+        top = (abs(mantissa * den - num * power) * b + a * den * power) * 10
+        return cls(mantissa, scale, _F(-(-top // (den * b)), 10 * power))
 
     def value(self) -> Fraction:
         return _F(self.mantissa, 10**self.scale)
@@ -299,8 +299,6 @@ class FixedPointNumber(_Value):
     def decimal(self) -> str:
         digits = _decimal_digits(abs(self.mantissa)).rjust(self.scale + 1, "0")
         sign = "-" if self.mantissa < 0 else ""
-        if self.scale == 0:
-            return f"{sign}{digits}"
         return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
 
     def agrees_with(self, other: "FixedPointNumber", significant_digits: int) -> bool:

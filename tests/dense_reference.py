@@ -312,11 +312,12 @@ def remainder_bound(expansion: tuple, order: int, depth: int, cutoff: int) -> Fr
 def fixed_point(value: Fraction, scale: int,
                 inherent_error: Fraction = _ZERO) -> FixedPointNumber:
     """``value`` rounded half up to ``scale`` decimals by Fraction arithmetic,
-    its bound the rounding error plus ``inherent_error``."""
+    its bound the rounding error plus ``inherent_error``, rounded up to whole
+    tenths of the last digit."""
     shifted = value * 10**scale
     mantissa = (shifted.numerator * 2 + shifted.denominator) // (2 * shifted.denominator)
-    rounding = abs(_F(mantissa, 10**scale) - value)
-    return FixedPointNumber(mantissa, scale, rounding + inherent_error)
+    bound = abs(_F(mantissa, 10**scale) - value) + inherent_error
+    return FixedPointNumber(mantissa, scale, _F(ceil(bound * 10**(scale + 1)), 10**(scale + 1)))
 
 
 def partial_fractions(numerator: Polynomial, denominator: Polynomial,

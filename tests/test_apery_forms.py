@@ -183,8 +183,8 @@ def test_identity_holds_small_cells():
 def test_verify_cell_record():
     record = verify_cell(1, 1)
     assert record["identityPass"] and record["pureWeight4"]
-    assert record["left"] == {"c0": "-13", "z4": "12"}
-    assert record["right"] == {"c0": "-13", "z4": "12"}
+    form = ZetaLinearForm.from_constant(-13) + ZetaLinearForm.zeta_term(4, 12)
+    assert record["left"] == record["right"] == form
     assert record["elapsedMs"] >= 0
 
 
@@ -1445,6 +1445,9 @@ def test_numeric_routes_bracket_the_exact_value(n, m):
     for numeric in (left_form_numeric(p, 30), right_form_numeric(p, 30)):
         assert (abs(numeric.value() - reference.value()) + reference.error_bound
                 <= numeric.error_bound)
+        # the bound is in tenths of the last digit, so it prints at any size
+        assert str(numeric) == numeric.decimal() and repr(numeric).startswith(
+            f"FixedPointNumber(mantissa={numeric.mantissa}, scale=30, ")
 
 
 @pytest.mark.slow
@@ -1474,12 +1477,13 @@ def test_numeric_routes_bracket_the_exact_value_at_scale(n, m, digits, monkeypat
 def test_numeric_values_are_pinned():
     # digest of (mantissa, scale, error bound) of both numeric sides at 30
     # digits, recorded once both sides bracketed the 70-digit reference on
-    # every cell here; a sum that drops, repeats or mis-scales a term, or a
-    # changed cutoff, closure or remainder bound, changes it
+    # every cell here, bounds in tenths of the last digit; a sum that drops,
+    # repeats or mis-scales a term, or a changed cutoff, closure or remainder
+    # bound past a tenth, changes it
     rows = []
     for n, m in ((0, 0), (1, 1), (2, 0), (3, 2), (4, 1), (8, 3), (12, 5)):
         for side in (left_form_numeric, right_form_numeric):
             x = side(FormParameters(n, m), 30)
             rows.append([side.__name__, n, m, x.mantissa, x.scale, str(x.error_bound)])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "016266ce3c6e418a3ea74c34867ac1003b6754fd042ce3ca8e1423d554c927bc")
+        "c8e107f69666f3ea1ecdd464ef2d47231d3de847aa9573eb79c5ef1ee5721c4c")

@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import apery4
-from apery4 import (FormParameters, apery_forms, cli_report, left_form, right_form,
-                    verify_cell)
+from apery4 import (FormParameters, ZetaLinearForm, apery_forms, cli_report, left_form,
+                    right_form, verify_cell)
 from apery4.cli_report import main
 
 
@@ -99,6 +100,28 @@ def test_verify_identity_json_and_csv_files(tmp_path, capsys):
 def test_verify_identity_parallel_jobs(capsys):
     assert main(["verify-identity", "--n-max", "1", "--jobs", "2"]) == 0
     assert "all verified" in capsys.readouterr().out
+
+
+def test_pooled_report_equals_the_serial_one(capsys, monkeypatch):
+    # the workers' forms come back pickled: the same report bytes as one
+    # process, once elapsedMs and the echoed --jobs are cut out
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli_report.os, "cpu_count", lambda: 2)   # a pool on any machine
+    reports = []
+    for jobs in ("1", "2"):
+        assert main(["verify-identity", "--n-max", "4", "--jobs", jobs, "--json", "-"]) == 0
+        raw = capsys.readouterr().out
+        assert raw.count(f'"jobs":{jobs},') == 1
+        reports.append(re.sub(r'"elapsedMs":[^,}]*,?|"jobs":\d+,', "", raw))
+    assert pools == [2]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("jobs, n_max, cpus, workers", [
@@ -227,7 +250,7 @@ def test_recurrence_checks_the_right_values(capsys, monkeypatch):
     def corrupted(n, m):
         record = verify_cell(n, m)
         if (n, m) == (2, 1):
-            record["right"] = {**record["right"], "c0": "0"}
+            record["right"] = ZetaLinearForm(Fraction(0), record["right"].zeta_coefficients)
         return record
 
     monkeypatch.setattr(cli_report, "verify_cell", corrupted)

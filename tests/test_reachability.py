@@ -59,8 +59,6 @@ ALLOWED = {
     "zeta_forms.py": {
         "_decimal_digits": "values past 603 digits: eval reaches them from --digits 600 "
                            "on, in 0.7 s, too long for this guard",
-        "FixedPointNumber.decimal": "scale 0, which from_fraction allows and no command "
-                                    "asks for (--digits is at least 1)",
         "FixedPointNumber.agrees_with":
             "criterion 9's comparison, which no command makes yet (ROADMAP item 4)",
     },

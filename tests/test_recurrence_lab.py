@@ -61,15 +61,17 @@ def test_integer_recurrence_matches_the_fraction_route_on_the_grid(grid):
 def test_moving_one_coordinate_by_one_over_q_breaks_the_recurrence(grid, coordinate):
     # each of the three cells, on both sides: Z + 1/q in one coordinate, q
     # its denominator (1 for the zero coordinates) or that times 7^40
+    index = COORDINATES.index(coordinate)
+    unit = (ZetaLinearForm.from_constant(1) if index == 0
+            else ZetaLinearForm.zeta_term(int(coordinate[1:])))
     for side in (0, 1):
         values = {cell: pair[side] for cell, pair in grid.items()}
         for n, m in ((2, 0), (9, 4), (GRID_N_MAX, GRID_N_MAX - 2)):
             for cell in ((n, m), (n, m + 1), (n, m + 2)):
-                mapping = values[cell].to_mapping()
-                q = F(mapping.get(coordinate, "0")).denominator
+                form = values[cell]
+                q = (form.constant, *form.zeta_coefficients)[index].denominator
                 for step in (F(1, q), F(1, q * 7 ** 40)):
-                    moved = {**mapping, coordinate: str(F(mapping.get(coordinate, "0")) + step)}
-                    changed = {**values, cell: ZetaLinearForm.from_mapping(moved)}
+                    changed = {**values, cell: form + unit * step}
                     assert not recurrence_holds(changed, n, m), (side, cell, step)
                     assert not dense_reference.recurrence_holds(changed, n, m)
 
