@@ -39,14 +39,14 @@ print(f"pole orders after merging, shift: order: {dict(sorted(orders.items()))}"
 # blocks at each pole; nothing is expanded.  The left kernel is odd about
 # t = -n/2, so only the poles with 2p <= n are expanded and the others
 # mirrored, A_{n-p,j} = (-1)^(j+1) A_{p,j}.  The call also certifies them.
-# They are integers over one common denominator N.
+# They are (shift, numerators) pairs, integers over one common denominator N.
 expansion = _principal_parts(kernel, "left side of (2, 1)")
 print("\nprincipal parts (certified at points beyond the poles), "
       f"over N = {expansion.denominator}:")
-for term in expansion.terms:
-    for j, numerator in enumerate(term.numerators, start=1):
+for shift, numerators in expansion.terms:
+    for j, numerator in enumerate(numerators, start=1):
         if numerator:
-            print(f"  {numerator} / (N (t + {term.shift})^{j})")
+            print(f"  {numerator} / (N (t + {shift})^{j})")
 
 # Kernel and parts are both (polynomial of degree < deg D) / D, so equality
 # at deg D distinct points proves them equal.  Here both are odd about
@@ -60,8 +60,9 @@ count = sum(orders.values())
 print(f"\nodd about t = -{kernel.centre}/2, so the certificate reads the first "
       f"{(count + 1) // 2} of these deg D = {count} points, kernel value against the parts:")
 for x, (num, den) in zip(range(start, start + count), kernel.values(start, count)):
-    parts = sum(Fraction(c, expansion.denominator) / (x + term.shift) ** j
-                for term in expansion.terms for j, c in enumerate(term.numerators, start=1))
+    parts = sum(Fraction(c, expansion.denominator) / (x + shift) ** j
+                for shift, numerators in expansion.terms
+                for j, c in enumerate(numerators, start=1))
     print(f"  t = {x:>2}  kernel {Fraction(num, den)}  parts {parts}")
     assert parts == Fraction(num, den)
 

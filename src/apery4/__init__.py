@@ -18,7 +18,7 @@ from .apery_forms import (FormParameters, Kernel, SummandCheck,
 from .errors import (Apery4Error, DivergenceError, DomainError, PoleError,
                      PoleInRangeError, RangeError, ReconstructionError)
 from .exact_arith import binomial, factorial, harmonic, pochhammer
-from .polyrat import PartialFractions, PoleExpansion
+from .polyrat import PartialFractions
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum, evaluate_decimal, zeta_value)
 
@@ -31,7 +31,6 @@ __all__ = [
     "Kernel",
     "PartialFractions",
     "PoleError",
-    "PoleExpansion",
     "PoleInRangeError",
     "RangeError",
     "ReconstructionError",

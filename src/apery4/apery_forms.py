@@ -60,8 +60,8 @@ from operator import mul
 from .errors import (DivergenceError, DomainError, RangeError,
                      ReconstructionError)
 from .exact_arith import _factorials, _power_sums, binomial, factorial, harmonic, pochhammer
-from .polyrat import (DerivativeChain, PartialFractions, PoleExpansion, _Value,
-                      _linear_product, _merged_shifts, _mul_coeffs, _times_linear)
+from .polyrat import (DerivativeChain, PartialFractions, _Value, _linear_product,
+                      _merged_shifts, _mul_coeffs, _times_linear)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, _closure, bernoulli_even,
                          derivative_tail_sum)
 
@@ -423,13 +423,13 @@ def _certify(kernel: Kernel, expansion: PartialFractions, where: str) -> None:
     if kernel.degree >= 0:
         raise ReconstructionError(f"{where}: kernel does not vanish at infinity")
     orders, terms = kernel.pole_orders(), []
-    for term in expansion.terms:
-        order = orders.get(term.shift, 0)
-        if term.order > order or term.numerators[-1:] == (0,):
+    for shift, numerators in expansion.terms:
+        order = orders.get(shift, 0)
+        if len(numerators) > order or numerators[-1:] == (0,):
             raise ReconstructionError(
-                f"{where}: term of order {term.order} at shift {term.shift} exceeds "
+                f"{where}: term of order {len(numerators)} at shift {shift} exceeds "
                 "the kernel's pole order there or has a zero top numerator")
-        terms.append((term.shift, order, term.numerators + (0,) * (order - term.order)))
+        terms.append((shift, order, numerators + (0,) * (order - len(numerators))))
 
     scale, centre = expansion.denominator, kernel.centre
     least, count = 1, sum(orders.values())
@@ -494,7 +494,7 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     parts = {shift: (numerators, common // den) for shift, (numerators, den) in parts.items()}
     g = gcd(common, *(factor * gcd(*numerators) for numerators, factor in parts.values()))
     expansion = PartialFractions(tuple(
-        PoleExpansion(shift, tuple(c * factor // g for c in numerators))
+        (shift, tuple(c * factor // g for c in numerators))
         for shift, (numerators, factor) in parts.items()), common // g)
     _certify(kernel, expansion, where)
     return expansion

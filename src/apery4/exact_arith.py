@@ -14,8 +14,8 @@ on in hot loops:
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
   cached per order so S_a(n) and S_a(n-1) share work,
 * ``_power_sums`` — the same sums in integers, L^r S_r(i) with
-  L = lcm(1..top), in a bounded table that the local expansions and the
-  zeta tails share.
+  L = lcm(1..top), in tables kept for the life of the process that the
+  local expansions and the zeta tails share.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def harmonic(order: int, upper: int) -> Fraction:
 # integer power-sum rows
 # ---------------------------------------------------------------------------
 
-# The most tops whose power-sum tables are kept; the least recently read goes first.
-_POWER_SUM_TABLES = 32
-# {top: (L, rows)}, in the order last read; tops with one L share its rows
+# {top: (L, rows)}, every top read; tops with one L share its rows
 _POWER_SUMS: dict[int, tuple[int, list[list[int]]]] = {}
 
 
@@ -135,17 +133,13 @@ def _power_sums(top: int, count: int) -> tuple[int, list[list[int]]]:
 
     L grows only at prime powers, so a new top takes the table of a kept top
     with the same L if there is one, and builds one otherwise.  Rows are
-    built on first need and extended as tops grow.  The tables of the last
-    ``_POWER_SUM_TABLES`` tops read are kept.
+    built on first need and extended as tops grow.  Every table is kept.
     """
-    entry = _POWER_SUMS.pop(top, None)
+    entry = _POWER_SUMS.get(top)
     if entry is None:
         scale = math.lcm(*range(1, top + 1))
-        entry = next((kept for kept in _POWER_SUMS.values() if kept[0] == scale),
-                     (scale, [[]]))
-        if len(_POWER_SUMS) >= _POWER_SUM_TABLES:
-            del _POWER_SUMS[next(iter(_POWER_SUMS))]
-    _POWER_SUMS[top] = entry
+        entry = _POWER_SUMS[top] = next(
+            (kept for kept in _POWER_SUMS.values() if kept[0] == scale), (scale, [[]]))
     scale, rows = entry
     for r in range(1, count + 1):
         if r == len(rows):

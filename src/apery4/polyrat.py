@@ -42,7 +42,6 @@ __all__ = [
     "Polynomial",
     "LinearFactorProduct",
     "RationalFunction",
-    "PoleExpansion",
     "PartialFractions",
     "DerivativeChain",
 ]
@@ -361,25 +360,12 @@ def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class PoleExpansion(_Value):
-    """Principal part at one pole, over its expansion's integer denominator D:
-    sum_j numerators[j-1] / (D (t + shift)^j)."""
-
-    _fields = __slots__ = ("shift", "numerators")
-
-    def __init__(self, shift: int | Fraction, numerators: tuple[int, ...]) -> None:
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "numerators", numerators)
-
-    @property
-    def order(self) -> int:
-        return len(self.numerators)
-
-
 class PartialFractions(_Value):
     """A proper rational function as the sum over its poles of principal
-    parts, whose integer numerators share one ``denominator``.  There is no
-    polynomial part: every kernel of the package vanishes at infinity.
+    parts over one integer ``denominator`` D: ``terms`` holds (shift,
+    numerators) pairs, sum_j numerators[j-1] / (D (t + shift)^j) each.
+    There is no polynomial part: every kernel of the package vanishes at
+    infinity.
 
     Its producer leaves it reduced, over the least positive denominator
     (``_principal_parts`` in :mod:`apery4.apery_forms`, the one place that
@@ -390,7 +376,7 @@ class PartialFractions(_Value):
 
     _fields = __slots__ = ("terms", "denominator")
 
-    def __init__(self, terms: tuple[PoleExpansion, ...], denominator: int) -> None:
+    def __init__(self, terms: tuple[tuple[int, tuple[int, ...]], ...], denominator: int) -> None:
         if not denominator:
             raise ZeroDivisionError("principal parts over a zero denominator")
         object.__setattr__(self, "terms", terms)

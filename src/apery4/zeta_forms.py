@@ -173,19 +173,19 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
+    top = max((int(shift) + start - 1 for shift, _ in expansion.terms), default=0)
     highest = ZETA_ORDERS[-1]
     scale, rows = _power_sums(top, highest)
     sums, dots = [0] * (highest + 1), [0] * (highest + 1)     # indexed by s
-    for term in expansion.terms:
-        if term.shift.denominator != 1:
-            raise ValueError(f"pole shift {term.shift} is not an integer")
-        p = int(term.shift)
+    for shift, numerators in expansion.terms:
+        if shift.denominator != 1:
+            raise ValueError(f"pole shift {shift} is not an integer")
+        p = int(shift)
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")
         index = p + start - 1
-        for s, c in enumerate(term.numerators, start=order + 1):
+        for s, c in enumerate(numerators, start=order + 1):
             if c:
                 if s > highest:
                     raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
@@ -266,11 +266,13 @@ def _decimal_digits(value: int) -> str:
 
 
 class FixedPointNumber(_Value):
-    """mantissa * 10^(-scale), plus an exact bound on |true - stored|."""
+    """mantissa * 10^(-scale), ``scale`` >= 1 decimals (RangeError
+    otherwise), plus an exact bound on |true - stored|."""
 
     _fields = __slots__ = ("mantissa", "scale", "error_bound")
 
     def __init__(self, mantissa: int, scale: int, error_bound: Fraction) -> None:
+        _check_scale(scale)
         object.__setattr__(self, "mantissa", mantissa)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "error_bound", error_bound)
@@ -278,13 +280,12 @@ class FixedPointNumber(_Value):
     @classmethod
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
-        """Round an exact value (with optional prior error) to fixed point,
-        ``scale`` >= 1 decimals (RangeError otherwise).  The bound, rounding
+        """Round an exact value (with optional prior error) to fixed point, the
+        scale refused first (10^scale is a float below 1).  The bound, rounding
         error plus ``inherent_error``, is rounded up to whole tenths of the last
         digit, so it prints at any scale; with an inherited error of at most a
         tenth, it is at most 6 tenths, below one unit."""
-        if scale < 1:
-            raise RangeError(f"need scale >= 1, got {scale}")
+        _check_scale(scale)
         (num, den), power = value.as_integer_ratio(), 10**scale
         mantissa = (2 * num * power + den) // (2 * den)
         # in tenths, bound * 10 power = top / (den b) with the bound
@@ -311,6 +312,11 @@ class FixedPointNumber(_Value):
 
     def __str__(self) -> str:
         return self.decimal()
+
+
+def _check_scale(scale: int) -> None:
+    if scale < 1:
+        raise RangeError(f"need scale >= 1, got {scale}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from apery4 import polyrat
 from apery4.apery_forms import Kernel
 from apery4.errors import Apery4Error, PoleError, PoleInRangeError, ReconstructionError
 from apery4.exact_arith import factorial, harmonic, pochhammer
-from apery4.polyrat import DerivativeChain, PartialFractions, PoleExpansion
+from apery4.polyrat import DerivativeChain, PartialFractions
 from apery4.recurrence_lab import recurrence_coefficients
 from apery4.zeta_forms import ZETA_ORDERS, FixedPointNumber, ZetaLinearForm, bernoulli_even
 
@@ -396,8 +396,7 @@ def partial_fractions(numerator: Polynomial, denominator: Polynomial,
             "partial fraction expansion failed to reproduce its input")
     common = lcm(*(c.denominator for _, coefficients in terms for c in coefficients))
     return poly_part, PartialFractions(tuple(
-        PoleExpansion(p, tuple(int(c * common) for c in coefficients))
-        for p, coefficients in terms), common)
+        (p, tuple(int(c * common) for c in coefficients)) for p, coefficients in terms), common)
 
 
 def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list[Fraction]:
@@ -421,17 +420,17 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> 
     lcm(1..top)^5 as ``unit // S.denominator`` per numerator."""
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    top = max((int(term.shift) + start - 1 for term in expansion.terms), default=0)
+    top = max((int(shift) + start - 1 for shift, _ in expansion.terms), default=0)
     unit = lcm(*range(1, top + 1)) ** ZETA_ORDERS[-1]
     constant, zetas = 0, [0] * len(ZETA_ORDERS)
-    for term in expansion.terms:
-        if term.shift.denominator != 1:
-            raise ValueError(f"pole shift {term.shift} is not an integer")
-        p = int(term.shift)
+    for shift, numerators in expansion.terms:
+        if shift.denominator != 1:
+            raise ValueError(f"pole shift {shift} is not an integer")
+        p = int(shift)
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")
-        for j, c in enumerate(term.numerators, start=1):
+        for j, c in enumerate(numerators, start=1):
             if not c:
                 continue
             s = j + order

@@ -19,8 +19,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
-                    PartialFractions, PoleExpansion, RangeError,
-                    ReconstructionError, ZetaLinearForm, apery_forms,
+                    PartialFractions, RangeError, ReconstructionError,
+                    ZetaLinearForm, apery_forms,
                     audit_summands, derivative_tail_sum, evaluate_decimal,
                     exact_arith, left_form, left_form_numeric, left_kernel,
                     left_mid_summand, left_tail_summand, polyrat, right_form,
@@ -221,13 +221,13 @@ def _summed_parts(*expansions):
     total = {}
     for expansion in expansions:
         unit = common // expansion.denominator
-        for term in expansion.terms:
-            total[term.shift] = tuple(
-                a + unit * c for a, c in zip_longest(total.get(term.shift, ()),
-                                                     term.numerators, fillvalue=0))
+        for shift, numerators in expansion.terms:
+            total[shift] = tuple(
+                a + unit * c for a, c in zip_longest(total.get(shift, ()),
+                                                     numerators, fillvalue=0))
     g = gcd(common, *(c for numerators in total.values() for c in numerators))
     return PartialFractions(tuple(
-        PoleExpansion(shift, tuple(c // g for c in numerators))
+        (shift, tuple(c // g for c in numerators))
         for shift, numerators in sorted(total.items())), common // g)
 
 
@@ -300,8 +300,8 @@ def _certified_sides(p):
 
 def _bump_second_term(terms):
     # one unit of the common denominator: the smallest change the parts allow
-    term = terms[1]
-    bumped = PoleExpansion(term.shift, (term.numerators[0] + 1,) + term.numerators[1:])
+    shift, numerators = terms[1]
+    bumped = shift, (numerators[0] + 1,) + numerators[1:]
     return terms[:1] + (bumped,) + terms[2:]
 
 
@@ -331,7 +331,7 @@ def test_certificate_counts_every_term_at_a_shift():
     # a second term at an existing shift, placed first: a map keyed by shift
     # keeps only the last term there and would drop this one
     for where, kernel, expansion in _certified_sides(FormParameters(4, 1)):
-        extra = PoleExpansion(expansion.terms[0].shift, (1,))
+        extra = expansion.terms[0][0], (1,)
         tampered = PartialFractions((extra,) + expansion.terms, expansion.denominator)
         with pytest.raises(ReconstructionError, match=rf"^{re.escape(where)}: .* at t = \d+$"):
             _certify(kernel, tampered, where)
@@ -428,12 +428,12 @@ def test_principal_parts_refuse_a_pole_that_is_not_an_integer(monkeypatch):
 def _tampered_terms(terms):
     """The honest terms with one term dropped, with one term's top numerator
     dropped, or with a term added at a shift that is no pole."""
-    for i, term in enumerate(terms):
+    for i, (shift, numerators) in enumerate(terms):
         yield terms[:i] + terms[i + 1:]
-        yield terms[:i] + (PoleExpansion(term.shift, term.numerators[:-1]),) + terms[i + 1:]
-    shifts = [term.shift for term in terms]
+        yield terms[:i] + ((shift, numerators[:-1]),) + terms[i + 1:]
+    shifts = [shift for shift, _ in terms]
     for shift in (min(shifts) - 1, max(shifts) + 1, F(1, 2)):
-        yield terms + (PoleExpansion(shift, (1,)),)
+        yield terms + ((shift, (1,)),)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -450,7 +450,7 @@ def test_certificate_reads_the_poles_from_the_kernel(n):
             for terms in variants:
                 with pytest.raises(ReconstructionError, match=rf"^{where}: "):
                     _certify(kernel, PartialFractions(terms, expansion.denominator), where)
-            empty = PoleExpansion(-1, ())              # adds nothing, so it certifies
+            empty = -1, ()                      # adds nothing, so it certifies
             _certify(kernel, PartialFractions(expansion.terms + (empty,),
                                               expansion.denominator), where)
 
@@ -533,7 +533,7 @@ def test_left_parts_mirror_about_minus_n_over_2(n):
         kernel, expansion = left_kernel(p), _left_expansion(p)
         orders = kernel.pole_orders()
         local = apery_forms._LocalExpansion(kernel, list(orders), max(orders.values()))
-        terms = {int(term.shift): term.numerators for term in expansion.terms}
+        terms = dict(expansion.terms)
         assert sorted(terms) == list(range(n + 1)), (n, m)
         for shift, numerators in terms.items():
             expanded, den = local.part(shift, orders[shift])
@@ -680,9 +680,10 @@ def test_kernels_that_are_not_odd_take_the_full_route(tamper, n, m, monkeypatch)
 def _bump(index, j):
     """Tamper: numerator j of term ``index`` off by one."""
     def tamper(terms):
-        numerators = list(terms[index].numerators)
+        shift, numerators = terms[index]
+        numerators = list(numerators)
         numerators[j] += 1
-        bumped = PoleExpansion(terms[index].shift, tuple(numerators))
+        bumped = shift, tuple(numerators)
         return terms[:index] + (bumped,) + terms[index + 1:]
     return tamper
 
@@ -810,10 +811,10 @@ def test_factored_chain_matches_the_dense_chain_on_random_kernels(blocks, linear
 
 def _assert_moved_numerators_are_refused(kernel, honest):
     # each term of the honest expansion in turn, one of its numerators moved by +-1
-    for i, term in enumerate(honest.terms):
-        numerators = list(term.numerators)
+    for i, (shift, numerators) in enumerate(honest.terms):
+        numerators = list(numerators)
         numerators[i % len(numerators)] += (-1) ** i
-        moved = PoleExpansion(term.shift, tuple(numerators))
+        moved = shift, tuple(numerators)
         with pytest.raises(ReconstructionError):
             _certify(kernel, PartialFractions(
                 honest.terms[:i] + (moved,) + honest.terms[i + 1:], honest.denominator),
@@ -856,11 +857,11 @@ def test_reflected_random_kernels_take_the_halved_route(blocks, linears, centre,
         zeros = zeros * Polynomial((-x, 1))
     for shift, order in orders.items():
         den = den * Polynomial((shift, 1)) ** order
-    numerators = {term.shift: list(term.numerators) for term in honest.terms}
-    for term in partial_fractions(zeros, den, orders)[1].terms:
-        for j, c in enumerate(term.numerators):
-            numerators[term.shift][j] += c
-    wrong = PartialFractions(tuple(PoleExpansion(shift, tuple(row))
+    numerators = {shift: list(row) for shift, row in honest.terms}
+    for shift, row in partial_fractions(zeros, den, orders)[1].terms:
+        for j, c in enumerate(row):
+            numerators[shift][j] += c
+    wrong = PartialFractions(tuple((shift, tuple(row))
                                    for shift, row in sorted(numerators.items())),
                              honest.denominator)
     with pytest.raises(ReconstructionError):

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 import apery4
-from apery4 import (FixedPointNumber, FormParameters, Kernel, PartialFractions, PoleExpansion,
-                    RangeError, SummandCheck, ZetaLinearForm)
+from apery4 import (FixedPointNumber, FormParameters, Kernel, PartialFractions, RangeError,
+                    SummandCheck, ZetaLinearForm)
 from apery4.polyrat import LinearFactorProduct
 
 MODULES = ["apery4"] + [f"apery4.{info.name}"
@@ -118,9 +118,7 @@ VALUES = {
     "FormParameters": (lambda: FormParameters(4, 1), ("n", "m")),
     "Kernel": (lambda: Kernel(F(2), ((-1, 3, 1), (0, 2, -2)), ((F(1, 2), 1),), (1, 1)),
                ("scalar", "blocks", "linears", "cofactor")),
-    "PoleExpansion": (lambda: PoleExpansion(1, (2, 3)), ("shift", "numerators")),
-    "PartialFractions": (lambda: PartialFractions((PoleExpansion(0, (1,)),
-                                                   PoleExpansion(1, (2, 3))), 5),
+    "PartialFractions": (lambda: PartialFractions(((0, (1,)), (1, (2, 3))), 5),
                          ("terms", "denominator")),
     "ZetaLinearForm": (lambda: ZetaLinearForm(F(1, 3), (F(0), F(0), F(-2), F(0))),
                        ("constant", "zeta_coefficients")),

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apery4 import DomainError, binomial, exact_arith, factorial, harmonic, pochhammer
-from apery4.exact_arith import _POWER_SUM_TABLES, _power_sums
+from apery4.exact_arith import _power_sums
 
 F = Fraction
 
@@ -104,16 +104,16 @@ def test_power_sum_rows_are_scaled_harmonic_numbers(monkeypatch):
             assert rows[r][:top + 1] == [scale ** r * harmonic(r, i) for i in range(top + 1)]
 
 
-def test_power_sum_tables_stay_at_their_limit(monkeypatch):
-    # a sweep of tops 1..300 keeps the tables of the last tops read only
+def test_power_sum_tables_are_all_kept(monkeypatch):
+    # one top, then 40 tops whose L all differ from it and from each other
+    # (L grows at prime powers), then the first top again: its rows come back
     monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
-    for top in range(1, 301):
+    _, first = _power_sums(2, 2)
+    tops = [q for q in range(3, 200) if lcm(*range(1, q)) != lcm(*range(1, q + 1))][:40]
+    for top in tops:
         _power_sums(top, 1)
-    assert list(exact_arith._POWER_SUMS) == list(range(301 - _POWER_SUM_TABLES, 301))
-    _power_sums(290, 2)                                 # read again: kept last
-    _power_sums(7, 1)
-    assert list(exact_arith._POWER_SUMS)[-2:] == [290, 7]
-    assert len(exact_arith._POWER_SUMS) == _POWER_SUM_TABLES
+    assert _power_sums(2, 2)[1] is first
+    assert list(exact_arith._POWER_SUMS) == [2, *tops]
 
 
 def test_importing_the_package_builds_no_table():

@@ -170,8 +170,8 @@ def test_factored_derivative_values_match_partial_fraction_reference(seed):
     rng = random.Random(seed)
     kernel = _random_product(rng)
     polynomial_part, expansion = partial_fractions(*fraction_expansion(kernel), poles(kernel))
-    parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
-             for j, c in enumerate(term.numerators, start=1)]
+    parts = [(F(c, expansion.denominator), shift, j) for shift, numerators in expansion.terms
+             for j, c in enumerate(numerators, start=1)]
     shifts = set(poles(kernel))
     points = [rng.randint(-20, 20) for _ in range(3)]
     chain = _chain(kernel)
@@ -344,7 +344,7 @@ def test_partial_fractions_worked_example():
     polynomial, expansion = partial_fractions(
         Polynomial([1, 2]), Polynomial.variable() ** 2 * Polynomial([1, 1]), [F(0), F(1), F(5)])
     assert polynomial.is_zero
-    by_shift = {term.shift: term.numerators for term in expansion.terms}
+    by_shift = dict(expansion.terms)
     assert by_shift == {F(0): (1, 1), F(1): (-1,)}
     assert expansion.denominator == 1
 
@@ -368,7 +368,7 @@ def test_partial_fractions_trims_cancelled_orders():
     polynomial, expansion = partial_fractions(
         Polynomial([2, 3, 1]), Polynomial([1, 1]) ** 2 * Polynomial([2, 1]), [1, 2])
     assert polynomial.is_zero
-    assert {term.shift: term.numerators for term in expansion.terms} == {F(1): (1,)}
+    assert dict(expansion.terms) == {F(1): (1,)}
     assert expansion.denominator == 1
 
 
@@ -376,7 +376,7 @@ def test_partial_fractions_are_reduced_to_one_least_denominator():
     # 1 / (t (t + 2)) = (1/2) / t - (1/2) / (t + 2)
     polynomial, expansion = partial_fractions(Polynomial.one(), Polynomial([0, 2, 1]), [0, 2])
     assert polynomial.is_zero and expansion.denominator == 2
-    assert [term.numerators for term in expansion.terms] == [(1,), (-1,)]
+    assert [numerators for _, numerators in expansion.terms] == [(1,), (-1,)]
     with pytest.raises(ZeroDivisionError):
         PartialFractions((), 0)
 
@@ -388,9 +388,27 @@ def test_block_route_parts_are_reduced_over_a_positive_denominator(n):
     for m in range(n + 1):
         for expansion in (_left_expansion(FormParameters(n, m)),
                           _right_expansion(FormParameters(n, m))):
-            numerators = [c for term in expansion.terms for c in term.numerators]
+            numerators = [c for _, row in expansion.terms for c in row]
             assert expansion.denominator > 0, (n, m)
             assert gcd(expansion.denominator, *numerators) == 1, (n, m)
+
+
+def test_block_route_parts_are_integer_pairs_by_increasing_shift():
+    # on both sides of every cell of the n <= 12 grid, each term is a
+    # (shift, numerators) pair of ints, the shifts increase, and the top
+    # numerator, the one at the pole's order, is not zero
+    for n in range(13):
+        for m in range(n + 1):
+            for expansion in (_left_expansion(FormParameters(n, m)),
+                              _right_expansion(FormParameters(n, m))):
+                shifts = [shift for shift, _ in expansion.terms]
+                assert shifts == sorted(set(shifts)), (n, m)
+                for term in expansion.terms:
+                    assert type(term) is tuple and len(term) == 2, (n, m)
+                    shift, numerators = term
+                    assert type(shift) is int and type(numerators) is tuple, (n, m)
+                    assert all(type(c) is int for c in numerators), (n, m)
+                    assert numerators[-1] != 0, (n, m)
 
 
 def test_partial_fractions_needs_all_poles_offered():
@@ -406,8 +424,8 @@ def test_partial_fractions_round_trip(den_pairs, num_roots):
     kernel = _loose(1, den_pairs + [(r, 1) for r in num_roots])
     num, den = fraction_expansion(kernel)
     polynomial, expansion = partial_fractions(num, den, poles(kernel))
-    parts = [(F(c, expansion.denominator), term.shift, j) for term in expansion.terms
-             for j, c in enumerate(term.numerators, start=1)]
+    parts = [(F(c, expansion.denominator), shift, j) for shift, numerators in expansion.terms
+             for j, c in enumerate(numerators, start=1)]
     # f - (polynomial part + parts) = R / D with deg R <= deg f.num + deg D,
     # so agreement at that many + 1 points off the poles proves R = 0
     points = range(4, 5 + num.degree + den.degree)

@@ -33,23 +33,20 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apery4"
 
 _DENSE = ("the dense types, kept while the benchmark's layer tracer wraps "
           "LinearFactorProduct.expand and expand_parts by name (ROADMAP item 5)")
-_MISUSE = ("the value types' hashing, messages, pickling and comparison with "
-           "other types: no command needs them")
+_MISUSE = ("the value types' hashing, messages and comparison with other types: "
+           "no command needs them")
 
 # functions with lines that no production path runs, each with the reason they stay
 ALLOWED = {
-    "exact_arith.py": {
-        "_power_sums": "the eviction past 32 tables, which only grids far larger "
-                       "than this guard's reach",
-    },
     "polyrat.py": {
         **dict.fromkeys(("Polynomial.__init__", "Polynomial.coefficients",
                          "Polynomial.degree", "Polynomial.is_zero",
                          "LinearFactorProduct.__init__", "LinearFactorProduct.of",
                          "LinearFactorProduct.expand_parts", "LinearFactorProduct.expand",
                          "RationalFunction.__init__"), _DENSE),
-        **dict.fromkeys(("_Value.__eq__", "_Value.__hash__", "_Value.__repr__",
-                         "_Value.__reduce__"), _MISUSE),
+        **dict.fromkeys(("_Value.__eq__", "_Value.__hash__", "_Value.__repr__"), _MISUSE),
+        "_Value.__reduce__": "pickling, which verify-identity's workers need for the "
+                             "records' forms; this guard does not trace worker processes",
     },
     "recurrence_lab.py": {
         "recurrence_holds": "its False verdict, which only values that break the "

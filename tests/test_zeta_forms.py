@@ -16,7 +16,7 @@ import dense_reference
 from apery4 import (FixedPointNumber, PoleInRangeError, RangeError, ZetaLinearForm,
                     bernoulli_even, derivative_tail_sum, evaluate_decimal,
                     zeta_forms, zeta_value)
-from apery4.polyrat import PartialFractions, PoleExpansion
+from apery4.polyrat import PartialFractions
 from dense_reference import Polynomial, partial_fractions
 
 F = Fraction
@@ -81,8 +81,8 @@ def test_form_str():
 
 def _parts(*terms, denominator=1):
     """Proper principal parts from (shift, numerators) pairs over ``denominator``."""
-    return PartialFractions(tuple(
-        PoleExpansion(F(shift), numerators) for shift, numerators in terms), denominator)
+    return PartialFractions(tuple((F(shift), numerators) for shift, numerators in terms),
+                            denominator)
 
 
 def test_derivative_tail_shifted_pole():
@@ -121,7 +121,7 @@ def _summable_tails(draw):
     zeta(j + order) lies in the basis, and a start past every pole."""
     order = draw(st.sampled_from((1, 2)))
     shifts = draw(st.lists(st.integers(-6, 20), min_size=1, max_size=6, unique=True))
-    terms = tuple(PoleExpansion(F(shift), tuple(draw(st.lists(
+    terms = tuple((F(shift), tuple(draw(st.lists(
         st.integers(-10**6, 10**6), min_size=1, max_size=5 - order))))
         for shift in sorted(shifts))
     denominator = draw(st.integers(1, 10**4))
@@ -257,11 +257,16 @@ def test_fixed_point_rounding_and_decimal():
 
 
 def test_fixed_point_refuses_a_negative_scale():
-    # 10^scale is a float below 0, so the rounding has no exact meaning there;
-    # no caller asks for scale 0 either
-    for scale in (-2, 0):
+    # 10^scale is a float below 1, so the rounding has no exact meaning there
+    # (and a huge value would overflow it), and decimal() has no form for a
+    # scale below 1 (5 at scale 0 once printed as '.5'); no caller asks for
+    # scale 0 either.  Both constructors refuse it before any arithmetic.
+    for scale in (-2, -1, 0):
+        for value in (F(1234), F(10**400)):
+            with pytest.raises(RangeError, match=f"need scale >= 1, got {scale}"):
+                FixedPointNumber.from_fraction(value, scale)
         with pytest.raises(RangeError, match=f"need scale >= 1, got {scale}"):
-            FixedPointNumber.from_fraction(F(1234), scale)
+            FixedPointNumber(5, scale, F(0))
 
 
 @given(st.fractions(), st.integers(1, 40), st.fractions(min_value=0, max_denominator=10**6))
