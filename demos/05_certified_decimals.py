@@ -24,12 +24,13 @@ print(f"\nZ(2, 0) = {exact}")
 direct = evaluate_decimal(exact, 30)
 print(f"  exact coordinates + certified zeta(4):  {direct}")
 
-# route 2: sum the first hundred or so terms of each defining series exactly
+# route 2: sum the terms of each defining series below a cutoff A exactly
 # (integer quotient-rule derivatives of the expanded kernel; the right side
 # sums its n+1 kernels into one first), then close the tail by Euler-Maclaurin
-# at the least depth whose remainder bound meets the target, a bound read off
-# the kernel's expansion by Cauchy's estimate (exact Bernoulli numbers; no
-# zeta constant is consulted)
+# at depth M.  The remainder bound, read off the kernel's expansion by Cauchy's
+# estimate (exact Bernoulli numbers; no zeta constant is consulted), must meet
+# the target, and of the pairs that meet it the sides take the (A, M) of least
+# estimated cost: here A = 64 and M = 18 on both sides
 numeric_left = left_form_numeric(p, 30)
 print(f"  left series, truncated and tail-closed: {numeric_left}")
 

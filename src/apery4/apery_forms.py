@@ -87,11 +87,13 @@ _F = Fraction
 
 
 class FormParameters(_Value):
-    """A grid cell (n, m) with 0 <= m <= n."""
+    """A grid cell (n, m) of integers with 0 <= m <= n."""
 
     _fields = __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int) -> None:
+        if not (isinstance(n, int) and isinstance(m, int)):
+            raise DomainError(f"need integer n and m, got (n, m) = ({n!r}, {m!r})")
         if not 0 <= m <= n:
             raise RangeError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
         object.__setattr__(self, "n", n)
@@ -736,9 +738,9 @@ def _sample(rng: random.Random, population: range, count: int) -> list[int]:
 def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[SummandCheck]:
     """Compare summand evaluation routes on sampled in-range points.
 
-    For every cell 0 <= m <= n <= n_max and every summand family, ``samples``
-    admissible points are drawn (deterministically from ``seed``) and each
-    available route is evaluated exactly:
+    For every cell 0 <= m <= n <= ``n_max`` (>= 0) and every summand family,
+    ``samples`` (>= 1; RangeError otherwise) admissible points are drawn
+    (deterministically from ``seed``) and each available route is evaluated exactly:
 
     * left-tail:  printed formula / polynomial oracle / generated rule,
     * left-mid:   printed formula / polynomial oracle,
@@ -747,6 +749,10 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
     * right-mid:  printed formula / polynomial oracle,
     * right-low:  printed formula / polynomial oracle.
     """
+    if n_max < 0:
+        raise RangeError(f"need n_max >= 0, got {n_max}")
+    if samples < 1:
+        raise RangeError(f"need samples >= 1, got {samples}")
     rng = random.Random(seed)
     checks: list[SummandCheck] = []
 
@@ -842,68 +848,53 @@ def _depth_factor(big_d: int, big_e: int, order: int, depth: int) -> tuple[int, 
             weight.denominator * (q - a) ** big_e * a ** k * (gap - 1))
 
 
-def _remainder_bound(expansion: tuple, order: int, depth: int,
-                     cutoff: int) -> tuple[int, int]:
-    """The remainder bound after ``depth`` closure terms at A = ``cutoff`` (see
-    :func:`_series_numeric`) as an unreduced pair (num, den)."""
-    coeffs, scale, poles = expansion
-    big_e = -sum(e for _, e in poles)
-    num, den = _depth_factor(len(coeffs) - 1, big_e, order, depth)
-    top = 0
-    for c in reversed(coeffs):                      # T(A)
-        top = top * cutoff + abs(c)
-    return (abs(scale.numerator) * num * top,
-            scale.denominator * den * cutoff ** (big_e + order + 2 * depth + 1))
-
-
 def _cheapest_closure(expansion: tuple, order: int, start: int,
-                      target: Fraction) -> tuple[int, int]:
-    """The (A, M) of least estimated cost whose remainder bound is below
-    ``target``, by the search of :func:`_series_numeric`."""
+                      target: Fraction) -> tuple[int, int, int, int]:
+    """(A, M, num, den): the pair of least estimated cost whose remainder bound
+    num/den (unreduced) is below ``target``, by the search of
+    :func:`_series_numeric`."""
     coeffs, scale, poles = expansion
     big_d, big_e = len(coeffs) - 1, -sum(e for _, e in poles)
     per_term, per_derivative = _TERM_WEIGHT * (big_d + 1 + len(poles)), big_d + 1 + big_e
-    low = abs(scale.numerator) * target.denominator
-    high = scale.denominator * target.numerator
 
     def cost(cutoff: int, depth: int) -> int:
         return (cutoff - start) * per_term + (order + 2 * depth) ** 2 * per_derivative
 
-    def least_depth(cutoff: int, first: int, budget: float) -> int | None:
-        """The least M >= ``first`` meeting the target at ``cutoff``, if one
-        costs less than ``budget``."""
+    def least_depth(cutoff: int, first: int, budget: float) -> tuple[int, int, int] | None:
+        """(M, num, den) for the least M >= ``first`` whose bound num/den meets
+        the target at ``cutoff``, if one costs less than ``budget``."""
         last, room = _MAX_DEPTH, budget - (cutoff - start) * per_term
         if room < inf:                              # (order + 2M)^2 per_derivative < room
             last = min(last, (isqrt(max(room - 1, 0) // per_derivative) - order) // 2)
         top = 0
         for c in reversed(coeffs):                  # T(A)
             top = top * cutoff + abs(c)
-        top, power = low * top, high * cutoff ** (big_e + order + 2 * first + 1)
+        top *= abs(scale.numerator)
+        power = scale.denominator * cutoff ** (big_e + order + 2 * first + 1)
+        low = top * target.denominator
         for depth in range(first, last + 1):
             num, den = _depth_factor(big_d, big_e, order, depth)
-            if top * num < power * den:
-                return depth
+            den *= power
+            if low * num < den * target.numerator:
+                return depth, top * num, den
             power *= cutoff * cutoff
         return None
 
     base = cutoff = max(_FIRST_CUTOFF, start)
     while cutoff < _START_CUTOFF and cutoff * 2 <= _MAX_CUTOFF:
         cutoff *= 2
-    first = cutoff
-    while cutoff > _MAX_CUTOFF or (depth := least_depth(cutoff, 1, inf)) is None:
+    while cutoff > _MAX_CUTOFF or (closure := least_depth(cutoff, 1, inf)) is None:
         if cutoff * 2 > _MAX_CUTOFF:
             raise DivergenceError(f"no closure depth up to {_MAX_DEPTH} meets the target "
                                   f"{target} at a cutoff up to A = {_MAX_CUTOFF}")
         cutoff *= 2
-    if cutoff == first:                             # below it no A was tried
-        while cutoff > base and (lower := least_depth(
-                cutoff // 2, depth, cost(cutoff, depth))) is not None:
-            cutoff, depth = cutoff // 2, lower
-    if cutoff >= first:                             # A did not fall
-        while cutoff * 2 <= _MAX_CUTOFF and (lower := least_depth(
-                cutoff * 2, 1, cost(cutoff, depth))) is not None:
-            cutoff, depth = cutoff * 2, lower
-    return cutoff, depth
+    while cutoff > base and (lower := least_depth(
+            cutoff // 2, closure[0], cost(cutoff, closure[0]))) is not None:
+        cutoff, closure = cutoff // 2, lower
+    while cutoff * 2 <= _MAX_CUTOFF and (higher := least_depth(
+            cutoff * 2, 1, cost(cutoff, closure[0]))) is not None:
+        cutoff, closure = cutoff * 2, higher
+    return (cutoff, *closure)
 
 
 def _series_numeric(kernel: Kernel, order: int, start: int,
@@ -937,14 +928,14 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     nearer 10 at (60,0) and 104 decimals, whose closure integers are larger,
     but the time is flat near its least: on every cell measured the chosen A
     ran within a quarter of the fastest A.  At each A it takes the least M,
-    which only grows as A halves.  From the least A >= ``_START_CUTOFF`` that
-    some M closes, A halves while the estimate falls, each depth scan going on
-    where the last stopped, and if A did not fall it doubles while the estimate
-    falls; no depth is read that cannot beat the estimate in hand.  No M closing
-    at any A up to ``_MAX_CUTOFF`` is a DivergenceError naming the limit and
-    the target, so no input runs until memory runs out (every cell with
-    n <= 100 closes by A = 16,384 at 160 decimals).  The reported bound is
-    :func:`_remainder_bound` at the chosen pair.  The closure reads
+    which only grows as A halves.  From the least closing A >= ``_START_CUTOFF``,
+    halve while the estimate falls, each depth scan going on where the last
+    stopped, then double while it falls; no depth is read that cannot beat the
+    estimate in hand.  No M closing at any A up to ``_MAX_CUTOFF`` is a
+    DivergenceError naming the limit and the target, so no input runs until
+    memory runs out (every cell with n <= 100 closes by A = 16,384 at 160
+    decimals).  The reported bound is the one the search compared with
+    ``target``, the unreduced pair at the chosen (A, M).  The closure reads
     g^(order-1) .. g^(order+2M-1) at A (:func:`_closure`), and the exact sum
     builds the dense chain up to ``order`` only.
     """
@@ -955,9 +946,8 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     if any(shift < 0 for shift, _ in expansion[2]):
         raise DomainError("the remainder bound needs every pole at t <= 0")
     chain = DerivativeChain(*expansion)    # refuses a non-integer pole before the search
-    cutoff, depth = _cheapest_closure(expansion, order, start, target)
-    return (chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth),
-            _F(*_remainder_bound(expansion, order, depth, cutoff)))
+    cutoff, depth, num, den = _cheapest_closure(expansion, order, start, target)
+    return chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth), _F(num, den)
 
 
 def _numeric_side(kernel: Callable[[FormParameters], Kernel], p: FormParameters,

@@ -266,13 +266,15 @@ def _decimal_digits(value: int) -> str:
 
 
 class FixedPointNumber(_Value):
-    """mantissa * 10^(-scale), ``scale`` >= 1 decimals (RangeError
-    otherwise), plus an exact bound on |true - stored|."""
+    """mantissa * 10^(-scale), ``scale`` >= 1 decimals, plus an exact bound
+    ``error_bound`` >= 0 on |true - stored| (RangeError otherwise)."""
 
     _fields = __slots__ = ("mantissa", "scale", "error_bound")
 
     def __init__(self, mantissa: int, scale: int, error_bound: Fraction) -> None:
         _check_scale(scale)
+        if error_bound < 0:
+            raise RangeError(f"need error_bound >= 0, got {error_bound}")
         object.__setattr__(self, "mantissa", mantissa)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "error_bound", error_bound)
@@ -280,12 +282,14 @@ class FixedPointNumber(_Value):
     @classmethod
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
-        """Round an exact value (with optional prior error) to fixed point, the
-        scale refused first (10^scale is a float below 1).  The bound, rounding
-        error plus ``inherent_error``, is rounded up to whole tenths of the last
-        digit, so it prints at any scale; with an inherited error of at most a
-        tenth, it is at most 6 tenths, below one unit."""
+        """Round an exact value (with optional prior error >= 0) to fixed point,
+        scale and error refused first (10^scale is a float below 1).  The bound,
+        rounding error plus ``inherent_error``, is rounded up to whole tenths of
+        the last digit, so it prints at any scale; with an inherited error of at
+        most a tenth, it is at most 6 tenths, below one unit."""
         _check_scale(scale)
+        if inherent_error < 0:
+            raise RangeError(f"need inherent_error >= 0, got {inherent_error}")
         (num, den), power = value.as_integer_ratio(), 10**scale
         mantissa = (2 * num * power + den) // (2 * den)
         # in tenths, bound * 10 power = top / (den b) with the bound

@@ -64,6 +64,14 @@ def test_parameters_domain():
         FormParameters(-1, 0)
 
 
+def test_parameters_must_be_integers():
+    # a float cell once passed, and left_form then failed inside factorial
+    # with a TypeError; any non-int n or m is refused up front
+    for n, m in ((3.5, 1), (4, 1.0), (F(4), 1), ("4", 1)):
+        with pytest.raises(DomainError, match="need integer n and m"):
+            FormParameters(n, m)
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -1148,6 +1156,16 @@ def test_audit_agrees_to_n_30():
     assert all(check.agree for check in checks)
 
 
+def test_audit_refuses_a_vacuous_or_invalid_sample():
+    # n_max < 0 and samples = 0 once returned [], an audit with no checks,
+    # and samples < 0 failed inside random.sample
+    for kwargs, name in (({"n_max": -1}, "n_max >= 0, got -1"),
+                         ({"n_max": 1, "samples": 0}, "samples >= 1, got 0"),
+                         ({"n_max": 1, "samples": -2}, "samples >= 1, got -2")):
+        with pytest.raises(RangeError, match=f"need {name}$"):
+            audit_summands(**kwargs)
+
+
 def test_audit_seed_changes_sampling():
     a = audit_summands(n_max=4, samples=1, seed=0)
     b = audit_summands(n_max=4, samples=1, seed=1)
@@ -1254,24 +1272,18 @@ def test_series_refuses_a_pole_off_the_integers_before_the_search(monkeypatch):
     assert searches == []
 
 
-def _remainder_bound(kernel, order, depth, cutoff):
-    return F(*apery_forms._remainder_bound(kernel.expansion(), order, depth, cutoff))
-
-
 def test_remainder_bound_is_pinned_on_small_kernels():
-    # order 1, M = 1, A = 2, so k = 5 and the Bernoulli weight is
+    # C(M) / |K| at order 1 and M = 1, so k = 5 and the Bernoulli weight is
     # 2 |B_4| / 4! = 1/360.
     # g = 1/t^2: D = 0, E = 2, d + k = 7, 7 alpha^2 + 2 alpha - 5 = 0 gives
-    # alpha = 5/7, S = 1, and the bound is
-    # 1/360 * 5! * 1 * 1 / ((2/7)^2 (5/7)^5) * 2^-6 / 6 = 823543/14400000.
-    assert _remainder_bound(Kernel(F(1), (), ((F(0), -2),)), 1, 1, 2) == F(
-        823543, 14400000)
+    # alpha = 5/7, and C(1) / |K| = 1/360 * 5! / ((2/7)^2 (5/7)^5) / 6 =
+    # 823543/225000 (the bound at A = 2, S = 1, is that times 2^-6).
+    assert F(*apery_forms._depth_factor(0, 2, 1, 1)) == F(823543, 225000)
     # g = -3/5 (t^3 - 2t + 3) / ((t + 1)^2 (t + 3/2)^2): D = 3, E = 4, d + k = 6,
-    # 6 alpha^2 + 7 alpha - 5 = 0 gives alpha = 1/2,
-    # S = 3/2^3 + 2/2^2 + 0/2 + 1 = 15/8, and the bound is
-    # 1/360 * 5! * (3/5 * 15/8) * (3/2)^3 / ((1/2)^4 (1/2)^5) * 2^-5 / 5 = 81/20.
-    kernel = Kernel(F(-3, 5), (), ((F(1), -2), (F(3, 2), -2)), (3, -2, 0, 1))
-    assert _remainder_bound(kernel, 1, 1, 2) == F(81, 20)
+    # 6 alpha^2 + 7 alpha - 5 = 0 gives alpha = 1/2, and C(1) / |K| =
+    # 1/360 * 5! * (3/2)^3 / ((1/2)^4 (1/2)^5) / 5 = 576/5 (the bound at
+    # A = 2, T(2) = 15, is 3/5 * 576/5 * 15 * 2^-8 = 81/20).
+    assert F(*apery_forms._depth_factor(3, 4, 1, 1)) == F(576, 5)
 
 
 def test_right_side_closes_once(monkeypatch):
@@ -1387,8 +1399,10 @@ def test_closure_depth_is_the_least_that_meets_the_target(n, m, monkeypatch):
 
 
 def test_remainder_bound_matches_the_unfactored_bound():
-    # C(M) T(A) / A^(E+k-1), C(M) / |K| memoized per (D, E, order, M), against
-    # the bound computed whole, on random kernels with every pole at t <= 0
+    # the bound the search returns, C(M) T(A) / A^(E+k-1) with C(M) / |K|
+    # memoized per (D, E, order, M), is the bound computed whole at the
+    # chosen (A, M); it meets the target there and M - 1 does not, on random
+    # kernels with every pole at t <= 0
     rng = random.Random(5)
     for _ in range(40):
         poles = [(F(rng.randint(0, 12), 2), -rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
@@ -1396,10 +1410,12 @@ def test_remainder_bound_matches_the_unfactored_bound():
         kernel = Kernel(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), (), tuple(poles + zeros),
                         tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) + (1,))
         order, expansion = max(1, kernel.degree + 2) + rng.randint(0, 2), kernel.expansion()
-        for _ in range(5):
-            depth, cutoff = rng.randint(1, 64), rng.choice((1, 2, 7, 16, 100, 1024, 65536))
-            assert (F(*apery_forms._remainder_bound(expansion, order, depth, cutoff))
-                    == dense_reference.remainder_bound(expansion, order, depth, cutoff))
+        for target in (F(1, 10 ** 5), F(1, 10 ** 20), F(1, 10 ** 45)):
+            cutoff, depth, num, den = apery_forms._cheapest_closure(expansion, order, 1, target)
+            bound = dense_reference.remainder_bound(expansion, order, depth, cutoff)
+            assert F(num, den) == bound < target, (kernel, order, target)
+            assert depth == 1 or dense_reference.remainder_bound(
+                expansion, order, depth - 1, cutoff) >= target, (kernel, order, target)
 
 
 @pytest.mark.slow

@@ -269,6 +269,18 @@ def test_fixed_point_refuses_a_negative_scale():
             FixedPointNumber(5, scale, F(0))
 
 
+def test_fixed_point_refuses_a_negative_error_bound():
+    # a bound below 0 once passed through both constructors, from_fraction
+    # returning a negative one; it refuses the inherited error before any
+    # arithmetic, even one too small to leave the rounded bound below 0
+    with pytest.raises(RangeError, match="need error_bound >= 0, got -1$"):
+        FixedPointNumber(5, 2, F(-1))
+    for error in (F(-1, 10), F(-1, 10 ** 40)):
+        with pytest.raises(RangeError, match=f"need inherent_error >= 0, got {error}$"):
+            FixedPointNumber.from_fraction(F(1, 3), 5, error)
+    assert FixedPointNumber(5, 2, F(0)).error_bound == 0
+
+
 @given(st.fractions(), st.integers(1, 40), st.fractions(min_value=0, max_denominator=10**6))
 @example(F(1, 20), 1, F(0))          # ties round up, towards +oo, on both sides of 0
 @example(F(-1, 20), 1, F(1, 7))
