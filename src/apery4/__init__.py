@@ -17,7 +17,7 @@ from .apery_forms import (FormParameters, Kernel, SummandCheck,
                           right_low_summand, right_mid_summand, verify_cell)
 from .errors import (Apery4Error, DivergenceError, DomainError, PoleError,
                      PoleInRangeError, RangeError, ReconstructionError)
-from .exact_arith import binomial, factorial, harmonic, pochhammer
+from .exact_arith import factorial, harmonic, pochhammer
 from .polyrat import PartialFractions
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, bernoulli_even,
                          derivative_tail_sum, evaluate_decimal, zeta_value)
@@ -38,7 +38,6 @@ __all__ = [
     "ZetaLinearForm",
     "audit_summands",
     "bernoulli_even",
-    "binomial",
     "derivative_tail_sum",
     "evaluate_decimal",
     "factorial",

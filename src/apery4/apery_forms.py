@@ -54,12 +54,13 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, floor, gcd, inf, isqrt, lcm, prod, sqrt
+from math import ceil, comb, floor, gcd, inf, isqrt, lcm, prod, sqrt
+from numbers import Rational
 from operator import mul
 
 from .errors import (DivergenceError, DomainError, RangeError,
-                     ReconstructionError)
-from .exact_arith import _factorials, _power_sums, binomial, factorial, harmonic, pochhammer
+                     ReconstructionError, checked)
+from .exact_arith import _factorials, _power_sums, factorial, harmonic, pochhammer
 from .polyrat import (DerivativeChain, PartialFractions, _Value, _linear_product,
                       _merged_shifts, _mul_coeffs, _times_linear)
 from .zeta_forms import (FixedPointNumber, ZetaLinearForm, _closure, bernoulli_even,
@@ -87,17 +88,13 @@ _F = Fraction
 
 
 class FormParameters(_Value):
-    """A grid cell (n, m) of integers with 0 <= m <= n."""
+    """A grid cell (n, m) of ints with 0 <= m <= n."""
 
     _fields = __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int) -> None:
-        if not (isinstance(n, int) and isinstance(m, int)):
-            raise DomainError(f"need integer n and m, got (n, m) = ({n!r}, {m!r})")
-        if not 0 <= m <= n:
-            raise RangeError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", checked(n, "n", 0))
+        object.__setattr__(self, "m", checked(m, "m", 0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +105,8 @@ class FormParameters(_Value):
 class Kernel(_Value):
     """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors,
     times an integer cofactor polynomial (ascending; 1 but on the right).
+    The scalar and each s are rational, x, k >= 0, e and the cofactor's
+    coefficients ints, each field a tuple, the cofactor not empty.
 
     The one written form of a kernel (see :func:`left_kernel`,
     :func:`right_kernel`).  The local expansions (:class:`_LocalExpansion`)
@@ -123,6 +122,17 @@ class Kernel(_Value):
     def __init__(self, scalar: Fraction, blocks: tuple[tuple[int, int, int], ...],
                  linears: tuple[tuple[Fraction, int], ...],
                  cofactor: tuple[int, ...] = (1,)) -> None:
+        checked(scalar, "scalar", kind=Rational)
+        for block in checked(blocks, "blocks", kind=tuple):
+            checked(len(checked(block, "block", kind=tuple)), "block size", 3, 3)
+            checked(block[0], "block x"), checked(block[2], "block e")
+            checked(block[1], "block k", 0)
+        for linear in checked(linears, "linears", kind=tuple):
+            checked(len(checked(linear, "linear", kind=tuple)), "linear size", 2, 2)
+            checked(linear[0], "linear s", kind=Rational), checked(linear[1], "linear e")
+        for c in checked(cofactor, "cofactor", kind=tuple):
+            checked(c, "cofactor coefficient")
+        checked(len(cofactor), "cofactor size", 1)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "linears", linears)
@@ -216,7 +226,7 @@ def left_kernel(p: FormParameters) -> Kernel:
     After merging, its poles sit at t = -n..0 with order 4 (order 3 at
     t = -n/2 for even n, where the linear factor cancels one).
     """
-    n, m = p.n, p.m
+    n, m = checked(p, "p", kind=FormParameters).n, p.m
     scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
     return Kernel(
         scalar,
@@ -230,20 +240,20 @@ def _right_spec(p: FormParameters) -> Kernel:
     """The right kernel's shared blocks B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}):
     its j-th term, 0 <= j <= n, is C_j (t-j)_n B (degree gap 2), C_j below."""
     n, m = p.n, p.m
-    return Kernel(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)), ())
+    return Kernel._unchecked(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
+                             (), (1,))
 
 
 def _right_weight(p: FormParameters, j: int) -> int:
     """The weight C_j = C(n,j)^2 C(2n-m+j, n) of the right kernel's j-th term."""
-    return binomial(p.n, j) ** 2 * binomial(2 * p.n - p.m + j, p.n)
+    return comb(p.n, j) ** 2 * comb(2 * p.n - p.m + j, p.n)
 
 
 def _right_blocks(p: FormParameters, j: int) -> Kernel:
     """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
-    if not 0 <= j <= p.n:
-        raise RangeError(f"need 0 <= j <= n, got j = {j} at n = {p.n}")
+    checked(j, "j", 0, p.n)
     shared = _right_spec(p)
-    return shared.replace(scalar=_F(_right_weight(p, j)), blocks=((-j, p.n, 1),) + shared.blocks)
+    return Kernel._unchecked(_F(_right_weight(p, j)), ((-j, p.n, 1),) + shared.blocks, (), (1,))
 
 
 def right_kernel(p: FormParameters) -> Kernel:
@@ -257,7 +267,7 @@ def right_kernel(p: FormParameters) -> Kernel:
     terms of one sign that always includes j = n.
     """
     cofactor, falling = [], [1]
-    for j in range(p.n + 1):                        # falling = (t-j)_j
+    for j in range(checked(p, "p", kind=FormParameters).n + 1):    # falling = (t-j)_j
         weight = _right_weight(p, j)
         cofactor = [c + weight * f for c, f in zip(_times_linear(cofactor, p.n - j, 1), falling)]
         falling = _times_linear(falling, -j - 1, 1)
@@ -312,12 +322,12 @@ class _LocalExpansion:
 
     def part(self, shift: int, order: int) -> tuple[list[int], int]:
         """(numerators of A_1..A_order, common denominator) of the kernel at
-        t = -shift, a shift the tables cover (ValueError otherwise), order <= depth.
+        t = -shift, a shift the tables cover (RangeError otherwise), order <= depth.
 
         The denominator is the one of C times (order-1)! L^(order-1).
         """
         if shift not in self.shifts:
-            raise ValueError(f"no tables for shift {shift}, only {sorted(self.shifts)}")
+            raise RangeError(f"no tables for shift {shift}, only {sorted(self.shifts)}")
         kernel, scale, table, factorials = self.kernel, self.scale, self.table, self.factorials
         num, den = kernel.scalar.numerator, kernel.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
@@ -594,9 +604,8 @@ def left_tail_summand(p: FormParameters, nu: int) -> Fraction:
     Equals (d/dt left kernel)(nu + 2n - m): the summand of the tail part of
     the left series after re-indexing so the sum starts at 1.
     """
-    n, m = p.n, p.m
-    if nu < 1:
-        raise RangeError(f"left tail summand needs nu >= 1, got {nu}")
+    n, m = checked(p, "p", kind=FormParameters).n, p.m
+    checked(nu, "nu", 1)
     s1 = lambda a: harmonic(1, a)  # noqa: E731 - local shorthand
     prefactor = (
         _F((-1) ** m * factorial(n) ** 2,
@@ -632,9 +641,8 @@ def left_mid_summand(p: FormParameters, nu: int) -> Fraction:
     Equals (d/dt left kernel)(nu + n - m); vanishes for nu <= m through its
     (nu - m)_m factor.
     """
-    n, m = p.n, p.m
-    if not 1 <= nu <= n:
-        raise RangeError(f"left mid summand needs 1 <= nu <= n, got nu = {nu}")
+    n, m = checked(p, "p", kind=FormParameters).n, p.m
+    checked(nu, "nu", 1, n)
     return (
         _F((-1) ** m) * (nu + n - m + _F(n, 2))
         * _F(pochhammer(nu - m, m), factorial(m))
@@ -652,14 +660,11 @@ def right_mid_summand(p: FormParameters, j: int, nu: int) -> Fraction:
 
     Equals (d^2/dt^2 right kernel term_j)(nu) on that range.
     """
-    n, m = p.n, p.m
-    if not 0 <= j <= n - 1:
-        raise RangeError(f"right mid summand needs 0 <= j <= n-1, got j = {j}")
-    if not j < nu <= n:
-        raise RangeError(f"right mid summand needs j < nu <= n, got nu = {nu}")
+    n, m = checked(p, "p", kind=FormParameters).n, p.m
+    checked(nu, "nu", checked(j, "j", 0, n - 1) + 1, n)
     s1 = lambda a: harmonic(1, a)  # noqa: E731 - local shorthand
     prefactor = _F(
-        2 * (-1) ** (n + nu) * binomial(n, j) ** 2 * binomial(2 * n - m + j, n)
+        2 * (-1) ** (n + nu) * comb(n, j) ** 2 * comb(2 * n - m + j, n)
         * factorial(n - nu)                 # (1)_{n - nu}
         * factorial(n - m + nu)             # (2)_{n - m + nu - 1}
         * pochhammer(1 - j + nu, n - 1),
@@ -685,13 +690,10 @@ def right_low_summand(p: FormParameters, j: int, nu: int) -> Fraction:
     Equals (d^2/dt^2 right kernel term_j)(nu) on that range, where both
     vanishing factors turn the second derivative into twice a cross product.
     """
-    n, m = p.n, p.m
-    if not 1 <= j <= n:
-        raise RangeError(f"right low summand needs 1 <= j <= n, got j = {j}")
-    if not 1 <= nu <= j:
-        raise RangeError(f"right low summand needs 1 <= nu <= j, got nu = {nu}")
+    n, m = checked(p, "p", kind=FormParameters).n, p.m
+    checked(nu, "nu", 1, checked(j, "j", 1, n))
     return _F(
-        2 * binomial(n, j) ** 2 * binomial(2 * n - m + j, n)
+        2 * comb(n, j) ** 2 * comb(2 * n - m + j, n)
         * (-1) ** (n + nu)
         * factorial(n + nu - m - 1) * factorial(n - nu) * factorial(n + nu - j - 1)
         * pochhammer(nu - j, j - nu),
@@ -739,8 +741,8 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
     """Compare summand evaluation routes on sampled in-range points.
 
     For every cell 0 <= m <= n <= ``n_max`` (>= 0) and every summand family,
-    ``samples`` (>= 1; RangeError otherwise) admissible points are drawn
-    (deterministically from ``seed``) and each available route is evaluated exactly:
+    ``samples`` (>= 1) admissible points are drawn (deterministically from the
+    int ``seed``) and each available route is evaluated exactly:
 
     * left-tail:  printed formula / polynomial oracle / generated rule,
     * left-mid:   printed formula / polynomial oracle,
@@ -749,11 +751,9 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
     * right-mid:  printed formula / polynomial oracle,
     * right-low:  printed formula / polynomial oracle.
     """
-    if n_max < 0:
-        raise RangeError(f"need n_max >= 0, got {n_max}")
-    if samples < 1:
-        raise RangeError(f"need samples >= 1, got {samples}")
-    rng = random.Random(seed)
+    checked(n_max, "n_max", 0)
+    checked(samples, "samples", 1)
+    rng = random.Random(checked(seed, "seed"))
     checks: list[SummandCheck] = []
 
     def record(family: str, p: FormParameters, j: int | None, nu: int,
@@ -773,7 +773,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             def kernel(j: int | None) -> tuple[Kernel, DerivativeChain, int]:
                 if j not in kernels:
                     k = left_kernel(p) if j is None else _right_blocks(p, j)
-                    kernels[j] = (k, DerivativeChain(k.cofactor, k.scalar, k.factors.items()),
+                    kernels[j] = (k, DerivativeChain._of(k.cofactor, k.scalar, k.factors.items()),
                                   1 if j is None else 2)
                 return kernels[j]
 
@@ -945,7 +945,7 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     expansion = kernel.expansion()
     if any(shift < 0 for shift, _ in expansion[2]):
         raise DomainError("the remainder bound needs every pole at t <= 0")
-    chain = DerivativeChain(*expansion)    # refuses a non-integer pole before the search
+    chain = DerivativeChain._of(*expansion)    # refuses a non-integer pole before the search
     cutoff, depth, num, den = _cheapest_closure(expansion, order, start, target)
     return chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth), _F(num, den)
 
@@ -954,8 +954,7 @@ def _numeric_side(kernel: Callable[[FormParameters], Kernel], p: FormParameters,
                   order: int, start: int, weight: Fraction, digits: int) -> FixedPointNumber:
     """``weight`` * sum_{v >= start} (d/dt)^order kernel(p)(v) to ``digits`` >= 1
     decimals (RangeError before any kernel is built), closed 15 decimals past."""
-    if digits < 1:
-        raise RangeError(f"need digits >= 1, got {digits}")
+    checked(digits, "digits", 1)
     value, bound = _series_numeric(kernel(p), order, start, _F(1, 10 ** (digits + 15)))
     return FixedPointNumber.from_fraction(weight * value, digits,
                                           inherent_error=abs(weight) * bound)
@@ -963,7 +962,8 @@ def _numeric_side(kernel: Callable[[FormParameters], Kernel], p: FormParameters,
 
 def left_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:
     """Numeric -1/3 sum_{v >= n-m+1} (d/dt left kernel)(v): the defining series."""
-    return _numeric_side(left_kernel, p, 1, p.n - p.m + 1, _F(-1, 3), digits)
+    start = checked(p, "p", kind=FormParameters).n - p.m + 1
+    return _numeric_side(left_kernel, p, 1, start, _F(-1, 3), digits)
 
 
 def right_form_numeric(p: FormParameters, digits: int = 30) -> FixedPointNumber:

@@ -216,7 +216,7 @@ def _run_suite(name: str, n_max: int, left: Callable[[int, int], ZetaLinearForm]
     if name == "binom-identity":
         return [alternating_binomial_check(n, m)
                 for n in range(3, max(4, n_max + 1)) for m in range(n - 1)]
-    raise ValueError(f"unknown suite {name!r}")  # pragma: no cover - argparse restricts choices
+    raise _UsageError(f"unknown suite {name!r}")  # pragma: no cover - argparse restricts choices
 
 
 def _cmd_verify_recurrences(args: argparse.Namespace) -> int:

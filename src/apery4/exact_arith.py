@@ -9,7 +9,7 @@ package, so no wrapper type is needed.
 The helpers here are the arithmetic primitives the rest of the package leans
 on in hot loops:
 
-* ``factorial`` — memoized exact k!; ``binomial`` is ``math.comb`` itself,
+* ``factorial`` — memoized exact k!,
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
   cached per order so S_a(n) and S_a(n-1) share work,
@@ -23,30 +23,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import checked
 
 __all__ = [
     "factorial",
-    "binomial",
     "pochhammer",
     "harmonic",
 ]
 
 # ---------------------------------------------------------------------------
-# factorial / binomial
+# factorial
 # ---------------------------------------------------------------------------
 
 _FACTORIALS: list[int] = [1]
 
 
 def factorial(k: int) -> int:
-    """Exact k!, memoized.
-
-    Raises ValueError for k < 0.
-    """
-    if k < 0:
-        raise ValueError(f"factorial undefined for negative k = {k}")
-    return _factorials(k)[k]
+    """Exact k!, memoized, for an int k >= 0."""
+    return _factorials(checked(k, "k", 0))[k]
 
 
 def _factorials(k: int) -> list[int]:
@@ -60,10 +54,6 @@ def _factorials(k: int) -> list[int]:
     return cache
 
 
-# Exact C(n, k): ValueError for n < 0 or k < 0, 0 for k > n.
-binomial = math.comb
-
-
 # ---------------------------------------------------------------------------
 # rising factorial
 # ---------------------------------------------------------------------------
@@ -71,17 +61,14 @@ binomial = math.comb
 
 def pochhammer(x: int, k: int) -> int:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1, for an
-    integer ``x`` (DomainError otherwise: every caller's base is an integer)
-    and a nonnegative integer ``k`` (ValueError otherwise)."""
-    if k < 0:
-        raise ValueError(f"pochhammer requires k >= 0, got k = {k}")
-    if not isinstance(x, int):
-        raise DomainError(f"pochhammer requires an integer base, got x = {x!r}")
-    if k == 0:
+    int ``x`` (every caller's base is an integer) and an int ``k`` >= 0."""
+    checked(x, "x")
+    if checked(k, "k", 0) == 0:
         return 1
     if x >= 1:
         # (x)_k = (x+k-1)! / (x-1)!
-        return factorial(x + k - 1) // factorial(x - 1)
+        factorials = _factorials(x + k - 1)
+        return factorials[x + k - 1] // factorials[x - 1]
     if x + k <= 0:
         # the factor 0 appears iff x <= 0 < x + k
         value = 1
@@ -103,15 +90,11 @@ _HARMONIC: dict[int, list[Fraction]] = {}
 def harmonic(order: int, upper: int) -> Fraction:
     """Generalized harmonic number S_order(upper) = sum_{i=1}^{upper} i^(-order).
 
-    ``order >= 1`` and ``upper >= 0`` (ValueError otherwise); S_a(0) = 0.
-    Cached per order as a growing list of partial sums.
+    Ints ``order >= 1`` and ``upper >= 0``; S_a(0) = 0.  Cached per order as
+    a growing list of partial sums.
     """
-    if order < 1:
-        raise ValueError(f"harmonic requires order >= 1, got {order}")
-    if upper < 0:
-        raise ValueError(f"harmonic requires upper >= 0, got {upper}")
-    sums = _HARMONIC.setdefault(order, [Fraction(0)])
-    if upper >= len(sums):
+    sums = _HARMONIC.setdefault(checked(order, "order", 1), [Fraction(0)])
+    if checked(upper, "upper", 0) >= len(sums):
         value = sums[-1]
         for i in range(len(sums), upper + 1):
             value += Fraction(1, i**order)

@@ -24,24 +24,22 @@ zeta(s)'s closure.
 :class:`LinearFactorProduct` (a flattened kernel with repeated shifts
 merged) and the plain dense :class:`Polynomial` and
 :class:`RationalFunction` that its :meth:`~LinearFactorProduct.expand`
-returns have no reader in the package; they stay only while the
-benchmark's layer tracer (``bench/layers.py``) wraps ``expand`` and
-``expand_parts`` by name (ROADMAP item 1).
+returns have no reader in the package and are not exported; they stay only
+while the benchmark's layer tracer (``bench/layers.py``) wraps ``expand``
+and ``expand_parts``, which it reaches through the class (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from numbers import Rational
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, checked
 
 __all__ = [
-    "Polynomial",
-    "LinearFactorProduct",
-    "RationalFunction",
     "PartialFractions",
     "DerivativeChain",
 ]
@@ -81,6 +79,13 @@ class _Value:
     def __reduce__(self) -> tuple:
         return type(self), self._astuple()
 
+    @classmethod
+    def _unchecked(cls, *fields: object) -> "_Value":
+        """A value of fields that the package built, without ``__init__``'s checks."""
+        value = cls.__new__(cls)
+        for name, field in zip(cls._fields, fields):
+            object.__setattr__(value, name, field)
+        return value
 
 # ---------------------------------------------------------------------------
 # Polynomial
@@ -248,7 +253,8 @@ class DerivativeChain:
     The (s, e) pairs follow ``Kernel.factors`` (:mod:`apery4.apery_forms`):
     e > 0 is a numerator factor at any rational shift, e < 0 a pole of order
     -e at an integer shift (DomainError otherwise when the chain is built, as
-    for a point that is not an integer when a method is called).  The
+    for a point that is not an integer when a method is called), over int
+    ``coeffs`` and a rational ``scale``.  The
     summand oracle passes a kernel's cofactor and factors, the numeric series
     its integer expansion (``Kernel.expansion``), poles alone.
     :meth:`numerators` applies the product and quotient rule on the linear
@@ -262,6 +268,23 @@ class DerivativeChain:
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
                  factors: Iterable[tuple[Fraction | int, int]]) -> None:
+        factors = list(checked(factors, "factors", kind=Iterable))
+        for factor in factors:
+            checked(len(checked(factor, "factor", kind=tuple)), "factor size", 2, 2)
+            checked(factor[0], "shift", kind=Rational), checked(factor[1], "exponent")
+        self._build([checked(c, "coefficient") for c in checked(coeffs, "coeffs", kind=Sequence)],
+                    checked(scale, "scale", kind=Rational), factors)
+
+    @classmethod
+    def _of(cls, coeffs: Sequence[int], scale: Fraction,
+            factors: Iterable[tuple[Fraction | int, int]]) -> "DerivativeChain":
+        """The chain of arguments that the package built, unchecked."""
+        chain = cls.__new__(cls)
+        chain._build(coeffs, scale, factors)
+        return chain
+
+    def _build(self, coeffs: Sequence[int], scale: Fraction,
+               factors: Iterable[tuple[Fraction | int, int]]) -> None:
         self._coeffs, self._scale = coeffs, scale
         self._factors, self._shifts = [], []
         for s, e in factors:
@@ -278,8 +301,8 @@ class DerivativeChain:
         (t + q)^-e = (L + u)^-e, L = x + q, by e geometric divisions; the u^k
         coefficients are scaled by C^k, C = lcm of the poles' L's, so D
         carries C^order.  PoleError at a pole."""
-        _check_order(order)
-        x, coeffs = _integer(x, "point"), self._coeffs
+        checked(order, "order", 0)
+        x, coeffs = _integer(checked(x, "point", kind=Rational), "point"), self._coeffs
         bases = [x + q for q, _ in self._shifts]
         if 0 in bases:
             raise PoleError(f"derivative evaluation at pole t = {x}")
@@ -315,11 +338,12 @@ class DerivativeChain:
         integer pairs N_order(v) / prod (v + q)^(e + order) added in a
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
-        _check_order(order)
+        checked(order, "order", 0)
+        start, stop = (_integer(checked(v, "point", kind=Rational), "point") for v in (start, stop))
         product, lead = _linear_product((_F(q, r), e) for q, r, e in self._factors)
         coeffs = _quotient_chain(_mul_coeffs(product, self._coeffs), self._shifts, order)[order]
         pairs = []
-        for v in range(_integer(start, "point"), _integer(stop, "point")):
+        for v in range(start, stop):
             top, bottom = 0, 1
             for c in reversed(coeffs):
                 top = top * v + c
@@ -336,16 +360,11 @@ class DerivativeChain:
 
 
 def _integer(value: Fraction | int, what: str) -> int:
-    """``value`` as an int; DomainError if it is not an integer."""
+    """A rational ``value`` as an int; DomainError if it is not an integer."""
     q, r = value.as_integer_ratio()
     if r != 1:
         raise DomainError(f"{what} must be an integer, got {value}")
     return q
-
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
 
 
 def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -367,7 +386,8 @@ class PartialFractions(_Value):
     There is no polynomial part: every kernel of the package vanishes at
     infinity.
 
-    Its producer leaves it reduced, over the least positive denominator
+    The denominator is a positive int (RangeError otherwise).  Its producer
+    leaves it reduced, over the least positive denominator
     (``_principal_parts`` in :mod:`apery4.apery_forms`, the one place that
     reduces); so ``==`` compares values, for terms sorted by shift and with
     no trailing zero numerator, as the block route and the dense test
@@ -377,7 +397,5 @@ class PartialFractions(_Value):
     _fields = __slots__ = ("terms", "denominator")
 
     def __init__(self, terms: tuple[tuple[int, tuple[int, ...]], ...], denominator: int) -> None:
-        if not denominator:
-            raise ZeroDivisionError("principal parts over a zero denominator")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "denominator", checked(denominator, "denominator", 1))

@@ -13,16 +13,18 @@ grid driven by the recurrence alone.
 
 Everything is exact; every check function returns a plain bool after
 comparing values componentwise as linear forms in {1, zeta(4)}.  The series
-values come in as a mapping {(n, m): value}; this module computes none.
+values come in as a mapping {(n, m): value}; this module computes none, and
+a mapping that lacks a cell a check reads is a RangeError naming the cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import comb
 
-from .errors import RangeError
-from .exact_arith import binomial, factorial, harmonic, pochhammer
+from .errors import RangeError, checked
+from .exact_arith import factorial, harmonic, pochhammer
 from .zeta_forms import ZetaLinearForm
 
 __all__ = [
@@ -46,6 +48,13 @@ _F = Fraction
 _Values = Mapping[tuple[int, int], ZetaLinearForm]       # {(n, m): Z(n, m)}
 
 
+def _cell(values: _Values, n: int, m: int) -> ZetaLinearForm:
+    """Z(n, m) from ``values``, a Mapping; RangeError naming a missing cell."""
+    if (n, m) not in checked(values, "values", kind=Mapping):
+        raise RangeError(f"need the value of cell (n, m) = ({n}, {m})")
+    return values[(n, m)]
+
+
 # ---------------------------------------------------------------------------
 # the three-term recurrence in m
 # ---------------------------------------------------------------------------
@@ -57,8 +66,8 @@ def recurrence_coefficients(n: int, m: int) -> tuple[int, int, int]:
     The grid values satisfy a0*Z(n,m) + a1*Z(n,m+1) + a2*Z(n,m+2) = 0 for
     0 <= m <= n-2; the coefficients themselves are defined for all n, m >= 0.
     """
-    if n < 0 or m < 0:
-        raise RangeError(f"need n, m >= 0, got (n, m) = ({n}, {m})")
+    checked(n, "n", 0)
+    checked(m, "m", 0)
     a0 = (2 * n - m) ** 5
     a1 = -(4 * n - 2 * m - 1) * (
         6 * n ** 4 - 24 * n ** 3 * m + 22 * n ** 2 * m ** 2 - 8 * n * m ** 3
@@ -83,10 +92,9 @@ def recurrence_holds(values: _Values, n: int, m: int) -> bool:
     Coordinate by coordinate, with Z(n, m+i) = p_i/q_i as the values carry
     them, a0 p0/q0 + a1 p1/q1 + a2 p2/q2 = 0 is decided in integers as
     a0 p0 q1 q2 + a1 p1 q0 q2 + a2 p2 q0 q1 == 0."""
-    if not 0 <= m <= n - 2:
-        raise RangeError(f"recurrence needs 0 <= m <= n-2, got (n, m) = ({n}, {m})")
+    checked(m, "m", 0, checked(n, "n", 2) - 2)
+    forms = [_cell(values, n, m + i) for i in range(3)]
     a0, a1, a2 = recurrence_coefficients(n, m)
-    forms = [values[(n, m + i)] for i in range(3)]
     for c0, c1, c2 in zip(*((form.constant, *form.zeta_coefficients) for form in forms)):
         p0, q0 = c0.numerator, c0.denominator
         p1, q1 = c1.numerator, c1.denominator
@@ -108,15 +116,10 @@ def central_sum(order: int, upper: int) -> Fraction:
 
     central_sum(k, n) = sum_{i=0}^{n} C(4i, 2i) / ((2i+1)^k * C(2i, i)^8).
     """
-    if order < 1:
-        raise RangeError(f"need order >= 1, got {order}")
-    if upper < 0:
-        raise RangeError(f"need upper >= 0, got {upper}")
-    partials = _central_sums.setdefault(order, [_F(1)])
-    while len(partials) <= upper:
+    partials = _central_sums.setdefault(checked(order, "order", 1), [_F(1)])
+    while len(partials) <= checked(upper, "upper", 0):
         i = len(partials)
-        term = _F(binomial(4 * i, 2 * i),
-                  (2 * i + 1) ** order * binomial(2 * i, i) ** 8)
+        term = _F(comb(4 * i, 2 * i), (2 * i + 1) ** order * comb(2 * i, i) ** 8)
         partials.append(partials[-1] + term)
     return partials[upper]
 
@@ -134,14 +137,12 @@ def _quartic_weight(n: int) -> int:
 
 def closed_form_m0(n: int) -> ZetaLinearForm:
     """Closed form for the m = 0 column, exact for all n >= 0."""
-    if n < 0:
-        raise RangeError(f"need n >= 0, got {n}")
-    sign = (-1) ** n
-    central = binomial(2 * n, n)
+    sign = (-1) ** checked(n, "n", 0)
+    central = comb(2 * n, n)
     z4 = _F(sign * central ** 4)
     c0 = sign * (
         _weighted_central_combination(n) * central ** 4 / 30720
-        + _F((4 * n + 1) * _quartic_weight(n) * binomial(4 * n, 2 * n),
+        + _F((4 * n + 1) * _quartic_weight(n) * comb(4 * n, 2 * n),
              768 * (2 * n + 1) ** 9 * central ** 4))
     return ZetaLinearForm.from_constant(c0) + ZetaLinearForm.zeta_term(4, z4)
 
@@ -155,16 +156,14 @@ def closed_form_m1(n: int) -> ZetaLinearForm:
     form, i.e. the printed one times -1/3, which the test suite verifies
     against the series construction column-wide.
     """
-    if n < 1:
-        raise RangeError(f"the m = 1 column starts at n = 1, got n = {n}")
-    sign = (-1) ** (n + 1)
-    central = binomial(2 * n, n)
+    sign = (-1) ** (checked(n, "n", 1) + 1)
+    central = comb(2 * n, n)
     z4 = sign * _F(3 * n, 4) * central ** 4
     p9 = (16 * n ** 9 + 116544 * n ** 8 + 398115 * n ** 7 + 587145 * n ** 6
           + 490329 * n ** 5 + 255555 * n ** 4 + 86016 * n ** 3
           + 18432 * n ** 2 + 2304 * n + 128)
     c0 = (sign * n * _weighted_central_combination(n) * central ** 4 / 40960
-          - sign * _F(binomial(4 * n, 2 * n) * p9,
+          - sign * _F(comb(4 * n, 2 * n) * p9,
                       3072 * n ** 3 * (2 * n + 1) ** 9 * central ** 4))
     return ZetaLinearForm.from_constant(c0) + ZetaLinearForm.zeta_term(4, z4)
 
@@ -181,9 +180,7 @@ def left_boundary_value(n: int) -> Fraction:
     -(−1)^n n!^8 (1+2n)_{2n} (1+4n) q(n) / (48 ((2n+1)!)^5) with q the
     quartic weight of the closed forms.
     """
-    if n < 0:
-        raise RangeError(f"need n >= 0, got {n}")
-    return -_F((-1) ** n * factorial(n) ** 8 * pochhammer(1 + 2 * n, 2 * n)
+    return -_F((-1) ** checked(n, "n", 0) * factorial(n) ** 8 * pochhammer(1 + 2 * n, 2 * n)
                * (1 + 4 * n) * _quartic_weight(n),
                48 * factorial(2 * n + 1) ** 5)
 
@@ -191,8 +188,8 @@ def left_boundary_value(n: int) -> Fraction:
 def left_boundary_check(values: _Values, n: int) -> bool:
     """Check the left boundary combination at n on the values of (n, 0), (n+1, 0)."""
     expected = ZetaLinearForm.from_constant(left_boundary_value(n))
-    return (-16 * (2 * n + 1) ** 4 * values[(n, 0)]
-            - (n + 1) ** 4 * values[(n + 1, 0)]) == expected
+    return (-16 * (2 * n + 1) ** 4 * _cell(values, n, 0)
+            - (n + 1) ** 4 * _cell(values, n + 1, 0)) == expected
 
 
 def right_column_coefficients(n: int) -> tuple[int, int, int]:
@@ -203,9 +200,7 @@ def right_column_coefficients(n: int) -> tuple[int, int, int]:
     L0 and L2 in factored form (both manifestly nonzero for n >= 0) and L1 a
     dense degree-13 polynomial.
     """
-    if n < 0:
-        raise RangeError(f"need n >= 0, got {n}")
-    l0 = (16 * (n + 1) ** 3 * (2 * n + 1) ** 4 * (4 * n + 3) * (4 * n + 5)
+    l0 = (16 * (checked(n, "n", 0) + 1) ** 3 * (2 * n + 1) ** 4 * (4 * n + 3) * (4 * n + 5)
           * (5460 * n ** 4 + 35339 * n ** 3 + 85858 * n ** 2
              + 92804 * n + 37656))
     l1 = (357913920 * n ** 13 + 5716680688 * n ** 12 + 41762423804 * n ** 11
@@ -221,8 +216,8 @@ def right_column_coefficients(n: int) -> tuple[int, int, int]:
 def right_column_check(values: _Values, n: int) -> bool:
     """Check the right-column recurrence at n on the values of (n..n+2, 0)."""
     l0, l1, l2 = right_column_coefficients(n)
-    combo = (l0 * values[(n, 0)] + l1 * values[(n + 1, 0)]
-             + l2 * values[(n + 2, 0)])
+    combo = (l0 * _cell(values, n, 0) + l1 * _cell(values, n + 1, 0)
+             + l2 * _cell(values, n + 2, 0))
     return combo.is_zero
 
 
@@ -231,33 +226,28 @@ def right_column_check(values: _Values, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _binom_domain(n: int, m: int) -> None:
-    if n < 3 or not 0 <= m <= n - 2:
-        raise RangeError(
-            f"identity domain is n >= 3, 0 <= m <= n-2, got (n, m) = ({n}, {m})")
-
-
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
-    """sum_{i=1}^{n-3} (-1)^i / i * C(n, i) * C(2n-m+i, n), directly."""
-    _binom_domain(n, m)
+    """sum_{i=1}^{n-3} (-1)^i / i * C(n, i) * C(2n-m+i, n), directly, for
+    n >= 3 and 0 <= m <= n-2."""
+    checked(m, "m", 0, checked(n, "n", 3) - 2)
     total = _F(0)
     for i in range(1, n - 2):
-        total += _F((-1) ** i * binomial(n, i) * binomial(2 * n - m + i, n), i)
+        total += _F((-1) ** i * comb(n, i) * comb(2 * n - m + i, n), i)
     return total
 
 
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
     """Closed form of :func:`alternating_binomial_sum` on the same domain."""
-    _binom_domain(n, m)
+    checked(m, "m", 0, checked(n, "n", 3) - 2)
     poly = (-4 * m - 4 * m ** 2 + 12 * n + 30 * m * n + 6 * m ** 2 * n
             - 54 * n ** 2 - 43 * m * n ** 2 - 7 * m ** 2 * n ** 2
             + 70 * n ** 3 + 40 * m * n ** 3 + 4 * m ** 2 * n ** 3
             - 54 * n ** 4 - 19 * m * n ** 4 - m ** 2 * n ** 4
             + 22 * n ** 5 + 4 * m * n ** 5 - 4 * n ** 6)
-    return (_F((-1) ** n * binomial(3 * n - m - 2, n - 2) * poly,
+    return (_F((-1) ** n * comb(3 * n - m - 2, n - 2) * poly,
                2 * (n - 2) * (n - 1) ** 2 * n ** 2)
-            - binomial(2 * n - m, n) * (harmonic(1, 2 * n - m)
-                                        + harmonic(1, n) - harmonic(1, n - m)))
+            - comb(2 * n - m, n) * (harmonic(1, 2 * n - m)
+                                    + harmonic(1, n) - harmonic(1, n - m)))
 
 
 def alternating_binomial_check(n: int, m: int) -> bool:
@@ -277,10 +267,8 @@ def recurrence_table(n_max: int) -> dict[tuple[int, int], ZetaLinearForm]:
     solving the recurrence for Z(n, m+2); the result is an independent route
     to the whole grid that tests compare against the series construction.
     """
-    if n_max < 0:
-        raise RangeError(f"need n_max >= 0, got {n_max}")
     table: dict[tuple[int, int], ZetaLinearForm] = {}
-    for n in range(n_max + 1):
+    for n in range(checked(n_max, "n_max", 0) + 1):
         table[(n, 0)] = closed_form_m0(n)
         if n >= 1:
             table[(n, 1)] = closed_form_m1(n)

@@ -32,10 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
+from numbers import Rational
 
-from .errors import PoleInRangeError, RangeError
+from .errors import DomainError, PoleInRangeError, RangeError, checked
 from .exact_arith import _power_sums
-from .polyrat import DerivativeChain, PartialFractions, _Value
+from .polyrat import DerivativeChain, PartialFractions, _integer, _Value
 
 __all__ = [
     "ZETA_ORDERS",
@@ -67,21 +68,19 @@ class ZetaLinearForm(_Value):
 
     @classmethod
     def from_constant(cls, value: Fraction | int) -> "ZetaLinearForm":
-        return cls(_F(value), (_ZERO, _ZERO, _ZERO, _ZERO))
+        return cls(_F(checked(value, "value", kind=Rational)), (_ZERO, _ZERO, _ZERO, _ZERO))
 
     @classmethod
     def zeta_term(cls, order: int, coefficient: Fraction | int = 1) -> "ZetaLinearForm":
-        if order not in ZETA_ORDERS:
-            raise ValueError(f"zeta({order}) is outside the tracked basis {ZETA_ORDERS}")
+        """``coefficient`` * zeta(``order``), an order of ZETA_ORDERS."""
         coeffs = [_ZERO] * len(ZETA_ORDERS)
-        coeffs[ZETA_ORDERS.index(order)] = _F(coefficient)
+        value = _F(checked(coefficient, "coefficient", kind=Rational))
+        coeffs[ZETA_ORDERS.index(checked(order, "order", 2, 5))] = value
         return cls(_ZERO, tuple(coeffs))
 
     def coefficient(self, order: int) -> Fraction:
-        """The coefficient of zeta(order)."""
-        if order not in ZETA_ORDERS:
-            raise ValueError(f"zeta({order}) is outside the tracked basis {ZETA_ORDERS}")
-        return self.zeta_coefficients[ZETA_ORDERS.index(order)]
+        """The coefficient of zeta(order), an order of ZETA_ORDERS."""
+        return self.zeta_coefficients[ZETA_ORDERS.index(checked(order, "order", 2, 5))]
 
     # -- linear arithmetic ----------------------------------------------------
 
@@ -120,8 +119,7 @@ class ZetaLinearForm(_Value):
         out: dict[str, str] = {}
         if self.constant != 0:
             out["c0"] = str(self.constant)
-        for order in ZETA_ORDERS:
-            c = self.coefficient(order)
+        for order, c in zip(ZETA_ORDERS, self.zeta_coefficients):
             if c != 0:
                 out[_JSON_KEYS[order]] = str(c)
         return out
@@ -130,8 +128,7 @@ class ZetaLinearForm(_Value):
         parts = []
         if self.constant != 0 or self.is_zero:
             parts.append(str(self.constant))
-        for order in ZETA_ORDERS:
-            c = self.coefficient(order)
+        for order, c in zip(ZETA_ORDERS, self.zeta_coefficients):
             if c != 0:
                 sign = "+" if c > 0 else "-"
                 mag = abs(c)
@@ -167,20 +164,20 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
     Raises
     ------
     PoleInRangeError  if some pole -p lies in [start, infinity),
-    ValueError        for orders outside {1, 2}, non-integer pole shifts, or
-                      a nonzero numerator whose zeta(j + order) lies outside
-                      the basis.
+    RangeError        for orders outside {1, 2},
+    DomainError       for non-integer pole shifts, or a nonzero numerator
+                      whose zeta(j + order) lies outside the basis.
     """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    checked(expansion, "expansion", kind=PartialFractions)
+    checked(order, "order", 1, 2)
+    checked(weight, "weight", kind=Rational)
+    checked(start, "start")
     top = max((int(shift) + start - 1 for shift, _ in expansion.terms), default=0)
     highest = ZETA_ORDERS[-1]
     scale, rows = _power_sums(top, highest)
     sums, dots = [0] * (highest + 1), [0] * (highest + 1)     # indexed by s
     for shift, numerators in expansion.terms:
-        if shift.denominator != 1:
-            raise ValueError(f"pole shift {shift} is not an integer")
-        p = int(shift)
+        p = _integer(shift, "pole shift")
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")
@@ -188,7 +185,7 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
         for s, c in enumerate(numerators, start=order + 1):
             if c:
                 if s > highest:
-                    raise ValueError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
+                    raise DomainError(f"zeta({s}) is outside the tracked basis {ZETA_ORDERS}")
                 sums[s] += c
                 dots[s] += c * rows[s][index]
     num, den = weight.numerator, weight.denominator * expansion.denominator
@@ -218,14 +215,18 @@ def _tangent_numbers(count: int) -> list[int]:
     return t[1:]
 
 
-@cache
 def bernoulli_even(index: int) -> Fraction:
-    """The Bernoulli number B_index for even index >= 2, exactly, memoized.
+    """The Bernoulli number B_index for an even int index >= 2, exactly,
+    memoized (:func:`_bernoulli`)."""
+    if checked(index, "index", 2) % 2:
+        raise RangeError(f"need an even index, got {index}")
+    return _bernoulli(index)
 
-    Via tangent numbers: B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).
-    """
-    if index < 2 or index % 2:
-        raise ValueError(f"bernoulli_even needs an even index >= 2, got {index}")
+
+@cache
+def _bernoulli(index: int) -> Fraction:
+    """B_index for an even index >= 2, via tangent numbers:
+    B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1))."""
     k = index // 2
     global _TANGENT
     if k > len(_TANGENT):
@@ -242,7 +243,7 @@ def _closure(chain: DerivativeChain, cutoff: int, order: int, depth: int) -> Fra
     numerators, denominator = chain.numerators(cutoff, order + 2 * depth - 1)
     terms = [(-1, 1, order - 1), (1, 2, order)] + [
         (-b.numerator, b.denominator * factorial(2 * k), order + 2 * k - 1)
-        for k in range(1, depth + 1) for b in [bernoulli_even(2 * k)]]
+        for k in range(1, depth + 1) for b in [_bernoulli(2 * k)]]
     weights = lcm(*(w for _, w, _ in terms))
     return _F(sum(c * (weights // w) * numerators[d] for c, w, d in terms),
               weights * denominator)
@@ -266,31 +267,28 @@ def _decimal_digits(value: int) -> str:
 
 
 class FixedPointNumber(_Value):
-    """mantissa * 10^(-scale), ``scale`` >= 1 decimals, plus an exact bound
-    ``error_bound`` >= 0 on |true - stored| (RangeError otherwise)."""
+    """An int mantissa * 10^(-scale), an int ``scale`` >= 1 decimals, plus an
+    exact rational bound ``error_bound`` >= 0 on |true - stored|."""
 
     _fields = __slots__ = ("mantissa", "scale", "error_bound")
 
     def __init__(self, mantissa: int, scale: int, error_bound: Fraction) -> None:
-        _check_scale(scale)
-        if error_bound < 0:
-            raise RangeError(f"need error_bound >= 0, got {error_bound}")
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "error_bound", error_bound)
+        object.__setattr__(self, "mantissa", checked(mantissa, "mantissa"))
+        object.__setattr__(self, "scale", checked(scale, "scale", 1))
+        object.__setattr__(self, "error_bound",
+                           checked(error_bound, "error_bound", 0, kind=Rational))
 
     @classmethod
     def from_fraction(cls, value: Fraction, scale: int,
                       inherent_error: Fraction = _ZERO) -> "FixedPointNumber":
-        """Round an exact value (with optional prior error >= 0) to fixed point,
-        scale and error refused first (10^scale is a float below 1).  The bound,
-        rounding error plus ``inherent_error``, is rounded up to whole tenths of
-        the last digit, so it prints at any scale; with an inherited error of at
-        most a tenth, it is at most 6 tenths, below one unit."""
-        _check_scale(scale)
-        if inherent_error < 0:
-            raise RangeError(f"need inherent_error >= 0, got {inherent_error}")
-        (num, den), power = value.as_integer_ratio(), 10**scale
+        """Round an exact rational value (with optional prior error >= 0) to
+        fixed point, scale and error refused first (10^scale is a float below
+        1).  The bound, rounding error plus ``inherent_error``, is rounded up to
+        whole tenths of the last digit, so it prints at any scale; with an
+        inherited error of at most a tenth, it is at most 6 tenths, below one unit."""
+        checked(scale, "scale", 1)
+        checked(inherent_error, "inherent_error", 0, kind=Rational)
+        (num, den), power = checked(value, "value", kind=Rational).as_integer_ratio(), 10**scale
         mantissa = (2 * num * power + den) // (2 * den)
         # in tenths, bound * 10 power = top / (den b) with the bound
         # |mantissa den - num power| / (den power) + a / b, taken up to its ceiling
@@ -307,7 +305,9 @@ class FixedPointNumber(_Value):
         return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
 
     def agrees_with(self, other: "FixedPointNumber", significant_digits: int) -> bool:
-        """True when the two values agree to ``significant_digits`` within bounds."""
+        """True when the two values agree to ``significant_digits`` >= 0 within bounds."""
+        checked(other, "other", kind=FixedPointNumber)
+        checked(significant_digits, "significant_digits", 0)
         va, vb = self.value(), other.value()
         diff = abs(va - vb)
         slack = self.error_bound + other.error_bound
@@ -316,11 +316,6 @@ class FixedPointNumber(_Value):
 
     def __str__(self) -> str:
         return self.decimal()
-
-
-def _check_scale(scale: int) -> None:
-    if scale < 1:
-        raise RangeError(f"need scale >= 1, got {scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +355,7 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
     shared closure (:func:`_closure`) of h = t^(-s) = g', g = -t^(1-s)/(s-1),
     so the bound is a theorem, not an estimate.
     """
-    if s < 2:
-        raise ValueError(f"zeta_value needs s >= 2, got {s}")
-    if digits < 1:
-        raise ValueError(f"zeta_value needs digits >= 1, got {digits}")
-    cutoff, depth, bound = _cutoff_and_depth(s, digits)
+    cutoff, depth, bound = _cutoff_and_depth(checked(s, "s", 2), checked(digits, "digits", 1))
     head = lcm(*range(1, cutoff))
     closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, 1 - s)]), cutoff, 1, depth)
     total = _F(sum((head // k) ** s for k in range(1, cutoff)), head**s) + closure
@@ -378,14 +369,13 @@ def evaluate_decimal(form: ZetaLinearForm, digits: int) -> FixedPointNumber:
     size of the rational coefficients (which grow like binomial^4), so the
     stated bound survives the linear combination.
     """
-    if digits < 1:
-        raise ValueError(f"evaluate_decimal needs digits >= 1, got {digits}")
-    size = sum(abs(form.coefficient(s)) for s in ZETA_ORDERS)
+    checked(form, "form", kind=ZetaLinearForm)
+    checked(digits, "digits", 1)
+    size = sum(abs(c) for c in form.zeta_coefficients)
     guard = 8 + len(str(1 + int(size)))
     exact = form.constant
     error = _ZERO
-    for s in ZETA_ORDERS:
-        c = form.coefficient(s)
+    for s, c in zip(ZETA_ORDERS, form.zeta_coefficients):
         if c == 0:
             continue
         z = zeta_value(s, digits + guard)

@@ -67,8 +67,9 @@ def test_parameters_domain():
 def test_parameters_must_be_integers():
     # a float cell once passed, and left_form then failed inside factorial
     # with a TypeError; any non-int n or m is refused up front
-    for n, m in ((3.5, 1), (4, 1.0), (F(4), 1), ("4", 1)):
-        with pytest.raises(DomainError, match="need integer n and m"):
+    for n, m, name, value in ((3.5, 1, "n", "3.5"), (4, 1.0, "m", "1.0"),
+                              (F(4), 1, "n", r"Fraction\(4, 1\)"), ("4", 1, "n", "'4'")):
+        with pytest.raises(DomainError, match=rf"^need {name} of type int, got {value}$"):
             FormParameters(n, m)
 
 
@@ -1028,12 +1029,12 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
     # multiplied out, and each right j-kernel is built once per cell
     built = _count_chains(monkeypatch)
     chains, orders, blocks = [], set(), []
-    init, numerators = DerivativeChain.__init__, DerivativeChain.numerators
+    build, numerators = DerivativeChain._build, DerivativeChain.numerators
     right_blocks = apery_forms._right_blocks
 
-    def spy_init(chain, *expansion):
+    def spy_build(chain, *expansion):
         chains.append(chain)
-        init(chain, *expansion)
+        build(chain, *expansion)
 
     def spy_numerators(chain, x, order):
         orders.add(order)
@@ -1046,7 +1047,7 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the audit multiplied a kernel out")
 
-    monkeypatch.setattr(DerivativeChain, "__init__", spy_init)
+    monkeypatch.setattr(DerivativeChain, "_build", spy_build)
     monkeypatch.setattr(DerivativeChain, "numerators", spy_numerators)
     monkeypatch.setattr(apery_forms, "_right_blocks", spy_right_blocks)
     monkeypatch.setattr(Kernel, "expansion", refuse)

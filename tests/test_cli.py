@@ -226,7 +226,7 @@ def test_eval_prints_exact_and_decimal(capsys):
 def test_eval_rejects_out_of_domain(capsys):
     assert main(["eval", "--n", "1", "--m", "3"]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "0 <= m <= n" in err
+    assert "error:" in err and "need m <= 1, got 3" in err
 
 
 def test_summand_audit_deterministic_across_runs(capsys):

@@ -1,5 +1,6 @@
 """Unit tests for the exact arithmetic helpers."""
 
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import DomainError, binomial, exact_arith, factorial, harmonic, pochhammer
+from apery4 import DomainError, exact_arith, factorial, harmonic, pochhammer
 from apery4.exact_arith import _power_sums
 
 F = Fraction
@@ -25,27 +26,6 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-def test_binomial_row_with_out_of_range():
-    assert [binomial(5, k) for k in range(7)] == [1, 5, 10, 10, 5, 1, 0]
-    with pytest.raises(ValueError):
-        binomial(5, -1)
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
-
-
-@given(st.integers(0, 60), st.integers(-5, 65))
-def test_binomial_is_factorial_ratio(n, k):
-    if k < 0:
-        with pytest.raises(ValueError):
-            binomial(n, k)
-        return
-    expected = factorial(n) // (factorial(k) * factorial(n - k)) if k <= n else 0
-    assert binomial(n, k) == expected
-
-
 def test_pochhammer_integer_cases():
     assert pochhammer(3, 4) == 3 * 4 * 5 * 6
     assert pochhammer(1, 5) == factorial(5)
@@ -58,7 +38,7 @@ def test_pochhammer_fraction_base():
     # every caller's base is an integer; any other base is refused, an
     # integral Fraction too, and never read as crossing zero
     for x in (F(1, 2), F(-5, 2), F(3)):
-        with pytest.raises(DomainError, match="integer base"):
+        with pytest.raises(DomainError, match=rf"^need x of type int, got {re.escape(repr(x))}$"):
             pochhammer(x, 3)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 from apery4 import (DomainError, FormParameters, Kernel, PartialFractions, PoleError,
-                    left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
+                    RangeError, left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
 from apery4.apery_forms import _left_expansion, _right_blocks, _right_expansion
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
 from dense_reference import (FactorizationError, Polynomial, chain_values, flattened,
@@ -377,7 +377,7 @@ def test_partial_fractions_are_reduced_to_one_least_denominator():
     polynomial, expansion = partial_fractions(Polynomial.one(), Polynomial([0, 2, 1]), [0, 2])
     assert polynomial.is_zero and expansion.denominator == 2
     assert [numerators for _, numerators in expansion.terms] == [(1,), (-1,)]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(RangeError, match=r"^need denominator >= 1, got 0$"):
         PartialFractions((), 0)
 
 

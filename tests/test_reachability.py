@@ -13,7 +13,7 @@ its walk up), and reports every line of the package that ran.  Apart from
 ``main``, the driver calls only the numeric sides by hand (criterion 9 has
 no command yet), and a test pins that list.  It must be a
 fresh interpreter: the memoized helpers (``_depth_factor``,
-``_recursion_weights``, ``_order_multipliers``, ``bernoulli_even``) run their
+``_recursion_weights``, ``_order_multipliers``, ``_bernoulli``) run their
 bodies only on a cold cache.
 
 A function's lines are those its compiled code (lambdas and comprehensions

@@ -37,6 +37,20 @@ def test_recurrence_coefficients_spot_values():
         recurrence_coefficients(2, -1)
 
 
+def test_recurrence_checks_name_a_missing_cell():
+    # a mapping without a cell that a check reads once raised a bare KeyError
+    table = recurrence_table(3)
+    for check, cell in ((lambda: recurrence_holds({}, 5, 1), (5, 1)),
+                        (lambda: left_boundary_check({}, 2), (2, 0)),
+                        (lambda: right_column_check({}, 2), (2, 0)),
+                        (lambda: left_boundary_check(table, 3), (4, 0)),
+                        (lambda: right_column_check(table, 2), (4, 0))):
+        with pytest.raises(RangeError, match=rf"^need the value of cell \(n, m\) = \({cell[0]}, "
+                                             rf"{cell[1]}\)$"):
+            check()
+    assert recurrence_holds(table, 3, 1) and left_boundary_check(table, 2)
+
+
 def test_recurrence_holds_on_series_values():
     values = {(n, m): left_form(FormParameters(n, m))
               for n in range(5) for m in range(n + 1)}

@@ -218,11 +218,11 @@ def test_tangent_table_grows_geometrically(monkeypatch):
     monkeypatch.setattr(zeta_forms, "_tangent_numbers",
                         lambda count: builds.append(count) or build(count))
     monkeypatch.setattr(zeta_forms, "_TANGENT", [])
-    bernoulli_even.cache_clear()
+    zeta_forms._bernoulli.cache_clear()
     try:
         values = [bernoulli_even(2 * k) for k in range(1, 301)]
     finally:
-        bernoulli_even.cache_clear()
+        zeta_forms._bernoulli.cache_clear()
     assert builds == [9, 18, 36, 72, 144, 288, 576]
     tangent = build(300)
     assert values == [F((-1) ** (k - 1) * 2 * k * tangent[k - 1], 4**k * (4**k - 1))
