@@ -1,9 +1,10 @@
 """Anatomy of a kernel: blocks, poles, principal parts.
 
 Every series summand in the package is a derivative of a rational function
-written once as a scalar times rising-factorial blocks (a ``Kernel``).  This
-demo dissects the left kernel at (n, m) = (2, 1): its blocks, the linear
-factors and pole pattern derived from them, the certified principal parts
+written once as a scalar times rising-factorial blocks times an integer
+cofactor polynomial (a ``Kernel``), every shift an integer.  This demo
+dissects the left kernel at (n, m) = (2, 1): its blocks and cofactor, the
+linear factors and pole pattern derived from them, the certified principal parts
 read off the blocks, the points at which the certificate proves them, and
 how derivative tails of the principal parts turn into zeta values.
 """
@@ -15,13 +16,19 @@ from apery4.apery_forms import _principal_parts
 
 p = FormParameters(2, 1)
 kernel = left_kernel(p)
-print("the kernel: scalar, rising-factorial blocks (t + x)_k^e, loose factors:")
+print("the kernel: scalar, rising-factorial blocks (t + x)_k^e, cofactor:")
 print(f"  scalar {kernel.scalar}")
 for x, k, e in kernel.blocks:
     print(f"  block x = {x:>3}  k = {k}  exponent {e:+d}")
-for s, e in kernel.linears:
-    print(f"  loose (t + {s})  exponent {e:+d}")
+print(f"  cofactor coefficients, ascending: {kernel.cofactor}")
 print(f"degree (numerator minus denominator): {kernel.degree}")
+
+# The left kernel's factor (t + n/2) is the one shift that is not always an
+# integer.  At even n it is the last block, the one-factor (t + n/2)_1; at
+# odd n it is the cofactor 2t + n, with the scalar halved.
+odd = left_kernel(FormParameters(3, 1))
+print(f"at n = 3, (t + 3/2) is the cofactor {odd.cofactor} (2t + 3) "
+      f"and the scalar is {odd.scalar}")
 
 # Every other view is derived from those blocks.  Flattened, they are linear
 # factors (t + shift)^exponent, one per block entry; merging the exponents
@@ -31,7 +38,7 @@ print(f"\n{len(factors)} linear factors (shift, exponent) after merging:")
 print("  " + "  ".join(f"({s}, {e:+d})" for s, e in sorted(factors.items())))
 
 # The merged factors leave the poles at shifts 0..n only, of order 4 but at
-# n/2, where the loose factor cancels one.
+# n/2, where the one-factor block cancels one.
 orders = kernel.pole_orders()
 print(f"pole orders after merging, shift: order: {dict(sorted(orders.items()))}")
 

@@ -23,7 +23,7 @@ from apery4.apery_forms import _derivative_numerators, _highest
 from apery4.polyrat import DerivativeChain
 
 # the rule that powers the generated route, on one factor: d/dt (1+t)_2 at 1
-one_block = Kernel(Fraction(1), ((1, 2, 1),), ())
+one_block = Kernel(Fraction(1), ((1, 2, 1),))
 print(f"d/dt (1 + t)_2 at t = 1: {_highest(_derivative_numerators(one_block, 1, 1))}")
 
 p = FormParameters(2, 1)

@@ -3,7 +3,8 @@
 For integer parameters n >= m >= 0 the package studies two rational kernels,
 
 * the *left* kernel, a degree-gap-3 product of shifted rising factorials with
-  an extra (t + n/2) factor, and
+  an extra (t + n/2) factor (a one-factor block at even n, the cofactor
+  2t + n at odd n), and
 * the *right* kernel, a sum over j = 0..n of degree-gap-2 products weighted
   by squared binomials, which share their blocks B: one kernel P(t) B(t),
 
@@ -54,7 +55,7 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, comb, floor, gcd, inf, isqrt, lcm, prod, sqrt
+from math import ceil, comb, gcd, inf, isqrt, lcm, prod, sqrt
 from numbers import Rational
 from operator import mul
 
@@ -103,10 +104,10 @@ class FormParameters(_Value):
 
 
 class Kernel(_Value):
-    """scalar * prod (t+x)_k^e over blocks * prod (t+s)^e over loose factors,
-    times an integer cofactor polynomial (ascending; 1 but on the right).
-    The scalar and each s are rational, x, k >= 0, e and the cofactor's
-    coefficients ints, each field a tuple, the cofactor not empty.
+    """scalar * prod (t+x)_k^e over blocks, times an integer cofactor
+    polynomial (ascending; 1 but on the right and on the left at odd n).
+    The scalar is rational, x, k >= 0, e and the cofactor's coefficients
+    ints, each field a tuple, the cofactor not empty: every shift is an int.
 
     The one written form of a kernel (see :func:`left_kernel`,
     :func:`right_kernel`).  The local expansions (:class:`_LocalExpansion`)
@@ -115,33 +116,29 @@ class Kernel(_Value):
     other view of it.
     """
 
-    # blocks (x, k, e) with x integer, linears (s, e) with s possibly n/2
-    _fields = ("scalar", "blocks", "linears", "cofactor")
+    _fields = ("scalar", "blocks", "cofactor")
     __slots__ = _fields + ("__dict__",)             # the cached views below
 
     def __init__(self, scalar: Fraction, blocks: tuple[tuple[int, int, int], ...],
-                 linears: tuple[tuple[Fraction, int], ...],
                  cofactor: tuple[int, ...] = (1,)) -> None:
         checked(scalar, "scalar", kind=Rational)
         for block in checked(blocks, "blocks", kind=tuple):
             checked(len(checked(block, "block", kind=tuple)), "block size", 3, 3)
             checked(block[0], "block x"), checked(block[2], "block e")
             checked(block[1], "block k", 0)
-        for linear in checked(linears, "linears", kind=tuple):
-            checked(len(checked(linear, "linear", kind=tuple)), "linear size", 2, 2)
-            checked(linear[0], "linear s", kind=Rational), checked(linear[1], "linear e")
         for c in checked(cofactor, "cofactor", kind=tuple):
             checked(c, "cofactor coefficient")
         checked(len(cofactor), "cofactor size", 1)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "linears", linears)
         object.__setattr__(self, "cofactor", cofactor)
 
     def replace(self, **changes) -> "Kernel":
-        """This kernel with the fields named in ``changes`` replaced."""
-        return Kernel(**{"scalar": self.scalar, "blocks": self.blocks,
-                         "linears": self.linears, "cofactor": self.cofactor, **changes})
+        """This kernel with the fields named in ``changes`` replaced;
+        DomainError naming a field it does not have."""
+        if unknown := sorted(changes.keys() - set(self._fields)):
+            raise DomainError(f"Kernel has no field {unknown[0]!r}")
+        return Kernel(**{**dict(zip(self._fields, self._astuple())), **changes})
 
     @property
     def degree(self) -> int:
@@ -149,57 +146,54 @@ class Kernel(_Value):
         return sum(self.factors.values()) + len(self.cofactor) - 1
 
     @cached_property
-    def factors(self) -> dict[Fraction | int, int]:
+    def factors(self) -> dict[int, int]:
         """{shift: exponent} of every linear factor, the blocks flattened to
         (t + x + i)^e and equal shifts merged; the cofactor is left out.
         Merged once per kernel."""
-        return _merged_shifts([(x + i, e) for x, k, e in self.blocks for i in range(k)]
-                              + list(self.linears))
+        return _merged_shifts((x + i, e) for x, k, e in self.blocks for i in range(k))
 
     @cached_property
-    def centre(self) -> Fraction | int | None:
+    def centre(self) -> int | None:
         """c if the kernel is proved odd about t = -c/2 from its spec, else
-        None: cofactor 1, and :attr:`factors` mapped onto themselves by
-        s -> c - s, c the least plus the largest shift, with an odd exponent
-        sum (the degree), so f(-c-t) = (-1)^(sum e) f(t) = -f(t)."""
+        None: :attr:`factors` mapped onto themselves by s -> c - s, c the
+        least plus the largest shift, and the cofactor Q(-c-t) =
+        -(-1)^(sum e) Q(t), checked in integers, so f(-c-t) = -f(t)."""
         c = min(self.factors, default=0) + max(self.factors, default=0)
-        odd = self.cofactor == (1,) and self.degree % 2 and self.factors == {
-            c - s: e for s, e in self.factors.items()}
-        return c if odd else None
+        if self.factors != {c - s: e for s, e in self.factors.items()}:
+            return None
+        reflected = []                                  # Q(-c-t), by Horner
+        for q in reversed(self.cofactor):
+            reflected = _times_linear(reflected, -c, -1)
+            reflected[0] += q
+        sign = (-1) ** (sum(self.factors.values()) + 1)
+        return c if reflected == [sign * q for q in self.cofactor] else None
 
-    def pole_orders(self) -> dict[Fraction | int, int]:
+    def pole_orders(self) -> dict[int, int]:
         """{shift p: order} of the poles t = -p: the negative exponents of
-        :attr:`factors`, an integer shift as an int."""
-        return {s if s.denominator > 1 else int(s): -e
-                for s, e in self.factors.items() if e < 0}
+        :attr:`factors`."""
+        return {s: -e for s, e in self.factors.items() if e < 0}
 
-    def expansion(self) -> tuple[list[int], Fraction, list[tuple[Fraction | int, int]]]:
+    def expansion(self) -> tuple[list[int], Fraction, list[tuple[int, int]]]:
         """(N, K, [(s, e < 0)]): the merged kernel as K N(t) prod (t + s)^e,
         its numerator multiplied out, its poles kept factored."""
-        coeffs, lead = _linear_product((s, e) for s, e in self.factors.items() if e > 0)
+        coeffs, _ = _linear_product((s, e) for s, e in self.factors.items() if e > 0)
         if self.cofactor != (1,):
             coeffs = _mul_coeffs(coeffs, self.cofactor)
-        return coeffs, self.scalar / lead, [(s, e) for s, e in self.factors.items() if e < 0]
+        return coeffs, self.scalar, [(s, e) for s, e in self.factors.items() if e < 0]
 
     def first_positive_point(self) -> int:
         """The least integer t at which every factor is positive."""
-        return max([1 - x for x, k, _ in self.blocks if k > 0]
-                   + [floor(-s) + 1 for s, _ in self.linears], default=1)
+        return max((1 - x for x, k, _ in self.blocks if k > 0), default=1)
 
     def values(self, start: int, count: int) -> list[tuple[int, int]]:
         """g(start), ..., g(start + count - 1) as unreduced integer pairs,
-        each run prod_{i<k} (d t + c + d i)^e stepped by its new top over its
-        old bottom, an exact division (t + q/d = (d t + q)/d, d^e in the
-        scalar).  Every factor must be positive at ``start``."""
-        runs = ([(1, x, k, e) for x, k, e in self.blocks if k]     # (d, c, d k, e)
-                + [(s.denominator, s.numerator, s.denominator, e) for s, e in self.linears])
+        each run prod_{i<k} (t + c + i)^e stepped by its new top over its old
+        bottom, an exact division.  Every factor must be positive at ``start``."""
         num, den = self.scalar.as_integer_ratio()
-        for s, e in self.linears:
-            num, den = num * s.denominator ** max(-e, 0), den * s.denominator ** max(e, 0)
-        sides = ([(d, c, width, e) for d, c, width, e in runs if e > 0],
-                 [(d, c, width, -e) for d, c, width, e in runs if e < 0])
-        products = [prod(prod(range(d * start + c, d * start + c + width, d)) ** e
-                         for d, c, width, e in side) for side in sides]     # [N, Q]
+        sides = ([(c, k, e) for c, k, e in self.blocks if k and e > 0],
+                 [(c, k, -e) for c, k, e in self.blocks if k and e < 0])
+        products = [prod(prod(range(start + c, start + c + k)) ** e
+                         for c, k, e in side) for side in sides]     # [N, Q]
         out = []
         for t in range(start, start + count):
             cofactor = 0
@@ -208,9 +202,9 @@ class Kernel(_Value):
             out.append((num * cofactor * products[0], den * products[1]))
             for i, side in enumerate(sides):
                 top = bottom = 1
-                for d, c, width, e in side:
-                    base = d * t + c
-                    top *= (base + width) ** e
+                for c, k, e in side:
+                    base = t + c
+                    top *= (base + k) ** e
                     bottom *= base ** e
                 products[i] = products[i] * top // bottom
         return out
@@ -224,16 +218,19 @@ def left_kernel(p: FormParameters) -> Kernel:
       / ((t)_{n+1}^3 (t)_{2n-m+1})
 
     After merging, its poles sit at t = -n..0 with order 4 (order 3 at
-    t = -n/2 for even n, where the linear factor cancels one).
+    t = -n/2 for even n, where (t + n/2) cancels one).  Every shift is an
+    int: at even n, (t + n/2) is the one-factor block (t + n/2)_1; at odd n
+    it is the cofactor 2t + n, the scalar halved.  The cofactor would
+    vanish at the pole t = -n/2 of an even n, which the factors alone
+    cannot see.
     """
     n, m = checked(p, "p", kind=FormParameters).n, p.m
     scalar = _F((-1) ** m * factorial(n) ** 2, factorial(m) * factorial(2 * n - m))
-    return Kernel(
-        scalar,
-        ((-n, m, 1), (m - 2 * n, 2 * n - m, 1), (n + 1, n, 1),
-         (n + 1, 2 * n - m, 1), (0, n + 1, -3), (0, 2 * n - m + 1, -1)),
-        ((_F(n, 2), 1),),
-    )
+    blocks = ((-n, m, 1), (m - 2 * n, 2 * n - m, 1), (n + 1, n, 1),
+              (n + 1, 2 * n - m, 1), (0, n + 1, -3), (0, 2 * n - m + 1, -1))
+    if n % 2:
+        return Kernel(scalar / 2, blocks, (n, 2))
+    return Kernel(scalar, blocks + ((n // 2, 1, 1),))
 
 
 def _right_spec(p: FormParameters) -> Kernel:
@@ -241,7 +238,7 @@ def _right_spec(p: FormParameters) -> Kernel:
     its j-th term, 0 <= j <= n, is C_j (t-j)_n B (degree gap 2), C_j below."""
     n, m = p.n, p.m
     return Kernel._unchecked(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
-                             (), (1,))
+                             (1,))
 
 
 def _right_weight(p: FormParameters, j: int) -> int:
@@ -253,7 +250,7 @@ def _right_blocks(p: FormParameters, j: int) -> Kernel:
     """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
     checked(j, "j", 0, p.n)
     shared = _right_spec(p)
-    return Kernel._unchecked(_F(_right_weight(p, j)), ((-j, p.n, 1),) + shared.blocks, (), (1,))
+    return Kernel._unchecked(_F(_right_weight(p, j)), ((-j, p.n, 1),) + shared.blocks, (1,))
 
 
 def right_kernel(p: FormParameters) -> Kernel:
@@ -285,14 +282,13 @@ class _LocalExpansion:
     coefficients where no factor vanishes (:func:`_derivative_numerators`).
 
     At t = -p, expanded as a pole of order E, put u = t + p.  Each block
-    factor (t + c) with a = c - p != 0 is a (1 + u/a), and a loose factor
-    (t + s) with s = q/d is (b/d)(1 + d u/b) for b = q - d p != 0; the
-    factors with a = 0 or b = 0 are the powers of u.  So near u = 0 a kernel
-    times u^E is C exp(sum_r c_r u^r), where C is the scalar times the
-    product of the a^e (signed factorial quotients over each block) and
-    r c_r = (-1)^(r+1) P_r / L^r with P_r = L^r sum e a^-r an integer:
-    L = lcm(1..top) for a ``top`` covering every |a| and |b| at the points
-    the engine is built for, so the power sums over a block are differences
+    factor (t + c) with a = c - p != 0 is a (1 + u/a); the factors with
+    a = 0 are the powers of u.  So near u = 0 a kernel times u^E is
+    C exp(sum_r c_r u^r), where C is the scalar times the product of the a^e
+    (signed factorial quotients over each block) and r c_r =
+    (-1)^(r+1) P_r / L^r with P_r = L^r sum e a^-r an integer: L = lcm(1..top)
+    for a ``top`` covering every |a| at the points the engine is built for,
+    so the power sums over a block are differences
     of the integer harmonic table h[r][i] = L^r S_r(i).  The series
     g = exp(sum c_r u^r) has g_k = G_k / (k! L^k) with integer G_0 = 1 and
     G_k = sum_{i=1..k} (-1)^(i+1) P_i G_(k-i) (k-1)!/(k-i)!,
@@ -306,15 +302,14 @@ class _LocalExpansion:
     def __init__(self, kernel: Kernel, shifts: list[int], depth: int) -> None:
         """Tables for expansions of ``kernel`` at t = -shift, for each of
         ``shifts``, up to ``depth`` terms; :meth:`part` reads that kernel.
-        |a| and |b| are largest at the least or the largest shift, and the
+        |a| is largest at the least or the largest shift, and the
         power-sum rows are the shared ones of that top (:func:`_power_sums`)."""
         self.kernel, self.shifts, top = kernel, set(shifts), 0
         if shifts:
             low, high = min(shifts), max(shifts)
             # a block's a = x + i - shift runs over [x - high, x + k - 1 - low]
-            top = max([max(x + k - 1 - low, high - x) for x, k, _ in kernel.blocks if k > 0]
-                      + [abs(s.numerator - s.denominator * shift)
-                         for s, _ in kernel.linears for shift in (low, high)], default=0)
+            top = max((max(x + k - 1 - low, high - x) for x, k, _ in kernel.blocks if k > 0),
+                      default=0)
         self.scale, self.table = _power_sums(top, depth - 1)
         self.factorials = _factorials(max(top, depth))
         self.ratios = _recursion_weights(depth)
@@ -328,7 +323,7 @@ class _LocalExpansion:
         """
         if shift not in self.shifts:
             raise RangeError(f"no tables for shift {shift}, only {sorted(self.shifts)}")
-        kernel, scale, table, factorials = self.kernel, self.scale, self.table, self.factorials
+        kernel, table, factorials = self.kernel, self.table, self.factorials
         num, den = kernel.scalar.numerator, kernel.scalar.denominator
         sums = [0] * order                  # sums[r] = P_r
         for x, k, e in kernel.blocks:
@@ -346,14 +341,6 @@ class _LocalExpansion:
                 for r in range(1, order):                   # weight = e sign^r
                     weight *= sign
                     sums[r] += weight * (table[r][last] - table[r][first - 1])
-        for s, e in kernel.linears:
-            d = s.denominator
-            b = s.numerator - d * shift
-            if b == 0:
-                continue
-            num, den = (num * b ** e, den * d ** e) if e > 0 else (num * d ** -e, den * b ** -e)
-            for r in range(1, order):
-                sums[r] += e * d ** r * (scale // b) ** r
         series = [1]
         for k in range(1, order):
             g = 0
@@ -419,7 +406,7 @@ def _certify(kernel: Kernel, expansion: PartialFractions, where: str) -> None:
     from the leading numerator.
 
     ceil(deg D / 2) points suffice when (a) the kernel is proved odd about
-    t = -c/2 from the merged factors that give the poles
+    t = -c/2 from the merged factors that give the poles and the cofactor
     (:attr:`Kernel.centre`), f(-c-t) = -f(t), and (b) mirroring every term,
     p -> c - p and A_{p,j} -> (-1)^(j+1) A_{p,j}, gives back the same terms
     (as a multiset), so F(-c-t) = -F(t) too.  The orders are the merged
@@ -437,7 +424,7 @@ def _certify(kernel: Kernel, expansion: PartialFractions, where: str) -> None:
     orders, terms = kernel.pole_orders(), []
     for shift, numerators in expansion.terms:
         order = orders.get(shift, 0)
-        if len(numerators) > order or numerators[-1:] == (0,):
+        if len(numerators) > order or numerators[-1] == 0:
             raise ReconstructionError(
                 f"{where}: term of order {len(numerators)} at shift {shift} exceeds "
                 "the kernel's pole order there or has a zero top numerator")
@@ -449,8 +436,7 @@ def _certify(kernel: Kernel, expansion: PartialFractions, where: str) -> None:
             (centre - shift, order, tuple((-1) ** j * c for j, c in enumerate(numerators)))
             for shift, order, numerators in terms):
         least, count = max(1, -centre // 2 + 1), (count + 1) // 2
-    terms = [(shift, order, numerators[0], numerators[1:])
-             for shift, order, numerators in terms if order]     # order 0: an empty term
+    terms = [(shift, order, numerators[0], numerators[1:]) for shift, order, numerators in terms]
     for x, num, den in _certificate_points(kernel, least, count):
         parts, prefix = 0, 1
         for shift, order, horner, rest in terms:
@@ -481,9 +467,7 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     (:class:`_LocalExpansion`) per pole, in integers, with nothing expanded
     into a dense polynomial, rescaled to one positive denominator and reduced
     by the gcd in the same pass (:class:`PartialFractions` takes them as they
-    come), and proved by :func:`_certify`.  The pole shifts stay ints; a pole
-    at any other shift is a DomainError naming ``where``, raised before any
-    table is built.
+    come), and proved by :func:`_certify`.
 
     A kernel proved odd about t = -c/2 (:attr:`Kernel.centre`; the left
     kernel, c = n) is expanded only at the poles with 2p <= c; the others
@@ -491,9 +475,6 @@ def _principal_parts(kernel: Kernel, where: str) -> PartialFractions:
     denominator, and :func:`_certify` proves them at half the points.
     """
     orders, centre = kernel.pole_orders(), kernel.centre
-    for shift in orders:
-        if shift.denominator != 1:
-            raise DomainError(f"{where}: pole at t = {-shift} is not an integer")
     local = _LocalExpansion(kernel, list(orders), max(orders.values(), default=1))
     parts = {}
     for shift in sorted(orders):
@@ -901,7 +882,7 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
                     target: Fraction) -> tuple[Fraction, Fraction]:
     """(value, error bound) for sum_{v >= start} h(v), h = g^(order), for
     g = K N(t) / prod (t + s)^e, ``kernel`` multiplied out (:meth:`Kernel.expansion`),
-    every s an integer >= 0 (DomainError otherwise, before any search),
+    every pole shift s >= 0 (DomainError otherwise, before any search),
     deg g <= order - 2 (DivergenceError).
 
     The terms below A are summed exactly and the tail is closed at depth M by
@@ -945,7 +926,7 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     expansion = kernel.expansion()
     if any(shift < 0 for shift, _ in expansion[2]):
         raise DomainError("the remainder bound needs every pole at t <= 0")
-    chain = DerivativeChain._of(*expansion)    # refuses a non-integer pole before the search
+    chain = DerivativeChain._of(*expansion)
     cutoff, depth, num, den = _cheapest_closure(expansion, order, start, target)
     return chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth), _F(num, den)
 

@@ -10,7 +10,10 @@ error.  An argument of the wrong kind (a float or a string where an ``int``
 is needed, a ``bool`` anywhere, a tuple where a ``FormParameters`` is
 needed) is a :class:`DomainError`, an ``int`` outside the range a formula
 holds on a :class:`RangeError`.  :func:`checked` makes every such check;
-private helpers trust their callers.
+private helpers trust their callers.  Operators follow Python's protocol
+instead: an operand of a kind they do not take gives ``NotImplemented``, so
+``form + 1`` or ``form * 0.5`` raises the ``TypeError`` Python raises for
+any unsupported operand.
 """
 
 from __future__ import annotations

@@ -10,13 +10,14 @@ Conventions
   never by the root.
 * Everything is exact rational arithmetic; nothing here touches floats.
 
-Each kernel of the package is written once, as rising-factorial blocks
+Each kernel of the package is written once, as rising-factorial blocks at
+integer shifts times an integer cofactor polynomial
 (:class:`apery4.apery_forms.Kernel`).  The exact forms take their principal
 parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (proper principal parts: integer numerators over
-one reduced denominator), never expanding a kernel.  A
-:class:`DerivativeChain` holds a kernel's numerator, partly factored, over
-integer pole shifts; it takes derivatives at an integer point by the
+one reduced denominator at integer shifts), never expanding a kernel.  A
+:class:`DerivativeChain` holds a kernel's numerator, partly factored, every
+shift an integer; it takes derivatives at an integer point by the
 product and quotient rule on the linear factors, on Taylor series there,
 and builds the dense integer quotient-rule chain for each exact sum over a
 range: the route of the numeric series, of the summand oracle and of
@@ -165,9 +166,9 @@ class LinearFactorProduct(_Value):
 
 
 def _merged_shifts(factors: Iterable[tuple[Fraction | int, int]]) -> dict[Fraction | int, int]:
-    """The exponents of equal shifts added.  int and Fraction keys of equal
-    value hash alike, so shifts merge before any is converted; most shifts
-    are ints, which hash and sort far faster than Fractions."""
+    """The exponents of equal shifts added.  A kernel's shifts are ints; the
+    dense :class:`LinearFactorProduct` also passes Fractions, and int and
+    Fraction keys of equal value hash alike."""
     merged: dict[Fraction | int, int] = {}
     for shift, exponent in factors:
         merged[shift] = merged.get(shift, 0) + exponent
@@ -176,7 +177,9 @@ def _merged_shifts(factors: Iterable[tuple[Fraction | int, int]]) -> dict[Fracti
 
 def _linear_product(factors: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
     """(coefficients of prod (r t + q)^e, prod r^e) for shifts q/r, e >= 0: so
-    prod (t + q/r)^e is the integer coefficient list over that one integer."""
+    prod (t + q/r)^e is the integer coefficient list over that one integer.
+    A kernel's shifts are ints, r = 1; the dense :class:`LinearFactorProduct`
+    may pass Fractions."""
     coeffs, lead = [1], 1
     for shift, exponent in factors:
         q, r = shift.as_integer_ratio()
@@ -251,10 +254,10 @@ class DerivativeChain:
     any order asked for per call, at integer points.
 
     The (s, e) pairs follow ``Kernel.factors`` (:mod:`apery4.apery_forms`):
-    e > 0 is a numerator factor at any rational shift, e < 0 a pole of order
-    -e at an integer shift (DomainError otherwise when the chain is built, as
-    for a point that is not an integer when a method is called), over int
-    ``coeffs`` and a rational ``scale``.  The
+    every shift s an int (DomainError otherwise when the chain is built, as
+    for a point that is not an integer when a method is called), e > 0 a
+    numerator factor and e < 0 a pole of order -e, over int ``coeffs`` and a
+    rational ``scale``.  The
     summand oracle passes a kernel's cofactor and factors, the numeric series
     its integer expansion (``Kernel.expansion``), poles alone.
     :meth:`numerators` applies the product and quotient rule on the linear
@@ -267,38 +270,38 @@ class DerivativeChain:
     __slots__ = ("_coeffs", "_scale", "_factors", "_shifts")
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
-                 factors: Iterable[tuple[Fraction | int, int]]) -> None:
+                 factors: Iterable[tuple[int, int]]) -> None:
         factors = list(checked(factors, "factors", kind=Iterable))
         for factor in factors:
             checked(len(checked(factor, "factor", kind=tuple)), "factor size", 2, 2)
-            checked(factor[0], "shift", kind=Rational), checked(factor[1], "exponent")
+            checked(factor[0], "shift"), checked(factor[1], "exponent")
         self._build([checked(c, "coefficient") for c in checked(coeffs, "coeffs", kind=Sequence)],
                     checked(scale, "scale", kind=Rational), factors)
 
     @classmethod
     def _of(cls, coeffs: Sequence[int], scale: Fraction,
-            factors: Iterable[tuple[Fraction | int, int]]) -> "DerivativeChain":
+            factors: Iterable[tuple[int, int]]) -> "DerivativeChain":
         """The chain of arguments that the package built, unchecked."""
         chain = cls.__new__(cls)
         chain._build(coeffs, scale, factors)
         return chain
 
     def _build(self, coeffs: Sequence[int], scale: Fraction,
-               factors: Iterable[tuple[Fraction | int, int]]) -> None:
+               factors: Iterable[tuple[int, int]]) -> None:
         self._coeffs, self._scale = coeffs, scale
         self._factors, self._shifts = [], []
         for s, e in factors:
             if e > 0:
-                self._factors.append((*s.as_integer_ratio(), e))
+                self._factors.append((s, e))
             elif e < 0:
-                self._shifts.append((_integer(s, "pole shift"), -e))
+                self._shifts.append((s, -e))
 
     def numerators(self, x: int, order: int) -> tuple[list[int], int]:
         """([N_0, ..., N_order], D) with f^(d)(x) = N_d / D, from f's Taylor
         series in u = t - x, in integers: the coefficients' by synthetic
-        division, times each (t + q/r)^e = (L + r u)^e / r^e, L = r x + q, by
-        e steps of the series, r^e into D, then divided by each
-        (t + q)^-e = (L + u)^-e, L = x + q, by e geometric divisions; the u^k
+        division, times each (t + q)^e = (L + u)^e, L = x + q, by e steps of
+        the series, then divided by each (t + q)^-e = (L + u)^-e by e
+        geometric divisions; the u^k
         coefficients are scaled by C^k, C = lcm of the poles' L's, so D
         carries C^order.  PoleError at a pole."""
         checked(order, "order", 0)
@@ -314,13 +317,12 @@ class DerivativeChain:
         series = [c * lcd ** k for k, c in enumerate(series[:order + 1])]
         series += [0] * (order + 1 - len(series))
         top, bottom = self._scale.numerator, self._scale.denominator
-        for q, r, e in self._factors:
-            base, step = r * x + q, r * lcd
-            for _ in range(e):                      # times L + r C (u / C)
+        for q, e in self._factors:
+            base = x + q
+            for _ in range(e):                      # times L + C (u / C)
                 for k in range(order, 0, -1):
-                    series[k] = base * series[k] + step * series[k - 1]
+                    series[k] = base * series[k] + lcd * series[k - 1]
                 series[0] *= base
-            bottom *= r ** e
         for (_, e), base in zip(self._shifts, bases):
             ratio = lcd // base
             for _ in range(e):                      # divided by 1 + u / L, exactly
@@ -340,7 +342,7 @@ class DerivativeChain:
         factors) and normalised once."""
         checked(order, "order", 0)
         start, stop = (_integer(checked(v, "point", kind=Rational), "point") for v in (start, stop))
-        product, lead = _linear_product((_F(q, r), e) for q, r, e in self._factors)
+        product, _ = _linear_product(self._factors)
         coeffs = _quotient_chain(_mul_coeffs(product, self._coeffs), self._shifts, order)[order]
         pairs = []
         for v in range(start, stop):
@@ -356,7 +358,7 @@ class DerivativeChain:
             pairs = ([_merge(a, b, c, d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
-        return _F(self._scale.numerator * value, self._scale.denominator * lead * bottom)
+        return _F(self._scale.numerator * value, self._scale.denominator * bottom)
 
 
 def _integer(value: Fraction | int, what: str) -> int:
@@ -386,7 +388,9 @@ class PartialFractions(_Value):
     There is no polynomial part: every kernel of the package vanishes at
     infinity.
 
-    The denominator is a positive int (RangeError otherwise).  Its producer
+    Each term is a tuple of an int shift and a tuple of int numerators
+    (DomainError otherwise), two items and at least one numerator, and the
+    denominator a positive int (RangeError otherwise).  Its producer
     leaves it reduced, over the least positive denominator
     (``_principal_parts`` in :mod:`apery4.apery_forms`, the one place that
     reduces); so ``==`` compares values, for terms sorted by shift and with
@@ -397,5 +401,11 @@ class PartialFractions(_Value):
     _fields = __slots__ = ("terms", "denominator")
 
     def __init__(self, terms: tuple[tuple[int, tuple[int, ...]], ...], denominator: int) -> None:
+        for term in checked(terms, "terms", kind=tuple):
+            checked(len(checked(term, "term", kind=tuple)), "term size", 2, 2)
+            checked(term[0], "shift")
+            for c in checked(term[1], "numerators", kind=tuple):
+                checked(c, "numerator")
+            checked(len(term[1]), "numerator count", 1)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "denominator", checked(denominator, "denominator", 1))

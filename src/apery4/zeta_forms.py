@@ -36,7 +36,7 @@ from numbers import Rational
 
 from .errors import DomainError, PoleInRangeError, RangeError, checked
 from .exact_arith import _power_sums
-from .polyrat import DerivativeChain, PartialFractions, _integer, _Value
+from .polyrat import DerivativeChain, PartialFractions, _Value
 
 __all__ = [
     "ZETA_ORDERS",
@@ -85,12 +85,16 @@ class ZetaLinearForm(_Value):
     # -- linear arithmetic ----------------------------------------------------
 
     def __add__(self, other: "ZetaLinearForm") -> "ZetaLinearForm":
+        if not isinstance(other, ZetaLinearForm):
+            return NotImplemented
         return ZetaLinearForm(
             self.constant + other.constant,
             tuple(a + b for a, b in zip(self.zeta_coefficients,
                                         other.zeta_coefficients)))
 
     def __sub__(self, other: "ZetaLinearForm") -> "ZetaLinearForm":
+        if not isinstance(other, ZetaLinearForm):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ZetaLinearForm":
@@ -98,6 +102,8 @@ class ZetaLinearForm(_Value):
                               tuple(-c for c in self.zeta_coefficients))
 
     def __mul__(self, scalar: Fraction | int) -> "ZetaLinearForm":
+        if isinstance(scalar, bool) or not isinstance(scalar, Rational):
+            return NotImplemented
         s = _F(scalar)
         return ZetaLinearForm(self.constant * s,
                               tuple(c * s for c in self.zeta_coefficients))
@@ -165,19 +171,18 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
     ------
     PoleInRangeError  if some pole -p lies in [start, infinity),
     RangeError        for orders outside {1, 2},
-    DomainError       for non-integer pole shifts, or a nonzero numerator
-                      whose zeta(j + order) lies outside the basis.
+    DomainError       for a nonzero numerator whose zeta(j + order) lies
+                      outside the basis.
     """
     checked(expansion, "expansion", kind=PartialFractions)
     checked(order, "order", 1, 2)
     checked(weight, "weight", kind=Rational)
     checked(start, "start")
-    top = max((int(shift) + start - 1 for shift, _ in expansion.terms), default=0)
+    top = max((shift + start - 1 for shift, _ in expansion.terms), default=0)
     highest = ZETA_ORDERS[-1]
     scale, rows = _power_sums(top, highest)
     sums, dots = [0] * (highest + 1), [0] * (highest + 1)     # indexed by s
-    for shift, numerators in expansion.terms:
-        p = _integer(shift, "pole shift")
+    for p, numerators in expansion.terms:
         if -p >= start:
             raise PoleInRangeError(
                 f"pole at t = {-p} lies inside the summation range [{start}, oo)")

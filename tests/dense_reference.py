@@ -196,37 +196,39 @@ class Polynomial:
         return out
 
 
-def flattened(kernel: Kernel) -> list[tuple[Fraction, int]]:
-    """The kernel's linear factors (shift, exponent), each block (t + x)_k^e
-    flattened to (t + x + i)^e, the exponents of equal shifts added, zero
-    exponents dropped, sorted by shift; no cofactor."""
-    merged: dict[Fraction, int] = {}
-    factors = [(x + i, e) for x, k, e in kernel.blocks for i in range(k)] + list(kernel.linears)
+def _merged(factors: Iterable[tuple[Fraction | int, int]]) -> list[tuple[Fraction | int, int]]:
+    """(shift, exponent) pairs, the exponents of equal shifts added, zero
+    exponents dropped, sorted by shift."""
+    merged: dict[Fraction | int, int] = {}
     for shift, exponent in factors:
-        merged[_F(shift)] = merged.get(_F(shift), 0) + exponent
+        merged[shift] = merged.get(shift, 0) + exponent
     return sorted((shift, exponent) for shift, exponent in merged.items() if exponent)
 
 
-def pole_orders(kernel: Kernel) -> dict[Fraction | int, int]:
+def flattened(kernel: Kernel) -> list[tuple[int, int]]:
+    """The kernel's linear factors (shift, exponent), each block (t + x)_k^e
+    flattened to (t + x + i)^e, the exponents of equal shifts added, zero
+    exponents dropped, sorted by shift; no cofactor."""
+    return _merged((x + i, e) for x, k, e in kernel.blocks for i in range(k))
+
+
+def pole_orders(kernel: Kernel) -> dict[int, int]:
     """{shift p: order} of the kernel's poles, scanned candidate by candidate:
-    every shift of a block with a negative exponent and every loose factor
-    with one, its exponent summed over every block whose integer shifts
-    x..x+k-1 hold it and every loose factor at it."""
-    candidates: set[Fraction | int] = set()
+    every shift of a block with a negative exponent, its exponent summed over
+    every block whose integer shifts x..x+k-1 hold it."""
+    candidates: set[int] = set()
     for x, k, e in kernel.blocks:
         if e < 0:
             candidates.update(range(x, x + k))
-    candidates.update(s for s, e in kernel.linears if e < 0)
     orders = {}
     for q in candidates:
-        exponent = (sum(e for x, k, e in kernel.blocks if q in range(x, x + k))
-                    + sum(e for s, e in kernel.linears if s == q))
+        exponent = sum(e for x, k, e in kernel.blocks if q in range(x, x + k))
         if exponent < 0:
             orders[q] = -exponent
     return orders
 
 
-def poles(kernel: Kernel) -> list[Fraction]:
+def poles(kernel: Kernel) -> list[int]:
     """The shifts of the kernel's denominator factors after merging."""
     return [shift for shift, exponent in flattened(kernel) if exponent < 0]
 
@@ -236,8 +238,15 @@ def fraction_expansion(kernel: Kernel) -> tuple[Polynomial, Polynomial]:
     Fraction polynomial powers from its merged factors, the scalar and the
     cofactor in the numerator: the reference for the integer expansion
     behind every derivative chain."""
-    num, den = Polynomial(kernel.cofactor) * kernel.scalar, Polynomial.one()
-    for shift, exponent in flattened(kernel):
+    return factor_expansion(kernel.scalar, flattened(kernel), kernel.cofactor)
+
+
+def factor_expansion(scalar: Fraction | int, factors: Iterable[tuple[Fraction | int, int]],
+                     cofactor: Iterable[int] = (1,)) -> tuple[Polynomial, Polynomial]:
+    """(numerator, monic denominator) of scalar * cofactor * prod (t + s)^e,
+    the factors (s, e) merged first, at any rational shifts."""
+    num, den = Polynomial(cofactor) * scalar, Polynomial.one()
+    for shift, exponent in _merged(factors):
         if exponent > 0:
             num = num * Polynomial((shift, 1)) ** exponent
         else:
@@ -265,8 +274,8 @@ def chain_values(chain: DerivativeChain, x: Fraction | int, order: int) -> list[
     numerator factors multiplied out here as Fraction polynomials: each N_d
     evaluated at x over prod (x + q)^(e + d), times K; PoleError at a pole."""
     dense = Polynomial(chain._coeffs)
-    for q, r, e in chain._factors:
-        dense = dense * Polynomial((_F(q, r), 1)) ** e
+    for q, e in chain._factors:
+        dense = dense * Polynomial((q, 1)) ** e
     values = []
     for d, numerator in enumerate(polyrat._quotient_chain(dense.coefficients, chain._shifts,
                                                           order)):
@@ -321,10 +330,10 @@ def fixed_point(value: Fraction, scale: int,
 
 
 def partial_fractions(numerator: Polynomial, denominator: Polynomial,
-                      candidate_shifts: Iterable[Fraction | int]
+                      candidate_shifts: Iterable[int]
                       ) -> tuple[Polynomial, PartialFractions]:
     """(polynomial part, principal parts) of f = numerator / denominator, with
-    caller-supplied pole candidates.
+    caller-supplied pole candidates, int shifts.
 
     The denominator must factor completely as prod (t + p)^{e_p}
     over the candidate shifts (duplicates and non-roots among the candidates
@@ -334,7 +343,7 @@ def partial_fractions(numerator: Polynomial, denominator: Polynomial,
     re-multiplied and compared with ``f`` before being returned, as integers
     over the lcm of its coefficient denominators, its terms sorted by shift.
     """
-    candidates = sorted({_F(shift) for shift in candidate_shifts})
+    candidates = sorted(set(candidate_shifts))
 
     # polynomial part
     if numerator.degree >= denominator.degree:
@@ -344,7 +353,7 @@ def partial_fractions(numerator: Polynomial, denominator: Polynomial,
 
     # multiplicity scan: peel candidate roots off the denominator
     remaining = denominator
-    poles: list[tuple[Fraction, int]] = []
+    poles: list[tuple[int, int]] = []
     for p in candidates:
         mult = 0
         while remaining.degree >= 1:
@@ -361,7 +370,7 @@ def partial_fractions(numerator: Polynomial, denominator: Polynomial,
             f"({remaining}) outside the candidate shifts")
 
     # local expansions
-    terms: list[tuple[Fraction, list[Fraction]]] = []
+    terms: list[tuple[int, list[Fraction]]] = []
     for p, e in poles:
         num_prefix = num.taylor_prefix(-p, e)
         cof_series = [_ONE] + [_ZERO] * (e - 1)

@@ -23,7 +23,7 @@ N_MAX = 12
 
 
 def _apery_form(n: int):
-    kernel = Kernel(Fraction(1), ((-n, n, 2), (0, n + 1, -2)), ())
+    kernel = Kernel(Fraction(1), ((-n, n, 2), (0, n + 1, -2)))
     assert kernel.centre is None
     return derivative_tail_sum(_principal_parts(kernel, f"Apery n = {n}"), 1, 1, Fraction(-1, 2))
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import apery4
-from apery4 import (FixedPointNumber, FormParameters, Kernel, PartialFractions, RangeError,
+from apery4 import (DomainError, FixedPointNumber, FormParameters, Kernel, PartialFractions, RangeError,
                     SummandCheck, ZetaLinearForm)
 from apery4.polyrat import LinearFactorProduct
 
@@ -118,8 +118,8 @@ def test_distribution_metadata_matches_the_package():
 # each exported value type: a fresh value per call, and its fields in order
 VALUES = {
     "FormParameters": (lambda: FormParameters(4, 1), ("n", "m")),
-    "Kernel": (lambda: Kernel(F(2), ((-1, 3, 1), (0, 2, -2)), ((F(1, 2), 1),), (1, 1)),
-               ("scalar", "blocks", "linears", "cofactor")),
+    "Kernel": (lambda: Kernel(F(1), ((-1, 3, 1), (0, 2, -2)), (1, 3, 2)),
+               ("scalar", "blocks", "cofactor")),
     "PartialFractions": (lambda: PartialFractions(((0, (1,)), (1, (2, 3))), 5),
                          ("terms", "denominator")),
     "ZetaLinearForm": (lambda: ZetaLinearForm(F(1, 3), (F(0), F(0), F(-2), F(0))),
@@ -166,14 +166,16 @@ def test_values_pickle_and_copy(name):
 
 
 def test_kernel_replace_has_its_own_views():
+    # (2t + 1)(t + 1) (t-1)_3 / (t)_2^2: the cofactor holds the factor t + 1/2
     kernel = VALUES["Kernel"][0]()
-    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1, F(1, 2): 1}, None)
-    odd = kernel.replace(blocks=((0, 3, 1),), linears=(), cofactor=(1,))
-    assert odd == Kernel(F(2), ((0, 3, 1),), ())
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
+    odd = kernel.replace(blocks=((0, 3, 1),), cofactor=(1,))
+    assert odd == Kernel(F(1), ((0, 3, 1),))
     assert (odd.factors, odd.centre) == ({0: 1, 1: 1, 2: 1}, 2)
-    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1, F(1, 2): 1}, None)
-    with pytest.raises(TypeError):
-        kernel.replace(degree=3)
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
+    for field in ("degree", "linears"):
+        with pytest.raises(DomainError, match=rf"^Kernel has no field '{field}'$"):
+            kernel.replace(**{field: 3})
 
 
 def test_form_parameters_keep_their_range_check():

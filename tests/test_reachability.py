@@ -18,7 +18,8 @@ bodies only on a cold cache.
 
 A function's lines are those its compiled code (lambdas and comprehensions
 included, nested functions apart) places below its signature, less the lines
-of ``raise`` statements and ``except`` handlers: those run only on an input
+of ``raise`` statements, ``except`` handlers and ``return NotImplemented``
+(an operator's refusal, by Python's protocol): those run only on an input
 that the package refuses.
 """
 
@@ -34,8 +35,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apery4"
 
 _DENSE = ("the dense types, kept while the benchmark's layer tracer wraps "
           "LinearFactorProduct.expand and expand_parts by name (ROADMAP item 5)")
-_MISUSE = ("the value types' hashing, messages and comparison with other types: "
-           "no command needs them")
+_MISUSE = "the value types' hashing and messages: no command needs them"
 
 # functions with lines that no production path runs, each with the reason they stay
 ALLOWED = {
@@ -45,7 +45,7 @@ ALLOWED = {
                          "LinearFactorProduct.__init__", "LinearFactorProduct.of",
                          "LinearFactorProduct.expand_parts", "LinearFactorProduct.expand",
                          "RationalFunction.__init__"), _DENSE),
-        **dict.fromkeys(("_Value.__eq__", "_Value.__hash__", "_Value.__repr__"), _MISUSE),
+        **dict.fromkeys(("_Value.__hash__", "_Value.__repr__"), _MISUSE),
         "_Value.__reduce__": "pickling, which verify-identity's workers need for the "
                              "records' forms; this guard does not trace worker processes",
     },
@@ -105,11 +105,14 @@ def _body_lines(path: Path) -> dict[str, set[int]]:
     """{qualified name: lines of its body} of every function defined in
     ``path``: the lines of its code object and of the lambdas and
     comprehensions nested in it, from its first body statement on, less
-    the lines of ``raise`` statements and ``except`` handlers."""
+    the lines of ``raise`` statements, ``except`` handlers and
+    ``return NotImplemented``."""
     source = path.read_text()
     refused, body_start = set(), {}
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+        if (isinstance(node, (ast.Raise, ast.ExceptHandler))
+                or isinstance(node, ast.Return) and isinstance(node.value, ast.Name)
+                and node.value.id == "NotImplemented"):
             refused.update(range(node.lineno, node.end_lineno + 1))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])

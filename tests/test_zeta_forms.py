@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_reference
-from apery4 import (FixedPointNumber, PoleInRangeError, RangeError, ZetaLinearForm,
+from apery4 import (DomainError, FixedPointNumber, PoleInRangeError, RangeError, ZetaLinearForm,
                     bernoulli_even, derivative_tail_sum, evaluate_decimal,
                     zeta_forms, zeta_value)
 from apery4.polyrat import PartialFractions
@@ -68,6 +68,21 @@ def test_form_to_mapping():
     assert form.to_mapping() == {"c0": "-13/2", "z4": "12", "z5": "1/7"}
 
 
+def test_form_operators_follow_the_protocol():
+    # an operand that is not a form, or a scalar that is not a Rational or is
+    # a bool, gives NotImplemented, so Python raises its TypeError
+    form = ZetaLinearForm.from_constant(1) + ZetaLinearForm.zeta_term(4, F(1, 2))
+    assert form.__add__(1) is NotImplemented and form.__mul__(0.5) is NotImplemented
+    for call in (lambda: form + 1, lambda: 1 + form, lambda: form - 1, lambda: 1 - form,
+                 lambda: form + None, lambda: form * "a", lambda: "a" * form,
+                 lambda: form * 0.5, lambda: 0.5 * form, lambda: form * True,
+                 lambda: form * form):
+        with pytest.raises(TypeError):
+            call()
+    assert form * 2 == 2 * form == form + form and form - form == form * 0
+    assert form * F(1, 2) == F(1, 2) * form == ZetaLinearForm(F(1, 2), (0, 0, F(1, 4), 0))
+
+
 def test_form_str():
     form = ZetaLinearForm.from_constant(F(277, 16)) + ZetaLinearForm.zeta_term(4, -16)
     assert str(form) == "277/16 - 16*zeta(4)"
@@ -81,8 +96,7 @@ def test_form_str():
 
 def _parts(*terms, denominator=1):
     """Proper principal parts from (shift, numerators) pairs over ``denominator``."""
-    return PartialFractions(tuple((F(shift), numerators) for shift, numerators in terms),
-                            denominator)
+    return PartialFractions(tuple(terms), denominator)
 
 
 def test_derivative_tail_shifted_pole():
@@ -103,14 +117,14 @@ def test_derivative_tail_rejects_zeta_outside_basis():
 def test_derivative_tail_telescopes_to_constant():
     # f = 1/(t(t+1)); sum_{v>=1} f'(v) telescopes to -1 with no zeta part
     _, expansion = partial_fractions(Polynomial.one(),
-                                     Polynomial.variable() * Polynomial([1, 1]), [F(0), F(1)])
+                                     Polynomial.variable() * Polynomial([1, 1]), [0, 1])
     tail = derivative_tail_sum(expansion, 1, 1)
     assert tail == ZetaLinearForm.from_constant(-1)
 
 
 def test_derivative_tail_single_pole():
     # f = 1/t, order 2: sum_{v>=1} 2/v^3 = 2 zeta(3)
-    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [F(0)])
+    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [0])
     tail = derivative_tail_sum(expansion, 2, 1)
     assert tail == ZetaLinearForm.zeta_term(3, 2)
 
@@ -121,7 +135,7 @@ def _summable_tails(draw):
     zeta(j + order) lies in the basis, and a start past every pole."""
     order = draw(st.sampled_from((1, 2)))
     shifts = draw(st.lists(st.integers(-6, 20), min_size=1, max_size=6, unique=True))
-    terms = tuple((F(shift), tuple(draw(st.lists(
+    terms = tuple((shift, tuple(draw(st.lists(
         st.integers(-10**6, 10**6), min_size=1, max_size=5 - order))))
         for shift in sorted(shifts))
     denominator = draw(st.integers(1, 10**4))
@@ -138,13 +152,29 @@ def test_derivative_tail_matches_the_harmonic_route(case):
 
 
 def test_derivative_tail_rejects_bad_input():
-    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [F(0)])
+    _, expansion = partial_fractions(Polynomial.one(), Polynomial.variable(), [0])
     with pytest.raises(ValueError):
         derivative_tail_sum(expansion, 3, 1)
     with pytest.raises(PoleInRangeError):
         derivative_tail_sum(expansion, 1, 0)  # the pole at 0 sits in the range
-    with pytest.raises(ValueError):
-        derivative_tail_sum(_parts((F(1, 2), (1,))), 1, 1)
+
+
+@pytest.mark.parametrize("terms, error", [
+    (((None, (1,)),), DomainError), (((0, (1.5,)),), DomainError),
+    (((F(1, 2), (1,)),), DomainError), (((F(2), (1,)),), DomainError),
+    (((True, (1,)),), DomainError), (((0, (True,)),), DomainError),
+    (((0, [1]),), DomainError), (([0, (1,)],), DomainError), ([(0, (1,))], DomainError),
+    (((0, ()),), RangeError), (((0, (1,), 2),), RangeError),
+], ids=["none-shift", "float-numerator", "half-integer-shift", "fraction-shift",
+        "bool-shift", "bool-numerator", "list-numerators", "list-term", "list-terms",
+        "no-numerator", "three-items"])
+def test_partial_fractions_check_their_terms(terms, error):
+    # each term is an int shift and a non-empty tuple of int numerators, so
+    # the tail sum reads the shift as it is: a term of another kind is a
+    # DomainError and one of the wrong size a RangeError, as a Kernel's
+    # blocks, when the parts are built
+    with pytest.raises(error):
+        derivative_tail_sum(PartialFractions(terms, 1), 1, 1)
 
 
 # ---------------------------------------------------------------------------
