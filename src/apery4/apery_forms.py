@@ -107,7 +107,8 @@ class Kernel(_Value):
     """scalar * prod (t+x)_k^e over blocks, times an integer cofactor
     polynomial (ascending; 1 but on the right and on the left at odd n).
     The scalar is rational, x, k >= 0, e and the cofactor's coefficients
-    ints, each field a tuple, the cofactor not empty: every shift is an int.
+    ints, each field a tuple, the cofactor not empty and its top coefficient
+    nonzero (so :attr:`degree` is exact): every shift is an int.
 
     The one written form of a kernel (see :func:`left_kernel`,
     :func:`right_kernel`).  The local expansions (:class:`_LocalExpansion`)
@@ -128,7 +129,8 @@ class Kernel(_Value):
             checked(block[1], "block k", 0)
         for c in checked(cofactor, "cofactor", kind=tuple):
             checked(c, "cofactor coefficient")
-        checked(len(cofactor), "cofactor size", 1)
+        if checked(len(cofactor), "cofactor size", 1) and cofactor[-1] == 0:
+            raise DomainError(f"need a cofactor with a nonzero top coefficient, got {cofactor}")
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "cofactor", cofactor)

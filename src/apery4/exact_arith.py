@@ -11,17 +11,19 @@ on in hot loops:
 
 * ``factorial`` — memoized exact k!,
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
+* ``_power_sums`` — the one table of power sums S_r(i) = sum_{j<=i} j^(-r),
+  kept in integers as L^r S_r(i) with L = lcm(1..top), for the life of the
+  process; the local expansions, the zeta tails, the head of zeta(s) and
+  ``harmonic`` all read it,
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
-  cached per order so S_a(n) and S_a(n-1) share work,
-* ``_power_sums`` — the same sums in integers, L^r S_r(i) with
-  L = lcm(1..top), in tables kept for the life of the process that the
-  local expansions and the zeta tails share.
+  one table entry over L^a, memoized.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .errors import checked
 
@@ -83,23 +85,17 @@ def pochhammer(x: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# per-order list of partial sums: _HARMONIC[a][n] == S_a(n), with S_a(0) = 0
-_HARMONIC: dict[int, list[Fraction]] = {}
-
-
 def harmonic(order: int, upper: int) -> Fraction:
-    """Generalized harmonic number S_order(upper) = sum_{i=1}^{upper} i^(-order).
+    """Generalized harmonic number S_order(upper) = sum_{i=1}^{upper} i^(-order),
+    for ints ``order >= 1`` and ``upper >= 0`` (S_a(0) = 0): the power-sum
+    row entry L^order S_order(upper) of top ``upper`` over L^order, memoized."""
+    return _harmonic(checked(order, "order", 1), checked(upper, "upper", 0))
 
-    Ints ``order >= 1`` and ``upper >= 0``; S_a(0) = 0.  Cached per order as
-    a growing list of partial sums.
-    """
-    sums = _HARMONIC.setdefault(checked(order, "order", 1), [Fraction(0)])
-    if checked(upper, "upper", 0) >= len(sums):
-        value = sums[-1]
-        for i in range(len(sums), upper + 1):
-            value += Fraction(1, i**order)
-            sums.append(value)
-    return sums[upper]
+
+@cache
+def _harmonic(order: int, upper: int) -> Fraction:
+    scale, rows = _power_sums(upper, order)
+    return Fraction(rows[order][upper], scale ** order)
 
 
 # ---------------------------------------------------------------------------

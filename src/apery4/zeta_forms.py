@@ -20,11 +20,11 @@ integers over one denominator.
 For float-side cross-checks, :func:`zeta_value` computes zeta(s) to any
 requested number of digits by Euler–Maclaurin summation, exact throughout:
 the remainder after M corrections at cutoff N is below
-4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)); the head is summed in integers, and
-the boundary and Bernoulli terms come from :func:`_closure`, the one
-Euler–Maclaurin closure, which both numeric sides also use.  It returns a
-:class:`FixedPointNumber` that carries a proven error bound rather than a
-bare float.
+4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)); the head is read off the integer
+power-sum rows that the tails read, and the boundary and Bernoulli terms
+come from :func:`_closure`, the one Euler–Maclaurin closure, which both
+numeric sides also use.  It returns a :class:`FixedPointNumber` that
+carries a proven error bound rather than a bare float.
 """
 
 from __future__ import annotations
@@ -355,15 +355,16 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
     with |R| below the first omitted term: |B_{2k}| / (2k)! < 4 / (2 pi)^(2k)
     < 4 / 39^k gives the rational envelope
     4 (s)_{2M+1} / (39^(M+1) N^(s+2M+1)).  N and M are chosen so the bound
-    is below 10^(-digits-3) (:func:`_cutoff_and_depth`).  The head is summed
-    in integers over lcm(1..N-1)^s; the boundary and Bernoulli terms are the
-    shared closure (:func:`_closure`) of h = t^(-s) = g', g = -t^(1-s)/(s-1),
-    so the bound is a theorem, not an estimate.
+    is below 10^(-digits-3) (:func:`_cutoff_and_depth`).  The head is the
+    power-sum row entry L^s S_s(N-1) over L^s, L = lcm(1..N-1)
+    (:func:`~apery4.exact_arith._power_sums`); the boundary and Bernoulli
+    terms are the shared closure (:func:`_closure`) of h = t^(-s) = g',
+    g = -t^(1-s)/(s-1), so the bound is a theorem, not an estimate.
     """
     cutoff, depth, bound = _cutoff_and_depth(checked(s, "s", 2), checked(digits, "digits", 1))
-    head = lcm(*range(1, cutoff))
+    scale, rows = _power_sums(cutoff - 1, s)
     closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, 1 - s)]), cutoff, 1, depth)
-    total = _F(sum((head // k) ** s for k in range(1, cutoff)), head**s) + closure
+    total = _F(rows[s][cutoff - 1], scale**s) + closure
     return FixedPointNumber.from_fraction(total, digits, inherent_error=bound)
 
 

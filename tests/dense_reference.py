@@ -13,8 +13,10 @@ integer derivative numerators that the package returns
 that the package's integer sums replaced: Euler–Maclaurin zeta values
 summed term by term (:func:`zeta_value`), the Euler–Maclaurin closure read
 off Fraction derivative values (:func:`closure`), fixed-point rounding of a
-Fraction (:func:`fixed_point`), tail sums read off cached harmonic
-numbers (:func:`derivative_tail_sum`), the numeric route's remainder
+Fraction (:func:`fixed_point`), harmonic numbers kept as plain Fraction
+partial sums (:func:`harmonic`), where the package reads its integer
+power-sum table, tail sums read off them (:func:`derivative_tail_sum`),
+the numeric route's remainder
 bound computed whole at each cutoff (:func:`remainder_bound`), the
 three-term recurrence summed as Fraction linear forms
 (:func:`recurrence_holds`) and a kernel's pole orders scanned candidate by
@@ -36,7 +38,7 @@ from typing import Iterable
 from apery4 import polyrat
 from apery4.apery_forms import Kernel
 from apery4.errors import Apery4Error, PoleError, PoleInRangeError, ReconstructionError
-from apery4.exact_arith import factorial, harmonic, pochhammer
+from apery4.exact_arith import factorial, pochhammer
 from apery4.polyrat import DerivativeChain, PartialFractions
 from apery4.recurrence_lab import recurrence_coefficients
 from apery4.zeta_forms import ZETA_ORDERS, FixedPointNumber, ZetaLinearForm, bernoulli_even
@@ -422,9 +424,23 @@ def _series_divide(num: list[Fraction], den: list[Fraction], count: int) -> list
     return out
 
 
+# per-order list of partial sums: _HARMONIC[a][i] == S_a(i), with S_a(0) = 0
+_HARMONIC: dict[int, list[Fraction]] = {}
+
+
+def harmonic(order: int, upper: int) -> Fraction:
+    """S_order(upper) = sum_{i=1}^{upper} i^(-order), added up as Fractions in
+    a growing per-order list; it reads nothing of the package's power-sum
+    table, which it is the reference for."""
+    sums = _HARMONIC.setdefault(order, [_ZERO])
+    for i in range(len(sums), upper + 1):
+        sums.append(sums[-1] + _F(1, i**order))
+    return sums[upper]
+
+
 def derivative_tail_sum(expansion: PartialFractions, order: int, start: int) -> ZetaLinearForm:
     """sum_{v >= start} f^(order)(v), each tail of (v+p)^(-s) taken as zeta(s)
-    minus the cached harmonic Fraction S_s(p+start-1), with the weight
+    minus the Fraction S_s(p+start-1) of :func:`harmonic`, with the weight
     (-1)^order (j)_order from ``pochhammer``; the constant is accumulated over
     lcm(1..top)^5 as ``unit // S.denominator`` per numerator."""
     if order not in (1, 2):

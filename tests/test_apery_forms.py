@@ -802,7 +802,8 @@ def test_chain_values_match_the_dense_chain_on_kernels(n):
                         n, m, label, x)
 
 
-_COFACTORS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+# a kernel's cofactor has a nonzero top coefficient
+_COFACTORS = st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(lambda c: c[-1])
 
 
 @given(_BLOCKS, _COFACTORS)
@@ -1117,8 +1118,8 @@ def test_oracle_reads_no_table_of_the_other_routes(monkeypatch):
 
 def test_tails_match_the_harmonic_route_on_the_grid():
     # every tail the forms sum on the n <= 12 grid, and the tail past the
-    # printed finite summands, equals the route that reads cached harmonic
-    # Fractions
+    # printed finite summands, equals the reference route, whose harmonic
+    # numbers are its own Fraction partial sums, not the power-sum table
     for n in range(13):
         for m in range(n + 1):
             p = FormParameters(n, m)
@@ -1180,6 +1181,16 @@ def test_audit_values_are_pinned():
                        for c in checks], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "3fdeb010915e1ef9082bd18b3d16de57efecaaedd03ed78c10ce48a62827f942")
+
+
+@pytest.mark.slow
+def test_both_sides_match_recurrence_table_at_300_150():
+    # one cell past the n <= 60 grid: both kernels at n = 300, where the
+    # power-sum rows, the certificates and the tails run at scale
+    expected = recurrence_table(300)[(300, 150)]
+    p = FormParameters(300, 150)
+    assert left_form(p) == expected
+    assert right_form(p) == expected
 
 
 @pytest.mark.slow

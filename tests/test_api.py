@@ -17,6 +17,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -176,6 +177,17 @@ def test_kernel_replace_has_its_own_views():
     for field in ("degree", "linears"):
         with pytest.raises(DomainError, match=rf"^Kernel has no field '{field}'$"):
             kernel.replace(**{field: 3})
+
+
+@pytest.mark.parametrize("cofactor", [(1, 0), (0,), (3, 2, 0)])
+def test_kernel_refuses_a_cofactor_with_a_zero_top(cofactor):
+    # 1/t written with the cofactor (1, 0) would read degree 0, and (0,) is
+    # the zero kernel; the top made 1, the degree is the numerator's less the
+    # denominator's
+    message = rf"^need a cofactor with a nonzero top coefficient, got {re.escape(str(cofactor))}$"
+    with pytest.raises(DomainError, match=message):
+        Kernel(F(1), ((0, 1, -1),), cofactor)
+    assert Kernel(F(1), ((0, 1, -1),), cofactor[:-1] + (1,)).degree == len(cofactor) - 2
 
 
 def test_form_parameters_keep_their_range_check():

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apery4
-from apery4 import (Apery4Error, FixedPointNumber, FormParameters, ZetaLinearForm, left_form,
-                    left_kernel)
+from apery4 import (Apery4Error, DomainError, FixedPointNumber, FormParameters, Kernel,
+                    RangeError, ZetaLinearForm, left_form, left_kernel)
 from apery4.apery_forms import _left_expansion
 from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
@@ -92,3 +92,17 @@ def test_every_entry_point_returns_or_raises_a_package_error(name, data):
     if isinstance(result, FixedPointNumber) or (isinstance(result, ZetaLinearForm)
                                                 and function is not ZetaLinearForm):
         str(result)
+
+
+@pytest.mark.parametrize("cofactor, error", [
+    ((), RangeError), ((0,), DomainError), ((1, 0), DomainError), ((2, -1, 0), DomainError),
+    ((1, 0.5), DomainError), ((1, True), DomainError), ([1], DomainError),
+], ids=["empty", "zero", "zero-top", "zero-top-of-three", "float", "bool", "list"])
+def test_kernel_refuses_a_cofactor_it_cannot_read(cofactor, error):
+    # a cofactor is a non-empty tuple of ints whose top is nonzero: 1/t read
+    # with the cofactor (1, 0) would have degree 0, so its parts could not be
+    # built; every other cofactor is refused as it is passed in
+    with pytest.raises(error):
+        Kernel(Fraction(1), ((0, 1, -1),), cofactor)
+    with pytest.raises(error):
+        KERNEL.replace(cofactor=cofactor)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from apery4 import DomainError, exact_arith, factorial, harmonic, pochhammer
 from apery4.exact_arith import _power_sums
+import dense_reference
 
 F = Fraction
 
@@ -74,14 +75,16 @@ def test_harmonic_increment(order, upper):
 
 def test_power_sum_rows_are_scaled_harmonic_numbers(monkeypatch):
     # L = lcm(1..top) exactly and rows[r][i] = L^r S_r(i), tops up and down
-    # so that tops with one L extend and read each other's rows
+    # so that tops with one L extend and read each other's rows; S_r(i) from
+    # the reference's Fraction partial sums, since harmonic reads these rows
     monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
     for top in [*range(0, 30), 45, 40, 37, 38, 60]:
         count = 1 + top % 5
         scale, rows = _power_sums(top, count)
         assert scale == lcm(*range(1, top + 1)), top
         for r in range(1, count + 1):
-            assert rows[r][:top + 1] == [scale ** r * harmonic(r, i) for i in range(top + 1)]
+            assert rows[r][:top + 1] == [scale ** r * dense_reference.harmonic(r, i)
+                                       for i in range(top + 1)]
 
 
 def test_power_sum_tables_are_all_kept(monkeypatch):

@@ -145,7 +145,7 @@ def _summable_tails(draw):
 
 @given(_summable_tails())
 def test_derivative_tail_matches_the_harmonic_route(case):
-    # the integer rows give the same form as the cached harmonic Fractions
+    # the integer rows give the same form as the reference's Fraction partial sums
     expansion, order, start = case
     assert (derivative_tail_sum(expansion, order, start)
             == dense_reference.derivative_tail_sum(expansion, order, start))
