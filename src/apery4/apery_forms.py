@@ -135,13 +135,6 @@ class Kernel(_Value):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "cofactor", cofactor)
 
-    def replace(self, **changes) -> "Kernel":
-        """This kernel with the fields named in ``changes`` replaced;
-        DomainError naming a field it does not have."""
-        if unknown := sorted(changes.keys() - set(self._fields)):
-            raise DomainError(f"Kernel has no field {unknown[0]!r}")
-        return Kernel(**{**dict(zip(self._fields, self._astuple())), **changes})
-
     @property
     def degree(self) -> int:
         """deg(numerator) - deg(denominator)."""
@@ -235,12 +228,12 @@ def left_kernel(p: FormParameters) -> Kernel:
     return Kernel(scalar, blocks + ((n // 2, 1, 1),))
 
 
-def _right_spec(p: FormParameters) -> Kernel:
-    """The right kernel's shared blocks B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}):
-    its j-th term, 0 <= j <= n, is C_j (t-j)_n B (degree gap 2), C_j below."""
+def _right_spec(p: FormParameters) -> tuple[tuple[int, int, int], ...]:
+    """The blocks of the right kernel's shared factor
+    B = (t-n)_{2n-m} / ((t)_{n+1} (t)_{2n-m+1}): its j-th term, 0 <= j <= n,
+    is C_j (t-j)_n B (degree gap 2), C_j below."""
     n, m = p.n, p.m
-    return Kernel._unchecked(_F(1), ((-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)),
-                             (1,))
+    return (-n, 2 * n - m, 1), (0, n + 1, -1), (0, 2 * n - m + 1, -1)
 
 
 def _right_weight(p: FormParameters, j: int) -> int:
@@ -251,8 +244,7 @@ def _right_weight(p: FormParameters, j: int) -> int:
 def _right_blocks(p: FormParameters, j: int) -> Kernel:
     """The j-th term of the right kernel, C_j (t-j)_n B (see :func:`_right_spec`)."""
     checked(j, "j", 0, p.n)
-    shared = _right_spec(p)
-    return Kernel._unchecked(_F(_right_weight(p, j)), ((-j, p.n, 1),) + shared.blocks, (1,))
+    return Kernel(_F(_right_weight(p, j)), ((-j, p.n, 1),) + _right_spec(p))
 
 
 def right_kernel(p: FormParameters) -> Kernel:
@@ -270,7 +262,7 @@ def right_kernel(p: FormParameters) -> Kernel:
         weight = _right_weight(p, j)
         cofactor = [c + weight * f for c, f in zip(_times_linear(cofactor, p.n - j, 1), falling)]
         falling = _times_linear(falling, -j - 1, 1)
-    return _right_spec(p).replace(cofactor=tuple(cofactor))
+    return Kernel(_F(1), _right_spec(p), tuple(cofactor))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +304,7 @@ class _LocalExpansion:
             # a block's a = x + i - shift runs over [x - high, x + k - 1 - low]
             top = max((max(x + k - 1 - low, high - x) for x, k, _ in kernel.blocks if k > 0),
                       default=0)
-        self.scale, self.table = _power_sums(top, depth - 1)
+        self.scale, self.table = _power_sums(top, range(1, depth))
         self.factorials = _factorials(max(top, depth))
         self.ratios = _recursion_weights(depth)
         self.multipliers = _order_multipliers(self.scale, depth)
@@ -756,7 +748,7 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
             def kernel(j: int | None) -> tuple[Kernel, DerivativeChain, int]:
                 if j not in kernels:
                     k = left_kernel(p) if j is None else _right_blocks(p, j)
-                    kernels[j] = (k, DerivativeChain._of(k.cofactor, k.scalar, k.factors.items()),
+                    kernels[j] = (k, DerivativeChain(k.cofactor, k.scalar, k.factors.items()),
                                   1 if j is None else 2)
                 return kernels[j]
 
@@ -928,7 +920,7 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     expansion = kernel.expansion()
     if any(shift < 0 for shift, _ in expansion[2]):
         raise DomainError("the remainder bound needs every pole at t <= 0")
-    chain = DerivativeChain._of(*expansion)
+    chain = DerivativeChain(*expansion)
     cutoff, depth, num, den = _cheapest_closure(expansion, order, start, target)
     return chain.sum(order, start, cutoff) + _closure(chain, cutoff, order, depth), _F(num, den)
 

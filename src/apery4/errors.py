@@ -9,8 +9,10 @@ argument before any work with an :class:`Apery4Error`, never a bare builtin
 error.  An argument of the wrong kind (a float or a string where an ``int``
 is needed, a ``bool`` anywhere, a tuple where a ``FormParameters`` is
 needed) is a :class:`DomainError`, an ``int`` outside the range a formula
-holds on a :class:`RangeError`.  :func:`checked` makes every such check;
-private helpers trust their callers.  Operators follow Python's protocol
+holds on a :class:`RangeError`.  :func:`checked` makes every such check,
+and each value is built through its one constructor; private helpers, and
+the internal derivative chain that only checked kernels and literals build,
+trust their callers.  Operators follow Python's protocol
 instead: an operand of a kind they do not take gives ``NotImplemented``, so
 ``form + 1`` or ``form * 0.5`` raises the ``TypeError`` Python raises for
 any unsupported operand.

@@ -13,8 +13,9 @@ on in hot loops:
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
 * ``_power_sums`` — the one table of power sums S_r(i) = sum_{j<=i} j^(-r),
   kept in integers as L^r S_r(i) with L = lcm(1..top), for the life of the
-  process; the local expansions, the zeta tails, the head of zeta(s) and
-  ``harmonic`` all read it,
+  process, each row r built only once a caller reads it; the local
+  expansions, the zeta tails, the head of zeta(s) and ``harmonic`` all
+  read it,
 * ``harmonic`` — generalized harmonic numbers S_a(n) = sum_{i=1..n} i^(-a),
   one table entry over L^a, memoized.
 """
@@ -22,6 +23,7 @@ on in hot loops:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 
@@ -94,7 +96,7 @@ def harmonic(order: int, upper: int) -> Fraction:
 
 @cache
 def _harmonic(order: int, upper: int) -> Fraction:
-    scale, rows = _power_sums(upper, order)
+    scale, rows = _power_sums(upper, (order,))
     return Fraction(rows[order][upper], scale ** order)
 
 
@@ -103,27 +105,27 @@ def _harmonic(order: int, upper: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 # {top: (L, rows)}, every top read; tops with one L share its rows
-_POWER_SUMS: dict[int, tuple[int, list[list[int]]]] = {}
+_POWER_SUMS: dict[int, tuple[int, dict[int, list[int]]]] = {}
 
 
-def _power_sums(top: int, count: int) -> tuple[int, list[list[int]]]:
+def _power_sums(top: int, orders: Iterable[int]) -> tuple[int, dict[int, list[int]]]:
     """(L, rows): L = lcm(1..top) and rows[r][i] = L^r S_r(i), an integer
-    (i^r divides L^r), for 1 <= r <= count and 0 <= i <= top; read-only.
+    (i^r divides L^r), for each r >= 1 of ``orders`` and 0 <= i <= top;
+    read-only.
 
     L grows only at prime powers, so a new top takes the table of a kept top
-    with the same L if there is one, and builds one otherwise.  Rows are
-    built on first need and extended as tops grow.  Every table is kept.
+    with the same L if there is one, and builds one otherwise.  A row is
+    built when an order first asks for it and extended as tops grow, so a
+    table holds only the rows its callers read.  Every table is kept.
     """
     entry = _POWER_SUMS.get(top)
     if entry is None:
         scale = math.lcm(*range(1, top + 1))
         entry = _POWER_SUMS[top] = next(
-            (kept for kept in _POWER_SUMS.values() if kept[0] == scale), (scale, [[]]))
+            (kept for kept in _POWER_SUMS.values() if kept[0] == scale), (scale, {}))
     scale, rows = entry
-    for r in range(1, count + 1):
-        if r == len(rows):
-            rows.append([0])
-        row = rows[r]
+    for r in orders:
+        row = rows.setdefault(r, [0])
         if len(row) <= top:
             unit, total = scale ** r, row[-1]
             for i in range(len(row), top + 1):

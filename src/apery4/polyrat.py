@@ -15,13 +15,14 @@ integer shifts times an integer cofactor polynomial
 (:class:`apery4.apery_forms.Kernel`).  The exact forms take their principal
 parts straight from the blocks, in integers, and return them as
 :class:`PartialFractions` (proper principal parts: integer numerators over
-one reduced denominator at integer shifts), never expanding a kernel.  A
-:class:`DerivativeChain` holds a kernel's numerator, partly factored, every
-shift an integer; it takes derivatives at an integer point by the
-product and quotient rule on the linear factors, on Taylor series there,
-and builds the dense integer quotient-rule chain for each exact sum over a
-range: the route of the numeric series, of the summand oracle and of
-zeta(s)'s closure.
+one reduced denominator at integer shifts), never expanding a kernel; it
+is the one export.  The internal :class:`DerivativeChain` holds a kernel's
+numerator, partly factored, every shift an integer; it takes derivatives at
+an integer point by the product and quotient rule on the linear factors, on
+Taylor series there, and builds the dense integer quotient-rule chain for
+each exact sum over a range: the route of the numeric series, of the summand
+oracle and of zeta(s)'s closure.  Its producers pass the fields of a checked
+kernel or literals, so it takes its ints as given.
 :class:`LinearFactorProduct` (a flattened kernel with repeated shifts
 merged) and the plain dense :class:`Polynomial` and
 :class:`RationalFunction` that its :meth:`~LinearFactorProduct.expand`
@@ -36,13 +37,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from numbers import Rational
 
-from .errors import DomainError, PoleError, checked
+from .errors import PoleError, checked
 
 __all__ = [
     "PartialFractions",
-    "DerivativeChain",
 ]
 
 _F = Fraction
@@ -80,13 +79,6 @@ class _Value:
     def __reduce__(self) -> tuple:
         return type(self), self._astuple()
 
-    @classmethod
-    def _unchecked(cls, *fields: object) -> "_Value":
-        """A value of fields that the package built, without ``__init__``'s checks."""
-        value = cls.__new__(cls)
-        for name, field in zip(cls._fields, fields):
-            object.__setattr__(value, name, field)
-        return value
 
 # ---------------------------------------------------------------------------
 # Polynomial
@@ -254,12 +246,12 @@ class DerivativeChain:
     any order asked for per call, at integer points.
 
     The (s, e) pairs follow ``Kernel.factors`` (:mod:`apery4.apery_forms`):
-    every shift s an int (DomainError otherwise when the chain is built, as
-    for a point that is not an integer when a method is called), e > 0 a
-    numerator factor and e < 0 a pole of order -e, over int ``coeffs`` and a
-    rational ``scale``.  The
-    summand oracle passes a kernel's cofactor and factors, the numeric series
-    its integer expansion (``Kernel.expansion``), poles alone.
+    every shift s an int, e > 0 a numerator factor and e < 0 a pole of
+    order -e, over int ``coeffs`` and a rational ``scale``; points are ints
+    and orders >= 0.  Nothing is checked: the summand oracle passes a
+    checked kernel's cofactor and factors, the numeric series its integer
+    expansion (``Kernel.expansion``), poles alone, and zeta(s)'s closure
+    literals.
     :meth:`numerators` applies the product and quotient rule on the linear
     factors, on truncated Taylor series at the point, and builds no
     polynomial; :meth:`sum` multiplies the numerator factors out and builds
@@ -271,23 +263,6 @@ class DerivativeChain:
 
     def __init__(self, coeffs: Sequence[int], scale: Fraction,
                  factors: Iterable[tuple[int, int]]) -> None:
-        factors = list(checked(factors, "factors", kind=Iterable))
-        for factor in factors:
-            checked(len(checked(factor, "factor", kind=tuple)), "factor size", 2, 2)
-            checked(factor[0], "shift"), checked(factor[1], "exponent")
-        self._build([checked(c, "coefficient") for c in checked(coeffs, "coeffs", kind=Sequence)],
-                    checked(scale, "scale", kind=Rational), factors)
-
-    @classmethod
-    def _of(cls, coeffs: Sequence[int], scale: Fraction,
-            factors: Iterable[tuple[int, int]]) -> "DerivativeChain":
-        """The chain of arguments that the package built, unchecked."""
-        chain = cls.__new__(cls)
-        chain._build(coeffs, scale, factors)
-        return chain
-
-    def _build(self, coeffs: Sequence[int], scale: Fraction,
-               factors: Iterable[tuple[int, int]]) -> None:
         self._coeffs, self._scale = coeffs, scale
         self._factors, self._shifts = [], []
         for s, e in factors:
@@ -304,8 +279,7 @@ class DerivativeChain:
         geometric divisions; the u^k
         coefficients are scaled by C^k, C = lcm of the poles' L's, so D
         carries C^order.  PoleError at a pole."""
-        checked(order, "order", 0)
-        x, coeffs = _integer(checked(x, "point", kind=Rational), "point"), self._coeffs
+        coeffs = self._coeffs
         bases = [x + q for q, _ in self._shifts]
         if 0 in bases:
             raise PoleError(f"derivative evaluation at pole t = {x}")
@@ -340,8 +314,6 @@ class DerivativeChain:
         integer pairs N_order(v) / prod (v + q)^(e + order) added in a
         balanced tree over reduced denominators (adjacent terms share most
         factors) and normalised once."""
-        checked(order, "order", 0)
-        start, stop = (_integer(checked(v, "point", kind=Rational), "point") for v in (start, stop))
         product, _ = _linear_product(self._factors)
         coeffs = _quotient_chain(_mul_coeffs(product, self._coeffs), self._shifts, order)[order]
         pairs = []
@@ -359,14 +331,6 @@ class DerivativeChain:
                      + pairs[len(pairs) - len(pairs) % 2:])
         value, bottom = pairs[0] if pairs else (0, 1)
         return _F(self._scale.numerator * value, self._scale.denominator * bottom)
-
-
-def _integer(value: Fraction | int, what: str) -> int:
-    """A rational ``value`` as an int; DomainError if it is not an integer."""
-    q, r = value.as_integer_ratio()
-    if r != 1:
-        raise DomainError(f"{what} must be an integer, got {value}")
-    return q
 
 
 def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:

@@ -180,7 +180,7 @@ def derivative_tail_sum(expansion: PartialFractions, order: int, start: int,
     checked(start, "start")
     top = max((shift + start - 1 for shift, _ in expansion.terms), default=0)
     highest = ZETA_ORDERS[-1]
-    scale, rows = _power_sums(top, highest)
+    scale, rows = _power_sums(top, range(order + 1, highest + 1))
     sums, dots = [0] * (highest + 1), [0] * (highest + 1)     # indexed by s
     for p, numerators in expansion.terms:
         if -p >= start:
@@ -362,7 +362,7 @@ def zeta_value(s: int, digits: int) -> FixedPointNumber:
     g = -t^(1-s)/(s-1), so the bound is a theorem, not an estimate.
     """
     cutoff, depth, bound = _cutoff_and_depth(checked(s, "s", 2), checked(digits, "digits", 1))
-    scale, rows = _power_sums(cutoff - 1, s)
+    scale, rows = _power_sums(cutoff - 1, (s,))
     closure = _closure(DerivativeChain([1], _F(-1, s - 1), [(0, 1 - s)]), cutoff, 1, depth)
     total = _F(rows[s][cutoff - 1], scale**s) + closure
     return FixedPointNumber.from_fraction(total, digits, inherent_error=bound)

@@ -111,7 +111,7 @@ def test_right_kernel_keeps_the_pole_orders_of_its_blocks(n):
     for m in range(n + 1):
         kernel = right_kernel(FormParameters(n, m))
         orders = kernel.pole_orders()
-        assert orders == kernel.replace(cofactor=(1,)).pole_orders(), m
+        assert orders == Kernel(kernel.scalar, kernel.blocks).pole_orders(), m
         assert orders == {q: 1 + (n - m <= q <= n) for q in range(2 * n - m + 1)}, m
         assert all(Polynomial(kernel.cofactor)(-q) for q in orders), m
 
@@ -320,8 +320,9 @@ def test_certificate_rejects_tampered_parts(tamper):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda kernel: kernel.replace(scalar=kernel.scalar + 1),
-    lambda kernel: kernel.replace(cofactor=(kernel.cofactor[0] + 1,) + kernel.cofactor[1:]),
+    lambda kernel: Kernel(kernel.scalar + 1, kernel.blocks, kernel.cofactor),
+    lambda kernel: Kernel(kernel.scalar, kernel.blocks,
+                          (kernel.cofactor[0] + 1,) + kernel.cofactor[1:]),
 ], ids=["scalar-off-by-one", "cofactor-off-by-one"])
 def test_certificate_rejects_tampered_kernels(tamper):
     # the honest parts against a kernel with the same poles but other values
@@ -413,7 +414,8 @@ def test_certificate_refuses_a_zero_top_numerator():
     # times t + 1, the pole at t = -1 drops to order 3, but the merged factors
     # ignore the cofactor and say 4: the order-4 term there has a zero top
     # numerator, which the values alone would accept
-    kernel = left_kernel(FormParameters(4, 1)).replace(cofactor=(1, 1))
+    honest = left_kernel(FormParameters(4, 1))
+    kernel = Kernel(honest.scalar, honest.blocks, (1, 1))
     with pytest.raises(ReconstructionError,
                        match=r"^left: term of order 4 at shift 1 .* zero top numerator$"):
         _principal_parts(kernel, "left")
@@ -453,8 +455,8 @@ def test_local_expansions_share_one_table_build_per_cell_at_most(monkeypatch):
     monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
     tables, honest = [], exact_arith._power_sums
 
-    def spy(top, count):
-        entry = honest(top, count)
+    def spy(top, orders):
+        entry = honest(top, orders)
         if not any(entry[1] is rows for _, rows in tables):
             tables.append(entry)
         return entry
@@ -654,13 +656,13 @@ def _centre_factor_moved(kernel, n):
     """(t + n/2) moved to (t + n/2 + 1): the block (n/2 + 1)_1 at even n, the
     cofactor 2t + n + 2 at odd n, where the factors still mirror."""
     if n % 2:
-        return kernel.replace(cofactor=(n + 2, 2))
-    return kernel.replace(blocks=kernel.blocks[:-1] + ((n // 2 + 1, 1, 1),))
+        return Kernel(kernel.scalar, kernel.blocks, (n + 2, 2))
+    return Kernel(kernel.scalar, kernel.blocks[:-1] + ((n // 2 + 1, 1, 1),))
 
 
 @pytest.mark.parametrize("tamper", [
     _centre_factor_moved,
-    lambda kernel, n: kernel.replace(cofactor=(1, 0, 1)),
+    lambda kernel, n: Kernel(kernel.scalar, kernel.blocks, (1, 0, 1)),
 ], ids=["centre-factor-moved", "cofactor-t-squared-plus-1"])
 @pytest.mark.parametrize("n, m", [(4, 1), (3, 1)])
 def test_kernels_that_are_not_odd_take_the_full_route(tamper, n, m, monkeypatch):
@@ -1063,12 +1065,12 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
     # multiplied out, and each right j-kernel is built once per cell
     built = _count_chains(monkeypatch)
     chains, orders, blocks = [], set(), []
-    build, numerators = DerivativeChain._build, DerivativeChain.numerators
+    init, numerators = DerivativeChain.__init__, DerivativeChain.numerators
     right_blocks = apery_forms._right_blocks
 
-    def spy_build(chain, *expansion):
+    def spy_init(chain, *expansion):
         chains.append(chain)
-        build(chain, *expansion)
+        init(chain, *expansion)
 
     def spy_numerators(chain, x, order):
         orders.add(order)
@@ -1081,7 +1083,7 @@ def test_audit_builds_one_chain_per_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the audit multiplied a kernel out")
 
-    monkeypatch.setattr(DerivativeChain, "_build", spy_build)
+    monkeypatch.setattr(DerivativeChain, "__init__", spy_init)
     monkeypatch.setattr(DerivativeChain, "numerators", spy_numerators)
     monkeypatch.setattr(apery_forms, "_right_blocks", spy_right_blocks)
     monkeypatch.setattr(Kernel, "expansion", refuse)

@@ -27,7 +27,7 @@ import pytest
 import apery4
 from apery4 import (DomainError, FixedPointNumber, FormParameters, Kernel, PartialFractions, RangeError,
                     SummandCheck, ZetaLinearForm)
-from apery4.polyrat import LinearFactorProduct
+from apery4.polyrat import DerivativeChain, LinearFactorProduct
 
 MODULES = ["apery4"] + [f"apery4.{info.name}"
                         for info in pkgutil.iter_modules(apery4.__path__)]
@@ -37,6 +37,15 @@ MODULES = ["apery4"] + [f"apery4.{info.name}"
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_each_value_is_built_through_its_constructor():
+    # no unchecked twin of a constructor and no copy-with-changes: a public
+    # type checks its fields in __init__, and the internal chain, built only
+    # from checked kernels and literals, trusts them there
+    assert apery4.polyrat.__all__ == ["PartialFractions"]
+    for cls in (Kernel, apery4.polyrat._Value, DerivativeChain):
+        assert [name for name in ("replace", "_unchecked", "_of") if hasattr(cls, name)] == []
 
 
 @pytest.mark.parametrize("method", ["expand", "expand_parts"])
@@ -164,19 +173,6 @@ def test_values_pickle_and_copy(name):
         value.factors, value.centre                 # cached before the copies
     for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(other) is type(value) and other == value
-
-
-def test_kernel_replace_has_its_own_views():
-    # (2t + 1)(t + 1) (t-1)_3 / (t)_2^2: the cofactor holds the factor t + 1/2
-    kernel = VALUES["Kernel"][0]()
-    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
-    odd = kernel.replace(blocks=((0, 3, 1),), cofactor=(1,))
-    assert odd == Kernel(F(1), ((0, 3, 1),))
-    assert (odd.factors, odd.centre) == ({0: 1, 1: 1, 2: 1}, 2)
-    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
-    for field in ("degree", "linears"):
-        with pytest.raises(DomainError, match=rf"^Kernel has no field '{field}'$"):
-            kernel.replace(**{field: 3})
 
 
 @pytest.mark.parametrize("cofactor", [(1, 0), (0,), (3, 2, 0)])

@@ -26,13 +26,11 @@ import apery4
 from apery4 import (Apery4Error, DomainError, FixedPointNumber, FormParameters, Kernel,
                     RangeError, ZetaLinearForm, left_form, left_kernel)
 from apery4.apery_forms import _left_expansion
-from apery4.polyrat import DerivativeChain
 from apery4.recurrence_lab import recurrence_table
 
 P = FormParameters(3, 1)
 FORM = left_form(P)
 KERNEL = left_kernel(P)
-CHAIN = DerivativeChain(KERNEL.cofactor, KERNEL.scalar, KERNEL.factors.items())
 
 # small ints, bools, floats, Fractions, None, strings, and one valid value of
 # each package kind: a cell, its form, its certified parts and a table
@@ -50,8 +48,6 @@ METHODS = {
     "ZetaLinearForm.coefficient": FORM.coefficient,
     "FixedPointNumber.from_fraction": FixedPointNumber.from_fraction,
     "FixedPointNumber.agrees_with": FixedPointNumber(5, 2, Fraction(0)).agrees_with,
-    "DerivativeChain.numerators": CHAIN.numerators,
-    "DerivativeChain.sum": CHAIN.sum,
 }
 
 
@@ -105,4 +101,4 @@ def test_kernel_refuses_a_cofactor_it_cannot_read(cofactor, error):
     with pytest.raises(error):
         Kernel(Fraction(1), ((0, 1, -1),), cofactor)
     with pytest.raises(error):
-        KERNEL.replace(cofactor=cofactor)
+        Kernel(KERNEL.scalar, KERNEL.blocks, cofactor)

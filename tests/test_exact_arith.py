@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apery4 import DomainError, exact_arith, factorial, harmonic, pochhammer
+from apery4 import DomainError, exact_arith, factorial, harmonic, pochhammer, zeta_value
 from apery4.exact_arith import _power_sums
 import dense_reference
 
@@ -80,7 +80,7 @@ def test_power_sum_rows_are_scaled_harmonic_numbers(monkeypatch):
     monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
     for top in [*range(0, 30), 45, 40, 37, 38, 60]:
         count = 1 + top % 5
-        scale, rows = _power_sums(top, count)
+        scale, rows = _power_sums(top, range(1, count + 1))
         assert scale == lcm(*range(1, top + 1)), top
         for r in range(1, count + 1):
             assert rows[r][:top + 1] == [scale ** r * dense_reference.harmonic(r, i)
@@ -91,12 +91,29 @@ def test_power_sum_tables_are_all_kept(monkeypatch):
     # one top, then 40 tops whose L all differ from it and from each other
     # (L grows at prime powers), then the first top again: its rows come back
     monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
-    _, first = _power_sums(2, 2)
+    _, first = _power_sums(2, (1, 2))
     tops = [q for q in range(3, 200) if lcm(*range(1, q)) != lcm(*range(1, q + 1))][:40]
     for top in tops:
-        _power_sums(top, 1)
-    assert _power_sums(2, 2)[1] is first
+        _power_sums(top, (1,))
+    assert _power_sums(2, (1, 2))[1] is first
     assert list(exact_arith._POWER_SUMS) == [2, *tops]
+
+
+def test_power_sum_tables_hold_only_the_rows_read(monkeypatch):
+    # zeta(7)'s head reads row 7 of its cutoff's table, and harmonic(3, 10)
+    # row 3 of top 10's: from an empty table no other row is built, and the
+    # values are those read from a table that holds every row up to theirs
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    zeta = zeta_value(7, 30)
+    ((top, (_, rows)),) = exact_arith._POWER_SUMS.items()
+    assert sorted(rows) == [7]
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    _power_sums(top, range(1, 8))
+    assert zeta_value(7, 30) == zeta
+    monkeypatch.setattr(exact_arith, "_POWER_SUMS", {})
+    exact_arith._harmonic.cache_clear()
+    assert harmonic(3, 10) == dense_reference.harmonic(3, 10)
+    assert {top: sorted(rows) for top, (_, rows) in exact_arith._POWER_SUMS.items()} == {10: [3]}
 
 
 def test_importing_the_package_builds_no_table():

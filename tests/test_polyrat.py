@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
-from apery4 import (DomainError, FormParameters, Kernel, PartialFractions, PoleError,
+from apery4 import (FormParameters, Kernel, PartialFractions, PoleError,
                     RangeError, left_kernel, pochhammer, polyrat, right_kernel, zeta_forms)
 from apery4.apery_forms import _left_expansion, _right_blocks, _right_expansion
 from apery4.polyrat import DerivativeChain, LinearFactorProduct
@@ -290,36 +290,6 @@ def test_chain_sums_every_order_it_carries():
                     start=F(0)) for order in range(3)]
     orders = (1, 2, 0, 1)
     assert [chain.sum(order, 1, 40) for order in orders] == [termwise[o] for o in orders]
-
-
-def test_chain_rejects_orders_it_does_not_carry():
-    # the order comes with each call; no chain carries a negative one
-    chain = DerivativeChain([1], F(1), ((1, -2),))
-    with pytest.raises(ValueError):
-        chain.sum(-1, 0, 4)
-    with pytest.raises(ValueError):
-        chain.numerators(0, -1)
-
-
-@pytest.mark.parametrize("exponent", [1, -1])
-@pytest.mark.parametrize("shift", [F(1, 2), F(2), 2.0, True])
-def test_chain_refuses_a_shift_that_is_not_an_int(shift, exponent):
-    # every shift of the package's kernels is an int, a pole's (e < 0) and
-    # a numerator factor's (e > 0) alike
-    DerivativeChain([1], F(1), ((2, -2), (3, -1), (-1, 1)))
-    with pytest.raises(DomainError, match=r"^need shift of type int, got "):
-        DerivativeChain([1], F(1), ((0, -2), (shift, exponent)))
-
-
-def test_chain_refuses_a_point_that_is_not_an_integer():
-    # numerators and sum read the chain at integers only
-    chain = DerivativeChain([1, 2], F(1), ((0, -2), (1, -1)))
-    assert chain.numerators(F(6, 3), 1) == chain.numerators(2, 1)
-    assert chain.sum(1, F(2), 9) == chain.sum(1, 2, 9)
-    for call in (lambda: chain.numerators(F(1, 2), 1), lambda: chain.sum(1, F(3, 2), 9),
-                 lambda: chain.sum(1, 2, F(17, 2))):
-        with pytest.raises(DomainError, match="point must be an integer"):
-            call()
 
 
 @pytest.mark.parametrize("seed", range(40))

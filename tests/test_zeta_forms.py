@@ -259,10 +259,10 @@ def test_tangent_table_grows_geometrically(monkeypatch):
                       for k in range(1, 301)]
 
 
-def test_zeta_value_caches_and_validates():
-    with pytest.raises(ValueError):
+def test_zeta_value_refuses_an_order_or_digits_out_of_range():
+    with pytest.raises(RangeError, match=r"^need s >= 2, got 1$"):
         zeta_value(1, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError, match=r"^need digits >= 1, got 0$"):
         zeta_value(2, 0)
 
 
