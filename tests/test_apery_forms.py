@@ -15,7 +15,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apery4 import (DivergenceError, DomainError, FormParameters, Kernel,
@@ -870,6 +870,9 @@ def _centred(blocks, centre, exponent):
     return Kernel(F(-5, 3 * 2 ** exponent), blocks, tuple(cofactor))
 
 
+# the dense oracle's Fraction arithmetic takes up to ~0.3 s on the largest
+# kernels drawn (poles of order 12 and more), over the default 0.2 s
+@settings(deadline=2000)
 @given(st.lists(_BLOCK, max_size=4), st.integers(-6, 6), st.sampled_from([-3, -1, 1, 3]))
 @example([(0, 3, -2)], 2, 1)                        # poles at 0, -1, -2, one at the centre
 @example([(-1, 2, -1)], 1, 1)                       # four simple poles, 2t + 1 at the centre

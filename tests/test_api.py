@@ -175,6 +175,16 @@ def test_values_pickle_and_copy(name):
         assert type(other) is type(value) and other == value
 
 
+def test_kernel_built_from_another_has_its_own_views():
+    # (2t + 1)(t + 1) (t-1)_3 / (t)_2^2: the cofactor holds the factor t + 1/2,
+    # so no centre; the kernel of its blocks' numerator alone has centre 2
+    kernel = VALUES["Kernel"][0]()
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
+    odd = Kernel(kernel.scalar, ((0, 3, 1),))
+    assert (odd.factors, odd.centre) == ({0: 1, 1: 1, 2: 1}, 2)
+    assert (kernel.factors, kernel.centre) == ({-1: 1, 0: -1, 1: -1}, None)
+
+
 @pytest.mark.parametrize("cofactor", [(1, 0), (0,), (3, 2, 0)])
 def test_kernel_refuses_a_cofactor_with_a_zero_top(cofactor):
     # 1/t written with the cofactor (1, 0) would read degree 0, and (0,) is

@@ -102,3 +102,28 @@ def test_kernel_refuses_a_cofactor_it_cannot_read(cofactor, error):
         Kernel(Fraction(1), ((0, 1, -1),), cofactor)
     with pytest.raises(error):
         Kernel(KERNEL.scalar, KERNEL.blocks, cofactor)
+
+
+@pytest.mark.parametrize("exponent", [1, -1])
+@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(2), 2.0, True])
+def test_kernel_refuses_a_shift_that_is_not_an_int(shift, exponent):
+    # every shift of a kernel is an int, a pole's (e < 0) and a numerator
+    # factor's (e > 0) alike: the kernel checks it, and the derivative chain
+    # built from the kernel's factors takes it as given
+    Kernel(Fraction(1), ((2, 1, -2), (3, 1, -1), (-1, 1, 1)))
+    with pytest.raises(DomainError, match=r"^need block x of type int, got "):
+        Kernel(Fraction(1), ((0, 1, -2), (shift, 1, exponent)))
+
+
+@pytest.mark.parametrize("block, error", [
+    ([0, 1, -1], DomainError), ((0, 1), RangeError), ((0, 1, -1, 1), RangeError),
+    ((0, -1, 1), RangeError), ((0, 1.0, -1), DomainError), ((0, 1, Fraction(-1)), DomainError),
+    ((0, 1, True), DomainError),
+], ids=["list", "two-fields", "four-fields", "negative-length", "float-length",
+        "fraction-exponent", "bool-exponent"])
+def test_kernel_refuses_a_block_it_cannot_read(block, error):
+    # a block (x, k, e) is a tuple of three ints with k >= 0, read as (t + x)_k^e
+    with pytest.raises(error):
+        Kernel(Fraction(1), ((0, 2, -1), block))
+    with pytest.raises(DomainError, match=r"^need blocks of type tuple, got "):
+        Kernel(Fraction(1), [block])
