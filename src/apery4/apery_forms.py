@@ -730,68 +730,43 @@ def audit_summands(n_max: int = 10, samples: int = 2, seed: int = 0) -> list[Sum
     checked(samples, "samples", 1)
     rng = random.Random(checked(seed, "seed"))
     checks: list[SummandCheck] = []
-
-    def record(family: str, p: FormParameters, j: int | None, nu: int,
-               routes: dict[str, Fraction]) -> None:
-        checks.append(SummandCheck(
-            family, p.n, p.m, j, nu,
-            tuple(routes.keys()), tuple(str(v) for v in routes.values())))
-
     for n in range(n_max + 1):
         for m in range(n + 1):
             p = FormParameters(n, m)
-            shift = 2 * n - m
-            # per kernel, built once: the left one (key None) read at order 1,
-            # right j at 2, and the oracle's chain on its factors
-            kernels = {}
 
+            @cache
             def kernel(j: int | None) -> tuple[Kernel, DerivativeChain, int]:
-                if j not in kernels:
-                    k = left_kernel(p) if j is None else _right_blocks(p, j)
-                    kernels[j] = (k, DerivativeChain(k.cofactor, k.scalar, k.factors.items()),
-                                  1 if j is None else 2)
-                return kernels[j]
+                """Built once per cell: the left kernel (j None) read at order 1,
+                right j at 2, and the oracle's chain on its factors."""
+                k = left_kernel(p) if j is None else _right_blocks(p, j)
+                return (k, DerivativeChain(k.cofactor, k.scalar, k.factors.items()),
+                        1 if j is None else 2)
 
-            def oracle(j: int | None, x: int) -> Fraction:
-                _, chain, order = kernel(j)
-                return _highest(chain.numerators(x, order))
-
-            def generated(j: int | None, x: int) -> Fraction:
-                k, _, order = kernel(j)
-                return _highest(_derivative_numerators(k, x, order))
+            def check(family: str, j: int | None, nu: int, x: int,
+                      printed: Fraction | None = None, generated: bool = False) -> None:
+                """Record the summand at ``nu``, the kernel's derivative at ``x``, by route."""
+                k, chain, order = kernel(j)
+                routes = {} if printed is None else {"printed": printed}
+                routes["oracle"] = _highest(chain.numerators(x, order))
+                if generated:
+                    routes["generated"] = _highest(_derivative_numerators(k, x, order))
+                checks.append(SummandCheck(family, n, m, j, nu, tuple(routes),
+                                           tuple(str(v) for v in routes.values())))
 
             for nu in _sample(rng, range(1, 2 * n + 7), samples):
-                record("left-tail", p, None, nu, {
-                    "printed": left_tail_summand(p, nu),
-                    "oracle": oracle(None, nu + shift),
-                    "generated": generated(None, nu + shift),
-                })
+                check("left-tail", None, nu, nu + 2 * n - m, left_tail_summand(p, nu), True)
             for nu in _sample(rng, range(1, n + 1), samples):
-                record("left-mid", p, None, nu, {
-                    "printed": left_mid_summand(p, nu),
-                    "oracle": oracle(None, nu + n - m),
-                })
+                check("left-mid", None, nu, nu + n - m, left_mid_summand(p, nu))
             for nu in _sample(rng, range(n + 1, 3 * n + 7), samples):
-                j = rng.randrange(0, n + 1)
-                record("right-tail", p, j, nu, {
-                    "oracle": oracle(j, nu),
-                    "generated": generated(j, nu),
-                })
-            if n >= 1:
-                for _ in range(min(samples, n)):
-                    j = rng.randrange(0, n)
-                    nu = rng.randint(j + 1, n)
-                    record("right-mid", p, j, nu, {
-                        "printed": right_mid_summand(p, j, nu),
-                        "oracle": oracle(j, nu),
-                    })
-                for _ in range(min(samples, n)):
-                    j = rng.randint(1, n)
-                    nu = rng.randint(1, j)
-                    record("right-low", p, j, nu, {
-                        "printed": right_low_summand(p, j, nu),
-                        "oracle": oracle(j, nu),
-                    })
+                check("right-tail", rng.randrange(0, n + 1), nu, nu, generated=True)
+            for _ in range(min(samples, n)):
+                j = rng.randrange(0, n)
+                nu = rng.randint(j + 1, n)
+                check("right-mid", j, nu, nu, right_mid_summand(p, j, nu))
+            for _ in range(min(samples, n)):
+                j = rng.randint(1, n)
+                nu = rng.randint(1, j)
+                check("right-low", j, nu, nu, right_low_summand(p, j, nu))
     return checks
 
 
@@ -863,10 +838,11 @@ def _cheapest_closure(expansion: tuple, order: int, start: int,
             raise DivergenceError(f"no closure depth up to {_MAX_DEPTH} meets the target "
                                   f"{target} at a cutoff up to A = {_MAX_CUTOFF}")
         cutoff *= 2
+    halved = False
     while cutoff > base and (lower := least_depth(
             cutoff // 2, closure[0], cost(cutoff, closure[0]))) is not None:
-        cutoff, closure = cutoff // 2, lower
-    while cutoff * 2 <= _MAX_CUTOFF and (higher := least_depth(
+        cutoff, closure, halved = cutoff // 2, lower, True
+    while not halved and cutoff * 2 <= _MAX_CUTOFF and (higher := least_depth(
             cutoff * 2, 1, cost(cutoff, closure[0]))) is not None:
         cutoff, closure = cutoff * 2, higher
     return (cutoff, *closure)
@@ -905,11 +881,12 @@ def _series_numeric(kernel: Kernel, order: int, start: int,
     ran within a quarter of the fastest A.  At each A it takes the least M,
     which only grows as A halves.  From the least closing A >= ``_START_CUTOFF``,
     halve while the estimate falls, each depth scan going on where the last
-    stopped, then double while it falls; no depth is read that cannot beat the
-    estimate in hand.  No M closing at any A up to ``_MAX_CUTOFF`` is a
-    DivergenceError naming the limit and the target, so no input runs until
-    memory runs out (every cell with n <= 100 closes by A = 16,384 at 160
-    decimals).  The reported bound is the one the search compared with
+    stopped; if it never halved, double while it falls (after a halving, 2A
+    costs more at its least M, so doubling cannot win); no depth is read
+    that cannot beat the estimate in hand.  No M closing at any A up to
+    ``_MAX_CUTOFF`` is a DivergenceError naming the limit and the target, so
+    no input runs until memory runs out (every cell with n <= 100 closes by
+    A = 16,384 at 160 decimals).  The reported bound is the one the search compared with
     ``target``, the unreduced pair at the chosen (A, M).  The closure reads
     g^(order-1) .. g^(order+2M-1) at A (:func:`_closure`), and the exact sum
     builds the dense chain up to ``order`` only.

@@ -11,6 +11,7 @@ on in hot loops:
 
 * ``factorial`` — memoized exact k!,
 * ``pochhammer`` — rising factorial (x)_k = x(x+1)...(x+k-1) of an integer x,
+  the product of its k factors,
 * ``_power_sums`` — the one table of power sums S_r(i) = sum_{j<=i} j^(-r),
   kept in integers as L^r S_r(i) with L = lcm(1..top), for the life of the
   process, each row r built only once a caller reads it; the local
@@ -65,21 +66,10 @@ def _factorials(k: int) -> list[int]:
 
 def pochhammer(x: int, k: int) -> int:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1, for an
-    int ``x`` (every caller's base is an integer) and an int ``k`` >= 0."""
+    int ``x`` (every caller's base is an integer) and an int ``k`` >= 0: one
+    product, 0 when the factors cross 0 (x <= 0 < x + k)."""
     checked(x, "x")
-    if checked(k, "k", 0) == 0:
-        return 1
-    if x >= 1:
-        # (x)_k = (x+k-1)! / (x-1)!
-        factorials = _factorials(x + k - 1)
-        return factorials[x + k - 1] // factorials[x - 1]
-    if x + k <= 0:
-        # the factor 0 appears iff x <= 0 < x + k
-        value = 1
-        for i in range(k):
-            value *= x + i
-        return value
-    return 0
+    return math.prod(range(x, x + checked(k, "k", 0)))
 
 
 # ---------------------------------------------------------------------------

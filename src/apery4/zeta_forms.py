@@ -378,7 +378,7 @@ def evaluate_decimal(form: ZetaLinearForm, digits: int) -> FixedPointNumber:
     checked(form, "form", kind=ZetaLinearForm)
     checked(digits, "digits", 1)
     size = sum(abs(c) for c in form.zeta_coefficients)
-    guard = 8 + len(str(1 + int(size)))
+    guard = 8 + len(_decimal_digits(1 + int(size)))
     exact = form.constant
     error = _ZERO
     for s, c in zip(ZETA_ORDERS, form.zeta_coefficients):

@@ -1466,6 +1466,24 @@ def test_remainder_bound_matches_the_unfactored_bound():
                 expansion, order, depth - 1, cutoff) >= target, (expansion, order, target)
 
 
+def test_closure_search_walks_up_only_when_it_never_halved(monkeypatch):
+    # after a halving the pair above costs more at its least M, so no depth
+    # of it is read again: criterion 9's ten searches read 234 depth factors
+    # (267 with a scan of the pair above after each halving)
+    reads = []
+    depth_factor = apery_forms._depth_factor
+
+    def spy(*args):
+        reads.append(args)
+        return depth_factor(*args)
+
+    monkeypatch.setattr(apery_forms, "_depth_factor", spy)
+    for n, m in [(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)]:
+        left_form_numeric(FormParameters(n, m), 30)
+        right_form_numeric(FormParameters(n, m), 30)
+    assert len(reads) == 234
+
+
 @pytest.mark.slow
 def test_closures_are_pinned_to_n_20(monkeypatch):
     # digest of the (A, M) chosen on both sides of every cell with n <= 20 at

@@ -48,6 +48,21 @@ def test_pochhammer_rejects_negative_count():
         pochhammer(2, -1)
 
 
+def test_pochhammer_is_the_product_on_every_side_of_zero():
+    # the one product against a reference on each side of zero:
+    # (x+k-1)!/(x-1)! for x >= 1, 0 when the factors cross 0, and the
+    # signed product of negative factors when x + k <= 0
+    for x in range(-30, 31):
+        for k in range(31):
+            if x >= 1:
+                expected = factorial(x + k - 1) // factorial(x - 1)
+            elif x + k > 0:
+                expected = 0
+            else:
+                expected = (-1) ** k * factorial(-x) // factorial(-x - k)
+            assert pochhammer(x, k) == expected, (x, k)
+
+
 @given(st.integers(-12, 12), st.integers(0, 8), st.integers(0, 8))
 def test_pochhammer_split_law(x, a, b):
     assert pochhammer(x, a + b) == pochhammer(x, a) * pochhammer(x + a, b)

@@ -5,13 +5,12 @@ caller).
 A fresh interpreter runs, under ``sys.settrace``, the four CLI commands at
 tiny sizes (``verify-identity`` once more with two workers, on a machine
 pinned to two cores so the pool runs anywhere, ``verify-recurrences`` with
-a JSON report, and ``summand-audit`` at two samples a family, whose draws
-reach ``pochhammer``'s product of negative factors) and both numeric sides
-at (4, 1) at 30 and at 150 decimals (the former reaches the closure
-search's halving, the latter its doubling past an A that no depth closes and
-its walk up), and reports every line of the package that ran.  Apart from
-``main``, the driver calls only the numeric sides by hand (criterion 9 has
-no command yet), and a test pins that list.  It must be a
+a JSON report, and ``summand-audit`` at two samples a family) and both
+numeric sides at (4, 1) at 30 and at 150 decimals (the former reaches the
+closure search's halving, the latter its doubling past an A that no depth
+closes and its walk up), and reports every line of the package that ran.
+Apart from ``main``, the driver calls only the numeric sides by hand
+(criterion 9 has no command yet), and a test pins that list.  It must be a
 fresh interpreter: the memoized helpers (``_depth_factor``,
 ``_recursion_weights``, ``_order_multipliers``, ``_bernoulli``) run their
 bodies only on a cold cache.

@@ -349,6 +349,22 @@ def test_evaluate_decimal_known_combination():
     assert fx.error_bound < F(1, 10 ** 30)
 
 
+def test_evaluate_decimal_counts_the_digits_of_any_size(monkeypatch):
+    # the guard digits of a coefficient past str()'s 4,300-digit limit are
+    # counted, not refused with a bare ValueError; zeta(4) is stubbed, and
+    # asked for to 5 + 8 + 5,001 digits
+    asked = []
+
+    def stub(s, digits):
+        asked.append((s, digits))
+        return FixedPointNumber(10, 1, F(0))
+
+    monkeypatch.setattr(zeta_forms, "zeta_value", stub)
+    fx = evaluate_decimal(ZetaLinearForm.zeta_term(4, 10 ** 5000), 5)
+    assert asked == [(4, 5 + 8 + 5001)]
+    assert fx.value() == 10 ** 5000
+
+
 def test_evaluate_decimal_pure_rational():
     fx = evaluate_decimal(ZetaLinearForm.from_constant(F(1, 8)), 4)
     assert fx.decimal() == "0.1250"
